@@ -92,8 +92,7 @@ def _simpson(values: np.ndarray, h: float) -> float:
 def _weighted_integrand(prob: VariationalProblem, traj: Trajectory) -> np.ndarray:
     grid = traj.theta_grid
     lagr = evaluate_on_grid(prob.lagrangian, grid, traj.q, traj.v)
-    kernel = np.power(prob.frac.observer_time - grid, prob.frac.alpha - 1.0)
-    return lagr * kernel
+    return lagr * prob.frac.weight(grid)
 
 
 def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue:

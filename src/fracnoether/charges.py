@@ -14,6 +14,10 @@ the running correction integrals of the specialized energy/momentum
 charges use the same base point, so all charges are pinned up to the
 additive constant that drift statistics ignore anyway.
 
+The energy charge needs a Lagrangian whose tree has no ``theta`` node, and
+the momentum charge for q_i one with no ``q_i`` node.  Both preconditions
+are decided on the expression structure, never by sampling.
+
 Drift of a sampled series is max |C(theta_k) - C(theta_0)|; the relative
 form divides by (1 + max |C|) to stay scale-free.
 """
@@ -25,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
+from .euler_lagrange import ExplicitOde, VariationalProblem, along_motion, to_explicit_ode
 from .expressions import (
     Const,
     EvalPoint,
@@ -35,10 +39,10 @@ from .expressions import (
     V,
     add,
     depends_on_velocity,
-    div,
     evaluate,
     evaluate_on_grid,
     mul,
+    references,
     sub,
 )
 from .integrators import Trajectory
@@ -133,38 +137,18 @@ def drift(series: ChargeSeries) -> tuple[float, float]:
 def total_derivative(e: Expr, theta: float, q, v, accel=None) -> float:
     """d/dtheta of e along a motion passing through (theta, q, v, accel).
 
-    Expands to de/dtheta + (de/dq).v + (de/dv).accel; the acceleration is
-    only required when e actually references a velocity.
+    Evaluates the pieces of :func:`along_motion`; the acceleration is only
+    required when e actually references a velocity.
     """
-    q = [float(x) for x in q]
-    v = [float(x) for x in v]
-    n = len(q)
     point = EvalPoint(theta, q, v)
-    out = evaluate(e.diff(Theta()), point)
-    for k in range(n):
-        out += evaluate(e.diff(Q(k)), point) * v[k]
+    rate, accel_coeffs = along_motion(e, point.n)
+    out = evaluate(rate, point)
     if depends_on_velocity(e):
         if accel is None:
             raise ValueError("accel is required for a velocity-dependent expression")
-        accel = [float(x) for x in accel]
-        for k in range(n):
-            out += evaluate(e.diff(V(k)), point) * accel[k]
+        for coeff, a in zip(accel_coeffs, accel, strict=True):
+            out += evaluate(coeff, point) * float(a)
     return out
-
-
-def _rate_along_motion(e: Expr, n: int) -> Expr:
-    """Symbolic d/dtheta of a (theta, q) expression along the motion:
-    de/dtheta + sum_k de/dq_k * v_k."""
-    out = e.diff(Theta())
-    for k in range(n):
-        out = add(out, mul(e.diff(Q(k)), V(k)))
-    return out
-
-
-def _kernel_times(prob: VariationalProblem, e: Expr) -> Expr:
-    """(1 - alpha) * e / (t - theta); folds away entirely at alpha = 1."""
-    t_minus_theta = sub(Const(prob.frac.observer_time), Theta())
-    return mul(Const(1.0 - prob.frac.alpha), div(e, t_minus_theta))
 
 
 # --------------------------------------------------------------------------
@@ -179,27 +163,20 @@ def quasi_invariance_residual(
     dL/dtheta tau + dL/dq . xi + dL/dv . (xi_dot - v tau_dot)
       + L (tau_dot + (1-alpha)/(t-theta) tau) - gauge_rate
 
+    which is the reduced-condition gauge of
+    :func:`gauge_rate_from_reduced_condition` plus the kernel drag of the
+    :func:`condition8_residual` expression, minus the installed gauge rate.
     Zero means the generator is an exact weighted symmetry up to the
     installed gauge rate.  The specialized energy/momentum generators do
-    not satisfy this form; they satisfy the reduced condition that
-    :func:`gauge_rate_from_reduced_condition` balances instead.
+    not satisfy this form; they satisfy the reduced condition instead.
     """
     if gen.gauge_rate is None:
         raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
-    _check_dimensions(prob, gen)
-    L = prob.lagrangian
-    n = prob.n
-    th = point.theta
-    tau_dot = total_derivative(gen.tau, th, point.q, point.v)
-    out = evaluate(L.diff(Theta()), point) * evaluate(gen.tau, point)
-    for j in range(n):
-        xi_dot = total_derivative(gen.xi[j], th, point.q, point.v)
-        out += evaluate(L.diff(Q(j)), point) * evaluate(gen.xi[j], point)
-        out += evaluate(L.diff(V(j)), point) * (xi_dot - point.v[j] * tau_dot)
-    c = prob.frac.kernel_coefficient(th)
-    out += evaluate(L, point) * (tau_dot + c * evaluate(gen.tau, point))
-    out -= evaluate(gen.gauge_rate, point)
-    return out
+    full = add(
+        gauge_rate_from_reduced_condition(prob, gen),
+        prob.frac.drag(_condition8_expression(prob, gen)),
+    )
+    return evaluate(sub(full, gen.gauge_rate), point)
 
 
 def condition8_residual(
@@ -212,13 +189,21 @@ def condition8_residual(
     when this residual is nonzero (it is nonzero for the plain
     time-translation generator already).
     """
+    return evaluate(_condition8_expression(prob, gen), point)
+
+
+def _condition8_expression(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
     _check_dimensions(prob, gen)
     L = prob.lagrangian
-    out = evaluate(L, point) * evaluate(gen.tau, point)
+    return add(mul(L, gen.tau), _momentum_times_shift(prob, gen))
+
+
+def _momentum_times_shift(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
+    """dL/dv . (xi - v tau)."""
+    out = Const(0.0)
     for j in range(prob.n):
-        out += evaluate(L.diff(V(j)), point) * (
-            evaluate(gen.xi[j], point) - point.v[j] * evaluate(gen.tau, point)
-        )
+        shift = sub(gen.xi[j], mul(V(j), gen.tau))
+        out = add(out, mul(prob.lagrangian.diff(V(j)), shift))
     return out
 
 
@@ -239,20 +224,14 @@ def gauge_rate_from_reduced_condition(
     _check_dimensions(prob, gen)
     L = prob.lagrangian
     n = prob.n
-    tau_dot = _rate_along_motion(gen.tau, n)
+    tau_dot = along_motion(gen.tau, n)[0]
     out = mul(L.diff(Theta()), gen.tau)
-    correction = Const(0.0)
     for j in range(n):
-        xi_dot = _rate_along_motion(gen.xi[j], n)
+        xi_dot = along_motion(gen.xi[j], n)[0]
         out = add(out, mul(L.diff(Q(j)), gen.xi[j]))
         out = add(out, mul(L.diff(V(j)), sub(xi_dot, mul(V(j), tau_dot))))
-        correction = add(
-            correction,
-            mul(L.diff(V(j)), sub(gen.xi[j], mul(V(j), gen.tau))),
-        )
     out = add(out, mul(L, tau_dot))
-    out = sub(out, _kernel_times(prob, correction))
-    return out
+    return sub(out, prob.frac.drag(_momentum_times_shift(prob, gen)))
 
 
 # --------------------------------------------------------------------------
@@ -285,16 +264,13 @@ def energy_correction_integrand(prob: VariationalProblem) -> Expr:
     total = Const(0.0)
     for j in range(prob.n):
         total = add(total, mul(L.diff(V(j)), V(j)))
-    return div(total, sub(Const(prob.frac.observer_time), Theta()))
+    return prob.frac.over_lag(total)
 
 
 def momentum_correction_integrand(prob: VariationalProblem, dof: int) -> Expr:
     """dL/dv_i / (t - theta), the running correction of one momentum charge."""
     _check_dof(prob, dof)
-    return div(
-        prob.lagrangian.diff(V(dof)),
-        sub(Const(prob.frac.observer_time), Theta()),
-    )
+    return prob.frac.over_lag(prob.lagrangian.diff(V(dof)))
 
 
 def standard_integrands(
@@ -354,7 +330,7 @@ def fractional_energy(
 
     Samples L - dL/dv.v - (1-alpha) * integral of dL/dv.v/(t-theta).
     """
-    if not _is_identically_zero(prob.lagrangian.diff(Theta()), prob.n):
+    if references(prob.lagrangian, Theta()):
         raise ChargePreconditionError(
             "energy charge requires an autonomous Lagrangian (no explicit theta)"
         )
@@ -364,7 +340,7 @@ def fractional_energy(
         )
     expr = _energy_expression(prob)
     values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values - (1.0 - prob.frac.alpha) * traj.channels[channel]
+    values = values - prob.frac.drag_strength * traj.channels[channel]
     return ChargeSeries.from_values(traj.theta_grid, values)
 
 
@@ -389,7 +365,7 @@ def fractional_momentum(
     Samples dL/dv_i + (1-alpha) * integral of dL/dv_i/(t-theta).
     """
     _check_dof(prob, dof)
-    if not _is_identically_zero(prob.lagrangian.diff(Q(dof)), prob.n):
+    if references(prob.lagrangian, Q(dof)):
         raise ChargePreconditionError(
             f"momentum charge for dof {dof} requires L independent of q{dof}"
         )
@@ -401,7 +377,7 @@ def fractional_momentum(
         )
     expr = prob.lagrangian.diff(V(dof))
     values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values + (1.0 - prob.frac.alpha) * traj.channels[channel]
+    values = values + prob.frac.drag_strength * traj.channels[channel]
     return ChargeSeries.from_values(traj.theta_grid, values)
 
 
@@ -421,16 +397,13 @@ def pointwise_conservation_residual(
         raise ChargePreconditionError("pointwise residual needs a gauge rate")
     if ode is None:
         ode = to_explicit_ode(prob)
-    n = prob.n
     grid, q, v = traj.theta_grid, traj.q, traj.v
     accel = ode.on_grid(grid, q, v)
-    expr = charge_expression(prob, gen)
-    out = evaluate_on_grid(expr.diff(Theta()), grid, q, v)
-    for k in range(n):
-        out = out + evaluate_on_grid(expr.diff(Q(k)), grid, q, v) * v[:, k]
-        out = out + evaluate_on_grid(expr.diff(V(k)), grid, q, v) * accel[:, k]
-    out = out - evaluate_on_grid(gen.gauge_rate, grid, q, v)
-    return out
+    rate, accel_coeffs = along_motion(charge_expression(prob, gen), prob.n)
+    out = evaluate_on_grid(rate, grid, q, v)
+    for k, coeff in enumerate(accel_coeffs):
+        out = out + evaluate_on_grid(coeff, grid, q, v) * accel[:, k]
+    return out - evaluate_on_grid(gen.gauge_rate, grid, q, v)
 
 
 # --------------------------------------------------------------------------
@@ -455,27 +428,3 @@ def _check_dimensions(prob: VariationalProblem, gen: SymmetryGenerator) -> None:
 def _check_dof(prob: VariationalProblem, dof: int) -> None:
     if not 0 <= dof < prob.n:
         raise ValueError(f"dof {dof} out of range for n = {prob.n}")
-
-
-# Sampling box for deciding that a derivative vanishes identically.
-_ZERO_SAMPLES = 24
-_ZERO_TOL = 1e-10
-
-
-def _is_identically_zero(e: Expr, n: int) -> bool:
-    if isinstance(e, Const):
-        return e.value == 0.0
-    rng = np.random.default_rng(20260809)
-    worst = 0.0
-    scale = 1.0
-    for _ in range(_ZERO_SAMPLES):
-        theta = float(rng.uniform(-1.0, 2.0))
-        q = rng.uniform(-1.5, 1.5, size=n).tolist()
-        v = rng.uniform(-1.5, 1.5, size=n).tolist()
-        try:
-            value = e.evaluate(theta, q, v)
-        except ArithmeticError:
-            continue
-        worst = max(worst, abs(value))
-        scale = max(scale, abs(value))
-    return worst <= _ZERO_TOL * scale

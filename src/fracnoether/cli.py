@@ -14,10 +14,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import acceptance
@@ -52,6 +50,11 @@ EXIT_SOLVER = 3
 
 class SolverFailure(RuntimeError):
     """Wraps any numerical failure that should map to exit code 3."""
+
+
+# Failures of one charge label: an unmet precondition, a missing channel, or
+# a charge expression that leaves its domain on the trajectory.
+CHARGE_FAILURES = (ChargePreconditionError, LookupError, EvalDomainError)
 
 
 def _load(args) -> Scenario:
@@ -188,7 +191,7 @@ def cmd_charge(args) -> int:
     for label in labels:
         try:
             series = _compute_charge(label, prob, gens, traj)
-        except (ChargePreconditionError, LookupError) as exc:
+        except CHARGE_FAILURES as exc:
             failures[label] = str(exc)
             print(f"{label:<24}{'failed':>14}{'':>18}  {exc}")
             continue
@@ -208,7 +211,7 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
         for label in labels:
             try:
                 series = _compute_charge(label, prob, gens, traj)
-            except (ChargePreconditionError, LookupError) as exc:
+            except CHARGE_FAILURES as exc:
                 rows.append(
                     {"alpha": alpha, "label": label, "status": f"error: {exc}"}
                 )
@@ -223,7 +226,7 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
                     "status": "ok",
                 }
             )
-    except (SolverFailure, ScenarioError, ExpressionError, ValueError) as exc:
+    except (SolverFailure, ScenarioError, ExpressionError, EvalDomainError) as exc:
         rows.append({"alpha": alpha, "label": "", "status": f"error: {exc}"})
     return rows
 
@@ -232,12 +235,7 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     if not scenario.is_sweep:
         raise ScenarioError("sweep needs an alpha sweep specification {from, to, count}")
-    alphas = scenario.alphas()
-    jobs = args.jobs if args.jobs else min(len(alphas), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        per_alpha = list(pool.map(lambda al: _sweep_rows(scenario, al), alphas))
-
-    rows = [row for chunk in per_alpha for row in chunk]
+    rows = [row for alpha in scenario.alphas() for row in _sweep_rows(scenario, alpha)]
     rows.sort(key=lambda r: (r["alpha"], r["label"]))
     out = _ensure_output_dir(scenario)
     path = out / f"{scenario.name}_sweep.csv"
@@ -309,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run an alpha sweep, write long-format CSV")
     add_common(p_sweep)
-    p_sweep.add_argument("--jobs", type=int, help="concurrent alpha points")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in acceptance corpus")

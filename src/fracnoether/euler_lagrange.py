@@ -9,8 +9,11 @@ stationarity condition for such problems reads, componentwise,
     dL/dq - d/dtheta (dL/dv) = (1 - alpha) / (t - theta) * dL/dv
 
 which collapses to the classical Euler-Lagrange equation at ``alpha = 1``.
-:func:`to_explicit_ode` rearranges it into explicit accelerations for
-regular Lagrangians (invertible velocity Hessian).
+:class:`FractionalParams` is the one place the kernel and its drag
+coefficient are written, and :func:`along_motion` the one place the
+derivative along the motion is expanded.  :func:`to_explicit_ode`
+rearranges the equation into explicit accelerations for regular
+Lagrangians (invertible velocity Hessian).
 """
 
 from __future__ import annotations
@@ -22,13 +25,18 @@ import numpy as np
 
 from . import linsolve
 from .expressions import (
+    Const,
     EvalPoint,
     Expr,
     Q,
     Theta,
     V,
+    add,
+    div,
     evaluate_on_grid,
     max_coordinate_index,
+    mul,
+    sub,
 )
 
 
@@ -48,7 +56,11 @@ class SingularHessianError(ArithmeticError):
 
 @dataclass(frozen=True)
 class FractionalParams:
-    """Fractional order alpha in (0, 1] and the observer time t."""
+    """Fractional order alpha in (0, 1] and the observer time t.
+
+    Owns every spelling of the kernel: the action weight, the numeric drag
+    coefficient, and the symbolic builders the charges use.
+    """
 
     alpha: float
     observer_time: float
@@ -57,9 +69,26 @@ class FractionalParams:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0,1]")
 
-    def kernel_coefficient(self, theta: float) -> float:
-        """The drag coefficient (1 - alpha) / (t - theta)."""
-        return (1.0 - self.alpha) / (self.observer_time - theta)
+    @property
+    def drag_strength(self) -> float:
+        """1 - alpha; zero in the classical limit."""
+        return 1.0 - self.alpha
+
+    def weight(self, theta):
+        """The action kernel (t - theta)^(alpha - 1); theta may be an array."""
+        return np.power(self.observer_time - theta, self.alpha - 1.0)
+
+    def kernel_coefficient(self, theta):
+        """The drag coefficient (1 - alpha) / (t - theta); theta may be an array."""
+        return self.drag_strength / (self.observer_time - theta)
+
+    def over_lag(self, e: Expr) -> Expr:
+        """Symbolic e / (t - theta)."""
+        return div(e, sub(Const(self.observer_time), Theta()))
+
+    def drag(self, e: Expr) -> Expr:
+        """Symbolic (1 - alpha) * e / (t - theta); folds away at alpha = 1."""
+        return mul(Const(self.drag_strength), self.over_lag(e))
 
 
 @dataclass(frozen=True)
@@ -113,49 +142,44 @@ class VariationalProblem:
         return self.interval[1]
 
 
-def _momentum_partials(prob: VariationalProblem):
-    """Symbolic pieces of d/dtheta(dL/dv): per component j the trees
-    (p_j, dp_j/dtheta, dp_j/dq_k, dp_j/dv_k) plus dL/dq_j."""
-    L = prob.lagrangian
-    n = prob.n
-    p = [L.diff(V(j)) for j in range(n)]
-    dLdq = [L.diff(Q(j)) for j in range(n)]
-    dpdth = [p[j].diff(Theta()) for j in range(n)]
-    dpdq = [[p[j].diff(Q(k)) for k in range(n)] for j in range(n)]
-    hess = [[p[j].diff(V(k)) for k in range(n)] for j in range(n)]
-    return p, dLdq, dpdth, dpdq, hess
+def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
+    """Split d/dtheta of e along a motion into symbolic pieces.
+
+    Returns ``(rate, accel_coeffs)`` with rate = de/dtheta + sum_k de/dq_k v_k
+    and accel_coeffs[k] = de/dv_k, so that the total derivative reads
+    rate + sum_k accel_coeffs[k] * accel_k.  For a (theta, q) expression
+    every acceleration coefficient folds to zero.
+    """
+    rate = e.diff(Theta())
+    for k in range(n):
+        rate = add(rate, mul(e.diff(Q(k)), V(k)))
+    return rate, [e.diff(V(k)) for k in range(n)]
 
 
 def el_residual(prob: VariationalProblem, point: EvalPoint, accel) -> np.ndarray:
     """Pointwise residual of the weighted Euler-Lagrange equation.
 
-    Returns dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv with the
-    total derivative expanded through the chain rule using the supplied
-    accelerations.  A zero vector means (point, accel) satisfies the
-    equation.
+    Returns dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv, i.e.
+    F - c p - M accel in the terms of :class:`ExplicitOde`.  A zero vector
+    means (point, accel) satisfies the equation.
     """
     if point.n != prob.n:
         raise ValueError("point dimension does not match the problem")
-    accel = [float(x) for x in accel]
-    if len(accel) != prob.n:
+    accel = np.array([float(x) for x in accel])
+    if accel.size != prob.n:
         raise ValueError("accel must have length n")
-    p, dLdq, dpdth, dpdq, hess = _momentum_partials(prob)
-    th, q, v = point.theta, point.q, point.v
-    c = prob.frac.kernel_coefficient(th)
-    out = np.empty(prob.n)
-    for j in range(prob.n):
-        total = dpdth[j].evaluate(th, q, v)
-        for k in range(prob.n):
-            total += dpdq[j][k].evaluate(th, q, v) * v[k]
-            total += hess[j][k].evaluate(th, q, v) * accel[k]
-        out[j] = (
-            dLdq[j].evaluate(th, q, v) - total - c * p[j].evaluate(th, q, v)
-        )
-    return out
+    force, mass = ExplicitOde(prob).assemble(point.theta, point.q, point.v)
+    return np.array(force) - np.array(mass) @ accel
 
 
 class ExplicitOde:
     """Explicit accelerations for a regular Lagrangian.
+
+    With momenta p_j = dL/dv_j split by :func:`along_motion`, the weighted
+    Euler-Lagrange equation reads M accel = F - c p, where the force tree
+    F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k, and the
+    kernel coefficient c = (1-alpha)/(t-theta) stays numeric.  The trees
+    are built once here and only evaluated afterwards.
 
     Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted).
     ``on_grid`` evaluates the same right-hand side over a whole batch of
@@ -164,44 +188,39 @@ class ExplicitOde:
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
-        self.n = prob.n
-        self._p, self._dLdq, self._dpdth, self._dpdq, self._hess = (
-            _momentum_partials(prob)
-        )
-        self._alpha = prob.frac.alpha
-        self._t = prob.frac.observer_time
+        self.n = n = prob.n
+        L = prob.lagrangian
+        self.momentum = [L.diff(V(j)) for j in range(n)]
+        self.force = []
+        self.mass = []
+        for j, p in enumerate(self.momentum):
+            rate, accel_coeffs = along_motion(p, n)
+            self.force.append(sub(L.diff(Q(j)), rate))
+            self.mass.append(accel_coeffs)
+        self._kernel = prob.frac.kernel_coefficient
+
+    def assemble(self, theta: float, q, v) -> tuple[list, list]:
+        """Net force F - c p and mass matrix M at one point."""
+        c = self._kernel(theta)
+        force = [
+            f.evaluate(theta, q, v) - c * p.evaluate(theta, q, v)
+            for f, p in zip(self.force, self.momentum)
+        ]
+        return force, [[m.evaluate(theta, q, v) for m in row] for row in self.mass]
 
     def __call__(self, theta: float, q, v):
-        n = self.n
-        c = (1.0 - self._alpha) / (self._t - theta)
-        if n == 1:
-            m00 = self._hess[0][0].evaluate(theta, q, v)
+        if self.n == 1:
+            m00 = self.mass[0][0].evaluate(theta, q, v)
             if m00 == 0.0:
                 raise SingularHessianError(theta, float("inf"))
-            total = (
-                self._dpdth[0].evaluate(theta, q, v)
-                + self._dpdq[0][0].evaluate(theta, q, v) * v[0]
-            )
-            force = (
-                self._dLdq[0].evaluate(theta, q, v)
-                - total
-                - c * self._p[0].evaluate(theta, q, v)
+            c = self._kernel(theta)
+            force = self.force[0].evaluate(theta, q, v) - c * self.momentum[0].evaluate(
+                theta, q, v
             )
             return [force / m00]
-        m = np.empty((n, n))
-        rhs = np.empty(n)
-        for j in range(n):
-            total = self._dpdth[j].evaluate(theta, q, v)
-            for k in range(n):
-                total += self._dpdq[j][k].evaluate(theta, q, v) * v[k]
-                m[j, k] = self._hess[j][k].evaluate(theta, q, v)
-            rhs[j] = (
-                self._dLdq[j].evaluate(theta, q, v)
-                - total
-                - c * self._p[j].evaluate(theta, q, v)
-            )
+        force, mass = self.assemble(theta, q, v)
         try:
-            return linsolve.solve(m, rhs).tolist()
+            return linsolve.solve(mass, force).tolist()
         except linsolve.SingularMatrixError as exc:
             raise SingularHessianError(theta, exc.condition_estimate) from exc
 
@@ -210,20 +229,15 @@ class ExplicitOde:
         theta = np.asarray(theta, dtype=float)
         q = np.asarray(q, dtype=float)
         v = np.asarray(v, dtype=float)
-        m_pts, n = q.shape
-        c = (1.0 - self._alpha) / (self._t - theta)
-        mats = np.empty((m_pts, n, n))
-        rhs = np.empty((m_pts, n))
-        for j in range(n):
-            total = evaluate_on_grid(self._dpdth[j], theta, q, v)
-            for k in range(n):
-                total = total + evaluate_on_grid(self._dpdq[j][k], theta, q, v) * v[:, k]
-                mats[:, j, k] = evaluate_on_grid(self._hess[j][k], theta, q, v)
-            rhs[:, j] = (
-                evaluate_on_grid(self._dLdq[j], theta, q, v)
-                - total
-                - c * evaluate_on_grid(self._p[j], theta, q, v)
-            )
+
+        def grid(e):
+            return evaluate_on_grid(e, theta, q, v)
+
+        c = self._kernel(theta)
+        mats = np.stack([np.stack([grid(m) for m in row], -1) for row in self.mass], 1)
+        rhs = np.stack(
+            [grid(f) - c * grid(p) for f, p in zip(self.force, self.momentum)], -1
+        )
         try:
             return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

@@ -5,8 +5,9 @@ variables ``theta`` / ``q0..q{n-1}`` / ``v0..v{n-1}``, the unary functions
 ``neg sin cos exp ln sqrt`` plus powers with a fixed real exponent, and the
 binary operators ``+ - * /``.  The lowercase constructor helpers fold
 constants and drop additive/multiplicative identities so that symbolic
-derivatives stay compact, but no canonical simplification is attempted;
-expression equality is always decided by numeric sampling, never by shape.
+derivatives stay compact, but no canonical simplification is attempted.
+Whether a tree depends on a variable is decided by its nodes
+(:func:`references`, :func:`depends_on_velocity`).
 
 Evaluation comes in two flavours with identical domain rules: scalar
 (:func:`evaluate`) and grid-vectorized (:func:`evaluate_on_grid`).  Both
@@ -676,8 +677,13 @@ def depends_on_velocity(e: Expr) -> bool:
     return any(isinstance(node, V) for node in walk(e))
 
 
-def depends_on_theta(e: Expr) -> bool:
-    return any(isinstance(node, Theta) for node in walk(e))
+def references(e: Expr, var: Expr) -> bool:
+    """True when the tree contains the variable node ``var`` (theta, q_i or v_i)."""
+    index = getattr(var, "index", None)
+    return any(
+        type(node) is type(var) and getattr(node, "index", None) == index
+        for node in walk(e)
+    )
 
 
 # --------------------------------------------------------------------------

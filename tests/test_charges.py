@@ -276,6 +276,23 @@ def test_fractional_energy_rejects_theta_dependent_lagrangian():
         fractional_energy(prob, traj)
 
 
+def test_fractional_energy_rejects_tiny_explicit_theta_term():
+    # a 1e-11 theta coupling is below any sampling tolerance but still
+    # makes the Lagrangian non-autonomous
+    prob = problem("v0^2/2 - q0^2/2 + 1e-11*theta*q0", alpha=0.5)
+    traj = solve(prob, [1.0], [0.0], steps=100, energy=True)
+    with pytest.raises(ChargePreconditionError, match="autonomous"):
+        fractional_energy(prob, traj)
+
+
+def test_fractional_momentum_rejects_q_term_undefined_near_origin():
+    # sqrt(q0 - 10) cannot be evaluated near q0 = 0, yet L depends on q0
+    prob = problem("v0^2/2 + sqrt(q0 - 10)", alpha=0.5)
+    traj = solve(prob, [11.0], [1.0], steps=100, momentum=True)
+    with pytest.raises(ChargePreconditionError, match="q0"):
+        fractional_momentum(prob, traj, 0)
+
+
 def test_fractional_momentum_constant_equals_launch_velocity():
     prob = problem("v0^2/2", alpha=0.5)
     traj = solve(prob, [0.0], [1.0], steps=1000, momentum=True)

@@ -1,8 +1,10 @@
 """Scenario validation and the four CLI subcommands."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +198,55 @@ def test_charge_partial_precondition_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "oscillator_charge_momentum_0.csv").exists()
 
 
+def log_shift_scenario(tmp_path, **overrides):
+    # xi = ln(q0) leaves its domain once the particle crosses q0 = 0
+    raw = base_scenario(
+        name="log_shift",
+        mode={"type": "ivp", "q0": [0.5], "v0": [-1.0]},
+        generators=[{"tau": "0", "xi": ["ln(q0)"], "gauge": "0"}],
+        output_dir=str(tmp_path / "out"),
+        **overrides,
+    )
+    return write_scenario(tmp_path, raw)
+
+
+def test_charge_outside_its_domain_is_reported_failed(tmp_path, capsys):
+    path = log_shift_scenario(tmp_path)
+    assert cli.main(["charge", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "noether_g0" in out and "failed" in out and "ln" in out
+    assert (tmp_path / "out" / "log_shift_charge_momentum_0.csv").exists()
+    assert not (tmp_path / "out" / "log_shift_charge_noether_g0.csv").exists()
+
+
+def test_sweep_charge_outside_its_domain_is_an_error_row(tmp_path):
+    path = log_shift_scenario(tmp_path, alpha={"from": 0.5, "to": 1.0, "count": 2})
+    assert cli.main(["sweep", "--scenario", str(path)]) == 1
+    rows = (tmp_path / "out" / "log_shift_sweep.csv").read_text().strip().splitlines()[1:]
+    status = {tuple(r.split(",")[:2]): r.split(",")[-1] for r in rows}
+    for alpha in ("0.5", "1"):
+        assert status[(alpha, "noether_g0")].startswith("error: ln")
+        assert status[(alpha, "momentum_0")] == "ok"
+
+
+def test_sweep_action_outside_its_domain_is_an_error_row(tmp_path):
+    # the attractive -ln(q0) potential pulls the particle through q0 = 0,
+    # where the accelerations stay finite but L itself is undefined
+    raw = base_scenario(
+        name="log_action",
+        lagrangian="v0^2/2 - 0.01*ln(q0)",
+        alpha={"from": 0.5, "to": 1.0, "count": 2},
+        mode={"type": "ivp", "q0": [0.5], "v0": [-2.0]},
+        generators=[],
+        charges=["energy"],
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_scenario(tmp_path, raw)
+    assert cli.main(["sweep", "--scenario", str(path)]) == 1
+    rows = (tmp_path / "out" / "log_action_sweep.csv").read_text().strip().splitlines()[1:]
+    assert rows == ["0.5,,,,,error: ln of non-positive value", "1,,,,,error: ln of non-positive value"]
+
+
 def test_charge_requires_a_charge_kind(tmp_path, capsys):
     path = write_scenario(
         tmp_path, base_scenario(charges=[], generators=[], output_dir=str(tmp_path / "o"))
@@ -236,15 +287,6 @@ def test_sweep_outputs_long_format(tmp_path):
         assert value == pytest.approx(predicted, abs=1e-6)
     assert classical[1.0] < 1e-12
     assert all(value < 1e-6 for value in fractional.values())
-
-
-def test_sweep_concurrency_does_not_change_output(tmp_path):
-    path = sweep_scenario(tmp_path)
-    assert cli.main(["sweep", "--scenario", str(path), "--jobs", "1"]) == 0
-    single = (tmp_path / "out" / "free_particle_sweep.csv").read_bytes()
-    assert cli.main(["sweep", "--scenario", str(path), "--jobs", "3"]) == 0
-    multi = (tmp_path / "out" / "free_particle_sweep.csv").read_bytes()
-    assert single == multi
 
 
 def test_sweep_rejects_fixed_alpha(tmp_path, capsys):
@@ -304,10 +346,14 @@ def test_verify_runs_acceptance_corpus(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out")))
+    # the child process imports the same fracnoether as this test
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "fracnoether.cli", "solve", "--scenario", str(path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "out" / "free_particle_traj.csv").exists()
