@@ -110,10 +110,10 @@ class ChargeSeries:
 
     def write_csv(self, path) -> None:
         """Rows ``theta,value`` plus a trailing drift comment line."""
+        table = np.column_stack([self.theta_grid, self.values])
         with open(path, "w", newline="") as fh:
             fh.write("theta,value\n")
-            for th, val in zip(self.theta_grid, self.values):
-                fh.write(f"{format(th, '.17g')},{format(val, '.17g')}\n")
+            fh.writelines("%.17g,%.17g\n" % (th, val) for th, val in table.tolist())
             fh.write(
                 f"# drift={format(self.drift, '.17g')} "
                 f"relative_drift={format(self.relative_drift, '.17g')}\n"

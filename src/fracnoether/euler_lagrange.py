@@ -18,6 +18,7 @@ Lagrangians (invertible velocity Hessian).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ import numpy as np
 from . import linsolve
 from .expressions import (
     Const,
+    Emitter,
     EvalPoint,
     Expr,
     Q,
@@ -156,19 +158,27 @@ def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
     return rate, [e.diff(V(k)) for k in range(n)]
 
 
-def el_residual(prob: VariationalProblem, point: EvalPoint, accel) -> np.ndarray:
+def el_residual(
+    prob: VariationalProblem,
+    point: EvalPoint,
+    accel,
+    ode: ExplicitOde | None = None,
+) -> np.ndarray:
     """Pointwise residual of the weighted Euler-Lagrange equation.
 
     Returns dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv, i.e.
     F - c p - M accel in the terms of :class:`ExplicitOde`.  A zero vector
-    means (point, accel) satisfies the equation.
+    means (point, accel) satisfies the equation.  Pass ``ode`` (built from
+    the same problem) to reuse its compiled trees across many points.
     """
     if point.n != prob.n:
         raise ValueError("point dimension does not match the problem")
     accel = np.array([float(x) for x in accel])
     if accel.size != prob.n:
         raise ValueError("accel must have length n")
-    force, mass = ExplicitOde(prob).assemble(point.theta, point.q, point.v)
+    if ode is None:
+        ode = ExplicitOde(prob)
+    force, mass = ode.assemble(point.theta, point.q, point.v)
     return np.array(force) - np.array(mass) @ accel
 
 
@@ -179,11 +189,13 @@ class ExplicitOde:
     Euler-Lagrange equation reads M accel = F - c p, where the force tree
     F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k, and the
     kernel coefficient c = (1-alpha)/(t-theta) stays numeric.  The trees
-    are built once here and only evaluated afterwards.
+    are built once here and compiled together into one function, so
+    subtrees shared by force, momentum and mass are computed once.
 
-    Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted).
-    ``on_grid`` evaluates the same right-hand side over a whole batch of
-    samples at once.
+    Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
+    a list returned).  One degree of freedom divides by the single mass
+    entry; more go through :func:`linsolve.solve`.  ``on_grid`` evaluates
+    the same right-hand side over a whole batch of samples at once.
     """
 
     def __init__(self, prob: VariationalProblem):
@@ -198,29 +210,44 @@ class ExplicitOde:
             self.force.append(sub(L.diff(Q(j)), rate))
             self.mass.append(accel_coeffs)
         self._kernel = prob.frac.kernel_coefficient
+        # One dof only needs the division path; assemble compiles on demand.
+        self._divide = self._compile_division() if n == 1 else None
+        self._assemble = None if n == 1 else self._compile_assemble()
 
     def assemble(self, theta: float, q, v) -> tuple[list, list]:
         """Net force F - c p and mass matrix M at one point."""
-        c = self._kernel(theta)
-        force = [
-            f.evaluate(theta, q, v) - c * p.evaluate(theta, q, v)
-            for f, p in zip(self.force, self.momentum)
-        ]
-        return force, [[m.evaluate(theta, q, v) for m in row] for row in self.mass]
+        if self._assemble is None:
+            self._assemble = self._compile_assemble()
+        return self._assemble(theta, q, v)
+
+    def _compile_assemble(self):
+        em = Emitter()
+        c = em.let(f"{em.bind(self._kernel)}(theta)")
+        force = []
+        for f, p in zip(self.force, self.momentum):
+            f, p = em.emit(f), em.emit(p)
+            force.append(em.let(f"{f} - {c} * {p}"))
+        mass = ["[" + ", ".join(em.emit(m) for m in row) + "]" for row in self.mass]
+        return em.function(f"[{', '.join(force)}], [{', '.join(mass)}]")
+
+    def _compile_division(self):
+        """The 1-dof right-hand side: (F - c p) / M, checking M first."""
+        em = Emitter()
+        m00 = em.emit(self.mass[0][0])
+        em.line(
+            f"if {m00} == 0.0: raise "
+            f"{em.bind(SingularHessianError)}(theta, {em.bind(math.inf)})"
+        )
+        c = em.let(f"{em.bind(self._kernel)}(theta)")
+        f, p = em.emit(self.force[0]), em.emit(self.momentum[0])
+        return em.function(f"[({f} - {c} * {p}) / {m00}]")
 
     def __call__(self, theta: float, q, v):
-        if self.n == 1:
-            m00 = self.mass[0][0].evaluate(theta, q, v)
-            if m00 == 0.0:
-                raise SingularHessianError(theta, float("inf"))
-            c = self._kernel(theta)
-            force = self.force[0].evaluate(theta, q, v) - c * self.momentum[0].evaluate(
-                theta, q, v
-            )
-            return [force / m00]
-        force, mass = self.assemble(theta, q, v)
+        if self._divide is not None:
+            return self._divide(theta, q, v)
+        force, mass = self._assemble(theta, q, v)
         try:
-            return linsolve.solve(mass, force).tolist()
+            return linsolve.solve(mass, force)
         except linsolve.SingularMatrixError as exc:
             raise SingularHessianError(theta, exc.condition_estimate) from exc
 

@@ -9,13 +9,17 @@ derivatives stay compact, but no canonical simplification is attempted.
 Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
 
-Evaluation comes in two flavours with identical domain rules: scalar
-(:func:`evaluate`) and grid-vectorized (:func:`evaluate_on_grid`).  Both
-refuse to return non-finite values.
+Nodes carry no evaluators.  One :class:`Emitter` turns a tree into
+straight-line Python source, with a ``math`` variant over floats and a
+numpy variant over sample grids sharing the same domain rules, and each
+root is compiled once on first use: ``e.evaluate(theta, q, v)`` is the raw
+compiled scalar function, :func:`evaluate` and :func:`evaluate_on_grid`
+the checked entry points, which refuse to return non-finite values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -47,18 +51,27 @@ class EvalDomainError(ArithmeticError):
 _MAX_EXPANDED_POWER = 16
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Expr:
-    """Base node. Subclasses define evaluate / evaluate_on / diff."""
+    """Base node. Subclasses define diff and rendering; evaluation is compiled.
+
+    The two slots cache the compiled scalar and grid evaluators of a tree
+    that has been evaluated as a root.
+    """
+
+    __slots__ = ("_scalar_fn", "_grid_fn")
 
     def children(self) -> tuple["Expr", ...]:
         return ()
 
-    def evaluate(self, theta: float, q, v) -> float:
-        raise NotImplementedError
+    @property
+    def evaluate(self):
+        """This tree compiled to ``f(theta, q, v) -> float``, built on first use.
 
-    def evaluate_on(self, theta, q, v):
-        raise NotImplementedError
+        Domain violations raise :class:`EvalDomainError`; overflow raises
+        ``OverflowError`` and non-finite results pass through, which the
+        module-level :func:`evaluate` turns into domain errors.
+        """
+        return _compiled(self, grid=False)
 
     def diff(self, var: "Expr") -> "Expr":
         raise NotImplementedError
@@ -124,12 +137,6 @@ def _coerce(value) -> Expr:
 class Const(Expr):
     value: float
 
-    def evaluate(self, theta, q, v):
-        return self.value
-
-    def evaluate_on(self, theta, q, v):
-        return self.value
-
     def diff(self, var):
         return Const(0.0)
 
@@ -139,12 +146,6 @@ class Const(Expr):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Theta(Expr):
-    def evaluate(self, theta, q, v):
-        return theta
-
-    def evaluate_on(self, theta, q, v):
-        return theta
-
     def diff(self, var):
         return Const(1.0 if isinstance(var, Theta) else 0.0)
 
@@ -156,21 +157,6 @@ class Theta(Expr):
 class Q(Expr):
     index: int
 
-    def evaluate(self, theta, q, v):
-        try:
-            return q[self.index]
-        except IndexError:
-            raise ExpressionError(
-                f"variable q{self.index} out of range for {len(q)} degrees of freedom"
-            ) from None
-
-    def evaluate_on(self, theta, q, v):
-        if self.index >= q.shape[1]:
-            raise ExpressionError(
-                f"variable q{self.index} out of range for {q.shape[1]} degrees of freedom"
-            )
-        return q[:, self.index]
-
     def diff(self, var):
         return Const(1.0 if isinstance(var, Q) and var.index == self.index else 0.0)
 
@@ -181,21 +167,6 @@ class Q(Expr):
 @dataclass(frozen=True, slots=True, eq=False)
 class V(Expr):
     index: int
-
-    def evaluate(self, theta, q, v):
-        try:
-            return v[self.index]
-        except IndexError:
-            raise ExpressionError(
-                f"variable v{self.index} out of range for {len(v)} degrees of freedom"
-            ) from None
-
-    def evaluate_on(self, theta, q, v):
-        if self.index >= v.shape[1]:
-            raise ExpressionError(
-                f"variable v{self.index} out of range for {v.shape[1]} degrees of freedom"
-            )
-        return v[:, self.index]
 
     def diff(self, var):
         return Const(1.0 if isinstance(var, V) and var.index == self.index else 0.0)
@@ -216,12 +187,6 @@ class Neg(Expr):
     def children(self):
         return (self.arg,)
 
-    def evaluate(self, theta, q, v):
-        return -self.arg.evaluate(theta, q, v)
-
-    def evaluate_on(self, theta, q, v):
-        return -self.arg.evaluate_on(theta, q, v)
-
     def diff(self, var):
         return neg(self.arg.diff(var))
 
@@ -235,12 +200,6 @@ class Sin(Expr):
 
     def children(self):
         return (self.arg,)
-
-    def evaluate(self, theta, q, v):
-        return math.sin(self.arg.evaluate(theta, q, v))
-
-    def evaluate_on(self, theta, q, v):
-        return np.sin(self.arg.evaluate_on(theta, q, v))
 
     def diff(self, var):
         return mul(cos(self.arg), self.arg.diff(var))
@@ -256,12 +215,6 @@ class Cos(Expr):
     def children(self):
         return (self.arg,)
 
-    def evaluate(self, theta, q, v):
-        return math.cos(self.arg.evaluate(theta, q, v))
-
-    def evaluate_on(self, theta, q, v):
-        return np.cos(self.arg.evaluate_on(theta, q, v))
-
     def diff(self, var):
         return mul(neg(sin(self.arg)), self.arg.diff(var))
 
@@ -275,12 +228,6 @@ class Exp(Expr):
 
     def children(self):
         return (self.arg,)
-
-    def evaluate(self, theta, q, v):
-        return math.exp(self.arg.evaluate(theta, q, v))
-
-    def evaluate_on(self, theta, q, v):
-        return np.exp(self.arg.evaluate_on(theta, q, v))
 
     def diff(self, var):
         return mul(Exp(self.arg), self.arg.diff(var))
@@ -296,18 +243,6 @@ class Ln(Expr):
     def children(self):
         return (self.arg,)
 
-    def evaluate(self, theta, q, v):
-        x = self.arg.evaluate(theta, q, v)
-        if x <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {x!r}")
-        return math.log(x)
-
-    def evaluate_on(self, theta, q, v):
-        x = self.arg.evaluate_on(theta, q, v)
-        if np.any(np.asarray(x) <= 0.0):
-            raise EvalDomainError("ln of non-positive value")
-        return np.log(x)
-
     def diff(self, var):
         return div(self.arg.diff(var), self.arg)
 
@@ -321,18 +256,6 @@ class Sqrt(Expr):
 
     def children(self):
         return (self.arg,)
-
-    def evaluate(self, theta, q, v):
-        x = self.arg.evaluate(theta, q, v)
-        if x < 0.0:
-            raise EvalDomainError(f"sqrt of negative value {x!r}")
-        return math.sqrt(x)
-
-    def evaluate_on(self, theta, q, v):
-        x = self.arg.evaluate_on(theta, q, v)
-        if np.any(np.asarray(x) < 0.0):
-            raise EvalDomainError("sqrt of negative value")
-        return np.sqrt(x)
 
     def diff(self, var):
         return div(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
@@ -351,20 +274,6 @@ class Pow(Expr):
 
     def children(self):
         return (self.base,)
-
-    def evaluate(self, theta, q, v):
-        x = self.base.evaluate(theta, q, v)
-        if x <= 0.0:
-            raise EvalDomainError(
-                f"power with real exponent needs a positive base, got {x!r}"
-            )
-        return math.pow(x, self.exponent)
-
-    def evaluate_on(self, theta, q, v):
-        x = self.base.evaluate_on(theta, q, v)
-        if np.any(np.asarray(x) <= 0.0):
-            raise EvalDomainError("power with real exponent needs a positive base")
-        return np.power(x, self.exponent)
 
     def diff(self, var):
         # d(u^c) = c * u^(c-1) * u'
@@ -392,12 +301,6 @@ class Add(Expr):
     def children(self):
         return (self.a, self.b)
 
-    def evaluate(self, theta, q, v):
-        return self.a.evaluate(theta, q, v) + self.b.evaluate(theta, q, v)
-
-    def evaluate_on(self, theta, q, v):
-        return self.a.evaluate_on(theta, q, v) + self.b.evaluate_on(theta, q, v)
-
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
@@ -413,12 +316,6 @@ class Sub(Expr):
 
     def children(self):
         return (self.a, self.b)
-
-    def evaluate(self, theta, q, v):
-        return self.a.evaluate(theta, q, v) - self.b.evaluate(theta, q, v)
-
-    def evaluate_on(self, theta, q, v):
-        return self.a.evaluate_on(theta, q, v) - self.b.evaluate_on(theta, q, v)
 
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
@@ -440,12 +337,6 @@ class Mul(Expr):
     def children(self):
         return (self.a, self.b)
 
-    def evaluate(self, theta, q, v):
-        return self.a.evaluate(theta, q, v) * self.b.evaluate(theta, q, v)
-
-    def evaluate_on(self, theta, q, v):
-        return self.a.evaluate_on(theta, q, v) * self.b.evaluate_on(theta, q, v)
-
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
 
@@ -461,18 +352,6 @@ class Div(Expr):
 
     def children(self):
         return (self.a, self.b)
-
-    def evaluate(self, theta, q, v):
-        den = self.b.evaluate(theta, q, v)
-        if den == 0.0:
-            raise EvalDomainError("division by zero")
-        return self.a.evaluate(theta, q, v) / den
-
-    def evaluate_on(self, theta, q, v):
-        den = self.b.evaluate_on(theta, q, v)
-        if np.any(np.asarray(den) == 0.0):
-            raise EvalDomainError("division by zero")
-        return self.a.evaluate_on(theta, q, v) / den
 
     def diff(self, var):
         # (a'b - ab') / b^2
@@ -596,6 +475,187 @@ def power(base: Expr, exponent: float) -> Expr:
 
 
 # --------------------------------------------------------------------------
+# Compilation
+
+# Domain rule of each guarded node: the test that flags a bad argument (the
+# denominator for Div), the message, and for scalar messages the text put
+# before the offending value (None: the value is not shown).
+_GUARDS = {
+    Ln: ("<= 0.0", "ln of non-positive value", " "),
+    Sqrt: ("< 0.0", "sqrt of negative value", " "),
+    Pow: ("<= 0.0", "power with real exponent needs a positive base", ", got "),
+    Div: ("== 0.0", "division by zero", None),
+}
+_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_CALLS = {Sin: "_sin", Cos: "_cos", Exp: "_exp", Ln: "_log", Sqrt: "_sqrt", Pow: "_pow"}
+_MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
+         "_sqrt": math.sqrt, "_pow": math.pow}
+_NUMPY = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
+          "_sqrt": np.sqrt, "_pow": np.power, "_any": np.any}
+
+
+class Emitter:
+    """Straight-line Python source for expression trees, compiled once.
+
+    :meth:`emit` appends the statements that compute a tree and returns the
+    local name holding its value.  Nodes are emitted post-order in the
+    order the tree walk evaluates them (``Div`` takes its denominator
+    first), each domain check inline before its node.  Structurally equal
+    subtrees, across every tree emitted into one emitter, are computed once
+    and reused, so the first domain violation raised is the one a
+    node-by-node walk would meet.  Constants and functions are bound by
+    name in the namespace, never written into the source.
+
+    ``grid=False`` emits the ``math`` variant over floats and sequences of
+    coordinates; ``grid=True`` the numpy variant over samples (theta of
+    shape (m,), q and v of shape (m, n)).  :meth:`let` and :meth:`line` add
+    the caller's own statements between trees; :meth:`function` compiles
+    everything emitted into ``f(theta, q, v)``.
+    """
+
+    def __init__(self, grid: bool = False):
+        self.grid = grid
+        self._lines: list[str] = []
+        self._namespace = dict(_NUMPY if grid else _MATH, _EvalDomainError=EvalDomainError)
+        self._bound: dict[object, str] = {}
+        self._numbers: dict[tuple, int] = {}
+        self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
+        self._emitted: dict[int, str] = {}
+        self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
+
+    def bind(self, value) -> str:
+        """Namespace name of a value; equal floats share one name."""
+        key = repr(value) if type(value) is float else id(value)
+        name = self._bound.get(key)
+        if name is None:
+            name = self._bound[key] = f"_k{len(self._bound)}"
+            self._namespace[name] = value
+        return name
+
+    def let(self, source: str) -> str:
+        """Assign a Python expression over emitted names to a fresh local."""
+        name = f"t{len(self._lines)}"
+        self._lines.append(f"{name} = {source}")
+        return name
+
+    def line(self, statement: str) -> None:
+        self._lines.append(statement)
+
+    def emit(self, e: Expr) -> str:
+        """Append the statements computing ``e``; return the name holding its value."""
+        number = self._number(e)
+        name = self._emitted.get(number)
+        if name is not None:
+            return name
+        kind = type(e)
+        if kind is Const:
+            name = self.bind(e.value)
+        elif kind is Theta:
+            name = "theta"
+        elif kind is Q or kind is V:
+            letter = "q" if kind is Q else "v"
+            self._leaves.append((letter, e.index))
+            name = self.let(f"{letter}[:, {e.index}]" if self.grid else f"{letter}[{e.index}]")
+        elif kind is Neg:
+            name = self.let(f"-{self.emit(e.arg)}")
+        elif kind is Div:
+            den = self.emit(e.b)
+            self._guard(kind, den)
+            name = self.let(f"{self.emit(e.a)} / {den}")
+        elif kind in _INFIX:
+            a = self.emit(e.a)
+            name = self.let(f"{a} {_INFIX[kind]} {self.emit(e.b)}")
+        elif kind in _CALLS:
+            x = self.emit(e.children()[0])
+            self._guard(kind, x)
+            args = f"{x}, {self.bind(e.exponent)}" if kind is Pow else x
+            name = self.let(f"{_CALLS[kind]}({args})")
+        else:
+            raise ExpressionError(f"cannot compile node type {kind.__name__}")
+        self._emitted[number] = name
+        return name
+
+    def function(self, result: str):
+        """Compile the emitted statements into ``f(theta, q, v) -> result``."""
+        body = self._lines or ["pass"]
+        source = "\n".join([
+            "def compiled(theta, q, v):",
+            "    try:",
+            *(f"        {line}" for line in body),
+            "    except IndexError:",
+            "        _out_of_range(q, v)",
+            "        raise",
+            f"    return {result}",
+        ])
+        namespace = dict(self._namespace)
+        namespace["_out_of_range"] = functools.partial(
+            _raise_out_of_range, tuple(self._leaves), self.grid
+        )
+        exec(_code(source), namespace)
+        return namespace["compiled"]
+
+    def _number(self, e: Expr) -> int:
+        """Value number of a node: equal for structurally equal subtrees."""
+        hit = self._ids.get(id(e))
+        if hit is not None:
+            return hit[1]
+        kind = type(e)
+        if kind is Const or kind is Pow:
+            x = e.value if kind is Const else e.exponent
+            payload = (type(x), repr(x))
+        else:
+            payload = getattr(e, "index", None)
+        key = (kind, payload, *map(self._number, e.children()))
+        number = self._numbers.setdefault(key, len(self._numbers))
+        self._ids[id(e)] = (e, number)
+        return number
+
+    def _guard(self, kind: type, x: str) -> None:
+        rule = _GUARDS.get(kind)
+        if rule is None:
+            return
+        test, message, shown = rule
+        if self.grid:
+            self.line(f"if _any({x} {test}): raise _EvalDomainError({message!r})")
+        elif shown is None:
+            self.line(f"if {x} {test}: raise _EvalDomainError({message!r})")
+        else:
+            self.line(f"if {x} {test}: raise _EvalDomainError({message + shown!r} + repr({x}))")
+
+
+@functools.lru_cache(maxsize=128)
+def _code(source: str):
+    """Compiled emitted source.  Constants live in the namespace, so trees
+    that differ only in their constants (a sweep over alpha, one corpus
+    family with other coefficients) share the code object."""
+    return compile(source, "<compiled expression>", "exec")
+
+
+def _raise_out_of_range(leaves, grid: bool, q, v) -> None:
+    """Raise for the first q/v load, in emission order, beyond the given
+    coordinates: the load whose IndexError stopped a compiled evaluator."""
+    for letter, index in leaves:
+        values = q if letter == "q" else v
+        count = values.shape[1] if grid else len(values)
+        if not -count <= index < count:
+            raise ExpressionError(
+                f"variable {letter}{index} out of range for {count} degrees of freedom"
+            ) from None
+
+
+def _compiled(e: Expr, grid: bool):
+    """The cached compiled evaluator of a root."""
+    slot = "_grid_fn" if grid else "_scalar_fn"
+    try:
+        return getattr(e, slot)
+    except AttributeError:
+        emitter = Emitter(grid)
+        fn = emitter.function(emitter.emit(e))
+        object.__setattr__(e, slot, fn)
+        return fn
+
+
+# --------------------------------------------------------------------------
 # Points and top-level evaluation
 
 
@@ -641,8 +701,9 @@ def evaluate_on_grid(e: Expr, theta, q, v) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
+    fn = _compiled(e, grid=True)
     with np.errstate(all="ignore"):
-        out = e.evaluate_on(theta, q, v)
+        out = fn(theta, q, v)
     out = np.broadcast_to(np.asarray(out, dtype=float), theta.shape).copy()
     if not np.isfinite(out).all():
         raise EvalDomainError("non-finite evaluation result on grid")

@@ -11,6 +11,7 @@ with the trajectory instead of degrading to trapezoid order.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -88,14 +89,13 @@ class Trajectory:
             + [f"v{j}" for j in range(n)]
             + names
         )
+        table = np.column_stack(
+            [self.theta_grid, self.q, self.v, *(self.channels[name] for name in names)]
+        )
+        template = ",".join(["%.17g"] * len(header)) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for k in range(self.theta_grid.size):
-                row = [self.theta_grid[k]]
-                row.extend(self.q[k])
-                row.extend(self.v[k])
-                row.extend(self.channels[name][k] for name in names)
-                fh.write(",".join(format(x, ".17g") for x in row) + "\n")
+            fh.writelines(template % tuple(row) for row in table.tolist())
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,12 @@ def ivp_solve(
     steps: int,
     integrands: Mapping[str, Expr] | None = None,
 ) -> Trajectory:
-    """Classical RK4 on (q, v)' = (v, rhs) with channel accumulation."""
+    """Classical RK4 on (q, v)' = (v, rhs) with channel accumulation.
+
+    Each integrand needs only an ``evaluate(theta, q, v)`` method, bound
+    once before the step loop; for an :class:`Expr` that is its compiled
+    evaluator.
+    """
     if steps < 2:
         raise ValueError("steps must be at least 2")
     qc = [float(x) for x in q0]
@@ -141,67 +146,67 @@ def ivp_solve(
         raise ValueError("q0 and v0 must have equal length n >= 1")
 
     grid = np.linspace(float(a), float(b), steps + 1)
+    nodes = grid.tolist()
     h = (float(b) - float(a)) / steps
+    hh = 0.5 * h
+    h6 = h / 6.0
     names = list(integrands) if integrands else []
-    gexprs = [integrands[name] for name in names]
-    m = len(names)
+    gfuncs = [integrands[name].evaluate for name in names]
+    isfinite = math.isfinite
 
-    q_out = np.empty((steps + 1, n))
-    v_out = np.empty((steps + 1, n))
-    chan = np.zeros((steps + 1, m))
-    q_out[0] = qc
-    v_out[0] = vc
-    ch = [0.0] * m
+    # Samples are appended flat, as C doubles, and shaped once at the end.
+    q_out = array("d", qc)
+    v_out = array("d", vc)
+    ch = [0.0] * len(names)
+    chan = array("d", ch)
+
     rng = range(n)
-
     for i in range(steps):
-        th = float(grid[i])
-        half = th + 0.5 * h
-        full = float(grid[i + 1])
+        th = nodes[i]
+        half = th + hh
+        full = nodes[i + 1]
 
         try:
             a1 = rhs(th, qc, vc)
-            s2q = [qc[j] + 0.5 * h * vc[j] for j in rng]
-            s2v = [vc[j] + 0.5 * h * a1[j] for j in rng]
+            s2q = [qc[j] + hh * vc[j] for j in rng]
+            s2v = [vc[j] + hh * a1[j] for j in rng]
             a2 = rhs(half, s2q, s2v)
-            s3q = [qc[j] + 0.5 * h * s2v[j] for j in rng]
-            s3v = [vc[j] + 0.5 * h * a2[j] for j in rng]
+            s3q = [qc[j] + hh * s2v[j] for j in rng]
+            s3v = [vc[j] + hh * a2[j] for j in rng]
             a3 = rhs(half, s3q, s3v)
             s4q = [qc[j] + h * s3v[j] for j in rng]
             s4v = [vc[j] + h * a3[j] for j in rng]
             a4 = rhs(full, s4q, s4v)
 
-            for idx in range(m):
-                g = gexprs[idx]
+            for idx, g in enumerate(gfuncs):
                 total = (
-                    g.evaluate(th, qc, vc)
-                    + 2.0 * g.evaluate(half, s2q, s2v)
-                    + 2.0 * g.evaluate(half, s3q, s3v)
-                    + g.evaluate(full, s4q, s4v)
+                    g(th, qc, vc)
+                    + 2.0 * g(half, s2q, s2v)
+                    + 2.0 * g(half, s3q, s3v)
+                    + g(full, s4q, s4v)
                 )
-                ch[idx] += h / 6.0 * total
+                ch[idx] += h6 * total
         except OverflowError as exc:
             raise BlowUpError(full) from exc
 
-        qc = [
-            qc[j] + h / 6.0 * (vc[j] + 2.0 * s2v[j] + 2.0 * s3v[j] + s4v[j])
-            for j in rng
-        ]
-        vc = [
-            vc[j] + h / 6.0 * (a1[j] + 2.0 * a2[j] + 2.0 * a3[j] + a4[j])
-            for j in rng
-        ]
-        q_out[i + 1] = qc
-        v_out[i + 1] = vc
-        chan[i + 1] = ch
+        qc = [qc[j] + h6 * (vc[j] + 2.0 * s2v[j] + 2.0 * s3v[j] + s4v[j]) for j in rng]
+        vc = [vc[j] + h6 * (a1[j] + 2.0 * a2[j] + 2.0 * a3[j] + a4[j]) for j in rng]
+        q_out.extend(qc)
+        v_out.extend(vc)
+        chan.extend(ch)
 
-        if not all(map(math.isfinite, qc)) or not all(map(math.isfinite, vc)):
-            raise BlowUpError(full)
-        if m and not all(map(math.isfinite, ch)):
+        if not (all(map(isfinite, qc)) and all(map(isfinite, vc)) and all(map(isfinite, ch))):
             raise BlowUpError(full)
 
-    channels = {names[idx]: chan[:, idx].copy() for idx in range(m)}
-    return Trajectory(theta_grid=grid, q=q_out, v=v_out, channels=channels)
+    rows = steps + 1
+    chan = np.array(chan).reshape(rows, len(names))
+    channels = {name: chan[:, idx].copy() for idx, name in enumerate(names)}
+    return Trajectory(
+        theta_grid=grid,
+        q=np.array(q_out).reshape(rows, n),
+        v=np.array(v_out).reshape(rows, n),
+        channels=channels,
+    )
 
 
 def bvp_shoot(

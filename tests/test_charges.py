@@ -404,3 +404,16 @@ def test_charge_series_csv_format(tmp_path):
     assert len(lines) == 5
     assert lines[-1].startswith("# drift=0.25 relative_drift=")
     assert float(lines[2].split(",")[1]) == 1.0
+
+
+def test_charge_series_csv_bytes_match_per_value_formatting(tmp_path):
+    values = np.array([-0.0, 1e-320, 1.0 / 3.0, 1e22])
+    series = ChargeSeries.from_values(np.linspace(0.0, 0.3, 4), values)
+    path = tmp_path / "charge.csv"
+    series.write_csv(path)
+    rows = [f"{format(t, '.17g')},{format(x, '.17g')}" for t, x in zip(series.theta_grid, values)]
+    trailer = (
+        f"# drift={format(series.drift, '.17g')} "
+        f"relative_drift={format(series.relative_drift, '.17g')}"
+    )
+    assert path.read_text() == "\n".join(["theta,value", *rows, trailer]) + "\n"

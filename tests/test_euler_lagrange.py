@@ -6,6 +6,7 @@ import pytest
 from fracnoether import linsolve
 from fracnoether.euler_lagrange import (
     BoundaryConditions,
+    ExplicitOde,
     FractionalParams,
     SingularHessianError,
     VariationalProblem,
@@ -92,6 +93,14 @@ def test_harmonic_oscillator_residual():
     assert el_residual(prob, p, [-1.0]) == pytest.approx([0.0], abs=1e-15)
 
 
+def test_residual_with_shared_ode_matches_fresh_one():
+    prob = problem("v0^2/2 + cos(q0) + theta*q0/2", alpha=0.7)
+    ode = ExplicitOde(prob)
+    for theta, q, v, a in [(0.1, 0.3, -1.0, 0.5), (0.8, -1.2, 2.0, -0.25)]:
+        p = EvalPoint(theta, [q], [v])
+        assert el_residual(prob, p, [a], ode=ode).tolist() == el_residual(prob, p, [a]).tolist()
+
+
 # --------------------------------------------------------------------------
 # to_explicit_ode
 
@@ -126,7 +135,7 @@ def test_rhs_satisfies_residual():
         q = [float(rng.uniform(-2.0, 2.0))]
         v = [float(rng.uniform(-2.0, 2.0))]
         accel = rhs(theta, q, v)
-        res = el_residual(prob, EvalPoint(theta, q, v), accel)
+        res = el_residual(prob, EvalPoint(theta, q, v), accel, ode=rhs)
         assert np.max(np.abs(res)) < 1e-10
 
 
@@ -141,7 +150,7 @@ def test_rhs_satisfies_residual_two_dof():
         q = rng.uniform(-1.0, 1.0, size=2).tolist()
         v = rng.uniform(-1.0, 1.0, size=2).tolist()
         accel = rhs(theta, q, v)
-        res = el_residual(prob, EvalPoint(theta, q, v), accel)
+        res = el_residual(prob, EvalPoint(theta, q, v), accel, ode=rhs)
         assert np.max(np.abs(res)) < 1e-10
 
 
@@ -191,6 +200,48 @@ def test_linsolve_matches_numpy():
         b = rng.normal(size=4)
         x = linsolve.solve(a, b)
         assert np.allclose(a @ x, b, atol=1e-10)
+
+
+def _array_elimination(a, b):
+    """Partial-pivoting elimination on numpy arrays, the reference for
+    the list solver: first largest pivot, rows with a zero factor skipped,
+    back-substitution by dot product."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    n = len(b)
+    for col in range(n):
+        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
+        a[[col, pivot_row]] = a[[pivot_row, col]]
+        b[[col, pivot_row]] = b[[pivot_row, col]]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            if factor != 0.0:
+                a[row, col:] -= factor * a[col, col:]
+                b[row] -= factor * b[col]
+    x = np.empty(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x.tolist()
+
+
+def test_linsolve_bit_identical_to_array_elimination():
+    rng = np.random.default_rng(3)
+    for n in (1, 2):
+        for _ in range(200):
+            a = rng.normal(size=(n, n)).tolist()
+            b = rng.normal(size=n).tolist()
+            assert linsolve.solve(a, b) == _array_elimination(a, b)
+
+
+def test_linsolve_leaves_inputs_and_flags_nan():
+    a = np.array([[0.0, 1.0], [2.0, 3.0]])
+    b = [1.0, 2.0]
+    assert linsolve.solve(a, b) == [-0.5, 1.0]
+    assert a.tolist() == [[0.0, 1.0], [2.0, 3.0]] and b == [1.0, 2.0]
+    x = linsolve.solve([[1.0, float("nan")], [0.0, 1.0]], [1.0, 1.0])
+    assert all(v != v for v in x)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        linsolve.solve([[1.0, 2.0]], [1.0])
 
 
 def test_linsolve_rejects_singular():

@@ -15,6 +15,7 @@ from fracnoether.expressions import Const, parse
 from fracnoether.integrators import (
     BlowUpError,
     ExactSolution,
+    Trajectory,
     bvp_shoot,
     convergence_order,
     ivp_solve,
@@ -129,6 +130,24 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert float(row[1]) == traj.q[2, 0]
     assert float(row[2]) == traj.v[2, 0]
     assert float(row[3]) == traj.channels["one"][2]
+
+
+def test_trajectory_csv_bytes_match_per_value_formatting(tmp_path):
+    special = [-0.0, 1e-320, 1.0 / 3.0, 1e22, -2.5e-300, math.pi]
+    q = np.array([special, special[::-1]]).T
+    traj = Trajectory(
+        theta_grid=np.linspace(0.0, 1.0, 6),
+        q=q,
+        v=-q,
+        channels={"a": np.array([0.0] + special[1:]), "b": np.array([0.0] * 6)},
+    )
+    path = tmp_path / "traj.csv"
+    traj.write_csv(path)
+    expected = ["theta,q0,q1,v0,v1,a,b"]
+    for k in range(6):
+        row = [traj.theta_grid[k], *traj.q[k], *traj.v[k], traj.channels["a"][k], 0.0]
+        expected.append(",".join(format(x, ".17g") for x in row))
+    assert path.read_text() == "\n".join(expected) + "\n"
 
 
 # --------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_explicit_ode_matches_sympy_accelerations(text, n):
     assert np.all(np.abs(batch - expected) <= TOL * scale)
 
     for (th, q, v), accel in zip(points, expected):
-        residual = el_residual(prob, EvalPoint(th, q, v), accel)
+        residual = el_residual(prob, EvalPoint(th, q, v), accel, ode=ode)
         assert np.max(np.abs(residual)) <= TOL * (1.0 + np.max(np.abs(accel)))
 
 
