@@ -134,25 +134,72 @@ def drift(series: ChargeSeries) -> tuple[float, float]:
 # Derivatives along the motion
 
 
+class TotalDerivative:
+    """d/dtheta of one expression along a motion, for evaluation at many points.
+
+    The pieces of :func:`along_motion` are built once and each compiled on
+    first evaluation; the acceleration is only required when e actually
+    references a velocity.
+    """
+
+    def __init__(self, e: Expr, n: int):
+        self.n = n
+        self.rate, self.accel_coeffs = along_motion(e, n)
+        self.needs_accel = depends_on_velocity(e)
+
+    def __call__(self, point: EvalPoint, accel=None) -> float:
+        if point.n != self.n:
+            raise ValueError("point dimension does not match the expression's n")
+        out = evaluate(self.rate, point)
+        if self.needs_accel:
+            if accel is None:
+                raise ValueError("accel is required for a velocity-dependent expression")
+            for coeff, a in zip(self.accel_coeffs, accel, strict=True):
+                out += evaluate(coeff, point) * float(a)
+        return out
+
+
 def total_derivative(e: Expr, theta: float, q, v, accel=None) -> float:
     """d/dtheta of e along a motion passing through (theta, q, v, accel).
 
-    Evaluates the pieces of :func:`along_motion`; the acceleration is only
-    required when e actually references a velocity.
+    One-shot form of :class:`TotalDerivative`, which builds and compiles
+    the pieces on every call; keep one to evaluate at many points.
     """
     point = EvalPoint(theta, q, v)
-    rate, accel_coeffs = along_motion(e, point.n)
-    out = evaluate(rate, point)
-    if depends_on_velocity(e):
-        if accel is None:
-            raise ValueError("accel is required for a velocity-dependent expression")
-        for coeff, a in zip(accel_coeffs, accel, strict=True):
-            out += evaluate(coeff, point) * float(a)
-    return out
+    return TotalDerivative(e, point.n)(point, accel)
 
 
 # --------------------------------------------------------------------------
 # Invariance-condition residuals
+
+
+class InvarianceResiduals:
+    """The invariance-condition residuals of one generator, for many points.
+
+    The trees of the quasi-invariance condition (when the generator carries
+    a gauge rate) and of condition (8) are built once, sharing the
+    condition-(8) subtree, and each is compiled on first evaluation.
+    """
+
+    def __init__(self, prob: VariationalProblem, gen: SymmetryGenerator):
+        self.condition8 = _condition8_expression(prob, gen)
+        self.quasi_invariance = None
+        if gen.gauge_rate is not None:
+            full = add(
+                gauge_rate_from_reduced_condition(prob, gen),
+                prob.frac.drag(self.condition8),
+            )
+            self.quasi_invariance = sub(full, gen.gauge_rate)
+
+    def quasi_invariance_at(self, point: EvalPoint) -> float:
+        """See :func:`quasi_invariance_residual`."""
+        if self.quasi_invariance is None:
+            raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
+        return evaluate(self.quasi_invariance, point)
+
+    def condition8_at(self, point: EvalPoint) -> float:
+        """See :func:`condition8_residual`."""
+        return evaluate(self.condition8, point)
 
 
 def quasi_invariance_residual(
@@ -169,14 +216,9 @@ def quasi_invariance_residual(
     Zero means the generator is an exact weighted symmetry up to the
     installed gauge rate.  The specialized energy/momentum generators do
     not satisfy this form; they satisfy the reduced condition instead.
+    One-shot: keep an :class:`InvarianceResiduals` to check many points.
     """
-    if gen.gauge_rate is None:
-        raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
-    full = add(
-        gauge_rate_from_reduced_condition(prob, gen),
-        prob.frac.drag(_condition8_expression(prob, gen)),
-    )
-    return evaluate(sub(full, gen.gauge_rate), point)
+    return InvarianceResiduals(prob, gen).quasi_invariance_at(point)
 
 
 def condition8_residual(
@@ -187,7 +229,8 @@ def condition8_residual(
     Exposed as a diagnostic only: charge construction relies on the reduced
     condition, which holds by construction for derived gauge rates even
     when this residual is nonzero (it is nonzero for the plain
-    time-translation generator already).
+    time-translation generator already).  One-shot: keep an
+    :class:`InvarianceResiduals` to check many points.
     """
     return evaluate(_condition8_expression(prob, gen), point)
 

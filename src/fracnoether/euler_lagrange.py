@@ -18,7 +18,6 @@ Lagrangians (invertible velocity Hessian).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,13 +26,15 @@ import numpy as np
 from . import linsolve
 from .expressions import (
     Const,
-    Emitter,
     EvalPoint,
     Expr,
+    Mul,
     Q,
+    Sub,
     Theta,
     V,
     add,
+    compile_trees,
     div,
     evaluate_on_grid,
     max_coordinate_index,
@@ -60,8 +61,8 @@ class SingularHessianError(ArithmeticError):
 class FractionalParams:
     """Fractional order alpha in (0, 1] and the observer time t.
 
-    Owns every spelling of the kernel: the action weight, the numeric drag
-    coefficient, and the symbolic builders the charges use.
+    Owns every spelling of the kernel: the action weight and the symbolic
+    drag builders of the equation of motion and the charges.
     """
 
     alpha: float
@@ -80,9 +81,9 @@ class FractionalParams:
         """The action kernel (t - theta)^(alpha - 1); theta may be an array."""
         return np.power(self.observer_time - theta, self.alpha - 1.0)
 
-    def kernel_coefficient(self, theta):
-        """The drag coefficient (1 - alpha) / (t - theta); theta may be an array."""
-        return self.drag_strength / (self.observer_time - theta)
+    def kernel_coefficient(self) -> Expr:
+        """Symbolic drag coefficient (1 - alpha) / (t - theta), in that order."""
+        return self.over_lag(Const(self.drag_strength))
 
     def over_lag(self, e: Expr) -> Expr:
         """Symbolic e / (t - theta)."""
@@ -158,28 +159,14 @@ def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
     return rate, [e.diff(V(k)) for k in range(n)]
 
 
-def el_residual(
-    prob: VariationalProblem,
-    point: EvalPoint,
-    accel,
-    ode: ExplicitOde | None = None,
-) -> np.ndarray:
+def el_residual(prob: VariationalProblem, point: EvalPoint, accel) -> np.ndarray:
     """Pointwise residual of the weighted Euler-Lagrange equation.
 
-    Returns dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv, i.e.
-    F - c p - M accel in the terms of :class:`ExplicitOde`.  A zero vector
-    means (point, accel) satisfies the equation.  Pass ``ode`` (built from
-    the same problem) to reuse its compiled trees across many points.
+    One-shot form of :meth:`ExplicitOde.residual`: it builds and compiles
+    the problem's trees on every call, so keep one :class:`ExplicitOde` to
+    check many points.
     """
-    if point.n != prob.n:
-        raise ValueError("point dimension does not match the problem")
-    accel = np.array([float(x) for x in accel])
-    if accel.size != prob.n:
-        raise ValueError("accel must have length n")
-    if ode is None:
-        ode = ExplicitOde(prob)
-    force, mass = ode.assemble(point.theta, point.q, point.v)
-    return np.array(force) - np.array(mass) @ accel
+    return ExplicitOde(prob).residual(point, accel)
 
 
 class ExplicitOde:
@@ -188,9 +175,9 @@ class ExplicitOde:
     With momenta p_j = dL/dv_j split by :func:`along_motion`, the weighted
     Euler-Lagrange equation reads M accel = F - c p, where the force tree
     F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k, and the
-    kernel coefficient c = (1-alpha)/(t-theta) stays numeric.  The trees
-    are built once here and compiled together into one function, so
-    subtrees shared by force, momentum and mass are computed once.
+    kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
+    F_j - c p_j and the mass trees are built once here and compiled into
+    two functions, each computing the subtrees its trees share once.
 
     Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
     a list returned).  One degree of freedom divides by the single mass
@@ -209,43 +196,39 @@ class ExplicitOde:
             rate, accel_coeffs = along_motion(p, n)
             self.force.append(sub(L.diff(Q(j)), rate))
             self.mass.append(accel_coeffs)
-        self._kernel = prob.frac.kernel_coefficient
-        # One dof only needs the division path; assemble compiles on demand.
-        self._divide = self._compile_division() if n == 1 else None
-        self._assemble = None if n == 1 else self._compile_assemble()
+        # Built from the nodes, not the folding helpers: F - c p must not
+        # fold to -(c p) when F is zero, which would flip the sign of a zero.
+        c = prob.frac.kernel_coefficient()
+        self.net = [Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
+        self._net = compile_trees(self.net)
+        self._mass = compile_trees(self.mass)
 
-    def assemble(self, theta: float, q, v) -> tuple[list, list]:
-        """Net force F - c p and mass matrix M at one point."""
-        if self._assemble is None:
-            self._assemble = self._compile_assemble()
-        return self._assemble(theta, q, v)
+    def assemble(self, theta: float, q, v) -> tuple[tuple, tuple]:
+        """Net force F - c p and mass matrix M (a tuple of rows) at one point."""
+        return self._net(theta, q, v), self._mass(theta, q, v)
 
-    def _compile_assemble(self):
-        em = Emitter()
-        c = em.let(f"{em.bind(self._kernel)}(theta)")
-        force = []
-        for f, p in zip(self.force, self.momentum):
-            f, p = em.emit(f), em.emit(p)
-            force.append(em.let(f"{f} - {c} * {p}"))
-        mass = ["[" + ", ".join(em.emit(m) for m in row) + "]" for row in self.mass]
-        return em.function(f"[{', '.join(force)}], [{', '.join(mass)}]")
+    def residual(self, point: EvalPoint, accel) -> np.ndarray:
+        """dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point.
 
-    def _compile_division(self):
-        """The 1-dof right-hand side: (F - c p) / M, checking M first."""
-        em = Emitter()
-        m00 = em.emit(self.mass[0][0])
-        em.line(
-            f"if {m00} == 0.0: raise "
-            f"{em.bind(SingularHessianError)}(theta, {em.bind(math.inf)})"
-        )
-        c = em.let(f"{em.bind(self._kernel)}(theta)")
-        f, p = em.emit(self.force[0]), em.emit(self.momentum[0])
-        return em.function(f"[({f} - {c} * {p}) / {m00}]")
+        That is F - c p - M accel; a zero vector means (point, accel)
+        satisfies the weighted Euler-Lagrange equation.
+        """
+        if point.n != self.n:
+            raise ValueError("point dimension does not match the problem")
+        accel = np.array([float(x) for x in accel])
+        if accel.size != self.n:
+            raise ValueError("accel must have length n")
+        force, mass = self.assemble(point.theta, point.q, point.v)
+        return np.array(force) - np.array(mass) @ accel
 
     def __call__(self, theta: float, q, v):
-        if self._divide is not None:
-            return self._divide(theta, q, v)
-        force, mass = self._assemble(theta, q, v)
+        if self.n == 1:
+            ((m00,),) = self._mass(theta, q, v)
+            if m00 == 0.0:
+                raise SingularHessianError(theta, float("inf"))
+            (net,) = self._net(theta, q, v)
+            return [net / m00]
+        force, mass = self.assemble(theta, q, v)
         try:
             return linsolve.solve(mass, force)
         except linsolve.SingularMatrixError as exc:
@@ -260,11 +243,8 @@ class ExplicitOde:
         def grid(e):
             return evaluate_on_grid(e, theta, q, v)
 
-        c = self._kernel(theta)
         mats = np.stack([np.stack([grid(m) for m in row], -1) for row in self.mass], 1)
-        rhs = np.stack(
-            [grid(f) - c * grid(p) for f, p in zip(self.force, self.momentum)], -1
-        )
+        rhs = np.stack([grid(net) for net in self.net], -1)
         try:
             return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

@@ -9,12 +9,13 @@ derivatives stay compact, but no canonical simplification is attempted.
 Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
 
-Nodes carry no evaluators.  One :class:`Emitter` turns a tree into
-straight-line Python source, with a ``math`` variant over floats and a
-numpy variant over sample grids sharing the same domain rules, and each
-root is compiled once on first use: ``e.evaluate(theta, q, v)`` is the raw
-compiled scalar function, :func:`evaluate` and :func:`evaluate_on_grid`
-the checked entry points, which refuse to return non-finite values.
+Nodes carry no evaluators.  One emitter turns trees into straight-line
+Python source, with a ``math`` variant over floats and a numpy variant over
+sample grids sharing the same domain rules, and each root is compiled once
+on first use: ``e.evaluate(theta, q, v)`` is the raw compiled scalar
+function, :func:`evaluate` and :func:`evaluate_on_grid` the checked entry
+points, which refuse to return non-finite values.  :func:`compile_trees`
+compiles several roots into one function with subtrees shared across them.
 """
 
 from __future__ import annotations
@@ -494,8 +495,8 @@ _NUMPY = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
           "_sqrt": np.sqrt, "_pow": np.power, "_any": np.any}
 
 
-class Emitter:
-    """Straight-line Python source for expression trees, compiled once.
+class _Emitter:
+    """Straight-line Python source for expression trees.
 
     :meth:`emit` appends the statements that compute a tree and returns the
     local name holding its value.  Nodes are emitted post-order in the
@@ -508,38 +509,33 @@ class Emitter:
 
     ``grid=False`` emits the ``math`` variant over floats and sequences of
     coordinates; ``grid=True`` the numpy variant over samples (theta of
-    shape (m,), q and v of shape (m, n)).  :meth:`let` and :meth:`line` add
-    the caller's own statements between trees; :meth:`function` compiles
+    shape (m,), q and v of shape (m, n)).  :meth:`function` compiles
     everything emitted into ``f(theta, q, v)``.
     """
 
-    def __init__(self, grid: bool = False):
+    def __init__(self, grid: bool):
         self.grid = grid
         self._lines: list[str] = []
         self._namespace = dict(_NUMPY if grid else _MATH, _EvalDomainError=EvalDomainError)
-        self._bound: dict[object, str] = {}
+        self._bound: dict[tuple, str] = {}
         self._numbers: dict[tuple, int] = {}
         self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
         self._emitted: dict[int, str] = {}
         self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
 
-    def bind(self, value) -> str:
-        """Namespace name of a value; equal floats share one name."""
-        key = repr(value) if type(value) is float else id(value)
+    def _bind(self, value: float) -> str:
+        """Namespace name of a constant; equal values (by repr) share one name."""
+        key = (type(value), repr(value))
         name = self._bound.get(key)
         if name is None:
             name = self._bound[key] = f"_k{len(self._bound)}"
             self._namespace[name] = value
         return name
 
-    def let(self, source: str) -> str:
-        """Assign a Python expression over emitted names to a fresh local."""
+    def _let(self, source: str) -> str:
         name = f"t{len(self._lines)}"
         self._lines.append(f"{name} = {source}")
         return name
-
-    def line(self, statement: str) -> None:
-        self._lines.append(statement)
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing ``e``; return the name holding its value."""
@@ -549,27 +545,28 @@ class Emitter:
             return name
         kind = type(e)
         if kind is Const:
-            name = self.bind(e.value)
+            name = self._bind(e.value)
         elif kind is Theta:
             name = "theta"
         elif kind is Q or kind is V:
             letter = "q" if kind is Q else "v"
             self._leaves.append((letter, e.index))
-            name = self.let(f"{letter}[:, {e.index}]" if self.grid else f"{letter}[{e.index}]")
+            name = self._let(f"{letter}[:, {e.index}]" if self.grid else f"{letter}[{e.index}]")
         elif kind is Neg:
-            name = self.let(f"-{self.emit(e.arg)}")
+            name = self._let(f"-{self.emit(e.arg)}")
         elif kind is Div:
             den = self.emit(e.b)
-            self._guard(kind, den)
-            name = self.let(f"{self.emit(e.a)} / {den}")
+            if not (type(e.b) is Const and e.b.value != 0.0):  # else it never trips
+                self._guard(kind, den)
+            name = self._let(f"{self.emit(e.a)} / {den}")
         elif kind in _INFIX:
             a = self.emit(e.a)
-            name = self.let(f"{a} {_INFIX[kind]} {self.emit(e.b)}")
+            name = self._let(f"{a} {_INFIX[kind]} {self.emit(e.b)}")
         elif kind in _CALLS:
             x = self.emit(e.children()[0])
             self._guard(kind, x)
-            args = f"{x}, {self.bind(e.exponent)}" if kind is Pow else x
-            name = self.let(f"{_CALLS[kind]}({args})")
+            args = f"{x}, {self._bind(e.exponent)}" if kind is Pow else x
+            name = self._let(f"{_CALLS[kind]}({args})")
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
@@ -591,7 +588,7 @@ class Emitter:
         namespace["_out_of_range"] = functools.partial(
             _raise_out_of_range, tuple(self._leaves), self.grid
         )
-        exec(_code(source), namespace)
+        exec(compile(source, "<compiled expression>", "exec"), namespace)
         return namespace["compiled"]
 
     def _number(self, e: Expr) -> int:
@@ -616,19 +613,32 @@ class Emitter:
             return
         test, message, shown = rule
         if self.grid:
-            self.line(f"if _any({x} {test}): raise _EvalDomainError({message!r})")
+            line = f"if _any({x} {test}): raise _EvalDomainError({message!r})"
         elif shown is None:
-            self.line(f"if {x} {test}: raise _EvalDomainError({message!r})")
+            line = f"if {x} {test}: raise _EvalDomainError({message!r})"
         else:
-            self.line(f"if {x} {test}: raise _EvalDomainError({message + shown!r} + repr({x}))")
+            line = f"if {x} {test}: raise _EvalDomainError({message + shown!r} + repr({x}))"
+        self._lines.append(line)
 
 
-@functools.lru_cache(maxsize=128)
-def _code(source: str):
-    """Compiled emitted source.  Constants live in the namespace, so trees
-    that differ only in their constants (a sweep over alpha, one corpus
-    family with other coefficients) share the code object."""
-    return compile(source, "<compiled expression>", "exec")
+def compile_trees(trees, grid: bool = False):
+    """Compile a tree, or nested sequences of trees, into one ``f(theta, q, v)``.
+
+    The function returns the values shaped like ``trees``, sequences as
+    tuples.  Trees are emitted depth first in the given order, with
+    structurally equal subtrees computed once across all of them, so the
+    first domain error raised is the one evaluating the trees one after
+    another would meet.  Values are raw, as from ``e.evaluate``: no
+    finiteness check.
+    """
+    emitter = _Emitter(grid)
+
+    def emit(item) -> str:
+        if isinstance(item, Expr):
+            return emitter.emit(item)
+        return "(" + "".join(f"{emit(x)}, " for x in item) + ")"
+
+    return emitter.function(emit(trees))
 
 
 def _raise_out_of_range(leaves, grid: bool, q, v) -> None:
@@ -649,8 +659,7 @@ def _compiled(e: Expr, grid: bool):
     try:
         return getattr(e, slot)
     except AttributeError:
-        emitter = Emitter(grid)
-        fn = emitter.function(emitter.emit(e))
+        fn = compile_trees(e, grid)
         object.__setattr__(e, slot, fn)
         return fn
 

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from fracnoether import expressions
 from fracnoether.charges import (
     ChargePreconditionError,
     ChargeSeries,
+    InvarianceResiduals,
     MissingChannelError,
     SymmetryGenerator,
+    TotalDerivative,
     classical_energy,
     classical_momentum,
     condition8_residual,
@@ -151,6 +154,53 @@ def test_condition8_holds_for_degenerate_linear_lagrangian():
     gen = generator("1", ["0"])
     res = condition8_residual(prob, gen, EvalPoint(0.0, [0.0], [1.0]))
     assert res == pytest.approx(0.0, abs=1e-15)
+
+
+# --------------------------------------------------------------------------
+# reusable residual objects
+
+
+RESIDUAL_POINTS = [(0.1, 0.3, 1.1), (0.6, -0.5, 0.2), (0.95, 2.0, -1.0)]
+
+
+def test_reusable_residuals_match_one_shot_helpers():
+    prob = problem("exp(theta/4)*v0^2/2 - cos(q0)", alpha=0.6)
+    gen = generator("theta/2", ["q0/2"])
+    gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
+    e = parse("theta*v0^2 + sin(q0)", 1)
+    derivative = TotalDerivative(e, 1)
+    residuals = InvarianceResiduals(prob, gen)
+    for theta, q, v in RESIDUAL_POINTS:
+        p = EvalPoint(theta, [q], [v])
+        assert derivative(p, [0.7]) == total_derivative(e, theta, [q], [v], [0.7])
+        assert residuals.quasi_invariance_at(p) == quasi_invariance_residual(prob, gen, p)
+        assert residuals.condition8_at(p) == condition8_residual(prob, gen, p)
+
+
+def test_reusable_residuals_compile_each_tree_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(expressions, "compile", counting_compile, raising=False)
+    prob = problem("exp(theta/4)*v0^2/2 - cos(q0)", alpha=0.6)
+    gen = generator("1", ["0"], gauge="0")
+    derivative = TotalDerivative(parse("theta*v0^2", 1), 1)
+    residuals = InvarianceResiduals(prob, gen)
+    for k in range(30):
+        p = EvalPoint(k / 30, [0.2], [0.4])
+        derivative(p, [1.0])
+        residuals.quasi_invariance_at(p)
+        residuals.condition8_at(p)
+    # rate and one acceleration coefficient, then the two residual trees
+    assert len(compiled) == 4
+
+
+def test_total_derivative_object_checks_dimension():
+    with pytest.raises(ValueError, match="dimension"):
+        TotalDerivative(parse("q0", 1), 1)(EvalPoint(0.0, [1.0, 2.0], [0.0, 0.0]))
 
 
 # --------------------------------------------------------------------------

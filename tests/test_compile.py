@@ -41,6 +41,7 @@ from fracnoether.expressions import (
     Sub,
     Theta,
     V,
+    compile_trees,
     evaluate,
     evaluate_on_grid,
     parse,
@@ -353,12 +354,12 @@ def test_fused_rhs_equals_tree_by_tree_arithmetic(text, n):
         theta = float(rng.uniform(0.0, 1.0))
         q = rng.uniform(-1.0, 1.0, size=n).tolist()
         v = rng.uniform(-1.0, 1.0, size=n).tolist()
-        c = ode.prob.frac.kernel_coefficient(theta)
-        force = [
+        c = ode.prob.frac.drag_strength / (ode.prob.frac.observer_time - theta)
+        force = tuple(
             f.evaluate(theta, q, v) - c * p.evaluate(theta, q, v)
             for f, p in zip(ode.force, ode.momentum)
-        ]
-        mass = [[m.evaluate(theta, q, v) for m in row] for row in ode.mass]
+        )
+        mass = tuple(tuple(m.evaluate(theta, q, v) for m in row) for row in ode.mass)
         assert ode.assemble(theta, q, v) == (force, mass)
         expected = [force[0] / mass[0][0]] if n == 1 else linsolve.solve(mass, force)
         assert ode(theta, q, v) == expected
@@ -391,3 +392,28 @@ def test_ivp_solve_accepts_evaluate_only_integrands():
     for name in integrands:
         assert plain.channel(name).tobytes() == wrapped.channel(name).tobytes()
     assert plain.q.tobytes() == wrapped.q.tobytes()
+
+
+def test_zero_force_keeps_the_sign_of_zero():
+    # F = 0 and c = 0 at alpha = 1: F - c p is 0.0 - 0.0, never -(c p) = -0.0
+    ode = ExplicitOde(problem("v0^2/2", 1, alpha=1.0))
+    (accel,) = ode(0.5, [0.0], [1.0])
+    assert math.copysign(1.0, accel) == 1.0
+    (net,), _ = ode.assemble(0.5, [0.0], [1.0])
+    assert math.copysign(1.0, net) == 1.0
+
+
+def test_compile_trees_nests_values_and_keeps_the_first_error():
+    a, b, c = parse("sin(q0)*v0", 1), parse("ln(q0) + sin(q0)", 1), parse("sqrt(v0)", 1)
+    fn = compile_trees([a, [b, c]])
+    at = (0.3, [2.0], [0.5])
+    assert fn(*at) == (a.evaluate(*at), (b.evaluate(*at), c.evaluate(*at)))
+    assert compile_trees(a)(*at) == a.evaluate(*at)
+    # b and c both fail here; b comes first
+    with pytest.raises(EvalDomainError, match="^ln of non-positive value -1.0$"):
+        fn(0.3, [-1.0], [-1.0])
+    # a constant denominator is checked only when it is zero
+    for zero in (0.0, -0.0):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            compile_trees([Div(Q(0), Const(zero))])(0.0, [1.0], [1.0])
+    assert compile_trees(Div(Q(0), Const(4.0)))(0.0, [1.0], [1.0]) == 0.25

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fracnoether import linsolve
+from fracnoether import expressions, linsolve
 from fracnoether.euler_lagrange import (
     BoundaryConditions,
     ExplicitOde,
@@ -93,12 +93,29 @@ def test_harmonic_oscillator_residual():
     assert el_residual(prob, p, [-1.0]) == pytest.approx([0.0], abs=1e-15)
 
 
-def test_residual_with_shared_ode_matches_fresh_one():
+def test_residual_method_matches_one_shot_el_residual():
     prob = problem("v0^2/2 + cos(q0) + theta*q0/2", alpha=0.7)
     ode = ExplicitOde(prob)
     for theta, q, v, a in [(0.1, 0.3, -1.0, 0.5), (0.8, -1.2, 2.0, -0.25)]:
         p = EvalPoint(theta, [q], [v])
-        assert el_residual(prob, p, [a], ode=ode).tolist() == el_residual(prob, p, [a]).tolist()
+        assert ode.residual(p, [a]).tolist() == el_residual(prob, p, [a]).tolist()
+
+
+def test_residual_checks_compile_nothing_after_construction(monkeypatch):
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[0])
+        return compile(*args)
+
+    monkeypatch.setattr(expressions, "compile", counting_compile, raising=False)
+    for n, text in [(1, "v0^2/2 + cos(q0)"), (2, "(2 + sin(q1))*v0^2/2 + v1^2/2")]:
+        ode = ExplicitOde(problem(text, alpha=0.7, n=n))
+        built = len(compiled)
+        for k in range(20):
+            ode.residual(EvalPoint(k / 20, [0.1] * n, [0.2] * n), [0.3] * n)
+            ode(k / 20, [0.1] * n, [0.2] * n)
+        assert len(compiled) == built
 
 
 # --------------------------------------------------------------------------
@@ -135,7 +152,7 @@ def test_rhs_satisfies_residual():
         q = [float(rng.uniform(-2.0, 2.0))]
         v = [float(rng.uniform(-2.0, 2.0))]
         accel = rhs(theta, q, v)
-        res = el_residual(prob, EvalPoint(theta, q, v), accel, ode=rhs)
+        res = rhs.residual(EvalPoint(theta, q, v), accel)
         assert np.max(np.abs(res)) < 1e-10
 
 
@@ -150,7 +167,7 @@ def test_rhs_satisfies_residual_two_dof():
         q = rng.uniform(-1.0, 1.0, size=2).tolist()
         v = rng.uniform(-1.0, 1.0, size=2).tolist()
         accel = rhs(theta, q, v)
-        res = el_residual(prob, EvalPoint(theta, q, v), accel, ode=rhs)
+        res = rhs.residual(EvalPoint(theta, q, v), accel)
         assert np.max(np.abs(res)) < 1e-10
 
 

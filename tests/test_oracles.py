@@ -16,7 +16,6 @@ from fracnoether.euler_lagrange import (
     ExplicitOde,
     FractionalParams,
     VariationalProblem,
-    el_residual,
 )
 from fracnoether.expressions import EvalPoint, evaluate, parse
 
@@ -117,7 +116,7 @@ def test_explicit_ode_matches_sympy_accelerations(text, n):
     assert np.all(np.abs(batch - expected) <= TOL * scale)
 
     for (th, q, v), accel in zip(points, expected):
-        residual = el_residual(prob, EvalPoint(th, q, v), accel, ode=ode)
+        residual = ode.residual(EvalPoint(th, q, v), accel)
         assert np.max(np.abs(residual)) <= TOL * (1.0 + np.max(np.abs(accel)))
 
 
