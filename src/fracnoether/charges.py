@@ -159,16 +159,6 @@ class TotalDerivative:
         return out
 
 
-def total_derivative(e: Expr, theta: float, q, v, accel=None) -> float:
-    """d/dtheta of e along a motion passing through (theta, q, v, accel).
-
-    One-shot form of :class:`TotalDerivative`, which builds and compiles
-    the pieces on every call; keep one to evaluate at many points.
-    """
-    point = EvalPoint(theta, q, v)
-    return TotalDerivative(e, point.n)(point, accel)
-
-
 # --------------------------------------------------------------------------
 # Invariance-condition residuals
 
@@ -176,13 +166,14 @@ def total_derivative(e: Expr, theta: float, q, v, accel=None) -> float:
 class InvarianceResiduals:
     """The invariance-condition residuals of one generator, for many points.
 
-    The trees of the quasi-invariance condition (when the generator carries
-    a gauge rate) and of condition (8) are built once, sharing the
-    condition-(8) subtree, and each is compiled on first evaluation.
+    The trees of condition (8) and, when the generator carries a gauge
+    rate, of the quasi-invariance condition are built once, the second
+    sharing the first as a subtree; each is compiled on first evaluation.
     """
 
     def __init__(self, prob: VariationalProblem, gen: SymmetryGenerator):
-        self.condition8 = _condition8_expression(prob, gen)
+        # L tau + dL/dv.(xi - v tau) is the gauge-free charge, regrouped.
+        self.condition8 = charge_expression(prob, gen)
         self.quasi_invariance = None
         if gen.gauge_rate is not None:
             full = add(
@@ -192,53 +183,32 @@ class InvarianceResiduals:
             self.quasi_invariance = sub(full, gen.gauge_rate)
 
     def quasi_invariance_at(self, point: EvalPoint) -> float:
-        """See :func:`quasi_invariance_residual`."""
+        """Residual of the full quasi-invariance condition at one point.
+
+        dL/dtheta tau + dL/dq . xi + dL/dv . (xi_dot - v tau_dot)
+          + L (tau_dot + (1-alpha)/(t-theta) tau) - gauge_rate
+
+        which is the reduced-condition gauge of
+        :func:`gauge_rate_from_reduced_condition` plus the kernel drag of
+        the condition-(8) expression, minus the installed gauge rate.  Zero
+        means the generator is an exact weighted symmetry up to the
+        installed gauge rate.  The specialized energy/momentum generators
+        do not satisfy this form; they satisfy the reduced condition
+        instead.
+        """
         if self.quasi_invariance is None:
             raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
         return evaluate(self.quasi_invariance, point)
 
     def condition8_at(self, point: EvalPoint) -> float:
-        """See :func:`condition8_residual`."""
+        """Residual of the auxiliary algebraic condition L tau + dL/dv.(xi - v tau).
+
+        A diagnostic only: charge construction relies on the reduced
+        condition, which holds by construction for derived gauge rates even
+        when this residual is nonzero (it is nonzero for the plain
+        time-translation generator already).
+        """
         return evaluate(self.condition8, point)
-
-
-def quasi_invariance_residual(
-    prob: VariationalProblem, gen: SymmetryGenerator, point: EvalPoint
-) -> float:
-    """Residual of the full quasi-invariance condition at one point.
-
-    dL/dtheta tau + dL/dq . xi + dL/dv . (xi_dot - v tau_dot)
-      + L (tau_dot + (1-alpha)/(t-theta) tau) - gauge_rate
-
-    which is the reduced-condition gauge of
-    :func:`gauge_rate_from_reduced_condition` plus the kernel drag of the
-    :func:`condition8_residual` expression, minus the installed gauge rate.
-    Zero means the generator is an exact weighted symmetry up to the
-    installed gauge rate.  The specialized energy/momentum generators do
-    not satisfy this form; they satisfy the reduced condition instead.
-    One-shot: keep an :class:`InvarianceResiduals` to check many points.
-    """
-    return InvarianceResiduals(prob, gen).quasi_invariance_at(point)
-
-
-def condition8_residual(
-    prob: VariationalProblem, gen: SymmetryGenerator, point: EvalPoint
-) -> float:
-    """Residual of the auxiliary algebraic condition L tau + dL/dv.(xi - v tau).
-
-    Exposed as a diagnostic only: charge construction relies on the reduced
-    condition, which holds by construction for derived gauge rates even
-    when this residual is nonzero (it is nonzero for the plain
-    time-translation generator already).  One-shot: keep an
-    :class:`InvarianceResiduals` to check many points.
-    """
-    return evaluate(_condition8_expression(prob, gen), point)
-
-
-def _condition8_expression(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
-    _check_dimensions(prob, gen)
-    L = prob.lagrangian
-    return add(mul(L, gen.tau), _momentum_times_shift(prob, gen))
 
 
 def _momentum_times_shift(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
@@ -284,15 +254,10 @@ def gauge_rate_from_reduced_condition(
 def charge_expression(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
     """Symbolic charge without the gauge term: dL/dv.xi + (L - dL/dv.v) tau."""
     _check_dimensions(prob, gen)
-    L = prob.lagrangian
-    n = prob.n
     out = Const(0.0)
-    hamiltonian_part = L
-    for j in range(n):
-        p_j = L.diff(V(j))
-        out = add(out, mul(p_j, gen.xi[j]))
-        hamiltonian_part = sub(hamiltonian_part, mul(p_j, V(j)))
-    return add(out, mul(hamiltonian_part, gen.tau))
+    for j in range(prob.n):
+        out = add(out, mul(prob.lagrangian.diff(V(j)), gen.xi[j]))
+    return add(out, mul(_energy_expression(prob), gen.tau))
 
 
 def lambda_integrand(gen: SymmetryGenerator) -> Expr:
@@ -316,6 +281,12 @@ def momentum_correction_integrand(prob: VariationalProblem, dof: int) -> Expr:
     return prob.frac.over_lag(prob.lagrangian.diff(V(dof)))
 
 
+def gauge_channel(index: int, count: int) -> str:
+    """Channel of generator ``index`` out of ``count``: ``Lambda`` for a
+    single generator, ``Lambda_g{index}`` for several."""
+    return LAMBDA_CHANNEL if count == 1 else f"{LAMBDA_CHANNEL}_g{index}"
+
+
 def standard_integrands(
     prob: VariationalProblem,
     generators: Sequence[SymmetryGenerator] = (),
@@ -324,15 +295,11 @@ def standard_integrands(
 ) -> dict[str, Expr]:
     """Channel map for a solve covering the requested charges.
 
-    Generator gauges land in ``Lambda`` (single generator) or
-    ``Lambda_g{i}`` (several).
+    Generator gauges land in the channels named by :func:`gauge_channel`.
     """
     out: dict[str, Expr] = {}
-    if len(generators) == 1:
-        out[LAMBDA_CHANNEL] = lambda_integrand(generators[0])
-    else:
-        for i, gen in enumerate(generators):
-            out[f"Lambda_g{i}"] = lambda_integrand(gen)
+    for i, gen in enumerate(generators):
+        out[gauge_channel(i, len(generators))] = lambda_integrand(gen)
     if energy:
         out[ENERGY_CHANNEL] = energy_correction_integrand(prob)
     if momentum:
@@ -366,9 +333,7 @@ def classical_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries
     return ChargeSeries.from_values(traj.theta_grid, values)
 
 
-def fractional_energy(
-    prob: VariationalProblem, traj: Trajectory, channel: str = ENERGY_CHANNEL
-) -> ChargeSeries:
+def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
     """Energy-style charge for autonomous Lagrangians.
 
     Samples L - dL/dv.v - (1-alpha) * integral of dL/dv.v/(t-theta).
@@ -377,13 +342,13 @@ def fractional_energy(
         raise ChargePreconditionError(
             "energy charge requires an autonomous Lagrangian (no explicit theta)"
         )
-    if channel not in traj.channels:
+    if ENERGY_CHANNEL not in traj.channels:
         raise MissingChannelError(
-            f"trajectory lacks the energy correction channel {channel!r}"
+            f"trajectory lacks the energy correction channel {ENERGY_CHANNEL!r}"
         )
     expr = _energy_expression(prob)
     values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values - prob.frac.drag_strength * traj.channels[channel]
+    values = values - prob.frac.drag_strength * traj.channels[ENERGY_CHANNEL]
     return ChargeSeries.from_values(traj.theta_grid, values)
 
 
@@ -398,10 +363,7 @@ def classical_momentum(
 
 
 def fractional_momentum(
-    prob: VariationalProblem,
-    traj: Trajectory,
-    dof: int,
-    channel: str | None = None,
+    prob: VariationalProblem, traj: Trajectory, dof: int
 ) -> ChargeSeries:
     """Momentum-style charge for a coordinate the Lagrangian ignores.
 
@@ -412,8 +374,7 @@ def fractional_momentum(
         raise ChargePreconditionError(
             f"momentum charge for dof {dof} requires L independent of q{dof}"
         )
-    if channel is None:
-        channel = MOMENTUM_CHANNEL.format(dof=dof)
+    channel = MOMENTUM_CHANNEL.format(dof=dof)
     if channel not in traj.channels:
         raise MissingChannelError(
             f"trajectory lacks the momentum correction channel {channel!r}"

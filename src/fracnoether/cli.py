@@ -27,6 +27,7 @@ from .charges import (
     classical_momentum,
     fractional_energy,
     fractional_momentum,
+    gauge_channel,
     noether_charge,
     standard_integrands,
 )
@@ -121,7 +122,7 @@ def _charge_labels(scenario: Scenario, n_gens: int, n_dof: int, classical: bool)
 def _compute_charge(label: str, prob, gens, traj) -> ChargeSeries:
     if label.startswith("noether_g"):
         index = int(label.removeprefix("noether_g"))
-        channel = "Lambda" if len(gens) == 1 else f"Lambda_g{index}"
+        channel = gauge_channel(index, len(gens))
         return noether_charge(prob, gens[index], traj, channel=channel)
     if label == "energy":
         return fractional_energy(prob, traj)

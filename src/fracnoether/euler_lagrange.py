@@ -159,16 +159,6 @@ def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
     return rate, [e.diff(V(k)) for k in range(n)]
 
 
-def el_residual(prob: VariationalProblem, point: EvalPoint, accel) -> np.ndarray:
-    """Pointwise residual of the weighted Euler-Lagrange equation.
-
-    One-shot form of :meth:`ExplicitOde.residual`: it builds and compiles
-    the problem's trees on every call, so keep one :class:`ExplicitOde` to
-    check many points.
-    """
-    return ExplicitOde(prob).residual(point, accel)
-
-
 class ExplicitOde:
     """Explicit accelerations for a regular Lagrangian.
 
@@ -208,10 +198,11 @@ class ExplicitOde:
         return self._net(theta, q, v), self._mass(theta, q, v)
 
     def residual(self, point: EvalPoint, accel) -> np.ndarray:
-        """dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point.
+        """Pointwise residual of the weighted Euler-Lagrange equation.
 
-        That is F - c p - M accel; a zero vector means (point, accel)
-        satisfies the weighted Euler-Lagrange equation.
+        dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point,
+        that is F - c p - M accel from the trees compiled at construction;
+        a zero vector means (point, accel) satisfies the equation.
         """
         if point.n != self.n:
             raise ValueError("point dimension does not match the problem")

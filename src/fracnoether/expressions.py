@@ -92,43 +92,6 @@ class Expr:
     def __repr__(self) -> str:
         return f"<Expr {self._render()}>"
 
-    # Operator sugar builds through the folding constructors below.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _coerce(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Const(float(value))
-
 
 # --------------------------------------------------------------------------
 # Leaves

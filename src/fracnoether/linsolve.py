@@ -3,12 +3,14 @@
 Gaussian elimination with partial pivoting, sized for mechanical systems
 with a handful of degrees of freedom, in plain Python on lists: at these
 sizes array set-up would cost more than the arithmetic.  A pivot falling
-below ``pivot_rtol`` times the matrix magnitude is treated as singular.
+below ``PIVOT_RTOL`` times the matrix magnitude is treated as singular.
 """
 
 from __future__ import annotations
 
 import math
+
+PIVOT_RTOL = 1e-12
 
 
 class SingularMatrixError(ArithmeticError):
@@ -19,7 +21,7 @@ class SingularMatrixError(ArithmeticError):
         self.condition_estimate = condition_estimate
 
 
-def solve(matrix, rhs, pivot_rtol: float = 1e-12) -> list[float]:
+def solve(matrix, rhs) -> list[float]:
     """Solve ``matrix @ x = rhs`` by partial-pivoting elimination.
 
     The pivot is the first entry of largest magnitude in its column.  A
@@ -37,7 +39,7 @@ def solve(matrix, rhs, pivot_rtol: float = 1e-12) -> list[float]:
     if math.isnan(sum(magnitudes)):
         return [math.nan] * n
     scale = max(magnitudes) if n else 0.0
-    threshold = pivot_rtol * max(scale, 1e-300)
+    threshold = PIVOT_RTOL * max(scale, 1e-300)
 
     for col in range(n):
         pivot_row, largest = col, abs(a[col][col])

@@ -9,6 +9,7 @@ report.  Everything is validated before any computation or output happens.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,26 @@ def _require(condition: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+def _is_integer(raw) -> bool:
+    """An int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _number(raw, label: str) -> float:
+    """A finite real number that is not a bool; the one numeric field check."""
+    _require(
+        isinstance(raw, (int, float))
+        and not isinstance(raw, bool)
+        and abs(raw) <= sys.float_info.max,
+        f"{label} must be a finite number",
+    )
+    return float(raw)
+
+
 def _vector(raw, n: int, label: str) -> tuple:
     _require(isinstance(raw, (list, tuple)), f"{label} must be a list of numbers")
     _require(len(raw) == n, f"{label} must have length n = {n}")
-    try:
-        return tuple(float(x) for x in raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{label} must contain only numbers") from None
+    return tuple(_number(x, f"{label}[{i}]") for i, x in enumerate(raw))
 
 
 def _parse_expr(text, n: int, label: str) -> Expr:
@@ -107,7 +121,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     )
 
     n = raw.get("n")
-    _require(isinstance(n, int) and n >= 1, "n must be a positive integer")
+    _require(_is_integer(n) and n >= 1, "n must be a positive integer")
 
     lagrangian = raw.get("lagrangian")
     _parse_expr(lagrangian, n, "lagrangian")
@@ -117,17 +131,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         missing = {"from", "to", "count"} - set(alpha_raw)
         _require(not missing, f"alpha sweep needs fields: {sorted(missing)}")
         count = alpha_raw["count"]
-        _require(
-            isinstance(count, int) and count >= 2, "sweep count must be at least 2"
-        )
-        start, stop = float(alpha_raw["from"]), float(alpha_raw["to"])
+        _require(_is_integer(count) and count >= 2, "sweep count must be at least 2")
+        start = _number(alpha_raw["from"], "alpha.from")
+        stop = _number(alpha_raw["to"], "alpha.to")
         sweep = AlphaSweep(start=start, stop=stop, count=count)
         for value in sweep.values():
             _require(0.0 < value <= 1.0, "alpha must lie in (0,1]")
         alpha: float | AlphaSweep = sweep
     else:
-        _require(isinstance(alpha_raw, (int, float)), "alpha must be a number or sweep")
-        alpha = float(alpha_raw)
+        alpha = _number(alpha_raw, "alpha")
         _require(0.0 < alpha <= 1.0, "alpha must lie in (0,1]")
 
     interval_raw = raw.get("interval")
@@ -135,12 +147,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         isinstance(interval_raw, (list, tuple)) and len(interval_raw) == 2,
         "interval must be [a, b]",
     )
-    a, b = float(interval_raw[0]), float(interval_raw[1])
+    a, b = (_number(x, f"interval[{i}]") for i, x in enumerate(interval_raw))
     _require(a < b, "interval must satisfy a < b")
 
-    observer_time = raw.get("observer_time")
-    _require(isinstance(observer_time, (int, float)), "observer_time must be a number")
-    observer_time = float(observer_time)
+    observer_time = _number(raw.get("observer_time"), "observer_time")
     _require(observer_time > b, "observer time must exceed b")
 
     mode_raw = raw.get("mode")
@@ -161,7 +171,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     steps = raw.get("steps", 1000)
     _require(
-        isinstance(steps, int) and steps >= 2 and steps % 2 == 0,
+        _is_integer(steps) and steps >= 2 and steps % 2 == 0,
         "steps must be an even integer >= 2",
     )
 

@@ -172,6 +172,9 @@ def test_grid_evaluation_domain_error():
     q = np.array([[1.0], [2.0], [-1.0]])
     with pytest.raises(EvalDomainError):
         evaluate_on_grid(e, theta, q, np.zeros((3, 1)))
+    # no domain check trips, but one entry overflows to inf
+    with pytest.raises(EvalDomainError, match="non-finite"):
+        evaluate_on_grid(parse("exp(q0)", 1), np.zeros(2), [[0.0], [1000.0]], np.zeros((2, 1)))
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def test_valid_scenario_loads(tmp_path):
     scenario = load_scenario(path)
     assert scenario.name == "free_particle"
     assert scenario.alphas() == [0.5]
+    # JSON integers are numbers too
+    mode = {"type": "ivp", "q0": [0], "v0": [1]}
+    scenario = scenario_from_dict(base_scenario(alpha=1, interval=[0, 1], observer_time=2, mode=mode))
+    assert (scenario.alpha, scenario.interval, scenario.q0) == (1.0, (0.0, 1.0), (0.0,))
 
 
 def test_alpha_out_of_range_message():
@@ -96,6 +100,27 @@ def test_odd_steps_rejected():
 def test_unknown_fields_rejected():
     with pytest.raises(ScenarioError, match="unknown scenario fields"):
         scenario_from_dict(base_scenario(extra_knob=1))
+
+
+NOT_NUMBERS = {
+    "interval_null": ("solve", {"interval": [None, 1.0]}),
+    "interval_strings": ("solve", {"interval": ["0", "1"]}),
+    "alpha_true": ("solve", {"alpha": True}),
+    "sweep_from_string": ("sweep", {"alpha": {"from": "x", "to": 1, "count": 3}}),
+    "q0_true": ("solve", {"mode": {"type": "ivp", "q0": [True], "v0": [1.0]}}),
+    "v0_nan": ("solve", {"mode": {"type": "ivp", "q0": [0.0], "v0": [float("nan")]}}),
+    "observer_time_infinite": ("solve", {"observer_time": float("inf")}),
+    "n_true": ("solve", {"n": True}),
+}
+
+
+@pytest.mark.parametrize("command, overrides", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, command, overrides):
+    out_dir = tmp_path / "out"
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(out_dir), **overrides))
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    assert not out_dir.exists()
+    assert "validation error" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -198,6 +223,28 @@ def test_charge_partial_precondition_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "oscillator_charge_momentum_0.csv").exists()
 
 
+def test_two_generators_get_one_gauge_channel_each(tmp_path):
+    # space and time translation of the free particle, both gauges derived
+    raw = base_scenario(
+        steps=200,
+        generators=[
+            {"tau": "0", "xi": ["1"], "gauge": "auto"},
+            {"tau": "1", "xi": ["0"], "gauge": "auto"},
+        ],
+        charges=["noether"],
+        output_dir=str(tmp_path / "out"),
+    )
+    path = write_scenario(tmp_path, raw)
+    assert cli.main(["solve", "--scenario", str(path)]) == 0
+    header = (tmp_path / "out" / "free_particle_traj.csv").read_text().splitlines()[0]
+    assert header == "theta,q0,v0,Lambda_g0,Lambda_g1"
+    assert cli.main(["charge", "--scenario", str(path)]) == 0
+    for label in ("noether_g0", "noether_g1"):
+        series = (tmp_path / "out" / f"free_particle_charge_{label}.csv").read_text()
+        trailer = series.strip().splitlines()[-1]
+        assert float(trailer.split("relative_drift=")[1]) < 1e-9
+
+
 def log_shift_scenario(tmp_path, **overrides):
     # xi = ln(q0) leaves its domain once the particle crosses q0 = 0
     raw = base_scenario(
@@ -261,7 +308,7 @@ def test_charge_requires_a_charge_kind(tmp_path, capsys):
 def sweep_scenario(tmp_path, **overrides):
     raw = base_scenario(
         alpha={"from": 0.25, "to": 1.0, "count": 4},
-        charges=["momentum"],
+        charges=["momentum", "energy"],
         generators=[],
         output_dir=str(tmp_path / "out"),
         **overrides,
@@ -275,18 +322,23 @@ def test_sweep_outputs_long_format(tmp_path):
     lines = (tmp_path / "out" / "free_particle_sweep.csv").read_text().strip().splitlines()
     assert lines[0] == "alpha,label,drift,relative_drift,action,status"
     rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 8  # 4 alphas x (classical + fractional momentum)
+    assert len(rows) == 16  # 4 alphas x classical and fractional energy and momentum
     alphas = [float(r[0]) for r in rows]
     assert alphas == sorted(alphas)
     # classical momentum drift decays to zero at alpha = 1, fractional stays flat
-    classical = {float(r[0]): float(r[2]) for r in rows if r[1] == "classical_momentum_0"}
-    fractional = {float(r[0]): float(r[2]) for r in rows if r[1] == "momentum_0"}
+    def drifts(label):
+        return {float(r[0]): float(r[2]) for r in rows if r[1] == label}
+
+    # v decays as ((t - theta)/(t - a))^(1 - alpha), so p = v and E = -v^2/2
     t, a, b = 2.0, 0.0, 1.0
-    for alpha, value in classical.items():
-        predicted = abs(1.0 - ((t - b) / (t - a)) ** (1.0 - alpha))
-        assert value == pytest.approx(predicted, abs=1e-6)
-    assert classical[1.0] < 1e-12
-    assert all(value < 1e-6 for value in fractional.values())
+    for label, power in [("classical_momentum_0", 1), ("classical_energy", 2)]:
+        classical = drifts(label)
+        for alpha, value in classical.items():
+            predicted = abs(1.0 - ((t - b) / (t - a)) ** (power * (1.0 - alpha))) / power
+            assert value == pytest.approx(predicted, abs=1e-6)
+        assert classical[1.0] < 1e-12
+    for label in ("momentum_0", "energy"):
+        assert all(value < 1e-6 for value in drifts(label).values())
 
 
 def test_sweep_rejects_fixed_alpha(tmp_path, capsys):
@@ -313,18 +365,24 @@ def test_sweep_records_per_alpha_failures(tmp_path):
 
 
 def test_solver_failure_exits_three(tmp_path, capsys):
-    raw = base_scenario(
-        name="blowup",
-        lagrangian="v0^2/2 - exp(exp(exp(q0)))",
-        mode={"type": "ivp", "q0": [2.0], "v0": [5.0]},
-        charges=[],
-        generators=[],
-        output_dir=str(tmp_path / "out"),
-    )
-    path = write_scenario(tmp_path, raw)
-    code = cli.main(["solve", "--scenario", str(path)])
-    assert code == 3
-    assert "solver error" in capsys.readouterr().err
+    # an overflowing potential, and a 2-dof Lagrangian with a singular Hessian
+    for n, lagrangian, q0, v0, reason in [
+        (1, "v0^2/2 - exp(exp(exp(q0)))", [2.0], [5.0], "non-finite state"),
+        (2, "(v0 + v1)^2/2", [0.0, 0.0], [1.0, 0.0], "singular velocity Hessian"),
+    ]:
+        raw = base_scenario(
+            name="failing",
+            n=n,
+            lagrangian=lagrangian,
+            mode={"type": "ivp", "q0": q0, "v0": v0},
+            charges=[],
+            generators=[],
+            output_dir=str(tmp_path / "out"),
+        )
+        path = write_scenario(tmp_path, raw)
+        code = cli.main(["solve", "--scenario", str(path)])
+        assert code == 3
+        assert f"solver error: {reason}" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
