@@ -173,6 +173,9 @@ class ExplicitOde:
     a list returned).  One degree of freedom divides by the single mass
     entry; more go through :func:`linsolve.solve`.  ``on_grid`` evaluates
     the same right-hand side over a whole batch of samples at once.
+    :func:`integrators.ivp_solve` writes the net force and mass trees
+    into its compiled step loop instead of calling, and keeps those loops
+    in ``loops``, one per integrand set.
     """
 
     def __init__(self, prob: VariationalProblem):
@@ -192,6 +195,7 @@ class ExplicitOde:
         self.net = [Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
         self._net = compile_trees(self.net)
         self._mass = compile_trees(self.mass)
+        self.loops: dict = {}
 
     def assemble(self, theta: float, q, v) -> tuple[tuple, tuple]:
         """Net force F - c p and mass matrix M (a tuple of rows) at one point."""

@@ -16,6 +16,10 @@ on first use: ``e.evaluate(theta, q, v)`` is the raw compiled scalar
 function, :func:`evaluate` and :func:`evaluate_on_grid` the checked entry
 points, which refuse to return non-finite values.  :func:`compile_trees`
 compiles several roots into one function with subtrees shared across them.
+Callers that write their own function around emitted trees (the RK4 loop
+of :mod:`fracnoether.integrators`) use the :class:`Emitter` directly,
+naming the locals that hold each point's theta, coordinates and
+velocities.
 """
 
 from __future__ import annotations
@@ -458,14 +462,14 @@ _NUMPY = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
           "_sqrt": np.sqrt, "_pow": np.power, "_any": np.any}
 
 
-class _Emitter:
+class Emitter:
     """Straight-line Python source for expression trees.
 
     :meth:`emit` appends the statements that compute a tree and returns the
     local name holding its value.  Nodes are emitted post-order in the
     order the tree walk evaluates them (``Div`` takes its denominator
     first), each domain check inline before its node.  Structurally equal
-    subtrees, across every tree emitted into one emitter, are computed once
+    subtrees, across every tree emitted at one point, are computed once
     and reused, so the first domain violation raised is the one a
     node-by-node walk would meet.  Constants and functions are bound by
     name in the namespace, never written into the source.
@@ -474,17 +478,42 @@ class _Emitter:
     coordinates; ``grid=True`` the numpy variant over samples (theta of
     shape (m,), q and v of shape (m, n)).  :meth:`function` compiles
     everything emitted into ``f(theta, q, v)``.
+
+    A scalar emitter can also emit at points held in named locals
+    (:meth:`at`), for callers that write their own function around the
+    statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
+    their statements with :meth:`line`, take the whole body with
+    :meth:`body` and compile with :meth:`define`.
     """
 
-    def __init__(self, grid: bool):
+    def __init__(self, grid: bool = False):
         self.grid = grid
         self._lines: list[str] = []
-        self._namespace = dict(_NUMPY if grid else _MATH, _EvalDomainError=EvalDomainError)
+        self._count = 0
+        self._namespace = dict(
+            _NUMPY if grid else _MATH,
+            _EvalDomainError=EvalDomainError,
+            _beyond=_raise_beyond,
+        )
         self._bound: dict[tuple, str] = {}
         self._numbers: dict[tuple, int] = {}
         self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
+        self._point: tuple | None = None  # None: leaves load from theta, q, v
         self._emitted: dict[int, str] = {}
+        self._points: dict[tuple, dict[int, str]] = {}
         self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
+
+    def at(self, theta: str, q: Sequence[str], v: Sequence[str]) -> None:
+        """Emit what follows at the point held in the named scalar locals.
+
+        Value numbers are structural and kept, but the computed values are
+        per point: a subtree is reused only from an earlier emission at the
+        same point.  Returning to a point reuses what was computed there.
+        A load beyond the named coordinates raises the
+        :class:`ExpressionError` a compiled evaluator raises for it.
+        """
+        self._point = (theta, tuple(q), tuple(v))
+        self._emitted = self._points.setdefault(self._point, {})
 
     def _bind(self, value: float) -> str:
         """Namespace name of a constant; equal values (by repr) share one name."""
@@ -496,9 +525,14 @@ class _Emitter:
         return name
 
     def _let(self, source: str) -> str:
-        name = f"t{len(self._lines)}"
+        name = f"t{self._count}"
+        self._count += 1
         self._lines.append(f"{name} = {source}")
         return name
+
+    def line(self, statement: str) -> None:
+        """Append a statement of the caller's own, in emission order."""
+        self._lines.append(statement)
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing ``e``; return the name holding its value."""
@@ -510,11 +544,9 @@ class _Emitter:
         if kind is Const:
             name = self._bind(e.value)
         elif kind is Theta:
-            name = "theta"
+            name = "theta" if self._point is None else self._point[0]
         elif kind is Q or kind is V:
-            letter = "q" if kind is Q else "v"
-            self._leaves.append((letter, e.index))
-            name = self._let(f"{letter}[:, {e.index}]" if self.grid else f"{letter}[{e.index}]")
+            name = self._leaf("q" if kind is Q else "v", e.index)
         elif kind is Neg:
             name = self._let(f"-{self.emit(e.arg)}")
         elif kind is Div:
@@ -535,24 +567,43 @@ class _Emitter:
         self._emitted[number] = name
         return name
 
+    def _leaf(self, letter: str, index: int) -> str:
+        if self._point is None:
+            self._leaves.append((letter, index))
+            return self._let(f"{letter}[:, {index}]" if self.grid else f"{letter}[{index}]")
+        names = self._point[1 if letter == "q" else 2]
+        if -len(names) <= index < len(names):
+            return names[index]
+        return self._let(f"_beyond({_beyond_message(letter, index, len(names))!r})")
+
+    def body(self, indent: str) -> list[str]:
+        """Every statement emitted so far, each prefixed by ``indent``."""
+        return [indent + line for line in self._lines or ["pass"]]
+
+    def define(self, source: Sequence[str], name: str, **names):
+        """Compile ``source``, a function definition around :meth:`body`,
+        and return the function ``name``.
+
+        The constants and functions the statements use are bound in its
+        namespace, and so are ``names``.
+        """
+        namespace = dict(self._namespace, **names)
+        exec(compile("\n".join(source), f"<compiled {name}>", "exec"), namespace)
+        return namespace[name]
+
     def function(self, result: str):
         """Compile the emitted statements into ``f(theta, q, v) -> result``."""
-        body = self._lines or ["pass"]
-        source = "\n".join([
+        source = [
             "def compiled(theta, q, v):",
             "    try:",
-            *(f"        {line}" for line in body),
+            *self.body("        "),
             "    except IndexError:",
             "        _out_of_range(q, v)",
             "        raise",
             f"    return {result}",
-        ])
-        namespace = dict(self._namespace)
-        namespace["_out_of_range"] = functools.partial(
-            _raise_out_of_range, tuple(self._leaves), self.grid
-        )
-        exec(compile(source, "<compiled expression>", "exec"), namespace)
-        return namespace["compiled"]
+        ]
+        out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves), self.grid)
+        return self.define(source, "compiled", _out_of_range=out_of_range)
 
     def _number(self, e: Expr) -> int:
         """Value number of a node: equal for structurally equal subtrees."""
@@ -594,7 +645,7 @@ def compile_trees(trees, grid: bool = False):
     another would meet.  Values are raw, as from ``e.evaluate``: no
     finiteness check.
     """
-    emitter = _Emitter(grid)
+    emitter = Emitter(grid)
 
     def emit(item) -> str:
         if isinstance(item, Expr):
@@ -604,6 +655,14 @@ def compile_trees(trees, grid: bool = False):
     return emitter.function(emit(trees))
 
 
+def _beyond_message(letter: str, index: int, count: int) -> str:
+    return f"variable {letter}{index} out of range for {count} degrees of freedom"
+
+
+def _raise_beyond(message: str) -> None:
+    raise ExpressionError(message)
+
+
 def _raise_out_of_range(leaves, grid: bool, q, v) -> None:
     """Raise for the first q/v load, in emission order, beyond the given
     coordinates: the load whose IndexError stopped a compiled evaluator."""
@@ -611,9 +670,7 @@ def _raise_out_of_range(leaves, grid: bool, q, v) -> None:
         values = q if letter == "q" else v
         count = values.shape[1] if grid else len(values)
         if not -count <= index < count:
-            raise ExpressionError(
-                f"variable {letter}{index} out of range for {count} degrees of freedom"
-            ) from None
+            raise ExpressionError(_beyond_message(letter, index, count)) from None
 
 
 def _compiled(e: Expr, grid: bool):

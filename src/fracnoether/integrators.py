@@ -6,6 +6,14 @@ state by evaluating g on the RK4 stage states with the classical
 1/6-2/6-2/6-1/6 weights, i.e. the integral is treated as one more state
 component of the augmented system.  That keeps channel accuracy in step
 with the trajectory instead of degrading to trapezoid order.
+
+The step loop itself is generated: :func:`ivp_solve` compiles the whole
+loop once into straight-line Python over local scalars, with the trees of
+an :class:`ExplicitOde` right-hand side and of expression integrands
+written out at each of the four stage points (subtrees shared at one
+point computed once), and any other callable called at each stage.  An
+``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
+many solves of :func:`bvp_shoot` compile two loops in all.
 """
 
 from __future__ import annotations
@@ -18,8 +26,13 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import linsolve
-from .euler_lagrange import VariationalProblem, to_explicit_ode
-from .expressions import Expr
+from .euler_lagrange import (
+    ExplicitOde,
+    SingularHessianError,
+    VariationalProblem,
+    to_explicit_ode,
+)
+from .expressions import Emitter, Expr
 
 
 class BlowUpError(RuntimeError):
@@ -133,9 +146,12 @@ def ivp_solve(
 ) -> Trajectory:
     """Classical RK4 on (q, v)' = (v, rhs) with channel accumulation.
 
-    Each integrand needs only an ``evaluate(theta, q, v)`` method, bound
-    once before the step loop; for an :class:`Expr` that is its compiled
-    evaluator.
+    The step loop is one compiled function (:func:`_compile_rk4_loop`).
+    An :class:`ExplicitOde` right-hand side and :class:`Expr` integrands
+    are written into it stage by stage; any other ``rhs`` callable, and
+    any integrand that only has an ``evaluate(theta, q, v)`` method, is
+    called at each stage instead.  The loop for an ``ExplicitOde`` is
+    compiled once per integrand set and kept on the ODE.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -146,66 +162,133 @@ def ivp_solve(
         raise ValueError("q0 and v0 must have equal length n >= 1")
 
     grid = np.linspace(float(a), float(b), steps + 1)
-    nodes = grid.tolist()
     h = (float(b) - float(a)) / steps
-    hh = 0.5 * h
-    h6 = h / 6.0
     names = list(integrands) if integrands else []
-    gfuncs = [integrands[name].evaluate for name in names]
-    isfinite = math.isfinite
+    loop = _rk4_loop(rhs, n, [integrands[name] for name in names])
 
-    # Samples are appended flat, as C doubles, and shaped once at the end.
-    q_out = array("d", qc)
-    v_out = array("d", vc)
-    ch = [0.0] * len(names)
-    chan = array("d", ch)
-
-    rng = range(n)
-    for i in range(steps):
-        th = nodes[i]
-        half = th + hh
-        full = nodes[i + 1]
-
-        try:
-            a1 = rhs(th, qc, vc)
-            s2q = [qc[j] + hh * vc[j] for j in rng]
-            s2v = [vc[j] + hh * a1[j] for j in rng]
-            a2 = rhs(half, s2q, s2v)
-            s3q = [qc[j] + hh * s2v[j] for j in rng]
-            s3v = [vc[j] + hh * a2[j] for j in rng]
-            a3 = rhs(half, s3q, s3v)
-            s4q = [qc[j] + h * s3v[j] for j in rng]
-            s4v = [vc[j] + h * a3[j] for j in rng]
-            a4 = rhs(full, s4q, s4v)
-
-            for idx, g in enumerate(gfuncs):
-                total = (
-                    g(th, qc, vc)
-                    + 2.0 * g(half, s2q, s2v)
-                    + 2.0 * g(half, s3q, s3v)
-                    + g(full, s4q, s4v)
-                )
-                ch[idx] += h6 * total
-        except OverflowError as exc:
-            raise BlowUpError(full) from exc
-
-        qc = [qc[j] + h6 * (vc[j] + 2.0 * s2v[j] + 2.0 * s3v[j] + s4v[j]) for j in rng]
-        vc = [vc[j] + h6 * (a1[j] + 2.0 * a2[j] + 2.0 * a3[j] + a4[j]) for j in rng]
-        q_out.extend(qc)
-        v_out.extend(vc)
-        chan.extend(ch)
-
-        if not (all(map(isfinite, qc)) and all(map(isfinite, vc)) and all(map(isfinite, ch))):
-            raise BlowUpError(full)
-
-    rows = steps + 1
-    chan = np.array(chan).reshape(rows, len(names))
-    channels = {name: chan[:, idx].copy() for idx, name in enumerate(names)}
+    # Rows (q, v, channels) are appended flat, as C doubles, and shaped once.
+    rows = array("d", qc + vc + [0.0] * len(names))
+    loop(grid.tolist(), h, 0.5 * h, h / 6.0, qc + vc, rows.extend)
+    table = np.array(rows).reshape(steps + 1, -1)
     return Trajectory(
         theta_grid=grid,
-        q=np.array(q_out).reshape(rows, n),
-        v=np.array(v_out).reshape(rows, n),
-        channels=channels,
+        q=table[:, :n].copy(),
+        v=table[:, n : 2 * n].copy(),
+        channels={name: table[:, 2 * n + idx].copy() for idx, name in enumerate(names)},
+    )
+
+
+def _rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
+    """The compiled step loop for this right-hand side and integrand list,
+    cached on an :class:`ExplicitOde` of matching dimension."""
+    if not (isinstance(rhs, ExplicitOde) and rhs.n == n):
+        return _compile_rk4_loop(rhs, n, integrands, inline=False)
+    key = tuple(map(id, integrands))
+    hit = rhs.loops.get(key)
+    if hit is None:  # the entry pins the integrands its key names
+        hit = rhs.loops[key] = (integrands, _compile_rk4_loop(rhs, n, integrands, inline=True))
+    return hit[1]
+
+
+def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool) -> Callable:
+    """Compile ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop.
+
+    The state ``q0.., v0..`` and every stage value live in local scalars.
+    Each step computes the four stage accelerations, then each channel at
+    stages 1-4 in order, with the arithmetic of the classical tableau;
+    ``OverflowError`` there becomes :class:`BlowUpError` at the step's end,
+    as does a non-finite state or channel after the update.  Each step
+    passes its row ``(q.., v.., channels..)`` to ``out``.
+
+    With ``inline``, ``rhs`` is an :class:`ExplicitOde` whose mass and net
+    force trees are emitted at each stage point: one degree of freedom
+    checks the mass for zero before any force node and divides, more go
+    through :func:`linsolve.solve`.  :class:`Expr` integrands are emitted
+    at the same points, reusing the subtrees already computed there.
+    Everything else is called with the stage point as lists.
+    """
+    em = Emitter()
+    js = range(n)
+    q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
+    # stage s sits at (theta, s{s}q_j, s{s}v_j); stage 1 is the state itself
+    points = [("th", q, v)] + [
+        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js])
+        for s, theta in ((2, "half"), (3, "half"), (4, "full"))
+    ]
+
+    def tup(names) -> str:
+        return f"({', '.join(names)},)"
+
+    def call(fn: str, theta: str, sq: list, sv: list) -> str:
+        return f"{fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])"
+
+    accels = []
+    for s, (theta, sq, sv) in enumerate(points, 1):
+        if s > 1:
+            step = "h" if s == 4 else "hh"
+            last_v, last_a = points[s - 2][2], accels[-1]
+            for j in js:
+                em.line(f"{sq[j]} = {q[j]} + {step} * {last_v[j]}")
+            for j in js:
+                em.line(f"{sv[j]} = {v[j]} + {step} * {last_a[j]}")
+        k = [f"k{s}_{j}" for j in js]
+        if not inline:
+            em.line(f"k{s} = {call('_rhs', theta, sq, sv)}")
+            for j in js:
+                em.line(f"{k[j]} = k{s}[{j}]")
+        elif n == 1:
+            em.at(theta, sq, sv)
+            mass = em.emit(rhs.mass[0][0])
+            em.line(f"if {mass} == 0.0: raise _SingularHessianError({theta}, _inf)")
+            force = em.emit(rhs.net[0])
+            em.line(f"{k[0]} = {force} / {mass}")
+        else:
+            em.at(theta, sq, sv)
+            force = tup(em.emit(f) for f in rhs.net)
+            mass = tup(tup(em.emit(m) for m in row) for row in rhs.mass)
+            em.line("try:")
+            em.line(f"    {', '.join(k)}, = _linsolve.solve({mass}, {force})")
+            em.line("except _SingularMatrixError as exc:")
+            em.line(f"    raise _SingularHessianError({theta}, exc.condition_estimate) from exc")
+        accels.append(k)
+
+    callables = {}
+    for idx, g in enumerate(integrands):
+        values = []
+        for s, (theta, sq, sv) in enumerate(points, 1):
+            if isinstance(g, Expr):
+                em.at(theta, sq, sv)
+                values.append(em.emit(g))
+            else:
+                callables[f"_g{idx}"] = g.evaluate
+                values.append(f"g{idx}_{s}")
+                em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
+        g1, g2, g3, g4 = values
+        em.line(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
+
+    row = q + v + [f"c{idx}" for idx in range(len(integrands))]
+    source = [
+        "def loop(nodes, h, hh, h6, state, out):",
+        f"    {', '.join(q + v)}, = state",
+        *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
+        "    for th, full in zip(nodes[:-1], nodes[1:]):",
+        "        half = th + hh",
+        "        try:",
+        *em.body("            "),
+        "        except OverflowError as exc:",
+        "            raise _BlowUpError(full) from exc",
+        *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
+          for j in js),
+        *(f"        v{j} = v{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+          for j in js),
+        f"        out({tup(row)})",
+        f"        if not ({' and '.join(f'_isfinite({x})' for x in row)}):",
+        "            raise _BlowUpError(full)",
+    ]
+    return em.define(
+        source, "loop", _rhs=rhs, _linsolve=linsolve, _inf=math.inf, _isfinite=math.isfinite,
+        _BlowUpError=BlowUpError, _SingularHessianError=SingularHessianError,
+        _SingularMatrixError=linsolve.SingularMatrixError, **callables,
     )
 
 
@@ -220,7 +303,9 @@ def bvp_shoot(
 
     Forward finite differences supply the Jacobian of the boundary map
     v0 -> q(b; v0) - q_b.  The converged solve is repeated once with the
-    requested channel integrands attached.
+    requested channel integrands attached.  Every solve runs on one
+    :class:`ExplicitOde`, so the probes share one compiled loop and the
+    channel solve compiles one more.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")

@@ -3,7 +3,8 @@
 Gaussian elimination with partial pivoting, sized for mechanical systems
 with a handful of degrees of freedom, in plain Python on lists: at these
 sizes array set-up would cost more than the arithmetic.  A pivot falling
-below ``PIVOT_RTOL`` times the matrix magnitude is treated as singular.
+below ``PIVOT_RTOL`` times the matrix magnitude is treated as singular;
+an exactly zero pivot reports an infinite condition estimate.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def solve(matrix, rhs) -> list[float]:
                 pivot_row, largest = row, abs(a[row][col])
         pivot = a[pivot_row][col]
         if largest < threshold:
-            estimate = scale / max(largest, 1e-300)
+            estimate = scale / largest if largest else math.inf
             raise SingularMatrixError(
                 f"singular system: pivot {pivot:.3e} below {threshold:.3e}",
                 condition_estimate=estimate,

@@ -1,5 +1,7 @@
 """Residual and explicit-ODE form of the weighted Euler-Lagrange equation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,17 @@ def test_linsolve_rejects_singular():
     with pytest.raises(linsolve.SingularMatrixError) as err:
         linsolve.solve(a, [1.0, 1.0])
     assert err.value.condition_estimate > 1e10
+
+
+def test_linsolve_zero_pivot_has_infinite_condition_estimate():
+    for a in ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[0.0]]):
+        with pytest.raises(linsolve.SingularMatrixError) as err:
+            linsolve.solve(a, [1.0] * len(a))
+        assert err.value.condition_estimate == math.inf
+    # a small nonzero pivot keeps the finite ratio
+    with pytest.raises(linsolve.SingularMatrixError) as err:
+        linsolve.solve([[1.0, 0.0], [0.0, 1e-14]], [1.0, 1.0])
+    assert err.value.condition_estimate == pytest.approx(1e14)
 
 
 def test_singular_hessian_error_carries_theta():

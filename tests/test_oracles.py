@@ -1,9 +1,11 @@
-"""Independent sympy oracles for the Euler-Lagrange accelerations and the
-derived gauge rates.
+"""Independent oracles: sympy for the Euler-Lagrange accelerations and the
+derived gauge rates, scipy for trajectories and the gamma function.
 
-The oracle re-derives every formula with sympy's own differentiation from
-the expression text, so it shares no code with the package's expression
-engine, force assembly, or gauge construction.
+The sympy oracle re-derives every formula with sympy's own differentiation
+from the expression text, so it shares no code with the package's
+expression engine, force assembly, or gauge construction; scipy's DOP853
+integrates those sympy equations, sharing nothing with the compiled RK4
+loop.
 """
 
 import numpy as np
@@ -11,13 +13,21 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from fracnoether.charges import SymmetryGenerator, gauge_rate_from_reduced_condition
+from fracnoether.action import gamma_fn
+from fracnoether.charges import (
+    ENERGY_CHANNEL,
+    SymmetryGenerator,
+    energy_correction_integrand,
+    gauge_rate_from_reduced_condition,
+)
 from fracnoether.euler_lagrange import (
     ExplicitOde,
     FractionalParams,
     VariationalProblem,
+    to_explicit_ode,
 )
 from fracnoether.expressions import EvalPoint, evaluate, parse
+from fracnoether.integrators import ivp_solve
 
 ALPHA, T = 0.6, 2.0
 TOL = 1e-12
@@ -169,3 +179,54 @@ def test_derived_gauge_matches_sympy_reduced_condition(text, n, alpha):
             expected = float(oracle(th, *q, *v))
             got = evaluate(gauge, EvalPoint(th, q, v))
             assert abs(got - expected) <= TOL * (1.0 + abs(expected)), (tau_text, xi_texts)
+
+
+# --------------------------------------------------------------------------
+# Trajectories against scipy's DOP853, the gamma function against scipy's
+
+# A pendulum-family and a coupled-family corpus Lagrangian with initial state
+TRAJECTORY_CASES = [
+    ("1.3*v0^2/2 + 0.7*cos(q0)", 1, [0.4], [0.2]),
+    ("(1.2*v0^2 + 1.4*v1^2)/2 - 0.8*(q0 - q1)^2/2", 2, [0.3, -0.1], [0.2, 0.5]),
+]
+
+
+@pytest.mark.parametrize("text,n,q0,v0", TRAJECTORY_CASES)
+def test_trajectory_and_channel_match_scipy_dop853(text, n, q0, v0):
+    """RK4 with its energy-correction channel against a tight DOP853 solve of
+    the sympy equations of motion, the channel carried as one more state."""
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    prob = problem(text, n)
+    steps = 1000
+    traj = ivp_solve(
+        to_explicit_ode(prob), prob.a, prob.b, q0, v0, steps,
+        integrands={ENERGY_CHANNEL: energy_correction_integrand(prob)},
+    )
+    accel = oracle_accelerations(text, n)
+    q, v, _ = symbols(n)
+    L = to_sympy(text, n)
+    correction = sp.lambdify(
+        [theta, *q, *v], sum(sp.diff(L, vj) * vj for vj in v) / (T - theta), "math"
+    )
+
+    def augmented(th, y):
+        qs, vs = y[:n], y[n : 2 * n]
+        return [*vs, *accel(th, qs, vs), correction(th, *qs, *vs)]
+
+    sol = scipy_integrate.solve_ivp(
+        augmented, prob.interval, [*q0, *v0, 0.0], method="DOP853",
+        rtol=1e-13, atol=1e-13, t_eval=traj.theta_grid,
+    )
+    assert sol.success
+    assert np.max(np.abs(traj.q - sol.y[:n].T)) < 1e-10
+    assert np.max(np.abs(traj.v - sol.y[n : 2 * n].T)) < 1e-10
+    assert np.max(np.abs(traj.channel(ENERGY_CHANNEL) - sol.y[2 * n])) < 1e-10
+
+
+def test_gamma_matches_scipy_on_zero_to_three():
+    scipy_special = pytest.importorskip("scipy.special")
+    xs = np.concatenate([[1e-8, 1e-3, 0.1, 0.25, 0.4999], np.linspace(0.01, 3.0, 300)])
+    assert np.any(xs < 0.5)  # the reflection branch
+    for x in xs:
+        expected = float(scipy_special.gamma(x))
+        assert gamma_fn(float(x)) == pytest.approx(expected, rel=1e-13, abs=0.0), x

@@ -385,6 +385,27 @@ def test_solver_failure_exits_three(tmp_path, capsys):
         assert f"solver error: {reason}" in capsys.readouterr().err
 
 
+def test_zero_pivot_reports_an_infinite_condition_estimate(tmp_path, capsys):
+    # the 2-dof Hessian [[1, 1], [1, 1]] leaves an exactly zero pivot, like
+    # the single zero mass entry of v0 alone
+    for n, lagrangian in [(2, "(v0 + v1)^2/2"), (1, "v0")]:
+        raw = base_scenario(
+            name="degenerate",
+            n=n,
+            lagrangian=lagrangian,
+            mode={"type": "ivp", "q0": [0.0] * n, "v0": [1.0] + [0.0] * (n - 1)},
+            charges=[],
+            generators=[],
+            output_dir=str(tmp_path / "out"),
+        )
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["solve", "--scenario", str(path)]) == 3
+        assert (
+            "singular velocity Hessian at theta = 0.5 (condition estimate inf)"
+            in capsys.readouterr().err
+        )
+
+
 # --------------------------------------------------------------------------
 # verify
 
