@@ -173,9 +173,10 @@ class ExplicitOde:
     a list returned).  One degree of freedom divides by the single mass
     entry; more go through :func:`linsolve.solve`.  ``on_grid`` evaluates
     the same right-hand side over a whole batch of samples at once.
-    :func:`integrators.ivp_solve` writes the net force and mass trees
-    into its compiled step loop instead of calling, and keeps those loops
-    in ``loops``, one per integrand set.
+    :func:`integrators.ivp_solve` writes the net force and mass trees,
+    and the elimination of :func:`linsolve.emit_solve` over them, into
+    its compiled step loop instead of calling, and keeps those loops in
+    ``loops``, one per integrand set.
     """
 
     def __init__(self, prob: VariationalProblem):

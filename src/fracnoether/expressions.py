@@ -483,7 +483,9 @@ class Emitter:
     (:meth:`at`), for callers that write their own function around the
     statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
     their statements with :meth:`line`, take the whole body with
-    :meth:`body` and compile with :meth:`define`.
+    :meth:`body` and compile with :meth:`define`.  Statements of their own
+    name constants through :meth:`bind` and working locals through
+    :meth:`fresh` (the linear solve of :func:`fracnoether.linsolve.emit_solve`).
     """
 
     def __init__(self, grid: bool = False):
@@ -515,7 +517,7 @@ class Emitter:
         self._point = (theta, tuple(q), tuple(v))
         self._emitted = self._points.setdefault(self._point, {})
 
-    def _bind(self, value: float) -> str:
+    def bind(self, value: float) -> str:
         """Namespace name of a constant; equal values (by repr) share one name."""
         key = (type(value), repr(value))
         name = self._bound.get(key)
@@ -524,9 +526,13 @@ class Emitter:
             self._namespace[name] = value
         return name
 
-    def _let(self, source: str) -> str:
-        name = f"t{self._count}"
+    def fresh(self) -> str:
+        """A local name no statement has assigned yet."""
         self._count += 1
+        return f"t{self._count - 1}"
+
+    def _let(self, source: str) -> str:
+        name = self.fresh()
         self._lines.append(f"{name} = {source}")
         return name
 
@@ -542,7 +548,7 @@ class Emitter:
             return name
         kind = type(e)
         if kind is Const:
-            name = self._bind(e.value)
+            name = self.bind(e.value)
         elif kind is Theta:
             name = "theta" if self._point is None else self._point[0]
         elif kind is Q or kind is V:
@@ -560,7 +566,7 @@ class Emitter:
         elif kind in _CALLS:
             x = self.emit(e.children()[0])
             self._guard(kind, x)
-            args = f"{x}, {self._bind(e.exponent)}" if kind is Pow else x
+            args = f"{x}, {self.bind(e.exponent)}" if kind is Pow else x
             name = self._let(f"{_CALLS[kind]}({args})")
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")

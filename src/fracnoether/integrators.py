@@ -9,9 +9,11 @@ with the trajectory instead of degrading to trapezoid order.
 
 The step loop itself is generated: :func:`ivp_solve` compiles the whole
 loop once into straight-line Python over local scalars, with the trees of
-an :class:`ExplicitOde` right-hand side and of expression integrands
-written out at each of the four stage points (subtrees shared at one
-point computed once), and any other callable called at each stage.  An
+an :class:`ExplicitOde` right-hand side, the linear solve for its
+accelerations (:func:`linsolve.emit_solve`, with a constant mass matrix
+folded at compile time) and the trees of expression integrands written
+out at each of the four stage points (subtrees shared at one point
+computed once), and any other callable called at each stage.  An
 ``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
 many solves of :func:`bvp_shoot` compile two loops in all.
 """
@@ -32,7 +34,7 @@ from .euler_lagrange import (
     VariationalProblem,
     to_explicit_ode,
 )
-from .expressions import Emitter, Expr
+from .expressions import Const, Emitter, Expr
 
 
 class BlowUpError(RuntimeError):
@@ -202,9 +204,11 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
 
     With ``inline``, ``rhs`` is an :class:`ExplicitOde` whose mass and net
     force trees are emitted at each stage point: one degree of freedom
-    checks the mass for zero before any force node and divides, more go
-    through :func:`linsolve.solve`.  :class:`Expr` integrands are emitted
-    at the same points, reusing the subtrees already computed there.
+    checks the mass for zero before any force node and divides; more emit
+    the force trees, then the mass trees that are not constants, then the
+    elimination of :func:`linsolve.emit_solve` over them, with the
+    constant entries folded in.  :class:`Expr` integrands are emitted at
+    the same points, reusing the subtrees already computed there.
     Everything else is called with the stage point as lists.
     """
     em = Emitter()
@@ -244,12 +248,13 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
             em.line(f"{k[0]} = {force} / {mass}")
         else:
             em.at(theta, sq, sv)
-            force = tup(em.emit(f) for f in rhs.net)
-            mass = tup(tup(em.emit(m) for m in row) for row in rhs.mass)
-            em.line("try:")
-            em.line(f"    {', '.join(k)}, = _linsolve.solve({mass}, {force})")
-            em.line("except _SingularMatrixError as exc:")
-            em.line(f"    raise _SingularHessianError({theta}, exc.condition_estimate) from exc")
+            force = [em.emit(f) for f in rhs.net]
+            mass = [[float(m.value) if type(m) is Const else em.emit(m) for m in row]
+                    for row in rhs.mass]
+            k = linsolve.emit_solve(
+                em, mass, force,
+                lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
+            )
         accels.append(k)
 
     callables = {}
@@ -267,6 +272,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
         em.line(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
 
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
+    k1, k2, k3, k4 = accels
     source = [
         "def loop(nodes, h, hh, h6, state, out):",
         f"    {', '.join(q + v)}, = state",
@@ -279,7 +285,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
         "            raise _BlowUpError(full) from exc",
         *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
           for j in js),
-        *(f"        v{j} = v{j} + h6 * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})"
+        *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
           for j in js),
         f"        out({tup(row)})",
         f"        if not ({' and '.join(f'_isfinite({x})' for x in row)}):",
@@ -287,8 +293,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
     ]
     return em.define(
         source, "loop", _rhs=rhs, _linsolve=linsolve, _inf=math.inf, _isfinite=math.isfinite,
-        _BlowUpError=BlowUpError, _SingularHessianError=SingularHessianError,
-        _SingularMatrixError=linsolve.SingularMatrixError, **callables,
+        _BlowUpError=BlowUpError, _SingularHessianError=SingularHessianError, **callables,
     )
 
 

@@ -130,13 +130,18 @@ def test_explicit_ode_matches_sympy_accelerations(text, n):
         assert np.max(np.abs(residual)) <= TOL * (1.0 + np.max(np.abs(accel)))
 
 
+# The last two of each list have a q-dependent tau, whose rate along the
+# motion has a velocity part.
 GENERATORS = {
-    1: [("1", ["0"]), ("0", ["1"]), ("theta/2", ["q0/2"]), ("sin(theta)", ["cos(q0)"])],
+    1: [("1", ["0"]), ("0", ["1"]), ("theta/2", ["q0/2"]), ("sin(theta)", ["cos(q0)"]),
+        ("q0", ["0"]), ("theta*q0/2", ["q0/2"])],
     2: [
         ("1", ["0", "0"]),
         ("0", ["1", "1"]),
         ("theta/2", ["q0/2", "q1/2"]),
         ("sin(theta)", ["cos(q0)", "q1^2/4"]),
+        ("q0", ["0", "0"]),
+        ("theta*q1/2", ["q0/2", "0"]),
     ],
 }
 

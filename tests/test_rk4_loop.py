@@ -6,6 +6,8 @@ once per stage.  Both forms of one problem must give the same bytes, or
 the same exception class and message.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -84,7 +86,10 @@ KINETIC = {
     1: ["{c}*v0^2/2", "(1 + {c}*q0^2)*v0^2/2", "exp(theta/4)*v0^2/2", "{c}*v0^2/2 + theta*q0*v0",
         "v0"],
     2: ["({c}*v0^2 + {c}*v1^2)/2", "v0^2/2 + v0*v1/3 + v1^2",
-        "(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1", "(v0 + v1)^2/2"],
+        "(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1", "(v0 + v1)^2/2",
+        # pivot swaps: folded with a nonzero factor, and at run time,
+        # singular at q0 = +-1
+        "v0^2/8 + v0*v1 + v1^2", "(1 + q0^2)*v0^2/8 + v0*v1 + v1^2"],
 }
 POTENTIAL = {
     1: ["{c}*q0^2/2", "{c}*cos(q0)", "{c}*q0^4/4", "{c}*theta*q0/2", "{c}*ln(q0)",
@@ -162,7 +167,8 @@ def test_singular_mass_against_force_domain_error():
     kind, cls, message = both(problem("v0 + q0^0.5", 1), [-1.0], [0.0], 10, {})
     assert (kind, cls) == ("raise", SingularHessianError)
     assert message == "singular velocity Hessian at theta = 0.0 (condition estimate inf)"
-    # two dofs: the force is computed before the mass goes to the solver
+    # two dofs: the force is computed before the mass goes to the solver,
+    # even when the mass is constant and known singular at compile time
     coupled = problem("(v0 + v1)^2/2 + q0^0.5", 2)
     assert both(coupled, [-1.0, 0.0], [0.0, 0.0], 10, {}) == (
         "raise", EvalDomainError, "power with real exponent needs a positive base, got -1.0",
@@ -201,8 +207,36 @@ def test_integrand_index_beyond_n_keeps_its_message():
     )
 
 
+def test_state_dependent_singular_mass_keeps_its_estimate():
+    # the mass [[(1 + q0^2)/4, 1], [1, 2]] is singular at q0 = 1: after the
+    # swap its second pivot is exactly zero there, and tiny just beside
+    prob = problem("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2 - q1^2/2", 2)
+    for q0, estimate in [(1.0, "inf"), (1.0 + 1e-15, "1.801e+15"), (-1.0, "inf")]:
+        assert both(prob, [q0, 0.0], [0.0, 0.0], 10, {}) == (
+            "raise", SingularHessianError,
+            f"singular velocity Hessian at theta = 0.0 (condition estimate {estimate})",
+        )
+    kind, *_ = both(prob, [0.5, 0.0], [0.0, 0.3], 10, {"g": parse("v0*q1", 2)})
+    assert kind == "ok"
+
+
+@pytest.mark.parametrize("text", [
+    # constant coupled mass whose first pivot is a swap
+    "v0^2/8 + v0*v1 + v1^2 + v1*v2/3 + v2^2/2 - (q0 - q1)^2/2 - q2^2/2 + cos(q0)",
+    # state-dependent mass, coupled in every entry
+    "(1 + q0^2)*v0^2/2 + v0*v1/3 + (2 + sin(q2))*v1^2/2 + q1*v1*v2/4 + v0*v2/5"
+    " + exp(theta/4)*v2^2/2 - q0*q1 + cos(q2)",
+])
+def test_three_dof_loop_matches_call_per_stage_loop(text):
+    prob = problem(text, 3)
+    integrands = {"g": parse("v0*q2 + v1^2", 3),
+                  "energy": energy_correction_integrand(prob)}
+    kind, *_ = both(prob, [0.3, -0.2, 0.1], [0.1, 0.4, -0.3], 24, integrands)
+    assert kind == "ok"
+
+
 # --------------------------------------------------------------------------
-# One compiled loop per integrand set
+# One compiled loop per integrand set, with a constant mass folded into it
 
 
 def test_newton_shooting_compiles_one_loop_per_integrand_set(monkeypatch):
@@ -232,3 +266,28 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(monkeypatch):
     # the ODE's net-force and mass functions; the integrands compile nothing
     assert [filename for filename, _ in compiled].count("<compiled compiled>") == 2
     assert len(compiled) == 4
+
+
+def loop_source(text, n):
+    sources = []
+
+    def recording_compile(source, filename, mode):
+        sources.append((filename, source))
+        return compile(source, filename, mode)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expressions, "compile", recording_compile, raising=False)
+        inlined(problem(text, n), [0.1] * n, [0.2] * n, 4, {})
+    (source,) = [source for filename, source in sources if filename == "<compiled loop>"]
+    return source
+
+
+def test_constant_mass_is_folded_into_the_loop():
+    # the coupled benchmark family: a constant diagonal mass leaves the
+    # right-hand-side arithmetic only, with no solver call and no pivot test
+    source = loop_source("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2)
+    assert "_linsolve" not in source and "abs(" not in source
+    # a state-dependent mass keeps the run-time pivot choice and singular test
+    source = loop_source("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", 2)
+    assert re.search(r"if \w+ > t\d+: t\d+, t\d+ = 1, \w+", source)
+    assert "_linsolve.singular_error(" in source
