@@ -113,7 +113,7 @@ class ChargeSeries:
         table = np.column_stack([self.theta_grid, self.values])
         with open(path, "w", newline="") as fh:
             fh.write("theta,value\n")
-            fh.writelines("%.17g,%.17g\n" % (th, val) for th, val in table.tolist())
+            fh.write(("%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist()))
             fh.write(
                 f"# drift={format(self.drift, '.17g')} "
                 f"relative_drift={format(self.relative_drift, '.17g')}\n"

@@ -107,10 +107,10 @@ class Trajectory:
         table = np.column_stack(
             [self.theta_grid, self.q, self.v, *(self.channels[name] for name in names)]
         )
-        template = ",".join(["%.17g"] * len(header)) + "\n"
+        template = (",".join(["%.17g"] * len(header)) + "\n") * len(table)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            fh.writelines(template % tuple(row) for row in table.tolist())
+            fh.write(template % tuple(table.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -133,18 +133,18 @@ def test_trajectory_csv_round_trip(tmp_path):
 
 
 def test_trajectory_csv_bytes_match_per_value_formatting(tmp_path):
-    special = [-0.0, 1e-320, 1.0 / 3.0, 1e22, -2.5e-300, math.pi]
+    special = [-0.0, 1e-320, 1.0 / 3.0, 1e22, -2.5e-300, math.pi, 1e300, -1e-300]
     q = np.array([special, special[::-1]]).T
     traj = Trajectory(
-        theta_grid=np.linspace(0.0, 1.0, 6),
+        theta_grid=np.linspace(0.0, 1.0, 8),
         q=q,
         v=-q,
-        channels={"a": np.array([0.0] + special[1:]), "b": np.array([0.0] * 6)},
+        channels={"a": np.array([0.0] + special[1:]), "b": np.array([0.0] * 8)},
     )
     path = tmp_path / "traj.csv"
     traj.write_csv(path)
     expected = ["theta,q0,q1,v0,v1,a,b"]
-    for k in range(6):
+    for k in range(8):
         row = [traj.theta_grid[k], *traj.q[k], *traj.v[k], traj.channels["a"][k], 0.0]
         expected.append(",".join(format(x, ".17g") for x in row))
     assert path.read_text() == "\n".join(expected) + "\n"

@@ -239,14 +239,7 @@ def test_three_dof_loop_matches_call_per_stage_loop(text):
 # One compiled loop per integrand set, with a constant mass folded into it
 
 
-def test_newton_shooting_compiles_one_loop_per_integrand_set(monkeypatch):
-    compiled = []
-
-    def counting_compile(source, filename, mode):
-        compiled.append((filename, source))
-        return compile(source, filename, mode)
-
-    monkeypatch.setattr(expressions, "compile", counting_compile, raising=False)
+def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     prob = VariationalProblem(
         n=2,
         lagrangian=parse("(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2", 2),
@@ -261,24 +254,26 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(monkeypatch):
     assert report.converged and report.iterations >= 2  # 7 or more solves
     assert set(traj.channels) == {"Lambda", "energy_correction"}
 
-    loops = [source for filename, source in compiled if filename == "<compiled loop>"]
+    loops = [source for filename, source in defined if filename == "<compiled loop>"]
     assert ["c0 = 0.0" in source for source in loops] == [False, True]
     # the ODE's net-force and mass functions; the integrands compile nothing
-    assert [filename for filename, _ in compiled].count("<compiled compiled>") == 2
-    assert len(compiled) == 4
+    assert [filename for filename, _ in defined].count("<compiled compiled>") == 2
+    assert len(defined) == 4
 
 
 def loop_source(text, n):
     sources = []
+    define = expressions.Emitter.define
 
-    def recording_compile(source, filename, mode):
-        sources.append((filename, source))
-        return compile(source, filename, mode)
+    def recording_define(self, source, name, **names):
+        if name == "loop":
+            sources.append("\n".join(source))
+        return define(self, source, name, **names)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expressions, "compile", recording_compile, raising=False)
+        mp.setattr(expressions.Emitter, "define", recording_define)
         inlined(problem(text, n), [0.1] * n, [0.2] * n, 4, {})
-    (source,) = [source for filename, source in sources if filename == "<compiled loop>"]
+    (source,) = sources
     return source
 
 
