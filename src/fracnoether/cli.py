@@ -17,8 +17,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
-from . import acceptance
+from . import acceptance, integrators
 from .action import fractional_action
 from .charges import (
     ChargePreconditionError,
@@ -104,35 +105,35 @@ def _solve(scenario: Scenario, alpha: float):
     return prob, gens, traj, report
 
 
-def _charge_labels(scenario: Scenario, n_gens: int, n_dof: int, classical: bool):
-    labels = []
+def _charges(
+    scenario: Scenario, prob, gens, traj, classical: bool
+) -> list[tuple[str, Callable[[], ChargeSeries]]]:
+    """(label, series maker) for each requested charge, in output order.
+
+    Each maker computes its series when called, looking its charge
+    function up in this module then.
+    """
+    charges = []
     if "noether" in scenario.charges:
-        labels.extend(f"noether_g{i}" for i in range(n_gens))
+        charges.extend(
+            (f"noether_g{i}",
+             lambda i=i: noether_charge(prob, gens[i], traj, channel=gauge_channel(i, len(gens))))
+            for i in range(len(gens))
+        )
     if "energy" in scenario.charges:
-        labels.append("energy")
+        charges.append(("energy", lambda: fractional_energy(prob, traj)))
         if classical:
-            labels.append("classical_energy")
+            charges.append(("classical_energy", lambda: classical_energy(prob, traj)))
     if "momentum" in scenario.charges:
-        labels.extend(f"momentum_{j}" for j in range(n_dof))
+        charges.extend(
+            (f"momentum_{j}", lambda j=j: fractional_momentum(prob, traj, j)) for j in range(prob.n)
+        )
         if classical:
-            labels.extend(f"classical_momentum_{j}" for j in range(n_dof))
-    return labels
-
-
-def _compute_charge(label: str, prob, gens, traj) -> ChargeSeries:
-    if label.startswith("noether_g"):
-        index = int(label.removeprefix("noether_g"))
-        channel = gauge_channel(index, len(gens))
-        return noether_charge(prob, gens[index], traj, channel=channel)
-    if label == "energy":
-        return fractional_energy(prob, traj)
-    if label == "classical_energy":
-        return classical_energy(prob, traj)
-    if label.startswith("classical_momentum_"):
-        return classical_momentum(prob, traj, int(label.rsplit("_", 1)[1]))
-    if label.startswith("momentum_"):
-        return fractional_momentum(prob, traj, int(label.rsplit("_", 1)[1]))
-    raise ValueError(f"unknown charge label {label!r}")
+            charges.extend(
+                (f"classical_momentum_{j}", lambda j=j: classical_momentum(prob, traj, j))
+                for j in range(prob.n)
+            )
+    return charges
 
 
 def _ensure_output_dir(scenario: Scenario) -> Path:
@@ -147,8 +148,8 @@ def _write_manifest(path: Path, scenario: Scenario, report, wall_time: float) ->
         "solver": {
             "method": "rk4",
             "steps": scenario.steps,
-            "boundary_tol": 1e-9,
-            "max_iter": 50,
+            "boundary_tol": integrators.SHOOTING_TOL,
+            "max_iter": integrators.SHOOTING_MAX_ITER,
         },
         "shooting": None
         if report is None
@@ -186,12 +187,11 @@ def cmd_charge(args) -> int:
     prob, gens, traj, _ = _solve(scenario, scenario.alpha)
     out = _ensure_output_dir(scenario)
 
-    labels = _charge_labels(scenario, len(gens), prob.n, classical=False)
     failures: dict[str, str] = {}
     print(f"{'label':<24}{'drift':>14}{'relative_drift':>18}")
-    for label in labels:
+    for label, make in _charges(scenario, prob, gens, traj, classical=False):
         try:
-            series = _compute_charge(label, prob, gens, traj)
+            series = make()
         except CHARGE_FAILURES as exc:
             failures[label] = str(exc)
             print(f"{label:<24}{'failed':>14}{'':>18}  {exc}")
@@ -208,10 +208,9 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     try:
         prob, gens, traj, _ = _solve(scenario, alpha)
         action = fractional_action(prob, traj).value
-        labels = _charge_labels(scenario, len(gens), prob.n, classical=True)
-        for label in labels:
+        for label, make in _charges(scenario, prob, gens, traj, classical=True):
             try:
-                series = _compute_charge(label, prob, gens, traj)
+                series = make()
             except CHARGE_FAILURES as exc:
                 rows.append(
                     {"alpha": alpha, "label": label, "status": f"error: {exc}"}

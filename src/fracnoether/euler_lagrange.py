@@ -19,6 +19,7 @@ Lagrangians (invertible velocity Hessian).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -166,13 +167,15 @@ class ExplicitOde:
     Euler-Lagrange equation reads M accel = F - c p, where the force tree
     F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k, and the
     kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
-    F_j - c p_j and the mass trees are built once here and compiled into
-    two functions, each computing the subtrees its trees share once.
+    F_j - c p_j and the mass trees are built once here; ``constant_mass``
+    holds the rows of M as floats when every mass tree is a constant, and
+    is None otherwise.
 
     Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
-    a list returned).  One degree of freedom divides by the single mass
-    entry; more go through :func:`linsolve.solve`.  ``on_grid`` evaluates
-    the same right-hand side over a whole batch of samples at once.
+    a list returned); the first call compiles the net force and the mass
+    trees into two functions.  One degree of freedom divides by the single
+    mass entry; more go through :func:`linsolve.solve`.  ``on_grid``
+    evaluates the same right-hand side over a whole batch of samples.
     :func:`integrators.ivp_solve` writes the net force and mass trees,
     and the elimination of :func:`linsolve.emit_solve` over them, into
     its compiled step loop instead of calling, and keeps those loops in
@@ -194,9 +197,19 @@ class ExplicitOde:
         # fold to -(c p) when F is zero, which would flip the sign of a zero.
         c = prob.frac.kernel_coefficient()
         self.net = [Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
-        self._net = compile_trees(self.net)
-        self._mass = compile_trees(self.mass)
+        self.constant_mass = (
+            tuple(tuple(float(m.value) for m in row) for row in self.mass)
+            if all(type(m) is Const for row in self.mass for m in row) else None
+        )
         self.loops: dict = {}
+
+    @cached_property
+    def _net(self):
+        return compile_trees(self.net)
+
+    @cached_property
+    def _mass(self):
+        return compile_trees(self.mass)
 
     def assemble(self, theta: float, q, v) -> tuple[tuple, tuple]:
         """Net force F - c p and mass matrix M (a tuple of rows) at one point."""
@@ -250,21 +263,19 @@ class ExplicitOde:
 def to_explicit_ode(prob: VariationalProblem) -> ExplicitOde:
     """Rearrange the Euler-Lagrange equation into explicit accelerations.
 
-    Raises :class:`SingularHessianError` on first evaluation at any point
-    where the velocity Hessian degenerates; a probe at the interval
-    midpoint with zero state catches constant-degenerate Lagrangians
-    immediately.
+    A constant singular mass matrix raises :class:`SingularHessianError`
+    here, reported at the interval midpoint; no tree is evaluated.  Any
+    other degenerate velocity Hessian raises it where a solve meets it.
     """
     ode = ExplicitOde(prob)
-    mid = 0.5 * (prob.a + prob.b)
-    probe_q = [0.0] * prob.n
-    probe_v = [0.0] * prob.n
-    try:
-        ode(mid, probe_q, probe_v)
-    except SingularHessianError:
-        raise
-    except ArithmeticError:
-        # Hessian may be state-dependent and merely undefined at the probe;
-        # defer judgement to actual use.
-        pass
+    mass = ode.constant_mass
+    if mass is not None:
+        mid = 0.5 * (prob.a + prob.b)
+        if prob.n == 1 and mass[0][0] == 0.0:
+            raise SingularHessianError(mid, float("inf"))
+        if prob.n > 1:
+            try:
+                linsolve.solve(mass, [0.0] * prob.n)
+            except linsolve.SingularMatrixError as exc:
+                raise SingularHessianError(mid, exc.condition_estimate) from exc
     return ode

@@ -11,7 +11,7 @@ The step loop itself is generated: :func:`ivp_solve` compiles the whole
 loop once into straight-line Python over local scalars, with the trees of
 an :class:`ExplicitOde` right-hand side, the linear solve for its
 accelerations (:func:`linsolve.emit_solve`, with a constant mass matrix
-folded at compile time) and the trees of expression integrands written
+eliminated at compile time) and the trees of expression integrands written
 out at each of the four stage points (subtrees shared at one point
 computed once), and any other callable called at each stage.  An
 ``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
@@ -34,7 +34,7 @@ from .euler_lagrange import (
     VariationalProblem,
     to_explicit_ode,
 )
-from .expressions import Const, Emitter, Expr
+from .expressions import Emitter, Expr
 
 
 class BlowUpError(RuntimeError):
@@ -162,6 +162,8 @@ def ivp_solve(
     n = len(qc)
     if len(vc) != n or n < 1:
         raise ValueError("q0 and v0 must have equal length n >= 1")
+    if isinstance(rhs, ExplicitOde) and rhs.n != n:
+        raise ValueError(f"q0 and v0 have length {n}, the ODE has {rhs.n} degrees of freedom")
 
     grid = np.linspace(float(a), float(b), steps + 1)
     h = (float(b) - float(a)) / steps
@@ -182,8 +184,8 @@ def ivp_solve(
 
 def _rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     """The compiled step loop for this right-hand side and integrand list,
-    cached on an :class:`ExplicitOde` of matching dimension."""
-    if not (isinstance(rhs, ExplicitOde) and rhs.n == n):
+    cached on an :class:`ExplicitOde`."""
+    if not isinstance(rhs, ExplicitOde):
         return _compile_rk4_loop(rhs, n, integrands, inline=False)
     key = tuple(map(id, integrands))
     hit = rhs.loops.get(key)
@@ -205,11 +207,12 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
     With ``inline``, ``rhs`` is an :class:`ExplicitOde` whose mass and net
     force trees are emitted at each stage point: one degree of freedom
     checks the mass for zero before any force node and divides; more emit
-    the force trees, then the mass trees that are not constants, then the
-    elimination of :func:`linsolve.emit_solve` over them, with the
-    constant entries folded in.  :class:`Expr` integrands are emitted at
-    the same points, reusing the subtrees already computed there.
-    Everything else is called with the stage point as lists.
+    the force trees, then every mass tree unless the ODE's mass is
+    constant, then the elimination of :func:`linsolve.emit_solve`, which
+    does all of its work on a constant mass at compile time.
+    :class:`Expr` integrands are emitted at the same points, reusing the
+    subtrees already computed there.  Everything else is called with the
+    stage point as lists.
     """
     em = Emitter()
     js = range(n)
@@ -249,8 +252,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
         else:
             em.at(theta, sq, sv)
             force = [em.emit(f) for f in rhs.net]
-            mass = [[float(m.value) if type(m) is Const else em.emit(m) for m in row]
-                    for row in rhs.mass]
+            mass = rhs.constant_mass or [[em.emit(m) for m in row] for row in rhs.mass]
             k = linsolve.emit_solve(
                 em, mass, force,
                 lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
@@ -297,25 +299,29 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
     )
 
 
+# Newton shooting has converged once no boundary miss exceeds SHOOTING_TOL,
+# and gives up after SHOOTING_MAX_ITER iterations unless told otherwise.
+SHOOTING_TOL = 1e-9
+SHOOTING_MAX_ITER = 50
+
+
 def bvp_shoot(
     prob: VariationalProblem,
     steps: int = 1000,
-    tol: float = 1e-9,
-    max_iter: int = 50,
+    max_iter: int = SHOOTING_MAX_ITER,
     integrands: Mapping[str, Expr] | None = None,
 ) -> tuple[Trajectory, ShootingReport]:
     """Newton shooting on the initial velocity.
 
     Forward finite differences supply the Jacobian of the boundary map
-    v0 -> q(b; v0) - q_b.  The converged solve is repeated once with the
+    v0 -> q(b; v0) - q_b, until no component of the miss exceeds
+    ``SHOOTING_TOL``.  The converged solve is repeated once with the
     requested channel integrands attached.  Every solve runs on one
     :class:`ExplicitOde`, so the probes share one compiled loop and the
     channel solve compiles one more.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rhs = to_explicit_ode(prob)
     a, b = prob.interval
     q_a = np.array(prob.boundary.q_a)
@@ -330,7 +336,7 @@ def bvp_shoot(
 
     miss, traj = boundary_miss(v0)
     iterations = 0
-    converged = bool(np.max(np.abs(miss)) <= tol)
+    converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
 
     while not converged and iterations < max_iter:
         jac = np.empty((n, n))
@@ -347,7 +353,7 @@ def bvp_shoot(
         v0 = v0 + step
         miss, traj = boundary_miss(v0)
         iterations += 1
-        converged = bool(np.max(np.abs(miss)) <= tol)
+        converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
 
     if converged and integrands:
         traj = ivp_solve(rhs, a, b, q_a, v0, steps, integrands=integrands)

@@ -8,12 +8,14 @@ exactly zero pivot reports an infinite condition estimate.
 The algorithm is spelled twice, side by side.  :func:`solve` runs it on
 lists in plain Python (at these sizes array set-up would cost more than
 the arithmetic); it serves the call-per-stage right-hand side
-``ExplicitOde.__call__`` and the shooting Jacobian.  :func:`emit_solve`
-writes the same operations as straight-line statements into an
-expression :class:`~fracnoether.expressions.Emitter`; the compiled RK4
-loop of :mod:`fracnoether.integrators` solves each stage with them, and
-does at compile time whatever a constant mass matrix already decides.
-Both give bit-identical results and the same singular error.
+``ExplicitOde.__call__``, the singular check of a constant mass matrix in
+``to_explicit_ode`` and the shooting Jacobian.  :func:`emit_solve` writes
+the same operations as straight-line statements into an expression
+:class:`~fracnoether.expressions.Emitter`; the compiled RK4 loop of
+:mod:`fracnoether.integrators` solves each stage with them.  A constant
+matrix is eliminated at compile time, leaving only the arithmetic on the
+right-hand side; any other is eliminated in full at run time.  Both give
+bit-identical results and the same singular error.
 """
 
 from __future__ import annotations
@@ -94,15 +96,14 @@ def emit_solve(
 ) -> list[str]:
     """Write :func:`solve` of one system into ``em``; return the names of x.
 
-    ``rhs`` holds names of locals.  An entry of ``matrix`` is either the
-    name of a local or a float known now.  Every operation of
-    :func:`solve` whose operands are all known is done here, with the
-    same float operation, and every branch whose condition is then known
-    is resolved: a known pivot choice makes its swap a renaming, a known
-    zero factor drops its row update.  What is left is emitted in the
-    order :func:`solve` runs it.  Constants are named through
-    ``em.bind``; working values go to ``em.fresh`` locals, so no input
-    name is ever assigned.
+    ``rhs`` holds names of locals.  ``matrix`` holds either floats only,
+    known now, or names of locals only.  A known matrix is eliminated
+    here, with the same float operations and branches as :func:`solve`,
+    and only the arithmetic on ``rhs`` is emitted.  A matrix of names is
+    eliminated at run time: every operation of :func:`solve` is emitted
+    in the order it runs it.  Constants are named through ``em.bind``;
+    working values go to ``em.fresh`` locals, so no input name is ever
+    assigned.
 
     Where the system is singular, the statements bind the
     :class:`SingularMatrixError` of :func:`solve` to a local, through
@@ -114,13 +115,9 @@ def emit_solve(
     a = [list(row) for row in matrix]
     b = list(rhs)
     x = [em.fresh() for _ in range(n)]
+    known = all(type(value) is float for row in a for value in row)
+    src = em.bind if known else str
     indent = ""
-
-    def known(value) -> bool:
-        return type(value) is float
-
-    def src(value) -> str:
-        return em.bind(value) if known(value) else value
 
     def line(statement: str) -> None:
         em.line(indent + statement)
@@ -133,40 +130,28 @@ def emit_solve(
     magnitudes: dict[str, str] = {}
 
     def magnitude(value):
-        if known(value):
+        if known:
             return abs(value)
         if value not in magnitudes:
             magnitudes[value] = let(f"abs({value})")
         return magnitudes[value]
 
     entries = [value for row in a for value in row]
-    unknown = list(dict.fromkeys(v for v in entries if not known(v)))
-    if any(math.isnan(v) for v in entries if known(v)):
-        line(f"{' = '.join(x)} = {em.bind(math.nan)}")
-        return x
-    if unknown:
-        line(f"if {' or '.join(f'{v} != {v}' for v in unknown)}:")
+    if known:
+        if any(map(math.isnan, entries)):
+            line(f"{' = '.join(x)} = {em.bind(math.nan)}")
+            return x
+        scale = max(map(abs, entries))
+        threshold = PIVOT_RTOL * max(scale, 1e-300)
+    else:
+        names = list(dict.fromkeys(entries))
+        line(f"if {' or '.join(f'{v} != {v}' for v in names)}:")
         line(f"    {' = '.join(x)} = {em.bind(math.nan)}")
         line("else:")
         indent = "    "
-
-    mags = [magnitude(v) for v in entries]
-    folded = [m for m in mags if known(m)]
-    if len(folded) == len(mags):
-        scale = max(folded)
-        threshold = PIVOT_RTOL * max(scale, 1e-300)
-    else:
-        args = ([em.bind(max(folded))] if folded else []) + list(dict.fromkeys(
-            m for m in mags if not known(m)))
-        scale = args[0] if len(args) == 1 else let(f"max({', '.join(args)})")
+        mags = [magnitude(v) for v in names]
+        scale = mags[0] if len(mags) == 1 else let(f"max({', '.join(mags)})")
         threshold = let(f"{em.bind(PIVOT_RTOL)} * max({scale}, {em.bind(1e-300)})")
-
-    def update(value, factor, top):
-        """``value - factor * top``, folding the product when it is known."""
-        if known(factor) and known(top):
-            product = factor * top
-            return value - product if known(value) else let(f"{value} - {em.bind(product)}")
-        return let(f"{src(value)} - {src(factor)} * {src(top)}")
 
     def emit_raise(guard: str, *values) -> None:
         error = em.fresh()
@@ -175,7 +160,7 @@ def emit_solve(
 
     for col in range(n):
         column = [magnitude(a[row][col]) for row in range(col, n)]
-        if len(column) == 1 or all(map(known, column)):  # the choice is known now
+        if known or col == n - 1:  # the choice is known now
             pivot_row, largest = col, column[0]
             for row in range(col + 1, n):
                 if column[row - col] > largest:
@@ -184,9 +169,9 @@ def emit_solve(
             b[col], b[pivot_row] = b[pivot_row], b[col]
         else:
             choice, largest = em.fresh(), em.fresh()
-            line(f"{choice}, {largest} = {col}, {src(column[0])}")
+            line(f"{choice}, {largest} = {col}, {column[0]}")
             for row in range(col + 1, n):
-                m = src(column[row - col])
+                m = column[row - col]
                 line(f"if {m} > {largest}: {choice}, {largest} = {row}, {m}")
             # rows col.. swapped as the choice says, into new locals
             rows = range(col, n)
@@ -194,7 +179,7 @@ def emit_solve(
             targets = ", ".join(name for names in swapped for name in names)
             for pivot_row in rows:
                 order = [pivot_row if r == col else col if r == pivot_row else r for r in rows]
-                values = ", ".join(src(v) for r in order for v in a[r][col:] + [b[r]])
+                values = ", ".join(v for r in order for v in a[r][col:] + [b[r]])
                 test = ("else" if pivot_row == n - 1
                         else f"{'if' if pivot_row == col else 'elif'} {choice} == {pivot_row}")
                 line(f"{test}:")
@@ -203,8 +188,8 @@ def emit_solve(
                 a[r][col:], b[r] = names[:-1], names[-1]
 
         pivot = a[col][col]
-        if not (known(largest) and known(threshold)):
-            line(f"if {src(largest)} < {src(threshold)}:")
+        if not known:
+            line(f"if {largest} < {threshold}:")
             emit_raise("    ", pivot, threshold, scale, largest)
         elif largest < threshold:
             emit_raise("", pivot, threshold, scale, largest)
@@ -213,28 +198,26 @@ def emit_solve(
         top = a[col]
         for row in range(col + 1, n):
             lower = a[row]
-            if known(lower[col]) and known(pivot) and pivot != 0.0:
+            if known:
                 factor = lower[col] / pivot
-            else:  # or a known zero pivot, whose run-time singular test fires first
-                factor = let(f"{src(lower[col])} / {src(pivot)}")
-            if known(factor):
                 if factor != 0.0:
-                    lower[col + 1:] = [update(lower[k], factor, top[k]) for k in range(col + 1, n)]
-                    b[row] = update(b[row], factor, b[col])
+                    lower[col + 1:] = [lower[k] - factor * top[k] for k in range(col + 1, n)]
+                    b[row] = let(f"{b[row]} - {em.bind(factor)} * {b[col]}")
                 continue
+            factor = let(f"{lower[col]} / {pivot}")
             old, tops = lower[col + 1:] + [b[row]], top[col + 1:] + [b[col]]
             new = [em.fresh() for _ in old]
             line(f"if {factor} != 0.0:")
             for name, value, t in zip(new, old, tops):
-                line(f"    {name} = {src(value)} - {factor} * {src(t)}")
+                line(f"    {name} = {value} - {factor} * {t}")
             line("else:")
-            line(f"    {', '.join(new)} = {', '.join(map(src, old))}")
+            line(f"    {', '.join(new)} = {', '.join(old)}")
             lower[col + 1:], b[row] = new[:-1], new[-1]
 
     for row in range(n - 1, -1, -1):
         # the dot starts at 0.0, which turns a sum of -0.0 into 0.0; an
         # empty one is left out, since b - 0.0 is b for every float
         dot = " + ".join(["0.0"] + [f"{src(a[row][k])} * {x[k]}" for k in range(row + 1, n)])
-        numerator = f"{src(b[row])} - ({dot})" if row < n - 1 else src(b[row])
+        numerator = f"{b[row]} - ({dot})" if row < n - 1 else b[row]
         line(f"{x[row]} = ({numerator}) / {src(a[row][row])}")
     return x

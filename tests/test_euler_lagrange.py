@@ -1,6 +1,7 @@
 """Residual and explicit-ODE form of the weighted Euler-Lagrange equation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fracnoether.euler_lagrange import (
     to_explicit_ode,
 )
 from fracnoether.expressions import EvalPoint, parse
+from fracnoether.integrators import ivp_solve
 
 
 def problem(lagrangian, alpha, t=2.0, n=1, interval=(0.0, 1.0), boundary=None):
@@ -94,10 +96,14 @@ def test_harmonic_oscillator_residual():
     assert ExplicitOde(prob).residual(p, [-1.0]) == pytest.approx([0.0], abs=1e-15)
 
 
-def test_residual_checks_compile_nothing_after_construction(defined):
+def test_residual_checks_compile_nothing_after_the_first(defined):
     for n, text in [(1, "v0^2/2 + cos(q0)"), (2, "(2 + sin(q1))*v0^2/2 + v1^2/2")]:
+        before = len(defined)
         ode = ExplicitOde(problem(text, alpha=0.7, n=n))
+        assert len(defined) == before  # construction compiles nothing
+        ode.residual(EvalPoint(0.0, [0.1] * n, [0.2] * n), [0.3] * n)
         built = len(defined)
+        assert built == before + 2  # the net force and the mass functions
         for k in range(20):
             ode.residual(EvalPoint(k / 20, [0.1] * n, [0.2] * n), [0.3] * n)
             ode(k / 20, [0.1] * n, [0.2] * n)
@@ -125,9 +131,30 @@ def test_explicit_ode_classical_oscillator():
 
 def test_linear_in_velocity_rejected():
     # one dof divides by the mass entry; two go through linsolve
-    for text, n in [("v0", 1), ("(v0 + v1)^2/2", 2)]:
-        with pytest.raises(SingularHessianError):
+    for text, n in [("v0", 1), ("(v0 + v1)^2/2", 2), ("v0 + q0^0.5", 1)]:
+        with pytest.raises(SingularHessianError, match=re.escape(
+                "singular velocity Hessian at theta = 0.5 (condition estimate inf)")):
             to_explicit_ode(problem(text, alpha=0.5, n=n))
+
+
+def test_state_dependent_mass_is_judged_on_the_trajectory():
+    # M = q0^2 vanishes at q0 = 0, which a motion from q0 = 1 never meets
+    prob = problem("q0^2*v0^2/2 - q0^2/2", alpha=0.5)
+    ode = to_explicit_ode(prob)
+    assert ode.constant_mass is None
+    traj = ivp_solve(ode, 0.0, 1.0, [1.0], [1.0], 100)
+    assert np.min(traj.q) >= 1.0
+    # a motion that starts there meets it at its first stage
+    with pytest.raises(SingularHessianError, match=re.escape(
+            "singular velocity Hessian at theta = 0.0 (condition estimate inf)")):
+        ivp_solve(ode, 0.0, 1.0, [0.0], [1.0], 100)
+
+
+def test_construction_defines_no_function(defined):
+    for text in ["(v0^2 + v1^2)/2 + v0*v1/4 - (q0 - q1)^2/2",
+                 "(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1"]:
+        to_explicit_ode(problem(text, alpha=0.6, n=2))
+    assert defined == []
 
 
 def test_rhs_satisfies_residual():

@@ -92,6 +92,18 @@ def test_channel_additivity_across_a_split():
     assert abs(stitched - full.channels["g"][-1]) < 1e-10
 
 
+def test_state_of_the_wrong_dimension_is_rejected():
+    one = to_explicit_ode(problem("v0^2/2 - q0^2/2", alpha=0.5))
+    two = to_explicit_ode(problem("(v0^2 + v1^2)/2", alpha=0.5, n=2))
+    for rhs, q0, message in [
+        (one, [0.1, 0.2], "q0 and v0 have length 2, the ODE has 1 degrees of freedom"),
+        (two, [0.1], "q0 and v0 have length 1, the ODE has 2 degrees of freedom"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ivp_solve(rhs, 0.0, 1.0, q0, [0.0] * len(q0), 10)
+    assert not one.loops and not two.loops
+
+
 def test_grid_is_uniform_and_channels_start_at_zero():
     traj = ivp_solve(free_rhs, 0.25, 1.75, [0.0], [1.0], 7, integrands={"one": Const(1.0)})
     steps = np.diff(traj.theta_grid)

@@ -406,6 +406,37 @@ def test_zero_pivot_reports_an_infinite_condition_estimate(tmp_path, capsys):
         )
 
 
+def test_mass_vanishing_off_the_trajectory_does_not_stop_a_solve(tmp_path):
+    # M = q0^2 is zero at q0 = 0, which the motion from q0 = 1 never reaches
+    raw = base_scenario(
+        name="weighted",
+        lagrangian="q0^2*v0^2/2 - q0^2/2",
+        mode={"type": "ivp", "q0": [1.0], "v0": [1.0]},
+        charges=[],
+        generators=[],
+        output_dir=str(tmp_path / "out"),
+    )
+    assert cli.main(["solve", "--scenario", str(write_scenario(tmp_path, raw))]) == 0
+    assert (tmp_path / "out" / "weighted_traj.csv").exists()
+
+
+def test_double_pendulum_energy_is_conserved(tmp_path):
+    # the mass [[2, cos(q0 - q1)], [cos(q0 - q1), 1]] is eliminated at run time
+    raw = base_scenario(
+        name="double_pendulum",
+        n=2,
+        lagrangian="v0^2 + v1^2/2 + v0*v1*cos(q0 - q1) + 2*cos(q0) + cos(q1)",
+        mode={"type": "ivp", "q0": [0.3, -0.2], "v0": [0.1, 0.4]},
+        charges=["energy"],
+        generators=[],
+        output_dir=str(tmp_path / "out"),
+    )
+    assert cli.main(["charge", "--scenario", str(write_scenario(tmp_path, raw))]) == 0
+    series = (tmp_path / "out" / "double_pendulum_charge_energy.csv").read_text()
+    relative_drift = float(series.rsplit("relative_drift=", 1)[1])
+    assert relative_drift < 1e-10
+
+
 # --------------------------------------------------------------------------
 # verify
 
