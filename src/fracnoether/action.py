@@ -139,17 +139,14 @@ def stationarity_check(
     if not eps_ladder:
         raise ValueError("need at least one epsilon")
     grid = extremal.theta_grid
-    bump_vals = evaluate_on_grid(
-        bump, grid, np.zeros((grid.size, 1)), np.zeros((grid.size, 1))
-    )
+    zeros = np.zeros((grid.size, 1))
+    bump_vals = evaluate_on_grid(bump, grid, zeros, zeros)
     scale = 1.0 + float(np.max(np.abs(bump_vals)))
     if abs(bump_vals[0]) > _BUMP_BOUNDARY_TOL * scale or abs(
         bump_vals[-1]
     ) > _BUMP_BOUNDARY_TOL * scale:
         raise ValueError("bump must vanish at the interval endpoints")
-    dbump_vals = evaluate_on_grid(
-        bump.diff(Theta()), grid, np.zeros((grid.size, 1)), np.zeros((grid.size, 1))
-    )
+    dbump_vals = evaluate_on_grid(bump.diff(Theta()), grid, zeros, zeros)
 
     base = fractional_action(prob, extremal).value
 

@@ -6,13 +6,16 @@ infinitesimal shift of intrinsic time and coordinates.  For any generator,
 that balances the weighted-invariance condition identically, and the
 charge
 
-    C = dL/dv . xi + (L - dL/dv . v) tau - Lambda
+    C = p . xi + H tau - Lambda,
 
-is then constant along solutions of the weighted Euler-Lagrange equation.
-Lambda is the gauge rate accumulated by quadrature from the left endpoint;
-the running correction integrals of the specialized energy/momentum
-charges use the same base point, so all charges are pinned up to the
-additive constant that drift statistics ignore anyway.
+with the problem's momenta p = dL/dv and energy function H = L - p . v
+(``VariationalProblem.momentum`` and ``.energy``), is then constant along
+solutions of the weighted Euler-Lagrange equation.  Lambda is the gauge
+rate accumulated by quadrature from the left endpoint; the running
+correction integrals of the specialized energy/momentum charges use the
+same base point, so all charges are pinned up to the additive constant
+that drift statistics ignore anyway.  The five charge samplers share one
+path: a tree on the trajectory's grid plus a weight times a channel.
 
 The energy charge needs a Lagrangian whose tree has no ``theta`` node, and
 the momentum charge for q_i one with no ``q_i`` node.  Both preconditions
@@ -25,7 +28,7 @@ form divides by (1 + max |C|) to stay scale-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -214,9 +217,8 @@ class InvarianceResiduals:
 def _momentum_times_shift(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
     """dL/dv . (xi - v tau)."""
     out = Const(0.0)
-    for j in range(prob.n):
-        shift = sub(gen.xi[j], mul(V(j), gen.tau))
-        out = add(out, mul(prob.lagrangian.diff(V(j)), shift))
+    for j, p in enumerate(prob.momentum):
+        out = add(out, mul(p, sub(gen.xi[j], mul(V(j), gen.tau))))
     return out
 
 
@@ -239,10 +241,10 @@ def gauge_rate_from_reduced_condition(
     n = prob.n
     tau_dot = along_motion(gen.tau, n)[0]
     out = mul(L.diff(Theta()), gen.tau)
-    for j in range(n):
+    for j, p in enumerate(prob.momentum):
         xi_dot = along_motion(gen.xi[j], n)[0]
         out = add(out, mul(L.diff(Q(j)), gen.xi[j]))
-        out = add(out, mul(L.diff(V(j)), sub(xi_dot, mul(V(j), tau_dot))))
+        out = add(out, mul(p, sub(xi_dot, mul(V(j), tau_dot))))
     out = add(out, mul(L, tau_dot))
     return sub(out, prob.frac.drag(_momentum_times_shift(prob, gen)))
 
@@ -255,9 +257,9 @@ def charge_expression(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
     """Symbolic charge without the gauge term: dL/dv.xi + (L - dL/dv.v) tau."""
     _check_dimensions(prob, gen)
     out = Const(0.0)
-    for j in range(prob.n):
-        out = add(out, mul(prob.lagrangian.diff(V(j)), gen.xi[j]))
-    return add(out, mul(_energy_expression(prob), gen.tau))
+    for p, xi in zip(prob.momentum, gen.xi):
+        out = add(out, mul(p, xi))
+    return add(out, mul(prob.energy, gen.tau))
 
 
 def lambda_integrand(gen: SymmetryGenerator) -> Expr:
@@ -268,17 +270,16 @@ def lambda_integrand(gen: SymmetryGenerator) -> Expr:
 
 def energy_correction_integrand(prob: VariationalProblem) -> Expr:
     """dL/dv . v / (t - theta), the running correction of the energy charge."""
-    L = prob.lagrangian
     total = Const(0.0)
-    for j in range(prob.n):
-        total = add(total, mul(L.diff(V(j)), V(j)))
+    for j, p in enumerate(prob.momentum):
+        total = add(total, mul(p, V(j)))
     return prob.frac.over_lag(total)
 
 
 def momentum_correction_integrand(prob: VariationalProblem, dof: int) -> Expr:
     """dL/dv_i / (t - theta), the running correction of one momentum charge."""
     _check_dof(prob, dof)
-    return prob.frac.over_lag(prob.lagrangian.diff(V(dof)))
+    return prob.frac.over_lag(prob.momentum[dof])
 
 
 def gauge_channel(index: int, count: int) -> str:
@@ -315,22 +316,13 @@ def noether_charge(
     channel: str = LAMBDA_CHANNEL,
 ) -> ChargeSeries:
     """Sample the gauge-corrected charge along a trajectory."""
-    if channel not in traj.channels:
-        raise MissingChannelError(
-            f"trajectory lacks the accumulated gauge channel {channel!r}"
-        )
-    expr = charge_expression(prob, gen)
-    values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values - traj.channels[channel]
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    return _sample(traj, lambda: charge_expression(prob, gen), -1.0, channel, "accumulated gauge")
 
 
 def classical_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
     """L - dL/dv . v sampled with no fractional correction (constant only
     at alpha = 1 for autonomous Lagrangians)."""
-    expr = _energy_expression(prob)
-    values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    return _sample(traj, lambda: prob.energy)
 
 
 def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
@@ -342,14 +334,8 @@ def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSerie
         raise ChargePreconditionError(
             "energy charge requires an autonomous Lagrangian (no explicit theta)"
         )
-    if ENERGY_CHANNEL not in traj.channels:
-        raise MissingChannelError(
-            f"trajectory lacks the energy correction channel {ENERGY_CHANNEL!r}"
-        )
-    expr = _energy_expression(prob)
-    values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values - prob.frac.drag_strength * traj.channels[ENERGY_CHANNEL]
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    weight = -prob.frac.drag_strength
+    return _sample(traj, lambda: prob.energy, weight, ENERGY_CHANNEL, "energy correction")
 
 
 def classical_momentum(
@@ -357,9 +343,7 @@ def classical_momentum(
 ) -> ChargeSeries:
     """dL/dv_i sampled with no fractional correction."""
     _check_dof(prob, dof)
-    expr = prob.lagrangian.diff(V(dof))
-    values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    return _sample(traj, lambda: prob.momentum[dof])
 
 
 def fractional_momentum(
@@ -375,14 +359,8 @@ def fractional_momentum(
             f"momentum charge for dof {dof} requires L independent of q{dof}"
         )
     channel = MOMENTUM_CHANNEL.format(dof=dof)
-    if channel not in traj.channels:
-        raise MissingChannelError(
-            f"trajectory lacks the momentum correction channel {channel!r}"
-        )
-    expr = prob.lagrangian.diff(V(dof))
-    values = evaluate_on_grid(expr, traj.theta_grid, traj.q, traj.v)
-    values = values + prob.frac.drag_strength * traj.channels[channel]
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    weight = prob.frac.drag_strength
+    return _sample(traj, lambda: prob.momentum[dof], weight, channel, "momentum correction")
 
 
 def pointwise_conservation_residual(
@@ -414,12 +392,17 @@ def pointwise_conservation_residual(
 # Internals
 
 
-def _energy_expression(prob: VariationalProblem) -> Expr:
-    L = prob.lagrangian
-    out = L
-    for j in range(prob.n):
-        out = sub(out, mul(L.diff(V(j)), V(j)))
-    return out
+def _sample(traj: Trajectory, tree: Callable[[], Expr], weight: float = 0.0,
+            channel: str | None = None, kind: str = "") -> ChargeSeries:
+    """The tree ``tree()`` sampled on the trajectory's grid, plus weight
+    times the named channel; a missing channel, described as ``kind``, is
+    reported before the tree is built."""
+    if channel is not None and channel not in traj.channels:
+        raise MissingChannelError(f"trajectory lacks the {kind} channel {channel!r}")
+    values = evaluate_on_grid(tree(), traj.theta_grid, traj.q, traj.v)
+    if channel is not None:
+        values = values + weight * traj.channels[channel]
+    return ChargeSeries.from_values(traj.theta_grid, values)
 
 
 def _check_dimensions(prob: VariationalProblem, gen: SymmetryGenerator) -> None:

@@ -40,6 +40,7 @@ from .scenarios import (
     ScenarioError,
     build_generators,
     build_problem,
+    check_steps,
     load_scenario,
     scenario_echo,
 )
@@ -62,8 +63,7 @@ CHARGE_FAILURES = (ChargePreconditionError, LookupError, EvalDomainError)
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.steps is not None:
-        if args.steps < 2 or args.steps % 2 != 0:
-            raise ScenarioError("steps must be an even integer >= 2")
+        check_steps(args.steps)
         scenario = dataclasses.replace(scenario, steps=args.steps)
     if args.output is not None:
         scenario = dataclasses.replace(scenario, output_dir=args.output)
@@ -231,6 +231,14 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     return rows
 
 
+# Columns of the sweep CSV; a row lacks the numbers of a failed label.
+SWEEP_COLUMNS = ("alpha", "label", "drift", "relative_drift", "action", "status")
+
+
+def _sweep_field(value) -> str:
+    return value if isinstance(value, str) else format(value, ".17g")
+
+
 def cmd_sweep(args) -> int:
     scenario = _load(args)
     if not scenario.is_sweep:
@@ -240,23 +248,9 @@ def cmd_sweep(args) -> int:
     out = _ensure_output_dir(scenario)
     path = out / f"{scenario.name}_sweep.csv"
     with open(path, "w", newline="") as fh:
-        fh.write("alpha,label,drift,relative_drift,action,status\n")
+        fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(
-                    [
-                        format(row["alpha"], ".17g"),
-                        row["label"],
-                        format(row["drift"], ".17g") if "drift" in row else "",
-                        format(row["relative_drift"], ".17g")
-                        if "relative_drift" in row
-                        else "",
-                        format(row["action"], ".17g") if "action" in row else "",
-                        row["status"],
-                    ]
-                )
-                + "\n"
-            )
+            fh.write(",".join(_sweep_field(row.get(key, "")) for key in SWEEP_COLUMNS) + "\n")
     print(f"wrote {path}")
     bad = [row for row in rows if row["status"] != "ok"]
     return EXIT_FAILURE if bad else EXIT_OK

@@ -11,9 +11,10 @@ stationarity condition for such problems reads, componentwise,
 which collapses to the classical Euler-Lagrange equation at ``alpha = 1``.
 :class:`FractionalParams` is the one place the kernel and its drag
 coefficient are written, and :func:`along_motion` the one place the
-derivative along the motion is expanded.  :func:`to_explicit_ode`
-rearranges the equation into explicit accelerations for regular
-Lagrangians (invertible velocity Hessian).
+derivative along the motion is expanded; :class:`VariationalProblem` derives
+the momenta p = dL/dv and the energy function H = L - p . v once.
+:func:`to_explicit_ode` rearranges the equation into explicit accelerations
+for regular Lagrangians (invertible velocity Hessian).
 """
 
 from __future__ import annotations
@@ -145,6 +146,19 @@ class VariationalProblem:
     def b(self) -> float:
         return self.interval[1]
 
+    @cached_property
+    def momentum(self) -> tuple[Expr, ...]:
+        """The momenta p_j = dL/dv_j."""
+        return tuple(self.lagrangian.diff(V(j)) for j in range(self.n))
+
+    @cached_property
+    def energy(self) -> Expr:
+        """The energy function H = L - p . v."""
+        out = self.lagrangian
+        for j, p in enumerate(self.momentum):
+            out = sub(out, mul(p, V(j)))
+        return out
+
 
 def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
     """Split d/dtheta of e along a motion into symbolic pieces.
@@ -163,10 +177,10 @@ def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
 class ExplicitOde:
     """Explicit accelerations for a regular Lagrangian.
 
-    With momenta p_j = dL/dv_j split by :func:`along_motion`, the weighted
-    Euler-Lagrange equation reads M accel = F - c p, where the force tree
-    F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k, and the
-    kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
+    With the problem's momenta p_j split by :func:`along_motion`, the
+    weighted Euler-Lagrange equation reads M accel = F - c p, where the
+    force tree F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k,
+    and the kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
     F_j - c p_j and the mass trees are built once here; ``constant_mass``
     holds the rows of M as floats when every mass tree is a constant, and
     is None otherwise.
@@ -185,13 +199,12 @@ class ExplicitOde:
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
         self.n = n = prob.n
-        L = prob.lagrangian
-        self.momentum = [L.diff(V(j)) for j in range(n)]
+        self.momentum = prob.momentum
         self.force = []
         self.mass = []
         for j, p in enumerate(self.momentum):
             rate, accel_coeffs = along_motion(p, n)
-            self.force.append(sub(L.diff(Q(j)), rate))
+            self.force.append(sub(prob.lagrangian.diff(Q(j)), rate))
             self.mass.append(accel_coeffs)
         # Built from the nodes, not the folding helpers: F - c p must not
         # fold to -(c p) when F is zero, which would flip the sign of a zero.

@@ -214,7 +214,7 @@ class Ln(Expr):
         return (self.arg,)
 
     def diff(self, var):
-        return div(self.arg.diff(var), self.arg)
+        return _quotient(self.arg.diff(var), self.arg)
 
     def _render(self):
         return f"ln({self.arg._render()})"
@@ -228,7 +228,7 @@ class Sqrt(Expr):
         return (self.arg,)
 
     def diff(self, var):
-        return div(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
+        return _quotient(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
 
     def _render(self):
         return f"sqrt({self.arg._render()})"
@@ -326,7 +326,7 @@ class Div(Expr):
     def diff(self, var):
         # (a'b - ab') / b^2
         num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-        return div(num, mul(self.b, self.b))
+        return _quotient(num, mul(self.b, self.b))
 
     def _render(self):
         right = self.b._render()
@@ -337,6 +337,12 @@ class Div(Expr):
 
 # --------------------------------------------------------------------------
 # Folding constructors
+
+
+def _quotient(num: Expr, den: Expr) -> Expr:
+    """num / den in a derivative, zero for a constant zero num: the tree
+    being differentiated keeps its own domain check."""
+    return Const(0.0) if type(num) is Const and num.value == 0.0 else div(num, den)
 
 
 def add(a: Expr, b: Expr) -> Expr:

@@ -300,7 +300,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
 
 
 # Newton shooting has converged once no boundary miss exceeds SHOOTING_TOL,
-# and gives up after SHOOTING_MAX_ITER iterations unless told otherwise.
+# and gives up after SHOOTING_MAX_ITER iterations.
 SHOOTING_TOL = 1e-9
 SHOOTING_MAX_ITER = 50
 
@@ -308,7 +308,6 @@ SHOOTING_MAX_ITER = 50
 def bvp_shoot(
     prob: VariationalProblem,
     steps: int = 1000,
-    max_iter: int = SHOOTING_MAX_ITER,
     integrands: Mapping[str, Expr] | None = None,
 ) -> tuple[Trajectory, ShootingReport]:
     """Newton shooting on the initial velocity.
@@ -338,7 +337,7 @@ def bvp_shoot(
     iterations = 0
     converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < SHOOTING_MAX_ITER:
         jac = np.empty((n, n))
         for k in range(n):
             delta = 1e-6 * (1.0 + abs(v0[k]))

@@ -78,6 +78,14 @@ def _is_integer(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
+def check_steps(steps) -> None:
+    """The step-count rule of a scenario and of a ``--steps`` override."""
+    _require(
+        _is_integer(steps) and steps >= 2 and steps % 2 == 0,
+        "steps must be an even integer >= 2",
+    )
+
+
 def _number(raw, label: str) -> float:
     """A finite real number that is not a bool; the one numeric field check."""
     _require(
@@ -170,10 +178,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require(not extra, f"unknown mode fields: {sorted(extra)}")
 
     steps = raw.get("steps", 1000)
-    _require(
-        _is_integer(steps) and steps >= 2 and steps % 2 == 0,
-        "steps must be an even integer >= 2",
-    )
+    check_steps(steps)
 
     generators = []
     for i, gen_raw in enumerate(raw.get("generators", [])):

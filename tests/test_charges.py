@@ -269,6 +269,36 @@ def test_noether_charge_requires_lambda_channel():
         noether_charge(prob, gen, traj)
 
 
+def test_missing_channels_are_named_before_any_tree_is_built():
+    prob = problem("v0^2/2", alpha=0.5)
+    traj = solve(prob, [0.0], [1.0], steps=100)
+    # a generator of the wrong dimension: the missing channel is still reported first
+    gen = generator("0", ["1", "0"], n=2, gauge="0")
+    for call, message in [
+        (lambda: noether_charge(prob, gen, traj, channel="Lambda_g1"),
+         "trajectory lacks the accumulated gauge channel 'Lambda_g1'"),
+        (lambda: fractional_energy(prob, traj),
+         "trajectory lacks the energy correction channel 'energy_correction'"),
+        (lambda: fractional_momentum(prob, traj, 0),
+         "trajectory lacks the momentum correction channel 'momentum_correction_0'"),
+    ]:
+        with pytest.raises(MissingChannelError) as info:
+            call()
+        assert str(info.value) == message
+
+
+def test_energy_and_momentum_samplers_share_one_grid_function(defined):
+    prob = problem("v0^4/12 + v0^2/2", alpha=0.6)
+    traj = solve(prob, [0.0], [1.0], steps=100, energy=True, momentum=True)
+    before = len(defined)
+    classical_energy(prob, traj)
+    fractional_energy(prob, traj)
+    assert len(defined) == before + 1  # H, compiled for the grid once
+    classical_momentum(prob, traj, 0)
+    fractional_momentum(prob, traj, 0)
+    assert len(defined) == before + 2  # and p once
+
+
 def test_fractional_energy_constant_for_free_particle():
     # L - dL/dv*v = -v^2/2 decays, the correction integral restores -v0^2/2
     prob = problem("v0^2/2", alpha=0.5)

@@ -157,6 +157,26 @@ def test_construction_defines_no_function(defined):
     assert defined == []
 
 
+def test_ode_shares_the_problem_momentum():
+    prob = problem("(2 + sin(q1))*v0^2/2 + v1^2/2 + v0*v1/4", alpha=0.6, n=2)
+    ode = ExplicitOde(prob)
+    for j in range(2):
+        assert ode.momentum[j] is prob.momentum[j]
+    assert prob.energy is prob.energy
+
+
+@pytest.mark.parametrize("text", ["v0^2/2 + ln(q0)", "v0^2/2 + sqrt(q0)", "v0^2/2 + 1/q0"])
+def test_velocity_free_quotient_leaves_the_mass_constant(text):
+    # d/dv of ln(q0), sqrt(q0) and 1/q0 is exactly zero, not 0/(q0*q0)
+    assert ExplicitOde(problem(text, alpha=0.5)).constant_mass == ((1.0,),)
+
+
+def test_constant_singular_mass_beside_a_log_is_rejected_at_construction():
+    with pytest.raises(SingularHessianError, match=re.escape(
+            "singular velocity Hessian at theta = 0.5 (condition estimate inf)")):
+        to_explicit_ode(problem("(v0 + v1)^2/2 + ln(q0)", alpha=0.5, n=2))
+
+
 def test_rhs_satisfies_residual():
     rng = np.random.default_rng(5)
     prob = problem("v0^2/2 + cos(q0) + theta*q0/2", alpha=0.7)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracnoether import integrators
 from fracnoether.euler_lagrange import (
     BoundaryConditions,
     FractionalParams,
@@ -193,9 +194,10 @@ def test_harmonic_oscillator_bvp():
     assert report.initial_velocity[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_shooting_report_on_failure():
+def test_shooting_report_on_failure(monkeypatch):
+    monkeypatch.setattr(integrators, "SHOOTING_MAX_ITER", 0)
     prob = problem("v0^2/2", alpha=0.5, boundary=BoundaryConditions([0.0], [1.0]))
-    traj, report = bvp_shoot(prob, steps=100, max_iter=0)
+    traj, report = bvp_shoot(prob, steps=100)
     assert not report.converged
     assert report.iterations == 0
     assert max(abs(x) for x in report.boundary_miss) > 1e-9

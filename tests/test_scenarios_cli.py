@@ -190,6 +190,15 @@ def test_steps_override(tmp_path):
     assert len(lines) == 102
 
 
+@pytest.mark.parametrize("steps", ["3", "0"])
+def test_bad_steps_override_is_rejected(tmp_path, capsys, steps):
+    out_dir = tmp_path / "out"
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(out_dir)))
+    assert cli.main(["solve", "--scenario", str(path), "--steps", steps]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err == "validation error: steps must be an even integer >= 2\n"
+
+
 # --------------------------------------------------------------------------
 # charge
 
