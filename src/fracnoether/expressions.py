@@ -3,7 +3,11 @@
 Trees are immutable and built from a closed node set: real constants, the
 variables ``theta`` / ``q0..q{n-1}`` / ``v0..v{n-1}``, the unary functions
 ``neg sin cos exp ln sqrt`` plus powers with a fixed real exponent, and the
-binary operators ``+ - * /``.  The lowercase constructor helpers fold
+binary operators ``+ - * /``.  Nodes of one shape share a private base
+that holds their fields, children and rendering: ``_Coordinate`` for
+``Q``/``V``, ``_Unary`` for ``Neg`` and the five functions, ``_Binary`` for
+the four operators; each concrete node adds only its derivative rule and
+its class constants.  The lowercase constructor helpers fold
 constants and drop additive/multiplicative identities so that symbolic
 derivatives stay compact, but no canonical simplification is attempted.
 Whether a tree depends on a variable is decided by its nodes
@@ -124,25 +128,26 @@ class Theta(Expr):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Q(Expr):
+class _Coordinate(Expr):
+    """A coordinate or velocity leaf, rendered ``{_LETTER}{index}``."""
+
     index: int
 
     def diff(self, var):
-        return Const(1.0 if isinstance(var, Q) and var.index == self.index else 0.0)
+        return Const(1.0 if isinstance(var, type(self)) and var.index == self.index else 0.0)
 
     def _render(self):
-        return f"q{self.index}"
+        return f"{self._LETTER}{self.index}"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class V(Expr):
-    index: int
+class Q(_Coordinate):
+    _LETTER = "q"
 
-    def diff(self, var):
-        return Const(1.0 if isinstance(var, V) and var.index == self.index else 0.0)
 
-    def _render(self):
-        return f"v{self.index}"
+@dataclass(frozen=True, slots=True, eq=False)
+class V(_Coordinate):
+    _LETTER = "v"
 
 
 # --------------------------------------------------------------------------
@@ -150,12 +155,21 @@ class V(Expr):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Neg(Expr):
+class _Unary(Expr):
+    """A function of one argument, rendered ``{_NAME}(arg)``."""
+
     arg: Expr
-    _PREC = 3
 
     def children(self):
         return (self.arg,)
+
+    def _render(self):
+        return f"{self._NAME}({self.arg._render()})"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Neg(_Unary):
+    _PREC = 3
 
     def diff(self, var):
         return neg(self.arg.diff(var))
@@ -165,73 +179,43 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Sin(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+class Sin(_Unary):
+    _NAME = "sin"
 
     def diff(self, var):
         return mul(cos(self.arg), self.arg.diff(var))
 
-    def _render(self):
-        return f"sin({self.arg._render()})"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Cos(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+class Cos(_Unary):
+    _NAME = "cos"
 
     def diff(self, var):
         return mul(neg(sin(self.arg)), self.arg.diff(var))
 
-    def _render(self):
-        return f"cos({self.arg._render()})"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Exp(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+class Exp(_Unary):
+    _NAME = "exp"
 
     def diff(self, var):
         return mul(Exp(self.arg), self.arg.diff(var))
 
-    def _render(self):
-        return f"exp({self.arg._render()})"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Ln(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+class Ln(_Unary):
+    _NAME = "ln"
 
     def diff(self, var):
         return _quotient(self.arg.diff(var), self.arg)
 
-    def _render(self):
-        return f"ln({self.arg._render()})"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Sqrt(Expr):
-    arg: Expr
-
-    def children(self):
-        return (self.arg,)
+class Sqrt(_Unary):
+    _NAME = "sqrt"
 
     def diff(self, var):
         return _quotient(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
-
-    def _render(self):
-        return f"sqrt({self.arg._render()})"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -263,76 +247,60 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Add(Expr):
+class _Binary(Expr):
+    """An infix operator ``a {_OP} b``."""
+
     a: Expr
     b: Expr
-    _PREC = 1
 
     def children(self):
         return (self.a, self.b)
+
+    def _render(self):
+        # a right operand of lower precedence takes parentheses, and for the
+        # non-associative - and / one of equal precedence too: a - (b + c)
+        right = self.b._render()
+        if self.b._PREC < self._PREC + (self._OP in "-/"):
+            right = f"({right})"
+        return f"{self._wrap(self.a)} {self._OP} {right}"
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Add(_Binary):
+    _OP = "+"
+    _PREC = 1
 
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
-    def _render(self):
-        return f"{self._wrap(self.a)} + {self._wrap(self.b)}"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Sub(Expr):
-    a: Expr
-    b: Expr
+class Sub(_Binary):
+    _OP = "-"
     _PREC = 1
-
-    def children(self):
-        return (self.a, self.b)
 
     def diff(self, var):
         return sub(self.a.diff(var), self.b.diff(var))
 
-    def _render(self):
-        # right operand needs parens at equal precedence: a - (b + c)
-        right = self.b._render()
-        if self.b._PREC <= self._PREC:
-            right = f"({right})"
-        return f"{self._wrap(self.a)} - {right}"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Mul(Expr):
-    a: Expr
-    b: Expr
+class Mul(_Binary):
+    _OP = "*"
     _PREC = 2
-
-    def children(self):
-        return (self.a, self.b)
 
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
 
-    def _render(self):
-        return f"{self._wrap(self.a)} * {self._wrap(self.b)}"
-
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Div(Expr):
-    a: Expr
-    b: Expr
+class Div(_Binary):
+    _OP = "/"
     _PREC = 2
-
-    def children(self):
-        return (self.a, self.b)
 
     def diff(self, var):
         # (a'b - ab') / b^2
         num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
         return _quotient(num, mul(self.b, self.b))
-
-    def _render(self):
-        right = self.b._render()
-        if self.b._PREC <= self._PREC:
-            right = f"({right})"
-        return f"{self._wrap(self.a)} / {right}"
 
 
 # --------------------------------------------------------------------------

@@ -186,15 +186,15 @@ def _rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     """The compiled step loop for this right-hand side and integrand list,
     cached on an :class:`ExplicitOde`."""
     if not isinstance(rhs, ExplicitOde):
-        return _compile_rk4_loop(rhs, n, integrands, inline=False)
-    key = tuple(map(id, integrands))
-    hit = rhs.loops.get(key)
-    if hit is None:  # the entry pins the integrands its key names
-        hit = rhs.loops[key] = (integrands, _compile_rk4_loop(rhs, n, integrands, inline=True))
-    return hit[1]
+        return _compile_rk4_loop(rhs, n, integrands)
+    key = tuple(integrands)  # nodes hash by identity, and the key keeps them alive
+    loop = rhs.loops.get(key)
+    if loop is None:
+        loop = rhs.loops[key] = _compile_rk4_loop(rhs, n, integrands)
+    return loop
 
 
-def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool) -> Callable:
+def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     """Compile ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
@@ -204,12 +204,12 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
     as does a non-finite state or channel after the update.  Each step
     passes its row ``(q.., v.., channels..)`` to ``out``.
 
-    With ``inline``, ``rhs`` is an :class:`ExplicitOde` whose mass and net
-    force trees are emitted at each stage point: one degree of freedom
-    checks the mass for zero before any force node and divides; more emit
-    the force trees, then every mass tree unless the ODE's mass is
-    constant, then the elimination of :func:`linsolve.emit_solve`, which
-    does all of its work on a constant mass at compile time.
+    An :class:`ExplicitOde` ``rhs`` has its mass and net force trees
+    emitted at each stage point: one degree of freedom checks the mass for
+    zero before any force node and divides; more emit the force trees,
+    then every mass tree unless the ODE's mass is constant, then the
+    elimination of :func:`linsolve.emit_solve`, which does all of its work
+    on a constant mass at compile time.
     :class:`Expr` integrands are emitted at the same points, reusing the
     subtrees already computed there.  Everything else is called with the
     stage point as lists.
@@ -229,6 +229,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, inline: bool)
     def call(fn: str, theta: str, sq: list, sv: list) -> str:
         return f"{fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])"
 
+    inline = isinstance(rhs, ExplicitOde)
     accels = []
     for s, (theta, sq, sv) in enumerate(points, 1):
         if s > 1:

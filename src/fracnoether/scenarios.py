@@ -136,8 +136,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     alpha_raw = raw.get("alpha")
     if isinstance(alpha_raw, dict):
-        missing = {"from", "to", "count"} - set(alpha_raw)
-        _require(not missing, f"alpha sweep needs fields: {sorted(missing)}")
+        given, fields = set(alpha_raw), {"from", "to", "count"}
+        _require(fields <= given, f"alpha sweep needs fields: {sorted(fields - given)}")
+        _require(given <= fields, f"unknown alpha sweep fields: {sorted(given - fields)}")
         count = alpha_raw["count"]
         _require(_is_integer(count) and count >= 2, "sweep count must be at least 2")
         start = _number(alpha_raw["from"], "alpha.from")
@@ -180,8 +181,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
     steps = raw.get("steps", 1000)
     check_steps(steps)
 
+    generators_raw = raw.get("generators", [])
+    _require(isinstance(generators_raw, (list, tuple)), "generators must be a list")
     generators = []
-    for i, gen_raw in enumerate(raw.get("generators", [])):
+    for i, gen_raw in enumerate(generators_raw):
         _require(isinstance(gen_raw, dict), f"generators[{i}] must be an object")
         extra = set(gen_raw) - {"tau", "xi", "gauge"}
         _require(not extra, f"generators[{i}] has unknown fields: {sorted(extra)}")

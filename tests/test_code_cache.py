@@ -62,7 +62,7 @@ def solve(prob, c):
     ode = ExplicitOde(prob)
     integrands = {"g": parse(f"ln({c}*q0 + 2)*v0^2", 1)}
     traj = ivp_solve(ode, 0.0, 1.0, [1.0], [0.0], 50, integrands=integrands)
-    ((_, loop),) = ode.loops.values()
+    (loop,) = ode.loops.values()
     return loop, (traj.q.tobytes(), traj.v.tobytes(), traj.channels["g"].tobytes())
 
 

@@ -7,11 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracnoether.expressions import (
+    Add,
     Const,
+    Cos,
+    Div,
     EvalDomainError,
     EvalPoint,
+    Exp,
+    Ln,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
     Q,
+    Sin,
+    Sqrt,
+    Sub,
     Theta,
     V,
     add,
@@ -103,6 +114,28 @@ def test_render_round_trips_through_parser():
         assert ev(e, theta, [qv], [qv]) == pytest.approx(
             ev(e2, theta, [qv], [qv]), rel=1e-15
         )
+
+
+RENDERED = [
+    (Sub(Q(0), Sub(V(0), Q(0))), "q0 - (v0 - q0)"),
+    (Sub(Q(0), Add(V(0), Q(0))), "q0 - (v0 + q0)"),
+    (Div(Q(0), Mul(V(0), Q(0))), "q0 / (v0 * q0)"),
+    (Add(Sub(Q(0), V(0)), Theta()), "q0 - v0 + theta"),
+    (Mul(Mul(Q(0), V(0)), Q(0)), "q0 * v0 * q0"),
+    (Neg(Add(Q(0), V(0))), "-(q0 + v0)"),
+    (Pow(Q(0), -1.5), "q0^(-1.5)"),
+    (Sin(Q(0)), "sin(q0)"),
+    (Cos(V(0)), "cos(v0)"),
+    (Exp(Theta()), "exp(theta)"),
+    (Ln(Q(0)), "ln(q0)"),
+    (Sqrt(V(0)), "sqrt(v0)"),
+]
+
+
+@pytest.mark.parametrize("e, text", RENDERED, ids=[text for _, text in RENDERED])
+def test_render_pins_each_node_shape(e, text):
+    assert str(e) == text
+    assert str(parse(text, 1)) == text
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,83 @@
+"""Every concrete expression node has an emission rule, checked on the source."""
+
+import ast
+import dataclasses
+import inspect
+import textwrap
+
+import numpy as np
+import pytest
+
+from fracnoether import expressions
+from fracnoether.expressions import EvalPoint, Expr, ExpressionError, Q
+
+# One value for each field type a node declares.
+FIELD_VALUES = {"Expr": Q(0), "int": 0, "float": 1.5}
+
+
+def node_classes() -> tuple[set[type], set[type]]:
+    """(concrete, private base) subclasses of ``Expr``, found recursively.
+
+    Only classes bound under their own name in the module count: a slotted
+    dataclass replaces the class its decorator was given, and the discarded
+    one stays listed as a subclass until it is collected.
+    """
+    found, stack = set(), [Expr]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if vars(expressions).get(cls.__name__) is cls:
+                found.add(cls)
+    private = {cls for cls in found if cls.__name__.startswith("_")}
+    return found - private, private
+
+
+def dispatched(tree: ast.AST, namespace) -> set:
+    """The classes a dispatch on ``kind`` names: ``kind is X`` and the keys
+    of every table in ``kind in TABLE``."""
+    classes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) \
+                and node.left.id == "kind":
+            for op, right in zip(node.ops, node.comparators):
+                if isinstance(right, ast.Name):
+                    value = getattr(namespace, right.id)
+                    classes |= {value} if isinstance(op, ast.Is) else set(value)
+    return classes
+
+
+def instance(cls) -> Expr:
+    return cls(*(FIELD_VALUES[f.type] for f in dataclasses.fields(cls)))
+
+
+def test_emitter_dispatches_on_exactly_the_concrete_nodes():
+    concrete, private = node_classes()
+    assert private == {expressions._Coordinate, expressions._Unary, expressions._Binary}
+    tree = ast.parse(textwrap.dedent(inspect.getsource(expressions.Emitter.emit)))
+    assert dispatched(tree, expressions) == concrete
+
+
+def test_every_concrete_node_compiles_in_both_variants():
+    concrete, _ = node_classes()
+    theta, q, v = np.array([0.5, 0.6]), np.array([[0.7], [0.8]]), np.array([[0.3], [0.2]])
+    for cls in concrete:
+        e = instance(cls)
+        scalar = expressions.evaluate(e, EvalPoint(theta[0], q[0], v[0]))
+        grid = expressions.evaluate_on_grid(e, theta, q, v)
+        assert grid[0] == pytest.approx(scalar, rel=1e-15), cls.__name__
+
+
+def test_no_private_base_reaches_the_emitter():
+    _, private = node_classes()
+    for cls in private:
+        with pytest.raises(ExpressionError, match="cannot compile node type"):
+            expressions.compile_trees(instance(cls))
+
+
+def test_the_dispatch_reader_sees_both_spellings():
+    class Tables:
+        A, B, C = int, float, str
+        TABLE = {B: "b", C: "c"}
+
+    source = "if kind is A or kind is B:\n    pass\nelif kind in TABLE:\n    pass\n"
+    assert dispatched(ast.parse(source), Tables) == {int, float, str}

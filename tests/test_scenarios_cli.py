@@ -102,6 +102,20 @@ def test_unknown_fields_rejected():
         scenario_from_dict(base_scenario(extra_knob=1))
 
 
+@pytest.mark.parametrize("generators", [5, None, "tau"])
+def test_generators_must_be_a_list(tmp_path, capsys, generators):
+    path = write_scenario(tmp_path, base_scenario(generators=generators, charges=["momentum"]))
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    assert "generators must be a list" in capsys.readouterr().err
+
+
+def test_unknown_alpha_sweep_fields_rejected(tmp_path, capsys):
+    alpha = {"from": 0.4, "to": 0.8, "count": 3, "extra": 1}
+    path = write_scenario(tmp_path, base_scenario(alpha=alpha))
+    assert cli.main(["sweep", "--scenario", str(path)]) == 2
+    assert "unknown alpha sweep fields: ['extra']" in capsys.readouterr().err
+
+
 NOT_NUMBERS = {
     "interval_null": ("solve", {"interval": [None, 1.0]}),
     "interval_strings": ("solve", {"interval": ["0", "1"]}),
