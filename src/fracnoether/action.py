@@ -138,6 +138,9 @@ def stationarity_check(
         raise ValueError("bump must be a function of theta alone")
     if not eps_ladder:
         raise ValueError("need at least one epsilon")
+    eps_sorted = sorted(float(e) for e in eps_ladder)
+    if not all(0.0 < e < math.inf for e in eps_sorted):
+        raise ValueError("epsilons must be finite and positive")
     grid = extremal.theta_grid
     zeros = np.zeros((grid.size, 1))
     bump_vals = evaluate_on_grid(bump, grid, zeros, zeros)
@@ -156,7 +159,6 @@ def stationarity_check(
         traj = Trajectory(theta_grid=grid, q=q, v=v, channels={})
         return fractional_action(prob, traj).value
 
-    eps_sorted = sorted(float(e) for e in eps_ladder)
     deltas = []
     plus_minus = {}
     for eps in eps_sorted:

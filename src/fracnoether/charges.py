@@ -371,7 +371,8 @@ def pointwise_conservation_residual(
 ) -> np.ndarray:
     """d/dtheta of the charge at every grid point, quadrature-free.
 
-    Uses accelerations from the explicit right-hand side, so the result
+    Uses accelerations from the explicit right-hand side, called at each
+    grid point with the arithmetic the integrator ran, so the result
     measures the algebraic conservation identity itself rather than
     integration error.  Requires the generator's gauge rate.
     """
@@ -380,7 +381,7 @@ def pointwise_conservation_residual(
     if ode is None:
         ode = to_explicit_ode(prob)
     grid, q, v = traj.theta_grid, traj.q, traj.v
-    accel = ode.on_grid(grid, q, v)
+    accel = np.array([ode(*point) for point in zip(grid.tolist(), q.tolist(), v.tolist())])
     rate, accel_coeffs = along_motion(charge_expression(prob, gen), prob.n)
     out = evaluate_on_grid(rate, grid, q, v)
     for k, coeff in enumerate(accel_coeffs):

@@ -19,6 +19,7 @@ for regular Lagrangians (invertible velocity Hessian).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -28,6 +29,7 @@ import numpy as np
 from . import linsolve
 from .expressions import (
     Const,
+    Emitter,
     EvalPoint,
     Expr,
     Mul,
@@ -38,7 +40,6 @@ from .expressions import (
     add,
     compile_trees,
     div,
-    evaluate_on_grid,
     max_coordinate_index,
     mul,
     sub,
@@ -186,15 +187,15 @@ class ExplicitOde:
     is None otherwise.
 
     Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
-    a list returned); the first call compiles the net force and the mass
-    trees into two functions.  One degree of freedom divides by the single
-    mass entry; more go through :func:`linsolve.solve`.  ``on_grid``
-    evaluates the same right-hand side over a whole batch of samples.
-    :func:`integrators.ivp_solve` writes the net force and mass trees,
-    and the elimination of :func:`linsolve.emit_solve` over them, into
-    its compiled step loop instead of calling, and keeps those loops in
-    ``loops``, one per integrand set.
+    a list returned).  :meth:`emit_accelerations` writes the solve for the
+    accelerations at a point into an expression emitter; the first call
+    compiles it into one function, and :func:`integrators.ivp_solve`
+    writes it into its compiled step loop at every stage instead of
+    calling, keeping those loops in ``loops``, one per integrand set.
     """
+
+    # The names the statements of emit_accelerations use, for Emitter.define.
+    NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
@@ -243,34 +244,38 @@ class ExplicitOde:
         force, mass = self.assemble(point.theta, point.q, point.v)
         return np.array(force) - np.array(mass) @ accel
 
-    def __call__(self, theta: float, q, v):
+    def emit_accelerations(self, em: Emitter, theta: str) -> list[str]:
+        """Emit the accelerations at ``em``'s current point; return their names.
+
+        One degree of freedom emits the mass, a zero-mass check, the net
+        force and the division.  More emit the net force trees, then the
+        mass trees unless the mass is constant, then the elimination of
+        :func:`linsolve.emit_solve`, which does all of its work on a
+        constant mass here.  A singular mass raises
+        :class:`SingularHessianError` at the theta held in ``theta``.  The
+        function compiled around the statements binds :attr:`NAMES`.
+        """
         if self.n == 1:
-            ((m00,),) = self._mass(theta, q, v)
-            if m00 == 0.0:
-                raise SingularHessianError(theta, float("inf"))
-            (net,) = self._net(theta, q, v)
-            return [net / m00]
-        force, mass = self.assemble(theta, q, v)
-        try:
-            return linsolve.solve(mass, force)
-        except linsolve.SingularMatrixError as exc:
-            raise SingularHessianError(theta, exc.condition_estimate) from exc
+            mass = em.emit(self.mass[0][0])
+            em.line(f"if {mass} == 0.0: raise _SingularHessianError({theta}, _inf)")
+            force = em.emit(self.net[0])
+            accel = em.fresh()
+            em.line(f"{accel} = {force} / {mass}")
+            return [accel]
+        force = [em.emit(f) for f in self.net]
+        mass = self.constant_mass or [[em.emit(m) for m in row] for row in self.mass]
+        return linsolve.emit_solve(
+            em, mass, force,
+            lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
+        )
 
-    def on_grid(self, theta, q, v) -> np.ndarray:
-        """Accelerations at m samples; theta (m,), q and v (m, n)."""
-        theta = np.asarray(theta, dtype=float)
-        q = np.asarray(q, dtype=float)
-        v = np.asarray(v, dtype=float)
+    @cached_property
+    def _accelerations(self):
+        em = Emitter()
+        return em.function(f"[{', '.join(self.emit_accelerations(em, 'theta'))}]", **self.NAMES)
 
-        def grid(e):
-            return evaluate_on_grid(e, theta, q, v)
-
-        mats = np.stack([np.stack([grid(m) for m in row], -1) for row in self.mass], 1)
-        rhs = np.stack([grid(net) for net in self.net], -1)
-        try:
-            return np.linalg.solve(mats, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessianError(float("nan"), float("inf")) from exc
+    def __call__(self, theta: float, q, v) -> list:
+        return self._accelerations(theta, q, v)
 
 
 def to_explicit_ode(prob: VariationalProblem) -> ExplicitOde:

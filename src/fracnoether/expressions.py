@@ -103,11 +103,15 @@ class Expr:
         return f"<Expr {self._render()}>"
 
 
+# Every node class: frozen, compared and hashed by identity, shown by Expr.__repr__.
+_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
+
+
 # --------------------------------------------------------------------------
 # Leaves
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Const(Expr):
     value: float
 
@@ -118,7 +122,7 @@ class Const(Expr):
         return format(self.value, "g")
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Theta(Expr):
     def diff(self, var):
         return Const(1.0 if isinstance(var, Theta) else 0.0)
@@ -127,7 +131,7 @@ class Theta(Expr):
         return "theta"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class _Coordinate(Expr):
     """A coordinate or velocity leaf, rendered ``{_LETTER}{index}``."""
 
@@ -140,12 +144,12 @@ class _Coordinate(Expr):
         return f"{self._LETTER}{self.index}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Q(_Coordinate):
     _LETTER = "q"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class V(_Coordinate):
     _LETTER = "v"
 
@@ -154,7 +158,7 @@ class V(_Coordinate):
 # Unary nodes
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class _Unary(Expr):
     """A function of one argument, rendered ``{_NAME}(arg)``."""
 
@@ -167,7 +171,7 @@ class _Unary(Expr):
         return f"{self._NAME}({self.arg._render()})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Neg(_Unary):
     _PREC = 3
 
@@ -178,7 +182,7 @@ class Neg(_Unary):
         return f"-{self._wrap(self.arg)}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Sin(_Unary):
     _NAME = "sin"
 
@@ -186,7 +190,7 @@ class Sin(_Unary):
         return mul(cos(self.arg), self.arg.diff(var))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Cos(_Unary):
     _NAME = "cos"
 
@@ -194,7 +198,7 @@ class Cos(_Unary):
         return mul(neg(sin(self.arg)), self.arg.diff(var))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Exp(_Unary):
     _NAME = "exp"
 
@@ -202,7 +206,7 @@ class Exp(_Unary):
         return mul(Exp(self.arg), self.arg.diff(var))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Ln(_Unary):
     _NAME = "ln"
 
@@ -210,7 +214,7 @@ class Ln(_Unary):
         return _quotient(self.arg.diff(var), self.arg)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Sqrt(_Unary):
     _NAME = "sqrt"
 
@@ -218,7 +222,7 @@ class Sqrt(_Unary):
         return _quotient(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Pow(Expr):
     """Power with a fixed real exponent; the base must evaluate positive."""
 
@@ -246,7 +250,7 @@ class Pow(Expr):
 # Binary nodes
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class _Binary(Expr):
     """An infix operator ``a {_OP} b``."""
 
@@ -265,7 +269,7 @@ class _Binary(Expr):
         return f"{self._wrap(self.a)} {self._OP} {right}"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Add(_Binary):
     _OP = "+"
     _PREC = 1
@@ -274,7 +278,7 @@ class Add(_Binary):
         return add(self.a.diff(var), self.b.diff(var))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Sub(_Binary):
     _OP = "-"
     _PREC = 1
@@ -283,7 +287,7 @@ class Sub(_Binary):
         return sub(self.a.diff(var), self.b.diff(var))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Mul(_Binary):
     _OP = "*"
     _PREC = 2
@@ -292,7 +296,7 @@ class Mul(_Binary):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@_node
 class Div(_Binary):
     _OP = "/"
     _PREC = 2
@@ -589,8 +593,9 @@ class Emitter:
         exec(code, namespace)
         return namespace[name]
 
-    def function(self, result: str):
-        """Compile the emitted statements into ``f(theta, q, v) -> result``."""
+    def function(self, result: str, **names):
+        """Compile the emitted statements into ``f(theta, q, v) -> result``;
+        ``names`` are bound as in :meth:`define`."""
         source = [
             "def compiled(theta, q, v):",
             "    try:",
@@ -601,7 +606,7 @@ class Emitter:
             f"    return {result}",
         ]
         out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves), self.grid)
-        return self.define(source, "compiled", _out_of_range=out_of_range)
+        return self.define(source, "compiled", _out_of_range=out_of_range, **names)
 
     def _number(self, e: Expr) -> int:
         """Value number of a node: equal for structurally equal subtrees."""

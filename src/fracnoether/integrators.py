@@ -8,12 +8,12 @@ component of the augmented system.  That keeps channel accuracy in step
 with the trajectory instead of degrading to trapezoid order.
 
 The step loop itself is generated: :func:`ivp_solve` compiles the whole
-loop once into straight-line Python over local scalars, with the trees of
-an :class:`ExplicitOde` right-hand side, the linear solve for its
-accelerations (:func:`linsolve.emit_solve`, with a constant mass matrix
-eliminated at compile time) and the trees of expression integrands written
-out at each of the four stage points (subtrees shared at one point
-computed once), and any other callable called at each stage.  An
+loop once into straight-line Python over local scalars, with the
+accelerations of an :class:`ExplicitOde` right-hand side
+(:meth:`ExplicitOde.emit_accelerations`, the same statements its own call
+runs) and the trees of expression integrands written out at each of the
+four stage points (subtrees shared at one point computed once), and any
+other callable called at each stage.  An
 ``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
 many solves of :func:`bvp_shoot` compile two loops in all.
 """
@@ -28,12 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import linsolve
-from .euler_lagrange import (
-    ExplicitOde,
-    SingularHessianError,
-    VariationalProblem,
-    to_explicit_ode,
-)
+from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
 from .expressions import Emitter, Expr
 
 
@@ -204,12 +199,8 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     as does a non-finite state or channel after the update.  Each step
     passes its row ``(q.., v.., channels..)`` to ``out``.
 
-    An :class:`ExplicitOde` ``rhs`` has its mass and net force trees
-    emitted at each stage point: one degree of freedom checks the mass for
-    zero before any force node and divides; more emit the force trees,
-    then every mass tree unless the ODE's mass is constant, then the
-    elimination of :func:`linsolve.emit_solve`, which does all of its work
-    on a constant mass at compile time.
+    An :class:`ExplicitOde` ``rhs`` has its accelerations emitted at each
+    stage point by :meth:`ExplicitOde.emit_accelerations`.
     :class:`Expr` integrands are emitted at the same points, reusing the
     subtrees already computed there.  Everything else is called with the
     stage point as lists.
@@ -229,7 +220,6 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     def call(fn: str, theta: str, sq: list, sv: list) -> str:
         return f"{fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])"
 
-    inline = isinstance(rhs, ExplicitOde)
     accels = []
     for s, (theta, sq, sv) in enumerate(points, 1):
         if s > 1:
@@ -239,25 +229,14 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
                 em.line(f"{sq[j]} = {q[j]} + {step} * {last_v[j]}")
             for j in js:
                 em.line(f"{sv[j]} = {v[j]} + {step} * {last_a[j]}")
-        k = [f"k{s}_{j}" for j in js]
-        if not inline:
+        if isinstance(rhs, ExplicitOde):
+            em.at(theta, sq, sv)
+            k = rhs.emit_accelerations(em, theta)
+        else:
+            k = [f"k{s}_{j}" for j in js]
             em.line(f"k{s} = {call('_rhs', theta, sq, sv)}")
             for j in js:
                 em.line(f"{k[j]} = k{s}[{j}]")
-        elif n == 1:
-            em.at(theta, sq, sv)
-            mass = em.emit(rhs.mass[0][0])
-            em.line(f"if {mass} == 0.0: raise _SingularHessianError({theta}, _inf)")
-            force = em.emit(rhs.net[0])
-            em.line(f"{k[0]} = {force} / {mass}")
-        else:
-            em.at(theta, sq, sv)
-            force = [em.emit(f) for f in rhs.net]
-            mass = rhs.constant_mass or [[em.emit(m) for m in row] for row in rhs.mass]
-            k = linsolve.emit_solve(
-                em, mass, force,
-                lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
-            )
         accels.append(k)
 
     callables = {}
@@ -295,8 +274,8 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
         "            raise _BlowUpError(full)",
     ]
     return em.define(
-        source, "loop", _rhs=rhs, _linsolve=linsolve, _inf=math.inf, _isfinite=math.isfinite,
-        _BlowUpError=BlowUpError, _SingularHessianError=SingularHessianError, **callables,
+        source, "loop", _rhs=rhs, _isfinite=math.isfinite, _BlowUpError=BlowUpError,
+        **ExplicitOde.NAMES, **callables,
     )
 
 

@@ -5,23 +5,25 @@ with a handful of degrees of freedom.  A pivot falling below
 ``PIVOT_RTOL`` times the matrix magnitude is treated as singular; an
 exactly zero pivot reports an infinite condition estimate.
 
-The algorithm is spelled twice, side by side.  :func:`solve` runs it on
-lists in plain Python (at these sizes array set-up would cost more than
-the arithmetic); it serves the call-per-stage right-hand side
-``ExplicitOde.__call__``, the singular check of a constant mass matrix in
-``to_explicit_ode`` and the shooting Jacobian.  :func:`emit_solve` writes
-the same operations as straight-line statements into an expression
-:class:`~fracnoether.expressions.Emitter`; the compiled RK4 loop of
-:mod:`fracnoether.integrators` solves each stage with them.  A constant
-matrix is eliminated at compile time, leaving only the arithmetic on the
-right-hand side; any other is eliminated in full at run time.  Both give
-bit-identical results and the same singular error.
+The algorithm is spelled once, in :func:`emit_solve`, which writes it as
+straight-line statements into an expression
+:class:`~fracnoether.expressions.Emitter`.  A constant matrix is
+eliminated at compile time, leaving only the arithmetic on the right-hand
+side; any other is eliminated in full at run time.  The accelerations of
+``ExplicitOde`` (called, or written into the compiled RK4 loop of
+:mod:`fracnoether.integrators`) are solved with it, and so is
+:func:`solve`, the plain function for the singular check of a constant
+mass matrix in ``to_explicit_ode`` and the shooting Jacobian.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from typing import Callable, Sequence
+
+from .expressions import Emitter
 
 PIVOT_RTOL = 1e-12
 
@@ -45,71 +47,52 @@ def singular_error(pivot: float, threshold: float, scale: float, largest: float)
 def solve(matrix, rhs) -> list[float]:
     """Solve ``matrix @ x = rhs`` by partial-pivoting elimination.
 
-    The pivot is the first entry of largest magnitude in its column.  A
-    NaN entry leaves nothing to judge pivots against, so the solution is
-    all NaN.
+    Runs :func:`emit_solve` over a matrix of names, compiled once per
+    size.  The pivot is the first entry of largest magnitude in its
+    column.  A NaN entry leaves nothing to judge pivots against, so the
+    solution is all NaN.
     """
     a = [list(map(float, row)) for row in matrix]
     b = list(map(float, rhs))
     n = len(a)
-    magnitudes = [abs(x) for row in a for x in row]
-    if len(b) != n or len(magnitudes) != n * n:
-        raise ValueError(
-            f"shape mismatch: {n}-row matrix of {len(magnitudes)} entries, rhs {len(b)}"
-        )
-    if math.isnan(sum(magnitudes)):
-        return [math.nan] * n
-    scale = max(magnitudes) if n else 0.0
-    threshold = PIVOT_RTOL * max(scale, 1e-300)
+    entries = [x for row in a for x in row]
+    if len(b) != n or any(len(row) != n for row in a):
+        raise ValueError(f"shape mismatch: {n}-row matrix of {len(entries)} entries, rhs {len(b)}")
+    return _solver(n)(*entries, *b) if n else []
 
-    for col in range(n):
-        pivot_row, largest = col, abs(a[col][col])
-        for row in range(col + 1, n):
-            if abs(a[row][col]) > largest:
-                pivot_row, largest = row, abs(a[row][col])
-        pivot = a[pivot_row][col]
-        if largest < threshold:
-            raise singular_error(pivot, threshold, scale, largest)
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
-        top = a[col]
-        for row in range(col + 1, n):
-            lower = a[row]
-            factor = lower[col] / pivot
-            if factor != 0.0:
-                for k in range(col, n):
-                    lower[k] -= factor * top[k]
-                b[row] -= factor * b[col]
 
-    x = [0.0] * n
-    for row in range(n - 1, -1, -1):
-        dot = 0.0
-        for k in range(row + 1, n):
-            dot += a[row][k] * x[k]
-        x[row] = (b[row] - dot) / a[row][row]
-    return x
+@functools.cache
+def _solver(n: int) -> Callable[..., list[float]]:
+    """``solved(a0_0, .., a{n-1}_{n-1}, b0, .., b{n-1}) -> x``, compiled."""
+    em = Emitter()
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    b = [f"b{i}" for i in range(n)]
+    x = emit_solve(em, a, b, "raise {}".format)
+    params = ", ".join([name for row in a for name in row] + b)
+    source = [f"def solved({params}):", *em.body("    "), f"    return [{', '.join(x)}]"]
+    return em.define(source, "solved", _linsolve=sys.modules[__name__])
 
 
 def emit_solve(
     em, matrix: Sequence[Sequence], rhs: Sequence[str], raise_singular: Callable[[str], str]
 ) -> list[str]:
-    """Write :func:`solve` of one system into ``em``; return the names of x.
+    """Write the elimination of one system into ``em``; return the names of x.
 
     ``rhs`` holds names of locals.  ``matrix`` holds either floats only,
     known now, or names of locals only.  A known matrix is eliminated
-    here, with the same float operations and branches as :func:`solve`,
-    and only the arithmetic on ``rhs`` is emitted.  A matrix of names is
-    eliminated at run time: every operation of :func:`solve` is emitted
-    in the order it runs it.  Constants are named through ``em.bind``;
-    working values go to ``em.fresh`` locals, so no input name is ever
-    assigned.
+    here and only the arithmetic on ``rhs`` is emitted; a matrix of names
+    is eliminated at run time, every operation emitted in the order it
+    runs.  Either way the float operations and branches are the same.
+    The pivot is the first entry of largest magnitude in its column, a
+    row whose factor is zero is left as it is, and a NaN entry makes x
+    all NaN.  Constants are named through ``em.bind``; working values go
+    to ``em.fresh`` locals, so no input name is ever assigned.
 
     Where the system is singular, the statements bind the
-    :class:`SingularMatrixError` of :func:`solve` to a local, through
-    this module bound as ``_linsolve`` in the compiled namespace, and run
-    the statement ``raise_singular(local)``.  A known singular matrix
-    emits that raise unguarded: nothing raises here.
+    :class:`SingularMatrixError` of :func:`singular_error` to a local,
+    through this module bound as ``_linsolve`` in the compiled namespace,
+    and run the statement ``raise_singular(local)``.  A known singular
+    matrix emits that raise unguarded: nothing raises here.
     """
     n = len(rhs)
     a = [list(row) for row in matrix]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracnoether import action
 from fracnoether.action import (
     ActionValue,
     fractional_action,
@@ -168,6 +169,19 @@ def test_bump_must_be_theta_only():
     traj = flat_trajectory(100)
     with pytest.raises(ValueError, match="theta alone"):
         stationarity_check(prob, traj, parse("sin(pi*theta)*q0", 1), EPS_LADDER)
+
+
+@pytest.mark.parametrize("ladder", [[0.0, 1e-2], [-1e-2, 5e-3], [math.nan, 1e-2], [1e-2, math.inf]])
+def test_epsilons_must_be_finite_and_positive(ladder, monkeypatch):
+    prob = problem("v0^2/2", alpha=0.5, boundary=BoundaryConditions([0.0], [1.0]))
+    traj, _ = bvp_shoot(prob, steps=100)
+
+    def unreachable(*args):
+        raise AssertionError("an action was evaluated")
+
+    monkeypatch.setattr(action, "fractional_action", unreachable)
+    with pytest.raises(ValueError, match="^epsilons must be finite and positive$"):
+        stationarity_check(prob, traj, parse("sin(pi*theta)"), ladder)
 
 
 def test_action_value_fields():

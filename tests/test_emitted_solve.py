@@ -1,11 +1,14 @@
-"""The emitted linear solve against :func:`linsolve.solve`, bit for bit.
+"""The emitted linear solve, bit for bit.
 
-:func:`linsolve.emit_solve` writes the elimination of :func:`linsolve.solve`
-as straight-line statements, all of it for a matrix of names and only the
-right-hand side arithmetic for a known matrix.  Compiled into a plain
-function, either shape must return the same floats (NaN as NaN, zeros
-with their sign) for every system, and on a singular one raise what
-``ExplicitOde.__call__`` raises around ``solve``.
+:func:`linsolve.emit_solve` writes the elimination as straight-line
+statements, all of it for a matrix of names and only the right-hand side
+arithmetic for a known matrix.  :func:`linsolve.solve` runs the first
+shape, so the second must return the same floats (NaN as NaN, zeros with
+their sign) for every system, and on a singular one raise the same
+error, wrapped as ``ExplicitOde`` wraps it.  The names shape itself is
+checked against the array elimination of ``elimination_oracle``, which
+shares no code with it: the same x on finite systems, and a singular
+verdict, with its condition estimate, exactly where the pivot rule trips.
 """
 
 import functools
@@ -13,6 +16,7 @@ import math
 import random
 
 import pytest
+from elimination_oracle import SingularPivot, array_elimination
 
 from fracnoether import expressions, linsolve
 from fracnoether.euler_lagrange import SingularHessianError
@@ -45,11 +49,24 @@ def outcome(fn, *args):
 
 
 def reference(matrix, rhs):
-    """``linsolve.solve`` wrapped as the call-per-stage right-hand side wraps it."""
+    """``linsolve.solve`` wrapped as ``ExplicitOde`` wraps a singular mass."""
     try:
         return linsolve.solve(matrix, rhs)
     except linsolve.SingularMatrixError as exc:
         raise SingularHessianError(THETA, exc.condition_estimate) from exc
+
+
+def oracle(a, b):
+    """The array oracle's outcome, in the form :func:`brief` gives."""
+    try:
+        return ("ok", [repr(value) for value in array_elimination(a, b)])
+    except SingularPivot as exc:
+        return ("raise", repr(exc.condition_estimate))
+
+
+def brief(result):
+    """An outcome with a raise reduced to its condition estimate."""
+    return result if result[0] == "ok" else ("raise", result[3])
 
 
 def emitted(matrix, n):
@@ -78,20 +95,26 @@ def test_emitted_solve_matches_linsolve_bit_for_bit(n, monkeypatch):
                         raising=False)
     rng = random.Random(20 + n)
     all_names = emitted([[None] * n for _ in range(n)], n)
-    seen = {"singular": 0, "nan": 0}
+    seen = {"singular": 0, "nan": 0, "finite": 0, "finite singular": 0}
     for _ in range(20_000):
         a = [[draw(rng, n) for _ in range(n)] for _ in range(n)]
         b = [draw(rng, n) for _ in range(n)]
+        entries = [value for row in a for value in row]
         expected = outcome(reference, a, b)
         seen["singular"] += expected[0] == "raise"
         seen["nan"] += expected == ("ok", ["nan"] * n)
 
-        # every system with every entry a name, and with every entry known
-        assert outcome(all_names, *(value for row in a for value in row), *b) == expected, (a, b)
+        # every entry known, against every entry a name (linsolve.solve)
         assert outcome(emitted(a, n), *b) == expected, (a, b)
+        # every entry a name, against the oracle, on finite matrices
+        if all(map(math.isfinite, entries)):
+            seen["finite"] += 1
+            seen["finite singular"] += expected[0] == "raise"
+            assert brief(outcome(all_names, *entries, *b)) == oracle(a, b), (a, b)
     # the draws reach the singular and the NaN branch often, but not mostly
     assert seen["singular"] > 1000 and seen["nan"] > 1000
     assert seen["singular"] + seen["nan"] < 10_000
+    assert seen["finite"] > 10_000 and seen["finite singular"] > 500, seen
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -105,8 +128,7 @@ def test_emitted_solve_edge_systems(n):
             b = [1.0, -0.0, math.inf][:n]
             expected = outcome(reference, a, b)
             assert outcome(emitted(a, n), *b) == expected, a
-            names = [[None] * n for _ in range(n)]
-            assert outcome(emitted(names, n), *(v for row in a for v in row), *b) == expected, a
+            assert brief(expected) == oracle(a, b), a
 
 
 def test_known_matrix_leaves_only_rhs_arithmetic():

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from elimination_oracle import array_elimination
 
 from fracnoether import linsolve
 from fracnoether.euler_lagrange import (
@@ -102,8 +103,9 @@ def test_residual_checks_compile_nothing_after_the_first(defined):
         ode = ExplicitOde(problem(text, alpha=0.7, n=n))
         assert len(defined) == before  # construction compiles nothing
         ode.residual(EvalPoint(0.0, [0.1] * n, [0.2] * n), [0.3] * n)
+        ode(0.0, [0.1] * n, [0.2] * n)
         built = len(defined)
-        assert built == before + 2  # the net force and the mass functions
+        assert built == before + 3  # the net force, the mass and the accelerations
         for k in range(20):
             ode.residual(EvalPoint(k / 20, [0.1] * n, [0.2] * n), [0.3] * n)
             ode(k / 20, [0.1] * n, [0.2] * n)
@@ -151,6 +153,9 @@ def test_state_dependent_mass_is_judged_on_the_trajectory():
 
 
 def test_construction_defines_no_function(defined):
+    # the constant-mass check solves with the 2x2 solver, built once per process
+    linsolve.solve(np.eye(2), [0.0, 0.0])
+    defined.clear()
     for text in ["(v0^2 + v1^2)/2 + v0*v1/4 - (q0 - q1)^2/2",
                  "(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1"]:
         to_explicit_ode(problem(text, alpha=0.6, n=2))
@@ -228,18 +233,6 @@ def test_classical_limit_matches_hand_assembled_rhs():
         assert rhs(0.4, q, v)[0] == pytest.approx(-np.sin(q[0]), rel=1e-14, abs=1e-16)
 
 
-def test_ode_on_grid_matches_scalar_calls():
-    prob = problem("v0^2/2 - q0^4/4", alpha=0.4)
-    rhs = to_explicit_ode(prob)
-    theta = np.linspace(0.0, 1.0, 7)
-    q = np.linspace(-1.0, 1.0, 7)[:, None]
-    v = np.linspace(0.5, 1.5, 7)[:, None]
-    batch = rhs.on_grid(theta, q, v)
-    for k in range(7):
-        scalar = rhs(float(theta[k]), [q[k, 0]], [v[k, 0]])
-        assert batch[k, 0] == pytest.approx(scalar[0], rel=1e-13)
-
-
 # --------------------------------------------------------------------------
 # linear solver
 
@@ -253,35 +246,20 @@ def test_linsolve_matches_numpy():
         assert np.allclose(a @ x, b, atol=1e-10)
 
 
-def _array_elimination(a, b):
-    """Partial-pivoting elimination on numpy arrays, the reference for
-    the list solver: first largest pivot, rows with a zero factor skipped,
-    back-substitution by dot product."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = len(b)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        a[[col, pivot_row]] = a[[pivot_row, col]]
-        b[[col, pivot_row]] = b[[pivot_row, col]]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            if factor != 0.0:
-                a[row, col:] -= factor * a[col, col:]
-                b[row] -= factor * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x.tolist()
-
-
 def test_linsolve_bit_identical_to_array_elimination():
     rng = np.random.default_rng(3)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for _ in range(200):
             a = rng.normal(size=(n, n)).tolist()
             b = rng.normal(size=n).tolist()
-            assert linsolve.solve(a, b) == _array_elimination(a, b)
+            assert linsolve.solve(a, b) == array_elimination(a, b)
+
+
+def test_linsolve_compiles_once_per_size(defined):
+    linsolve._solver.cache_clear()
+    for a in ([[2.0, 1.0], [1.0, 3.0]], [[0.5, 0.0], [4.0, 1.0]], np.diag([2.0, 3.0, 4.0])):
+        linsolve.solve(a, [1.0] * len(a))
+    assert [name for name, _ in defined] == ["<compiled solved>"] * 2
 
 
 def test_linsolve_leaves_inputs_and_flags_nan():

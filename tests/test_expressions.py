@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fracnoether import expressions
 from fracnoether.expressions import (
     Add,
     Const,
@@ -14,6 +15,7 @@ from fracnoether.expressions import (
     EvalDomainError,
     EvalPoint,
     Exp,
+    Expr,
     Ln,
     Mul,
     Neg,
@@ -136,6 +138,20 @@ RENDERED = [
 def test_render_pins_each_node_shape(e, text):
     assert str(e) == text
     assert str(parse(text, 1)) == text
+
+
+def test_repr_is_the_short_form():
+    assert repr(parse("q0 + v0")) == "<Expr q0 + v0>"
+    # every node class, private bases included, keeps Expr.__repr__ (the
+    # classes a slotted dataclass discarded are not bound in the module)
+    classes, todo = set(), [Expr]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if vars(expressions).get(cls.__name__) is cls:
+                classes.add(cls)
+    assert len(classes) == 18
+    assert all(cls.__repr__ is Expr.__repr__ for cls in classes)
 
 
 # --------------------------------------------------------------------------

@@ -9,31 +9,46 @@ import fracnoether
 # a problem, and the generic derivative along the motion.
 VELOCITY_DIFF_OWNERS = {"VariationalProblem.momentum", "along_motion"}
 
+# Where the elimination of a linear system may be written out, besides
+# linsolve itself: the accelerations of the equation of motion.
+EMIT_SOLVE_OWNERS = {"ExplicitOde.emit_accelerations"}
 
-def velocity_diff_sites(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing class.function, line) of every ``x.diff(V(...))`` and
-    ``diff(x, V(...))`` call in a module."""
+
+def scoped_sites(tree: ast.AST, match) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every node of a module that
+    ``match`` accepts."""
     sites = []
-
-    def is_velocity(node):
-        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "V")
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call):
-            func, args = node.func, node.args
-            method = isinstance(func, ast.Attribute) and func.attr == "diff"
-            function = isinstance(func, ast.Name) and func.id == "diff"
-            if (method and args and is_velocity(args[0])) or (
-                    function and len(args) > 1 and is_velocity(args[1])):
-                sites.append((scope, node.lineno))
+        if match(node):
+            sites.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(tree, "")
     return sites
+
+
+def velocity_diff_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every ``x.diff(V(...))`` and
+    ``diff(x, V(...))`` call in a module."""
+
+    def is_velocity(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "V")
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func, args = node.func, node.args
+        method = isinstance(func, ast.Attribute) and func.attr == "diff"
+        function = isinstance(func, ast.Name) and func.id == "diff"
+        return bool((method and args and is_velocity(args[0])) or (
+            function and len(args) > 1 and is_velocity(args[1])))
+
+    return scoped_sites(tree, match)
 
 
 def test_velocity_derivatives_have_one_owner():
@@ -54,3 +69,66 @@ def test_the_guard_sees_both_spellings():
         "    return [diff(e, V(k)) for k in range(2)] + [e.diff(Q(0))]\n"
     )
     assert velocity_diff_sites(ast.parse(source)) == [("P.f", 3), ("g", 5)]
+
+
+def emit_solve_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every ``emit_solve(...)`` and
+    ``x.emit_solve(...)`` call in a module."""
+
+    def match(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == "emit_solve") or (
+            isinstance(func, ast.Attribute) and func.attr == "emit_solve")
+
+    return scoped_sites(tree, match)
+
+
+def linalg_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every name, attribute or import
+    that refers to a ``linalg`` module."""
+
+    def match(node):
+        if isinstance(node, ast.Name):
+            return node.id == "linalg"
+        if isinstance(node, ast.Attribute):
+            return node.attr == "linalg"
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                modules.append(node.module or "")
+            return any("linalg" in module.split(".") for module in modules)
+        return False
+
+    return scoped_sites(tree, match)
+
+
+def test_one_elimination():
+    package = Path(fracnoether.__file__).parent
+    solves, linalg = {}, {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name != "linsolve.py":
+            for scope, line in emit_solve_sites(tree):
+                solves[f"{path.name}:{line}"] = scope
+        for scope, line in linalg_sites(tree):
+            linalg[f"{path.name}:{line}"] = scope
+    assert set(solves.values()) == EMIT_SOLVE_OWNERS, solves
+    assert linalg == {}
+
+
+def test_the_elimination_guard_sees_every_spelling():
+    source = (
+        "import numpy.linalg\n"
+        "from numpy import linalg\n"
+        "from scipy.linalg import solve\n"
+        "class Ode:\n"
+        "    def f(self, em):\n"
+        "        return linsolve.emit_solve(em, [], [], str)\n"
+        "def g(a, b):\n"
+        "    return emit_solve(None, a, b, str) + np.linalg.solve(a, b) + linalg.inv(a)\n"
+    )
+    tree = ast.parse(source)
+    assert emit_solve_sites(tree) == [("Ode.f", 6), ("g", 8)]
+    assert linalg_sites(tree) == [("", 1), ("", 2), ("", 3), ("g", 8), ("g", 8)]

@@ -119,12 +119,6 @@ def test_explicit_ode_matches_sympy_accelerations(text, n):
     scalar = np.array([ode(th, q, v) for th, q, v in points])
     assert np.all(np.abs(scalar - expected) <= TOL * scale)
 
-    theta_grid = np.array([p[0] for p in points])
-    q_grid = np.array([p[1] for p in points])
-    v_grid = np.array([p[2] for p in points])
-    batch = ode.on_grid(theta_grid, q_grid, v_grid)
-    assert np.all(np.abs(batch - expected) <= TOL * scale)
-
     for (th, q, v), accel in zip(points, expected):
         residual = ode.residual(EvalPoint(th, q, v), accel)
         assert np.max(np.abs(residual)) <= TOL * (1.0 + np.max(np.abs(accel)))

@@ -11,7 +11,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracnoether import expressions
+from fracnoether import expressions, linsolve
 from fracnoether.charges import (
     SymmetryGenerator,
     energy_correction_integrand,
@@ -240,6 +240,10 @@ def test_three_dof_loop_matches_call_per_stage_loop(text):
 
 
 def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
+    # the constant-mass check and the Jacobian solve with the 2x2 solver,
+    # built once per process
+    linsolve.solve([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    defined.clear()
     prob = VariationalProblem(
         n=2,
         lagrangian=parse("(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2", 2),
