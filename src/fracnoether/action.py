@@ -2,9 +2,10 @@
 
 The action of a trajectory is the Simpson quadrature of
 ``L(theta, q, v) * (t - theta)^(alpha - 1)`` over the stored grid, divided
-by Gamma(alpha).  The kernel is smooth on the whole interval because the
-observer time sits strictly beyond it, so Simpson's 4th order is ample and
-no singular quadrature is needed.
+by Gamma(alpha); the integrand is one tree, sampled like every charge.
+The kernel is smooth on the whole interval because the observer time sits
+strictly beyond it, so Simpson's 4th order is ample and no singular
+quadrature is needed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .euler_lagrange import VariationalProblem
-from .expressions import Expr, Theta, depends_on_velocity, evaluate_on_grid, max_coordinate_index
+from .expressions import (
+    Expr,
+    Theta,
+    depends_on_velocity,
+    evaluate_on_grid,
+    max_coordinate_index,
+    mul,
+)
 from .integrators import Trajectory
 
 # Lanczos approximation, g = 7 with the standard 9-term coefficient set.
@@ -89,14 +97,9 @@ def _simpson(values: np.ndarray, h: float) -> float:
     )
 
 
-def _weighted_integrand(prob: VariationalProblem, traj: Trajectory) -> np.ndarray:
-    grid = traj.theta_grid
-    lagr = evaluate_on_grid(prob.lagrangian, grid, traj.q, traj.v)
-    return lagr * prob.frac.weight(grid)
-
-
 def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue:
     """Simpson quadrature of the weighted Lagrangian over the trajectory."""
+    traj.check_n_dof(prob.n)
     a, b = prob.interval
     grid = traj.theta_grid
     if abs(grid[0] - a) > 1e-9 or abs(grid[-1] - b) > 1e-9:
@@ -105,7 +108,7 @@ def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue
     if n % 2 != 0:
         raise ValueError("action quadrature needs an even step count")
     h = (b - a) / n
-    f = _weighted_integrand(prob, traj)
+    f = evaluate_on_grid(mul(prob.lagrangian, prob.frac.weight()), grid, traj.q, traj.v)
     gamma_alpha = gamma_fn(prob.frac.alpha)
     value = _simpson(f, h) / gamma_alpha
     if n % 4 == 0:

@@ -316,13 +316,14 @@ def noether_charge(
     channel: str = LAMBDA_CHANNEL,
 ) -> ChargeSeries:
     """Sample the gauge-corrected charge along a trajectory."""
-    return _sample(traj, lambda: charge_expression(prob, gen), -1.0, channel, "accumulated gauge")
+    return _sample(prob, traj, lambda: charge_expression(prob, gen), -1.0, channel,
+                   "accumulated gauge")
 
 
 def classical_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
     """L - dL/dv . v sampled with no fractional correction (constant only
     at alpha = 1 for autonomous Lagrangians)."""
-    return _sample(traj, lambda: prob.energy)
+    return _sample(prob, traj, lambda: prob.energy)
 
 
 def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
@@ -335,7 +336,7 @@ def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSerie
             "energy charge requires an autonomous Lagrangian (no explicit theta)"
         )
     weight = -prob.frac.drag_strength
-    return _sample(traj, lambda: prob.energy, weight, ENERGY_CHANNEL, "energy correction")
+    return _sample(prob, traj, lambda: prob.energy, weight, ENERGY_CHANNEL, "energy correction")
 
 
 def classical_momentum(
@@ -343,7 +344,7 @@ def classical_momentum(
 ) -> ChargeSeries:
     """dL/dv_i sampled with no fractional correction."""
     _check_dof(prob, dof)
-    return _sample(traj, lambda: prob.momentum[dof])
+    return _sample(prob, traj, lambda: prob.momentum[dof])
 
 
 def fractional_momentum(
@@ -360,7 +361,7 @@ def fractional_momentum(
         )
     channel = MOMENTUM_CHANNEL.format(dof=dof)
     weight = prob.frac.drag_strength
-    return _sample(traj, lambda: prob.momentum[dof], weight, channel, "momentum correction")
+    return _sample(prob, traj, lambda: prob.momentum[dof], weight, channel, "momentum correction")
 
 
 def pointwise_conservation_residual(
@@ -378,6 +379,7 @@ def pointwise_conservation_residual(
     """
     if gen.gauge_rate is None:
         raise ChargePreconditionError("pointwise residual needs a gauge rate")
+    traj.check_n_dof(prob.n)
     if ode is None:
         ode = to_explicit_ode(prob)
     grid, q, v = traj.theta_grid, traj.q, traj.v
@@ -393,11 +395,13 @@ def pointwise_conservation_residual(
 # Internals
 
 
-def _sample(traj: Trajectory, tree: Callable[[], Expr], weight: float = 0.0,
-            channel: str | None = None, kind: str = "") -> ChargeSeries:
+def _sample(prob: VariationalProblem, traj: Trajectory, tree: Callable[[], Expr],
+            weight: float = 0.0, channel: str | None = None, kind: str = "") -> ChargeSeries:
     """The tree ``tree()`` sampled on the trajectory's grid, plus weight
-    times the named channel; a missing channel, described as ``kind``, is
+    times the named channel; a trajectory of another degree-of-freedom
+    count than ``prob``'s, or a missing channel, described as ``kind``, is
     reported before the tree is built."""
+    traj.check_n_dof(prob.n)
     if channel is not None and channel not in traj.channels:
         raise MissingChannelError(f"trajectory lacks the {kind} channel {channel!r}")
     values = evaluate_on_grid(tree(), traj.theta_grid, traj.q, traj.v)

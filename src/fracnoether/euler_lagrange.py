@@ -42,6 +42,7 @@ from .expressions import (
     div,
     max_coordinate_index,
     mul,
+    power,
     sub,
 )
 
@@ -64,8 +65,8 @@ class SingularHessianError(ArithmeticError):
 class FractionalParams:
     """Fractional order alpha in (0, 1] and the observer time t.
 
-    Owns every spelling of the kernel: the action weight and the symbolic
-    drag builders of the equation of motion and the charges.
+    Owns every spelling of the kernel, each a tree: the action weight and
+    the drag builders of the equation of motion and the charges.
     """
 
     alpha: float
@@ -80,9 +81,9 @@ class FractionalParams:
         """1 - alpha; zero in the classical limit."""
         return 1.0 - self.alpha
 
-    def weight(self, theta):
-        """The action kernel (t - theta)^(alpha - 1); theta may be an array."""
-        return np.power(self.observer_time - theta, self.alpha - 1.0)
+    def weight(self) -> Expr:
+        """Symbolic action kernel (t - theta)^(alpha - 1)."""
+        return power(sub(Const(self.observer_time), Theta()), self.alpha - 1.0)
 
     def kernel_coefficient(self) -> Expr:
         """Symbolic drag coefficient (1 - alpha) / (t - theta), in that order."""
@@ -218,22 +219,16 @@ class ExplicitOde:
         self.loops: dict = {}
 
     @cached_property
-    def _net(self):
-        return compile_trees(self.net)
-
-    @cached_property
-    def _mass(self):
-        return compile_trees(self.mass)
-
-    def assemble(self, theta: float, q, v) -> tuple[tuple, tuple]:
-        """Net force F - c p and mass matrix M (a tuple of rows) at one point."""
-        return self._net(theta, q, v), self._mass(theta, q, v)
+    def assemble(self):
+        """``assemble(theta, q, v)``: the net force F - c p and the mass matrix
+        M (a tuple of rows) at one point, compiled into one function on first use."""
+        return compile_trees((self.net, self.mass))
 
     def residual(self, point: EvalPoint, accel) -> np.ndarray:
         """Pointwise residual of the weighted Euler-Lagrange equation.
 
         dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point,
-        that is F - c p - M accel from the trees compiled at construction;
+        that is F - c p - M accel from the one function of :attr:`assemble`;
         a zero vector means (point, accel) satisfies the equation.
         """
         if point.n != self.n:

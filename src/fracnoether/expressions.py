@@ -8,8 +8,9 @@ that holds their fields, children and rendering: ``_Coordinate`` for
 ``Q``/``V``, ``_Unary`` for ``Neg`` and the five functions, ``_Binary`` for
 the four operators; each concrete node adds only its derivative rule and
 its class constants.  The lowercase constructor helpers fold
-constants and drop additive/multiplicative identities so that symbolic
-derivatives stay compact, but no canonical simplification is attempted.
+constants, the functions with the table the emitter binds, and drop
+additive/multiplicative identities so that symbolic derivatives stay
+compact, but no canonical simplification is attempted.
 Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
 
@@ -79,8 +80,9 @@ class Expr:
         """This tree compiled to ``f(theta, q, v) -> float``, built on first use.
 
         Domain violations raise :class:`EvalDomainError`; overflow raises
-        ``OverflowError`` and non-finite results pass through, which the
-        module-level :func:`evaluate` turns into domain errors.
+        ``OverflowError``, ``sin`` or ``cos`` of an infinity ``ValueError``,
+        and non-finite results pass through, all of which the module-level
+        :func:`evaluate` turns into domain errors.
         """
         return _compiled(self, grid=False)
 
@@ -369,34 +371,22 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def sin(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.sin(a.value))
-    return Sin(a)
+def _fold(kind: type, a: Expr, *exponent: float) -> Expr:
+    """``kind(a, *exponent)``, folded by the function the emitter binds when
+    ``a`` is a constant in the domain; a constant outside it, or a call that
+    raises (an overflow, the cosine of infinity), leaves the node in place."""
+    domain = _FOLD_DOMAIN.get(kind)
+    if isinstance(a, Const) and (domain is None or domain(a.value)):
+        try:
+            return Const(_MATH[_CALLS[kind]](a.value, *exponent))
+        except (OverflowError, ValueError):
+            pass
+    return kind(a, *exponent)
 
 
-def cos(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.cos(a.value))
-    return Cos(a)
-
-
-def exp(a: Expr) -> Expr:
-    if isinstance(a, Const):
-        return Const(math.exp(a.value))
-    return Exp(a)
-
-
-def ln(a: Expr) -> Expr:
-    if isinstance(a, Const) and a.value > 0.0:
-        return Const(math.log(a.value))
-    return Ln(a)
-
-
-def sqrt(a: Expr) -> Expr:
-    if isinstance(a, Const) and a.value >= 0.0:
-        return Const(math.sqrt(a.value))
-    return Sqrt(a)
+# ln and real powers fold positive constants only, sqrt non-negative ones.
+_FOLD_DOMAIN = {Ln: lambda x: x > 0.0, Sqrt: lambda x: x >= 0.0, Pow: lambda x: x > 0.0}
+sin, cos, exp, ln, sqrt = (functools.partial(_fold, kind) for kind in (Sin, Cos, Exp, Ln, Sqrt))
 
 
 def power(base: Expr, exponent: float) -> Expr:
@@ -417,9 +407,7 @@ def power(base: Expr, exponent: float) -> Expr:
         for _ in range(k - 1):
             acc = mul(acc, base)
         return div(Const(1.0), acc) if c < 0 else acc
-    if isinstance(base, Const) and base.value > 0.0:
-        return Const(math.pow(base.value, c))
-    return Pow(base, c)
+    return _fold(Pow, base, c)
 
 
 # --------------------------------------------------------------------------
@@ -719,6 +707,10 @@ def evaluate(e: Expr, point: EvalPoint) -> float:
         out = e.evaluate(point.theta, point.q, point.v)
     except OverflowError as exc:
         raise EvalDomainError("overflow during evaluation") from exc
+    except ExpressionError:
+        raise
+    except ValueError as exc:  # the sine or cosine of an argument that overflowed
+        raise EvalDomainError(f"{exc} during evaluation") from exc
     if not math.isfinite(out):
         raise EvalDomainError(f"non-finite evaluation result {out!r}")
     return out
@@ -757,6 +749,17 @@ def walk(e: Expr) -> Iterator[Expr]:
         stack.extend(node.children())
 
 
+def _deeper_than(e: Expr, limit: int) -> bool:
+    """Whether a root-to-leaf path of ``e`` has more than ``limit`` nodes;
+    walked level by level, each level's shared subtrees once."""
+    level = {id(e): e}
+    for _ in range(limit):
+        level = {id(c): c for node in level.values() for c in node.children()}
+        if not level:
+            return False
+    return True
+
+
 def max_coordinate_index(e: Expr) -> int:
     """Largest q/v index referenced, or -1 when coordinate-free."""
     top = -1
@@ -787,6 +790,12 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*/^()])"
 )
+
+# Deepest nesting and tree parse accepts.  The parser recurses five frames
+# per parenthesis and the derivatives and the emitter about one per tree
+# level, on trees that differentiation makes deeper still, so this keeps
+# every recursion well inside Python's default limit of 1000 frames.
+MAX_DEPTH = 100
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
 _VAR_RE = re.compile(r"^([qv])(\d+)$")
@@ -822,12 +831,15 @@ class _Parser:
     def __init__(self, source: str, n: int | None):
         self.toks = _Tokenizer(source)
         self.n = n
+        self.depth = 0
 
     def parse(self) -> Expr:
         e = self.expr()
         kind, text, pos = self.toks.peek()
         if kind is not None:
             raise ParseError(f"unexpected trailing input {text!r}", pos)
+        if _deeper_than(e, MAX_DEPTH):
+            raise ExpressionError(f"expression tree deeper than {MAX_DEPTH} levels")
         return e
 
     def expr(self) -> Expr:
@@ -852,14 +864,23 @@ class _Parser:
             else:
                 return e
 
+    def nested(self, parse, pos: int) -> Expr:
+        """``parse()`` one level deeper; no level beyond MAX_DEPTH is entered."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        e = parse()
+        self.depth -= 1
+        return e
+
     def factor(self) -> Expr:
-        kind, text, _ = self.toks.peek()
+        kind, text, pos = self.toks.peek()
         if kind == "op" and text == "-":
             self.toks.next()
-            return neg(self.factor())
+            return neg(self.nested(self.factor, pos))
         if kind == "op" and text == "+":
             self.toks.next()
-            return self.factor()
+            return self.nested(self.factor, pos)
         return self.power()
 
     def power(self) -> Expr:
@@ -893,7 +914,7 @@ class _Parser:
         if kind == "num":
             return Const(float(text))
         if kind == "op" and text == "(":
-            e = self.expr()
+            e = self.nested(self.expr, pos)
             kind, text, pos = self.toks.next()
             if not (kind == "op" and text == ")"):
                 raise ParseError("expected ')'", pos)
@@ -915,7 +936,7 @@ class _Parser:
                 kind, tok, pos2 = self.toks.next()
                 if not (kind == "op" and tok == "("):
                     raise ParseError(f"expected '(' after {text}", pos2)
-                arg = self.expr()
+                arg = self.nested(self.expr, pos)
                 kind, tok, pos2 = self.toks.next()
                 if not (kind == "op" and tok == ")"):
                     raise ParseError(f"expected ')' closing {text}(...)", pos2)
@@ -928,6 +949,9 @@ def parse(source: str, n: int | None = None) -> Expr:
     """Parse infix text into an expression tree.
 
     When ``n`` is given, any reference to ``q{i}``/``v{i}`` with ``i >= n``
-    is rejected.
+    is rejected.  So is text nested more than :data:`MAX_DEPTH` levels deep
+    (parentheses, function calls, signs) and a tree deeper than that
+    (a sum of that many terms is one), since derivatives and the emitter
+    recurse along the tree.
     """
     return _Parser(source, n).parse()

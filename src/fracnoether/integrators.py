@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linsolve
 from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
-from .expressions import Emitter, Expr
+from .expressions import Emitter, Expr, ExpressionError
 
 
 class BlowUpError(RuntimeError):
@@ -81,6 +81,11 @@ class Trajectory:
     @property
     def n_dof(self) -> int:
         return self.q.shape[1]
+
+    def check_n_dof(self, n: int) -> None:
+        """Raise ``ValueError`` unless the trajectory has ``n`` degrees of freedom."""
+        if self.n_dof != n:
+            raise ValueError(f"trajectory has {self.n_dof} degrees of freedom, the problem {n}")
 
     @property
     def steps(self) -> int:
@@ -195,9 +200,11 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     The state ``q0.., v0..`` and every stage value live in local scalars.
     Each step computes the four stage accelerations, then each channel at
     stages 1-4 in order, with the arithmetic of the classical tableau;
-    ``OverflowError`` there becomes :class:`BlowUpError` at the step's end,
-    as does a non-finite state or channel after the update.  Each step
-    passes its row ``(q.., v.., channels..)`` to ``out``.
+    ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
+    an infinity (an :class:`ExpressionError` passes as it is), becomes
+    :class:`BlowUpError` at the step's end, as does a non-finite state or
+    channel after the update.  Each step passes its row
+    ``(q.., v.., channels..)`` to ``out``.
 
     An :class:`ExplicitOde` ``rhs`` has its accelerations emitted at each
     stage point by :meth:`ExplicitOde.emit_accelerations`.
@@ -263,7 +270,9 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
         "        half = th + hh",
         "        try:",
         *em.body("            "),
-        "        except OverflowError as exc:",
+        "        except _ExpressionError:",
+        "            raise",
+        "        except (OverflowError, ValueError) as exc:",
         "            raise _BlowUpError(full) from exc",
         *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
           for j in js),
@@ -275,7 +284,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     ]
     return em.define(
         source, "loop", _rhs=rhs, _isfinite=math.isfinite, _BlowUpError=BlowUpError,
-        **ExplicitOde.NAMES, **callables,
+        _ExpressionError=ExpressionError, **ExplicitOde.NAMES, **callables,
     )
 
 

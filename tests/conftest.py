@@ -1,6 +1,6 @@
 import pytest
 
-from fracnoether import expressions
+from fracnoether import expressions, linsolve
 
 
 @pytest.fixture
@@ -9,7 +9,9 @@ def defined(monkeypatch):
 
     Every function is counted, whether its code was compiled or taken from
     the code cache, so a count here catches code that rebuilds a function
-    it could have kept, and does not depend on which tests ran before it.
+    it could have kept, and does not depend on which tests ran before it:
+    the code cache and the per-size solvers of ``linsolve.solve`` start
+    empty.
     """
     calls = []
     define = expressions.Emitter.define
@@ -19,6 +21,7 @@ def defined(monkeypatch):
         return define(self, source, name, **names)
 
     expressions._compile.cache_clear()
+    linsolve._solver.cache_clear()
     monkeypatch.setattr(expressions.Emitter, "define", recording_define)
     return calls
 
@@ -27,8 +30,9 @@ def defined(monkeypatch):
 def compiled(monkeypatch):
     """The ``compile`` calls made behind the code cache, as (filename, source).
 
-    The cache starts empty, so what a test counts does not depend on which
-    tests ran before it in the process.
+    The code cache and the per-size solvers of ``linsolve.solve`` start
+    empty, so what a test counts does not depend on which tests ran before
+    it in the process.
     """
     calls = []
 
@@ -37,5 +41,6 @@ def compiled(monkeypatch):
         return compile(source, filename, mode)
 
     expressions._compile.cache_clear()
+    linsolve._solver.cache_clear()
     monkeypatch.setattr(expressions, "compile", recording_compile, raising=False)
     return calls

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracnoether.action import fractional_action
 from fracnoether.charges import (
     ChargePreconditionError,
     ChargeSeries,
@@ -472,3 +473,28 @@ def test_charge_series_csv_bytes_match_per_value_formatting(tmp_path):
         f"relative_drift={format(series.relative_drift, '.17g')}"
     )
     assert path.read_text() == "\n".join(["theta,value", *rows, trailer]) + "\n"
+
+
+def test_samplers_reject_a_trajectory_of_another_dof_count():
+    # a 2-dof solve handed to a 1-dof problem: every sampler would read its
+    # first columns and return numbers
+    two = problem("(v0^2 + v1^2)/2 - q0^2/2", alpha=0.6, n=2)
+    gen2 = generator("1", ["0", "0"], n=2)
+    gen2 = gen2.with_gauge(gauge_rate_from_reduced_condition(two, gen2))
+    traj = solve(two, [0.3, 0.1], [0.2, 0.4], steps=20, generators=[gen2], energy=True,
+                 momentum=True)
+    one = problem("v0^2/2", alpha=0.6)
+    gen1 = generator("0", ["1"])
+    gen1 = gen1.with_gauge(gauge_rate_from_reduced_condition(one, gen1))
+    match = "trajectory has 2 degrees of freedom, the problem 1"
+    for sample in [
+        lambda: noether_charge(one, gen1, traj),
+        lambda: classical_energy(one, traj),
+        lambda: fractional_energy(one, traj),
+        lambda: classical_momentum(one, traj, 0),
+        lambda: fractional_momentum(one, traj, 0),
+        lambda: fractional_action(one, traj),
+        lambda: pointwise_conservation_residual(one, gen1, traj),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            sample()

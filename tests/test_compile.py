@@ -325,6 +325,22 @@ def test_exp_overflow_maps_to_domain_error_and_blow_up():
     )
     with pytest.raises(BlowUpError):
         ivp_solve(to_explicit_ode(prob), 0.0, 1.0, [10.0], [0.0], 10)
+    # an argument that overflowed to inf takes sin and cos out of their domain
+    e = parse("sin(1e300*q0*q0)", 1)
+    with pytest.raises(ValueError, match="math domain error"):
+        e.evaluate(0.0, [1e10], [0.0])
+    with pytest.raises(EvalDomainError, match="math domain error"):
+        evaluate(e, EvalPoint(0.0, [1e10], [0.0]))
+    with pytest.raises(BlowUpError):
+        ivp_solve(still, 0.0, 1.0, [1e10], [0.0], 10, integrands={"g": e})
+    prob = VariationalProblem(
+        n=1,
+        lagrangian=parse("v0^2/2 + sin(1e300*q0*q0)", 1),
+        interval=(0.0, 1.0),
+        frac=FractionalParams(alpha=0.5, observer_time=2.0),
+    )
+    with pytest.raises(BlowUpError):
+        ivp_solve(to_explicit_ode(prob), 0.0, 1.0, [1e10], [0.0], 10)
 
 
 # --------------------------------------------------------------------------

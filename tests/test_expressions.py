@@ -16,6 +16,7 @@ from fracnoether.expressions import (
     EvalPoint,
     Exp,
     Expr,
+    ExpressionError,
     Ln,
     Mul,
     Neg,
@@ -369,3 +370,57 @@ def test_folding_keeps_zero_derivatives_compact():
     e = parse("v0^2/2", 1)
     d = diff(e, Theta())
     assert isinstance(d, Const) and d.value == 0.0
+
+
+@pytest.mark.parametrize("text,kind", [
+    ("exp(1000)*q0", Exp), ("10^400.5*q0", Pow), ("cos(1e308*10)*q0", Cos),
+])
+def test_folding_leaves_a_raising_call_in_place(text, kind):
+    # the call overflows or leaves the domain of math; evaluation reports it
+    e = parse(text, 1)
+    assert isinstance(e, Mul) and type(e.a) is kind and type(e.a.children()[0]) is Const
+    with pytest.raises(EvalDomainError):
+        ev(e, q=[1.0])
+
+
+def test_folding_keeps_the_domain_tests():
+    assert type(parse("ln(0)")) is Ln and type(parse("sqrt(-1)")) is Sqrt
+    # math takes these, the domain tests refuse them: a NaN (inf - inf), a
+    # zero base, a negative base with an integer exponent beyond expansion
+    nan = "(1e308*10 - 1e308*10)"
+    assert type(parse(f"ln{nan}")) is Ln and type(parse(f"sqrt{nan}")) is Sqrt
+    assert [type(parse(text)) for text in ["0^0.5", "(-2)^0.5", "(-2)^20"]] == [Pow] * 3
+    assert parse("sqrt(4)").value == 2.0 and parse("4^0.5").value == 2.0
+    assert parse("ln(1)").value == 0.0 and parse("cos(0)").value == 1.0
+
+
+# --------------------------------------------------------------------------
+# depth bound
+
+
+def nested_sin(depth):
+    return "sin(" * depth + "q0" + ")" * depth
+
+
+def test_parse_bounds_the_tree_depth():
+    limit = expressions.MAX_DEPTH
+    # a sum of k terms is a tree k deep, one sin per level adds one
+    assert parse("q0" + " + q0" * (limit - 1), 1) is not None
+    with pytest.raises(ExpressionError, match=f"deeper than {limit} levels"):
+        parse("q0" + " + q0" * limit, 1)
+    parse(nested_sin(limit - 1), 1)
+    with pytest.raises(ExpressionError, match=f"deeper than {limit} levels"):
+        parse(nested_sin(limit), 1)
+    # an integer power expands into a product chain, which counts too
+    with pytest.raises(ExpressionError, match="tree deeper"):
+        parse("(" * 7 + "q0" + "^16)" * 7, 1)
+
+
+def test_parse_bounds_the_nesting_before_descending_further():
+    limit = expressions.MAX_DEPTH
+    assert type(parse("(" * limit + "q0" + ")" * limit, 1)) is Q
+    for text in ["(" * (limit + 1) + "q0" + ")" * (limit + 1),
+                 "(" * 5000 + "q0" + ")" * 5000,
+                 "-" * (limit + 1) + "q0"]:
+        with pytest.raises(ParseError, match=f"nested deeper than {limit} levels"):
+            parse(text, 1)

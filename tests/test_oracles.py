@@ -187,6 +187,11 @@ def test_derived_gauge_matches_sympy_reduced_condition(text, n, alpha):
 TRAJECTORY_CASES = [
     ("1.3*v0^2/2 + 0.7*cos(q0)", 1, [0.4], [0.2]),
     ("(1.2*v0^2 + 1.4*v1^2)/2 - 0.8*(q0 - q1)^2/2", 2, [0.3, -0.1], [0.2, 0.5]),
+    # state-dependent masses, eliminated at run time inside the loop
+    ("(1 + q0^2)*v0^2/2 - q0^2/2", 1, [0.4], [0.2]),
+    ("(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1", 2, [0.3, -0.1], [0.2, 0.5]),
+    ("(1 + q0^2)*v0^2/2 + v0*v1/3 + (2 + sin(q2))*v1^2/2 + q1*v1*v2/4 + v0*v2/5"
+     " + exp(theta/4)*v2^2/2 - q0*q1 + cos(q2)", 3, [0.3, -0.2, 0.1], [0.1, 0.4, -0.3]),
 ]
 
 

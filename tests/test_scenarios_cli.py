@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fracnoether import cli
+from fracnoether import cli, expressions
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 
@@ -406,6 +406,53 @@ def test_solver_failure_exits_three(tmp_path, capsys):
         code = cli.main(["solve", "--scenario", str(path)])
         assert code == 3
         assert f"solver error: {reason}" in capsys.readouterr().err
+
+
+def test_math_errors_of_the_lagrangian_exit_three(tmp_path, capsys):
+    # exp(1000) overflows where parse would fold it, and sin of
+    # 1e300*q0*q0 leaves the domain of math.sin once the product is inf
+    for lagrangian, q0 in [("v0^2/2 + exp(1000)*q0", 0.0), ("v0^2/2 + sin(1e300*q0*q0)", 1e10)]:
+        raw = base_scenario(
+            name="math_error",
+            lagrangian=lagrangian,
+            mode={"type": "ivp", "q0": [q0], "v0": [0.0]},
+            generators=[{"tau": "1", "xi": ["0"], "gauge": "auto"}],
+            charges=["noether", "energy"],
+            output_dir=str(tmp_path / "out"),
+        )
+        path = write_scenario(tmp_path, raw)
+        assert cli.main(["charge", "--scenario", str(path)]) == 3
+        assert "solver error: non-finite state" in capsys.readouterr().err
+
+
+def deep_scenario(tmp_path, lagrangian):
+    return write_scenario(tmp_path, base_scenario(
+        name="deep",
+        lagrangian=lagrangian,
+        mode={"type": "ivp", "q0": [0.3], "v0": [0.2]},
+        steps=20,
+        generators=[{"tau": "1", "xi": ["0"], "gauge": "auto"}],
+        charges=["noether", "energy"],
+        output_dir=str(tmp_path / "out"),
+    ))
+
+
+def test_too_deep_an_expression_is_a_validation_error(tmp_path, capsys):
+    for lagrangian in ["v0^2/2 + " + "(" * 1500 + "q0" + ")" * 1500,
+                       "v0^2/2" + " + q0" * 3000]:
+        path = deep_scenario(tmp_path, lagrangian)
+        assert cli.main(["charge", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("validation error:")
+        assert not (tmp_path / "out").exists()
+
+
+def test_deepest_accepted_lagrangian_runs(tmp_path, capsys):
+    # v0^2/2 + sin(...(q0)...) is two levels deeper than its sin chain
+    depth = expressions.MAX_DEPTH - 2
+    path = deep_scenario(tmp_path, "v0^2/2 + " + "sin(" * depth + "q0" + ")" * depth)
+    assert cli.main(["charge", "--scenario", str(path)]) == 0
+    lagrangian = "v0^2/2 + " + "sin(" * (depth + 1) + "q0" + ")" * (depth + 1)
+    assert cli.main(["charge", "--scenario", str(deep_scenario(tmp_path, lagrangian))]) == 2
 
 
 def test_zero_pivot_reports_an_infinite_condition_estimate(tmp_path, capsys):
