@@ -29,6 +29,7 @@ import numpy as np
 from . import linsolve
 from .expressions import (
     Const,
+    Div,
     Emitter,
     EvalPoint,
     Expr,
@@ -242,8 +243,9 @@ class ExplicitOde:
     def emit_accelerations(self, em: Emitter, theta: str) -> list[str]:
         """Emit the accelerations at ``em``'s current point; return their names.
 
-        One degree of freedom emits the mass, a zero-mass check, the net
-        force and the division.  More emit the net force trees, then the
+        One degree of freedom emits the mass and a zero-mass check, left
+        out for a nonzero constant mass, where it cannot trip, then the net
+        force over the mass.  More emit the net force trees, then the
         mass trees unless the mass is constant, then the elimination of
         :func:`linsolve.emit_solve`, which does all of its work on a
         constant mass here.  A singular mass raises
@@ -251,12 +253,11 @@ class ExplicitOde:
         function compiled around the statements binds :attr:`NAMES`.
         """
         if self.n == 1:
-            mass = em.emit(self.mass[0][0])
-            em.line(f"if {mass} == 0.0: raise _SingularHessianError({theta}, _inf)")
-            force = em.emit(self.net[0])
-            accel = em.fresh()
-            em.line(f"{accel} = {force} / {mass}")
-            return [accel]
+            mass = self.mass[0][0]
+            if not (type(mass) is Const and mass.value != 0.0):
+                em.check(em.emit(mass), "== 0.0", f"_SingularHessianError({theta}, _inf)")
+            # the division's own zero test is the check above, written once
+            return [em.emit(Div(self.net[0], mass))]
         force = [em.emit(f) for f in self.net]
         mass = self.constant_mass or [[em.emit(m) for m in row] for row in self.mass]
         return linsolve.emit_solve(

@@ -64,7 +64,7 @@ _MAX_EXPANDED_POWER = 16
 
 
 class Expr:
-    """Base node. Subclasses define diff and rendering; evaluation is compiled.
+    """Base node. Subclasses define ``_diff`` and rendering; evaluation is compiled.
 
     The two slots cache the compiled scalar and grid evaluators of a tree
     that has been evaluated as a root.
@@ -87,6 +87,20 @@ class Expr:
         return _compiled(self, grid=False)
 
     def diff(self, var: "Expr") -> "Expr":
+        """Symbolic partial derivative; a subtree shared within the tree is
+        differentiated once, and its derivative shared in the result."""
+        memo: dict[int, Expr] = {}
+
+        def d(e: Expr) -> Expr:
+            out = memo.get(id(e))
+            if out is None:
+                out = memo[id(e)] = e._diff(var, d)
+            return out
+
+        return d(self)
+
+    def _diff(self, var: "Expr", d) -> "Expr":
+        """This node's derivative rule, with ``d(child)`` the derivative of a child."""
         raise NotImplementedError
 
     _PREC = 9
@@ -117,7 +131,7 @@ _node = dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Const(Expr):
     value: float
 
-    def diff(self, var):
+    def _diff(self, var, d):
         return Const(0.0)
 
     def _render(self):
@@ -126,7 +140,7 @@ class Const(Expr):
 
 @_node
 class Theta(Expr):
-    def diff(self, var):
+    def _diff(self, var, d):
         return Const(1.0 if isinstance(var, Theta) else 0.0)
 
     def _render(self):
@@ -139,7 +153,7 @@ class _Coordinate(Expr):
 
     index: int
 
-    def diff(self, var):
+    def _diff(self, var, d):
         return Const(1.0 if isinstance(var, type(self)) and var.index == self.index else 0.0)
 
     def _render(self):
@@ -177,8 +191,8 @@ class _Unary(Expr):
 class Neg(_Unary):
     _PREC = 3
 
-    def diff(self, var):
-        return neg(self.arg.diff(var))
+    def _diff(self, var, d):
+        return neg(d(self.arg))
 
     def _render(self):
         return f"-{self._wrap(self.arg)}"
@@ -188,40 +202,40 @@ class Neg(_Unary):
 class Sin(_Unary):
     _NAME = "sin"
 
-    def diff(self, var):
-        return mul(cos(self.arg), self.arg.diff(var))
+    def _diff(self, var, d):
+        return mul(cos(self.arg), d(self.arg))
 
 
 @_node
 class Cos(_Unary):
     _NAME = "cos"
 
-    def diff(self, var):
-        return mul(neg(sin(self.arg)), self.arg.diff(var))
+    def _diff(self, var, d):
+        return mul(neg(sin(self.arg)), d(self.arg))
 
 
 @_node
 class Exp(_Unary):
     _NAME = "exp"
 
-    def diff(self, var):
-        return mul(Exp(self.arg), self.arg.diff(var))
+    def _diff(self, var, d):
+        return mul(Exp(self.arg), d(self.arg))
 
 
 @_node
 class Ln(_Unary):
     _NAME = "ln"
 
-    def diff(self, var):
-        return _quotient(self.arg.diff(var), self.arg)
+    def _diff(self, var, d):
+        return _quotient(d(self.arg), self.arg)
 
 
 @_node
 class Sqrt(_Unary):
     _NAME = "sqrt"
 
-    def diff(self, var):
-        return _quotient(self.arg.diff(var), mul(Const(2.0), Sqrt(self.arg)))
+    def _diff(self, var, d):
+        return _quotient(d(self.arg), mul(Const(2.0), Sqrt(self.arg)))
 
 
 @_node
@@ -235,11 +249,11 @@ class Pow(Expr):
     def children(self):
         return (self.base,)
 
-    def diff(self, var):
+    def _diff(self, var, d):
         # d(u^c) = c * u^(c-1) * u'
         return mul(
             mul(Const(self.exponent), power(self.base, self.exponent - 1.0)),
-            self.base.diff(var),
+            d(self.base),
         )
 
     def _render(self):
@@ -276,8 +290,8 @@ class Add(_Binary):
     _OP = "+"
     _PREC = 1
 
-    def diff(self, var):
-        return add(self.a.diff(var), self.b.diff(var))
+    def _diff(self, var, d):
+        return add(d(self.a), d(self.b))
 
 
 @_node
@@ -285,8 +299,8 @@ class Sub(_Binary):
     _OP = "-"
     _PREC = 1
 
-    def diff(self, var):
-        return sub(self.a.diff(var), self.b.diff(var))
+    def _diff(self, var, d):
+        return sub(d(self.a), d(self.b))
 
 
 @_node
@@ -294,8 +308,8 @@ class Mul(_Binary):
     _OP = "*"
     _PREC = 2
 
-    def diff(self, var):
-        return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
+    def _diff(self, var, d):
+        return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
 
 @_node
@@ -303,9 +317,9 @@ class Div(_Binary):
     _OP = "/"
     _PREC = 2
 
-    def diff(self, var):
+    def _diff(self, var, d):
         # (a'b - ab') / b^2
-        num = sub(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
+        num = sub(mul(d(self.a), self.b), mul(self.a, d(self.b)))
         return _quotient(num, mul(self.b, self.b))
 
 
@@ -422,12 +436,20 @@ _GUARDS = {
     Pow: ("<= 0.0", "power with real exponent needs a positive base", ", got "),
     Div: ("== 0.0", "division by zero", None),
 }
-_INFIX = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+# Each infix node's operator and how tightly it binds; unary minus binds
+# tighter still.  An inlined operand binding less tightly than the operator
+# it is written into is parenthesized.
+_INFIX = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
+_NEG = 3
 _CALLS = {Sin: "_sin", Cos: "_cos", Exp: "_exp", Ln: "_log", Sqrt: "_sqrt", Pow: "_pow"}
 _MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
          "_sqrt": math.sqrt, "_pow": math.pow}
 _NUMPY = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
           "_sqrt": np.sqrt, "_pow": np.power, "_any": np.any}
+# Deepest nesting of operators in one inlined value; a deeper value keeps a
+# local of its own.  Python's parser stops at 200 nested parentheses, and
+# its compiler recurses along the expression.
+_MAX_INLINE_DEPTH = 32
 
 @functools.lru_cache(maxsize=256)
 def _compile(text: str, filename: str):
@@ -449,9 +471,23 @@ class Emitter:
     order the tree walk evaluates them (``Div`` takes its denominator
     first), each domain check inline before its node.  Structurally equal
     subtrees, across every tree emitted at one point, are computed once
-    and reused, so the first domain violation raised is the one a
-    node-by-node walk would meet.  Constants and functions are bound by
-    name in the namespace, never written into the source.
+    and reused, a sum or product counting as equal to itself with its
+    operands swapped (float ``+`` and ``*`` commute), so the first domain
+    violation raised is the one a node-by-node walk would meet.  A check
+    of a local is written once: a test that passed once passes again.
+    Constants and functions are bound by name in the namespace, never
+    written into the source.
+
+    A value of ``+ - * /`` or unary minus that exactly one later statement
+    of the emitter's own reads is written into that statement, not into a
+    local, nested at most ``_MAX_INLINE_DEPTH`` operators deep; the
+    emitter notes each local read a second time as it emits.  That is exact:
+    float ``+``, ``-``, ``*`` and unary minus never raise, and a division
+    is written after the check of its denominator or divides by a nonzero
+    constant, so computing a value later changes no result and no error.
+    Calls, loads and checks stay where they are, and so does every value
+    :meth:`emit` returns, whose name the caller may write into statements
+    of its own.
 
     ``grid=False`` emits the ``math`` variant over floats and sequences of
     coordinates; ``grid=True`` the numpy variant over samples (theta of
@@ -463,15 +499,18 @@ class Emitter:
     A scalar emitter can also emit at points held in named locals
     (:meth:`at`), for callers that write their own function around the
     statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
-    their statements with :meth:`line`, take the whole body with
-    :meth:`body` and compile with :meth:`define`.  Statements of their own
-    name constants through :meth:`bind` and working locals through
-    :meth:`fresh` (the linear solve of :func:`fracnoether.linsolve.emit_solve`).
+    their statements with :meth:`line` and checks with :meth:`check`,
+    take the whole body with :meth:`body` and compile with :meth:`define`.
+    Statements of their own name constants through :meth:`bind` and
+    working locals through :meth:`fresh` (the linear solve of
+    :func:`fracnoether.linsolve.emit_solve`); they assign no local that
+    an emitted statement reads.
     """
 
     def __init__(self, grid: bool = False):
         self.grid = grid
-        self._lines: list[str] = []
+        # statements in order: text, or (name, op, precedence, a, b) of _let
+        self._lines: list = []
         self._count = 0
         self._namespace = dict(
             _NUMPY if grid else _MATH,
@@ -479,24 +518,35 @@ class Emitter:
             _beyond=_raise_beyond,
         )
         self._bound: dict[tuple, str] = {}
+        self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers: dict[tuple, int] = {}
         self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
+        self._state_free: set[int] = set()  # numbers of subtrees without q/v leaves
         self._point: tuple | None = None  # None: leaves load from theta, q, v
         self._emitted: dict[int, str] = {}
+        self._theta_emitted = self._emitted
         self._points: dict[tuple, dict[int, str]] = {}
+        self._thetas: dict[str, dict[int, str]] = {}
         self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
+        # locals that keep their statement: read more than once, or by text
+        # the emitter does not write
+        self._kept: set[str] = set()
+        self._checked: set[tuple[str, str]] = set()
 
     def at(self, theta: str, q: Sequence[str], v: Sequence[str]) -> None:
         """Emit what follows at the point held in the named scalar locals.
 
         Value numbers are structural and kept, but the computed values are
         per point: a subtree is reused only from an earlier emission at the
-        same point.  Returning to a point reuses what was computed there.
+        same point, or, when it has no coordinate or velocity leaf, at the
+        same theta.  Returning to a point reuses what was computed there.
         A load beyond the named coordinates raises the
         :class:`ExpressionError` a compiled evaluator raises for it.
         """
         self._point = (theta, tuple(q), tuple(v))
         self._emitted = self._points.setdefault(self._point, {})
+        self._theta_emitted = self._thetas.setdefault(theta, {})
+        self._emitted.update(self._theta_emitted)
 
     def bind(self, value: float) -> str:
         """Namespace name of a constant; equal values (by repr) share one name."""
@@ -512,20 +562,46 @@ class Emitter:
         self._count += 1
         return f"t{self._count - 1}"
 
-    def _let(self, source: str) -> str:
+    def _load(self, source: str) -> str:
+        """A new local assigned ``source`` by a statement that stays in place."""
         name = self.fresh()
         self._lines.append(f"{name} = {source}")
+        return name
+
+    def _let(self, op: str, precedence: int | None, a: str, b: str | None = None) -> str:
+        """A new local holding ``op`` of ``a`` and ``b``, or of ``a`` alone:
+        an operator binding as tightly as ``precedence`` (of ``a`` alone,
+        unary minus) or, for a precedence of None, a function."""
+        name = self.fresh()
+        self._lines.append((name, op, precedence, a, b))
         return name
 
     def line(self, statement: str) -> None:
         """Append a statement of the caller's own, in emission order."""
         self._lines.append(statement)
 
+    def check(self, x: str, test: str, error: str) -> None:
+        """Append ``if {x} {test}: raise {error}``, unless the same test of
+        the local ``x`` was appended before."""
+        if (x, test) in self._checked:
+            return
+        self._checked.add((x, test))
+        self._kept.add(x)
+        condition = f"_any({x} {test})" if self.grid else f"{x} {test}"
+        self._lines.append(f"if {condition}: raise {error}")
+
     def emit(self, e: Expr) -> str:
-        """Append the statements computing ``e``; return the name holding its value."""
-        number = self._number(e)
+        """Append the statements computing ``e``; return the local holding its value."""
+        name = self._emit(e)
+        self._kept.add(name)
+        return name
+
+    def _emit(self, e: Expr) -> str:
+        hit = self._ids.get(id(e))
+        number = self._number(e) if hit is None else hit[1]
         name = self._emitted.get(number)
         if name is not None:
+            self._kept.add(name)  # its first reader was another
             return name
         kind = type(e)
         if kind is Const:
@@ -535,37 +611,86 @@ class Emitter:
         elif kind is Q or kind is V:
             name = self._leaf("q" if kind is Q else "v", e.index)
         elif kind is Neg:
-            name = self._let(f"-{self.emit(e.arg)}")
+            name = self._let("-", _NEG, self._emit(e.arg))
         elif kind is Div:
-            den = self.emit(e.b)
+            den = self._emit(e.b)
             if not (type(e.b) is Const and e.b.value != 0.0):  # else it never trips
                 self._guard(kind, den)
-            name = self._let(f"{self.emit(e.a)} / {den}")
+            op, precedence = _INFIX[kind]
+            name = self._let(op, precedence, self._emit(e.a), den)
         elif kind in _INFIX:
-            a = self.emit(e.a)
-            name = self._let(f"{a} {_INFIX[kind]} {self.emit(e.b)}")
+            a = self._emit(e.a)
+            op, precedence = _INFIX[kind]
+            name = self._let(op, precedence, a, self._emit(e.b))
         elif kind in _CALLS:
-            x = self.emit(e.children()[0])
+            x = self._emit(e.children()[0])
             self._guard(kind, x)
-            args = f"{x}, {self.bind(e.exponent)}" if kind is Pow else x
-            name = self._let(f"{_CALLS[kind]}({args})")
+            function = _CALLS[kind]
+            self._calls[function] = None
+            name = self._let(function, None, x, self.bind(e.exponent) if kind is Pow else None)
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
+        if number in self._state_free:
+            self._theta_emitted[number] = name
         return name
 
     def _leaf(self, letter: str, index: int) -> str:
         if self._point is None:
             self._leaves.append((letter, index))
-            return self._let(f"{letter}[:, {index}]" if self.grid else f"{letter}[{index}]")
+            return self._load(f"{letter}[:, {index}]" if self.grid else f"{letter}[{index}]")
         names = self._point[1 if letter == "q" else 2]
         if -len(names) <= index < len(names):
             return names[index]
-        return self._let(f"_beyond({_beyond_message(letter, index, len(names))!r})")
+        return self._load(f"_beyond({_beyond_message(letter, index, len(names))!r})")
 
     def body(self, indent: str) -> list[str]:
-        """Every statement emitted so far, each prefixed by ``indent``."""
-        return [indent + line for line in self._lines or ["pass"]]
+        """Every statement emitted so far, each prefixed by ``indent``, with
+        each arithmetic value read once written into its reader."""
+        lines = []
+        append = lines.append
+        inlined: dict[str, tuple[str, int, int]] = {}  # name -> (text, precedence, depth)
+        pop = inlined.pop
+        kept = self._kept
+        for entry in self._lines:
+            if type(entry) is str:
+                append(indent + entry)
+                continue
+            name, op, precedence, a, b = entry
+            if precedence is None:  # a call
+                a = pop(a)[0] if a in inlined else a
+                append(f"{indent}{name} = {op}({a})" if b is None else
+                       f"{indent}{name} = {op}({a}, {b})")
+                continue
+            depth = 0
+            hit = pop(a, None)
+            if hit is not None:
+                a, p, depth = hit
+                # operators group to the left, and unary minus binds tightest
+                if b is None or p < precedence:
+                    a = f"({a})"
+            if b is None:
+                text = f"-{a}"
+            else:
+                hit = pop(b, None)
+                if hit is not None:
+                    b, p, d = hit
+                    if p <= precedence:
+                        b = f"({b})"
+                    depth = max(depth, d)
+                text = f"{a} {op} {b}"
+            if depth < _MAX_INLINE_DEPTH and name not in kept:
+                inlined[name] = (text, precedence, depth + 1)
+            else:
+                append(f"{indent}{name} = {text}")
+        return lines or [indent + "pass"]
+
+    def keyword_defaults(self) -> str:
+        """``, *, _k0=_k0, ..`` for a ``def`` line: every constant and function
+        the statements read, bound as a keyword default so the function body
+        reads it as a local; empty when there is none."""
+        names = [*self._bound.values(), *self._calls]
+        return "".join([", *", *(f", {name}={name}" for name in names)]) if names else ""
 
     def define(self, source: Sequence[str], name: str, **names):
         """Compile ``source``, a function definition around :meth:`body`,
@@ -597,7 +722,8 @@ class Emitter:
         return self.define(source, "compiled", _out_of_range=out_of_range, **names)
 
     def _number(self, e: Expr) -> int:
-        """Value number of a node: equal for structurally equal subtrees."""
+        """Value number of a node: equal for structurally equal subtrees, and
+        for a sum or product and the same with its operands swapped."""
         hit = self._ids.get(id(e))
         if hit is not None:
             return hit[1]
@@ -607,8 +733,15 @@ class Emitter:
             payload = (type(x), repr(x))
         else:
             payload = getattr(e, "index", None)
-        key = (kind, payload, *map(self._number, e.children()))
-        number = self._numbers.setdefault(key, len(self._numbers))
+        children = tuple(map(self._number, e.children()))
+        if (kind is Add or kind is Mul) and children[0] > children[1]:
+            children = children[::-1]
+        key = (kind, payload, *children)
+        number = self._numbers.get(key)
+        if number is None:
+            number = self._numbers[key] = len(self._numbers)
+            if kind is not Q and kind is not V and self._state_free.issuperset(children):
+                self._state_free.add(number)
         self._ids[id(e)] = (e, number)
         return number
 
@@ -617,13 +750,10 @@ class Emitter:
         if rule is None:
             return
         test, message, shown = rule
-        if self.grid:
-            line = f"if _any({x} {test}): raise _EvalDomainError({message!r})"
-        elif shown is None:
-            line = f"if {x} {test}: raise _EvalDomainError({message!r})"
+        if self.grid or shown is None:
+            self.check(x, test, f"_EvalDomainError({message!r})")
         else:
-            line = f"if {x} {test}: raise _EvalDomainError({message + shown!r} + repr({x}))"
-        self._lines.append(line)
+            self.check(x, test, f"_EvalDomainError({message + shown!r} + repr({x}))")
 
 
 def compile_trees(trees, grid: bool = False):
@@ -742,11 +872,17 @@ def diff(e: Expr, var: Expr) -> Expr:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
+    """Every distinct node of ``e`` once, a subtree shared by several
+    parents included."""
+    seen = {id(e)}
     stack = [e]
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node.children())
+        for child in node.children():
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
 
 
 def _deeper_than(e: Expr, limit: int) -> bool:

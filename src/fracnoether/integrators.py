@@ -20,7 +20,6 @@ many solves of :func:`bvp_shoot` compile two loops in all.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -206,6 +205,8 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     channel after the update.  Each step passes its row
     ``(q.., v.., channels..)`` to ``out``.
 
+    The constants and math functions the statements read are keyword
+    defaults of ``loop``, so the body reads them as locals.
     An :class:`ExplicitOde` ``rhs`` has its accelerations emitted at each
     stage point by :meth:`ExplicitOde.emit_accelerations`.
     :class:`Expr` integrands are emitted at the same points, reusing the
@@ -263,7 +264,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
     k1, k2, k3, k4 = accels
     source = [
-        "def loop(nodes, h, hh, h6, state, out):",
+        f"def loop(nodes, h, hh, h6, state, out{em.keyword_defaults()}):",
         f"    {', '.join(q + v)}, = state",
         *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
         "    for th, full in zip(nodes[:-1], nodes[1:]):",
@@ -279,11 +280,12 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
         *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
           for j in js),
         f"        out({tup(row)})",
-        f"        if not ({' and '.join(f'_isfinite({x})' for x in row)}):",
+        # x - x is 0.0 for a finite x and NaN otherwise
+        f"        if {' + '.join(f'({x} - {x})' for x in row)} != 0.0:",
         "            raise _BlowUpError(full)",
     ]
     return em.define(
-        source, "loop", _rhs=rhs, _isfinite=math.isfinite, _BlowUpError=BlowUpError,
+        source, "loop", _rhs=rhs, _BlowUpError=BlowUpError,
         _ExpressionError=ExpressionError, **ExplicitOde.NAMES, **callables,
     )
 

@@ -266,6 +266,24 @@ def test_diff_closed_over_node_set():
         assert type(node).__name__ in known
 
 
+def test_shared_subtrees_are_walked_and_differentiated_once(monkeypatch):
+    # an integer power is a product chain sharing its base, so five nested
+    # ^16 reach q0 along 16^5 paths through 76 distinct nodes
+    from fracnoether.expressions import max_coordinate_index, walk
+
+    e = parse("v0^2/2 + ((((q0^16)^16)^16)^16)^16", 1)
+    nodes = list(walk(e))
+    assert len(nodes) == len({id(node) for node in nodes}) == 81
+    assert max_coordinate_index(e) == 0
+    products = sum(type(node) is Mul for node in nodes)
+    built = []
+    monkeypatch.setattr(expressions, "Mul", lambda a, b: built.append(a) or Mul(a, b))
+    d = diff(e, Q(0))
+    # the product rule builds at most two products per product node
+    assert len(built) <= 2 * products
+    assert len(list(walk(d))) < 300
+
+
 # --------------------------------------------------------------------------
 # property tests
 

@@ -53,7 +53,7 @@ def instance(cls) -> Expr:
 def test_emitter_dispatches_on_exactly_the_concrete_nodes():
     concrete, private = node_classes()
     assert private == {expressions._Coordinate, expressions._Unary, expressions._Binary}
-    tree = ast.parse(textwrap.dedent(inspect.getsource(expressions.Emitter.emit)))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(expressions.Emitter._emit)))
     assert dispatched(tree, expressions) == concrete
 
 

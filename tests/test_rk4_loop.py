@@ -1,16 +1,25 @@
-"""The compiled RK4 loop: trees written into it against callables called per stage.
+"""The compiled RK4 loop: trees written into it against callables called
+per stage, and against a node-by-node oracle.
 
 ``ivp_solve`` writes an :class:`ExplicitOde` right-hand side and
 expression integrands into its compiled loop, and calls anything else
 once per stage.  Both forms of one problem must give the same bytes, or
-the same exception class and message.
+the same exception class and message, and so must the plain RK4 of
+``tree_walk_oracle``, which shares no code with the emitter.
 """
 
+import ast
+import importlib.util
 import re
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_walk_oracle
 from fracnoether import expressions
 from fracnoether.charges import (
     SymmetryGenerator,
@@ -28,6 +37,11 @@ from fracnoether.euler_lagrange import (
 )
 from fracnoether.expressions import EvalDomainError, ExpressionError, parse
 from fracnoether.integrators import BlowUpError, bvp_shoot, ivp_solve
+
+spec = importlib.util.spec_from_file_location(
+    "loop_ops", Path(__file__).resolve().parents[1] / "tools" / "loop_ops.py")
+loop_ops = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(loop_ops)
 
 
 class OnlyEvaluate:
@@ -59,6 +73,12 @@ def called(prob, q0, v0, steps, integrands):
         lambda theta, q, v: ode(theta, q, v), 0.0, 1.0, q0, v0, steps,
         integrands={name: OnlyEvaluate(g) for name, g in integrands.items()},
     )
+
+
+def walked(prob, q0, v0, steps, integrands):
+    qs, vs, channels = tree_walk_oracle.rk4(ExplicitOde(prob), 0.0, 1.0, q0, v0, steps, integrands)
+    return SimpleNamespace(q=np.array(qs), v=np.array(vs),
+                           channels={name: np.array(c) for name, c in channels.items()})
 
 
 def outcome(solve, *args):
@@ -96,9 +116,13 @@ POTENTIAL = {
         "{c}*sqrt(q0)", "{c}*exp(q0)", "{c}*q0^1.5", "{c}*q0"],
     2: ["{c}*(q0 - q1)^2/2", "{c}*cos(q0)", "{c}*ln(q1)", "{c}*q1^1.5", "{c}*exp(q0)*q1"],
 }
+# the theta-only guarded trees are shared by stages 2 and 3, the commuted
+# products are one value, and the swapped differences are two
 INTEGRANDS = {
-    1: ["v0*q0", "ln(q0)", "sqrt(v0)", "exp(q0)*v0", "cos(theta)*q0", "q0^1.5", "1/q0", "theta"],
-    2: ["v0*q1", "ln(q1)", "sqrt(v0 + v1)", "exp(q0)*v1", "q1^1.5", "1/(q0 - q1)"],
+    1: ["v0*q0", "ln(q0)", "sqrt(v0)", "exp(q0)*v0", "cos(theta)*q0", "q0^1.5", "1/q0", "theta",
+        "ln(theta + 0.25)", "1/(theta - 0.5)", "q0*v0 + v0*q0", "(q0 - v0)*(v0 - q0)"],
+    2: ["v0*q1", "ln(q1)", "sqrt(v0 + v1)", "exp(q0)*v1", "q1^1.5", "1/(q0 - q1)",
+        "ln(theta + 0.25)", "1/(theta - 0.5)", "q0*v0 + v0*q0", "(q0 - v0)*(v0 - q0)"],
 }
 GENERATORS = {
     1: [("1", ["0"]), ("0", ["1"]), ("theta/2", ["q0/2"]), ("sin(theta)", ["cos(q0)"])],
@@ -140,6 +164,12 @@ def cases(draw):
 @given(case=cases())
 def test_inlined_loop_matches_call_per_stage_loop(case):
     both(*case)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=cases())
+def test_inlined_loop_matches_tree_walk_oracle(case):
+    assert outcome(inlined, *case) == outcome(walked, *case)
 
 
 # --------------------------------------------------------------------------
@@ -247,9 +277,7 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
         frac=FractionalParams(alpha=0.6, observer_time=2.0),
         boundary=BoundaryConditions([0.0, 0.1], [0.5, 0.3]),
     )
-    gen = SymmetryGenerator(parse("1", 2), [parse("0", 2)] * 2)
-    gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
-    integrands = standard_integrands(prob, [gen], energy=True)
+    integrands = benchmark_integrands(prob)
     traj, report = bvp_shoot(prob, steps=200, integrands=integrands)
     assert report.converged and report.iterations >= 2  # 7 or more solves
     assert set(traj.channels) == {"Lambda", "energy_correction"}
@@ -263,7 +291,8 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
         "<compiled solved>", "<compiled loop>", "<compiled loop>"]
 
 
-def loop_source(text, n):
+def loop_source(prob, integrands=None):
+    """The source and the function of the loop ``ivp_solve`` compiles for ``prob``."""
     sources = []
     define = expressions.Emitter.define
 
@@ -272,21 +301,114 @@ def loop_source(text, n):
             sources.append("\n".join(source))
         return define(self, source, name, **names)
 
+    ode = ExplicitOde(prob)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expressions.Emitter, "define", recording_define)
-        inlined(problem(text, n), [0.1] * n, [0.2] * n, 4, {})
+        ivp_solve(ode, 0.0, 1.0, [0.1] * prob.n, [0.2] * prob.n, 4, integrands=integrands)
     (source,) = sources
-    return source
+    (loop,) = ode.loops.values()
+    return source, loop
 
 
 def test_constant_mass_is_folded_into_the_loop():
     # the coupled benchmark family: a constant diagonal mass leaves the
     # right-hand-side arithmetic only, with no solver call and no pivot test
-    source = loop_source("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2)
+    source, _ = loop_source(problem("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2))
     assert "_linsolve" not in source and "abs(" not in source
     # a state-dependent mass keeps the run-time pivot choice and singular
     # test, with its constant entries eliminated at run time too
-    source = loop_source("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", 2)
+    source, _ = loop_source(problem("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", 2))
     assert re.search(r"if \w+ > t\d+: t\d+, t\d+ = 1, \w+", source)
     assert "_linsolve.singular_error(" in source
     assert re.search(r"= abs\(_k\d+\)", source)
+
+
+# --------------------------------------------------------------------------
+# What one step of the loop executes
+
+
+def benchmark_integrands(prob):
+    """The channels a benchmark ``charge`` gives a corpus problem: the gauge
+    of the time translation tau = 1, and the energy correction."""
+    gen = SymmetryGenerator(parse("1", prob.n), [parse("0", prob.n)] * prob.n)
+    gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
+    return standard_integrands(prob, [gen], energy=True)
+
+
+# (bytecode instructions, calls) one step of each family's loop executes,
+# pinned for the interpreter they were counted on.
+STEP_COST = {(3, 11): {"oscillator": (343, 1), "coupled": (641, 1)}}
+FAMILIES = {
+    "oscillator": ("(1.3*v0^2 - 0.7*q0^2)/2", 1),
+    "coupled": ("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loop_of_a_benchmark_family_computes_each_value_once(family):
+    text, n = FAMILIES[family]
+    prob = problem(text, n)
+    integrands = benchmark_integrands(prob)
+    source, loop = loop_source(prob, integrands)
+    # the state is tested finite in one comparison, and a constant
+    # nonzero mass, which cannot be singular, is not tested at all
+    assert "_isfinite" not in source and "_SingularHessianError" not in source
+    guards = [line.strip() for line in source.splitlines() if re.match(r"\s*if .*: raise ", line)]
+    assert len(guards) == len(set(guards)) == 3  # t - theta at th, half and full
+    # stages 2 and 3 share t - half, the one theta-only subtree there
+    assert source.count("- half") == 1
+    args = (prob, [0.1] * n, [0.2] * n, 8, integrands)
+    assert outcome(inlined, *args) == outcome(walked, *args)
+    expected = STEP_COST.get(sys.version_info[:2])
+    if expected is not None:
+        nodes = np.linspace(0.0, 1.0, 5).tolist()
+        step = (nodes, 0.25, 0.125, 0.25 / 6.0, [0.1] * n + [0.2] * n, None)
+        assert loop_ops.step_cost(loop, step) == expected[family]
+
+
+@pytest.mark.parametrize("text, steps", [
+    # a negated sum written into its product
+    ("-(q0 + v0)*v0", 8),
+    # commuted operands are one value, swapped differences two
+    ("q0*v0 + v0*q0", 8), ("(q0 - v0)*(v0 - q0)", 8), ("(q0 + v0)/(v0 - q0) - q0/v0", 8),
+    # theta-only trees, shared by stages 2 and 3, with their checks; at
+    # two steps theta = 0.5 is the second step's first stage
+    ("ln(theta + 0.25)*v0", 8), ("1/(theta - 0.5)", 3), ("1/(theta - 0.5)", 2),
+])
+def test_inlined_and_shared_values_keep_the_bits_and_the_errors(text, steps):
+    prob = problem("(1.3*v0^2 - 0.7*q0^2)/2 + theta*q0*v0", 1)
+    args = (prob, [0.4], [0.7], steps, {"g": parse(text, 1), **benchmark_integrands(prob)})
+    assert both(*args) == outcome(walked, *args)
+
+
+# The deepest pure-arithmetic Lagrangians parse accepts, each with the
+# count of its repeated part: a sum of q0 terms, and products and
+# divisions in v0 nested inside each other.
+DEEPEST = {
+    "sum": (lambda k: "v0^2/2" + " + q0" * k, 97),
+    "nested": (lambda k: "v0^2/2 + " + "".join(f"v0{'*/'[i % 2]}(1.{i} + " for i in range(k))
+               + "v0" + ")" * k, 49),
+}
+
+
+def nesting(node) -> int:
+    """Operators nested in the deepest expression of ``node``."""
+    own = isinstance(node, (ast.BinOp, ast.UnaryOp))
+    return own + max(map(nesting, ast.iter_child_nodes(node)), default=0)
+
+
+@pytest.mark.parametrize("shape", DEEPEST)
+def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
+    make, k = DEEPEST[shape]
+    with pytest.raises(ExpressionError, match="deeper than"):
+        parse(make(k + 1), 1)
+    prob = problem(make(k), 1)
+    integrands = {"L": prob.lagrangian, **benchmark_integrands(prob)}
+    source, _ = loop_source(prob, integrands)
+    # an inlined value nests at most the cap, the local it is assigned to
+    # one operator more; beyond that a value keeps a local of its own
+    statements = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assign)]
+    assert max(map(nesting, statements)) == expressions._MAX_INLINE_DEPTH + 1
+    args = (prob, [0.3], [0.4], 8, integrands)
+    kind, *_ = both(*args)
+    assert kind == "ok" and outcome(walked, *args) == outcome(inlined, *args)

@@ -1,0 +1,161 @@
+"""Per-step cost of the compiled RK4 loops of one benchmark pass.
+
+Run from the root of a checkout:
+
+    python3 tools/loop_ops.py --workload bvp_shoot --seed 4242
+
+Builds the pass of ``perfbench/workloads.py`` for the workload and seed
+(that file is only read), runs its commands in-process in a temporary
+directory, and keeps every function ``Emitter.define`` builds under the
+name ``loop`` together with the arguments of its first call.  For each
+distinct loop source it prints the sha256 of the source, how many loops
+of the pass had it, and for one step of the loop:
+
+- ``instructions``: bytecode instructions executed, counted by tracing
+  the loop over one step and over none at its first call's arguments;
+- ``calls``: ``CALL`` instructions among them;
+- ``guards``: ``if ...: raise`` statements in the step.
+
+The last line gives the loops compiled in the pass and the seconds spent
+in ``integrators._compile_rk4_loop``, timed with ``perf_counter``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dis
+import hashlib
+import io
+import json
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fracnoether import cli, expressions, integrators  # noqa: E402
+
+GUARD_RE = re.compile(r"^\s*if .*: raise ")
+
+
+def executed(fn, args) -> list[str]:
+    """Opnames of the instructions ``fn(*args)`` executes in its own frame."""
+    ops = dis.get_instructions(fn.__code__)
+    names = {op.offset: op.opname for op in ops}
+    seen = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not fn.__code__:
+            return None
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            seen.append(names.get(frame.f_lasti, "?"))
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+def step_cost(loop, args) -> tuple[int, int]:
+    """(instructions, calls) of one step of ``loop`` at its first call's arguments."""
+    nodes, h, hh, h6, state, _ = args
+    one = executed(loop, (nodes[:2], h, hh, h6, state, [].extend))
+    none = executed(loop, (nodes[:1], h, hh, h6, state, [].extend))
+    calls = sum(op == "CALL" for op in one) - sum(op == "CALL" for op in none)
+    return len(one) - len(none), calls
+
+
+def guards(source: str) -> int:
+    """``if ...: raise`` statements inside the step loop of ``source``."""
+    return sum(bool(GUARD_RE.match(line)) for line in source.splitlines())
+
+
+def workloads():
+    """The benchmark's ``workloads`` module, read from ``perfbench/``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+def record_pass(workload: str, seed: int):
+    """Run one pass; return ([(source, loop, first call args)], compile seconds)."""
+    loops: list[list] = []
+    define = expressions.Emitter.define
+    compile_loop = integrators._compile_rk4_loop
+    spent = [0.0]
+
+    def recording_define(self, source, name, **names):
+        fn = define(self, source, name, **names)
+        if name != "loop":
+            return fn
+        entry = ["\n".join(source), fn, None]
+        loops.append(entry)
+
+        def loop(*args):
+            if entry[2] is None:
+                entry[2] = args
+            return fn(*args)
+
+        return loop
+
+    def timed_compile(*args):
+        start = perf_counter()
+        try:
+            return compile_loop(*args)
+        finally:
+            spent[0] += perf_counter() - start
+
+    plan = workloads().build_plan(workload, seed)
+    expressions.Emitter.define = recording_define
+    integrators._compile_rk4_loop = timed_compile
+    cwd = os.getcwd()
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            os.mkdir("scenarios")
+            for path, raw in plan["files"].items():
+                Path(path).write_text(json.dumps(raw))
+            for argv in plan["commands"]:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(argv)
+                if code != 0:
+                    raise SystemExit(f"command {argv} exited {code}")
+    finally:
+        os.chdir(cwd)
+        expressions.Emitter.define = define
+        integrators._compile_rk4_loop = compile_loop
+    return loops, spent[0]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=workloads().WORKLOADS)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    loops, seconds = record_pass(args.workload, args.seed)
+    distinct: dict[str, list] = {}
+    for source, fn, call in loops:
+        distinct.setdefault(source, [fn, call, 0])[2] += 1
+    print("sha256            loops  instructions  calls  guards")
+    for source, (fn, call, count) in distinct.items():
+        digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+        instructions, calls = step_cost(fn, call)
+        print(f"{digest}  {count:5d}  {instructions:12d}  {calls:5d}  {guards(source):6d}")
+    print(f"{len(loops)} loops compiled, {len(distinct)} distinct sources, "
+          f"{seconds:.4f} s in _compile_rk4_loop")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
