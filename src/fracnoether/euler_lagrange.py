@@ -34,6 +34,7 @@ from .expressions import (
     EvalPoint,
     Expr,
     Mul,
+    Named,
     Q,
     Sub,
     Theta,
@@ -67,7 +68,12 @@ class FractionalParams:
     """Fractional order alpha in (0, 1] and the observer time t.
 
     Owns every spelling of the kernel, each a tree: the action weight and
-    the drag builders of the equation of motion and the charges.
+    the drag builders of the equation of motion and the charges.  The two
+    numbers derived from alpha enter the trees as :class:`Named` values,
+    1 - alpha as ``_one_minus_alpha`` and the weight's exponent alpha - 1
+    as ``_alpha_minus_one``, so the trees of every alpha have one shape and
+    are emitted once (:func:`~fracnoether.expressions.shaped`).  At
+    alpha = 1 the drag folds away and the weight is 1.
     """
 
     alpha: float
@@ -84,11 +90,15 @@ class FractionalParams:
 
     def weight(self) -> Expr:
         """Symbolic action kernel (t - theta)^(alpha - 1)."""
-        return power(sub(Const(self.observer_time), Theta()), self.alpha - 1.0)
+        exponent = Named(self.alpha - 1.0, "_alpha_minus_one")
+        return power(sub(Const(self.observer_time), Theta()), exponent)
+
+    def _strength(self) -> Const:
+        return Const(Named(self.drag_strength, "_one_minus_alpha"))
 
     def kernel_coefficient(self) -> Expr:
         """Symbolic drag coefficient (1 - alpha) / (t - theta), in that order."""
-        return self.over_lag(Const(self.drag_strength))
+        return self.over_lag(self._strength())
 
     def over_lag(self, e: Expr) -> Expr:
         """Symbolic e / (t - theta)."""
@@ -96,7 +106,7 @@ class FractionalParams:
 
     def drag(self, e: Expr) -> Expr:
         """Symbolic (1 - alpha) * e / (t - theta); folds away at alpha = 1."""
-        return mul(Const(self.drag_strength), self.over_lag(e))
+        return mul(self._strength(), self.over_lag(e))
 
 
 @dataclass(frozen=True)
@@ -265,10 +275,21 @@ class ExplicitOde:
             lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
         )
 
+    def shape_key(self) -> tuple[tuple, tuple]:
+        """What :meth:`emit_accelerations` reads besides its trees, and
+        those trees, for :func:`~fracnoether.expressions.shaped` (the RK4
+        loop): n and the constant mass (by repr, so 0.0 and -0.0 stay
+        apart), which the elimination pivots on, and the net force trees,
+        with the mass trees when the mass is not constant."""
+        if self.constant_mass is None:
+            return (self.n, None), (self.net, self.mass)
+        return (self.n, repr(self.constant_mass)), (self.net, ())
+
     @cached_property
     def _accelerations(self):
         em = Emitter()
-        return em.function(f"[{', '.join(self.emit_accelerations(em, 'theta'))}]", **self.NAMES)
+        source, name, names = em.function(f"[{', '.join(self.emit_accelerations(em, 'theta'))}]")
+        return em.define(source, name, **names, **self.NAMES)
 
     def __call__(self, theta: float, q, v) -> list:
         return self._accelerations(theta, q, v)

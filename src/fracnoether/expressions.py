@@ -10,7 +10,8 @@ the four operators; each concrete node adds only its derivative rule and
 its class constants.  The lowercase constructor helpers fold
 constants, the functions with the table the emitter binds, and drop
 additive/multiplicative identities so that symbolic derivatives stay
-compact, but no canonical simplification is attempted.
+compact, but no canonical simplification is attempted.  Infix text
+becomes a tree through :func:`parse`, from :mod:`fracnoether.parser`.
 Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
 
@@ -19,7 +20,11 @@ Python source, with a ``math`` variant over floats and a numpy variant over
 sample grids sharing the same domain rules, and each root is emitted once
 on first use.  Constants are bound by name, so trees that differ only in
 their constants emit the same source, and each distinct source is compiled
-once per process (:meth:`Emitter.define`).  ``e.evaluate(theta, q, v)`` is
+once per process (:meth:`Emitter.define`).  A :class:`Named` value (a
+parameter such as ``1 - alpha``) is bound under its own name and never
+merged with an equal constant, so trees that differ only in named values
+have one shape, and :func:`shaped` emits each shape once, binding the
+named values anew for every later function.  ``e.evaluate(theta, q, v)`` is
 the raw compiled scalar function, :func:`evaluate` and
 :func:`evaluate_on_grid` the checked entry points, which refuse to return
 non-finite values.  :func:`compile_trees` compiles several roots into one
@@ -33,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -61,6 +65,29 @@ class EvalDomainError(ArithmeticError):
 # Integer exponents up to this magnitude are expanded to repeated
 # multiplication so that negative bases remain legal.
 _MAX_EXPANDED_POWER = 16
+
+
+class Named(float):
+    """A float that names a parameter slot: a :class:`Const` value or a
+    :class:`Pow` exponent that varies between otherwise equal trees.
+
+    It folds like any float, and arithmetic on it gives plain floats, but
+    the emitter binds it under ``name`` and never shares it with an equal
+    constant, and no emission decision reads its value.
+    """
+
+    __slots__ = ("name",)
+
+    def __new__(cls, value: float, name: str):
+        self = super().__new__(cls, value)
+        self.name = name
+        return self
+
+
+def _value_key(x: float) -> tuple:
+    """The identity of a constant or exponent: a named value by its name and
+    value, any other by type and repr (so 0.0 and -0.0 stay apart)."""
+    return (Named, x.name, repr(x)) if type(x) is Named else (type(x), repr(x))
 
 
 class Expr:
@@ -408,7 +435,8 @@ def power(base: Expr, exponent: float) -> Expr:
 
     Small integer exponents expand to repeated multiplication (keeps
     negative bases legal); everything else becomes a real-exponent power
-    restricted to positive bases at evaluation time.
+    restricted to positive bases at evaluation time, a :class:`Named`
+    exponent kept as it is.
     """
     c = float(exponent)
     if c == 0.0:
@@ -421,7 +449,7 @@ def power(base: Expr, exponent: float) -> Expr:
         for _ in range(k - 1):
             acc = mul(acc, base)
         return div(Const(1.0), acc) if c < 0 else acc
-    return _fold(Pow, base, c)
+    return _fold(Pow, base, exponent if type(exponent) is Named else c)
 
 
 # --------------------------------------------------------------------------
@@ -491,10 +519,11 @@ class Emitter:
 
     ``grid=False`` emits the ``math`` variant over floats and sequences of
     coordinates; ``grid=True`` the numpy variant over samples (theta of
-    shape (m,), q and v of shape (m, n)).  :meth:`function` compiles
-    everything emitted into ``f(theta, q, v)``, through :meth:`define`,
-    which compiles each distinct source once per process and binds the
-    constants anew in every function it returns.
+    shape (m,), q and v of shape (m, n)).  :meth:`function` writes
+    everything emitted into ``f(theta, q, v)`` for :meth:`define`, which
+    compiles each distinct source once per process and binds the
+    constants anew in every function it returns; :func:`shaped` runs an
+    emission once per shape of its trees.
 
     A scalar emitter can also emit at points held in named locals
     (:meth:`at`), for callers that write their own function around the
@@ -549,11 +578,20 @@ class Emitter:
         self._emitted.update(self._theta_emitted)
 
     def bind(self, value: float) -> str:
-        """Namespace name of a constant; equal values (by repr) share one name."""
-        key = (type(value), repr(value))
+        """Namespace name of a constant; equal values (by repr) share one
+        name, and a :class:`Named` value is bound as a plain float under
+        its own name, shared only with the same name and value."""
+        key = _value_key(value)
         name = self._bound.get(key)
         if name is None:
-            name = self._bound[key] = f"_k{len(self._bound)}"
+            if type(value) is Named:
+                name = value.name
+                if name in self._namespace:  # the same name with another value
+                    name = f"{name}_{len(self._bound)}"
+                value = float(value)
+            else:
+                name = f"_k{len(self._bound)}"
+            self._bound[key] = name
             self._namespace[name] = value
         return name
 
@@ -614,7 +652,9 @@ class Emitter:
             name = self._let("-", _NEG, self._emit(e.arg))
         elif kind is Div:
             den = self._emit(e.b)
-            if not (type(e.b) is Const and e.b.value != 0.0):  # else it never trips
+            # a nonzero constant never trips the check; a named value is
+            # checked whatever it is, since later functions rebind it
+            if not (type(e.b) is Const and type(e.b.value) is not Named and e.b.value != 0.0):
                 self._guard(kind, den)
             op, precedence = _INFIX[kind]
             name = self._let(op, precedence, self._emit(e.a), den)
@@ -706,9 +746,9 @@ class Emitter:
         exec(code, namespace)
         return namespace[name]
 
-    def function(self, result: str, **names):
-        """Compile the emitted statements into ``f(theta, q, v) -> result``;
-        ``names`` are bound as in :meth:`define`."""
+    def function(self, result: str) -> tuple[list[str], str, dict]:
+        """``f(theta, q, v) -> result`` around the emitted statements, as the
+        source, name and names :meth:`define` takes."""
         source = [
             "def compiled(theta, q, v):",
             "    try:",
@@ -719,7 +759,7 @@ class Emitter:
             f"    return {result}",
         ]
         out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves), self.grid)
-        return self.define(source, "compiled", _out_of_range=out_of_range, **names)
+        return source, "compiled", {"_out_of_range": out_of_range}
 
     def _number(self, e: Expr) -> int:
         """Value number of a node: equal for structurally equal subtrees, and
@@ -729,8 +769,7 @@ class Emitter:
             return hit[1]
         kind = type(e)
         if kind is Const or kind is Pow:
-            x = e.value if kind is Const else e.exponent
-            payload = (type(x), repr(x))
+            payload = _value_key(e.value if kind is Const else e.exponent)
         else:
             payload = getattr(e, "index", None)
         children = tuple(map(self._number, e.children()))
@@ -766,14 +805,121 @@ def compile_trees(trees, grid: bool = False):
     another would meet.  Values are raw, as from ``e.evaluate``: no
     finiteness check.
     """
-    emitter = Emitter(grid)
 
-    def emit(item) -> str:
-        if isinstance(item, Expr):
-            return emitter.emit(item)
-        return "(" + "".join(f"{emit(x)}, " for x in item) + ")"
+    def emit(em: Emitter):
+        def item(x) -> str:
+            if isinstance(x, Expr):
+                return em.emit(x)
+            return "(" + "".join(f"{item(y)}, " for y in x) + ")"
 
-    return emitter.function(emit(trees))
+        return em.function(item(trees))
+
+    return shaped(("trees",), trees, emit, grid)
+
+
+# The last _MAX_SHAPES emissions by shape key, the most recently used last:
+# shape key -> (source, function name, names, constants, named slots).
+_SHAPES: dict[tuple, tuple] = {}
+_MAX_SHAPES = 256
+
+
+def shaped(key: tuple, trees, emit, grid: bool = False):
+    """The function ``emit`` defines, emitted once per shape of ``trees``.
+
+    ``emit(em)`` emits ``trees`` (an expression, or nested sequences of
+    them) into the fresh :class:`Emitter` ``em`` and returns the source,
+    name and names for :meth:`Emitter.define`; ``key`` holds everything
+    else it reads.  The shape of the trees is one walk over them
+    (:func:`_shape`): node kinds, indices and sharing, every constant and
+    exponent by type and repr, and each :class:`Named` value by its name
+    and by which of the walk's named values it equals.  Two emissions of
+    one key and shape write the same statements, so a later call with them
+    skips emission: it binds the constants of the first and its own named
+    values, and defines the function from the code cache.  The last 256
+    shapes are kept, and no entry keeps a tree alive.
+    """
+    shape, values, named = _shape(trees)
+    full = (key, grid, shape)
+    entry = _SHAPES.pop(full, None)
+    em = Emitter(grid)
+    if entry is None:
+        source, name, names = emit(em)
+        constants = {slot: em._namespace[slot] for slot in em._bound.values()}
+        slots = tuple((slot, named[k[1:]]) for k, slot in em._bound.items() if k[0] is Named)
+        # one text, the very string the code cache keys its code object by
+        entry = (["\n".join(source)], name, names, constants, slots)
+        if len(_SHAPES) >= _MAX_SHAPES:
+            del _SHAPES[next(iter(_SHAPES))]
+    else:
+        em._namespace.update(entry[3])
+        for slot, i in entry[4]:
+            em._namespace[slot] = values[i]
+    _SHAPES[full] = entry
+    source, name, names = entry[:3]
+    return em.define(source, name, **names)
+
+
+def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
+    """The shape of ``trees`` for :func:`shaped`, their named values in walk
+    order, and the index there of each (name, repr) of a named value.
+
+    The shape lists the nodes in prefix order, a node met before by its
+    index, each constant or exponent as its type and repr or as a name and
+    the index of its named value; the arity of each kind, and a length
+    before each sequence, keep the listing unambiguous.
+    """
+    out: list = []
+    append = out.append
+    seen: dict[int, int] = {}
+    named: dict[tuple, int] = {}
+    values: list[float] = []
+
+    def value(x) -> None:
+        if type(x) is not Named:
+            append(type(x))
+            append(repr(x))
+            return
+        k = (x.name, repr(x))
+        i = named.get(k)
+        if i is None:
+            i = named[k] = len(values)
+            values.append(float(x))
+        append(x.name)
+        append(i)
+
+    def node(e: Expr) -> None:
+        i = seen.get(id(e))
+        if i is not None:
+            append(i)
+            return
+        seen[id(e)] = len(seen)
+        kind = type(e)
+        append(kind)
+        if kind in _INFIX:
+            node(e.a)
+            node(e.b)
+        elif kind is Const:
+            value(e.value)
+        elif kind is Q or kind is V:
+            append(e.index)
+        elif kind is Pow:
+            value(e.exponent)
+            node(e.base)
+        else:
+            for child in e.children():
+                node(child)
+
+    def item(x) -> None:
+        if isinstance(x, Expr):
+            node(x)
+        else:
+            append(tuple)
+            append(len(x))
+            for y in x:
+                item(y)
+
+    item(trees)
+    return tuple(out), values, named
 
 
 def _beyond_message(letter: str, index: int, count: int) -> str:
@@ -885,17 +1031,6 @@ def walk(e: Expr) -> Iterator[Expr]:
                 stack.append(child)
 
 
-def _deeper_than(e: Expr, limit: int) -> bool:
-    """Whether a root-to-leaf path of ``e`` has more than ``limit`` nodes;
-    walked level by level, each level's shared subtrees once."""
-    level = {id(e): e}
-    for _ in range(limit):
-        level = {id(c): c for node in level.values() for c in node.children()}
-        if not level:
-            return False
-    return True
-
-
 def max_coordinate_index(e: Expr) -> int:
     """Largest q/v index referenced, or -1 when coordinate-free."""
     top = -1
@@ -919,175 +1054,7 @@ def references(e: Expr, var: Expr) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Parser
+# The parser, which builds its trees with the constructors above, lives in
+# its own module; ``parse`` and ``MAX_DEPTH`` are part of this one's API.
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
-
-# Deepest nesting and tree parse accepts.  The parser recurses five frames
-# per parenthesis and the derivatives and the emitter about one per tree
-# level, on trees that differentiation makes deeper still, so this keeps
-# every recursion well inside Python's default limit of 1000 frames.
-MAX_DEPTH = 100
-
-_FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
-_VAR_RE = re.compile(r"^([qv])(\d+)$")
-
-
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(source):
-            if source[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(source, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {source[pos]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.source))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, source: str, n: int | None):
-        self.toks = _Tokenizer(source)
-        self.n = n
-        self.depth = 0
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, text, pos = self.toks.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected trailing input {text!r}", pos)
-        if _deeper_than(e, MAX_DEPTH):
-            raise ExpressionError(f"expression tree deeper than {MAX_DEPTH} levels")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
-                return e
-
-    def nested(self, parse, pos: int) -> Expr:
-        """``parse()`` one level deeper; no level beyond MAX_DEPTH is entered."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-        e = parse()
-        self.depth -= 1
-        return e
-
-    def factor(self) -> Expr:
-        kind, text, pos = self.toks.peek()
-        if kind == "op" and text == "-":
-            self.toks.next()
-            return neg(self.nested(self.factor, pos))
-        if kind == "op" and text == "+":
-            self.toks.next()
-            return self.nested(self.factor, pos)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "^":
-            self.toks.next()
-            return power(base, self.exponent_literal())
-        return base
-
-    def exponent_literal(self) -> float:
-        kind, text, pos = self.toks.next()
-        parenthesized = kind == "op" and text == "("
-        if parenthesized:
-            kind, text, pos = self.toks.next()
-        sign = 1.0
-        if kind == "op" and text == "-":
-            sign = -1.0
-            kind, text, pos = self.toks.next()
-        if kind != "num":
-            raise ParseError("exponent must be a numeric literal", pos)
-        value = sign * float(text)
-        if parenthesized:
-            kind, text, pos = self.toks.next()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')' after exponent", pos)
-        return value
-
-    def atom(self) -> Expr:
-        kind, text, pos = self.toks.next()
-        if kind == "num":
-            return Const(float(text))
-        if kind == "op" and text == "(":
-            e = self.nested(self.expr, pos)
-            kind, text, pos = self.toks.next()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')'", pos)
-            return e
-        if kind == "name":
-            if text == "theta":
-                return Theta()
-            if text == "pi":
-                return Const(math.pi)
-            m = _VAR_RE.match(text)
-            if m:
-                index = int(m.group(2))
-                if self.n is not None and index >= self.n:
-                    raise ParseError(
-                        f"variable index out of range: {text} with n = {self.n}", pos
-                    )
-                return Q(index) if m.group(1) == "q" else V(index)
-            if text in _FUNCTIONS:
-                kind, tok, pos2 = self.toks.next()
-                if not (kind == "op" and tok == "("):
-                    raise ParseError(f"expected '(' after {text}", pos2)
-                arg = self.nested(self.expr, pos)
-                kind, tok, pos2 = self.toks.next()
-                if not (kind == "op" and tok == ")"):
-                    raise ParseError(f"expected ')' closing {text}(...)", pos2)
-                return _FUNCTIONS[text](arg)
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        raise ParseError("expected a number, variable, function, or '('", pos)
-
-
-def parse(source: str, n: int | None = None) -> Expr:
-    """Parse infix text into an expression tree.
-
-    When ``n`` is given, any reference to ``q{i}``/``v{i}`` with ``i >= n``
-    is rejected.  So is text nested more than :data:`MAX_DEPTH` levels deep
-    (parentheses, function calls, signs) and a tree deeper than that
-    (a sum of that many terms is one), since derivatives and the emitter
-    recurse along the tree.
-    """
-    return _Parser(source, n).parse()
+from .parser import MAX_DEPTH, parse  # noqa: E402

@@ -15,11 +15,14 @@ runs) and the trees of expression integrands written out at each of the
 four stage points (subtrees shared at one point computed once), and any
 other callable called at each stage.  An
 ``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
-many solves of :func:`bvp_shoot` compile two loops in all.
+many solves of :func:`bvp_shoot` compile two loops in all, and a loop
+whose trees have the shape of an earlier one, as at the next alpha of a
+sweep, is not emitted again.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import linsolve
 from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
-from .expressions import Emitter, Expr, ExpressionError
+from .expressions import Emitter, Expr, ExpressionError, shaped
 
 
 class BlowUpError(RuntimeError):
@@ -194,7 +197,26 @@ def _rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
-    """Compile ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop.
+    """Compile ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop
+    of :func:`_emit_rk4_loop`.
+
+    A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
+    :class:`Expr` integrands, is emitted once per shape of its trees
+    (:func:`~fracnoether.expressions.shaped`): the loops of a sweep's
+    alphas differ only in the named value 1 - alpha.
+    """
+    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands)
+    if isinstance(rhs, ExplicitOde) and all(isinstance(g, Expr) for g in integrands):
+        key, trees = rhs.shape_key()
+        return shaped(("loop", *key), (*trees, integrands), emit)
+    em = Emitter()
+    source, name, names = emit(em)
+    return em.define(source, name, **names)
+
+
+def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, em: Emitter):
+    """Emit ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop,
+    into ``em``; return its source, name and names for ``em.define``.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
     Each step computes the four stage accelerations, then each channel at
@@ -213,7 +235,6 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
     subtrees already computed there.  Everything else is called with the
     stage point as lists.
     """
-    em = Emitter()
     js = range(n)
     q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
     # stage s sits at (theta, s{s}q_j, s{s}v_j); stage 1 is the state itself
@@ -247,7 +268,9 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
                 em.line(f"{k[j]} = k{s}[{j}]")
         accels.append(k)
 
-    callables = {}
+    names = {"_BlowUpError": BlowUpError, "_ExpressionError": ExpressionError, **ExplicitOde.NAMES}
+    if not isinstance(rhs, ExplicitOde):
+        names["_rhs"] = rhs
     for idx, g in enumerate(integrands):
         values = []
         for s, (theta, sq, sv) in enumerate(points, 1):
@@ -255,7 +278,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
                 em.at(theta, sq, sv)
                 values.append(em.emit(g))
             else:
-                callables[f"_g{idx}"] = g.evaluate
+                names[f"_g{idx}"] = g.evaluate
                 values.append(f"g{idx}_{s}")
                 em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
         g1, g2, g3, g4 = values
@@ -284,10 +307,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
         f"        if {' + '.join(f'({x} - {x})' for x in row)} != 0.0:",
         "            raise _BlowUpError(full)",
     ]
-    return em.define(
-        source, "loop", _rhs=rhs, _BlowUpError=BlowUpError,
-        _ExpressionError=ExpressionError, **ExplicitOde.NAMES, **callables,
-    )
+    return source, "loop", names
 
 
 # Newton shooting has converged once no boundary miss exceeds SHOOTING_TOL,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,22 @@ class Scenario:
 
     def alphas(self) -> list[float]:
         return self.alpha.values() if self.is_sweep else [self.alpha]
+
+    # The texts parsed once per scenario: every alpha of a sweep builds its
+    # problem and generators on the same trees.
+
+    @cached_property
+    def lagrangian_tree(self) -> Expr:
+        return parse(self.lagrangian, self.n)
+
+    @cached_property
+    def generator_trees(self) -> tuple[tuple[Expr, list[Expr], Expr | None], ...]:
+        """(tau, xi, gauge) of each generator; gauge None for 'auto'."""
+        return tuple(
+            (parse(spec.tau, self.n), [parse(text, self.n) for text in spec.xi],
+             None if spec.gauge == "auto" else parse(spec.gauge, self.n))
+            for spec in self.generators
+        )
 
 
 def _require(condition: bool, message: str) -> None:
@@ -257,7 +274,7 @@ def build_problem(scenario: Scenario, alpha: float) -> VariationalProblem:
         boundary = BoundaryConditions(q_a=scenario.qa, q_b=scenario.qb)
     return VariationalProblem(
         n=scenario.n,
-        lagrangian=parse(scenario.lagrangian, scenario.n),
+        lagrangian=scenario.lagrangian_tree,
         interval=scenario.interval,
         frac=FractionalParams(alpha=alpha, observer_time=scenario.observer_time),
         boundary=boundary,
@@ -269,15 +286,11 @@ def build_generators(
 ) -> list[SymmetryGenerator]:
     """Instantiate generator specs against a problem, deriving 'auto' gauges."""
     out = []
-    for spec in scenario.generators:
-        tau = parse(spec.tau, scenario.n)
-        xi = [parse(text, scenario.n) for text in spec.xi]
+    for tau, xi, gauge in scenario.generator_trees:
         gen = SymmetryGenerator(tau, xi)
-        if spec.gauge == "auto":
-            gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
-        else:
-            gen = gen.with_gauge(parse(spec.gauge, scenario.n))
-        out.append(gen)
+        if gauge is None:
+            gauge = gauge_rate_from_reduced_condition(prob, gen)
+        out.append(gen.with_gauge(gauge))
     return out
 
 

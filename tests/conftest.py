@@ -8,10 +8,11 @@ def defined(monkeypatch):
     """The functions built by ``Emitter.define``, as (filename, source).
 
     Every function is counted, whether its code was compiled or taken from
-    the code cache, so a count here catches code that rebuilds a function
-    it could have kept, and does not depend on which tests ran before it:
-    the code cache and the per-size solvers of ``linsolve.solve`` start
-    empty.
+    the code cache, and whether it was emitted or taken from the shape
+    cache, so a count here catches code that rebuilds a function it could
+    have kept, and does not depend on which tests ran before it: the code
+    cache, the shape cache and the per-size solvers of ``linsolve.solve``
+    start empty.
     """
     calls = []
     define = expressions.Emitter.define
@@ -21,6 +22,7 @@ def defined(monkeypatch):
         return define(self, source, name, **names)
 
     expressions._compile.cache_clear()
+    expressions._SHAPES.clear()
     linsolve._solver.cache_clear()
     monkeypatch.setattr(expressions.Emitter, "define", recording_define)
     return calls
@@ -30,9 +32,9 @@ def defined(monkeypatch):
 def compiled(monkeypatch):
     """The ``compile`` calls made behind the code cache, as (filename, source).
 
-    The code cache and the per-size solvers of ``linsolve.solve`` start
-    empty, so what a test counts does not depend on which tests ran before
-    it in the process.
+    The code cache, the shape cache and the per-size solvers of
+    ``linsolve.solve`` start empty, so what a test counts does not depend
+    on which tests ran before it in the process.
     """
     calls = []
 
@@ -41,6 +43,7 @@ def compiled(monkeypatch):
         return compile(source, filename, mode)
 
     expressions._compile.cache_clear()
+    expressions._SHAPES.clear()
     linsolve._solver.cache_clear()
     monkeypatch.setattr(expressions, "compile", recording_compile, raising=False)
     return calls

@@ -3,7 +3,10 @@
 Constants are bound by name, never written into the source, so problems
 that differ only in coefficients or alpha emit the same source and share
 one code object, while every function made from it keeps its own
-constants, values and error messages.
+constants, values and error messages.  In front of it the shape cache
+(``tests/test_shape_cache.py``) skips emission too: a sweep emits each
+function once, and later alphas only rebind 1 - alpha and alpha - 1.
+Every function still goes through ``define`` and the code cache.
 """
 
 import ast

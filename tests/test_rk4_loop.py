@@ -129,6 +129,12 @@ GENERATORS = {
     2: [("1", ["0", "0"]), ("0", ["1", "1"]), ("theta/2", ["q0/2", "q1/2"]),
         ("sin(theta)", ["cos(q0)", "q1^2/4"])],
 }
+# Terms whose right-hand side can raise on the drawn states: a domain
+# error, or a mass singular everywhere or at q0 = +-1.  Half the cases
+# leave them out, so that their integrands are reached and a wrong value
+# of an integrand shows.
+RAISING = {"v0", "(v0 + v1)^2/2", "(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", "{c}*ln(q0)",
+           "{c}*sqrt(q0)", "{c}*q0^1.5", "{c}*ln(q1)", "{c}*q1^1.5"}
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-9, 0.5, -1.0, 2.0]),
     st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
@@ -138,8 +144,11 @@ VALUES = st.one_of(
 @st.composite
 def cases(draw):
     n = draw(st.integers(1, 2))
-    terms = [draw(st.sampled_from(KINETIC[n]))]
-    terms += draw(st.lists(st.sampled_from(POTENTIAL[n]), max_size=2))
+    regular = draw(st.booleans())
+    kinetic, potential = ([t for t in terms if not (regular and t in RAISING)]
+                          for terms in (KINETIC[n], POTENTIAL[n]))
+    terms = [draw(st.sampled_from(kinetic))]
+    terms += draw(st.lists(st.sampled_from(potential), max_size=2))
     text = " + ".join(t.format(c=draw(COEFFICIENTS)) for t in terms)
     prob = problem(text, n, alpha=draw(st.sampled_from([0.5, 0.8, 1.0])))
 

@@ -16,8 +16,10 @@ of the pass had it, and for one step of the loop:
 - ``calls``: ``CALL`` instructions among them;
 - ``guards``: ``if ...: raise`` statements in the step.
 
-The last line gives the loops compiled in the pass and the seconds spent
-in ``integrators._compile_rk4_loop``, timed with ``perf_counter``.
+The last lines give the loops of the pass: how many were defined, how
+many of them were emitted and how many were taken from the shape cache
+(``expressions.shaped``), the distinct sources, and the seconds spent in
+``integrators._compile_rk4_loop``, timed with ``perf_counter``.
 """
 
 from __future__ import annotations
@@ -88,11 +90,14 @@ def workloads():
 
 
 def record_pass(workload: str, seed: int):
-    """Run one pass; return ([(source, loop, first call args)], compile seconds)."""
+    """Run one pass; return ([(source, loop, first call args)], loops
+    emitted, compile seconds)."""
     loops: list[list] = []
     define = expressions.Emitter.define
     compile_loop = integrators._compile_rk4_loop
+    emit_loop = integrators._emit_rk4_loop
     spent = [0.0]
+    emitted = [0]
 
     def recording_define(self, source, name, **names):
         fn = define(self, source, name, **names)
@@ -115,9 +120,14 @@ def record_pass(workload: str, seed: int):
         finally:
             spent[0] += perf_counter() - start
 
+    def counted_emit(*args):
+        emitted[0] += 1
+        return emit_loop(*args)
+
     plan = workloads().build_plan(workload, seed)
     expressions.Emitter.define = recording_define
     integrators._compile_rk4_loop = timed_compile
+    integrators._emit_rk4_loop = counted_emit
     cwd = os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -134,7 +144,8 @@ def record_pass(workload: str, seed: int):
         os.chdir(cwd)
         expressions.Emitter.define = define
         integrators._compile_rk4_loop = compile_loop
-    return loops, spent[0]
+        integrators._emit_rk4_loop = emit_loop
+    return loops, emitted[0], spent[0]
 
 
 def main(argv=None) -> int:
@@ -143,7 +154,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    loops, seconds = record_pass(args.workload, args.seed)
+    loops, emitted, seconds = record_pass(args.workload, args.seed)
     distinct: dict[str, list] = {}
     for source, fn, call in loops:
         distinct.setdefault(source, [fn, call, 0])[2] += 1
@@ -152,8 +163,9 @@ def main(argv=None) -> int:
         digest = hashlib.sha256(source.encode()).hexdigest()[:16]
         instructions, calls = step_cost(fn, call)
         print(f"{digest}  {count:5d}  {instructions:12d}  {calls:5d}  {guards(source):6d}")
-    print(f"{len(loops)} loops compiled, {len(distinct)} distinct sources, "
-          f"{seconds:.4f} s in _compile_rk4_loop")
+    print(f"{len(loops)} loops: {emitted} emitted, {len(loops) - emitted} from the shape cache, "
+          f"{len(distinct)} distinct sources")
+    print(f"{seconds:.4f} s in _compile_rk4_loop")
     return 0
 
 
