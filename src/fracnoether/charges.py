@@ -48,7 +48,7 @@ from .expressions import (
     references,
     sub,
 )
-from .integrators import Trajectory
+from .integrators import Trajectory, write_table
 
 # Channel names the specialized charges expect on a trajectory.
 LAMBDA_CHANNEL = "Lambda"
@@ -113,14 +113,11 @@ class ChargeSeries:
 
     def write_csv(self, path) -> None:
         """Rows ``theta,value`` plus a trailing drift comment line."""
-        table = np.column_stack([self.theta_grid, self.values])
-        with open(path, "w", newline="") as fh:
-            fh.write("theta,value\n")
-            fh.write(("%.17g,%.17g\n" * len(table)) % tuple(table.ravel().tolist()))
-            fh.write(
-                f"# drift={format(self.drift, '.17g')} "
-                f"relative_drift={format(self.relative_drift, '.17g')}\n"
-            )
+        write_table(
+            path, ["theta", "value"], self.theta_grid, [self.values],
+            trailer=f"# drift={format(self.drift, '.17g')} "
+            f"relative_drift={format(self.relative_drift, '.17g')}\n",
+        )
 
 
 def _drift_stats(values: np.ndarray) -> tuple[float, float]:

@@ -63,7 +63,7 @@ CHARGE_FAILURES = (ChargePreconditionError, LookupError, EvalDomainError)
 def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.steps is not None:
-        check_steps(args.steps)
+        check_steps(args.steps, scenario.interval)
         scenario = dataclasses.replace(scenario, steps=args.steps)
     if args.output is not None:
         scenario = dataclasses.replace(scenario, output_dir=args.output)
@@ -136,9 +136,14 @@ def _charges(
     return charges
 
 
-def _ensure_output_dir(scenario: Scenario) -> Path:
-    out = Path(scenario.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _output_dir(path) -> Path:
+    """Create the output directory, or find it there, before anything is
+    solved; a path that cannot be one is a validation error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -168,10 +173,10 @@ def cmd_solve(args) -> int:
     scenario = _load(args)
     if scenario.is_sweep:
         raise ScenarioError("solve needs a fixed alpha; use the sweep command")
+    out = _output_dir(scenario.output_dir)
     start = time.perf_counter()
     prob, gens, traj, report = _solve(scenario, scenario.alpha)
     wall = time.perf_counter() - start
-    out = _ensure_output_dir(scenario)
     traj.write_csv(out / f"{scenario.name}_traj.csv")
     _write_manifest(out / f"{scenario.name}_manifest.json", scenario, report, wall)
     print(f"wrote {out / (scenario.name + '_traj.csv')}")
@@ -184,8 +189,8 @@ def cmd_charge(args) -> int:
         raise ScenarioError("charge needs a fixed alpha; use the sweep command")
     if not scenario.charges:
         raise ScenarioError("charge needs at least one requested charge kind")
+    out = _output_dir(scenario.output_dir)
     prob, gens, traj, _ = _solve(scenario, scenario.alpha)
-    out = _ensure_output_dir(scenario)
 
     failures: dict[str, str] = {}
     print(f"{'label':<24}{'drift':>14}{'relative_drift':>18}")
@@ -243,9 +248,9 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     if not scenario.is_sweep:
         raise ScenarioError("sweep needs an alpha sweep specification {from, to, count}")
+    out = _output_dir(scenario.output_dir)
     rows = [row for alpha in scenario.alphas() for row in _sweep_rows(scenario, alpha)]
     rows.sort(key=lambda r: (r["alpha"], r["label"]))
-    out = _ensure_output_dir(scenario)
     path = out / f"{scenario.name}_sweep.csv"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -259,6 +264,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     from . import acceptance  # only verify reads it; other commands skip its import
 
+    out = _output_dir(args.output or ".")
     results = acceptance.run_all()
     width = max(len(r.name) for r in results) + 2
     for r in results:
@@ -266,8 +272,6 @@ def cmd_verify(args) -> int:
         print(f"{status}  {r.name:<{width}} {r.detail}")
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
-    out = Path(args.output) if args.output else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
     report = {
         "criteria": [
             {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results

@@ -50,6 +50,62 @@ class ShootingError(RuntimeError):
 _GRID_RTOL = 1e-12
 
 
+def _check_grid(grid: np.ndarray) -> int:
+    """Raise ``ValueError`` unless ``grid`` is a strictly increasing uniform
+    float grid of at least two nodes; return its node count."""
+    if grid.ndim != 1 or grid.size < 2:
+        raise ValueError("theta grid needs at least two points")
+    steps = np.diff(grid)
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    if h <= 0 or np.any(np.abs(steps - h) > _GRID_RTOL * abs(h) + 1e-300):
+        raise ValueError("theta grid must be strictly increasing and uniform")
+    return grid.size
+
+
+def uniform_grid(a: float, b: float, steps: int) -> np.ndarray:
+    """The ``steps + 1`` nodes from ``a`` to ``b`` that :func:`ivp_solve`
+    steps over; ``ValueError`` where floats cannot space them uniformly, as
+    on ``[1e14, 1e14 + 1]`` in 2000 steps."""
+    grid = np.linspace(float(a), float(b), steps + 1)
+    _check_grid(grid)
+    return grid
+
+
+# The "%.17g" texts of the last theta grid written, keyed by its bytes.
+_theta_texts: tuple[bytes, list[str]] = (b"", [])
+
+
+def write_table(
+    path, header: Sequence[str], theta_grid, columns: Sequence, trailer: str = ""
+) -> None:
+    """Write the CSV line ``header``, one row ``theta,column values..`` per
+    grid node with 17 significant digits, then ``trailer``.
+
+    Trajectory and charge CSVs are written here.  The theta texts of the
+    last grid written are kept, keyed by the bytes of the grid as floats
+    (an int grid must not match the float grid of the same bytes), so the
+    CSVs of one grid format it once.  A row is the ``"%s"`` of a kept text
+    and the ``"%.17g"`` of each column value, the same bytes as formatting
+    every value anew.
+    """
+    global _theta_texts
+    grid = np.asarray(theta_grid, dtype=float)
+    key = grid.tobytes()
+    cached, texts = _theta_texts
+    if cached != key:
+        texts = ["%.17g" % x for x in grid.tolist()]
+        _theta_texts = (key, texts)
+    width = len(columns) + 1
+    args = [None] * (width * len(texts))
+    args[::width] = texts
+    for j, column in enumerate(columns, 1):
+        args[j::width] = np.asarray(column, dtype=float).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((("%s" + ",%.17g" * len(columns) + "\n") * len(texts)) % tuple(args))
+        fh.write(trailer)
+
+
 @dataclass
 class Trajectory:
     """Uniform-grid samples of (theta, q, v) plus accumulated channels.
@@ -64,14 +120,7 @@ class Trajectory:
     channels: dict[str, np.ndarray]
 
     def __post_init__(self):
-        grid = np.asarray(self.theta_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("theta grid needs at least two points")
-        steps = np.diff(grid)
-        h = (grid[-1] - grid[0]) / (grid.size - 1)
-        if h <= 0 or np.any(np.abs(steps - h) > _GRID_RTOL * abs(h) + 1e-300):
-            raise ValueError("theta grid must be strictly increasing and uniform")
-        rows = grid.size
+        rows = _check_grid(np.asarray(self.theta_grid, dtype=float))
         if self.q.shape[0] != rows or self.v.shape[0] != rows or self.q.shape != self.v.shape:
             raise ValueError("q and v must hold one row per grid point")
         for name, values in self.channels.items():
@@ -106,13 +155,8 @@ class Trajectory:
             + [f"v{j}" for j in range(n)]
             + names
         )
-        table = np.column_stack(
-            [self.theta_grid, self.q, self.v, *(self.channels[name] for name in names)]
-        )
-        template = (",".join(["%.17g"] * len(header)) + "\n") * len(table)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(template % tuple(table.ravel().tolist()))
+        columns = [*self.q.T, *self.v.T, *self.channels.values()]
+        write_table(path, header, self.theta_grid, columns)
 
 
 @dataclass(frozen=True)
@@ -167,7 +211,7 @@ def ivp_solve(
     if isinstance(rhs, ExplicitOde) and rhs.n != n:
         raise ValueError(f"q0 and v0 have length {n}, the ODE has {rhs.n} degrees of freedom")
 
-    grid = np.linspace(float(a), float(b), steps + 1)
+    grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
     names = list(integrands) if integrands else []
     loop = _rk4_loop(rhs, n, [integrands[name] for name in names])

@@ -18,6 +18,7 @@ import numpy as np
 from .charges import SymmetryGenerator, gauge_rate_from_reduced_condition
 from .euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from .expressions import Expr, ExpressionError, parse
+from .integrators import uniform_grid
 
 VALID_CHARGES = ("noether", "energy", "momentum")
 
@@ -95,12 +96,21 @@ def _is_integer(raw) -> bool:
     return isinstance(raw, int) and not isinstance(raw, bool)
 
 
-def check_steps(steps) -> None:
-    """The step-count rule of a scenario and of a ``--steps`` override."""
+def check_steps(steps, interval: tuple) -> None:
+    """The step-count rule of a scenario and of a ``--steps`` override: an
+    even integer >= 2 whose grid floats can space uniformly over
+    ``interval``, checked before anything is solved."""
     _require(
         _is_integer(steps) and steps >= 2 and steps % 2 == 0,
         "steps must be an even integer >= 2",
     )
+    try:
+        uniform_grid(*interval, steps)
+    except ValueError as exc:
+        a, b = interval
+        raise ScenarioError(
+            f"interval [{a!r}, {b!r}] cannot be split into {steps} uniform float steps"
+        ) from exc
 
 
 def _number(raw, label: str) -> float:
@@ -196,7 +206,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require(not extra, f"unknown mode fields: {sorted(extra)}")
 
     steps = raw.get("steps", 1000)
-    check_steps(steps)
+    check_steps(steps, (a, b))
 
     generators_raw = raw.get("generators", [])
     _require(isinstance(generators_raw, (list, tuple)), "generators must be a list")

@@ -13,6 +13,9 @@ VELOCITY_DIFF_OWNERS = {"VariationalProblem.momentum", "along_motion"}
 # linsolve itself: the accelerations of the equation of motion.
 EMIT_SOLVE_OWNERS = {"ExplicitOde.emit_accelerations"}
 
+# Where a "%.17g" row template may be assembled: the one CSV table writer.
+ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
+
 
 def scoped_sites(tree: ast.AST, match) -> list[tuple[str, int]]:
     """(enclosing class.function, line) of every node of a module that
@@ -132,3 +135,38 @@ def test_the_elimination_guard_sees_every_spelling():
     tree = ast.parse(source)
     assert emit_solve_sites(tree) == [("Ode.f", 6), ("g", 8)]
     assert linalg_sites(tree) == [("", 1), ("", 2), ("", 3), ("g", 8), ("g", 8)]
+
+
+def row_template_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every string constant that holds
+    a ``%.17g`` conversion, inside f-strings too; ``format(x, ".17g")``
+    holds none."""
+
+    def match(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+            "%.17g" in node.value)
+
+    return scoped_sites(tree, match)
+
+
+def test_one_table_writer():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in row_template_sites(ast.parse(path.read_text())):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(found.values()) == ROW_TEMPLATE_OWNERS, found
+
+
+def test_the_table_writer_guard_sees_every_spelling():
+    source = (
+        "class Series:\n"
+        "    def write_csv(self, fh, table):\n"
+        "        fh.write(('%.17g,%.17g\\n' * len(table)) % tuple(table))\n"
+        "def row(xs, sep=','):\n"
+        "    return sep.join(['%.17g'] * len(xs)) + f'%.17g{sep}'\n"
+        "def trailer(d):\n"
+        "    return f\"# drift={format(d, '.17g')}\" + format(d, '.17g')\n"
+    )
+    sites = row_template_sites(ast.parse(source))
+    assert sites == [("Series.write_csv", 3), ("row", 5), ("row", 5)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracnoether import integrators
+from fracnoether.charges import ChargeSeries
 from fracnoether.euler_lagrange import (
     BoundaryConditions,
     FractionalParams,
@@ -161,6 +162,101 @@ def test_trajectory_csv_bytes_match_per_value_formatting(tmp_path):
         row = [traj.theta_grid[k], *traj.q[k], *traj.v[k], traj.channels["a"][k], 0.0]
         expected.append(",".join(format(x, ".17g") for x in row))
     assert path.read_text() == "\n".join(expected) + "\n"
+
+
+# --------------------------------------------------------------------------
+# the one table writer and its kept theta texts
+
+
+def per_value_csv(header, grid, columns, trailer=""):
+    rows = [",".join(format(float(x), ".17g") for x in row) for row in zip(grid, *columns)]
+    return "\n".join([",".join(header), *rows]) + "\n" + trailer
+
+
+def trajectory_csv(traj):
+    header = ["theta", *(f"q{j}" for j in range(traj.n_dof)),
+              *(f"v{j}" for j in range(traj.n_dof)), *traj.channels]
+    columns = [*traj.q.T, *traj.v.T, *traj.channels.values()]
+    return per_value_csv(header, traj.theta_grid, columns)
+
+
+def charge_csv(series):
+    trailer = (f"# drift={format(series.drift, '.17g')} "
+               f"relative_drift={format(series.relative_drift, '.17g')}\n")
+    return per_value_csv(["theta", "value"], series.theta_grid, [series.values], trailer)
+
+
+def still_trajectory(grid):
+    q = np.linspace(1.0 / 3.0, 7.0, len(grid))[:, None]
+    return Trajectory(theta_grid=grid, q=q, v=-q, channels={})
+
+
+def assert_kept_texts_are_of(grid):
+    key, texts = integrators._theta_texts
+    grid = np.asarray(grid, dtype=float)
+    assert key == grid.tobytes()
+    assert texts == [format(x, ".17g") for x in grid.tolist()]
+
+
+def test_two_grids_written_alternately_keep_their_bytes(tmp_path):
+    grids = [np.linspace(0.0, 1.0, 7), np.linspace(-0.1, 2.0 / 3.0, 5)]
+    for k in range(4):
+        grid = grids[k % 2]
+        traj = still_trajectory(grid)
+        path = tmp_path / f"traj{k}.csv"
+        traj.write_csv(path)
+        assert path.read_text() == trajectory_csv(traj)
+        assert_kept_texts_are_of(grid)
+
+
+def test_grids_equal_in_value_but_not_in_bytes_are_rendered_apart(tmp_path):
+    plus = np.linspace(0.0, 1.0, 5)
+    minus = plus.copy()
+    minus[0] = -0.0
+    assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+    texts = []
+    for k, grid in enumerate([plus, minus, plus]):
+        series = ChargeSeries.from_values(grid, np.full(5, 0.25))
+        path = tmp_path / f"charge{k}.csv"
+        series.write_csv(path)
+        assert path.read_text() == charge_csv(series)
+        assert_kept_texts_are_of(grid)
+        texts.append(path.read_text().splitlines()[1])
+    assert texts == ["0,0.25", "-0,0.25", "0,0.25"]
+
+
+def test_an_int_grid_is_keyed_by_its_values_as_floats(tmp_path):
+    # the int64 grid 0, 1, 2 has the bytes of the float grid 0, 5e-324, 1e-323
+    subnormal = np.array([0.0, 5e-324, 1e-323])
+    ints = np.arange(3)
+    assert subnormal.tobytes() == ints.tobytes()
+    for k, grid in enumerate([subnormal, ints, subnormal]):
+        traj = still_trajectory(grid)
+        path = tmp_path / f"traj{k}.csv"
+        traj.write_csv(path)
+        assert path.read_text() == trajectory_csv(traj)
+        assert_kept_texts_are_of(grid)
+    assert (tmp_path / "traj1.csv").read_text().splitlines()[3].startswith("2,")
+
+
+def test_trajectory_and_charges_on_one_grid_share_its_texts(tmp_path):
+    grid = np.linspace(0.1, 0.9, 9)
+    special = np.array([0.0, -0.0, 1e-320, 1.0 / 3.0, 1e22, -2.5e-300, math.pi, 1e300, -1e-300])
+    traj = Trajectory(
+        theta_grid=grid,
+        q=np.column_stack([special, special[::-1]]),
+        v=np.column_stack([-special, 2.0 * special]),
+        channels={"Lambda": special, "energy_correction": np.cbrt(special)},
+    )
+    traj.write_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.csv").read_text() == trajectory_csv(traj)
+    _, texts = integrators._theta_texts
+    for k, values in enumerate([special, special[::-1], np.exp(special[:1]) * grid]):
+        series = ChargeSeries.from_values(grid, values)
+        series.write_csv(tmp_path / f"charge{k}.csv")
+        assert (tmp_path / f"charge{k}.csv").read_text() == charge_csv(series)
+        assert integrators._theta_texts[1] is texts
+    assert_kept_texts_are_of(grid)
 
 
 # --------------------------------------------------------------------------

@@ -214,6 +214,68 @@ def test_bad_steps_override_is_rejected(tmp_path, capsys, steps):
 
 
 # --------------------------------------------------------------------------
+# checks made before any solve
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if any command reaches a solve or the acceptance corpus."""
+    from fracnoether import acceptance
+
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the inputs were checked")
+
+    for module, attr in ((cli, "ivp_solve"), (cli, "bvp_shoot"), (acceptance, "run_all")):
+        monkeypatch.setattr(module, attr, solve)
+
+
+# floats near 1e14 are 1/64 apart, so 2000 steps of 1/2000 cannot be uniform
+FAR_INTERVAL = [1e14, 100000000000001]
+FAR_GRID = (
+    "validation error: interval [100000000000000.0, 100000000000001.0] "
+    "cannot be split into 2000 uniform float steps\n"
+)
+
+GRID_CASES = {
+    "solve": (["solve"], {}),
+    "charge": (["charge"], {}),
+    "charge_bvp": (["charge"], {"mode": {"type": "bvp", "qa": [0.0], "qb": [1.0]}}),
+    "sweep": (["sweep"], {"alpha": {"from": 0.5, "to": 1.0, "count": 2}}),
+    "steps_override": (["charge", "--steps", "2000"], {"steps": 2}),
+}
+
+
+@pytest.mark.parametrize("argv, overrides", GRID_CASES.values(), ids=GRID_CASES.keys())
+def test_a_grid_floats_cannot_space_uniformly_is_a_validation_error(
+    tmp_path, capsys, no_solve, argv, overrides
+):
+    out_dir = tmp_path / "out"
+    raw = {"steps": 2000, **overrides}
+    path = write_scenario(tmp_path, base_scenario(
+        interval=FAR_INTERVAL, observer_time=1e15, output_dir=str(out_dir), **raw))
+    assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 2
+    # names 2000 steps, so in the override case the file's 2 steps passed
+    assert capsys.readouterr().err == FAR_GRID
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "charge", "sweep", "verify"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_an_unusable_output_path_is_a_validation_error(tmp_path, capsys, no_solve, command, below):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    output = blocker / "out" if below else blocker
+    argv = [command]
+    if command != "verify":
+        alpha = {"from": 0.5, "to": 1.0, "count": 2} if command == "sweep" else 0.5
+        argv += ["--scenario", str(write_scenario(tmp_path, base_scenario(alpha=alpha)))]
+    assert cli.main([*argv, "--output", str(output)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"validation error: cannot use output directory {str(output)!r}: ")
+    assert blocker.read_text() == "not a directory\n"
+
+
+# --------------------------------------------------------------------------
 # charge
 
 
