@@ -32,7 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .euler_lagrange import ExplicitOde, VariationalProblem, along_motion, to_explicit_ode
+from .euler_lagrange import (
+    ExplicitOde, VariationalProblem, along_motion, alpha_free, to_explicit_ode,
+)
 from .expressions import (
     Const,
     EvalPoint,
@@ -211,14 +213,6 @@ class InvarianceResiduals:
         return evaluate(self.condition8, point)
 
 
-def _momentum_times_shift(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
-    """dL/dv . (xi - v tau)."""
-    out = Const(0.0)
-    for j, p in enumerate(prob.momentum):
-        out = add(out, mul(p, sub(gen.xi[j], mul(V(j), gen.tau))))
-    return out
-
-
 def gauge_rate_from_reduced_condition(
     prob: VariationalProblem, gen: SymmetryGenerator
 ) -> Expr:
@@ -231,19 +225,25 @@ def gauge_rate_from_reduced_condition(
 
     with xi_dot and tau_dot expanded along the motion.  Installing it makes
     the reduced condition an identity in (theta, q, v), which is exactly
-    what charge conservation consumes.
+    what charge conservation consumes.  Every alpha shares all but the drag
+    term (:func:`alpha_free`).
     """
     _check_dimensions(prob, gen)
+    free, shift = _gauge_parts(prob, gen.tau, gen.xi)
+    return sub(free, prob.frac.drag(shift))
+
+
+@alpha_free
+def _gauge_parts(prob: VariationalProblem, tau: Expr, xi: tuple) -> tuple[Expr, Expr]:
     L = prob.lagrangian
-    n = prob.n
-    tau_dot = along_motion(gen.tau, n)[0]
-    out = mul(L.diff(Theta()), gen.tau)
+    tau_dot = along_motion(tau, prob.n)[0]
+    out, shift = mul(L.diff(Theta()), tau), Const(0.0)
     for j, p in enumerate(prob.momentum):
-        xi_dot = along_motion(gen.xi[j], n)[0]
-        out = add(out, mul(L.diff(Q(j)), gen.xi[j]))
+        xi_dot = along_motion(xi[j], prob.n)[0]
+        out = add(out, mul(L.diff(Q(j)), xi[j]))
         out = add(out, mul(p, sub(xi_dot, mul(V(j), tau_dot))))
-    out = add(out, mul(L, tau_dot))
-    return sub(out, prob.frac.drag(_momentum_times_shift(prob, gen)))
+        shift = add(shift, mul(p, sub(xi[j], mul(V(j), tau))))
+    return add(out, mul(L, tau_dot)), shift
 
 
 # --------------------------------------------------------------------------
@@ -253,10 +253,15 @@ def gauge_rate_from_reduced_condition(
 def charge_expression(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
     """Symbolic charge without the gauge term: dL/dv.xi + (L - dL/dv.v) tau."""
     _check_dimensions(prob, gen)
+    return _charge(prob, gen.tau, gen.xi)
+
+
+@alpha_free
+def _charge(prob: VariationalProblem, tau: Expr, xi: tuple) -> Expr:
     out = Const(0.0)
-    for p, xi in zip(prob.momentum, gen.xi):
-        out = add(out, mul(p, xi))
-    return add(out, mul(prob.energy, gen.tau))
+    for p, x in zip(prob.momentum, xi):
+        out = add(out, mul(p, x))
+    return add(out, mul(prob.energy, tau))
 
 
 def lambda_integrand(gen: SymmetryGenerator) -> Expr:
@@ -265,6 +270,7 @@ def lambda_integrand(gen: SymmetryGenerator) -> Expr:
     return gen.gauge_rate
 
 
+@alpha_free
 def energy_correction_integrand(prob: VariationalProblem) -> Expr:
     """dL/dv . v / (t - theta), the running correction of the energy charge."""
     total = Const(0.0)
@@ -273,6 +279,7 @@ def energy_correction_integrand(prob: VariationalProblem) -> Expr:
     return prob.frac.over_lag(total)
 
 
+@alpha_free
 def momentum_correction_integrand(prob: VariationalProblem, dof: int) -> Expr:
     """dL/dv_i / (t - theta), the running correction of one momentum charge."""
     _check_dof(prob, dof)

@@ -248,6 +248,8 @@ def cmd_sweep(args) -> int:
     scenario = _load(args)
     if not scenario.is_sweep:
         raise ScenarioError("sweep needs an alpha sweep specification {from, to, count}")
+    if not scenario.charges:
+        raise ScenarioError("sweep needs at least one requested charge kind")
     out = _output_dir(scenario.output_dir)
     rows = [row for alpha in scenario.alphas() for row in _sweep_rows(scenario, alpha)]
     rows.sort(key=lambda r: (r["alpha"], r["label"]))

@@ -20,8 +20,8 @@ for regular Lagrangians (invertible velocity Hessian).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, wraps
 from typing import Sequence
 
 import numpy as np
@@ -72,8 +72,10 @@ class FractionalParams:
     numbers derived from alpha enter the trees as :class:`Named` values,
     1 - alpha as ``_one_minus_alpha`` and the weight's exponent alpha - 1
     as ``_alpha_minus_one``, so the trees of every alpha have one shape and
-    are emitted once (:func:`~fracnoether.expressions.shaped`).  At
-    alpha = 1 the drag folds away and the weight is 1.
+    are emitted once (:func:`~fracnoether.expressions.shaped`).  No other
+    tree reads alpha, so every alpha of a problem shares them all and builds
+    only its drag and weight (:func:`alpha_free`).  At alpha = 1 the drag
+    folds away and the weight is 1.
     """
 
     alpha: float
@@ -121,6 +123,18 @@ class BoundaryConditions:
             raise ValueError("boundary vectors must have equal length")
 
 
+def alpha_free(build):
+    """Build ``build(prob, *args)``, which must not read alpha, once per args for a
+    problem and every problem :meth:`VariationalProblem.with_alpha` makes from it."""
+    @wraps(build)
+    def shared(prob, *args):
+        key = (build, *args)
+        if key not in prob._alpha_free:
+            prob._alpha_free[key] = build(prob, *args)
+        return prob._alpha_free[key]
+    return shared
+
+
 @dataclass(frozen=True)
 class VariationalProblem:
     """A Lagrangian on an interval together with the kernel parameters.
@@ -134,6 +148,7 @@ class VariationalProblem:
     interval: tuple[float, float]
     frac: FractionalParams
     boundary: BoundaryConditions | None = None
+    _alpha_free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.interval
@@ -159,12 +174,20 @@ class VariationalProblem:
     def b(self) -> float:
         return self.interval[1]
 
+    def with_alpha(self, alpha: float) -> "VariationalProblem":
+        """This problem at order ``alpha``, sharing every :func:`alpha_free` value."""
+        prob = replace(self, frac=FractionalParams(alpha, self.frac.observer_time))
+        object.__setattr__(prob, "_alpha_free", self._alpha_free)
+        return prob
+
     @cached_property
+    @alpha_free
     def momentum(self) -> tuple[Expr, ...]:
         """The momenta p_j = dL/dv_j."""
         return tuple(self.lagrangian.diff(V(j)) for j in range(self.n))
 
     @cached_property
+    @alpha_free
     def energy(self) -> Expr:
         """The energy function H = L - p . v."""
         out = self.lagrangian
@@ -194,9 +217,9 @@ class ExplicitOde:
     weighted Euler-Lagrange equation reads M accel = F - c p, where the
     force tree F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k,
     and the kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
-    F_j - c p_j and the mass trees are built once here; ``constant_mass``
-    holds the rows of M as floats when every mass tree is a constant, and
-    is None otherwise.
+    F_j - c p_j are built here, on force and mass trees every alpha shares;
+    ``constant_mass`` holds the rows of M as floats when every mass tree is
+    a constant, and is None otherwise.
 
     Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
     a list returned).  :meth:`emit_accelerations` writes the solve for the
@@ -211,22 +234,13 @@ class ExplicitOde:
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
-        self.n = n = prob.n
+        self.n = prob.n
         self.momentum = prob.momentum
-        self.force = []
-        self.mass = []
-        for j, p in enumerate(self.momentum):
-            rate, accel_coeffs = along_motion(p, n)
-            self.force.append(sub(prob.lagrangian.diff(Q(j)), rate))
-            self.mass.append(accel_coeffs)
+        self.force, self.mass, self.constant_mass = _force_and_mass(prob)
         # Built from the nodes, not the folding helpers: F - c p must not
         # fold to -(c p) when F is zero, which would flip the sign of a zero.
         c = prob.frac.kernel_coefficient()
         self.net = [Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
-        self.constant_mass = (
-            tuple(tuple(float(m.value) for m in row) for row in self.mass)
-            if all(type(m) is Const for row in self.mass for m in row) else None
-        )
         self.loops: dict = {}
 
     @cached_property
@@ -293,6 +307,21 @@ class ExplicitOde:
 
     def __call__(self, theta: float, q, v) -> list:
         return self._accelerations(theta, q, v)
+
+
+@alpha_free
+def _force_and_mass(prob: VariationalProblem) -> tuple[list, list, tuple | None]:
+    """The force and mass trees of :class:`ExplicitOde`, and the constant mass."""
+    force, mass = [], []
+    for j, p in enumerate(prob.momentum):
+        rate, accel_coeffs = along_motion(p, prob.n)
+        force.append(sub(prob.lagrangian.diff(Q(j)), rate))
+        mass.append(accel_coeffs)
+    constant = (
+        tuple(tuple(float(m.value) for m in row) for row in mass)
+        if all(type(m) is Const for row in mass for m in row) else None
+    )
+    return force, mass, constant
 
 
 def to_explicit_ode(prob: VariationalProblem) -> ExplicitOde:

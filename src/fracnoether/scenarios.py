@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,6 +61,9 @@ class Scenario:
     generators: tuple
     charges: tuple
     output_dir: str
+    # The trees validation parsed, for every alpha to build on; gauge None for 'auto'.
+    lagrangian_tree: Expr = field(repr=False, compare=False)
+    parsed_generators: tuple[SymmetryGenerator, ...] = field(repr=False, compare=False)
 
     @property
     def is_sweep(self) -> bool:
@@ -69,20 +72,13 @@ class Scenario:
     def alphas(self) -> list[float]:
         return self.alpha.values() if self.is_sweep else [self.alpha]
 
-    # The texts parsed once per scenario: every alpha of a sweep builds its
-    # problem and generators on the same trees.
-
     @cached_property
-    def lagrangian_tree(self) -> Expr:
-        return parse(self.lagrangian, self.n)
-
-    @cached_property
-    def generator_trees(self) -> tuple[tuple[Expr, list[Expr], Expr | None], ...]:
-        """(tau, xi, gauge) of each generator; gauge None for 'auto'."""
-        return tuple(
-            (parse(spec.tau, self.n), [parse(text, self.n) for text in spec.xi],
-             None if spec.gauge == "auto" else parse(spec.gauge, self.n))
-            for spec in self.generators
+    def problem(self) -> VariationalProblem:
+        """The problem at the first alpha; every alpha's shares its alpha-free trees."""
+        return VariationalProblem(
+            n=self.n, lagrangian=self.lagrangian_tree, interval=self.interval,
+            frac=FractionalParams(alpha=self.alphas()[0], observer_time=self.observer_time),
+            boundary=BoundaryConditions(self.qa, self.qb) if self.mode == "bvp" else None,
         )
 
 
@@ -159,7 +155,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _require(_is_integer(n) and n >= 1, "n must be a positive integer")
 
     lagrangian = raw.get("lagrangian")
-    _parse_expr(lagrangian, n, "lagrangian")
+    lagrangian_tree = _parse_expr(lagrangian, n, "lagrangian")
 
     alpha_raw = raw.get("alpha")
     if isinstance(alpha_raw, dict):
@@ -210,7 +206,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     generators_raw = raw.get("generators", [])
     _require(isinstance(generators_raw, (list, tuple)), "generators must be a list")
-    generators = []
+    generators, parsed_generators = [], []
     for i, gen_raw in enumerate(generators_raw):
         _require(isinstance(gen_raw, dict), f"generators[{i}] must be an object")
         extra = set(gen_raw) - {"tau", "xi", "gauge"}
@@ -228,10 +224,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
             _parse_expr(text, n, f"generators[{i}].xi[{j}]")
             for j, text in enumerate(xi_raw)
         ]
-        if gauge != "auto":
-            _parse_expr(gauge, n, f"generators[{i}].gauge")
+        gauge_expr = None if gauge == "auto" else _parse_expr(gauge, n, f"generators[{i}].gauge")
         try:
-            SymmetryGenerator(tau_expr, xi_exprs)
+            parsed_generators.append(SymmetryGenerator(tau_expr, xi_exprs, gauge_expr))
         except ValueError as exc:
             raise ScenarioError(f"generators[{i}]: {exc}") from exc
         generators.append(GeneratorSpec(tau=tau, xi=tuple(xi_raw), gauge=gauge))
@@ -264,6 +259,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         generators=tuple(generators),
         charges=tuple(charges_raw),
         output_dir=output_dir,
+        lagrangian_tree=lagrangian_tree,
+        parsed_generators=tuple(parsed_generators),
     )
 
 
@@ -279,29 +276,19 @@ def load_scenario(path) -> Scenario:
 
 
 def build_problem(scenario: Scenario, alpha: float) -> VariationalProblem:
-    boundary = None
-    if scenario.mode == "bvp":
-        boundary = BoundaryConditions(q_a=scenario.qa, q_b=scenario.qb)
-    return VariationalProblem(
-        n=scenario.n,
-        lagrangian=scenario.lagrangian_tree,
-        interval=scenario.interval,
-        frac=FractionalParams(alpha=alpha, observer_time=scenario.observer_time),
-        boundary=boundary,
-    )
+    """The scenario's problem at ``alpha``, sharing every alpha's alpha-free trees."""
+    return scenario.problem.with_alpha(alpha)
 
 
 def build_generators(
     scenario: Scenario, prob: VariationalProblem
 ) -> list[SymmetryGenerator]:
-    """Instantiate generator specs against a problem, deriving 'auto' gauges."""
-    out = []
-    for tau, xi, gauge in scenario.generator_trees:
-        gen = SymmetryGenerator(tau, xi)
-        if gauge is None:
-            gauge = gauge_rate_from_reduced_condition(prob, gen)
-        out.append(gen.with_gauge(gauge))
-    return out
+    """The scenario's generators against a problem, deriving 'auto' gauges."""
+    return [
+        gen if gen.gauge_rate is not None
+        else gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
+        for gen in scenario.parsed_generators
+    ]
 
 
 def scenario_echo(scenario: Scenario) -> dict:

@@ -5,11 +5,13 @@ that differ only in coefficients or alpha emit the same source and share
 one code object, while every function made from it keeps its own
 constants, values and error messages.  In front of it the shape cache
 (``tests/test_shape_cache.py``) skips emission too: a sweep emits each
-function once, and later alphas only rebind 1 - alpha and alpha - 1.
-Every function still goes through ``define`` and the code cache.
+function once, and later alphas define again only the functions whose
+trees hold 1 - alpha or alpha - 1, rebinding those.  Every function
+still goes through ``define`` and the code cache.
 """
 
 import ast
+import collections
 import json
 from pathlib import Path
 
@@ -47,8 +49,15 @@ def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, compiled, defi
     assert cli.main(["sweep", "--scenario", str(path)]) == 0
     assert len(compiled) == len(set(compiled)) == len(set(defined))
     assert set(compiled) == set(defined)
-    # every alpha after the first reuses the first one's code
-    assert len(defined) >= 6 * len(compiled)
+    # every alpha after the first defines again, from the first one's code,
+    # only the functions whose trees hold a named value: the step loop and
+    # the action integrand; the charges are the first alpha's evaluators
+    named = {call for call in compiled if "_one_minus_alpha" in call[1]
+             or "_alpha_minus_one" in call[1]}
+    assert len(named) == 2 and len(compiled) > len(named)
+    assert collections.Counter(defined) == {
+        call: 6 if call in named else 1 for call in compiled
+    }
 
 
 def oscillator(m, k, alpha):

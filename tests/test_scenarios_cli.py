@@ -386,6 +386,19 @@ def test_charge_requires_a_charge_kind(tmp_path, capsys):
     assert cli.main(["charge", "--scenario", str(path)]) == 2
 
 
+def test_sweep_requires_a_charge_kind(tmp_path, capsys, no_solve):
+    out_dir = tmp_path / "o"
+    path = write_scenario(tmp_path, base_scenario(
+        alpha={"from": 0.5, "to": 1.0, "count": 3}, charges=[], generators=[],
+        output_dir=str(out_dir),
+    ))
+    assert cli.main(["sweep", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: sweep needs at least one requested charge kind\n"
+    )
+    assert not out_dir.exists()
+
+
 # --------------------------------------------------------------------------
 # sweep
 

@@ -1,14 +1,19 @@
-"""The shape cache in front of emission (``expressions.shaped``).
+"""The shape cache in front of emission (``expressions.shaped``), and the
+alpha-free trees a sweep's alphas share.
 
-The trees of a sweep's alphas differ only in the two numbers alpha
-enters them by, 1 - alpha and the weight's exponent alpha - 1, which
-are :class:`Named` values.  A function whose trees have the shape of an
-earlier one is not emitted again: it binds the earlier constants and its
-own named values.  Each test here compares against emissions from empty
+Alpha enters the trees by two numbers only, 1 - alpha and the weight's
+exponent alpha - 1, which are :class:`Named` values.  Every tree
+without them is derived once per Lagrangian and shared by every alpha
+(``VariationalProblem.with_alpha``), so a later alpha defines only the
+functions whose trees hold a named value, the step loop and the action
+integrand.  Their trees have the shape of the first alpha's, so they
+are not emitted again: they bind the earlier constants and their own
+named values.  Each test here compares against emissions from empty
 caches, so a key that misses an input, or a hit that binds the wrong
 value, shows as different bytes.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +27,17 @@ import pytest
 import fracnoether
 from fracnoether import cli, expressions, linsolve, scenarios
 from fracnoether.acceptance import _CORPUS_LAGRANGIANS, _corpus_generators
-from fracnoether.euler_lagrange import ExplicitOde, FractionalParams, VariationalProblem
+from fracnoether.charges import (
+    charge_expression,
+    energy_correction_integrand,
+    momentum_correction_integrand,
+)
+from fracnoether.euler_lagrange import (
+    ExplicitOde,
+    FractionalParams,
+    VariationalProblem,
+    to_explicit_ode,
+)
 from fracnoether.expressions import (
     Const,
     Div,
@@ -120,18 +135,32 @@ def test_sweeps_in_one_process_match_each_alpha_alone(tmp_path):
         assert swept == alone(path)
 
 
+def holds_named(constants) -> bool:
+    return not NAMED.isdisjoint(constants)
+
+
 def test_a_sweep_emits_each_function_once(tmp_path, emissions):
     path = sweep_scenario(tmp_path, "sweep", "(1.2*v0^2 - 0.8*q0^2)/2", (0.2, 0.9, 5),
                           generator=("theta/2", ["q0/2"]))
     assert cli.main(["sweep", "--scenario", str(path)]) == 0
-    by_source: dict[str, list[bool]] = {}
-    for name, source, _, emitted in emissions:
-        by_source.setdefault(source, []).append(emitted)
-    # the loop, the charge evaluators and the action integrand are each
-    # emitted at the first alpha and taken from the shape cache after it
+    by_source: dict[str, list] = {}
+    for name, source, constants, emitted in emissions:
+        by_source.setdefault(source, []).append((name, constants, emitted))
+    # every function is emitted at the first alpha; the charge evaluators
+    # are defined there only, and the two functions whose trees hold a
+    # named value, the loop and the action integrand, once per alpha,
+    # binding the first alpha's constants but for the named values
     assert [name for name, *_ in emissions].count("loop") == 5
-    assert len(by_source) == len(emissions) / 5 >= 4
-    assert all(flags == [True] + [False] * 4 for flags in by_source.values())
+    once = [calls for calls in by_source.values() if len(calls) == 1]
+    again = [calls for calls in by_source.values() if len(calls) > 1]
+    assert len(once) >= 2 and len(again) == 2
+    assert all(not holds_named(calls[0][1]) and calls[0][2] for calls in once)
+    for (name, first, emitted), *later in again:
+        assert len(later) == 4 and emitted and holds_named(first)
+        for _, constants, emitted_later in later:
+            assert not emitted_later and constants.keys() == first.keys()
+            assert all(repr(first[k]) == repr(constants[k]) for k in first.keys() - NAMED)
+            assert all(first[k] != constants[k] for k in first.keys() & NAMED)
 
 
 def case_id(case):
@@ -163,11 +192,15 @@ def test_later_alphas_rebind_only_the_named_values(tmp_path, emissions, case):
     count = len(emissions)
     cli._sweep_rows(scenario, second)
     later = emissions[count:]
-    # the second alpha emits nothing, and its functions bind the first
-    # alpha's constants but for the named values
-    assert len(later) == len(earlier) and not any(emitted for *_, emitted in later)
-    for (name, source, constants, _), (name2, source2, constants2, _) in zip(earlier, later):
-        assert (name, source) == (name2, source2)
+    # the second alpha emits nothing, and defines again only the functions
+    # whose trees hold a named value, binding the first alpha's constants
+    # but for the named values
+    assert [(name, source) for name, source, constants, _ in earlier if holds_named(constants)] \
+        == [(name, source) for name, source, *_ in later]
+    assert not any(emitted for *_, emitted in later)
+    first = {source: constants for _, source, constants, _ in earlier}
+    for _, source, constants2, _ in later:
+        constants = first[source]
         assert constants.keys() == constants2.keys()
         for key in constants:
             if key in NAMED:
@@ -291,8 +324,55 @@ def test_a_sweep_parses_each_text_once(tmp_path, monkeypatch):
         parsed.clear()
         assert cli.main(["sweep", "--scenario", str(path)]) == 0
         counts.append(sorted(parsed))
-    # validation parses each text once, and the build once for all alphas
-    assert counts[0] == counts[1] == sorted(["(v0^2 - q0^2)/2", "1", "0"] * 2)
+    # validation parses each text once, and every alpha builds on its trees
+    assert counts[0] == counts[1] == sorted(["(v0^2 - q0^2)/2", "1", "0"])
+
+
+def test_sweeps_of_two_and_six_alphas_derive_alike(tmp_path, monkeypatch):
+    calls = []
+    differentiate = expressions.Expr.diff
+
+    def counted(self, var):
+        calls.append(var)
+        return differentiate(self, var)
+
+    monkeypatch.setattr(expressions.Expr, "diff", counted)
+    counts = []
+    for count in (2, 6):
+        path = sweep_scenario(tmp_path, f"sweep{count}", "(1.2*v0^2 - 0.8*q0^2)/2",
+                              (0.3, 0.9, count), generator=("theta/2", ["q0/2"]))
+        calls.clear()
+        assert cli.main(["sweep", "--scenario", str(path)]) == 0
+        counts.append(len(calls))
+    # the alpha-free trees are derived at the first alpha, for all of them
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_later_alpha_shares_the_alpha_free_trees(tmp_path):
+    path = sweep_scenario(tmp_path, "shared", "(1.2*v0^2 - 0.8*q0^2)/2", (0.3, 0.9, 2),
+                          generator=("theta/2", ["q0/2"]))
+    scenario = scenarios.load_scenario(path)
+    built = []
+    for alpha in scenario.alphas():
+        prob = scenarios.build_problem(scenario, alpha)
+        (gen,) = scenarios.build_generators(scenario, prob)
+        built.append((prob, gen, to_explicit_ode(prob)))
+    (one, gen1, ode1), (two, gen2, ode2) = built
+    assert (one.frac.alpha, two.frac.alpha) == (0.3, 0.9)
+    assert two.momentum is one.momentum and two.energy is one.energy
+    assert ode2.force is ode1.force and ode2.mass is ode1.mass
+    assert charge_expression(two, gen2) is charge_expression(one, gen1)
+    assert energy_correction_integrand(two) is energy_correction_integrand(one)
+    assert momentum_correction_integrand(two, 0) is momentum_correction_integrand(one, 0)
+    # each alpha builds its own drag: the net force and the gauge rate,
+    # whose part without the drag term is shared
+    assert ode2.net[0] is not ode1.net[0] and ode2.net[0].a is ode1.net[0].a
+    assert gen2.gauge_rate is not gen1.gauge_rate
+    assert gen2.gauge_rate.a is gen1.gauge_rate.a
+    # a problem made another way shares nothing
+    other = dataclasses.replace(two, frac=FractionalParams(0.9, 3.0))
+    assert other.momentum is not one.momentum
+    assert charge_expression(other, gen2) is not charge_expression(one, gen1)
 
 
 def test_the_cli_import_leaves_out_the_acceptance_corpus():

@@ -19,7 +19,9 @@ of the pass had it, and for one step of the loop:
 The last lines give the loops of the pass: how many were defined, how
 many of them were emitted and how many were taken from the shape cache
 (``expressions.shaped``), the distinct sources, and the seconds spent in
-``integrators._compile_rk4_loop``, timed with ``perf_counter``.
+``integrators._compile_rk4_loop``, timed with ``perf_counter``; then the
+``Expr.diff`` and ``Emitter.define`` calls of the whole pass, every
+function counted, loop or not.  The counts repeat exactly from run to run.
 """
 
 from __future__ import annotations
@@ -91,15 +93,22 @@ def workloads():
 
 def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args)], loops
-    emitted, compile seconds)."""
+    emitted, compile seconds, {"diff": calls, "define": calls})."""
     loops: list[list] = []
     define = expressions.Emitter.define
+    diff = expressions.Expr.diff
     compile_loop = integrators._compile_rk4_loop
     emit_loop = integrators._emit_rk4_loop
     spent = [0.0]
     emitted = [0]
+    calls = {"diff": 0, "define": 0}
+
+    def counted_diff(self, var):
+        calls["diff"] += 1
+        return diff(self, var)
 
     def recording_define(self, source, name, **names):
+        calls["define"] += 1
         fn = define(self, source, name, **names)
         if name != "loop":
             return fn
@@ -126,6 +135,7 @@ def record_pass(workload: str, seed: int):
 
     plan = workloads().build_plan(workload, seed)
     expressions.Emitter.define = recording_define
+    expressions.Expr.diff = counted_diff
     integrators._compile_rk4_loop = timed_compile
     integrators._emit_rk4_loop = counted_emit
     cwd = os.getcwd()
@@ -143,9 +153,10 @@ def record_pass(workload: str, seed: int):
     finally:
         os.chdir(cwd)
         expressions.Emitter.define = define
+        expressions.Expr.diff = diff
         integrators._compile_rk4_loop = compile_loop
         integrators._emit_rk4_loop = emit_loop
-    return loops, emitted[0], spent[0]
+    return loops, emitted[0], spent[0], calls
 
 
 def main(argv=None) -> int:
@@ -154,7 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    loops, emitted, seconds = record_pass(args.workload, args.seed)
+    loops, emitted, seconds, counts = record_pass(args.workload, args.seed)
     distinct: dict[str, list] = {}
     for source, fn, call in loops:
         distinct.setdefault(source, [fn, call, 0])[2] += 1
@@ -166,6 +177,7 @@ def main(argv=None) -> int:
     print(f"{len(loops)} loops: {emitted} emitted, {len(loops) - emitted} from the shape cache, "
           f"{len(distinct)} distinct sources")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
+    print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
     return 0
 
 
