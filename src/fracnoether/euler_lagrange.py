@@ -217,7 +217,7 @@ class ExplicitOde:
     weighted Euler-Lagrange equation reads M accel = F - c p, where the
     force tree F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k,
     and the kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
-    F_j - c p_j are built here, on force and mass trees every alpha shares;
+    F_j - c p_j, F_j at alpha = 1, are built here on the shared force trees;
     ``constant_mass`` holds the rows of M as floats when every mass tree is
     a constant, and is None otherwise.
 
@@ -239,8 +239,10 @@ class ExplicitOde:
         self.force, self.mass, self.constant_mass = _force_and_mass(prob)
         # Built from the nodes, not the folding helpers: F - c p must not
         # fold to -(c p) when F is zero, which would flip the sign of a zero.
+        # At alpha = 1 there is no drag, and the net force is F itself.
         c = prob.frac.kernel_coefficient()
-        self.net = [Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
+        self.net = list(self.force) if prob.frac.alpha == 1.0 else [
+            Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
         self.loops: dict = {}
 
     @cached_property

@@ -13,18 +13,21 @@ accelerations of an :class:`ExplicitOde` right-hand side
 (:meth:`ExplicitOde.emit_accelerations`, the same statements its own call
 runs) and the trees of expression integrands written out at each of the
 four stage points (subtrees shared at one point computed once), and any
-other callable called at each stage.  An
-``ExplicitOde`` keeps its compiled loops, one per integrand set, so the
-many solves of :func:`bvp_shoot` compile two loops in all, and a loop
-whose trees have the shape of an earlier one, as at the next alpha of a
-sweep, is not emitted again.  :func:`ivp_solve` tests the rows finite
-once per solve, not the loop at every step.
+other callable called at each stage.  An ``ExplicitOde`` keeps its
+compiled loops, one per integrand set, and a loop whose trees have the
+shape of an earlier one, as at the next alpha of a sweep, is not emitted
+again.  :func:`ivp_solve` tests the rows finite once per solve, not the
+loop at every step.  The Newton solves of :func:`bvp_shoot` run the
+channel-less loop keeping only the state at b, and the one trajectory a
+shoot returns is a solve at the final velocity with its channels.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from array import array
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -234,6 +237,42 @@ def ivp_solve(
     )
 
 
+def _final_state(
+    rhs: ExplicitOde, a: float, b: float, q0: Sequence[float], steps: int
+) -> Callable:
+    """``final_state(v0)``: the last row ``(q.., v..)`` of ``ivp_solve(rhs, a, b,
+    q0, v0, steps)``, for any ``v0`` of the ODE's length, from the same
+    compiled loop keeping only that row; no trajectory is built.
+
+    Validates as :func:`ivp_solve` does, once.  The loop only adds to q and
+    v, so a finite last row means every row was finite.  Where the loop
+    raises or the last row is not finite, that solve runs again through
+    :func:`ivp_solve`, which raises its error, with the same theta and message.
+    """
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
+    qc = [float(x) for x in q0]
+    if rhs.n != len(qc):
+        raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
+    nodes = uniform_grid(a, b, steps).tolist()
+    h = (float(b) - float(a)) / steps
+    loop = _rk4_loop(rhs, rhs.n, [])
+
+    def final_state(v0: Sequence[float]) -> tuple:
+        vc = [float(x) for x in v0]
+        last = deque(maxlen=1)
+        try:
+            loop(nodes, h, 0.5 * h, h / 6.0, qc + vc, last.append)
+        except Exception:
+            last.clear()
+        if last and all(map(math.isfinite, last[0])):
+            return last[0]
+        traj = ivp_solve(rhs, a, b, qc, vc, steps)
+        return (*traj.q[-1], *traj.v[-1])
+
+    return final_state
+
+
 def _finite_rows(rows: array, width: int, grid: np.ndarray) -> np.ndarray:
     """The flat rows as a table of ``width`` columns; :class:`BlowUpError` at the
     node of the first non-finite row after the initial state.  The loop only adds to
@@ -384,10 +423,11 @@ def bvp_shoot(
 
     Forward finite differences supply the Jacobian of the boundary map
     v0 -> q(b; v0) - q_b, until no component of the miss exceeds
-    ``SHOOTING_TOL``.  The converged solve is repeated once with the
-    requested channel integrands attached.  Every solve runs on one
-    :class:`ExplicitOde`, so the probes share one compiled loop and the
-    channel solve compiles one more.
+    ``SHOOTING_TOL``.  The Newton solves run one compiled loop on one
+    :class:`ExplicitOde` and keep only the state at b
+    (:func:`_final_state`); the trajectory returned, with the requested
+    channel integrands, is one :func:`ivp_solve` at the final velocity,
+    converged or not, and the report's miss is that solve's.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")
@@ -398,12 +438,12 @@ def bvp_shoot(
     n = prob.n
 
     v0 = (q_b - q_a) / (b - a)
+    final_state = _final_state(rhs, a, b, q_a, steps)
 
-    def boundary_miss(v_init: np.ndarray) -> tuple[np.ndarray, Trajectory]:
-        traj = ivp_solve(rhs, a, b, q_a, v_init, steps)
-        return traj.q[-1] - q_b, traj
+    def boundary_miss(v_init: np.ndarray) -> np.ndarray:
+        return np.array(final_state(v_init)[:n]) - q_b
 
-    miss, traj = boundary_miss(v0)
+    miss = boundary_miss(v0)
     iterations = 0
     converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
 
@@ -413,25 +453,21 @@ def bvp_shoot(
             delta = 1e-6 * (1.0 + abs(v0[k]))
             probe = v0.copy()
             probe[k] += delta
-            miss_k, _ = boundary_miss(probe)
-            jac[:, k] = (miss_k - miss) / delta
+            jac[:, k] = (boundary_miss(probe) - miss) / delta
         try:
             step = linsolve.solve(jac, -miss)
         except linsolve.SingularMatrixError as exc:
             raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
         v0 = v0 + step
-        miss, traj = boundary_miss(v0)
+        miss = boundary_miss(v0)
         iterations += 1
         converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
 
-    if converged and integrands:
-        traj = ivp_solve(rhs, a, b, q_a, v0, steps, integrands=integrands)
-        miss = traj.q[-1] - q_b
-
+    traj = ivp_solve(rhs, a, b, q_a, v0, steps, integrands=integrands)
     report = ShootingReport(
         converged=converged,
         iterations=iterations,
-        boundary_miss=tuple(float(x) for x in miss),
+        boundary_miss=tuple(float(x) for x in traj.q[-1] - q_b),
         initial_velocity=tuple(float(x) for x in v0),
     )
     return traj, report

@@ -1,0 +1,211 @@
+"""Newton shooting against a reference written with ``ivp_solve`` alone.
+
+``bvp_shoot`` runs its Newton solves through the compiled loop keeping only
+the state at b, and builds one trajectory, at the final velocity.  The
+reference below is the same Newton iteration with every solve a full
+``ivp_solve``: the report, every array of the trajectory and every error
+must be the same, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from fracnoether import integrators
+from fracnoether.charges import (
+    SymmetryGenerator,
+    gauge_rate_from_reduced_condition,
+    standard_integrands,
+)
+from fracnoether.euler_lagrange import (
+    BoundaryConditions,
+    FractionalParams,
+    VariationalProblem,
+    to_explicit_ode,
+)
+from fracnoether.expressions import EvalDomainError, parse
+from fracnoether.integrators import BlowUpError, ShootingReport, bvp_shoot, ivp_solve
+
+
+def problem(text, n, alpha, q_a, q_b):
+    return VariationalProblem(
+        n=n,
+        lagrangian=parse(text, n),
+        interval=(0.0, 1.0),
+        frac=FractionalParams(alpha=alpha, observer_time=2.0),
+        boundary=BoundaryConditions(q_a, q_b),
+    )
+
+
+def time_translation_integrands(prob):
+    """The channels a benchmark ``charge`` of a BVP gives: the gauge of
+    tau = 1, and the energy correction."""
+    gen = SymmetryGenerator(parse("1", prob.n), [parse("0", prob.n)] * prob.n)
+    gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
+    return standard_integrands(prob, [gen], energy=True)
+
+
+def reference_shoot(prob, steps, integrands=None):
+    """Newton shooting where every solve is an ``ivp_solve`` with its
+    trajectory.  The trajectory returned is a solve at the final velocity
+    with the integrands; where no channel is asked for, or a converged shoot
+    re-solves with them, it holds the q and v of the last check solve."""
+    rhs = to_explicit_ode(prob)
+    a, b = prob.interval
+    q_a = np.array(prob.boundary.q_a)
+    q_b = np.array(prob.boundary.q_b)
+    n = prob.n
+    v0 = (q_b - q_a) / (b - a)
+
+    def boundary_miss(v_init):
+        traj = ivp_solve(rhs, a, b, q_a, v_init, steps)
+        return traj.q[-1] - q_b, traj
+
+    miss, check = boundary_miss(v0)
+    iterations = 0
+    converged = bool(np.max(np.abs(miss)) <= integrators.SHOOTING_TOL)
+    while not converged and iterations < integrators.SHOOTING_MAX_ITER:
+        jac = np.empty((n, n))
+        for k in range(n):
+            delta = 1e-6 * (1.0 + abs(v0[k]))
+            probe = v0.copy()
+            probe[k] += delta
+            miss_k, _ = boundary_miss(probe)
+            jac[:, k] = (miss_k - miss) / delta
+        v0 = v0 + integrators.linsolve.solve(jac, -miss)
+        miss, check = boundary_miss(v0)
+        iterations += 1
+        converged = bool(np.max(np.abs(miss)) <= integrators.SHOOTING_TOL)
+
+    traj = ivp_solve(rhs, a, b, q_a, v0, steps, integrands=integrands)
+    assert traj.q.tobytes() == check.q.tobytes() and traj.v.tobytes() == check.v.tobytes()
+    report = ShootingReport(
+        converged=converged,
+        iterations=iterations,
+        boundary_miss=tuple(float(x) for x in traj.q[-1] - q_b),
+        initial_velocity=tuple(float(x) for x in v0),
+    )
+    return traj, report
+
+
+def assert_same_shoot(got, want):
+    (traj, report), (ref_traj, ref_report) = got, want
+    assert repr(report) == repr(ref_report)
+    for name in ("theta_grid", "q", "v"):
+        assert getattr(traj, name).tobytes() == getattr(ref_traj, name).tobytes(), name
+    assert list(traj.channels) == list(ref_traj.channels)
+    for name, values in traj.channels.items():
+        assert values.tobytes() == ref_traj.channels[name].tobytes(), name
+
+
+# The three families of the benchmark's bvp_shoot workload, with
+# coefficients, alpha and q_b inside its ranges.
+BENCHMARK_BVPS = {
+    "pendulum": ("1.3*v0^2/2 + 0.7*cos(q0)", 1, 0.4, [0.0], [2.1]),
+    "quartic_bvp": ("1.2*v0^2/2 - 0.6*q0^4/4", 1, 0.6, [0.0], [1.1]),
+    "coupled_cos": (
+        "(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2", 2, 0.5,
+        [0.0, 0.0], [0.3, 0.4],
+    ),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BENCHMARK_BVPS))
+@pytest.mark.parametrize("channels", [True, False])
+def test_shoot_matches_the_reference_bit_for_bit(family, channels):
+    prob = problem(*BENCHMARK_BVPS[family])
+    integrands = time_translation_integrands(prob) if channels else None
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert got[1].converged and got[1].iterations >= 2
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
+@pytest.mark.parametrize("channels", [True, False])
+def test_unconverged_shoot_matches_the_reference(monkeypatch, channels):
+    monkeypatch.setattr(integrators, "SHOOTING_MAX_ITER", 0)
+    prob = problem(*BENCHMARK_BVPS["pendulum"])
+    integrands = time_translation_integrands(prob) if channels else None
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert not got[1].converged and got[1].iterations == 0
+    assert set(got[0].channels) == (set(integrands) if channels else set())
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
+def assert_same_error(got, want):
+    """Same class, message and theta, raised from the same chain."""
+    got, want = got.value, want.value
+    assert type(got) is type(want) and str(got) == str(want)
+    assert getattr(got, "theta", None) == getattr(want, "theta", None)
+    assert type(got.__cause__) is type(want.__cause__)
+    assert type(got.__context__) is type(want.__context__)
+    assert got.__suppress_context__ == want.__suppress_context__
+
+
+def last_finite_velocity(prob, steps):
+    """The largest initial velocity, to within a tenth of a Newton probe
+    step, whose solve stays finite, by bisection."""
+    rhs = to_explicit_ode(prob)
+
+    def blows_up(v):
+        try:
+            ivp_solve(rhs, 0.0, 1.0, [0.0], [v], steps)
+        except BlowUpError:
+            return True
+        return False
+
+    lo, hi = 0.0, 1.0
+    while not blows_up(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-7 * (1.0 + abs(lo)):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if blows_up(mid) else (mid, hi)
+    return lo
+
+
+# q^3 overflows to inf with no error, and exp(q) raises OverflowError
+@pytest.mark.parametrize("text", ["v0^2/2 + q0^4/4", "v0^2/2 + exp(q0)"])
+def test_a_probe_that_blows_up_raises_what_ivp_solve_raises(text):
+    steps = 20
+    v_last = last_finite_velocity(problem(text, 1, 0.5, [0.0], [1.0]), steps)
+    # the first check solve, at q_b / 1, stays finite; its probe does not
+    prob = problem(text, 1, 0.5, [0.0], [v_last])
+    rhs = to_explicit_ode(prob)
+    probe = v_last + 1e-6 * (1.0 + abs(v_last))
+    assert np.isfinite(ivp_solve(rhs, 0.0, 1.0, [0.0], [v_last], steps).q).all()
+    with pytest.raises(BlowUpError) as want:
+        ivp_solve(rhs, 0.0, 1.0, [0.0], [probe], steps)
+    with pytest.raises(BlowUpError) as got:
+        bvp_shoot(prob, steps=steps)
+    assert_same_error(got, want)
+
+
+def test_a_check_solve_that_leaves_the_domain_raises_what_ivp_solve_raises():
+    # dL/dq0 = ln(q0) + 1, and the first check solve runs q0 from 1 to -1
+    prob = problem("v0^2/2 + q0*ln(q0)", 1, 0.5, [1.0], [-1.0])
+    with pytest.raises(EvalDomainError) as want:
+        ivp_solve(to_explicit_ode(prob), 0.0, 1.0, [1.0], [-2.0], 50)
+    with pytest.raises(EvalDomainError) as got:
+        bvp_shoot(prob, steps=50)
+    assert_same_error(got, want)
+
+
+def test_one_step_is_rejected_before_any_solve():
+    prob = problem(*BENCHMARK_BVPS["pendulum"])
+    with pytest.raises(ValueError, match="^steps must be at least 2$"):
+        bvp_shoot(prob, steps=1)
+
+
+@pytest.mark.parametrize("channels", [True, False])
+def test_a_converged_shoot_builds_one_trajectory(monkeypatch, channels):
+    built = []
+    post_init = integrators.Trajectory.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(integrators.Trajectory, "__post_init__", counted)
+    prob = problem(*BENCHMARK_BVPS["coupled_cos"])
+    integrands = time_translation_integrands(prob) if channels else None
+    traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
+    assert report.converged and report.iterations >= 2  # 7 or more Newton solves
+    assert len(built) == 1 and built[0] is traj

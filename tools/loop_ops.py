@@ -21,12 +21,16 @@ many of them were emitted and how many were taken from the shape cache
 (``expressions.shaped``), the distinct sources, and the seconds spent in
 ``integrators._compile_rk4_loop``, timed with ``perf_counter``; then the
 ``Expr.diff`` and ``Emitter.define`` calls of the whole pass, every
-function counted, loop or not.  The counts repeat exactly from run to run.
+function counted, loop or not; then the ``Trajectory`` objects the pass
+constructed and the loop calls that kept only the last row (an ``out`` that
+is the ``append`` of a ``deque`` of ``maxlen`` 1, as the Newton solves of
+``integrators.bvp_shoot`` pass).  The counts repeat exactly from run to run.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dis
 import hashlib
@@ -91,9 +95,16 @@ def workloads():
     return workloads
 
 
+def kept_last_row(out) -> bool:
+    """Whether ``out`` is the ``append`` of a deque that keeps one row."""
+    owner = getattr(out, "__self__", None)
+    return isinstance(owner, collections.deque) and owner.maxlen == 1
+
+
 def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args)], loops
-    emitted, compile seconds, {"diff": calls, "define": calls})."""
+    emitted, compile seconds, {"diff": calls, "define": calls,
+    "trajectory": constructions, "last_row": loop calls keeping the last row})."""
     loops: list[list] = []
     define = expressions.Emitter.define
     diff = expressions.Expr.diff
@@ -101,7 +112,8 @@ def record_pass(workload: str, seed: int):
     emit_loop = integrators._emit_rk4_loop
     spent = [0.0]
     emitted = [0]
-    calls = {"diff": 0, "define": 0}
+    post_init = integrators.Trajectory.__post_init__
+    calls = {"diff": 0, "define": 0, "trajectory": 0, "last_row": 0}
 
     def counted_diff(self, var):
         calls["diff"] += 1
@@ -118,9 +130,14 @@ def record_pass(workload: str, seed: int):
         def loop(*args):
             if entry[2] is None:
                 entry[2] = args
+            calls["last_row"] += kept_last_row(args[5])
             return fn(*args)
 
         return loop
+
+    def counted_post_init(self):
+        calls["trajectory"] += 1
+        post_init(self)
 
     def timed_compile(*args):
         start = perf_counter()
@@ -136,6 +153,7 @@ def record_pass(workload: str, seed: int):
     plan = workloads().build_plan(workload, seed)
     expressions.Emitter.define = recording_define
     expressions.Expr.diff = counted_diff
+    integrators.Trajectory.__post_init__ = counted_post_init
     integrators._compile_rk4_loop = timed_compile
     integrators._emit_rk4_loop = counted_emit
     cwd = os.getcwd()
@@ -154,6 +172,7 @@ def record_pass(workload: str, seed: int):
         os.chdir(cwd)
         expressions.Emitter.define = define
         expressions.Expr.diff = diff
+        integrators.Trajectory.__post_init__ = post_init
         integrators._compile_rk4_loop = compile_loop
         integrators._emit_rk4_loop = emit_loop
     return loops, emitted[0], spent[0], calls
@@ -178,6 +197,8 @@ def main(argv=None) -> int:
           f"{len(distinct)} distinct sources")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
     print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
+    print(f"{counts['trajectory']} Trajectory constructions, "
+          f"{counts['last_row']} loop calls that kept only the last row")
     return 0
 
 
