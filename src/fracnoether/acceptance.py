@@ -80,7 +80,7 @@ def criterion_classical_limit() -> CriterionResult:
     prob = _problem("(v0^2 - q0^2)/2", 1, alpha=1.0)
     traj = _solve_ivp(prob, [1.0], [0.0], 1000, energy=True)
     exact = np.cos(traj.theta_grid)
-    traj_err = float(np.max(np.abs(traj.q[:, 0] - exact)))
+    traj_err = float(np.max(np.abs(np.asarray(traj.q)[:, 0] - exact)))
     energy = fractional_energy(prob, traj)
     ok = traj_err < 1e-9 and energy.relative_drift < 1e-10
     return CriterionResult(
@@ -107,8 +107,8 @@ def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
 def criterion_free_particle_velocity() -> CriterionResult:
     prob = _problem("v0^2/2", 1, alpha=0.5)
     traj = _solve_ivp(prob, [0.0], [1.0], 1000)
-    exact = _free_particle_velocity(traj.theta_grid)
-    rel_err = float(np.max(np.abs(traj.v[:, 0] - exact) / np.abs(exact)))
+    exact = _free_particle_velocity(np.asarray(traj.theta_grid))
+    rel_err = float(np.max(np.abs(np.asarray(traj.v)[:, 0] - exact) / np.abs(exact)))
     ok = rel_err < 1e-8
     return CriterionResult(
         "free_particle_closed_form",
@@ -131,7 +131,7 @@ def criterion_fractional_momentum() -> CriterionResult:
     # constant K (t-a)^(1-alpha), i.e. exactly the launch velocity.
     coefficient = 1.0 / (t - a) ** (1.0 - alpha)
     analytic = coefficient * (t - a) ** (1.0 - alpha)
-    const_err = float(np.max(np.abs(series.values - analytic)))
+    const_err = float(np.max(np.abs(np.asarray(series.values) - analytic)))
     ok = series.relative_drift < 1e-8 and const_err < 1e-8
     return CriterionResult(
         "fractional_momentum_constant",

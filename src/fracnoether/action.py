@@ -2,7 +2,9 @@
 
 The action of a trajectory is the Simpson quadrature of
 ``L(theta, q, v) * (t - theta)^(alpha - 1)`` over the stored grid, divided
-by Gamma(alpha); the integrand is one tree, sampled like every charge.
+by Gamma(alpha); the integrand is one tree
+(``VariationalProblem.action_integrand``), sampled like every charge, and
+the sums are ``math.fsum``, correctly rounded.
 The kernel is smooth on the whole interval because the observer time sits
 strictly beyond it, so Simpson's 4th order is ample and no singular
 quadrature is needed.
@@ -14,18 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .euler_lagrange import VariationalProblem
-from .expressions import (
-    Expr,
-    Theta,
-    depends_on_velocity,
-    evaluate_on_grid,
-    max_coordinate_index,
-    mul,
-)
-from .integrators import Trajectory
+from .expressions import Expr, Theta, depends_on_velocity, evaluate_on_grid, max_coordinate_index
+from .integrators import Sample, Trajectory, log_log_slope
 
 # Lanczos approximation, g = 7 with the standard 9-term coefficient set.
 # Relative error stays below 1e-13 across (0, 50], which the unit tests
@@ -81,8 +74,8 @@ class StationarityReport:
     deltas: tuple
 
 
-def _simpson(values: np.ndarray, h: float) -> float:
-    n = values.size - 1
+def _simpson(values: Sequence[float], h: float) -> float:
+    n = len(values) - 1
     if n % 2 != 0:
         raise ValueError("Simpson quadrature needs an even number of steps")
     return (
@@ -91,14 +84,20 @@ def _simpson(values: np.ndarray, h: float) -> float:
         * (
             values[0]
             + values[-1]
-            + 4.0 * values[1:-1:2].sum()
-            + 2.0 * values[2:-1:2].sum()
+            + 4.0 * math.fsum(values[1:-1:2])
+            + 2.0 * math.fsum(values[2:-1:2])
         )
     )
 
 
+def action_sample(prob: VariationalProblem) -> Sample:
+    """The integrand of :func:`fractional_action`, for a solve to sample."""
+    return Sample(prob.action_integrand)
+
+
 def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue:
-    """Simpson quadrature of the weighted Lagrangian over the trajectory."""
+    """Simpson quadrature of the weighted Lagrangian over the trajectory,
+    its integrand taken from the solve where it sampled it."""
     traj.check_n_dof(prob.n)
     a, b = prob.interval
     grid = traj.theta_grid
@@ -108,13 +107,13 @@ def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue
     if n % 2 != 0:
         raise ValueError("action quadrature needs an even step count")
     h = (b - a) / n
-    f = evaluate_on_grid(mul(prob.lagrangian, prob.frac.weight()), grid, traj.q, traj.v)
+    f = traj.sample(action_sample(prob))
     gamma_alpha = gamma_fn(prob.frac.alpha)
     value = _simpson(f, h) / gamma_alpha
     if n % 4 == 0:
         coarse = _simpson(f[::2], 2.0 * h) / gamma_alpha
     else:
-        coarse = h * (0.5 * f[0] + f[1:-1].sum() + 0.5 * f[-1]) / gamma_alpha
+        coarse = h * (0.5 * f[0] + math.fsum(f[1:-1]) + 0.5 * f[-1]) / gamma_alpha
     return ActionValue(value=value, quadrature_error_estimate=abs(value - coarse))
 
 
@@ -145,9 +144,9 @@ def stationarity_check(
     if not all(0.0 < e < math.inf for e in eps_sorted):
         raise ValueError("epsilons must be finite and positive")
     grid = extremal.theta_grid
-    zeros = np.zeros((grid.size, 1))
+    zeros = [(0.0,)] * len(grid)
     bump_vals = evaluate_on_grid(bump, grid, zeros, zeros)
-    scale = 1.0 + float(np.max(np.abs(bump_vals)))
+    scale = 1.0 + max(map(abs, bump_vals))
     if abs(bump_vals[0]) > _BUMP_BOUNDARY_TOL * scale or abs(
         bump_vals[-1]
     ) > _BUMP_BOUNDARY_TOL * scale:
@@ -157,8 +156,8 @@ def stationarity_check(
     base = fractional_action(prob, extremal).value
 
     def perturbed_action(eps: float) -> float:
-        q = extremal.q + eps * bump_vals[:, None]
-        v = extremal.v + eps * dbump_vals[:, None]
+        q = [tuple(x + eps * b for x in row) for row, b in zip(extremal.q, bump_vals)]
+        v = [tuple(x + eps * b for x in row) for row, b in zip(extremal.v, dbump_vals)]
         traj = Trajectory(theta_grid=grid, q=q, v=v, channels={})
         return fractional_action(prob, traj).value
 
@@ -176,9 +175,7 @@ def stationarity_check(
 
     usable = [(e, d) for e, d in zip(eps_sorted, deltas) if d > 0.0]
     if len(usable) >= 2:
-        log_eps = np.log([e for e, _ in usable])
-        log_d = np.log([d for _, d in usable])
-        exponent = float(np.polyfit(log_eps, log_d, 1)[0])
+        exponent = log_log_slope([e for e, _ in usable], [d for _, d in usable])
     else:
         exponent = None
 

@@ -15,7 +15,9 @@ rate accumulated by quadrature from the left endpoint; the running
 correction integrals of the specialized energy/momentum charges use the
 same base point, so all charges are pinned up to the additive constant
 that drift statistics ignore anyway.  The five charge samplers share one
-path: a tree on the trajectory's grid plus a weight times a channel.
+path: a tree on the trajectory's grid plus a weight times a channel, a
+:class:`~fracnoether.integrators.Sample` that the solve can write into
+its loop (:func:`standard_samples`, next to :func:`standard_integrands`).
 
 The energy charge needs a Lagrangian whose tree has no ``theta`` node, and
 the momentum charge for q_i one with no ``q_i`` node.  Both preconditions
@@ -29,8 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .euler_lagrange import (
     ExplicitOde, VariationalProblem, along_motion, alpha_free, to_explicit_ode,
@@ -50,7 +50,7 @@ from .expressions import (
     references,
     sub,
 )
-from .integrators import Trajectory, write_table
+from .integrators import Sample, Trajectory, column, write_table
 
 # Channel names the specialized charges expect on a trajectory.
 LAMBDA_CHANNEL = "Lambda"
@@ -97,18 +97,20 @@ class SymmetryGenerator:
 
 @dataclass(frozen=True)
 class ChargeSeries:
-    """Samples of a candidate constant of motion with drift statistics."""
+    """Samples of a candidate constant of motion with drift statistics:
+    ``theta_grid`` and ``values`` tuples of floats."""
 
-    theta_grid: np.ndarray
-    values: np.ndarray
+    theta_grid: tuple
+    values: tuple
     drift: float
     relative_drift: float
 
     @classmethod
-    def from_values(cls, theta_grid: np.ndarray, values: np.ndarray) -> "ChargeSeries":
-        theta_grid = np.asarray(theta_grid, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if theta_grid.shape != values.shape:
+    def from_values(cls, theta_grid: Sequence[float], values: Sequence[float]) -> "ChargeSeries":
+        if not isinstance(theta_grid, tuple):
+            theta_grid = column(theta_grid)
+        values = column(values)
+        if len(theta_grid) != len(values):
             raise ValueError("theta grid and values must share length")
         d, rd = _drift_stats(values)
         return cls(theta_grid=theta_grid, values=values, drift=d, relative_drift=rd)
@@ -122,14 +124,18 @@ class ChargeSeries:
         )
 
 
-def _drift_stats(values: np.ndarray) -> tuple[float, float]:
-    d = float(np.max(np.abs(values - values[0])))
-    return d, d / (1.0 + float(np.max(np.abs(values))))
+def _drift_stats(values: Sequence[float]) -> tuple[float, float]:
+    """max_k |x_k - x_0| and its ratio to 1 + max_k |x_k|.  Rounding is
+    monotone, so the largest |x_k - x_0| is that of the largest or the
+    smallest x_k, with the same rounding: no difference is formed per sample."""
+    top, bottom, first = max(values), min(values), values[0]
+    d = max(top - first, first - bottom)
+    return d, d / (1.0 + max(top, -bottom))
 
 
 def drift(series: ChargeSeries) -> tuple[float, float]:
     """Recompute (drift, relative_drift) from the stored samples."""
-    return _drift_stats(np.asarray(series.values, dtype=float))
+    return _drift_stats(series.values)
 
 
 # --------------------------------------------------------------------------
@@ -313,6 +319,29 @@ def standard_integrands(
     return out
 
 
+def standard_samples(
+    prob: VariationalProblem,
+    generators: Sequence[SymmetryGenerator] = (),
+    energy: bool = False,
+    momentum: bool = False,
+    classical: bool = False,
+) -> list[Sample]:
+    """The samples the requested charges read, for a solve to write into
+    its loop: the Noether charge of each generator (against the channels of
+    :func:`standard_integrands`), the fractional energy and momenta whose
+    preconditions hold, and with ``classical`` the uncorrected energy and
+    momenta."""
+    out = [_noether_sample(prob, gen, gauge_channel(i, len(generators)))
+           for i, gen in enumerate(generators)]
+    for fractional in [True, False] if classical else [True]:
+        if energy and (not fractional or _autonomous(prob)):
+            out.append(_energy_sample(prob, fractional))
+        if momentum:
+            out.extend(_momentum_sample(prob, j, fractional)
+                       for j in range(prob.n) if not fractional or _cyclic(prob, j))
+    return out
+
+
 def noether_charge(
     prob: VariationalProblem,
     gen: SymmetryGenerator,
@@ -320,14 +349,14 @@ def noether_charge(
     channel: str = LAMBDA_CHANNEL,
 ) -> ChargeSeries:
     """Sample the gauge-corrected charge along a trajectory."""
-    return _sample(prob, traj, lambda: charge_expression(prob, gen), -1.0, channel,
+    return _sample(prob, traj, lambda: _noether_sample(prob, gen, channel), channel,
                    "accumulated gauge")
 
 
 def classical_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
     """L - dL/dv . v sampled with no fractional correction (constant only
     at alpha = 1 for autonomous Lagrangians)."""
-    return _sample(prob, traj, lambda: prob.energy)
+    return _sample(prob, traj, lambda: _energy_sample(prob, fractional=False))
 
 
 def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSeries:
@@ -335,12 +364,12 @@ def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSerie
 
     Samples L - dL/dv.v - (1-alpha) * integral of dL/dv.v/(t-theta).
     """
-    if references(prob.lagrangian, Theta()):
+    if not _autonomous(prob):
         raise ChargePreconditionError(
             "energy charge requires an autonomous Lagrangian (no explicit theta)"
         )
-    weight = -prob.frac.drag_strength
-    return _sample(prob, traj, lambda: prob.energy, weight, ENERGY_CHANNEL, "energy correction")
+    return _sample(prob, traj, lambda: _energy_sample(prob, fractional=True), ENERGY_CHANNEL,
+                   "energy correction")
 
 
 def classical_momentum(
@@ -348,7 +377,7 @@ def classical_momentum(
 ) -> ChargeSeries:
     """dL/dv_i sampled with no fractional correction."""
     _check_dof(prob, dof)
-    return _sample(prob, traj, lambda: prob.momentum[dof])
+    return _sample(prob, traj, lambda: _momentum_sample(prob, dof, fractional=False))
 
 
 def fractional_momentum(
@@ -359,13 +388,12 @@ def fractional_momentum(
     Samples dL/dv_i + (1-alpha) * integral of dL/dv_i/(t-theta).
     """
     _check_dof(prob, dof)
-    if references(prob.lagrangian, Q(dof)):
+    if not _cyclic(prob, dof):
         raise ChargePreconditionError(
             f"momentum charge for dof {dof} requires L independent of q{dof}"
         )
-    channel = MOMENTUM_CHANNEL.format(dof=dof)
-    weight = prob.frac.drag_strength
-    return _sample(prob, traj, lambda: prob.momentum[dof], weight, channel, "momentum correction")
+    return _sample(prob, traj, lambda: _momentum_sample(prob, dof, fractional=True),
+                   MOMENTUM_CHANNEL.format(dof=dof), "momentum correction")
 
 
 def pointwise_conservation_residual(
@@ -373,7 +401,7 @@ def pointwise_conservation_residual(
     gen: SymmetryGenerator,
     traj: Trajectory,
     ode: ExplicitOde | None = None,
-) -> np.ndarray:
+) -> tuple:
     """d/dtheta of the charge at every grid point, quadrature-free.
 
     Uses accelerations from the explicit right-hand side, called at each
@@ -387,31 +415,54 @@ def pointwise_conservation_residual(
     if ode is None:
         ode = to_explicit_ode(prob)
     grid, q, v = traj.theta_grid, traj.q, traj.v
-    accel = np.array([ode(*point) for point in zip(grid.tolist(), q.tolist(), v.tolist())])
+    accel = [ode(*point) for point in zip(grid, q, v)]
     rate, accel_coeffs = along_motion(charge_expression(prob, gen), prob.n)
     out = evaluate_on_grid(rate, grid, q, v)
     for k, coeff in enumerate(accel_coeffs):
-        out = out + evaluate_on_grid(coeff, grid, q, v) * accel[:, k]
-    return out - evaluate_on_grid(gen.gauge_rate, grid, q, v)
+        out = [x + c * a[k] for x, c, a in zip(out, evaluate_on_grid(coeff, grid, q, v), accel)]
+    return tuple([x - g for x, g in zip(out, evaluate_on_grid(gen.gauge_rate, grid, q, v))])
 
 
 # --------------------------------------------------------------------------
 # Internals
 
 
-def _sample(prob: VariationalProblem, traj: Trajectory, tree: Callable[[], Expr],
-            weight: float = 0.0, channel: str | None = None, kind: str = "") -> ChargeSeries:
-    """The tree ``tree()`` sampled on the trajectory's grid, plus weight
-    times the named channel; a trajectory of another degree-of-freedom
-    count than ``prob``'s, or a missing channel, described as ``kind``, is
-    reported before the tree is built."""
+def _sample(prob: VariationalProblem, traj: Trajectory, make: Callable[[], Sample],
+            channel: str | None = None, kind: str = "") -> ChargeSeries:
+    """The series of the sample ``make()`` on the trajectory (taken from the
+    solve, or evaluated: :meth:`Trajectory.sample`); a trajectory of another
+    degree-of-freedom count than ``prob``'s, or a missing ``channel``,
+    described as ``kind``, is reported before the sample's tree is built."""
     traj.check_n_dof(prob.n)
     if channel is not None and channel not in traj.channels:
         raise MissingChannelError(f"trajectory lacks the {kind} channel {channel!r}")
-    values = evaluate_on_grid(tree(), traj.theta_grid, traj.q, traj.v)
-    if channel is not None:
-        values = values + weight * traj.channels[channel]
-    return ChargeSeries.from_values(traj.theta_grid, values)
+    return ChargeSeries.from_values(traj.theta_grid, traj.sample(make()))
+
+
+def _noether_sample(prob: VariationalProblem, gen: SymmetryGenerator, channel: str) -> Sample:
+    return Sample(charge_expression(prob, gen), -1.0, channel)
+
+
+def _energy_sample(prob: VariationalProblem, fractional: bool) -> Sample:
+    if not fractional:
+        return Sample(prob.energy)
+    return Sample(prob.energy, -prob.frac.drag_strength, ENERGY_CHANNEL)
+
+
+def _momentum_sample(prob: VariationalProblem, dof: int, fractional: bool) -> Sample:
+    if not fractional:
+        return Sample(prob.momentum[dof])
+    return Sample(prob.momentum[dof], prob.frac.drag_strength, MOMENTUM_CHANNEL.format(dof=dof))
+
+
+def _autonomous(prob: VariationalProblem) -> bool:
+    """The precondition of the energy charge: no theta node in L."""
+    return not references(prob.lagrangian, Theta())
+
+
+def _cyclic(prob: VariationalProblem, dof: int) -> bool:
+    """The precondition of the momentum charge of ``dof``: no q_dof node in L."""
+    return not references(prob.lagrangian, Q(dof))
 
 
 def _check_dimensions(prob: VariationalProblem, gen: SymmetryGenerator) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import integrators
-from .action import fractional_action
+from .action import action_sample, fractional_action
 from .charges import (
     ChargePreconditionError,
     ChargeSeries,
@@ -31,6 +31,7 @@ from .charges import (
     gauge_channel,
     noether_charge,
     standard_integrands,
+    standard_samples,
 )
 from .euler_lagrange import SingularHessianError, to_explicit_ode
 from .expressions import EvalDomainError, ExpressionError
@@ -70,26 +71,34 @@ def _load(args) -> Scenario:
     return scenario
 
 
-def _solve(scenario: Scenario, alpha: float):
-    """Solve one alpha point with every channel the scenario's charges need."""
+def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: bool = False):
+    """Solve one alpha point with every channel the scenario's charges need.
+
+    With ``sampled`` the solve also samples every requested charge in its
+    loop, and with ``classical`` the classical charges and the action
+    integrand too, all listed before it starts."""
     prob = build_problem(scenario, alpha)
     gens = build_generators(scenario, prob)
-    integrands = standard_integrands(
-        prob,
+    requested = dict(
         generators=gens if "noether" in scenario.charges else [],
         energy="energy" in scenario.charges,
         momentum="momentum" in scenario.charges,
     )
+    integrands = standard_integrands(prob, **requested)
+    samples = standard_samples(prob, **requested, classical=classical) if sampled else []
+    if classical:
+        samples.append(action_sample(prob))
     try:
         if scenario.mode == "bvp":
-            traj, report = bvp_shoot(prob, steps=scenario.steps, integrands=integrands)
+            traj, report = bvp_shoot(
+                prob, steps=scenario.steps, integrands=integrands, samples=samples)
             if not report.converged:
                 raise SolverFailure(
                     f"shooting did not converge in {report.iterations} iterations "
                     f"(miss {max(abs(x) for x in report.boundary_miss):.3e})"
                 )
         else:
-            rhs = to_explicit_ode(prob)
+            rhs = to_explicit_ode(prob).with_samples(samples)
             traj = ivp_solve(
                 rhs,
                 prob.a,
@@ -190,7 +199,7 @@ def cmd_charge(args) -> int:
     if not scenario.charges:
         raise ScenarioError("charge needs at least one requested charge kind")
     out = _output_dir(scenario.output_dir)
-    prob, gens, traj, _ = _solve(scenario, scenario.alpha)
+    prob, gens, traj, _ = _solve(scenario, scenario.alpha, sampled=True)
 
     failures: dict[str, str] = {}
     print(f"{'label':<24}{'drift':>14}{'relative_drift':>18}")
@@ -211,7 +220,7 @@ def cmd_charge(args) -> int:
 def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     rows = []
     try:
-        prob, gens, traj, _ = _solve(scenario, alpha)
+        prob, gens, traj, _ = _solve(scenario, alpha, sampled=True, classical=True)
         action = fractional_action(prob, traj).value
         for label, make in _charges(scenario, prob, gens, traj, classical=True):
             try:

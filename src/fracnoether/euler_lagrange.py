@@ -19,12 +19,11 @@ for regular Lagrangians (invertible velocity Hessian).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from typing import Sequence
-
-import numpy as np
 
 from . import linsolve
 from .expressions import (
@@ -195,6 +194,11 @@ class VariationalProblem:
             out = sub(out, mul(p, V(j)))
         return out
 
+    @cached_property
+    def action_integrand(self) -> Expr:
+        """The weighted Lagrangian L (t - theta)^(alpha - 1) the action integrates."""
+        return mul(self.lagrangian, self.frac.weight())
+
 
 def along_motion(e: Expr, n: int) -> tuple[Expr, list[Expr]]:
     """Split d/dtheta of e along a motion into symbolic pieces.
@@ -221,16 +225,20 @@ class ExplicitOde:
     ``constant_mass`` holds the rows of M as floats when every mass tree is
     a constant, and is None otherwise.
 
-    Callable as ``rhs(theta, q, v) -> accel`` (lists or arrays accepted,
-    a list returned).  :meth:`emit_accelerations` writes the solve for the
+    Callable as ``rhs(theta, q, v) -> accel`` (sequences accepted, a list
+    returned).  :meth:`emit_accelerations` writes the solve for the
     accelerations at a point into an expression emitter; the first call
     compiles it into one function, and :func:`integrators.ivp_solve`
     writes it into its compiled step loop at every stage instead of
-    calling, keeping those loops in ``loops``, one per integrand set.
+    calling, keeping those loops in ``loops``, one per integrand and
+    sample set.  ``samples`` lists the
+    :class:`~fracnoether.integrators.Sample` trees a solve of this ODE
+    samples at every node (:meth:`with_samples`), none by default.
     """
 
     # The names the statements of emit_accelerations use, for Emitter.define.
     NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
+    samples: tuple = ()
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
@@ -245,13 +253,20 @@ class ExplicitOde:
             Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
         self.loops: dict = {}
 
+    def with_samples(self, samples) -> "ExplicitOde":
+        """This ODE, sharing its trees and compiled loops, sampling
+        ``samples`` along every solve."""
+        ode = copy.copy(self)
+        ode.samples = tuple(samples)
+        return ode
+
     @cached_property
     def assemble(self):
         """``assemble(theta, q, v)``: the net force F - c p and the mass matrix
         M (a tuple of rows) at one point, compiled into one function on first use."""
         return compile_trees((self.net, self.mass))
 
-    def residual(self, point: EvalPoint, accel) -> np.ndarray:
+    def residual(self, point: EvalPoint, accel) -> list[float]:
         """Pointwise residual of the weighted Euler-Lagrange equation.
 
         dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point,
@@ -260,11 +275,11 @@ class ExplicitOde:
         """
         if point.n != self.n:
             raise ValueError("point dimension does not match the problem")
-        accel = np.array([float(x) for x in accel])
-        if accel.size != self.n:
+        accel = [float(x) for x in accel]
+        if len(accel) != self.n:
             raise ValueError("accel must have length n")
         force, mass = self.assemble(point.theta, point.q, point.v)
-        return np.array(force) - np.array(mass) @ accel
+        return [f - sum(m * a for m, a in zip(row, accel)) for f, row in zip(force, mass)]
 
     def emit_accelerations(self, em: Emitter, theta: str) -> list[str]:
         """Emit the accelerations at ``em``'s current point; return their names.

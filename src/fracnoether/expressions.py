@@ -16,17 +16,16 @@ Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
 
 Nodes carry no evaluators.  One emitter turns trees into straight-line
-Python source, with a ``math`` variant over floats and a numpy variant over
-sample grids sharing the same domain rules, and each root is emitted once
-on first use.  Constants are bound by name, so trees that differ only in
+Python source over floats, and each root is emitted once on first use.
+Constants are bound by name, so trees that differ only in
 their constants emit the same source, and each distinct source is compiled
 once per process (:meth:`Emitter.define`).  A :class:`Named` value (a
 parameter such as ``1 - alpha``) is bound under its own name and never
 merged with an equal constant, so trees that differ only in named values
 have one shape, and :func:`shaped` emits each shape once, binding the
 named values anew for every later function.  ``e.evaluate(theta, q, v)`` is
-the raw compiled scalar function, :func:`evaluate` and
-:func:`evaluate_on_grid` the checked entry points, which refuse to return
+the raw compiled function, :func:`evaluate` and :func:`evaluate_on_grid`
+(it, point by point) the checked entry points, which refuse to return
 non-finite values.  :func:`compile_trees` compiles several roots into one
 function with subtrees shared across them.  Callers that write their own
 function around emitted trees (the RK4 loop of
@@ -40,8 +39,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
-
-import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -59,7 +56,11 @@ class ParseError(ExpressionError):
 class EvalDomainError(ArithmeticError):
     """Evaluation left the real domain (log of a non-positive value,
     division by zero, power of a non-positive base, or a non-finite
-    result)."""
+    result); the message is ``rule`` and then ``detail``, the value."""
+
+    def __init__(self, rule: str, detail: str = ""):
+        super().__init__(rule + detail)
+        self.rule = rule
 
 
 # Integer exponents up to this magnitude are expanded to repeated
@@ -93,11 +94,11 @@ def _value_key(x: float) -> tuple:
 class Expr:
     """Base node. Subclasses define ``_diff`` and rendering; evaluation is compiled.
 
-    The two slots cache the compiled scalar and grid evaluators of a tree
-    that has been evaluated as a root.
+    The slot caches the compiled evaluator of a tree that has been
+    evaluated as a root.
     """
 
-    __slots__ = ("_scalar_fn", "_grid_fn")
+    __slots__ = ("_scalar_fn",)
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -111,7 +112,12 @@ class Expr:
         and non-finite results pass through, all of which the module-level
         :func:`evaluate` turns into domain errors.
         """
-        return _compiled(self, grid=False)
+        try:
+            return self._scalar_fn
+        except AttributeError:
+            fn = compile_trees(self)
+            object.__setattr__(self, "_scalar_fn", fn)
+            return fn
 
     def diff(self, var: "Expr") -> "Expr":
         """Symbolic partial derivative; a subtree shared within the tree is
@@ -456,8 +462,8 @@ def power(base: Expr, exponent: float) -> Expr:
 # Compilation
 
 # Domain rule of each guarded node: the test that flags a bad argument (the
-# denominator for Div), the message, and for scalar messages the text put
-# before the offending value (None: the value is not shown).
+# denominator for Div), the message, and the text put before the offending
+# value (None: the value is not shown).
 _GUARDS = {
     Ln: ("<= 0.0", "ln of non-positive value", " "),
     Sqrt: ("< 0.0", "sqrt of negative value", " "),
@@ -472,8 +478,6 @@ _NEG = 3
 _CALLS = {Sin: "_sin", Cos: "_cos", Exp: "_exp", Ln: "_log", Sqrt: "_sqrt", Pow: "_pow"}
 _MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
          "_sqrt": math.sqrt, "_pow": math.pow}
-_NUMPY = {"_sin": np.sin, "_cos": np.cos, "_exp": np.exp, "_log": np.log,
-          "_sqrt": np.sqrt, "_pow": np.power, "_any": np.any}
 # Deepest nesting of operators in one inlined value; a deeper value keeps a
 # local of its own.  Python's parser stops at 200 nested parentheses, and
 # its compiler recurses along the expression.
@@ -517,35 +521,30 @@ class Emitter:
     :meth:`emit` returns, whose name the caller may write into statements
     of its own.
 
-    ``grid=False`` emits the ``math`` variant over floats and sequences of
-    coordinates; ``grid=True`` the numpy variant over samples (theta of
-    shape (m,), q and v of shape (m, n)).  :meth:`function` writes
-    everything emitted into ``f(theta, q, v)`` for :meth:`define`, which
+    Statements work on floats, with the functions of ``math``.
+    :meth:`function` writes everything emitted into ``f(theta, q, v)``
+    (q and v sequences of coordinates) for :meth:`define`, which
     compiles each distinct source once per process and binds the
     constants anew in every function it returns; :func:`shaped` runs an
     emission once per shape of its trees.
 
-    A scalar emitter can also emit at points held in named locals
+    An emitter can also emit at points held in named locals
     (:meth:`at`), for callers that write their own function around the
     statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
     their statements with :meth:`line` and checks with :meth:`check`,
-    take the whole body with :meth:`body` and compile with :meth:`define`.
+    take the body with :meth:`body`, whole or between the positions
+    :meth:`mark` returns, and compile with :meth:`define`.
     Statements of their own name constants through :meth:`bind` and
     working locals through :meth:`fresh` (the linear solve of
     :func:`fracnoether.linsolve.emit_solve`); they assign no local that
     an emitted statement reads.
     """
 
-    def __init__(self, grid: bool = False):
-        self.grid = grid
+    def __init__(self):
         # statements in order: text, or (name, op, precedence, a, b) of _let
         self._lines: list = []
         self._count = 0
-        self._namespace = dict(
-            _NUMPY if grid else _MATH,
-            _EvalDomainError=EvalDomainError,
-            _beyond=_raise_beyond,
-        )
+        self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond)
         self._bound: dict[tuple, str] = {}
         self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers: dict[tuple, int] = {}
@@ -625,8 +624,7 @@ class Emitter:
             return
         self._checked.add((x, test))
         self._kept.add(x)
-        condition = f"_any({x} {test})" if self.grid else f"{x} {test}"
-        self._lines.append(f"if {condition}: raise {error}")
+        self._lines.append(f"if {x} {test}: raise {error}")
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing ``e``; return the local holding its value."""
@@ -678,21 +676,27 @@ class Emitter:
     def _leaf(self, letter: str, index: int) -> str:
         if self._point is None:
             self._leaves.append((letter, index))
-            return self._load(f"{letter}[:, {index}]" if self.grid else f"{letter}[{index}]")
+            return self._load(f"{letter}[{index}]")
         names = self._point[1 if letter == "q" else 2]
         if -len(names) <= index < len(names):
             return names[index]
         return self._load(f"_beyond({_beyond_message(letter, index, len(names))!r})")
 
-    def body(self, indent: str) -> list[str]:
-        """Every statement emitted so far, each prefixed by ``indent``, with
-        each arithmetic value read once written into its reader."""
+    def mark(self) -> int:
+        """The position after the statements emitted so far, for :meth:`body`."""
+        return len(self._lines)
+
+    def body(self, indent: str, start: int = 0, stop: int | None = None) -> list[str]:
+        """The statements between the marks ``start`` and ``stop``, all by
+        default, each prefixed by ``indent``, with each arithmetic value
+        read once written into its reader (a value read beyond ``stop`` is
+        read twice, so kept)."""
         lines = []
         append = lines.append
         inlined: dict[str, tuple[str, int, int]] = {}  # name -> (text, precedence, depth)
         pop = inlined.pop
         kept = self._kept
-        for entry in self._lines:
+        for entry in self._lines[start:stop]:
             if type(entry) is str:
                 append(indent + entry)
                 continue
@@ -758,7 +762,7 @@ class Emitter:
             "        raise",
             f"    return {result}",
         ]
-        out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves), self.grid)
+        out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves))
         return source, "compiled", {"_out_of_range": out_of_range}
 
     def _number(self, e: Expr) -> int:
@@ -789,13 +793,13 @@ class Emitter:
         if rule is None:
             return
         test, message, shown = rule
-        if self.grid or shown is None:
+        if shown is None:
             self.check(x, test, f"_EvalDomainError({message!r})")
         else:
-            self.check(x, test, f"_EvalDomainError({message + shown!r} + repr({x}))")
+            self.check(x, test, f"_EvalDomainError({message!r}, {shown!r} + repr({x}))")
 
 
-def compile_trees(trees, grid: bool = False):
+def compile_trees(trees):
     """Compile a tree, or nested sequences of trees, into one ``f(theta, q, v)``.
 
     The function returns the values shaped like ``trees``, sequences as
@@ -814,7 +818,7 @@ def compile_trees(trees, grid: bool = False):
 
         return em.function(item(trees))
 
-    return shaped(("trees",), trees, emit, grid)
+    return shaped(("trees",), trees, emit)
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
@@ -823,7 +827,7 @@ _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
 
-def shaped(key: tuple, trees, emit, grid: bool = False):
+def shaped(key: tuple, trees, emit):
     """The function ``emit`` defines, emitted once per shape of ``trees``.
 
     ``emit(em)`` emits ``trees`` (an expression, or nested sequences of
@@ -839,9 +843,9 @@ def shaped(key: tuple, trees, emit, grid: bool = False):
     shapes are kept, and no entry keeps a tree alive.
     """
     shape, values, named = _shape(trees)
-    full = (key, grid, shape)
+    full = (key, shape)
     entry = _SHAPES.pop(full, None)
-    em = Emitter(grid)
+    em = Emitter()
     if entry is None:
         source, name, names = emit(em)
         constants = {slot: em._namespace[slot] for slot in em._bound.values()}
@@ -930,25 +934,13 @@ def _raise_beyond(message: str) -> None:
     raise ExpressionError(message)
 
 
-def _raise_out_of_range(leaves, grid: bool, q, v) -> None:
+def _raise_out_of_range(leaves, q, v) -> None:
     """Raise for the first q/v load, in emission order, beyond the given
     coordinates: the load whose IndexError stopped a compiled evaluator."""
     for letter, index in leaves:
-        values = q if letter == "q" else v
-        count = values.shape[1] if grid else len(values)
+        count = len(q if letter == "q" else v)
         if not -count <= index < count:
             raise ExpressionError(_beyond_message(letter, index, count)) from None
-
-
-def _compiled(e: Expr, grid: bool):
-    """The cached compiled evaluator of a root."""
-    slot = "_grid_fn" if grid else "_scalar_fn"
-    try:
-        return getattr(e, slot)
-    except AttributeError:
-        fn = compile_trees(e, grid)
-        object.__setattr__(e, slot, fn)
-        return fn
 
 
 # --------------------------------------------------------------------------
@@ -992,21 +984,24 @@ def evaluate(e: Expr, point: EvalPoint) -> float:
     return out
 
 
-def evaluate_on_grid(e: Expr, theta, q, v) -> np.ndarray:
-    """Vectorized evaluation over m samples.
-
-    theta: shape (m,); q, v: shape (m, n).  Domain rules match the scalar
-    path; any non-finite entry raises.
-    """
-    theta = np.asarray(theta, dtype=float)
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    fn = _compiled(e, grid=True)
-    with np.errstate(all="ignore"):
-        out = fn(theta, q, v)
-    out = np.broadcast_to(np.asarray(out, dtype=float), theta.shape).copy()
-    if not np.isfinite(out).all():
-        raise EvalDomainError("non-finite evaluation result on grid")
+def evaluate_on_grid(e: Expr, theta: Sequence[float], q: Sequence, v: Sequence) -> tuple:
+    """``e`` at m points, given as the m thetas and the m rows of q and of
+    v: ``e.evaluate`` point by point.  A domain error raises with its rule
+    alone, without the value; overflow, ``sin`` or ``cos`` of an infinity
+    and a non-finite value raise as a non-finite result."""
+    if not len(theta) == len(q) == len(v):
+        raise ValueError("theta, q and v must hold one entry per point")
+    fn, non_finite = e.evaluate, "non-finite evaluation result on grid"
+    try:
+        out = tuple([float(fn(*point)) for point in zip(theta, q, v)])
+    except EvalDomainError as exc:
+        raise EvalDomainError(exc.rule) from None
+    except ExpressionError:
+        raise
+    except (OverflowError, ValueError):
+        raise EvalDomainError(non_finite) from None
+    if not all(map(math.isfinite, out)):
+        raise EvalDomainError(non_finite)
     return out
 
 

@@ -13,29 +13,35 @@ accelerations of an :class:`ExplicitOde` right-hand side
 (:meth:`ExplicitOde.emit_accelerations`, the same statements its own call
 runs) and the trees of expression integrands written out at each of the
 four stage points (subtrees shared at one point computed once), and any
-other callable called at each stage.  An ``ExplicitOde`` keeps its
-compiled loops, one per integrand set, and a loop whose trees have the
-shape of an earlier one, as at the next alpha of a sweep, is not emitted
-again.  :func:`ivp_solve` tests the rows finite once per solve, not the
-loop at every step.  The Newton solves of :func:`bvp_shoot` run the
-channel-less loop keeping only the state at b, and the one trajectory a
-shoot returns is a solve at the final velocity with its channels.
+other callable called at each stage.  The :class:`Sample` trees an ODE
+carries (:meth:`ExplicitOde.with_samples`) are written at the first stage
+point of every step too, sharing what the step computed there, and give
+the trajectory one more column each.  An ``ExplicitOde`` keeps its
+compiled loops, one per integrand and sample set, and a loop whose trees
+have the shape of an earlier one, as at the next alpha of a sweep, is not
+emitted again.  :func:`ivp_solve` tests the last row finite once per
+solve, not the loop at every step.  The Newton solves of
+:func:`bvp_shoot` run the channel-less loop keeping only the state at b,
+and the one trajectory a shoot returns is a solve at the final velocity
+with its channels and samples.
+
+Everything here runs on floats, a column of values a tuple: the theta
+grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
-
-import numpy as np
 
 from . import linsolve
 from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
-from .expressions import Emitter, Expr, ExpressionError, shaped
+from .expressions import (
+    Emitter, Expr, ExpressionError, evaluate_on_grid, shaped,
+)
 
 
 class BlowUpError(RuntimeError):
@@ -54,29 +60,70 @@ class ShootingError(RuntimeError):
 _GRID_RTOL = 1e-12
 
 
-def _check_grid(grid: np.ndarray) -> int:
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """The ``num`` floats ``numpy.linspace(start, stop, num)`` returns, bit
+    for bit: ``i * step + start`` with ``step = (stop - start) / (num - 1)``,
+    ``i / (num - 1) * (stop - start) + start`` where the step underflows to
+    zero, and the last value set to ``stop``."""
+    start, stop = float(start), float(stop)
+    div = num - 1
+    delta = stop - start
+    if div <= 0:
+        return [i * delta + start for i in range(num)]
+    step = delta / div
+    if step == 0.0:
+        nodes = [i / div * delta + start for i in range(num)]
+    else:
+        nodes = [i * step + start for i in range(num)]
+    nodes[-1] = stop
+    return nodes
+
+
+def _check_grid(grid: Sequence[float]) -> int:
     """Raise ``ValueError`` unless ``grid`` is a strictly increasing uniform
     float grid of at least two nodes; return its node count."""
-    if grid.ndim != 1 or grid.size < 2:
+    if len(grid) < 2:
         raise ValueError("theta grid needs at least two points")
-    steps = np.diff(grid)
-    h = (grid[-1] - grid[0]) / (grid.size - 1)
-    if h <= 0 or np.any(np.abs(steps - h) > _GRID_RTOL * abs(h) + 1e-300):
+    h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    tol = _GRID_RTOL * abs(h) + 1e-300
+    if h <= 0 or any(abs(y - x - h) > tol for x, y in zip(grid, grid[1:])):
         raise ValueError("theta grid must be strictly increasing and uniform")
-    return grid.size
+    return len(grid)
 
 
-def uniform_grid(a: float, b: float, steps: int) -> np.ndarray:
+class _Grid(tuple):
+    """A theta grid :func:`uniform_grid` has checked, so it is not checked again."""
+
+    __slots__ = ()
+
+
+# The grids uniform_grid built, by (a, b, steps), the most recent last.
+_GRIDS: dict[tuple, _Grid] = {}
+_MAX_GRIDS = 32
+
+
+def uniform_grid(a: float, b: float, steps: int) -> tuple[float, ...]:
     """The ``steps + 1`` nodes from ``a`` to ``b`` that :func:`ivp_solve`
-    steps over; ``ValueError`` where floats cannot space them uniformly, as
-    on ``[1e14, 1e14 + 1]`` in 2000 steps."""
-    grid = np.linspace(float(a), float(b), steps + 1)
-    _check_grid(grid)
+    steps over, :func:`linspace`'s; ``ValueError`` where floats cannot space
+    them uniformly, as on ``[1e14, 1e14 + 1]`` in 2000 steps.
+
+    Each grid is built and checked once per process: the same (a, b,
+    steps), ``-0.0`` told from ``0.0``, returns the same immutable tuple.
+    The last 32 grids are kept.
+    """
+    key = (float(a).hex(), float(b).hex(), steps)
+    grid = _GRIDS.pop(key, None)
+    if grid is None:
+        grid = _Grid(linspace(a, b, steps + 1))
+        _check_grid(grid)
+        if len(_GRIDS) >= _MAX_GRIDS:
+            del _GRIDS[next(iter(_GRIDS))]
+    _GRIDS[key] = grid
     return grid
 
 
-# The "%.17g" texts of the last theta grid written, keyed by its bytes.
-_theta_texts: tuple[bytes, list[str]] = (b"", [])
+# The last theta grid written, a tuple, and its "%.17g" texts.
+_theta_texts: tuple[tuple | None, list[str]] = (None, [])
 
 
 def write_table(
@@ -86,56 +133,142 @@ def write_table(
     grid node with 17 significant digits, then ``trailer``.
 
     Trajectory and charge CSVs are written here.  The theta texts of the
-    last grid written are kept, keyed by the bytes of the grid as floats
-    (an int grid must not match the float grid of the same bytes), so the
+    last grid written are kept with that grid, an immutable tuple, so the
     CSVs of one grid format it once.  A row is the ``"%s"`` of a kept text
     and the ``"%.17g"`` of each column value, the same bytes as formatting
     every value anew.
     """
     global _theta_texts
-    grid = np.asarray(theta_grid, dtype=float)
-    key = grid.tobytes()
+    grid = theta_grid if isinstance(theta_grid, tuple) else tuple(theta_grid)
     cached, texts = _theta_texts
-    if cached != key:
-        texts = ["%.17g" % x for x in grid.tolist()]
-        _theta_texts = (key, texts)
+    if cached is not grid:
+        texts = ["%.17g" % x for x in grid]
+        _theta_texts = (grid, texts)
     width = len(columns) + 1
     args = [None] * (width * len(texts))
     args[::width] = texts
     for j, column in enumerate(columns, 1):
-        args[j::width] = np.asarray(column, dtype=float).tolist()
+        args[j::width] = column
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((("%s" + ",%.17g" * len(columns) + "\n") * len(texts)) % tuple(args))
         fh.write(trailer)
 
 
+@dataclass(frozen=True, eq=False)
+class Sample:
+    """The tree ``tree`` plus ``weight`` times the channel ``channel`` (none:
+    the tree alone), sampled at every grid node of a solve.
+
+    Samples compare by tree identity, channel and the repr of the weight,
+    so 0.0 and -0.0 weights stay apart.
+    """
+
+    tree: Expr
+    weight: float = 0.0
+    channel: str | None = None
+
+    def _key(self) -> tuple:
+        return (self.tree, repr(self.weight), self.channel)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sample) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every value is finite: a finite sum needs no scan."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def column(values) -> tuple[float, ...]:
+    """``values`` as a column: a tuple of floats."""
+    return values if type(values) is tuple else tuple(map(float, values))
+
+
+class Rows(Sequence):
+    """Rows of equally long columns, each row a tuple built when it is
+    read: a trajectory's q or v, kept as the columns of its solve.  Equal
+    to another sequence of the same rows."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[tuple]):
+        self.columns = tuple(columns)
+
+    @classmethod
+    def of(cls, rows) -> "Rows":
+        """``rows`` as :class:`Rows`; any other sequence of rows is copied
+        into columns, and must hold rows of one length n >= 1."""
+        if type(rows) is cls:
+            return rows
+        rows = [tuple(row) for row in rows]
+        if len(set(map(len, rows))) > 1 or rows and not rows[0]:
+            raise ValueError("q and v must hold rows of one length n >= 1")
+        return cls([column(values) for values in zip(*rows)])
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(zip(*(column[k] for column in self.columns)))
+        return tuple(column[k] for column in self.columns)
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass
 class Trajectory:
     """Uniform-grid samples of (theta, q, v) plus accumulated channels.
 
-    Every channel starts at zero at the left endpoint; channel[k] holds the
-    integral of its integrand from theta_grid[0] to theta_grid[k].
+    ``theta_grid`` is a tuple of floats; ``q`` and ``v`` are :class:`Rows`,
+    one tuple of n floats per grid node (any sequence of rows is taken);
+    every channel, and every :class:`Sample` the solve wrote, is a column,
+    a tuple of floats.  Every channel starts at zero at the left
+    endpoint; channel[k] holds the integral of its integrand from
+    theta_grid[0] to theta_grid[k].
     """
 
-    theta_grid: np.ndarray
-    q: np.ndarray          # shape (N+1, n)
-    v: np.ndarray          # shape (N+1, n)
-    channels: dict[str, np.ndarray]
+    theta_grid: tuple
+    q: Rows                # N+1 rows of n floats
+    v: Rows                # N+1 rows of n floats
+    channels: dict[str, tuple]
+    samples: dict[Sample, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        rows = _check_grid(np.asarray(self.theta_grid, dtype=float))
-        if self.q.shape[0] != rows or self.v.shape[0] != rows or self.q.shape != self.v.shape:
+        if type(self.theta_grid) is not _Grid:
+            self.theta_grid = tuple(map(float, self.theta_grid))
+            _check_grid(self.theta_grid)
+        rows = len(self.theta_grid)
+        self.q, self.v = Rows.of(self.q), Rows.of(self.v)
+        lengths = {len(column) for column in self.q.columns + self.v.columns}
+        if lengths != {rows} or len(self.q.columns) != len(self.v.columns):
             raise ValueError("q and v must hold one row per grid point")
+        self.channels = {name: column(values) for name, values in self.channels.items()}
         for name, values in self.channels.items():
-            if values.shape != (rows,):
+            if len(values) != rows:
                 raise ValueError(f"channel {name!r} length does not match the grid")
             if values[0] != 0.0:
                 raise ValueError(f"channel {name!r} must start at zero")
+        self.samples = {s: column(values) for s, values in self.samples.items()}
+        if any(len(values) != rows for values in self.samples.values()):
+            raise ValueError("a sample's length does not match the grid")
 
     @property
     def n_dof(self) -> int:
-        return self.q.shape[1]
+        return len(self.q.columns)
 
     def check_n_dof(self, n: int) -> None:
         """Raise ``ValueError`` unless the trajectory has ``n`` degrees of freedom."""
@@ -144,10 +277,24 @@ class Trajectory:
 
     @property
     def steps(self) -> int:
-        return self.theta_grid.size - 1
+        return len(self.theta_grid) - 1
 
-    def channel(self, name: str) -> np.ndarray:
+    def channel(self, name: str) -> tuple:
         return self.channels[name]
+
+    def sample(self, s: Sample) -> tuple:
+        """``s`` at every grid node: the column the solve sampled, or else the
+        tree evaluated node by node (:func:`~fracnoether.expressions.evaluate_on_grid`,
+        which raises for a non-finite value) plus ``s.weight`` times the channel,
+        with the same arithmetic."""
+        values = self.samples.get(s)
+        if values is not None:
+            return values
+        values = evaluate_on_grid(s.tree, self.theta_grid, self.q, self.v)
+        if s.channel is None:
+            return values
+        w = s.weight
+        return tuple([x + w * c for x, c in zip(values, self.channels[s.channel])])
 
     def write_csv(self, path) -> None:
         """Header ``theta,q0..,v0..,<channels>``; 17 significant digits."""
@@ -159,7 +306,7 @@ class Trajectory:
             + [f"v{j}" for j in range(n)]
             + names
         )
-        columns = [*self.q.T, *self.v.T, *self.channels.values()]
+        columns = [*self.q.columns, *self.v.columns, *self.channels.values()]
         write_table(path, header, self.theta_grid, columns)
 
 
@@ -202,8 +349,13 @@ def ivp_solve(
     An :class:`ExplicitOde` right-hand side and :class:`Expr` integrands
     are written into it stage by stage; any other ``rhs`` callable, and
     any integrand that only has an ``evaluate(theta, q, v)`` method, is
-    called at each stage instead.  The loop for an ``ExplicitOde`` is
-    compiled once per integrand set and kept on the ODE.
+    called at each stage instead.  The :class:`Sample` list of an
+    ``ExplicitOde`` (:meth:`ExplicitOde.with_samples`), whose channels
+    must be among ``integrands``, is sampled at every node into
+    ``Trajectory.samples``; a sample that fails to evaluate or is not
+    finite at some node is left out, for :meth:`Trajectory.sample` to
+    evaluate and report.  The loop for an ``ExplicitOde`` is compiled once
+    per integrand and sample set and kept on the ODE.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -212,28 +364,43 @@ def ivp_solve(
     n = len(qc)
     if len(vc) != n or n < 1:
         raise ValueError("q0 and v0 must have equal length n >= 1")
-    if isinstance(rhs, ExplicitOde) and rhs.n != n:
-        raise ValueError(f"q0 and v0 have length {n}, the ODE has {rhs.n} degrees of freedom")
+    samples = ()
+    if isinstance(rhs, ExplicitOde):
+        if rhs.n != n:
+            raise ValueError(f"q0 and v0 have length {n}, the ODE has {rhs.n} degrees of freedom")
+        samples = rhs.samples
+    names = list(integrands) if integrands else []
+    for s in samples:
+        if s.channel is not None and s.channel not in names:
+            raise ValueError(f"sample channel {s.channel!r} is not among the integrands")
+    sampled = tuple((s.tree, None if s.channel is None else names.index(s.channel))
+                    for s in samples)
 
     grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    names = list(integrands) if integrands else []
-    loop = _rk4_loop(rhs, n, [integrands[name] for name in names])
+    loop = _rk4_loop(rhs, n, [integrands[name] for name in names], sampled)
 
-    # Rows (q, v, channels) are appended flat, as C doubles, and shaped once.
-    rows = array("d", qc + vc + [0.0] * len(names))
-    width = len(rows)
+    # Each step appends a row of its samples and the state (q, v, channels)
+    # it reached; after the last, the samples of the last state.
+    rows = []
+    weights = [s.weight for s in samples]
     try:
-        loop(grid.tolist(), h, 0.5 * h, h / 6.0, qc + vc, rows.extend)
+        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, rows.append, *([weights] if samples else []))
     except Exception:
-        _finite_rows(rows, width, grid)
+        _raise_blow_up(rows[:steps], len(samples), grid)
         raise
-    table = _finite_rows(rows, width, grid)
+    stepped = rows[:steps]
+    if not all_finite(stepped[-1][len(samples):]):
+        _raise_blow_up(stepped, len(samples), grid)
+    columns = list(zip(*stepped))
+    state = [(x, *values) for x, values in zip(qc + vc + [0.0] * len(names), columns[len(samples):])]
+    taken = [(*values, x) for values, x in zip(columns, rows[steps] if samples else ())]
     return Trajectory(
         theta_grid=grid,
-        q=table[:, :n].copy(),
-        v=table[:, n : 2 * n].copy(),
-        channels={name: table[:, 2 * n + idx].copy() for idx, name in enumerate(names)},
+        q=Rows(state[:n]),
+        v=Rows(state[n : 2 * n]),
+        channels=dict(zip(names, state[2 * n :])),
+        samples={s: values for s, values in zip(samples, taken) if all_finite(values)},
     )
 
 
@@ -254,9 +421,9 @@ def _final_state(
     qc = [float(x) for x in q0]
     if rhs.n != len(qc):
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
-    nodes = uniform_grid(a, b, steps).tolist()
+    nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop = _rk4_loop(rhs, rhs.n, [])
+    loop = _rk4_loop(rhs, rhs.n, [], ())
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
@@ -273,60 +440,68 @@ def _final_state(
     return final_state
 
 
-def _finite_rows(rows: array, width: int, grid: np.ndarray) -> np.ndarray:
-    """The flat rows as a table of ``width`` columns; :class:`BlowUpError` at the
-    node of the first non-finite row after the initial state.  The loop only adds to
-    q, v and the channels, so a state that left the finite floats stays out: that row
-    is where a test after every step stops, whatever a later step of the loop raised."""
-    table = np.frombuffer(rows).reshape(-1, width)
-    bad = ~np.isfinite(table[1:]).all(axis=1)
-    if bad.any():
-        raise BlowUpError(float(grid[1 + int(bad.argmax())])) from None
-    return table
+def _raise_blow_up(rows: Sequence[tuple], skip: int, grid: Sequence[float]) -> None:
+    """:class:`BlowUpError` at the node of the first step row whose state
+    (q, v, channels, after the ``skip`` samples) is not finite, if there is
+    one.  The loop only adds to q, v and the channels, so a state that left
+    the finite floats stays out: that row is where a test after every step
+    stops, whatever a later step of the loop raised."""
+    for k, row in enumerate(rows, 1):
+        if not all_finite(row[skip:]):
+            raise BlowUpError(grid[k]) from None
 
 
-def _rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
-    """The compiled step loop for this right-hand side and integrand list,
-    cached on an :class:`ExplicitOde`."""
+def _rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence) -> Callable:
+    """The compiled step loop for this right-hand side, integrand list and
+    sampled (tree, channel index) list, cached on an :class:`ExplicitOde`."""
     if not isinstance(rhs, ExplicitOde):
-        return _compile_rk4_loop(rhs, n, integrands)
-    key = tuple(integrands)  # nodes hash by identity, and the key keeps them alive
+        return _compile_rk4_loop(rhs, n, integrands, sampled)
+    key = (tuple(integrands), sampled)  # nodes hash by identity, and the key keeps them alive
     loop = rhs.loops.get(key)
     if loop is None:
-        loop = rhs.loops[key] = _compile_rk4_loop(rhs, n, integrands)
+        loop = rhs.loops[key] = _compile_rk4_loop(rhs, n, integrands, sampled)
     return loop
 
 
-def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence) -> Callable:
-    """Compile ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop
-    of :func:`_emit_rk4_loop`.
+def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence) -> Callable:
+    """Compile ``loop(nodes, h, hh, h6, state, out[, weights])``, the whole
+    RK4 step loop of :func:`_emit_rk4_loop`.
 
     A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
     :class:`Expr` integrands, is emitted once per shape of its trees
     (:func:`~fracnoether.expressions.shaped`): the loops of a sweep's
-    alphas differ only in the named value 1 - alpha.
+    alphas differ only in the named value 1 - alpha, and in the sample
+    weights, which are arguments.
     """
-    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands)
+    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled)
     if isinstance(rhs, ExplicitOde) and all(isinstance(g, Expr) for g in integrands):
         key, trees = rhs.shape_key()
-        return shaped(("loop", *key), (*trees, integrands), emit)
+        channels = tuple(k for _, k in sampled)
+        return shaped(("loop", *key, channels),
+                      (*trees, integrands, [tree for tree, _ in sampled]), emit)
     em = Emitter()
     source, name, names = emit(em)
     return em.define(source, name, **names)
 
 
-def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, em: Emitter):
-    """Emit ``loop(nodes, h, hh, h6, state, out)``, the whole RK4 step loop,
-    into ``em``; return its source, name and names for ``em.define``.
+def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence, em: Emitter):
+    """Emit ``loop(nodes, h, hh, h6, state, out[, weights])``, the whole RK4
+    step loop, into ``em``; return its source, name and names for ``em.define``.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
     Each step computes the four stage accelerations, then each channel at
     stages 1-4 in order, with the arithmetic of the classical tableau;
     ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
     an infinity (an :class:`ExpressionError` passes as it is), becomes
-    :class:`BlowUpError` at the step's end.  Each step passes its row
-    ``(q.., v.., channels..)`` to ``out``; :func:`ivp_solve` tests the rows
-    finite once, after the loop.
+    :class:`BlowUpError` at the step's end.  Then each sampled tree is
+    computed at stage 1, reusing what the step computed there, plus its
+    weight (from ``weights``) times its channel as it stood at the step's
+    start; an error there (no solver error is left to meet) makes every
+    sample of the step NaN.  Each step passes its samples and then the row
+    ``(q.., v.., channels..)`` it reached to ``out``, and after the last
+    step the samples are computed once more, afresh, at the last row and
+    passed to ``out``; :func:`ivp_solve` tests the last row finite after
+    the loop.
 
     The constants and math functions the statements read are keyword
     defaults of ``loop``, so the body reads them as locals.
@@ -369,9 +544,11 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, em: Emitter):
                 em.line(f"{k[j]} = k{s}[{j}]")
         accels.append(k)
 
-    names = {"_BlowUpError": BlowUpError, "_ExpressionError": ExpressionError, **ExplicitOde.NAMES}
+    names = {"_BlowUpError": BlowUpError, "_ExpressionError": ExpressionError, "_nan": math.nan,
+             **ExplicitOde.NAMES}
     if not isinstance(rhs, ExplicitOde):
         names["_rhs"] = rhs
+    sums = []
     for idx, g in enumerate(integrands):
         values = []
         for s, (theta, sq, sv) in enumerate(points, 1):
@@ -383,28 +560,60 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, em: Emitter):
                 values.append(f"g{idx}_{s}")
                 em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
         g1, g2, g3, g4 = values
-        em.line(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
+        sums.append(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
+
+    # the samples at stage 1, then at the last row: a point of its own
+    # names, so nothing computed or checked in the loop is taken for it
+    taken = [f"s{i}" for i in range(len(sampled))]
+    marks = [em.mark()]
+    ends = [f"e{name}" for name in q + v]
+    for point in (points[0], ("end", ends[:n], ends[n:])):
+        em.at(*point)
+        for i, (tree, k) in enumerate(sampled):
+            value = em.emit(tree)
+            em.line(f"s{i} = {value}" if k is None else f"s{i} = {value} + w{i} * c{k}")
+        marks.append(em.mark())
+    solved, stepped, _ = marks
+
+    def sampling(indent: str, start: int, stop: int | None) -> list[str]:
+        return [
+            f"{indent}try:",
+            *em.body(indent + "    ", start, stop),
+            f"{indent}except (ArithmeticError, ValueError):",
+            f"{indent}    {' = '.join(taken)} = _nan",
+        ] if sampled else []
 
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
     k1, k2, k3, k4 = accels
     source = [
-        f"def loop(nodes, h, hh, h6, state, out{em.keyword_defaults()}):",
+        f"def loop(nodes, h, hh, h6, state, out{', weights' if sampled else ''}"
+        f"{em.keyword_defaults()}):",
         f"    {', '.join(q + v)}, = state",
+        *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
         *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
         "    for th, full in zip(nodes[:-1], nodes[1:]):",
         "        half = th + hh",
         "        try:",
-        *em.body("            "),
+        *em.body("            ", 0, solved),
         "        except _ExpressionError:",
         "            raise",
         "        except (OverflowError, ValueError) as exc:",
         "            raise _BlowUpError(full) from exc",
+        *sampling("        ", solved, stepped),
         *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
           for j in js),
         *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
           for j in js),
-        f"        out({tup(row)})",
+        *(f"        {line}" for line in sums),
+        f"        out({tup(taken + row)})",
     ]
+    if sampled:
+        source += [
+            "    end = nodes[-1]",
+            f"    {', '.join(ends)}, = {', '.join(q + v)},",
+            *sampling("    ", stepped, None),
+            f"    out({tup(taken)})",
+        ]
     return source, "loop", names
 
 
@@ -418,6 +627,7 @@ def bvp_shoot(
     prob: VariationalProblem,
     steps: int = 1000,
     integrands: Mapping[str, Expr] | None = None,
+    samples: Sequence[Sample] = (),
 ) -> tuple[Trajectory, ShootingReport]:
     """Newton shooting on the initial velocity.
 
@@ -426,49 +636,49 @@ def bvp_shoot(
     ``SHOOTING_TOL``.  The Newton solves run one compiled loop on one
     :class:`ExplicitOde` and keep only the state at b
     (:func:`_final_state`); the trajectory returned, with the requested
-    channel integrands, is one :func:`ivp_solve` at the final velocity,
-    converged or not, and the report's miss is that solve's.
+    channel integrands and samples, is one :func:`ivp_solve` at the final
+    velocity, converged or not, and the report's miss is that solve's.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")
     rhs = to_explicit_ode(prob)
     a, b = prob.interval
-    q_a = np.array(prob.boundary.q_a)
-    q_b = np.array(prob.boundary.q_b)
+    q_a, q_b = prob.boundary.q_a, prob.boundary.q_b
     n = prob.n
 
-    v0 = (q_b - q_a) / (b - a)
+    v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
     final_state = _final_state(rhs, a, b, q_a, steps)
 
-    def boundary_miss(v_init: np.ndarray) -> np.ndarray:
-        return np.array(final_state(v_init)[:n]) - q_b
+    def boundary_miss(v_init: list[float]) -> list[float]:
+        return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]
 
     miss = boundary_miss(v0)
     iterations = 0
-    converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
+    converged = max(map(abs, miss)) <= SHOOTING_TOL
 
     while not converged and iterations < SHOOTING_MAX_ITER:
-        jac = np.empty((n, n))
+        jac = [[0.0] * n for _ in range(n)]
         for k in range(n):
             delta = 1e-6 * (1.0 + abs(v0[k]))
-            probe = v0.copy()
+            probe = list(v0)
             probe[k] += delta
-            jac[:, k] = (boundary_miss(probe) - miss) / delta
+            for row, x, y in zip(jac, boundary_miss(probe), miss):
+                row[k] = (x - y) / delta
         try:
-            step = linsolve.solve(jac, -miss)
+            step = linsolve.solve(jac, [-x for x in miss])
         except linsolve.SingularMatrixError as exc:
             raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
-        v0 = v0 + step
+        v0 = [x + dx for x, dx in zip(v0, step)]
         miss = boundary_miss(v0)
         iterations += 1
-        converged = bool(np.max(np.abs(miss)) <= SHOOTING_TOL)
+        converged = max(map(abs, miss)) <= SHOOTING_TOL
 
-    traj = ivp_solve(rhs, a, b, q_a, v0, steps, integrands=integrands)
+    traj = ivp_solve(rhs.with_samples(samples), a, b, q_a, v0, steps, integrands=integrands)
     report = ShootingReport(
         converged=converged,
         iterations=iterations,
-        boundary_miss=tuple(float(x) for x in traj.q[-1] - q_b),
-        initial_velocity=tuple(float(x) for x in v0),
+        boundary_miss=tuple(x - y for x, y in zip(traj.q[-1], q_b)),
+        initial_velocity=tuple(v0),
     )
     return traj, report
 
@@ -499,9 +709,10 @@ def convergence_order(
     scale = 0.0
     for steps in step_counts:
         traj = ivp_solve(rhs, a, b, q0, v0, steps)
-        ref = np.array([exact.q(float(th)) for th in traj.theta_grid])
-        scale = max(scale, float(np.max(np.abs(ref))))
-        errors.append(float(np.max(np.abs(traj.q - ref))))
+        refs = [exact.q(th) for th in traj.theta_grid]
+        scale = max(scale, max(abs(float(x)) for ref in refs for x in ref))
+        errors.append(max(abs(x - float(r)) for row, ref in zip(traj.q, refs)
+                          for x, r in zip(row, ref)))
 
     floor = _ORDER_FLOOR_RTOL * (1.0 + scale)
     if all(err <= floor for err in errors):
@@ -513,12 +724,19 @@ def convergence_order(
         )
 
     hs = [(b - a) / steps for steps in step_counts]
-    log_h = np.log(hs)
-    log_e = np.log([max(err, 1e-300) for err in errors])
-    slope = float(np.polyfit(log_h, log_e, 1)[0])
+    slope = log_log_slope(hs, [max(err, 1e-300) for err in errors])
     return ConvergenceReport(
         step_counts=tuple(step_counts),
         errors=tuple(errors),
         slope=slope,
         indeterminate=False,
     )
+
+
+def log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of log(y) against log(x), over positive values."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    return (sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+            / sum((x - mx) * (x - mx) for x in lx))

@@ -13,12 +13,10 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
-
 from .charges import SymmetryGenerator, gauge_rate_from_reduced_condition
 from .euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from .expressions import Expr, ExpressionError, parse
-from .integrators import uniform_grid
+from .integrators import linspace, uniform_grid
 
 VALID_CHARGES = ("noether", "energy", "momentum")
 
@@ -34,7 +32,8 @@ class AlphaSweep:
     count: int
 
     def values(self) -> list[float]:
-        return [float(x) for x in np.linspace(self.start, self.stop, self.count)]
+        """The ``count`` alphas from ``start`` to ``stop``, ``numpy.linspace``'s."""
+        return linspace(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,7 @@ def test_noether_charge_null_generator_is_identically_zero():
     gen = generator("0", ["0"], gauge="0")
     traj = solve(prob, [1.0], [0.0], steps=100, generators=[gen])
     series = noether_charge(prob, gen, traj)
-    assert np.all(series.values == 0.0)
+    assert all(x == 0.0 for x in series.values)
     assert series.drift == 0.0
 
 
@@ -353,14 +353,14 @@ def test_fractional_momentum_constant_equals_launch_velocity():
     traj = solve(prob, [0.0], [1.0], steps=1000, momentum=True)
     series = fractional_momentum(prob, traj, 0)
     assert series.relative_drift < 1e-8
-    assert np.max(np.abs(series.values - 1.0)) < 1e-8
+    assert max(abs(x - 1.0) for x in series.values) < 1e-8
 
 
 def test_fractional_momentum_alpha_one_is_classical_momentum():
     prob = problem("v0^2/2", alpha=1.0)
     traj = solve(prob, [0.0], [1.0], steps=200, momentum=True)
     series = fractional_momentum(prob, traj, 0)
-    assert np.max(np.abs(series.values - 1.0)) < 1e-12
+    assert max(abs(x - 1.0) for x in series.values) < 1e-12
 
 
 def test_fractional_momentum_checks_q_dependence_per_dof():
@@ -390,7 +390,7 @@ def test_pointwise_conservation_identity_along_extremal():
     gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
     traj = solve(prob, [0.4], [0.5], steps=500, generators=[gen])
     residual = pointwise_conservation_residual(prob, gen, traj)
-    assert residual.shape == traj.theta_grid.shape
+    assert len(residual) == len(traj.theta_grid)
     assert np.max(np.abs(residual)) < 1e-9
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import tree_walk_oracle
 from hypothesis import given, settings, strategies as st
 
 from fracnoether import expressions
@@ -205,15 +206,14 @@ def test_eval_is_pure_and_bit_exact():
         assert evaluate(e, p) == first
 
 
-def test_grid_evaluation_matches_scalar():
-    e = parse("sin(theta)*q0 + v0^2/(2 + q0^2)", 1)
-    theta = np.linspace(-1.0, 1.0, 11)
-    q = np.linspace(0.5, 1.5, 11)[:, None]
-    v = np.linspace(-1.0, 1.0, 11)[:, None]
+def test_grid_evaluation_matches_the_tree_walk_oracle():
+    e = parse("sin(theta)*q0 + v0^2/(2 + q0^2) + exp(q0)*ln(1 + q0^2) + (2 + q0)^0.7", 1)
+    theta = np.linspace(-1.0, 1.0, 11).tolist()
+    q = [(x,) for x in np.linspace(0.5, 1.5, 11).tolist()]
+    v = [(x,) for x in np.linspace(-1.0, 1.0, 11).tolist()]
     grid_vals = evaluate_on_grid(e, theta, q, v)
-    for k in range(11):
-        scalar = evaluate(e, EvalPoint(theta[k], [q[k, 0]], [v[k, 0]]))
-        assert grid_vals[k] == pytest.approx(scalar, rel=1e-15, abs=1e-300)
+    walked = [tree_walk_oracle.value(e, *point) for point in zip(theta, q, v)]
+    assert repr(grid_vals) == repr(tuple(walked))
 
 
 def test_grid_evaluation_domain_error():

@@ -53,16 +53,16 @@ def exact_free_q(theta):
 
 def test_constant_rhs_is_reproduced_to_rounding():
     traj = ivp_solve(free_rhs, 0.0, 1.0, [0.0], [1.0], 10)
-    assert traj.q[-1, 0] == pytest.approx(1.0, abs=5e-15)
-    assert traj.v[-1, 0] == 1.0
+    assert traj.q[-1][0] == pytest.approx(1.0, abs=5e-15)
+    assert traj.v[-1][0] == 1.0
 
 
 def test_fractional_free_particle_velocity_profile():
     prob = problem("v0^2/2", alpha=0.5)
     rhs = to_explicit_ode(prob)
     traj = ivp_solve(rhs, 0.0, 1.0, [0.0], [1.0], 1000)
-    exact = exact_free_v(traj.theta_grid)
-    rel = np.max(np.abs(traj.v[:, 0] - exact) / exact)
+    exact = exact_free_v(np.asarray(traj.theta_grid))
+    rel = np.max(np.abs(np.asarray(traj.v)[:, 0] - exact) / exact)
     assert rel < 1e-8
 
 
@@ -141,8 +141,8 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert len(lines) == 12
     row = lines[3].split(",")
     assert float(row[0]) == traj.theta_grid[2]
-    assert float(row[1]) == traj.q[2, 0]
-    assert float(row[2]) == traj.v[2, 0]
+    assert float(row[1]) == traj.q[2][0]
+    assert float(row[2]) == traj.v[2][0]
     assert float(row[3]) == traj.channels["one"][2]
 
 
@@ -176,7 +176,7 @@ def per_value_csv(header, grid, columns, trailer=""):
 def trajectory_csv(traj):
     header = ["theta", *(f"q{j}" for j in range(traj.n_dof)),
               *(f"v{j}" for j in range(traj.n_dof)), *traj.channels]
-    columns = [*traj.q.T, *traj.v.T, *traj.channels.values()]
+    columns = [*zip(*traj.q), *zip(*traj.v), *traj.channels.values()]
     return per_value_csv(header, traj.theta_grid, columns)
 
 
@@ -192,10 +192,10 @@ def still_trajectory(grid):
 
 
 def assert_kept_texts_are_of(grid):
+    """The writer keeps the texts of ``grid``, the tuple it was given."""
     key, texts = integrators._theta_texts
-    grid = np.asarray(grid, dtype=float)
-    assert key == grid.tobytes()
-    assert texts == [format(x, ".17g") for x in grid.tolist()]
+    assert key is grid
+    assert texts == [format(x, ".17g") for x in grid]
 
 
 def test_two_grids_written_alternately_keep_their_bytes(tmp_path):
@@ -206,7 +206,7 @@ def test_two_grids_written_alternately_keep_their_bytes(tmp_path):
         path = tmp_path / f"traj{k}.csv"
         traj.write_csv(path)
         assert path.read_text() == trajectory_csv(traj)
-        assert_kept_texts_are_of(grid)
+        assert_kept_texts_are_of(traj.theta_grid)
 
 
 def test_grids_equal_in_value_but_not_in_bytes_are_rendered_apart(tmp_path):
@@ -220,22 +220,23 @@ def test_grids_equal_in_value_but_not_in_bytes_are_rendered_apart(tmp_path):
         path = tmp_path / f"charge{k}.csv"
         series.write_csv(path)
         assert path.read_text() == charge_csv(series)
-        assert_kept_texts_are_of(grid)
+        assert_kept_texts_are_of(series.theta_grid)
         texts.append(path.read_text().splitlines()[1])
     assert texts == ["0,0.25", "-0,0.25", "0,0.25"]
 
 
-def test_an_int_grid_is_keyed_by_its_values_as_floats(tmp_path):
+def test_an_int_grid_is_written_as_its_values_as_floats(tmp_path):
     # the int64 grid 0, 1, 2 has the bytes of the float grid 0, 5e-324, 1e-323
     subnormal = np.array([0.0, 5e-324, 1e-323])
     ints = np.arange(3)
     assert subnormal.tobytes() == ints.tobytes()
     for k, grid in enumerate([subnormal, ints, subnormal]):
         traj = still_trajectory(grid)
+        assert all(type(x) is float for x in traj.theta_grid)
         path = tmp_path / f"traj{k}.csv"
         traj.write_csv(path)
         assert path.read_text() == trajectory_csv(traj)
-        assert_kept_texts_are_of(grid)
+        assert_kept_texts_are_of(traj.theta_grid)
     assert (tmp_path / "traj1.csv").read_text().splitlines()[3].startswith("2,")
 
 
@@ -252,11 +253,11 @@ def test_trajectory_and_charges_on_one_grid_share_its_texts(tmp_path):
     assert (tmp_path / "traj.csv").read_text() == trajectory_csv(traj)
     _, texts = integrators._theta_texts
     for k, values in enumerate([special, special[::-1], np.exp(special[:1]) * grid]):
-        series = ChargeSeries.from_values(grid, values)
+        series = ChargeSeries.from_values(traj.theta_grid, values)
         series.write_csv(tmp_path / f"charge{k}.csv")
         assert (tmp_path / f"charge{k}.csv").read_text() == charge_csv(series)
         assert integrators._theta_texts[1] is texts
-    assert_kept_texts_are_of(grid)
+    assert_kept_texts_are_of(traj.theta_grid)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,158 @@
+"""The commands run without numpy, and the pure-Python replacements of the
+numpy formulas they used give the same bits; numpy is the oracle here.
+
+``uniform_grid`` and ``AlphaSweep.values`` are ``integrators.linspace``,
+``numpy.linspace``'s formula, and the drift statistics find the largest
+deviation from the first sample without forming one difference per sample.
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fracnoether
+from fracnoether.charges import ChargeSeries, _drift_stats
+from fracnoether.integrators import linspace, uniform_grid
+from fracnoether.scenarios import AlphaSweep
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(Path(fracnoether.__file__).parents[1])
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MODERATE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+def bits(values) -> bytes:
+    return array("d", values).tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(start=st.one_of(MODERATE, FINITE), stop=st.one_of(MODERATE, FINITE),
+       num=st.integers(0, 2001))
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    with np.errstate(all="ignore"):
+        assert bits(linspace(start, stop, num)) == np.linspace(start, stop, num).tobytes()
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.0, 5e-324, 3), (-5e-324, 5e-324, 7),  # the step underflows to zero
+    (-1e308, 1e308, 5),  # the interval overflows
+    (1.0, 0.25, 4), (-0.0, 1.0, 3), (0.0, -0.0, 2),  # descending, and signed zeros
+])
+def test_linspace_edge_cases_are_numpys(start, stop, num):
+    with np.errstate(all="ignore"):
+        assert bits(linspace(start, stop, num)) == np.linspace(start, stop, num).tobytes()
+
+
+def numpy_grid_check(grid: np.ndarray) -> bool:
+    """The uniformity rule of ``uniform_grid``, in numpy."""
+    h = (grid[-1] - grid[0]) / (grid.size - 1)
+    return not (h <= 0 or np.any(np.abs(np.diff(grid) - h) > 1e-12 * abs(h) + 1e-300))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(a=st.one_of(MODERATE, st.floats(-1e300, 1e300)), width=st.floats(1e-12, 1e300),
+       steps=st.integers(2, 2000))
+def test_uniform_grid_is_numpys_grid_or_rejected_as_numpy_would(a, width, steps):
+    b = a + width
+    with np.errstate(all="ignore"):
+        expected = np.linspace(a, b, steps + 1)
+        uniform = a < b and numpy_grid_check(expected)
+    if uniform:
+        assert bits(uniform_grid(a, b, steps)) == expected.tobytes()
+    else:
+        with pytest.raises(ValueError):
+            uniform_grid(a, b, steps)
+
+
+def test_uniform_grid_is_built_once_and_keeps_signed_zeros():
+    grid = uniform_grid(-1.0, 0.0, 10)
+    assert uniform_grid(-1.0, 0.0, 10) is grid and isinstance(grid, tuple)
+    assert math.copysign(1.0, uniform_grid(-1.0, -0.0, 10)[-1]) == -1.0
+    with pytest.raises(ValueError, match="uniform"):
+        uniform_grid(1e14, 1e14 + 1, 2000)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(start=st.floats(0.0, 1.0), stop=st.floats(0.0, 1.0), count=st.integers(2, 64))
+def test_alpha_sweeps_are_numpys_ascending_or_descending(start, stop, count):
+    values = AlphaSweep(start, stop, count).values()
+    assert all(type(x) is float for x in values)
+    assert bits(values) == np.linspace(start, stop, count).tobytes()
+
+
+def numpy_drift(values: np.ndarray) -> tuple[float, float]:
+    """The drift statistics as numpy computed them."""
+    d = float(np.max(np.abs(values - values[0])))
+    return d, d / (1.0 + float(np.max(np.abs(values))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(st.one_of(FINITE, MODERATE, st.sampled_from([0.0, -0.0, 5e-324])),
+                       min_size=1, max_size=50))
+def test_drift_statistics_are_numpys_bit_for_bit(values):
+    with np.errstate(all="ignore"):
+        expected = numpy_drift(np.array(values))
+    assert repr(_drift_stats(array("d", values))) == repr(expected)
+    series = ChargeSeries.from_values(range(len(values)), values)
+    assert repr((series.drift, series.relative_drift)) == repr(expected)
+
+
+def run(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True)
+
+
+def test_the_cli_import_leaves_out_numpy():
+    code = "import sys, fracnoether.cli; print('numpy' in sys.modules)"
+    assert run(code).stdout == "False\n"
+
+
+# Runs the CLI commands given as JSON, numpy blocked or not, and prints,
+# after what the commands print, their exit codes and whether numpy was
+# imported.
+COMMANDS = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from fracnoether import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sys.modules.get("numpy") is not None]))
+"""
+
+
+def outputs(directory: Path) -> dict[str, object]:
+    """Every output file's bytes; a manifest without its wall time."""
+    out = {}
+    for path in sorted(directory.rglob("*")):
+        if path.name.endswith("_manifest.json"):
+            manifest = json.loads(path.read_text())
+            del manifest["wall_time_seconds"]
+            out[path.name] = manifest
+        elif path.is_file():
+            out[path.name] = path.read_bytes()
+    return out
+
+
+def test_solve_charge_and_sweep_run_with_numpy_blocked(tmp_path):
+    argv = [[command, "--scenario", str(path), "--output", "out"]
+            for path in sorted((ROOT / "scenarios").glob("*.json"))
+            for command in (["sweep"] if "sweep" in path.name else ["solve", "charge"])]
+    results = {}
+    for mode in ("block", "allow"):
+        (tmp_path / mode).mkdir()
+        stdout = run(COMMANDS, mode, json.dumps(argv), cwd=tmp_path / mode).stdout
+        codes, imported = json.loads(stdout.splitlines()[-1])
+        # unblocked, the commands do not import numpy either
+        assert codes == [0] * len(argv) and not imported
+        results[mode] = outputs(tmp_path / mode / "out")
+    assert len(results["block"]) >= 5 and results["block"] == results["allow"]

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tree_walk_oracle
-from fracnoether import expressions
+from fracnoether import expressions, integrators
 from fracnoether.charges import (
     SymmetryGenerator,
     energy_correction_integrand,
@@ -36,7 +36,7 @@ from fracnoether.euler_lagrange import (
     VariationalProblem,
 )
 from fracnoether.expressions import EvalDomainError, ExpressionError, parse
-from fracnoether.integrators import BlowUpError, bvp_shoot, ivp_solve
+from fracnoether.integrators import BlowUpError, Sample, all_finite, bvp_shoot, ivp_solve
 
 spec = importlib.util.spec_from_file_location(
     "loop_ops", Path(__file__).resolve().parents[1] / "tools" / "loop_ops.py")
@@ -77,18 +77,19 @@ def called(prob, q0, v0, steps, integrands):
 
 def walked(prob, q0, v0, steps, integrands):
     qs, vs, channels = tree_walk_oracle.rk4(ExplicitOde(prob), 0.0, 1.0, q0, v0, steps, integrands)
-    return SimpleNamespace(q=np.array(qs), v=np.array(vs),
-                           channels={name: np.array(c) for name, c in channels.items()})
+    return SimpleNamespace(q=tuple(map(tuple, qs)), v=tuple(map(tuple, vs)),
+                           channels={name: tuple(c) for name, c in channels.items()})
 
 
 def outcome(solve, *args):
-    """('ok', exact bytes of q, v and channels) or ('raise', class, message)."""
+    """('ok', exact q, v and channels) or ('raise', class, message); the
+    repr of a float is exact, and tells -0.0 from 0.0."""
     try:
         traj = solve(*args)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
         return ("raise", type(exc), str(exc))
-    channels = tuple((name, c.tobytes()) for name, c in traj.channels.items())
-    return ("ok", traj.q.tobytes(), traj.v.tobytes(), channels)
+    channels = tuple((name, repr(c)) for name, c in traj.channels.items())
+    return ("ok", repr(traj.q), repr(traj.v), channels)
 
 
 def both(prob, q0, v0, steps, integrands):
@@ -179,6 +180,74 @@ def test_inlined_loop_matches_call_per_stage_loop(case):
 @given(case=cases())
 def test_inlined_loop_matches_tree_walk_oracle(case):
     assert outcome(inlined, *case) == outcome(walked, *case)
+
+
+# --------------------------------------------------------------------------
+# Trees sampled in the loop
+
+
+def sampled(prob, integrands):
+    """Samples of a sweep's kinds for a case: each integrand tree, the
+    energy and the action integrand alone, and each plus 0.75 and -0.0
+    times the first channel."""
+    trees = [*integrands.values(), prob.energy, prob.action_integrand]
+    samples = [Sample(tree) for tree in trees]
+    for name in list(integrands)[:1]:
+        samples += [Sample(tree, w, name) for tree in trees for w in (0.75, -0.0)]
+    return samples
+
+
+def sampling(samples):
+    def solve(prob, q0, v0, steps, integrands):
+        ode = ExplicitOde(prob).with_samples(samples)
+        return ivp_solve(ode, 0.0, 1.0, q0, v0, steps, integrands=integrands)
+    return solve
+
+
+def column(sample_of, s):
+    """('ok', a sample's exact column) or ('raise', class, message)."""
+    try:
+        return ("ok", repr(sample_of(s)))
+    except (ArithmeticError, ValueError) as exc:
+        return ("raise", type(exc), str(exc))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=cases())
+def test_samples_taken_in_the_loop_are_the_trees_evaluated_at_each_node(case):
+    prob, _, _, _, integrands = case
+    samples = sampled(prob, integrands)
+    # sampling changes nothing of the solve, its values or its first error
+    kind, *_ = expected = outcome(inlined, *case)
+    assert outcome(sampling(samples), *case) == expected
+    if kind == "ok":
+        traj, plain = sampling(samples)(*case), inlined(*case)
+        assert not plain.samples and all(map(all_finite, traj.samples.values()))
+        for s in samples:
+            assert column(traj.sample, s) == column(plain.sample, s)
+
+
+def test_a_benchmark_charge_is_read_from_the_loop(monkeypatch):
+    prob = problem(FAMILIES["oscillator"][0], 1)
+    samples = sampled(prob, benchmark_integrands(prob))
+    traj = sampling(samples)(prob, [0.1], [0.2], 8, benchmark_integrands(prob))
+    assert list(traj.samples) == samples
+    monkeypatch.setattr(integrators, "evaluate_on_grid", None)
+    for s in samples:
+        assert traj.sample(s) is traj.samples[s]
+
+
+def test_a_failing_sample_leaves_the_others_to_the_grid_evaluation():
+    # ln(q0) fails once q0 < 0 at theta ~ 0.5; until then every sample is taken
+    prob = problem("v0^2/2", 1)
+    samples = [Sample(parse("ln(q0)", 1)), Sample(parse("v0*v0", 1))]
+    traj = sampling(samples)(prob, [0.5], [-1.0], 10, {})
+    plain = inlined(prob, [0.5], [-1.0], 10, {})
+    assert not traj.samples
+    assert column(traj.sample, samples[0]) == (
+        "raise", EvalDomainError, "ln of non-positive value")
+    assert column(traj.sample, samples[1]) == column(plain.sample, samples[1])
+    assert column(traj.sample, samples[1])[0] == "ok"
 
 
 # --------------------------------------------------------------------------

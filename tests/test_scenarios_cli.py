@@ -379,6 +379,33 @@ def test_sweep_action_outside_its_domain_is_an_error_row(tmp_path):
     assert rows == ["0.5,,,,,error: ln of non-positive value", "1,,,,,error: ln of non-positive value"]
 
 
+def overflow_scenario(tmp_path, **overrides):
+    # xi = exp(exp(exp(q0))) overflows once the free particle passes
+    # q0 = 1.88, while the state and every channel stay finite
+    return write_scenario(tmp_path, base_scenario(
+        name="overflow",
+        mode={"type": "ivp", "q0": [0.5], "v0": [2.0]},
+        generators=[{"tau": "0", "xi": ["exp(exp(exp(q0)))"], "gauge": "0"}],
+        output_dir=str(tmp_path / "out"),
+        **overrides,
+    ))
+
+
+def test_a_charge_that_overflows_fails_its_own_label(tmp_path, capsys):
+    assert cli.main(["charge", "--scenario", str(overflow_scenario(tmp_path))]) == 1
+    out = capsys.readouterr().out
+    assert "noether_g0" in out and "non-finite evaluation result on grid" in out
+    assert (tmp_path / "out" / "overflow_charge_momentum_0.csv").exists()
+    assert not (tmp_path / "out" / "overflow_charge_noether_g0.csv").exists()
+    path = overflow_scenario(tmp_path, alpha={"from": 0.5, "to": 1.0, "count": 2})
+    assert cli.main(["sweep", "--scenario", str(path)]) == 1
+    rows = (tmp_path / "out" / "overflow_sweep.csv").read_text().strip().splitlines()[1:]
+    status = {tuple(r.split(",")[:2]): r.split(",")[-1] for r in rows}
+    for alpha in ("0.5", "1"):
+        assert status[(alpha, "noether_g0")] == "error: non-finite evaluation result on grid"
+        assert status[(alpha, "momentum_0")] == status[(alpha, "classical_momentum_0")] == "ok"
+
+
 def test_charge_requires_a_charge_kind(tmp_path, capsys):
     path = write_scenario(
         tmp_path, base_scenario(charges=[], generators=[], output_dir=str(tmp_path / "o"))

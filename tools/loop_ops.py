@@ -74,10 +74,11 @@ def executed(fn, args) -> list[str]:
 
 
 def step_cost(loop, args) -> tuple[int, int]:
-    """(instructions, calls) of one step of ``loop`` at its first call's arguments."""
-    nodes, h, hh, h6, state, _ = args
-    one = executed(loop, (nodes[:2], h, hh, h6, state, [].extend))
-    none = executed(loop, (nodes[:1], h, hh, h6, state, [].extend))
+    """(instructions, calls) of one step of ``loop`` at its first call's
+    arguments, the samples a step takes included."""
+    nodes, h, hh, h6, state, _, *weights = args
+    one = executed(loop, (nodes[:2], h, hh, h6, state, [].append, *weights))
+    none = executed(loop, (nodes[:1], h, hh, h6, state, [].append, *weights))
     calls = sum(op == "CALL" for op in one) - sum(op == "CALL" for op in none)
     return len(one) - len(none), calls
 
