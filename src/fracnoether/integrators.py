@@ -384,16 +384,17 @@ def ivp_solve(
     # it reached; after the last, the samples of the last state.
     rows = []
     weights = [s.weight for s in samples]
+    skip = len(samples)
     try:
         loop(grid, h, 0.5 * h, h / 6.0, qc + vc, rows.append, *([weights] if samples else []))
     except Exception:
-        _raise_blow_up(rows[:steps], len(samples), grid)
+        _raise_blow_up(rows[:steps], skip, grid)
         raise
     stepped = rows[:steps]
-    if not all_finite(stepped[-1][len(samples):]):
-        _raise_blow_up(stepped, len(samples), grid)
+    if not all_finite(stepped[-1][skip:]):
+        _raise_blow_up(stepped, skip, grid)
     columns = list(zip(*stepped))
-    state = [(x, *values) for x, values in zip(qc + vc + [0.0] * len(names), columns[len(samples):])]
+    state = [(x, *values) for x, values in zip(qc + vc + [0.0] * len(names), columns[skip:])]
     taken = [(*values, x) for values, x in zip(columns, rows[steps] if samples else ())]
     return Trajectory(
         theta_grid=grid,
