@@ -9,7 +9,6 @@ are fixed here, not configurable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,10 +45,10 @@ from .expressions import (
     sub,
 )
 from .integrators import ExactSolution, Trajectory, bvp_shoot, convergence_order, ivp_solve
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(Record):
     name: str
     passed: bool
     detail: str

@@ -13,12 +13,12 @@ quadrature is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .euler_lagrange import VariationalProblem
 from .expressions import Expr, Theta, depends_on_velocity, evaluate_on_grid, max_coordinate_index
 from .integrators import Sample, Trajectory, log_log_slope
+from .records import Record
 
 # Lanczos approximation, g = 7 with the standard 9-term coefficient set.
 # Relative error stays below 1e-13 across (0, 50], which the unit tests
@@ -57,14 +57,12 @@ def _gamma(x: float) -> float:
     return _SQRT_TWO_PI * s ** (z + 0.5) * math.exp(-s) * series
 
 
-@dataclass(frozen=True)
-class ActionValue:
+class ActionValue(Record):
     value: float
     quadrature_error_estimate: float
 
 
-@dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(Record):
     """First-variation probe of a trajectory under a boundary-vanishing bump."""
 
     base_action: float

@@ -29,7 +29,6 @@ form divides by (1 + max |C|) to stay scale-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .euler_lagrange import (
@@ -51,6 +50,7 @@ from .expressions import (
     sub,
 )
 from .integrators import Sample, Trajectory, column, write_table
+from .records import Record
 
 # Channel names the specialized charges expect on a trajectory.
 LAMBDA_CHANNEL = "Lambda"
@@ -68,8 +68,7 @@ class MissingChannelError(LookupError):
     """The trajectory lacks a required accumulated channel."""
 
 
-@dataclass(frozen=True)
-class SymmetryGenerator:
+class SymmetryGenerator(Record):
     """Pair (tau, xi) over (theta, q), with an optional gauge rate over
     (theta, q, v)."""
 
@@ -95,8 +94,7 @@ class SymmetryGenerator:
         return SymmetryGenerator(self.tau, self.xi, gauge_rate)
 
 
-@dataclass(frozen=True)
-class ChargeSeries:
+class ChargeSeries(Record):
     """Samples of a candidate constant of motion with drift statistics:
     ``theta_grid`` and ``values`` tuples of floats."""
 

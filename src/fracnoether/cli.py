@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -36,6 +35,7 @@ from .charges import (
 from .euler_lagrange import SingularHessianError, to_explicit_ode
 from .expressions import EvalDomainError, ExpressionError
 from .integrators import BlowUpError, ShootingError, bvp_shoot, ivp_solve
+from .records import replace
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -65,9 +65,9 @@ def _load(args) -> Scenario:
     scenario = load_scenario(args.scenario)
     if args.steps is not None:
         check_steps(args.steps, scenario.interval)
-        scenario = dataclasses.replace(scenario, steps=args.steps)
+        scenario = replace(scenario, steps=args.steps)
     if args.output is not None:
-        scenario = dataclasses.replace(scenario, output_dir=args.output)
+        scenario = replace(scenario, output_dir=args.output)
     return scenario
 
 
@@ -273,7 +273,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import acceptance  # only verify reads it; other commands skip its import
+    try:
+        from . import acceptance  # only verify reads it, and numpy with it
+    except ModuleNotFoundError as exc:
+        if exc.name != "numpy":
+            raise
+        print("validation error: verify needs numpy: pip install 'fracnoether[verify]'",
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
     out = _output_dir(args.output or ".")
     results = acceptance.run_all()

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 from typing import Sequence
 
@@ -46,6 +45,7 @@ from .expressions import (
     power,
     sub,
 )
+from .records import Record, field, replace
 
 
 class SingularHessianError(ArithmeticError):
@@ -62,8 +62,7 @@ class SingularHessianError(ArithmeticError):
         self.condition_estimate = condition_estimate
 
 
-@dataclass(frozen=True)
-class FractionalParams:
+class FractionalParams(Record):
     """Fractional order alpha in (0, 1] and the observer time t.
 
     Owns every spelling of the kernel, each a tree: the action weight and
@@ -110,8 +109,7 @@ class FractionalParams:
         return mul(self._strength(), self.over_lag(e))
 
 
-@dataclass(frozen=True)
-class BoundaryConditions:
+class BoundaryConditions(Record):
     q_a: tuple
     q_b: tuple
 
@@ -134,8 +132,7 @@ def alpha_free(build):
     return shared
 
 
-@dataclass(frozen=True)
-class VariationalProblem:
+class VariationalProblem(Record):
     """A Lagrangian on an interval together with the kernel parameters.
 
     Boundary values are optional; initial-value use supplies (q0, v0) to the

@@ -37,8 +37,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+from .records import Record, refuse_assignment
 
 
 class ExpressionError(ValueError):
@@ -94,11 +95,13 @@ def _value_key(x: float) -> tuple:
 class Expr:
     """Base node. Subclasses define ``_diff`` and rendering; evaluation is compiled.
 
-    The slot caches the compiled evaluator of a tree that has been
-    evaluated as a root.
+    Every node class is slotted, immutable, and compared and hashed by
+    identity.  The slot caches the compiled evaluator of a tree that has
+    been evaluated as a root.
     """
 
     __slots__ = ("_scalar_fn",)
+    __setattr__ = __delattr__ = refuse_assignment
 
     def children(self) -> tuple["Expr", ...]:
         return ()
@@ -152,17 +155,15 @@ class Expr:
         return f"<Expr {self._render()}>"
 
 
-# Every node class: frozen, compared and hashed by identity, shown by Expr.__repr__.
-_node = dataclass(frozen=True, slots=True, eq=False, repr=False)
-
-
 # --------------------------------------------------------------------------
 # Leaves
 
 
-@_node
 class Const(Expr):
-    value: float
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
     def _diff(self, var, d):
         return Const(0.0)
@@ -171,8 +172,9 @@ class Const(Expr):
         return format(self.value, "g")
 
 
-@_node
 class Theta(Expr):
+    __slots__ = ()
+
     def _diff(self, var, d):
         return Const(1.0 if isinstance(var, Theta) else 0.0)
 
@@ -180,11 +182,13 @@ class Theta(Expr):
         return "theta"
 
 
-@_node
 class _Coordinate(Expr):
     """A coordinate or velocity leaf, rendered ``{_LETTER}{index}``."""
 
-    index: int
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
 
     def _diff(self, var, d):
         return Const(1.0 if isinstance(var, type(self)) and var.index == self.index else 0.0)
@@ -193,13 +197,13 @@ class _Coordinate(Expr):
         return f"{self._LETTER}{self.index}"
 
 
-@_node
 class Q(_Coordinate):
+    __slots__ = ()
     _LETTER = "q"
 
 
-@_node
 class V(_Coordinate):
+    __slots__ = ()
     _LETTER = "v"
 
 
@@ -207,11 +211,13 @@ class V(_Coordinate):
 # Unary nodes
 
 
-@_node
 class _Unary(Expr):
     """A function of one argument, rendered ``{_NAME}(arg)``."""
 
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
     def children(self):
         return (self.arg,)
@@ -220,8 +226,8 @@ class _Unary(Expr):
         return f"{self._NAME}({self.arg._render()})"
 
 
-@_node
 class Neg(_Unary):
+    __slots__ = ()
     _PREC = 3
 
     def _diff(self, var, d):
@@ -231,53 +237,55 @@ class Neg(_Unary):
         return f"-{self._wrap(self.arg)}"
 
 
-@_node
 class Sin(_Unary):
+    __slots__ = ()
     _NAME = "sin"
 
     def _diff(self, var, d):
         return mul(cos(self.arg), d(self.arg))
 
 
-@_node
 class Cos(_Unary):
+    __slots__ = ()
     _NAME = "cos"
 
     def _diff(self, var, d):
         return mul(neg(sin(self.arg)), d(self.arg))
 
 
-@_node
 class Exp(_Unary):
+    __slots__ = ()
     _NAME = "exp"
 
     def _diff(self, var, d):
         return mul(Exp(self.arg), d(self.arg))
 
 
-@_node
 class Ln(_Unary):
+    __slots__ = ()
     _NAME = "ln"
 
     def _diff(self, var, d):
         return _quotient(d(self.arg), self.arg)
 
 
-@_node
 class Sqrt(_Unary):
+    __slots__ = ()
     _NAME = "sqrt"
 
     def _diff(self, var, d):
         return _quotient(d(self.arg), mul(Const(2.0), Sqrt(self.arg)))
 
 
-@_node
 class Pow(Expr):
     """Power with a fixed real exponent; the base must evaluate positive."""
 
-    base: Expr
-    exponent: float
+    __slots__ = ("base", "exponent")
     _PREC = 4
+
+    def __init__(self, base: Expr, exponent: float):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
     def children(self):
         return (self.base,)
@@ -299,12 +307,14 @@ class Pow(Expr):
 # Binary nodes
 
 
-@_node
 class _Binary(Expr):
     """An infix operator ``a {_OP} b``."""
 
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Expr, b: Expr):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def children(self):
         return (self.a, self.b)
@@ -318,8 +328,8 @@ class _Binary(Expr):
         return f"{self._wrap(self.a)} {self._OP} {right}"
 
 
-@_node
 class Add(_Binary):
+    __slots__ = ()
     _OP = "+"
     _PREC = 1
 
@@ -327,8 +337,8 @@ class Add(_Binary):
         return add(d(self.a), d(self.b))
 
 
-@_node
 class Sub(_Binary):
+    __slots__ = ()
     _OP = "-"
     _PREC = 1
 
@@ -336,8 +346,8 @@ class Sub(_Binary):
         return sub(d(self.a), d(self.b))
 
 
-@_node
 class Mul(_Binary):
+    __slots__ = ()
     _OP = "*"
     _PREC = 2
 
@@ -345,8 +355,8 @@ class Mul(_Binary):
         return add(mul(d(self.a), self.b), mul(self.a, d(self.b)))
 
 
-@_node
 class Div(_Binary):
+    __slots__ = ()
     _OP = "/"
     _PREC = 2
 
@@ -947,8 +957,7 @@ def _raise_out_of_range(leaves, q, v) -> None:
 # Points and top-level evaluation
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(Record):
     """A sample (theta, q, v); q and v share the degree-of-freedom count."""
 
     theta: float

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from . import linsolve
@@ -42,6 +41,7 @@ from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
 from .expressions import (
     Emitter, Expr, ExpressionError, evaluate_on_grid, shaped,
 )
+from .records import Record, field
 
 
 class BlowUpError(RuntimeError):
@@ -155,8 +155,7 @@ def write_table(
         fh.write(trailer)
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
+class Sample(Record):
     """The tree ``tree`` plus ``weight`` times the channel ``channel`` (none:
     the tree alone), sampled at every grid node of a solve.
 
@@ -229,8 +228,7 @@ class Rows(Sequence):
         return repr(tuple(self))
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record, frozen=False):
     """Uniform-grid samples of (theta, q, v) plus accumulated channels.
 
     ``theta_grid`` is a tuple of floats; ``q`` and ``v`` are :class:`Rows`,
@@ -310,24 +308,21 @@ class Trajectory:
         write_table(path, header, self.theta_grid, columns)
 
 
-@dataclass(frozen=True)
-class ShootingReport:
+class ShootingReport(Record):
     converged: bool
     iterations: int
     boundary_miss: tuple
     initial_velocity: tuple
 
 
-@dataclass(frozen=True)
-class ExactSolution:
+class ExactSolution(Record):
     """Closed-form trajectory used as a convergence oracle."""
 
     q: Callable[[float], Sequence[float]]
     v: Callable[[float], Sequence[float]]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     step_counts: tuple
     errors: tuple
     slope: float | None

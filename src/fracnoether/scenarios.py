@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .charges import SymmetryGenerator, gauge_rate_from_reduced_condition
 from .euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from .expressions import Expr, ExpressionError, parse
 from .integrators import linspace, uniform_grid
+from .records import Record, field
 
 VALID_CHARGES = ("noether", "energy", "momentum")
 
@@ -25,8 +25,7 @@ class ScenarioError(ValueError):
     """Invalid scenario content; reported before any output is written."""
 
 
-@dataclass(frozen=True)
-class AlphaSweep:
+class AlphaSweep(Record):
     start: float
     stop: float
     count: int
@@ -36,15 +35,13 @@ class AlphaSweep:
         return linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Record):
     tau: str
     xi: tuple
     gauge: str  # "auto" or expression text
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     name: str
     n: int
     lagrangian: str

@@ -144,14 +144,14 @@ def test_render_pins_each_node_shape(e, text):
 
 def test_repr_is_the_short_form():
     assert repr(parse("q0 + v0")) == "<Expr q0 + v0>"
-    # every node class, private bases included, keeps Expr.__repr__ (the
-    # classes a slotted dataclass discarded are not bound in the module)
+    # every node class, private bases included, keeps Expr.__repr__; each
+    # is the class the module binds under its name
     classes, todo = set(), [Expr]
     while todo:
         for cls in todo.pop().__subclasses__():
             todo.append(cls)
-            if vars(expressions).get(cls.__name__) is cls:
-                classes.add(cls)
+            assert vars(expressions).get(cls.__name__) is cls, cls
+            classes.add(cls)
     assert len(classes) == 18
     assert all(cls.__repr__ is Expr.__repr__ for cls in classes)
 

@@ -1,7 +1,6 @@
 """Every concrete expression node has an emission rule, checked on the source."""
 
 import ast
-import dataclasses
 import inspect
 import textwrap
 
@@ -18,18 +17,14 @@ FIELD_VALUES = {"Expr": Q(0), "int": 0, "float": 1.5}
 
 
 def node_classes() -> tuple[set[type], set[type]]:
-    """(concrete, private base) subclasses of ``Expr``, found recursively.
-
-    Only classes bound under their own name in the module count: a slotted
-    dataclass replaces the class its decorator was given, and the discarded
-    one stays listed as a subclass until it is collected.
-    """
+    """(concrete, private base) subclasses of ``Expr``, found recursively;
+    each is the class the module binds under its name."""
     found, stack = set(), [Expr]
     while stack:
         for cls in stack.pop().__subclasses__():
             stack.append(cls)
-            if vars(expressions).get(cls.__name__) is cls:
-                found.add(cls)
+            assert vars(expressions).get(cls.__name__) is cls, cls
+            found.add(cls)
     private = {cls for cls in found if cls.__name__.startswith("_")}
     return found - private, private
 
@@ -48,8 +43,17 @@ def dispatched(tree: ast.AST, namespace) -> set:
     return classes
 
 
+def declared_fields(cls) -> dict[str, str]:
+    """The fields a node declares, name to type: the annotated parameters of
+    its constructor, which must be the slots its classes add to ``Expr``."""
+    fields = dict(getattr(cls.__init__, "__annotations__", {}))
+    slots = [name for base in reversed(cls.__mro__[:-2]) for name in vars(base)["__slots__"]]
+    assert list(fields) == slots, cls
+    return fields
+
+
 def instance(cls) -> Expr:
-    return cls(*(FIELD_VALUES[f.type] for f in dataclasses.fields(cls)))
+    return cls(*(FIELD_VALUES[t] for t in declared_fields(cls).values()))
 
 
 def test_emitter_dispatches_on_exactly_the_concrete_nodes():

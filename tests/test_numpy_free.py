@@ -1,5 +1,6 @@
-"""The commands run without numpy, and the pure-Python replacements of the
-numpy formulas they used give the same bits; numpy is the oracle here.
+"""The commands run without numpy or dataclasses, and the pure-Python
+replacements of the numpy formulas they used give the same bits; numpy is
+the oracle here.
 
 ``uniform_grid`` and ``AlphaSweep.values`` are ``integrators.linspace``,
 ``numpy.linspace``'s formula, and the drift statistics find the largest
@@ -117,16 +118,22 @@ def test_the_cli_import_leaves_out_numpy():
     assert run(code).stdout == "False\n"
 
 
-# Runs the CLI commands given as JSON, numpy blocked or not, and prints,
-# after what the commands print, their exit codes and whether numpy was
-# imported.
+def test_the_cli_import_leaves_out_dataclasses_and_inspect():
+    code = "import sys, fracnoether.cli; print({'dataclasses', 'inspect'} & set(sys.modules))"
+    assert run(code).stdout == "set()\n"
+
+
+# Runs the CLI commands given as JSON, numpy and dataclasses blocked or not,
+# and prints, after what the commands print, their exit codes and which of
+# the two were imported.
 COMMANDS = """
 import json, sys
+BLOCKED = ("numpy", "dataclasses")
 if sys.argv[1] == "block":
-    sys.modules["numpy"] = None
+    sys.modules.update(dict.fromkeys(BLOCKED))
 from fracnoether import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
-print(json.dumps([codes, sys.modules.get("numpy") is not None]))
+print(json.dumps([codes, [name for name in BLOCKED if sys.modules.get(name) is not None]]))
 """
 
 
@@ -152,7 +159,28 @@ def test_solve_charge_and_sweep_run_with_numpy_blocked(tmp_path):
         (tmp_path / mode).mkdir()
         stdout = run(COMMANDS, mode, json.dumps(argv), cwd=tmp_path / mode).stdout
         codes, imported = json.loads(stdout.splitlines()[-1])
-        # unblocked, the commands do not import numpy either
-        assert codes == [0] * len(argv) and not imported
+        # unblocked, the commands import neither of them either
+        assert codes == [0] * len(argv) and imported == []
         results[mode] = outputs(tmp_path / mode / "out")
     assert len(results["block"]) >= 5 and results["block"] == results["allow"]
+
+
+def test_verify_without_numpy_exits_2_naming_the_extra(tmp_path):
+    code = ("import sys\nsys.modules['numpy'] = None\nfrom fracnoether import cli\n"
+            "sys.exit(cli.main(['verify', '--output', 'report']))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert "numpy" in line and "fracnoether[verify]" in line
+    assert not (tmp_path / "report").exists()
+
+
+def test_the_import_cost_tool_lists_what_the_import_adds():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "import_cost.py"), "--runs", "1",
+                           "--src", SRC], capture_output=True, text=True, check=True)
+    *timings, count, others = proc.stdout.splitlines()
+    assert len(timings) == 4 and timings[2].split()[-1] == "s" and timings[3].endswith(" MB")
+    assert count.startswith("modules added: ") and "fracnoether" not in others
+    assert "json" in others.split() and not {"dataclasses", "inspect", "numpy"} & set(others.split())

@@ -4,8 +4,6 @@ compared fields, build each default-factory value anew, and ``replace``
 rebuilds a record through its constructor; nodes are immutable, slotted
 and compared by identity."""
 
-from dataclasses import replace
-
 import pytest
 
 from fracnoether import expressions
@@ -19,6 +17,7 @@ from fracnoether.expressions import (
 from fracnoether.integrators import (
     ConvergenceReport, ExactSolution, Sample, ShootingReport, Trajectory,
 )
+from fracnoether.records import replace
 from fracnoether.scenarios import AlphaSweep, GeneratorSpec, scenario_from_dict
 
 L, TAU, ONE = parse("v0^2/2", 1), Const(0.0), Const(1.0)

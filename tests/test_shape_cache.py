@@ -13,7 +13,6 @@ caches, so a key that misses an input, or a hit that binds the wrong
 value, shows as different bytes.
 """
 
-import dataclasses
 import json
 import math
 import os
@@ -48,6 +47,7 @@ from fracnoether.expressions import (
     parse,
 )
 from fracnoether.integrators import ivp_solve
+from fracnoether.records import replace
 
 ROOT = Path(__file__).resolve().parents[1]
 NAMED = {"_one_minus_alpha", "_alpha_minus_one"}
@@ -365,7 +365,7 @@ def test_a_later_alpha_shares_the_alpha_free_trees(tmp_path):
     assert gen2.gauge_rate is not gen1.gauge_rate
     assert gen2.gauge_rate.a is gen1.gauge_rate.a
     # a problem made another way shares nothing
-    other = dataclasses.replace(two, frac=FractionalParams(0.9, 3.0))
+    other = replace(two, frac=FractionalParams(0.9, 3.0))
     assert other.momentum is not one.momentum
     assert charge_expression(other, gen2) is not charge_expression(one, gen1)
 
