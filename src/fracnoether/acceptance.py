@@ -3,14 +3,15 @@
 Each criterion is a self-contained check with analytically derived
 oracles, runnable at desk scale.  The CLI ``verify`` subcommand and the
 test suite both execute this corpus; the criteria and their tolerances
-are fixed here, not configurable.
+are fixed here, not configurable.  It runs on the standard library: the
+two criteria that draw random numbers draw them from ``random.Random``
+with fixed seeds.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import random
 
 from .action import fractional_action, gamma_fn, stationarity_check
 from .charges import (
@@ -44,7 +45,9 @@ from .expressions import (
     sqrt,
     sub,
 )
-from .integrators import ExactSolution, Trajectory, bvp_shoot, convergence_order, ivp_solve
+from .integrators import (
+    ExactSolution, Trajectory, bvp_shoot, convergence_order, ivp_solve, uniform_grid,
+)
 from .records import Record
 
 
@@ -78,8 +81,7 @@ def _solve_ivp(prob, q0, v0, steps, **integrand_kwargs):
 def criterion_classical_limit() -> CriterionResult:
     prob = _problem("(v0^2 - q0^2)/2", 1, alpha=1.0)
     traj = _solve_ivp(prob, [1.0], [0.0], 1000, energy=True)
-    exact = np.cos(traj.theta_grid)
-    traj_err = float(np.max(np.abs(np.asarray(traj.q)[:, 0] - exact)))
+    traj_err = max(abs(q - math.cos(th)) for th, (q,) in zip(traj.theta_grid, traj.q))
     energy = fractional_energy(prob, traj)
     ok = traj_err < 1e-9 and energy.relative_drift < 1e-10
     return CriterionResult(
@@ -106,8 +108,8 @@ def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
 def criterion_free_particle_velocity() -> CriterionResult:
     prob = _problem("v0^2/2", 1, alpha=0.5)
     traj = _solve_ivp(prob, [0.0], [1.0], 1000)
-    exact = _free_particle_velocity(np.asarray(traj.theta_grid))
-    rel_err = float(np.max(np.abs(np.asarray(traj.v)[:, 0] - exact) / np.abs(exact)))
+    rel_err = max(abs(v - exact) / abs(exact) for v, exact in zip(
+        traj.v.columns[0], map(_free_particle_velocity, traj.theta_grid)))
     ok = rel_err < 1e-8
     return CriterionResult(
         "free_particle_closed_form",
@@ -130,7 +132,7 @@ def criterion_fractional_momentum() -> CriterionResult:
     # constant K (t-a)^(1-alpha), i.e. exactly the launch velocity.
     coefficient = 1.0 / (t - a) ** (1.0 - alpha)
     analytic = coefficient * (t - a) ** (1.0 - alpha)
-    const_err = float(np.max(np.abs(np.asarray(series.values) - analytic)))
+    const_err = max(abs(x - analytic) for x in series.values)
     ok = series.relative_drift < 1e-8 and const_err < 1e-8
     return CriterionResult(
         "fractional_momentum_constant",
@@ -227,7 +229,7 @@ def criterion_theorem_as_test() -> CriterionResult:
             )
             residual = pointwise_conservation_residual(prob, gen, traj, ode=rhs)
             series = noether_charge(prob, gen, traj)
-            worst_pointwise = max(worst_pointwise, float(np.max(np.abs(residual))))
+            worst_pointwise = max(worst_pointwise, *map(abs, residual))
             worst_drift = max(worst_drift, series.relative_drift)
             combos += 1
     ok = worst_pointwise < 1e-9 and worst_drift < 1e-6
@@ -275,22 +277,17 @@ def criterion_action_kernel() -> CriterionResult:
     alpha, t = 0.5, 2.0
     prob = _problem("1", 1, alpha=alpha, t=t)
     steps = 1000
-    grid = np.linspace(0.0, 1.0, steps + 1)
-    flat = Trajectory(
-        theta_grid=grid,
-        q=np.zeros((steps + 1, 1)),
-        v=np.zeros((steps + 1, 1)),
-        channels={},
-    )
+    rest = [(0.0,)] * (steps + 1)
+    flat = Trajectory(theta_grid=uniform_grid(0.0, 1.0, steps), q=rest, v=rest, channels={})
     action = fractional_action(prob, flat)
     exact = (math.sqrt(2.0) - 1.0) / gamma_fn(1.5)
     rel_err = abs(action.value - exact) / exact
 
     g1 = abs(gamma_fn(1.0) - 1.0)
     g_half = abs(gamma_fn(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     rec = 0.0
-    for x in rng.uniform(0.05, 19.0, size=100):
+    for x in (rng.uniform(0.05, 19.0) for _ in range(100)):
         rec = max(rec, abs(gamma_fn(x + 1.0) - x * gamma_fn(x)) / abs(gamma_fn(x + 1.0)))
     ok = rel_err < 1e-10 and g1 < 1e-13 and g_half < 1e-13 and rec < 1e-12
     return CriterionResult(
@@ -333,15 +330,15 @@ def criterion_stationarity() -> CriterionResult:
 
 def _random_expression(rng, n: int, depth: int):
     if depth == 0:
-        pick = int(rng.integers(0, 4))
+        pick = rng.randrange(4)
         if pick == 0:
-            return Const(float(rng.uniform(-2.0, 2.0)))
+            return Const(rng.uniform(-2.0, 2.0))
         if pick == 1:
             return Theta()
         if pick == 2:
-            return Q(int(rng.integers(0, n)))
-        return V(int(rng.integers(0, n)))
-    pick = int(rng.integers(0, 8))
+            return Q(rng.randrange(n))
+        return V(rng.randrange(n))
+    pick = rng.randrange(8)
     a = _random_expression(rng, n, depth - 1)
     b = _random_expression(rng, n, depth - 1)
     if pick == 0:
@@ -375,16 +372,16 @@ def _central_difference(e, var, theta, q, v, h=1e-6):
 
 
 def criterion_derivative_engine() -> CriterionResult:
-    rng = np.random.default_rng(20260401)
+    rng = random.Random(20260401)
     n = 2
     worst = 0.0
     for _ in range(20):
         e = _random_expression(rng, n, 3)
-        theta = float(rng.uniform(-1.0, 1.0))
-        q = rng.uniform(-1.0, 1.0, size=n).tolist()
-        v = rng.uniform(-1.0, 1.0, size=n).tolist()
+        theta = rng.uniform(-1.0, 1.0)
+        q = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+        v = [rng.uniform(-1.0, 1.0) for _ in range(n)]
         variables = [Theta(), Q(0), Q(1), V(0), V(1)]
-        var = variables[int(rng.integers(0, len(variables)))]
+        var = variables[rng.randrange(len(variables))]
         sym = e.diff(var).evaluate(theta, q, v)
         fd = _central_difference(e, var, theta, q, v)
         err = abs(sym - fd) / (1.0 + abs(sym))
@@ -444,9 +441,4 @@ CRITERIA = (
 
 
 def run_all() -> list[CriterionResult]:
-    results = []
-    for criterion in CRITERIA:
-        r = criterion()
-        # numpy comparison chains may hand back np.bool_
-        results.append(CriterionResult(r.name, bool(r.passed), r.detail))
-    return results
+    return [criterion() for criterion in CRITERIA]

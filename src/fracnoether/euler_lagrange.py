@@ -227,8 +227,7 @@ class ExplicitOde:
     accelerations at a point into an expression emitter; the first call
     compiles it into one function, and :func:`integrators.ivp_solve`
     writes it into its compiled step loop at every stage instead of
-    calling, keeping those loops in ``loops``, one per integrand and
-    sample set.  ``samples`` lists the
+    calling.  ``samples`` lists the
     :class:`~fracnoether.integrators.Sample` trees a solve of this ODE
     samples at every node (:meth:`with_samples`), none by default.
     """
@@ -248,11 +247,9 @@ class ExplicitOde:
         c = prob.frac.kernel_coefficient()
         self.net = list(self.force) if prob.frac.alpha == 1.0 else [
             Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
-        self.loops: dict = {}
 
     def with_samples(self, samples) -> "ExplicitOde":
-        """This ODE, sharing its trees and compiled loops, sampling
-        ``samples`` along every solve."""
+        """This ODE, sharing its trees, sampling ``samples`` along every solve."""
         ode = copy.copy(self)
         ode.samples = tuple(samples)
         return ode

@@ -16,14 +16,13 @@ four stage points (subtrees shared at one point computed once), and any
 other callable called at each stage.  The :class:`Sample` trees an ODE
 carries (:meth:`ExplicitOde.with_samples`) are written at the first stage
 point of every step too, sharing what the step computed there, and give
-the trajectory one more column each.  An ``ExplicitOde`` keeps its
-compiled loops, one per integrand and sample set, and a loop whose trees
-have the shape of an earlier one, as at the next alpha of a sweep, is not
-emitted again.  :func:`ivp_solve` tests the last row finite once per
-solve, not the loop at every step.  The Newton solves of
-:func:`bvp_shoot` run the channel-less loop keeping only the state at b,
-and the one trajectory a shoot returns is a solve at the final velocity
-with its channels and samples.
+the trajectory one more column each.  A loop is emitted once per shape
+of its trees: one whose trees have the shape of an earlier one, as at the
+next alpha of a sweep, is not emitted again.  :func:`ivp_solve` tests the
+last row finite once per solve, not the loop at every step.  The Newton solves of
+:func:`bvp_shoot` run the channel-less loop, built once per shoot, keeping
+only the state at b, and the one trajectory a shoot returns is a solve at
+the final velocity with its channels and samples.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -349,8 +348,8 @@ def ivp_solve(
     must be among ``integrands``, is sampled at every node into
     ``Trajectory.samples``; a sample that fails to evaluate or is not
     finite at some node is left out, for :meth:`Trajectory.sample` to
-    evaluate and report.  The loop for an ``ExplicitOde`` is compiled once
-    per integrand and sample set and kept on the ODE.
+    evaluate and report.  A loop that writes out every tree is emitted
+    once per shape of its trees, not once per solve.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -373,7 +372,7 @@ def ivp_solve(
 
     grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop = _rk4_loop(rhs, n, [integrands[name] for name in names], sampled)
+    loop = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled)
 
     # Each step appends a row of its samples and the state (q, v, channels)
     # it reached; after the last, the samples of the last state.
@@ -419,7 +418,7 @@ def _final_state(
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
     nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop = _rk4_loop(rhs, rhs.n, [], ())
+    loop = _compile_rk4_loop(rhs, rhs.n, [], ())
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
@@ -445,18 +444,6 @@ def _raise_blow_up(rows: Sequence[tuple], skip: int, grid: Sequence[float]) -> N
     for k, row in enumerate(rows, 1):
         if not all_finite(row[skip:]):
             raise BlowUpError(grid[k]) from None
-
-
-def _rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence) -> Callable:
-    """The compiled step loop for this right-hand side, integrand list and
-    sampled (tree, channel index) list, cached on an :class:`ExplicitOde`."""
-    if not isinstance(rhs, ExplicitOde):
-        return _compile_rk4_loop(rhs, n, integrands, sampled)
-    key = (tuple(integrands), sampled)  # nodes hash by identity, and the key keeps them alive
-    loop = rhs.loops.get(key)
-    if loop is None:
-        loop = rhs.loops[key] = _compile_rk4_loop(rhs, n, integrands, sampled)
-    return loop
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence) -> Callable:

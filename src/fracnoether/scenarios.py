@@ -105,6 +105,13 @@ def check_steps(steps, interval: tuple) -> None:
         ) from exc
 
 
+def check_output_dir(path) -> str:
+    """The output-directory rule of a scenario and of an ``--output``
+    override: a non-empty path string, checked before anything is written."""
+    _require(isinstance(path, str) and path != "", "output_dir must be a path")
+    return path
+
+
 def _number(raw, label: str) -> float:
     """A finite real number that is not a bool; the one numeric field check."""
     _require(
@@ -236,8 +243,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         "charge kind 'noether' needs at least one generator",
     )
 
-    output_dir = raw.get("output_dir", ".")
-    _require(isinstance(output_dir, str) and output_dir != "", "output_dir must be a path")
+    output_dir = check_output_dir(raw.get("output_dir", "."))
 
     return Scenario(
         name=name,

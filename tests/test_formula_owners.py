@@ -1,4 +1,5 @@
-"""Each formula of the paper is derived in one place, checked on the source."""
+"""Each formula of the paper is derived in one place, and the package
+runs on the standard library alone, checked on the source."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,9 @@ EMIT_SOLVE_OWNERS = {"ExplicitOde.emit_accelerations"}
 
 # Where a "%.17g" row template may be assembled: the one CSV table writer.
 ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
+
+# The test oracles, which no module of the package may import.
+ORACLES = {"numpy", "scipy", "sympy"}
 
 
 def scoped_sites(tree: ast.AST, match) -> list[tuple[str, int]]:
@@ -170,3 +174,52 @@ def test_the_table_writer_guard_sees_every_spelling():
     )
     sites = row_template_sites(ast.parse(source))
     assert sites == [("Series.write_csv", 3), ("row", 5), ("row", 5)]
+
+
+def oracle_import_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every import of numpy, scipy,
+    sympy or a module under one of them: an import statement anywhere, or
+    ``__import__``/``import_module`` of a constant name."""
+
+    def is_oracle(module) -> bool:
+        return isinstance(module, str) and module.split(".")[0] in ORACLES
+
+    def match(node):
+        if isinstance(node, ast.Import):
+            return any(is_oracle(alias.name) for alias in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return node.level == 0 and is_oracle(node.module)
+        if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            return name in ("__import__", "import_module") and is_oracle(node.args[0].value)
+        return False
+
+    return scoped_sites(tree, match)
+
+
+def test_the_package_imports_no_oracle():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.rglob("*.py")):
+        for scope, line in oracle_import_sites(ast.parse(path.read_text())):
+            found[f"{path.name}:{line}"] = scope
+    assert found == {}
+
+
+def test_the_oracle_guard_sees_every_spelling():
+    source = (
+        "import math, numpy as np\n"
+        "from scipy.special import gamma\n"
+        "from . import numpy_free\n"
+        "from .sympy import x\n"
+        "import numpyish, mathsympy\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        import sympy.core\n"
+        "def g():\n"
+        "    from numpy import linalg\n"
+        "    return __import__('scipy'), importlib.import_module('numpy.random')\n"
+    )
+    sites = oracle_import_sites(ast.parse(source))
+    assert sites == [("", 1), ("", 2), ("C.f", 8), ("g", 10), ("g", 11), ("g", 11)]

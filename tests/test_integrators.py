@@ -94,7 +94,11 @@ def test_channel_additivity_across_a_split():
     assert abs(stitched - full.channels["g"][-1]) < 1e-10
 
 
-def test_state_of_the_wrong_dimension_is_rejected():
+def test_state_of_the_wrong_dimension_is_rejected(monkeypatch):
+    def compile_rk4_loop(*args):
+        raise AssertionError("a loop was compiled before the state was checked")
+
+    monkeypatch.setattr(integrators, "_compile_rk4_loop", compile_rk4_loop)
     one = to_explicit_ode(problem("v0^2/2 - q0^2/2", alpha=0.5))
     two = to_explicit_ode(problem("(v0^2 + v1^2)/2", alpha=0.5, n=2))
     for rhs, q0, message in [
@@ -103,7 +107,6 @@ def test_state_of_the_wrong_dimension_is_rejected():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ivp_solve(rhs, 0.0, 1.0, q0, [0.0] * len(q0), 10)
-    assert not one.loops and not two.loops
 
 
 def test_grid_is_uniform_and_channels_start_at_zero():

@@ -388,20 +388,22 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
 
 def loop_source(prob, integrands=None):
     """The source and the function of the loop ``ivp_solve`` compiles for ``prob``."""
-    sources = []
+    sources, loops = [], []
     define = expressions.Emitter.define
 
     def recording_define(self, source, name, **names):
+        fn = define(self, source, name, **names)
         if name == "loop":
             sources.append("\n".join(source))
-        return define(self, source, name, **names)
+            loops.append(fn)
+        return fn
 
     ode = ExplicitOde(prob)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(expressions.Emitter, "define", recording_define)
         ivp_solve(ode, 0.0, 1.0, [0.1] * prob.n, [0.2] * prob.n, 4, integrands=integrands)
     (source,) = sources
-    (loop,) = ode.loops.values()
+    (loop,) = loops
     return source, loop
 
 

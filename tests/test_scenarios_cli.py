@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from fracnoether import cli, expressions
+from fracnoether import cli, expressions, integrators
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 
@@ -273,6 +273,93 @@ def test_an_unusable_output_path_is_a_validation_error(tmp_path, capsys, no_solv
     err = capsys.readouterr().err
     assert err.startswith(f"validation error: cannot use output directory {str(output)!r}: ")
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "charge", "sweep", "verify"])
+def test_an_empty_output_path_is_a_validation_error(tmp_path, capsys, monkeypatch, no_solve,
+                                                    command):
+    # the rule of a scenario's output_dir holds for --output too
+    argv = [command]
+    if command != "verify":
+        alpha = {"from": 0.5, "to": 1.0, "count": 2} if command == "sweep" else 0.5
+        raw = base_scenario(alpha=alpha, output_dir=str(tmp_path / "out"))
+        argv += ["--scenario", str(write_scenario(tmp_path, raw))]
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([*argv, "--output", ""]) == 2
+    assert capsys.readouterr().err == "validation error: output_dir must be a path\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_an_empty_output_dir_in_a_scenario_is_a_validation_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario(output_dir=""))
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == "validation error: output_dir must be a path\n"
+
+
+# --------------------------------------------------------------------------
+# every series a command writes is read from its solve's loop
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def shipped(name, **overrides):
+    return {**json.loads((SCENARIOS / name).read_text()), **overrides}
+
+
+TWO_DOF_IVP = base_scenario(
+    name="coupled",
+    n=2,
+    lagrangian="(v0^2 + v1^2)/2 - (q0 - q1)^2/2",
+    mode={"type": "ivp", "q0": [0.4, -0.2], "v0": [0.5, 0.1]},
+    generators=[{"tau": "1", "xi": ["0", "0"], "gauge": "auto"},
+                {"tau": "0", "xi": ["1", "1"], "gauge": "auto"}],
+    charges=["noether", "energy"],
+)
+
+# (command, scenario, the labels it writes); together every label kind
+LOOP_CASES = {
+    "charge_bvp": ("charge", shipped("free_particle_bvp.json"),
+                   {"noether_g0", "noether_g1", "energy", "momentum_0"}),
+    "charge_2dof_ivp": ("charge", TWO_DOF_IVP, {"noether_g0", "noether_g1", "energy"}),
+    "sweep_ivp": ("sweep", shipped("oscillator_sweep.json"),
+                  {"noether_g0", "energy", "classical_energy"}),
+    "sweep_bvp": ("sweep", shipped("free_particle_bvp.json",
+                                   alpha={"from": 0.5, "to": 1.0, "count": 3}),
+                  {"noether_g0", "noether_g1", "energy", "classical_energy",
+                   "momentum_0", "classical_momentum_0"}),
+}
+
+
+def written(out: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def written_labels(command: str, files: dict[str, bytes]) -> set[str]:
+    if command == "charge":
+        return {name.split("_charge_", 1)[1][:-len(".csv")] for name in files}
+    (table,) = files.values()
+    return {line.split(",")[1] for line in table.decode().splitlines()[1:]}
+
+
+@pytest.mark.parametrize("command, raw, labels", LOOP_CASES.values(), ids=LOOP_CASES.keys())
+def test_every_series_a_command_writes_is_read_from_the_loop(
+    tmp_path, capsys, monkeypatch, command, raw, labels
+):
+    # a label the loop did not sample would fall back to evaluate_on_grid
+    argv = [command, "--scenario", str(write_scenario(tmp_path, raw)), "--output"]
+    assert cli.main([*argv, str(tmp_path / "plain")]) == 0
+    plain = written(tmp_path / "plain")
+    assert written_labels(command, plain) == labels
+
+    def evaluate_on_grid(*args):
+        raise AssertionError("a series was evaluated node by node")
+
+    monkeypatch.setattr(integrators, "evaluate_on_grid", evaluate_on_grid)
+    assert cli.main([*argv, str(tmp_path / "loop")]) == 0
+    assert written(tmp_path / "loop") == plain
 
 
 # --------------------------------------------------------------------------
