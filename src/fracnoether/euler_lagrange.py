@@ -229,12 +229,16 @@ class ExplicitOde:
     writes it into its compiled step loop at every stage instead of
     calling.  ``samples`` lists the
     :class:`~fracnoether.integrators.Sample` trees a solve of this ODE
-    samples at every node (:meth:`with_samples`), none by default.
+    samples at every node (:meth:`with_samples`), none by default, and
+    ``columns`` holds the :class:`~fracnoether.columns.Columns` its
+    solves on one grid read, which the Newton shooting of a boundary
+    problem sets; copies share it.
     """
 
     # The names the statements of emit_accelerations use, for Emitter.define.
     NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
     samples: tuple = ()
+    columns = None
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob

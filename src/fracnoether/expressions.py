@@ -539,7 +539,8 @@ class Emitter:
     emission once per shape of its trees.
 
     An emitter can also emit at points held in named locals
-    (:meth:`at`), for callers that write their own function around the
+    (:meth:`at`), reading the trees registered by :meth:`columns` from
+    locals there, for callers that write their own function around the
     statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
     their statements with :meth:`line` and checks with :meth:`check`,
     take the body with :meth:`body`, whole or between the positions
@@ -565,26 +566,35 @@ class Emitter:
         self._theta_emitted = self._emitted
         self._points: dict[tuple, dict[int, str]] = {}
         self._thetas: dict[str, dict[int, str]] = {}
+        self._columns: list[int] = []  # value numbers of the registered columns
         self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
         # locals that keep their statement: read more than once, or by text
         # the emitter does not write
         self._kept: set[str] = set()
         self._checked: set[tuple[str, str]] = set()
 
-    def at(self, theta: str, q: Sequence[str], v: Sequence[str]) -> None:
+    def at(self, theta: str, q: Sequence[str], v: Sequence[str], columns: Sequence[str] = ()):
         """Emit what follows at the point held in the named scalar locals.
 
         Value numbers are structural and kept, but the computed values are
         per point: a subtree is reused only from an earlier emission at the
         same point, or, when it has no coordinate or velocity leaf, at the
         same theta.  Returning to a point reuses what was computed there.
-        A load beyond the named coordinates raises the
-        :class:`ExpressionError` a compiled evaluator raises for it.
+        ``columns`` names the locals holding the trees of :meth:`columns`
+        at this point, which are read from there, never computed.  A load
+        beyond the named coordinates raises the :class:`ExpressionError` a
+        compiled evaluator raises for it.
         """
         self._point = (theta, tuple(q), tuple(v))
         self._emitted = self._points.setdefault(self._point, {})
         self._theta_emitted = self._thetas.setdefault(theta, {})
         self._emitted.update(self._theta_emitted)
+        for number, name in zip(self._columns, columns):
+            self._emitted.setdefault(number, name)
+
+    def columns(self, trees: Sequence[Expr]) -> None:
+        """Register ``trees``, whose values points may hold in locals (:meth:`at`)."""
+        self._columns = [self._number(e) for e in trees]
 
     def bind(self, value: float) -> str:
         """Namespace name of a constant; equal values (by repr) share one

@@ -20,9 +20,11 @@ the trajectory one more column each.  A loop is emitted once per shape
 of its trees: one whose trees have the shape of an earlier one, as at the
 next alpha of a sweep, is not emitted again.  :func:`ivp_solve` tests the
 last row finite once per solve, not the loop at every step.  The Newton solves of
-:func:`bvp_shoot` run the channel-less loop, built once per shoot, keeping
-only the state at b, and the one trajectory a shoot returns is a solve at
-the final velocity with its channels and samples.
+:func:`bvp_shoot` run the channel-less loop, built once per shoot,
+returning only the state at b, and the one trajectory a shoot returns is
+a solve at the final velocity with its channels and samples; all of them
+read the theta-only subtrees of the right-hand side from the
+:class:`~fracnoether.columns.Columns` evaluated once per shoot.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
 from typing import Callable, Mapping, Sequence
 
 from . import linsolve
@@ -349,7 +350,9 @@ def ivp_solve(
     ``Trajectory.samples``; a sample that fails to evaluate or is not
     finite at some node is left out, for :meth:`Trajectory.sample` to
     evaluate and report.  A loop that writes out every tree is emitted
-    once per shape of its trees, not once per solve.
+    once per shape of its trees, not once per solve.  It computes every
+    subtree at every stage but those the Newton loop of a shoot on this
+    grid evaluated for the ODE (:func:`_final_state`), which it reads.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -372,7 +375,8 @@ def ivp_solve(
 
     grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled)
+    loop, columns = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled,
+                                      grid, 0.5 * h)
 
     # Each step appends a row of its samples and the state (q, v, channels)
     # it reached; after the last, the samples of the last state.
@@ -380,7 +384,8 @@ def ivp_solve(
     weights = [s.weight for s in samples]
     skip = len(samples)
     try:
-        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, rows.append, *([weights] if samples else []))
+        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, columns, rows.append,
+             *([weights] if samples else []))
     except Exception:
         _raise_blow_up(rows[:steps], skip, grid)
         raise
@@ -403,13 +408,16 @@ def _final_state(
     rhs: ExplicitOde, a: float, b: float, q0: Sequence[float], steps: int
 ) -> Callable:
     """``final_state(v0)``: the last row ``(q.., v..)`` of ``ivp_solve(rhs, a, b,
-    q0, v0, steps)``, for any ``v0`` of the ODE's length, from the same
-    compiled loop keeping only that row; no trajectory is built.
+    q0, v0, steps)``, for any ``v0`` of the ODE's length, from a compiled
+    loop that returns only that row; no trajectory is built.
 
-    Validates as :func:`ivp_solve` does, once.  The loop only adds to q and
-    v, so a finite last row means every row was finite.  Where the loop
-    raises or the last row is not finite, that solve runs again through
-    :func:`ivp_solve`, which raises its error, with the same theta and message.
+    Validates as :func:`ivp_solve` does, once.  It gives ``rhs`` the
+    :class:`~fracnoether.columns.Columns` of the grid, which the loop fills
+    and reads, and later solves of ``rhs`` on the grid read.  The loop only
+    adds to q and v, so a finite last row means every row was finite.
+    Where the loop raises or the last row is not finite, that solve runs
+    again through :func:`ivp_solve`, which raises its error, with the same
+    theta and message.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -418,17 +426,19 @@ def _final_state(
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
     nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop = _compile_rk4_loop(rhs, rhs.n, [], ())
+    from .columns import Columns  # only shooting reads it
+
+    rhs.columns = Columns(nodes, 0.5 * h)
+    loop, columns = _compile_rk4_loop(rhs, rhs.n, [], (), nodes, 0.5 * h, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
-        last = deque(maxlen=1)
         try:
-            loop(nodes, h, 0.5 * h, h / 6.0, qc + vc, last.append)
+            last = loop(nodes, h, 0.5 * h, h / 6.0, qc + vc, columns)
         except Exception:
-            last.clear()
-        if last and all(map(math.isfinite, last[0])):
-            return last[0]
+            last = None
+        if last is not None and all(map(math.isfinite, last)):
+            return last
         traj = ivp_solve(rhs, a, b, qc, vc, steps)
         return (*traj.q[-1], *traj.v[-1])
 
@@ -446,34 +456,56 @@ def _raise_blow_up(rows: Sequence[tuple], skip: int, grid: Sequence[float]) -> N
             raise BlowUpError(grid[k]) from None
 
 
-def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence) -> Callable:
-    """Compile ``loop(nodes, h, hh, h6, state, out[, weights])``, the whole
-    RK4 step loop of :func:`_emit_rk4_loop`.
+def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
+                      grid: tuple, hh: float, last_row: bool = False) -> tuple[Callable, tuple]:
+    """Compile the RK4 step loop of :func:`_emit_rk4_loop` for ``grid``;
+    return it and its ``columns`` argument.
 
+    The trees held by the :class:`~fracnoether.columns.Columns` of an
+    :class:`ExplicitOde` ``rhs`` on ``grid`` are read from there; a
+    ``last_row`` loop, which many solves run, first evaluates there the
+    largest theta-only subtrees of its own trees.
     A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
-    :class:`Expr` integrands, is emitted once per shape of its trees
-    (:func:`~fracnoether.expressions.shaped`): the loops of a sweep's
-    alphas differ only in the named value 1 - alpha, and in the sample
-    weights, which are arguments.
+    :class:`Expr` integrands, is emitted once per shape of its trees and of
+    the trees it reads (:func:`~fracnoether.expressions.shaped`): the loops
+    of a sweep's alphas differ only in the named value 1 - alpha, and in the
+    sample weights and the columns, which are arguments.
     """
-    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled)
-    if isinstance(rhs, ExplicitOde) and all(isinstance(g, Expr) for g in integrands):
-        key, trees = rhs.shape_key()
+    ode = isinstance(rhs, ExplicitOde)
+    key, trees = rhs.shape_key() if ode else ((), ())
+    written = [g for g in integrands if isinstance(g, Expr)]
+    trees = (*trees, written, [tree for tree, _ in sampled])
+    columns, held = rhs.columns if ode else None, []
+    if columns is not None and columns.grid is grid:
+        if last_row:
+            columns.fill(trees)
+        held = columns.held()
+    args = (columns.halves, *(x for tree in held for x in columns.values[tree])) if held else ()
+    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, held, last_row)
+    if ode and len(written) == len(integrands):
         channels = tuple(k for _, k in sampled)
-        return shaped(("loop", *key, channels),
-                      (*trees, integrands, [tree for tree, _ in sampled]), emit)
+        return shaped(("loop", *key, channels, last_row), (*trees, held), emit), args
     em = Emitter()
     source, name, names = emit(em)
-    return em.define(source, name, **names)
+    return em.define(source, name, **names), args
 
 
-def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence, em: Emitter):
-    """Emit ``loop(nodes, h, hh, h6, state, out[, weights])``, the whole RK4
-    step loop, into ``em``; return its source, name and names for ``em.define``.
+def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
+                   read: Sequence[Expr], last_row: bool, em: Emitter):
+    """Emit ``loop(nodes, h, hh, h6, state, columns, out[, weights])``, the
+    whole RK4 step loop, into ``em``; return its source, name and names for
+    ``em.define``.  With ``last_row`` it is ``loop(nodes, h, hh, h6, state,
+    columns)``, passes nothing to an ``out`` and returns the last row.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
-    Each step computes the four stage accelerations, then each channel at
-    stages 1-4 in order, with the arithmetic of the classical tableau;
+    The argument ``columns`` holds the half-nodes, then the values of each
+    tree of ``read`` at the nodes and at the half-nodes
+    (:class:`~fracnoether.columns.Columns`), and the loop steps over them
+    with the nodes: a step reads those trees at its theta, half-node and
+    next node, and writes every other subtree out.  With no tree to read,
+    ``columns`` is empty and each step adds ``hh`` to its theta.  Each step
+    computes the four stage accelerations, then each channel at stages 1-4
+    in order, with the arithmetic of the classical tableau;
     ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
     an infinity (an :class:`ExpressionError` passes as it is), becomes
     :class:`BlowUpError` at the step's end.  Then each sampled tree is
@@ -496,10 +528,17 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     """
     js = range(n)
     q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
-    # stage s sits at (theta, s{s}q_j, s{s}v_j); stage 1 is the state itself
-    points = [("th", q, v)] + [
-        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js])
-        for s, theta in ((2, "half"), (3, "half"), (4, "full"))
+    # stage s sits at (theta, s{s}q_j, s{s}v_j) and holds the values of
+    # the trees read from columns in the locals of a prefix; stage 1 is the
+    # state itself
+    em.columns(read)
+
+    def named(prefix: str) -> list[str]:
+        return [f"{prefix}{i}" for i in range(len(read))]
+
+    points = [("th", q, v, named("x"))] + [
+        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js], named(prefix))
+        for s, theta, prefix in ((2, "half", "y"), (3, "half", "y"), (4, "full", "z"))
     ]
 
     def tup(names) -> str:
@@ -509,7 +548,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         return f"{fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])"
 
     accels = []
-    for s, (theta, sq, sv) in enumerate(points, 1):
+    for s, (theta, sq, sv, held) in enumerate(points, 1):
         if s > 1:
             step = "h" if s == 4 else "hh"
             last_v, last_a = points[s - 2][2], accels[-1]
@@ -518,7 +557,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
             for j in js:
                 em.line(f"{sv[j]} = {v[j]} + {step} * {last_a[j]}")
         if isinstance(rhs, ExplicitOde):
-            em.at(theta, sq, sv)
+            em.at(theta, sq, sv, held)
             k = rhs.emit_accelerations(em, theta)
         else:
             k = [f"k{s}_{j}" for j in js]
@@ -534,9 +573,9 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     sums = []
     for idx, g in enumerate(integrands):
         values = []
-        for s, (theta, sq, sv) in enumerate(points, 1):
+        for s, (theta, sq, sv, held) in enumerate(points, 1):
             if isinstance(g, Expr):
-                em.at(theta, sq, sv)
+                em.at(theta, sq, sv, held)
                 values.append(em.emit(g))
             else:
                 names[f"_g{idx}"] = g.evaluate
@@ -550,7 +589,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     taken = [f"s{i}" for i in range(len(sampled))]
     marks = [em.mark()]
     ends = [f"e{name}" for name in q + v]
-    for point in (points[0], ("end", ends[:n], ends[n:])):
+    for point in (points[0], ("end", ends[:n], ends[n:], named("e"))):
         em.at(*point)
         for i, (tree, k) in enumerate(sampled):
             value = em.emit(tree)
@@ -566,16 +605,24 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
             f"{indent}    {' = '.join(taken)} = _nan",
         ] if sampled else []
 
+    # each step's theta and next node, and where it reads columns its
+    # half-node and the column values at each
+    targets = ["th", "full", "half", *named("x"), *named("y"), *named("z")]
+    sources = ["nodes[:-1]", "nodes[1:]", "halves", *named("n"), *named("m"),
+               *(f"{name}[1:]" for name in named("n"))]
+    header = [
+        f"    halves, {''.join(f'n{i}, m{i}, ' for i in range(len(read)))}= columns",
+        f"    for {', '.join(targets)} in zip({', '.join(sources)}):",
+    ] if read else ["    for th, full in zip(nodes[:-1], nodes[1:]):", "        half = th + hh"]
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
     k1, k2, k3, k4 = accels
     source = [
-        f"def loop(nodes, h, hh, h6, state, out{', weights' if sampled else ''}"
-        f"{em.keyword_defaults()}):",
+        f"def loop(nodes, h, hh, h6, state, columns{'' if last_row else ', out'}"
+        f"{', weights' if sampled else ''}{em.keyword_defaults()}):",
         f"    {', '.join(q + v)}, = state",
         *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
         *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
-        "    for th, full in zip(nodes[:-1], nodes[1:]):",
-        "        half = th + hh",
+        *header,
         "        try:",
         *em.body("            ", 0, solved),
         "        except _ExpressionError:",
@@ -588,15 +635,18 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
           for j in js),
         *(f"        {line}" for line in sums),
-        f"        out({tup(taken + row)})",
+        *([] if last_row else [f"        out({tup(taken + row)})"]),
     ]
     if sampled:
         source += [
             "    end = nodes[-1]",
+            *(f"    e{i} = n{i}[-1]" for i in range(len(read))),
             f"    {', '.join(ends)}, = {', '.join(q + v)},",
             *sampling("    ", stepped, None),
             f"    out({tup(taken)})",
         ]
+    if last_row:
+        source.append(f"    return {tup(row)}")
     return source, "loop", names
 
 

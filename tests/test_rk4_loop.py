@@ -5,7 +5,9 @@ per stage, and against a node-by-node oracle.
 expression integrands into its compiled loop, and calls anything else
 once per stage.  Both forms of one problem must give the same bytes, or
 the same exception class and message, and so must the plain RK4 of
-``tree_walk_oracle``, which shares no code with the emitter.
+``tree_walk_oracle``, which shares no code with the emitter, and the
+loops of a shoot, which read the theta-only subtrees of the right-hand
+side from columns evaluated before them.
 """
 
 import ast
@@ -81,6 +83,23 @@ def walked(prob, q0, v0, steps, integrands):
                            channels={name: tuple(c) for name, c in channels.items()})
 
 
+def shared(prob, q0, v0, steps, integrands):
+    """``ivp_solve`` reading the columns that the Newton loop of a shoot on
+    its grid builds, after that loop has run from the same state; it must
+    return the solve's last row, or raise what the solve raises."""
+    ode = ExplicitOde(prob)
+    final_state = integrators._final_state(ode, 0.0, 1.0, q0, steps)
+    try:
+        last = final_state(v0)
+    except (ArithmeticError, ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            ivp_solve(ode, 0.0, 1.0, q0, v0, steps)
+    else:
+        traj = ivp_solve(ode, 0.0, 1.0, q0, v0, steps)
+        assert repr(last) == repr((*traj.q[-1], *traj.v[-1]))
+    return ivp_solve(ode, 0.0, 1.0, q0, v0, steps, integrands=integrands)
+
+
 def outcome(solve, *args):
     """('ok', exact q, v and channels) or ('raise', class, message); the
     repr of a float is exact, and tells -0.0 from 0.0."""
@@ -110,7 +129,9 @@ KINETIC = {
         "(2 + sin(q1))*v0^2/2 + v1^2/2 + theta*q0*v1", "(v0 + v1)^2/2",
         # pivot swaps: folded with a nonzero factor, and at run time,
         # singular at q0 = +-1
-        "v0^2/8 + v0*v1 + v1^2", "(1 + q0^2)*v0^2/8 + v0*v1 + v1^2"],
+        "v0^2/8 + v0*v1 + v1^2", "(1 + q0^2)*v0^2/8 + v0*v1 + v1^2",
+        # a mass entry that depends on theta alone
+        "exp(theta/4)*v0^2/2 + v0*v1/3 + v1^2"],
 }
 POTENTIAL = {
     1: ["{c}*q0^2/2", "{c}*cos(q0)", "{c}*q0^4/4", "{c}*theta*q0/2", "{c}*ln(q0)",
@@ -182,6 +203,12 @@ def test_inlined_loop_matches_tree_walk_oracle(case):
     assert outcome(inlined, *case) == outcome(walked, *case)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=cases())
+def test_loops_reading_columns_match_tree_walk_oracle(case):
+    assert outcome(shared, *case) == outcome(walked, *case)
+
+
 # --------------------------------------------------------------------------
 # Trees sampled in the loop
 
@@ -235,6 +262,32 @@ def test_a_benchmark_charge_is_read_from_the_loop(monkeypatch):
     monkeypatch.setattr(integrators, "evaluate_on_grid", None)
     for s in samples:
         assert traj.sample(s) is traj.samples[s]
+
+
+def test_samples_read_the_columns_their_trees_share_with_the_right_hand_side():
+    # the net force of a driven family holds two theta-only subtrees, the
+    # kernel and 0.4*theta/2; sampling the net force itself reads both from
+    # the columns the Newton loop built, at every node and at the last
+    prob = problem("1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0/2", 1)
+    ode = ExplicitOde(prob)
+    integrators._final_state(ode, 0.0, 1.0, [0.4], 8)
+    samples = [Sample(tree) for tree in ode.net]
+    sources = []
+    define = expressions.Emitter.define
+
+    def recording_define(self, source, name, **names):
+        sources.append("\n".join(source))
+        return define(self, source, name, **names)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expressions.Emitter, "define", recording_define)
+        traj = ivp_solve(ode.with_samples(samples), 0.0, 1.0, [0.4], [0.7], 8)
+    (source,) = sources
+    assert "e0 = n0[-1]" in source and "e1 = n1[-1]" in source
+    plain = inlined(prob, [0.4], [0.7], 8, {})
+    assert repr(traj.q) == repr(plain.q) and repr(traj.v) == repr(plain.v)
+    for s in samples:
+        assert repr(traj.samples[s]) == repr(plain.sample(s))
 
 
 def test_a_failing_sample_leaves_the_others_to_the_grid_evaluation():
@@ -332,6 +385,37 @@ def test_integrand_index_beyond_n_keeps_its_message():
     )
 
 
+# Theta-only subtrees that leave their domain partway through the grid, with
+# the step counts that put the exit where it is meant to be: 1/(theta - 0.5)
+# at a node (two steps) and at a half-node (three), sqrt(0.7 - theta) once
+# past 0.7, and ln(theta) at the first node, a = 0.
+DOMAIN_EXITS = [("1/(theta - 0.5)", 2), ("1/(theta - 0.5)", 3), ("sqrt(0.7 - theta)", 8),
+                ("ln(theta)", 8)]
+
+
+def raised(solve, *args) -> tuple:
+    """The class, message, theta and cause chain of what ``solve(*args)`` raises."""
+    with pytest.raises((ArithmeticError, ValueError, RuntimeError)) as err:
+        solve(*args)
+    exc = err.value
+    return (type(exc), str(exc), getattr(exc, "theta", None), type(exc.__cause__),
+            type(exc.__context__), exc.__suppress_context__)
+
+
+@pytest.mark.parametrize("text, steps", DOMAIN_EXITS)
+@pytest.mark.parametrize("where", ["integrand", "lagrangian"])
+def test_a_theta_only_subtree_leaving_its_domain_keeps_its_error(text, steps, where):
+    base = "(1.3*v0^2 - 0.7*q0^2)/2"
+    prob = problem(base if where == "integrand" else f"{base} + q0*({text})", 1)
+    integrands = benchmark_integrands(prob)
+    if where == "integrand":
+        integrands["g"] = parse(text, 1)
+    args = (prob, [0.4], [0.7], steps, integrands)
+    got = raised(inlined, *args)
+    assert got[0] is EvalDomainError
+    assert got == raised(walked, *args) == raised(called, *args) == raised(shared, *args)
+
+
 def test_state_dependent_singular_mass_keeps_its_estimate():
     # the mass [[(1 + q0^2)/4, 1], [1, 2]] is singular at q0 = 1: after the
     # swap its second pivot is exactly zero there, and tiny just beside
@@ -379,11 +463,16 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
 
     loops = [source for filename, source in defined if filename == "<compiled loop>"]
     assert ["c0 = 0.0" in source for source in loops] == [False, True]
+    # the kernel, the one theta-only subtree of the net force, is evaluated
+    # on the grid once, before the Newton loop, and both loops read it
+    (column,) = [source for filename, source in defined if filename == "<compiled column>"]
+    assert "_one_minus_alpha / t0" in column
+    assert all("halves, n0, m0, = columns" in source for source in loops)
     # and the 2x2 solver of the constant-mass check and the Jacobian, built
     # once per process; nothing else: the ODE's own functions are never
     # called, and the integrands compile nothing
     assert [filename for filename, _ in defined] == [
-        "<compiled solved>", "<compiled loop>", "<compiled loop>"]
+        "<compiled solved>", "<compiled column>", "<compiled loop>", "<compiled loop>"]
 
 
 def loop_source(prob, integrands=None):
@@ -459,8 +548,64 @@ def test_loop_of_a_benchmark_family_computes_each_value_once(family):
     expected = STEP_COST.get(sys.version_info[:2])
     if expected is not None:
         nodes = np.linspace(0.0, 1.0, 5).tolist()
-        step = (nodes, 0.25, 0.125, 0.25 / 6.0, [0.1] * n + [0.2] * n, None)
+        step = (nodes, 0.25, 0.125, 0.25 / 6.0, [0.1] * n + [0.2] * n, (), None)
         assert loop_ops.step_cost(loop, step) == expected[family]
+
+
+def newton_loop(prob, steps):
+    """The source of the Newton loop ``bvp_shoot(prob, steps)`` compiles,
+    the loop, and the arguments of its first call."""
+    found = []
+    define = expressions.Emitter.define
+
+    def recording_define(self, source, name, **names):
+        fn = define(self, source, name, **names)
+        if name != "loop" or loop_ops.kind(fn) != "last":
+            return fn
+
+        def loop(*args):
+            found.append(("\n".join(source), fn, args))
+            return fn(*args)
+
+        return loop
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expressions.Emitter, "define", recording_define)
+        bvp_shoot(prob, steps=steps)
+    return found[0]
+
+
+# The Newton loops of the benchmark's BVP families: (Lagrangian, n, q_b),
+# and the (bytecode instructions, calls) of one step.
+NEWTON_FAMILIES = {
+    "pendulum": ("1.3*v0^2/2 + 0.7*cos(q0)", 1, [2.1]),
+    "quartic_bvp": ("1.2*v0^2/2 - 0.6*q0^4/4", 1, [1.1]),
+    "coupled_cos": ("(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2", 2, [0.3, 0.4]),
+}
+NEWTON_STEP_COST = {(3, 11): {"pendulum": (179, 4), "quartic_bvp": (235, 0),
+                              "coupled_cos": (459, 4)}}
+
+
+@pytest.mark.parametrize("family", NEWTON_FAMILIES)
+def test_newton_loop_of_a_benchmark_family_reads_the_kernel_from_a_column(family):
+    text, n, q_b = NEWTON_FAMILIES[family]
+    prob = VariationalProblem(
+        n=n, lagrangian=parse(text, n), interval=(0.0, 1.0),
+        frac=FractionalParams(alpha=0.6, observer_time=2.0),
+        boundary=BoundaryConditions([0.0] * n, q_b),
+    )
+    source, loop, args = newton_loop(prob, 8)
+    # the kernel at th, half and full comes from its column, so the step
+    # computes no theta-only value and checks nothing, and only the last
+    # row leaves the loop
+    assert not re.search(r"if .*: raise ", source)
+    assert not re.search(r"- (th|half|full)\b", source)
+    assert "out" not in source
+    row = [*(f"q{j}" for j in range(n)), *(f"v{j}" for j in range(n))]
+    assert source.endswith(f"    return ({', '.join(row)},)")
+    expected = NEWTON_STEP_COST.get(sys.version_info[:2])
+    if expected is not None:
+        assert loop_ops.step_cost(loop, args) == expected[family]
 
 
 @pytest.mark.parametrize("text, steps", [
@@ -509,3 +654,21 @@ def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
     args = (prob, [0.3], [0.4], 8, integrands)
     kind, *_ = both(*args)
     assert kind == "ok" and outcome(walked, *args) == outcome(inlined, *args)
+
+
+def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
+    # 9 BVPs, each shot by a solve and by a charge command: 18 shoots of 7
+    # Newton solves, each shoot evaluating its kernel column once (at the
+    # nodes and at the half-nodes) and building one trajectory
+    assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
+    assert {row[1] for row in rows} == {"last", "rows"}
+    assert all(row[-1] == "0" for row in rows if row[1] == "last")  # no guard
+    assert sum(int(row[3]) for row in rows if row[1] == "last") == 126
+    per_kind = lines[len(rows) + 1:len(rows) + 3]
+    assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
+        "last loops: 126 calls, N instructions per step",
+        "rows loops: 18 calls, N instructions per step"]
+    assert "18 column builders defined, 36 builder calls" in lines
+    assert lines[-1] == "18 Trajectory constructions"

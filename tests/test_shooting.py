@@ -7,10 +7,12 @@ reference below is the same Newton iteration with every solve a full
 must be the same, bit for bit.
 """
 
+import operator
+
 import numpy as np
 import pytest
 
-from fracnoether import integrators
+from fracnoether import expressions, integrators
 from fracnoether.charges import (
     SymmetryGenerator,
     gauge_rate_from_reduced_condition,
@@ -119,6 +121,24 @@ def test_shoot_matches_the_reference_bit_for_bit(family, channels):
     assert_same_shoot(got, reference_shoot(prob, 200, integrands))
 
 
+def trigonometric_integrands(prob):
+    """The gauge channel of tau = sin(theta), xi = cos(q0)."""
+    gen = SymmetryGenerator(parse("sin(theta)", 1), [parse("cos(q0)", 1)])
+    gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
+    return standard_integrands(prob, [gen])
+
+
+@pytest.mark.parametrize("channels", [None, time_translation_integrands, trigonometric_integrands])
+def test_a_driven_shoot_matches_the_reference_bit_for_bit(channels):
+    # theta enters the force itself, and sin(theta) and its derivative the
+    # trigonometric gauge
+    prob = problem("1.2*v0^2/2 - 0.6*q0^2/2 + 0.4*theta*q0/2", 1, 0.5, [0.0], [0.8])
+    integrands = channels and channels(prob)
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert got[1].converged and got[1].iterations >= 1
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
 @pytest.mark.parametrize("channels", [True, False])
 def test_unconverged_shoot_matches_the_reference(monkeypatch, channels):
     monkeypatch.setattr(integrators, "SHOOTING_MAX_ITER", 0)
@@ -188,6 +208,31 @@ def test_a_check_solve_that_leaves_the_domain_raises_what_ivp_solve_raises():
     assert_same_error(got, want)
 
 
+# Theta-only subtrees that leave their domain partway through the grid:
+# 1/(theta - 0.5) at a node (20 steps) and at a half-node (21),
+# sqrt(0.7 - theta) once past 0.7, ln(theta) at the first node, a = 0.
+DOMAIN_EXITS = [("1/(theta - 0.5)", 20), ("1/(theta - 0.5)", 21), ("sqrt(0.7 - theta)", 20),
+                ("ln(theta)", 20)]
+
+
+@pytest.mark.parametrize("text, steps", DOMAIN_EXITS)
+@pytest.mark.parametrize("where", ["integrand", "lagrangian"])
+def test_a_theta_only_subtree_leaving_its_domain_raises_what_the_reference_raises(
+        text, steps, where):
+    # in the Lagrangian every Newton solve meets it; as a channel only the
+    # solve at the final velocity does
+    base = BENCHMARK_BVPS["pendulum"][0]
+    prob = problem(base if where == "integrand" else f"{base} + q0*({text})",
+                   1, 0.4, [0.0], [1.0])
+    integrands = {"g": parse(text, 1), **time_translation_integrands(prob)} if (
+        where == "integrand") else None
+    with pytest.raises(EvalDomainError) as want:
+        reference_shoot(prob, steps, integrands)
+    with pytest.raises(EvalDomainError) as got:
+        bvp_shoot(prob, steps=steps, integrands=integrands)
+    assert_same_error(got, want)
+
+
 def test_one_step_is_rejected_before_any_solve():
     prob = problem(*BENCHMARK_BVPS["pendulum"])
     with pytest.raises(ValueError, match="^steps must be at least 2$"):
@@ -209,3 +254,44 @@ def test_a_converged_shoot_builds_one_trajectory(monkeypatch, channels):
     traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
     assert report.converged and report.iterations >= 2  # 7 or more Newton solves
     assert len(built) == 1 and built[0] is traj
+
+
+def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(monkeypatch):
+    runs, arguments = [], []
+    define = expressions.Emitter.define
+
+    def recording_define(self, source, name, **names):
+        fn = define(self, source, name, **names)
+        if name == "column":
+            def column(thetas):
+                runs.append(thetas)
+                return fn(thetas)
+            return column
+        if name == "loop":
+            def loop(nodes, h, hh, h6, state, columns, *rest):
+                arguments.append(columns)
+                return fn(nodes, h, hh, h6, state, columns, *rest)
+            return loop
+        return fn
+
+    monkeypatch.setattr(expressions.Emitter, "define", recording_define)
+    prob = problem(*BENCHMARK_BVPS["coupled_cos"])
+    integrands = time_translation_integrands(prob)
+    kernels = []
+    for _ in range(2):
+        runs.clear()
+        arguments.clear()
+        traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
+        # the kernel is the one theta-only subtree of the net force: it is
+        # evaluated at the nodes and at the half-nodes once, and the check
+        # solve, the n probes of each Newton iteration and the solve at the
+        # final velocity all read those values
+        assert report.converged and report.iterations >= 2
+        assert len(runs) == 2 and len(runs[0]) == 101 and len(runs[1]) == 100
+        assert len(arguments) == 1 + 3 * report.iterations + 1
+        # (half-nodes, kernel at the nodes, kernel at the half-nodes)
+        assert all(len(columns) == 3 and all(map(operator.is_, columns, arguments[0]))
+                   for columns in arguments)
+        kernels.append(arguments[0][1])
+    # a second shoot on the same grid evaluates them again: no store outlives its shoot
+    assert kernels[0] is not kernels[1] and kernels[0] == kernels[1]

@@ -8,29 +8,35 @@ Builds the pass of ``perfbench/workloads.py`` for the workload and seed
 (that file is only read), runs its commands in-process in a temporary
 directory, and keeps every function ``Emitter.define`` builds under the
 name ``loop`` together with the arguments of its first call.  For each
-distinct loop source it prints the sha256 of the source, how many loops
-of the pass had it, and for one step of the loop:
+distinct loop source it prints the sha256 of the source, its kind, how
+many loops of the pass had it, how many times they were called, and for
+one step of the loop:
 
 - ``instructions``: bytecode instructions executed, counted by tracing
   the loop over one step and over none at its first call's arguments;
 - ``calls``: ``CALL`` instructions among them;
 - ``guards``: ``if ...: raise`` statements in the step.
 
-The last lines give the loops of the pass: how many were defined, how
-many of them were emitted and how many were taken from the shape cache
-(``expressions.shaped``), the distinct sources, and the seconds spent in
-``integrators._compile_rk4_loop``, timed with ``perf_counter``; then the
-``Expr.diff`` and ``Emitter.define`` calls of the whole pass, every
-function counted, loop or not; then the ``Trajectory`` objects the pass
-constructed and the loop calls that kept only the last row (an ``out`` that
-is the ``append`` of a ``deque`` of ``maxlen`` 1, as the Newton solves of
-``integrators.bvp_shoot`` pass).  The counts repeat exactly from run to run.
+A loop's kind is ``rows`` when it passes every row to an ``out`` argument,
+as the loops of ``integrators.ivp_solve`` do, and ``last`` when it takes no
+``out`` and returns only its last row, as the Newton loops of
+``integrators.bvp_shoot`` do.
+
+The last lines give, per kind, the loop calls and the instructions of one
+step averaged over them; the loops of the pass: how many were defined,
+how many of them were emitted and how many were taken from the shape
+cache (``expressions.shaped``), the distinct sources, and the seconds
+spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
+then the ``Expr.diff`` and ``Emitter.define`` calls of the whole pass,
+every function counted, loop or not; the column builders defined and
+their calls, two per theta-only tree evaluated on a grid
+(``columns.Columns``); and the ``Trajectory`` objects the pass
+constructed.  The counts repeat exactly from run to run.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dis
 import hashlib
@@ -73,12 +79,21 @@ def executed(fn, args) -> list[str]:
     return seen
 
 
+def kind(loop) -> str:
+    """``rows`` for a loop that takes an ``out``, else ``last``."""
+    code = loop.__code__
+    return "rows" if "out" in code.co_varnames[:code.co_argcount] else "last"
+
+
 def step_cost(loop, args) -> tuple[int, int]:
     """(instructions, calls) of one step of ``loop`` at its first call's
-    arguments, the samples a step takes included."""
-    nodes, h, hh, h6, state, _, *weights = args
-    one = executed(loop, (nodes[:2], h, hh, h6, state, [].append, *weights))
-    none = executed(loop, (nodes[:1], h, hh, h6, state, [].append, *weights))
+    arguments, ``(nodes, h, hh, h6, state, columns[, out[, weights]])``,
+    the samples a step takes included."""
+    nodes, *rest = args
+    if kind(loop) == "rows":
+        rest[5] = [].append
+    one = executed(loop, (nodes[:2], *rest))
+    none = executed(loop, (nodes[:1], *rest))
     calls = sum(op == "CALL" for op in one) - sum(op == "CALL" for op in none)
     return len(one) - len(none), calls
 
@@ -96,16 +111,11 @@ def workloads():
     return workloads
 
 
-def kept_last_row(out) -> bool:
-    """Whether ``out`` is the ``append`` of a deque that keeps one row."""
-    owner = getattr(out, "__self__", None)
-    return isinstance(owner, collections.deque) and owner.maxlen == 1
-
-
 def record_pass(workload: str, seed: int):
-    """Run one pass; return ([(source, loop, first call args)], loops
-    emitted, compile seconds, {"diff": calls, "define": calls,
-    "trajectory": constructions, "last_row": loop calls keeping the last row})."""
+    """Run one pass; return ([(source, loop, first call args, calls)],
+    loops emitted, compile seconds, {"diff": calls, "define": calls,
+    "columns": builders defined, "column runs": builder calls,
+    "trajectory": constructions})."""
     loops: list[list] = []
     define = expressions.Emitter.define
     diff = expressions.Expr.diff
@@ -114,7 +124,7 @@ def record_pass(workload: str, seed: int):
     spent = [0.0]
     emitted = [0]
     post_init = integrators.Trajectory.__post_init__
-    calls = {"diff": 0, "define": 0, "trajectory": 0, "last_row": 0}
+    calls = {"diff": 0, "define": 0, "columns": 0, "column runs": 0, "trajectory": 0}
 
     def counted_diff(self, var):
         calls["diff"] += 1
@@ -123,15 +133,23 @@ def record_pass(workload: str, seed: int):
     def recording_define(self, source, name, **names):
         calls["define"] += 1
         fn = define(self, source, name, **names)
+        if name == "column":
+            calls["columns"] += 1
+
+            def column(thetas):
+                calls["column runs"] += 1
+                return fn(thetas)
+
+            return column
         if name != "loop":
             return fn
-        entry = ["\n".join(source), fn, None]
+        entry = ["\n".join(source), fn, None, 0]
         loops.append(entry)
 
         def loop(*args):
             if entry[2] is None:
                 entry[2] = args
-            calls["last_row"] += kept_last_row(args[5])
+            entry[3] += 1
             return fn(*args)
 
         return loop
@@ -140,10 +158,10 @@ def record_pass(workload: str, seed: int):
         calls["trajectory"] += 1
         post_init(self)
 
-    def timed_compile(*args):
+    def timed_compile(*args, **kwargs):
         start = perf_counter()
         try:
-            return compile_loop(*args)
+            return compile_loop(*args, **kwargs)
         finally:
             spent[0] += perf_counter() - start
 
@@ -187,19 +205,28 @@ def main(argv=None) -> int:
 
     loops, emitted, seconds, counts = record_pass(args.workload, args.seed)
     distinct: dict[str, list] = {}
-    for source, fn, call in loops:
-        distinct.setdefault(source, [fn, call, 0])[2] += 1
-    print("sha256            loops  instructions  calls  guards")
-    for source, (fn, call, count) in distinct.items():
+    for source, fn, call, runs in loops:
+        entry = distinct.setdefault(source, [fn, call, 0, 0])
+        entry[2] += 1
+        entry[3] += runs
+    per_kind: dict[str, list[int]] = {}  # kind -> [runs, instructions over the runs]
+    print("sha256            kind  loops   runs  instructions  calls  guards")
+    for source, (fn, call, count, runs) in distinct.items():
         digest = hashlib.sha256(source.encode()).hexdigest()[:16]
         instructions, calls = step_cost(fn, call)
-        print(f"{digest}  {count:5d}  {instructions:12d}  {calls:5d}  {guards(source):6d}")
+        totals = per_kind.setdefault(kind(fn), [0, 0])
+        totals[0] += runs
+        totals[1] += runs * instructions
+        print(f"{digest}  {kind(fn):4s}  {count:5d}  {runs:5d}  {instructions:12d}  {calls:5d}"
+              f"  {guards(source):6d}")
+    for name, (runs, instructions) in sorted(per_kind.items()):
+        print(f"{name} loops: {runs} calls, {instructions / runs:.1f} instructions per step")
     print(f"{len(loops)} loops: {emitted} emitted, {len(loops) - emitted} from the shape cache, "
           f"{len(distinct)} distinct sources")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
     print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
-    print(f"{counts['trajectory']} Trajectory constructions, "
-          f"{counts['last_row']} loop calls that kept only the last row")
+    print(f"{counts['columns']} column builders defined, {counts['column runs']} builder calls")
+    print(f"{counts['trajectory']} Trajectory constructions")
     return 0
 
 
