@@ -3,7 +3,8 @@
 Subcommands: ``solve`` (trajectory + manifest), ``charge`` (one CSV per
 requested charge plus a drift summary), ``sweep`` (long-format CSV over an
 alpha ladder, fractional charges next to their uncorrected classical
-counterparts), and ``verify`` (the built-in acceptance corpus).
+counterparts, the alphas shared out over forked workers by
+``fanout.fork_map``), and ``verify`` (the built-in acceptance corpus).
 
 Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 3 solver error.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -260,8 +262,11 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep needs an alpha sweep specification {from, to, count}")
     if not scenario.charges:
         raise ScenarioError("sweep needs at least one requested charge kind")
+    from .fanout import fork_map  # only sweep reads it
+
     out = _output_dir(scenario.output_dir)
-    rows = [row for alpha in scenario.alphas() for row in _sweep_rows(scenario, alpha)]
+    shares = fork_map(functools.partial(_sweep_rows, scenario), scenario.alphas())
+    rows = [row for share in shares for row in share]
     rows.sort(key=lambda r: (r["alpha"], r["label"]))
     path = out / f"{scenario.name}_sweep.csv"
     with open(path, "w", newline="") as fh:

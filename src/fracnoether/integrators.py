@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable, Mapping, Sequence
 
 from . import linsolve
@@ -503,9 +504,10 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     (:class:`~fracnoether.columns.Columns`), and the loop steps over them
     with the nodes: a step reads those trees at its theta, half-node and
     next node, and writes every other subtree out.  With no tree to read,
-    ``columns`` is empty and each step adds ``hh`` to its theta.  Each step
-    computes the four stage accelerations, then each channel at stages 1-4
-    in order, with the arithmetic of the classical tableau;
+    ``columns`` is empty and each step adds ``hh`` to its theta.  A step
+    binds, and steps over the sequence of, only the names it reads.  Each
+    step computes the four stage accelerations, then each channel at
+    stages 1-4 in order, with the arithmetic of the classical tableau;
     ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
     an infinity (an :class:`ExpressionError` passes as it is), becomes
     :class:`BlowUpError` at the step's end.  Then each sampled tree is
@@ -605,24 +607,9 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
             f"{indent}    {' = '.join(taken)} = _nan",
         ] if sampled else []
 
-    # each step's theta and next node, and where it reads columns its
-    # half-node and the column values at each
-    targets = ["th", "full", "half", *named("x"), *named("y"), *named("z")]
-    sources = ["nodes[:-1]", "nodes[1:]", "halves", *named("n"), *named("m"),
-               *(f"{name}[1:]" for name in named("n"))]
-    header = [
-        f"    halves, {''.join(f'n{i}, m{i}, ' for i in range(len(read)))}= columns",
-        f"    for {', '.join(targets)} in zip({', '.join(sources)}):",
-    ] if read else ["    for th, full in zip(nodes[:-1], nodes[1:]):", "        half = th + hh"]
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
     k1, k2, k3, k4 = accels
-    source = [
-        f"def loop(nodes, h, hh, h6, state, columns{'' if last_row else ', out'}"
-        f"{', weights' if sampled else ''}{em.keyword_defaults()}):",
-        f"    {', '.join(q + v)}, = state",
-        *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
-        *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
-        *header,
+    step = [
         "        try:",
         *em.body("            ", 0, solved),
         "        except _ExpressionError:",
@@ -636,6 +623,32 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
           for j in js),
         *(f"        {line}" for line in sums),
         *([] if last_row else [f"        out({tup(taken + row)})"]),
+    ]
+    # each step's theta and next node, and where it reads columns its
+    # half-node and the column values at each: only the names the step
+    # reads, each stepping over its own sequence
+    reads = set(re.findall(r"\w+", "\n".join(step)))
+    if not read and "half" in reads:
+        step.insert(0, "        half = th + hh")
+        reads.add("th")
+    if read:
+        header = [f"    halves, {''.join(f'n{i}, m{i}, ' for i in range(len(read)))}= columns"]
+        walked = zip(["th", "full", "half", *named("x"), *named("y"), *named("z")],
+                     ["nodes[:-1]", "nodes[1:]", "halves", *named("n"), *named("m"),
+                      *(f"{name}[1:]" for name in named("n"))])
+    else:
+        header, walked = [], zip(["th", "full"], ["nodes[:-1]", "nodes[1:]"])
+    targets, sources = zip(*(pair for pair in walked if pair[0] in reads))
+    over = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
+    source = [
+        f"def loop(nodes, h, hh, h6, state, columns{'' if last_row else ', out'}"
+        f"{', weights' if sampled else ''}{em.keyword_defaults()}):",
+        f"    {', '.join(q + v)}, = state",
+        *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
+        *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
+        *header,
+        f"    for {', '.join(targets)} in {over}:",
+        *step,
     ]
     if sampled:
         source += [

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import fracnoether
-from fracnoether import cli, expressions
+from fracnoether import cli, expressions, fanout
 from fracnoether.euler_lagrange import ExplicitOde, FractionalParams, VariationalProblem
 from fracnoether.expressions import (
     EvalDomainError,
@@ -30,7 +30,7 @@ from fracnoether.expressions import (
 from fracnoether.integrators import ivp_solve
 
 
-def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, compiled, defined):
+def oscillator_sweep(tmp_path):
     scenario = {
         "name": "oscillator_sweep",
         "n": 1,
@@ -46,7 +46,13 @@ def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, compiled, defi
     }
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario))
-    assert cli.main(["sweep", "--scenario", str(path)]) == 0
+    return path
+
+
+def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, monkeypatch, compiled, defined):
+    # on one worker every alpha's function is defined in this process
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    assert cli.main(["sweep", "--scenario", str(oscillator_sweep(tmp_path))]) == 0
     assert len(compiled) == len(set(compiled)) == len(set(defined))
     assert set(compiled) == set(defined)
     # the one function of a sweep is the step loop, which samples the
@@ -56,6 +62,16 @@ def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, compiled, defi
              or "_alpha_minus_one" in call[1]}
     assert len(named) == len(compiled) == 1
     assert collections.Counter(defined) == {call: 6 for call in compiled}
+
+
+def test_the_own_share_of_a_two_worker_sweep_compiles_once(tmp_path, monkeypatch, compiled,
+                                                             defined):
+    # this process runs alphas 0, 2 and 4 of the six, a child the others
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    assert cli.main(["sweep", "--scenario", str(oscillator_sweep(tmp_path))]) == 0
+    (call,) = compiled
+    assert "_one_minus_alpha" in call[1]
+    assert collections.Counter(defined) == {call: 3}
 
 
 def oscillator(m, k, alpha):

@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import fracnoether
-from fracnoether import cli, expressions, linsolve, scenarios
+from fracnoether import cli, expressions, fanout, linsolve, scenarios
 from fracnoether.acceptance import _CORPUS_LAGRANGIANS, _corpus_generators
 from fracnoether.charges import (
     charge_expression,
@@ -139,10 +139,15 @@ def holds_named(constants) -> bool:
     return not NAMED.isdisjoint(constants)
 
 
-def test_a_sweep_emits_each_function_once(tmp_path, emissions):
-    path = sweep_scenario(tmp_path, "sweep", "(1.2*v0^2 - 0.8*q0^2)/2", (0.2, 0.9, 5),
+def five_alpha_sweep(tmp_path):
+    return sweep_scenario(tmp_path, "sweep", "(1.2*v0^2 - 0.8*q0^2)/2", (0.2, 0.9, 5),
                           generator=("theta/2", ["q0/2"]))
-    assert cli.main(["sweep", "--scenario", str(path)]) == 0
+
+
+def test_a_sweep_emits_each_function_once(tmp_path, monkeypatch, emissions):
+    # on one worker every alpha's function is defined in this process
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
+    assert cli.main(["sweep", "--scenario", str(five_alpha_sweep(tmp_path))]) == 0
     by_source: dict[str, list] = {}
     for name, source, constants, emitted in emissions:
         by_source.setdefault(source, []).append((name, constants, emitted))
@@ -156,6 +161,15 @@ def test_a_sweep_emits_each_function_once(tmp_path, emissions):
         assert not emitted_later and constants.keys() == first.keys()
         assert all(repr(first[k]) == repr(constants[k]) for k in first.keys() - NAMED)
         assert all(first[k] != constants[k] for k in first.keys() & NAMED)
+
+
+def test_the_own_share_of_a_two_worker_sweep_emits_once(tmp_path, monkeypatch, emissions):
+    # this process runs alphas 0, 2 and 4 of the five, a child the others
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
+    assert cli.main(["sweep", "--scenario", str(five_alpha_sweep(tmp_path))]) == 0
+    assert [name for name, *_ in emissions] == ["loop"] * 3
+    assert [emitted for *_, emitted in emissions] == [True, False, False]
+    assert len({source for _, source, *_ in emissions}) == 1
 
 
 def case_id(case):
@@ -370,13 +384,24 @@ def test_a_later_alpha_shares_the_alpha_free_trees(tmp_path):
     assert charge_expression(other, gen2) is not charge_expression(one, gen1)
 
 
-def test_the_cli_import_leaves_out_the_acceptance_corpus():
+def imported_with_the_cli(*modules) -> list[bool]:
+    """Whether each of ``modules`` is loaded by ``import fracnoether.cli`` in
+    a fresh interpreter."""
     src = str(Path(fracnoether.__file__).parents[1])
-    code = "import sys, fracnoether.cli; print('fracnoether.acceptance' in sys.modules)"
+    code = f"import sys, fracnoether.cli; print(*(m in sys.modules for m in {modules!r}))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                           check=True)
-    assert proc.stdout == "False\n"
+    return [word == "True" for word in proc.stdout.split()]
+
+
+def test_the_cli_import_leaves_out_the_acceptance_corpus():
+    assert imported_with_the_cli("fracnoether.acceptance") == [False]
+
+
+def test_the_cli_import_leaves_out_the_fanout_and_pickle():
+    # only the sweep command imports the fan-out, which never needs pickle
+    assert imported_with_the_cli("fracnoether.fanout", "pickle") == [False, False]
 
 
 def test_named_values_fold_like_floats():

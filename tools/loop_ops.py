@@ -6,11 +6,12 @@ Run from the root of a checkout:
 
 Builds the pass of ``perfbench/workloads.py`` for the workload and seed
 (that file is only read), runs its commands in-process in a temporary
-directory, and keeps every function ``Emitter.define`` builds under the
-name ``loop`` together with the arguments of its first call.  For each
-distinct loop source it prints the sha256 of the source, its kind, how
-many loops of the pass had it, how many times they were called, and for
-one step of the loop:
+directory on one worker (``fanout.usable_cpus`` reads 1, so a sweep forks
+no process and every alpha's loop is seen here), and keeps every
+function ``Emitter.define`` builds under the name ``loop`` together with
+the arguments of its first call.  For each distinct loop source it
+prints the sha256 of the source, its kind, how many loops of the pass
+had it, how many times they were called, and for one step of the loop:
 
 - ``instructions``: bytecode instructions executed, counted by tracing
   the loop over one step and over none at its first call's arguments;
@@ -52,7 +53,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fracnoether import cli, expressions, integrators  # noqa: E402
+from fracnoether import cli, expressions, fanout, integrators  # noqa: E402
 
 GUARD_RE = re.compile(r"^\s*if .*: raise ")
 
@@ -175,6 +176,8 @@ def record_pass(workload: str, seed: int):
     integrators.Trajectory.__post_init__ = counted_post_init
     integrators._compile_rk4_loop = timed_compile
     integrators._emit_rk4_loop = counted_emit
+    usable_cpus = fanout.usable_cpus
+    fanout.usable_cpus = lambda: 1
     cwd = os.getcwd()
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -194,6 +197,7 @@ def record_pass(workload: str, seed: int):
         integrators.Trajectory.__post_init__ = post_init
         integrators._compile_rk4_loop = compile_loop
         integrators._emit_rk4_loop = emit_loop
+        fanout.usable_cpus = usable_cpus
     return loops, emitted[0], spent[0], calls
 
 
