@@ -152,14 +152,14 @@ def criterion_fractional_energy() -> CriterionResult:
     for alpha in (0.25, 0.5, 0.75):
         prob = _problem("(v0^2 - q0^2)/2", 1, alpha=alpha)
 
-        def drift_at(steps: int) -> float:
+        def energy_drift(steps: int) -> float:
             traj = _solve_ivp(prob, [1.0], [0.0], steps, energy=True)
             return fractional_energy(prob, traj).relative_drift
 
-        fine = drift_at(2000)
+        fine = energy_drift(2000)
         # the N-doubling factor is measured where drift still dominates
         # rounding; at N = 2000 it has already hit the 1e-15 floor
-        d125, d250, d500 = drift_at(125), drift_at(250), drift_at(500)
+        d125, d250, d500 = energy_drift(125), energy_drift(250), energy_drift(500)
         r1 = d125 / max(d250, 1e-300)
         r2 = d250 / max(d500, 1e-300)
         good = fine < 1e-6 and 8.0 < r1 < 32.0 and 8.0 < r2 < 32.0

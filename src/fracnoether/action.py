@@ -159,17 +159,11 @@ def stationarity_check(
         traj = Trajectory(theta_grid=grid, q=q, v=v, channels={})
         return fractional_action(prob, traj).value
 
-    deltas = []
-    plus_minus = {}
-    for eps in eps_sorted:
-        plus = perturbed_action(eps)
-        minus = perturbed_action(-eps)
-        plus_minus[eps] = (plus, minus)
-        deltas.append(abs(plus - base))
-
+    plus = [perturbed_action(eps) for eps in eps_sorted]
+    deltas = [abs(p - base) for p in plus]
+    # the central difference needs the -eps action at the smallest eps only
     eps_min = eps_sorted[0]
-    plus, minus = plus_minus[eps_min]
-    first_order = (plus - minus) / (2.0 * eps_min)
+    first_order = (plus[0] - perturbed_action(-eps_min)) / (2.0 * eps_min)
 
     usable = [(e, d) for e, d in zip(eps_sorted, deltas) if d > 0.0]
     if len(usable) >= 2:

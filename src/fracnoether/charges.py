@@ -36,14 +36,12 @@ from .euler_lagrange import (
 )
 from .expressions import (
     Const,
-    EvalPoint,
     Expr,
     Q,
     Theta,
     V,
     add,
     depends_on_velocity,
-    evaluate,
     evaluate_on_grid,
     mul,
     references,
@@ -131,90 +129,8 @@ def _drift_stats(values: Sequence[float]) -> tuple[float, float]:
     return d, d / (1.0 + max(top, -bottom))
 
 
-def drift(series: ChargeSeries) -> tuple[float, float]:
-    """Recompute (drift, relative_drift) from the stored samples."""
-    return _drift_stats(series.values)
-
-
 # --------------------------------------------------------------------------
-# Derivatives along the motion
-
-
-class TotalDerivative:
-    """d/dtheta of one expression along a motion, for evaluation at many points.
-
-    The pieces of :func:`along_motion` are built once and each compiled on
-    first evaluation; the acceleration is only required when e actually
-    references a velocity.
-    """
-
-    def __init__(self, e: Expr, n: int):
-        self.n = n
-        self.rate, self.accel_coeffs = along_motion(e, n)
-        self.needs_accel = depends_on_velocity(e)
-
-    def __call__(self, point: EvalPoint, accel=None) -> float:
-        if point.n != self.n:
-            raise ValueError("point dimension does not match the expression's n")
-        out = evaluate(self.rate, point)
-        if self.needs_accel:
-            if accel is None:
-                raise ValueError("accel is required for a velocity-dependent expression")
-            for coeff, a in zip(self.accel_coeffs, accel, strict=True):
-                out += evaluate(coeff, point) * float(a)
-        return out
-
-
-# --------------------------------------------------------------------------
-# Invariance-condition residuals
-
-
-class InvarianceResiduals:
-    """The invariance-condition residuals of one generator, for many points.
-
-    The trees of condition (8) and, when the generator carries a gauge
-    rate, of the quasi-invariance condition are built once, the second
-    sharing the first as a subtree; each is compiled on first evaluation.
-    """
-
-    def __init__(self, prob: VariationalProblem, gen: SymmetryGenerator):
-        # L tau + dL/dv.(xi - v tau) is the gauge-free charge, regrouped.
-        self.condition8 = charge_expression(prob, gen)
-        self.quasi_invariance = None
-        if gen.gauge_rate is not None:
-            full = add(
-                gauge_rate_from_reduced_condition(prob, gen),
-                prob.frac.drag(self.condition8),
-            )
-            self.quasi_invariance = sub(full, gen.gauge_rate)
-
-    def quasi_invariance_at(self, point: EvalPoint) -> float:
-        """Residual of the full quasi-invariance condition at one point.
-
-        dL/dtheta tau + dL/dq . xi + dL/dv . (xi_dot - v tau_dot)
-          + L (tau_dot + (1-alpha)/(t-theta) tau) - gauge_rate
-
-        which is the reduced-condition gauge of
-        :func:`gauge_rate_from_reduced_condition` plus the kernel drag of
-        the condition-(8) expression, minus the installed gauge rate.  Zero
-        means the generator is an exact weighted symmetry up to the
-        installed gauge rate.  The specialized energy/momentum generators
-        do not satisfy this form; they satisfy the reduced condition
-        instead.
-        """
-        if self.quasi_invariance is None:
-            raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
-        return evaluate(self.quasi_invariance, point)
-
-    def condition8_at(self, point: EvalPoint) -> float:
-        """Residual of the auxiliary algebraic condition L tau + dL/dv.(xi - v tau).
-
-        A diagnostic only: charge construction relies on the reduced
-        condition, which holds by construction for derived gauge rates even
-        when this residual is nonzero (it is nonzero for the plain
-        time-translation generator already).
-        """
-        return evaluate(self.condition8, point)
+# Gauge rates and the invariance condition
 
 
 def gauge_rate_from_reduced_condition(
@@ -248,6 +164,27 @@ def _gauge_parts(prob: VariationalProblem, tau: Expr, xi: tuple) -> tuple[Expr, 
         out = add(out, mul(p, sub(xi_dot, mul(V(j), tau_dot))))
         shift = add(shift, mul(p, sub(xi[j], mul(V(j), tau))))
     return add(out, mul(L, tau_dot)), shift
+
+
+def quasi_invariance_residual(prob: VariationalProblem, gen: SymmetryGenerator) -> Expr:
+    """Residual of the weighted quasi-invariance condition, as a tree:
+
+      dL/dtheta tau + dL/dq . xi + dL/dv . (xi_dot - v tau_dot)
+        + L (tau_dot + (1-alpha)/(t-theta) tau) - gauge_rate
+
+    that is G0 + c L tau minus the installed gauge rate, with G0 the
+    classical invariance expression (the alpha-free part of
+    :func:`gauge_rate_from_reduced_condition`) and c = (1-alpha)/(t-theta).
+    Zero means the generator is an exact weighted symmetry up to its gauge
+    rate; the specialized energy/momentum generators satisfy the reduced
+    condition instead.  The residual of the auxiliary condition (8),
+    L tau + dL/dv . (xi - v tau), is :func:`charge_expression`, regrouped.
+    """
+    if gen.gauge_rate is None:
+        raise ChargePreconditionError("quasi-invariance residual needs a gauge rate")
+    _check_dimensions(prob, gen)
+    free, _ = _gauge_parts(prob, gen.tau, gen.xi)
+    return sub(add(free, prob.frac.drag(mul(prob.lagrangian, gen.tau))), gen.gauge_rate)
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from .expressions import (
     Const,
     Div,
     Emitter,
-    EvalPoint,
     Expr,
     Mul,
     Named,
@@ -38,7 +37,6 @@ from .expressions import (
     Theta,
     V,
     add,
-    compile_trees,
     div,
     max_coordinate_index,
     mul,
@@ -257,27 +255,6 @@ class ExplicitOde:
         ode = copy.copy(self)
         ode.samples = tuple(samples)
         return ode
-
-    @cached_property
-    def assemble(self):
-        """``assemble(theta, q, v)``: the net force F - c p and the mass matrix
-        M (a tuple of rows) at one point, compiled into one function on first use."""
-        return compile_trees((self.net, self.mass))
-
-    def residual(self, point: EvalPoint, accel) -> list[float]:
-        """Pointwise residual of the weighted Euler-Lagrange equation.
-
-        dL/dq - d/dtheta(dL/dv) - (1-alpha)/(t-theta) * dL/dv at a point,
-        that is F - c p - M accel from the one function of :attr:`assemble`;
-        a zero vector means (point, accel) satisfies the equation.
-        """
-        if point.n != self.n:
-            raise ValueError("point dimension does not match the problem")
-        accel = [float(x) for x in accel]
-        if len(accel) != self.n:
-            raise ValueError("accel must have length n")
-        force, mass = self.assemble(point.theta, point.q, point.v)
-        return [f - sum(m * a for m, a in zip(row, accel)) for f, row in zip(force, mass)]
 
     def emit_accelerations(self, em: Emitter, theta: str) -> list[str]:
         """Emit the accelerations at ``em``'s current point; return their names.

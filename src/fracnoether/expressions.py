@@ -24,13 +24,14 @@ parameter such as ``1 - alpha``) is bound under its own name and never
 merged with an equal constant, so trees that differ only in named values
 have one shape, and :func:`shaped` emits each shape once, binding the
 named values anew for every later function.  ``e.evaluate(theta, q, v)`` is
-the raw compiled function, :func:`evaluate` and :func:`evaluate_on_grid`
-(it, point by point) the checked entry points, which refuse to return
-non-finite values.  :func:`compile_trees` compiles several roots into one
-function with subtrees shared across them.  Callers that write their own
-function around emitted trees (the RK4 loop of
-:mod:`fracnoether.integrators`) use the :class:`Emitter` directly, naming
-the locals that hold each point's theta, coordinates and velocities.
+the raw compiled function, and :func:`evaluate_on_grid` (it, point by
+point) the checked entry point, which refuses to return non-finite
+values; one point is a one-point grid.  :func:`compile_trees` compiles
+several roots into one function with subtrees shared across them.
+Callers that write their own function around emitted trees (the RK4
+loop of :mod:`fracnoether.integrators`) use the :class:`Emitter`
+directly, naming the locals that hold each point's theta, coordinates
+and velocities.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import functools
 import math
 from typing import Iterator, Sequence
 
-from .records import Record, refuse_assignment
+from .records import refuse_assignment
 
 
 class ExpressionError(ValueError):
@@ -112,8 +113,8 @@ class Expr:
 
         Domain violations raise :class:`EvalDomainError`; overflow raises
         ``OverflowError``, ``sin`` or ``cos`` of an infinity ``ValueError``,
-        and non-finite results pass through, all of which the module-level
-        :func:`evaluate` turns into domain errors.
+        and non-finite results pass through, all of which
+        :func:`evaluate_on_grid` turns into domain errors.
         """
         try:
             return self._scalar_fn
@@ -123,8 +124,11 @@ class Expr:
             return fn
 
     def diff(self, var: "Expr") -> "Expr":
-        """Symbolic partial derivative; a subtree shared within the tree is
+        """Exact symbolic partial derivative with respect to ``var``, which
+        must be theta, q_i or v_i; a subtree shared within the tree is
         differentiated once, and its derivative shared in the result."""
+        if not isinstance(var, (Theta, Q, V)):
+            raise ExpressionError("differentiation variable must be theta, q_i, or v_i")
         memo: dict[int, Expr] = {}
 
         def d(e: Expr) -> Expr:
@@ -964,43 +968,7 @@ def _raise_out_of_range(leaves, q, v) -> None:
 
 
 # --------------------------------------------------------------------------
-# Points and top-level evaluation
-
-
-class EvalPoint(Record):
-    """A sample (theta, q, v); q and v share the degree-of-freedom count."""
-
-    theta: float
-    q: tuple
-    v: tuple
-
-    def __init__(self, theta: float, q: Sequence[float], v: Sequence[float]):
-        q = tuple(float(x) for x in q)
-        v = tuple(float(x) for x in v)
-        if len(q) != len(v) or len(q) < 1:
-            raise ValueError("q and v must have equal length n >= 1")
-        object.__setattr__(self, "theta", float(theta))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-
-def evaluate(e: Expr, point: EvalPoint) -> float:
-    """Evaluate at a point; non-finite results raise instead of returning."""
-    try:
-        out = e.evaluate(point.theta, point.q, point.v)
-    except OverflowError as exc:
-        raise EvalDomainError("overflow during evaluation") from exc
-    except ExpressionError:
-        raise
-    except ValueError as exc:  # the sine or cosine of an argument that overflowed
-        raise EvalDomainError(f"{exc} during evaluation") from exc
-    if not math.isfinite(out):
-        raise EvalDomainError(f"non-finite evaluation result {out!r}")
-    return out
+# Checked evaluation
 
 
 def evaluate_on_grid(e: Expr, theta: Sequence[float], q: Sequence, v: Sequence) -> tuple:
@@ -1022,13 +990,6 @@ def evaluate_on_grid(e: Expr, theta: Sequence[float], q: Sequence, v: Sequence) 
     if not all(map(math.isfinite, out)):
         raise EvalDomainError(non_finite)
     return out
-
-
-def diff(e: Expr, var: Expr) -> Expr:
-    """Exact symbolic partial derivative with respect to one variable."""
-    if not isinstance(var, (Theta, Q, V)):
-        raise ExpressionError("differentiation variable must be theta, q_i, or v_i")
-    return e.diff(var)
 
 
 def walk(e: Expr) -> Iterator[Expr]:

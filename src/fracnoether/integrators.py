@@ -278,9 +278,6 @@ class Trajectory(Record, frozen=False):
     def steps(self) -> int:
         return len(self.theta_grid) - 1
 
-    def channel(self, name: str) -> tuple:
-        return self.channels[name]
-
     def sample(self, s: Sample) -> tuple:
         """``s`` at every grid node: the column the solve sampled, or else the
         tree evaluated node by node (:func:`~fracnoether.expressions.evaluate_on_grid`,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fracnoether import action
+from fracnoether import acceptance, action
 from fracnoether.action import (
     ActionValue,
     fractional_action,
@@ -155,6 +155,16 @@ def test_non_extremal_shows_first_order_variation():
     rep = stationarity_check(prob, traj, parse("sin(pi*theta)"), EPS_LADDER)
     assert abs(rep.first_order_coefficient) > 1e-3
     assert rep.fitted_exponent < 1.5
+
+
+def test_stationarity_criterion_runs_five_actions(monkeypatch):
+    # the base, +eps for each of the three eps, and -eps at the smallest only
+    calls = []
+    counted = action.fractional_action
+    monkeypatch.setattr(action, "fractional_action",
+                        lambda *args: calls.append(args) or counted(*args))
+    assert acceptance.criterion_stationarity().passed
+    assert len(calls) == 5
 
 
 def test_bump_must_vanish_at_endpoints():

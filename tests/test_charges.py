@@ -7,26 +7,26 @@ from fracnoether.action import fractional_action
 from fracnoether.charges import (
     ChargePreconditionError,
     ChargeSeries,
-    InvarianceResiduals,
     MissingChannelError,
     SymmetryGenerator,
-    TotalDerivative,
+    charge_expression,
     classical_energy,
     classical_momentum,
-    drift,
     fractional_energy,
     fractional_momentum,
     gauge_rate_from_reduced_condition,
     noether_charge,
     pointwise_conservation_residual,
+    quasi_invariance_residual,
     standard_integrands,
 )
 from fracnoether.euler_lagrange import (
     FractionalParams,
     VariationalProblem,
+    along_motion,
     to_explicit_ode,
 )
-from fracnoether.expressions import Const, EvalPoint, add, evaluate, parse
+from fracnoether.expressions import Const, add, evaluate_on_grid, parse
 from fracnoether.integrators import ivp_solve
 
 
@@ -46,6 +46,11 @@ def generator(tau, xi, n=1, gauge=None):
     return gen
 
 
+def at(e, theta, q, v):
+    """``e`` at one point, checked: a one-point grid."""
+    return evaluate_on_grid(e, [theta], [q], [v])[0]
+
+
 def solve(prob, q0, v0, steps=1000, **kwargs):
     rhs = to_explicit_ode(prob)
     integrands = standard_integrands(prob, **kwargs) if kwargs else None
@@ -53,28 +58,25 @@ def solve(prob, q0, v0, steps=1000, **kwargs):
 
 
 # --------------------------------------------------------------------------
-# TotalDerivative
+# the derivative along the motion
 
 
 def test_total_derivative_of_coordinate_is_velocity():
-    derivative = TotalDerivative(parse("q0", 1), 1)
-    assert derivative(EvalPoint(0.0, [2.0], [3.0])) == pytest.approx(3.0)
+    rate, accel_coeffs = along_motion(parse("q0", 1), 1)
+    assert at(rate, 0.0, [2.0], [3.0]) == pytest.approx(3.0)
+    # a (theta, q) expression has no acceleration term
+    assert [(type(c), c.value) for c in accel_coeffs] == [(Const, 0.0)]
 
 
 def test_total_derivative_product_rule():
-    derivative = TotalDerivative(parse("theta*q0", 1), 1)
-    assert derivative(EvalPoint(2.0, [5.0], [1.0])) == pytest.approx(7.0)
+    rate, _ = along_motion(parse("theta*q0", 1), 1)
+    assert at(rate, 2.0, [5.0], [1.0]) == pytest.approx(7.0)
 
 
 def test_total_derivative_of_velocity_is_acceleration():
-    derivative = TotalDerivative(parse("v0", 1), 1)
-    assert derivative(EvalPoint(0.0, [0.0], [1.0]), accel=[-4.0]) == pytest.approx(-4.0)
-
-
-def test_total_derivative_requires_accel_for_velocity_terms():
-    derivative = TotalDerivative(parse("v0^2", 1), 1)
-    with pytest.raises(ValueError, match="accel"):
-        derivative(EvalPoint(0.0, [0.0], [1.0]))
+    rate, (coeff,) = along_motion(parse("v0", 1), 1)
+    point = (0.0, [0.0], [1.0])
+    assert at(rate, *point) + at(coeff, *point) * -4.0 == pytest.approx(-4.0)
 
 
 # --------------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_generators_must_not_depend_on_velocity():
 
 
 # --------------------------------------------------------------------------
-# invariance residuals
+# invariance residuals: quasi-invariance, and condition (8) (the charge tree)
 
 
 def test_full_condition_residual_for_energy_generator():
@@ -97,85 +99,65 @@ def test_full_condition_residual_for_energy_generator():
     # leaves -(1-alpha)/(t-theta) * v^2/2 in the full one
     prob = problem("v0^2/2", alpha=0.5)
     gen = generator("1", ["0"], gauge="(1 - 0.5)/(2 - theta) * v0^2")
-    p = EvalPoint(0.0, [0.0], [2.0])
     expected = -(0.5 / 2.0) * 2.0 ** 2 / 2.0
-    assert InvarianceResiduals(prob, gen).quasi_invariance_at(p) == pytest.approx(
-        expected, rel=1e-14
-    )
+    residual = quasi_invariance_residual(prob, gen)
+    assert at(residual, 0.0, [0.0], [2.0]) == pytest.approx(expected, rel=1e-14)
+
+
+def test_full_condition_with_zero_gauge_is_the_drag_of_the_lagrangian():
+    # G0 vanishes for tau = 1 on an autonomous L, leaving c L tau
+    prob = problem("(v0^2 - q0^2)/2", alpha=0.5)
+    residual = quasi_invariance_residual(prob, generator("1", ["0"], gauge="0"))
+    for theta, q, v in [(0.0, 0.3, 1.1), (0.7, -0.5, 0.2)]:
+        expected = 0.5 / (2.0 - theta) * (v * v - q * q) / 2.0
+        assert at(residual, theta, [q], [v]) == pytest.approx(expected, rel=1e-14)
 
 
 def test_full_condition_holds_classically_for_time_translation():
     prob = problem("(v0^2 - q0^2)/2", alpha=1.0)
-    residuals = InvarianceResiduals(prob, generator("1", ["0"], gauge="0"))
+    residual = quasi_invariance_residual(prob, generator("1", ["0"], gauge="0"))
     for theta, q, v in [(0.0, 0.3, 1.1), (0.7, -0.5, 0.2), (1.0, 2.0, -1.0)]:
-        res = residuals.quasi_invariance_at(EvalPoint(theta, [q], [v]))
-        assert abs(res) < 1e-14
+        assert abs(at(residual, theta, [q], [v])) < 1e-14
 
 
 def test_full_condition_holds_for_space_translation_without_q():
     prob = problem("v0^2/2 + theta*v0", alpha=1.0)
-    residuals = InvarianceResiduals(prob, generator("0", ["1"], gauge="0"))
+    residual = quasi_invariance_residual(prob, generator("0", ["1"], gauge="0"))
     for theta, q, v in [(0.1, 0.0, 1.0), (0.9, 3.0, -2.0)]:
-        res = residuals.quasi_invariance_at(EvalPoint(theta, [q], [v]))
-        assert abs(res) < 1e-14
+        assert abs(at(residual, theta, [q], [v])) < 1e-14
 
 
 def test_full_condition_needs_gauge_rate():
     prob = problem("v0^2/2", alpha=0.5)
-    residuals = InvarianceResiduals(prob, generator("1", ["0"]))
     with pytest.raises(ChargePreconditionError, match="gauge"):
-        residuals.quasi_invariance_at(EvalPoint(0.0, [0.0], [1.0]))
+        quasi_invariance_residual(prob, generator("1", ["0"]))
 
 
 def test_condition8_zero_for_null_generator():
     prob = problem("(v0^2 - q0^2)/2", alpha=0.5)
     gen = generator("0", ["0"])
-    assert InvarianceResiduals(prob, gen).condition8_at(EvalPoint(0.2, [1.0], [2.0])) == 0.0
+    assert at(charge_expression(prob, gen), 0.2, [1.0], [2.0]) == 0.0
 
 
 def test_condition8_zero_when_momentum_component_vanishes():
     # tau = 0 and dL/dv . xi = 0 leave nothing behind
     prob = problem("v0^2/2 + q1^2", alpha=0.5, n=2)
     gen = generator("0", ["0", "1"], n=2)
-    p = EvalPoint(0.3, [1.0, -2.0], [0.5, 0.7])
-    assert InvarianceResiduals(prob, gen).condition8_at(p) == 0.0
+    assert at(charge_expression(prob, gen), 0.3, [1.0, -2.0], [0.5, 0.7]) == 0.0
 
 
 def test_condition8_violated_by_time_translation():
     prob = problem("v0^2/2", alpha=0.5)
     gen = generator("1", ["0"])
-    res = InvarianceResiduals(prob, gen).condition8_at(EvalPoint(0.0, [0.0], [1.0]))
+    res = at(charge_expression(prob, gen), 0.0, [0.0], [1.0])
     assert res == pytest.approx(-0.5, rel=1e-15)
 
 
 def test_condition8_holds_for_degenerate_linear_lagrangian():
     prob = problem("v0", alpha=0.5)
     gen = generator("1", ["0"])
-    res = InvarianceResiduals(prob, gen).condition8_at(EvalPoint(0.0, [0.0], [1.0]))
+    res = at(charge_expression(prob, gen), 0.0, [0.0], [1.0])
     assert res == pytest.approx(0.0, abs=1e-15)
-
-
-# --------------------------------------------------------------------------
-# reusable residual objects
-
-
-def test_reusable_residuals_compile_each_tree_once(defined):
-    prob = problem("exp(theta/4)*v0^2/2 - cos(q0)", alpha=0.6)
-    gen = generator("1", ["0"], gauge="0")
-    derivative = TotalDerivative(parse("theta*v0^2", 1), 1)
-    residuals = InvarianceResiduals(prob, gen)
-    for k in range(30):
-        p = EvalPoint(k / 30, [0.2], [0.4])
-        derivative(p, [1.0])
-        residuals.quasi_invariance_at(p)
-        residuals.condition8_at(p)
-    # rate and one acceleration coefficient, then the two residual trees
-    assert len(defined) == 4
-
-
-def test_total_derivative_object_checks_dimension():
-    with pytest.raises(ValueError, match="dimension"):
-        TotalDerivative(parse("q0", 1), 1)(EvalPoint(0.0, [1.0, 2.0], [0.0, 0.0]))
 
 
 # --------------------------------------------------------------------------
@@ -189,12 +171,12 @@ def test_derived_gauge_matches_energy_form_for_autonomous_lagrangian():
     reference = parse("(1 - 0.5)/(2 - theta) * v0 * v0", 1)
     rng = np.random.default_rng(1)
     for _ in range(10):
-        p = EvalPoint(
+        p = (
             float(rng.uniform(0.0, 1.0)),
             [float(rng.uniform(-2.0, 2.0))],
             [float(rng.uniform(-2.0, 2.0))],
         )
-        assert evaluate(gauge, p) == pytest.approx(evaluate(reference, p), rel=1e-13, abs=1e-15)
+        assert at(gauge, *p) == pytest.approx(at(reference, *p), rel=1e-13, abs=1e-15)
 
 
 def test_derived_gauge_matches_momentum_form_for_q_free_lagrangian():
@@ -204,12 +186,12 @@ def test_derived_gauge_matches_momentum_form_for_q_free_lagrangian():
     reference = parse("-(1 - 0.25)/(2 - theta) * v0", 1)
     rng = np.random.default_rng(2)
     for _ in range(10):
-        p = EvalPoint(
+        p = (
             float(rng.uniform(0.0, 1.0)),
             [float(rng.uniform(-2.0, 2.0))],
             [float(rng.uniform(-2.0, 2.0))],
         )
-        assert evaluate(gauge, p) == pytest.approx(evaluate(reference, p), rel=1e-13, abs=1e-15)
+        assert at(gauge, *p) == pytest.approx(at(reference, *p), rel=1e-13, abs=1e-15)
 
 
 def test_derived_gauge_vanishes_classically_for_time_translation():
@@ -429,23 +411,20 @@ def test_constant_gauge_shift_tilts_charge_linearly():
 
 def test_drift_of_constant_series():
     series = ChargeSeries.from_values(np.arange(3.0), np.array([3.0, 3.0, 3.0]))
-    assert drift(series) == (0.0, 0.0)
+    assert (series.drift, series.relative_drift) == (0.0, 0.0)
 
 
 def test_drift_small_wobble():
     series = ChargeSeries.from_values(
         np.arange(3.0), np.array([0.0, 1e-9, -1e-9])
     )
-    d, rd = drift(series)
-    assert d == pytest.approx(1e-9)
+    assert series.drift == pytest.approx(1e-9)
 
 
 def test_drift_relative_normalization():
     series = ChargeSeries.from_values(np.arange(2.0), np.array([10.0, 10.5]))
-    d, rd = drift(series)
-    assert d == pytest.approx(0.5)
-    assert rd == pytest.approx(0.5 / 11.5)
-    assert series.drift == d and series.relative_drift == rd
+    assert series.drift == pytest.approx(0.5)
+    assert series.relative_drift == pytest.approx(0.5 / 11.5)
 
 
 def test_charge_series_csv_format(tmp_path):

@@ -32,7 +32,6 @@ from fracnoether.expressions import (
     Cos,
     Div,
     EvalDomainError,
-    EvalPoint,
     Exp,
     ExpressionError,
     Ln,
@@ -46,7 +45,6 @@ from fracnoether.expressions import (
     Theta,
     V,
     compile_trees,
-    evaluate,
     evaluate_on_grid,
     parse,
 )
@@ -256,11 +254,16 @@ def test_special_constants_survive_compilation():
     assert repr(grid) == repr(walk_grid(Const(-0.0), [0.0] * 2, zeros, zeros)) == "(-0.0, -0.0)"
 
 
+# What evaluate_on_grid raises for overflow, sin or cos of an infinity, and
+# a non-finite value.
+NON_FINITE = "^non-finite evaluation result on grid$"
+
+
 def test_infinite_constant_still_caught_at_the_top():
     e = parse("1e400*q0", 1)
     for q0 in (1.0, 0.0):
-        with pytest.raises(EvalDomainError, match="non-finite"):
-            evaluate(e, EvalPoint(0.0, [q0], [0.0]))
+        with pytest.raises(EvalDomainError, match=NON_FINITE):
+            evaluate_on_grid(e, [0.0], [(q0,)], [(0.0,)])
 
 
 def test_index_beyond_coordinates_keeps_its_message():
@@ -285,8 +288,8 @@ def test_exp_overflow_maps_to_domain_error_and_blow_up():
     e = parse("exp(exp(exp(q0)))", 1)
     with pytest.raises(OverflowError):
         e.evaluate(0.0, [10.0], [0.0])
-    with pytest.raises(EvalDomainError, match="overflow"):
-        evaluate(e, EvalPoint(0.0, [10.0], [0.0]))
+    with pytest.raises(EvalDomainError, match=NON_FINITE):
+        evaluate_on_grid(e, [0.0], [(10.0,)], [(0.0,)])
 
     def still(theta, q, v):
         return [0.0]
@@ -305,8 +308,8 @@ def test_exp_overflow_maps_to_domain_error_and_blow_up():
     e = parse("sin(1e300*q0*q0)", 1)
     with pytest.raises(ValueError, match="math domain error"):
         e.evaluate(0.0, [1e10], [0.0])
-    with pytest.raises(EvalDomainError, match="math domain error"):
-        evaluate(e, EvalPoint(0.0, [1e10], [0.0]))
+    with pytest.raises(EvalDomainError, match=NON_FINITE):
+        evaluate_on_grid(e, [0.0], [(1e10,)], [(0.0,)])
     with pytest.raises(BlowUpError):
         ivp_solve(still, 0.0, 1.0, [1e10], [0.0], 10, integrands={"g": e})
     prob = VariationalProblem(
@@ -352,7 +355,7 @@ def test_fused_rhs_equals_tree_by_tree_arithmetic(text, n):
             for f, p in zip(ode.force, ode.momentum)
         )
         mass = tuple(tuple(m.evaluate(theta, q, v) for m in row) for row in ode.mass)
-        assert ode.assemble(theta, q, v) == (force, mass)
+        assert tuple(f.evaluate(theta, q, v) for f in ode.net) == force
         expected = [force[0] / mass[0][0]] if n == 1 else linsolve.solve(mass, force)
         assert ode(theta, q, v) == expected
 
@@ -382,7 +385,7 @@ def test_ivp_solve_accepts_evaluate_only_integrands():
         integrands={k: OnlyEvaluate(g) for k, g in integrands.items()},
     )
     for name in integrands:
-        assert repr(plain.channel(name)) == repr(wrapped.channel(name))
+        assert repr(plain.channels[name]) == repr(wrapped.channels[name])
     assert repr(plain.q) == repr(wrapped.q)
 
 
@@ -391,8 +394,7 @@ def test_zero_force_keeps_the_sign_of_zero():
     ode = ExplicitOde(problem("v0^2/2", 1, alpha=1.0))
     (accel,) = ode(0.5, [0.0], [1.0])
     assert math.copysign(1.0, accel) == 1.0
-    (net,), _ = ode.assemble(0.5, [0.0], [1.0])
-    assert math.copysign(1.0, net) == 1.0
+    assert math.copysign(1.0, ode.net[0].evaluate(0.5, [0.0], [1.0])) == 1.0
 
 
 def test_alpha_one_net_force_is_the_force_itself(defined):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 from elimination_oracle import array_elimination
+from tree_walk_oracle import euler_lagrange_residual
 
 from fracnoether import linsolve
 from fracnoether.euler_lagrange import (
@@ -16,7 +17,7 @@ from fracnoether.euler_lagrange import (
     VariationalProblem,
     to_explicit_ode,
 )
-from fracnoether.expressions import EvalPoint, parse
+from fracnoether.expressions import parse
 from fracnoether.integrators import ivp_solve
 
 
@@ -71,43 +72,40 @@ def test_boundary_length_checked():
 
 
 # --------------------------------------------------------------------------
-# ExplicitOde.residual
+# the residual F - c p - M accel of the net force and mass trees
 
 
 def test_classical_free_particle_residual():
     prob = problem("v0^2/2", alpha=1.0)
-    p = EvalPoint(0.3, [1.7], [2.5])
-    res = ExplicitOde(prob).residual(p, [0.0])
+    res = euler_lagrange_residual(ExplicitOde(prob), 0.3, [1.7], [2.5], [0.0])
     assert res == pytest.approx([0.0], abs=1e-15)
 
 
 def test_fractional_free_particle_residual():
     # acceleration -0.5 balances the kernel drag at theta=1, v=1
     prob = problem("v0^2/2", alpha=0.5)
-    p = EvalPoint(1.0, [0.0], [1.0])
     ode = ExplicitOde(prob)
-    assert ode.residual(p, [-0.5]) == pytest.approx([0.0], abs=1e-15)
+    assert euler_lagrange_residual(ode, 1.0, [0.0], [1.0], [-0.5]) == pytest.approx(
+        [0.0], abs=1e-15)
     # and a wrong acceleration does not
-    assert abs(ode.residual(p, [0.0])[0]) > 0.1
+    assert abs(euler_lagrange_residual(ode, 1.0, [0.0], [1.0], [0.0])[0]) > 0.1
 
 
 def test_harmonic_oscillator_residual():
     prob = problem("(v0^2 - q0^2)/2", alpha=1.0)
-    p = EvalPoint(0.0, [1.0], [0.0])
-    assert ExplicitOde(prob).residual(p, [-1.0]) == pytest.approx([0.0], abs=1e-15)
+    res = euler_lagrange_residual(ExplicitOde(prob), 0.0, [1.0], [0.0], [-1.0])
+    assert res == pytest.approx([0.0], abs=1e-15)
 
 
-def test_residual_checks_compile_nothing_after_the_first(defined):
+def test_explicit_ode_compiles_its_accelerations_once(defined):
     for n, text in [(1, "v0^2/2 + cos(q0)"), (2, "(2 + sin(q1))*v0^2/2 + v1^2/2")]:
         before = len(defined)
         ode = ExplicitOde(problem(text, alpha=0.7, n=n))
         assert len(defined) == before  # construction compiles nothing
-        ode.residual(EvalPoint(0.0, [0.1] * n, [0.2] * n), [0.3] * n)
         ode(0.0, [0.1] * n, [0.2] * n)
         built = len(defined)
-        assert built == before + 2  # the net force with the mass, and the accelerations
+        assert built == before + 1  # the accelerations
         for k in range(20):
-            ode.residual(EvalPoint(k / 20, [0.1] * n, [0.2] * n), [0.3] * n)
             ode(k / 20, [0.1] * n, [0.2] * n)
         assert len(defined) == built
 
@@ -189,7 +187,7 @@ def test_rhs_satisfies_residual():
         q = [float(rng.uniform(-2.0, 2.0))]
         v = [float(rng.uniform(-2.0, 2.0))]
         accel = rhs(theta, q, v)
-        res = rhs.residual(EvalPoint(theta, q, v), accel)
+        res = euler_lagrange_residual(rhs, theta, q, v, accel)
         assert np.max(np.abs(res)) < 1e-10
 
 
@@ -204,7 +202,7 @@ def test_rhs_satisfies_residual_two_dof():
         q = rng.uniform(-1.0, 1.0, size=2).tolist()
         v = rng.uniform(-1.0, 1.0, size=2).tolist()
         accel = rhs(theta, q, v)
-        res = rhs.residual(EvalPoint(theta, q, v), accel)
+        res = euler_lagrange_residual(rhs, theta, q, v, accel)
         assert np.max(np.abs(res)) < 1e-10
 
 

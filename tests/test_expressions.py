@@ -14,7 +14,6 @@ from fracnoether.expressions import (
     Cos,
     Div,
     EvalDomainError,
-    EvalPoint,
     Exp,
     Expr,
     ExpressionError,
@@ -31,9 +30,7 @@ from fracnoether.expressions import (
     V,
     add,
     cos,
-    diff,
     div,
-    evaluate,
     evaluate_on_grid,
     exp,
     mul,
@@ -46,7 +43,8 @@ from fracnoether.expressions import (
 
 
 def ev(e, theta=0.0, q=(0.0,), v=(0.0,)):
-    return evaluate(e, EvalPoint(theta, q, v))
+    """``e`` at one point, checked: a one-point grid."""
+    return evaluate_on_grid(e, [theta], [q], [v])[0]
 
 
 # --------------------------------------------------------------------------
@@ -191,19 +189,11 @@ def test_eval_overflow_reported():
         ev(e, q=[10.0])
 
 
-def test_eval_point_validation():
-    with pytest.raises(ValueError):
-        EvalPoint(0.0, [1.0], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        EvalPoint(0.0, [], [])
-
-
 def test_eval_is_pure_and_bit_exact():
     e = parse("sin(theta*q0) + exp(v0/3) - q0^3", 1)
-    p = EvalPoint(0.7, [1.3], [-0.2])
-    first = evaluate(e, p)
+    first = ev(e, 0.7, [1.3], [-0.2])
     for _ in range(5):
-        assert evaluate(e, p) == first
+        assert ev(e, 0.7, [1.3], [-0.2]) == first
 
 
 def test_grid_evaluation_matches_the_tree_walk_oracle():
@@ -233,32 +223,35 @@ def test_grid_evaluation_domain_error():
 
 def test_diff_power_rule():
     e = parse("v0^2/2", 1)
-    d = diff(e, V(0))
+    d = e.diff(V(0))
     for val in (0.0, 1.5, -2.0):
         assert ev(d, v=[val]) == pytest.approx(val, rel=1e-15, abs=1e-300)
 
 
 def test_diff_sin():
-    d = diff(parse("sin(q0)", 1), Q(0))
+    d = parse("sin(q0)", 1).diff(Q(0))
     for val in (0.0, 0.9, -2.2):
         assert ev(d, q=[val]) == pytest.approx(math.cos(val), rel=1e-14)
 
 
 def test_diff_wrt_absent_variable_is_zero():
-    d = diff(parse("v0^2/2", 1), Q(0))
+    d = parse("v0^2/2", 1).diff(Q(0))
     assert isinstance(d, Const) and d.value == 0.0
 
 
 def test_diff_requires_variable_node():
-    with pytest.raises(ValueError):
-        diff(parse("q0", 1), parse("q0 + 1", 1))
+    with pytest.raises(ExpressionError, match="differentiation variable must be theta"):
+        parse("q0", 1).diff(parse("q0 + 1", 1))
+    # no leaf matches a non-variable: unchecked, this derivative folds to 0
+    with pytest.raises(ExpressionError, match="differentiation variable"):
+        parse("q0*v0", 1).diff(parse("q0 + 1", 1))
 
 
 def test_diff_closed_over_node_set():
     from fracnoether.expressions import walk
 
     e = parse("exp(theta*v0) / sqrt(1 + q0^2) - ln(2 + v0^2)", 1)
-    d = diff(diff(e, V(0)), Q(0))
+    d = e.diff(V(0)).diff(Q(0))
     known = (
         "Const Theta Q V Neg Sin Cos Exp Ln Sqrt Pow Add Sub Mul Div".split()
     )
@@ -278,7 +271,7 @@ def test_shared_subtrees_are_walked_and_differentiated_once(monkeypatch):
     products = sum(type(node) is Mul for node in nodes)
     built = []
     monkeypatch.setattr(expressions, "Mul", lambda a, b: built.append(a) or Mul(a, b))
-    d = diff(e, Q(0))
+    d = e.diff(Q(0))
     # the product rule builds at most two products per product node
     assert len(built) <= 2 * products
     assert len(list(walk(d))) < 300
@@ -386,7 +379,7 @@ def test_power_constructor_special_cases():
 
 def test_folding_keeps_zero_derivatives_compact():
     e = parse("v0^2/2", 1)
-    d = diff(e, Theta())
+    d = e.diff(Theta())
     assert isinstance(d, Const) and d.value == 0.0
 
 

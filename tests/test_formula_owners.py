@@ -14,6 +14,14 @@ VELOCITY_DIFF_OWNERS = {"VariationalProblem.momentum", "along_motion"}
 # linsolve itself: the accelerations of the equation of motion.
 EMIT_SOLVE_OWNERS = {"ExplicitOde.emit_accelerations"}
 
+# Where a derivative along the motion may be expanded: the force of the
+# equation of motion, the gauge rates, and the conservation check.
+ALONG_MOTION_OWNERS = {
+    "euler_lagrange.py:_force_and_mass",
+    "charges.py:_gauge_parts",
+    "charges.py:pointwise_conservation_residual",
+}
+
 # Where a "%.17g" row template may be assembled: the one CSV table writer.
 ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
 
@@ -78,16 +86,16 @@ def test_the_guard_sees_both_spellings():
     assert velocity_diff_sites(ast.parse(source)) == [("P.f", 3), ("g", 5)]
 
 
-def emit_solve_sites(tree: ast.AST) -> list[tuple[str, int]]:
-    """(enclosing class.function, line) of every ``emit_solve(...)`` and
-    ``x.emit_solve(...)`` call in a module."""
+def call_sites(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every ``name(...)`` and
+    ``x.name(...)`` call in a module."""
 
     def match(node):
         if not isinstance(node, ast.Call):
             return False
         func = node.func
-        return (isinstance(func, ast.Name) and func.id == "emit_solve") or (
-            isinstance(func, ast.Attribute) and func.attr == "emit_solve")
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name)
 
     return scoped_sites(tree, match)
 
@@ -117,7 +125,7 @@ def test_one_elimination():
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "linsolve.py":
-            for scope, line in emit_solve_sites(tree):
+            for scope, line in call_sites(tree, "emit_solve"):
                 solves[f"{path.name}:{line}"] = scope
         for scope, line in linalg_sites(tree):
             linalg[f"{path.name}:{line}"] = scope
@@ -137,8 +145,30 @@ def test_the_elimination_guard_sees_every_spelling():
         "    return emit_solve(None, a, b, str) + np.linalg.solve(a, b) + linalg.inv(a)\n"
     )
     tree = ast.parse(source)
-    assert emit_solve_sites(tree) == [("Ode.f", 6), ("g", 8)]
+    assert call_sites(tree, "emit_solve") == [("Ode.f", 6), ("g", 8)]
     assert linalg_sites(tree) == [("", 1), ("", 2), ("", 3), ("g", 8), ("g", 8)]
+
+
+def test_one_derivative_along_the_motion():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in call_sites(ast.parse(path.read_text()), "along_motion"):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(found.values()) == ALONG_MOTION_OWNERS, found
+
+
+def test_the_along_motion_guard_sees_both_spellings():
+    source = (
+        "class Derivative:\n"
+        "    def __init__(self, e, n):\n"
+        "        self.rate = euler_lagrange.along_motion(e, n)[0]\n"
+        "def residual(prob, e):\n"
+        "    rate, coeffs = along_motion(e, prob.n)\n"
+        "    return rate\n"
+    )
+    sites = call_sites(ast.parse(source), "along_motion")
+    assert sites == [("Derivative.__init__", 3), ("residual", 5)]
 
 
 def row_template_sites(tree: ast.AST) -> list[tuple[str, int]]:

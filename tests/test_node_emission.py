@@ -10,7 +10,7 @@ import pytest
 import tree_walk_oracle
 
 from fracnoether import expressions
-from fracnoether.expressions import EvalPoint, Expr, ExpressionError, Q
+from fracnoether.expressions import Expr, ExpressionError, Q
 
 # One value for each field type a node declares.
 FIELD_VALUES = {"Expr": Q(0), "int": 0, "float": 1.5}
@@ -70,7 +70,7 @@ def test_every_concrete_node_compiles_to_the_walks_value():
         e = instance(cls)
         walked = [struct.pack("<d", tree_walk_oracle.value(e, *point))
                   for point in zip(theta, q, v)]
-        scalar = expressions.evaluate(e, EvalPoint(theta[0], q[0], v[0]))
+        scalar = e.evaluate(theta[0], q[0], v[0])
         assert struct.pack("<d", scalar) == walked[0], cls.__name__
         grid = expressions.evaluate_on_grid(e, theta, q, v)
         assert [struct.pack("<d", x) for x in grid] == walked, cls.__name__

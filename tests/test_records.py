@@ -12,7 +12,7 @@ from fracnoether.action import ActionValue, StationarityReport
 from fracnoether.charges import ChargeSeries, SymmetryGenerator
 from fracnoether.euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from fracnoether.expressions import (
-    Add, Const, Cos, Div, EvalPoint, Exp, Ln, Mul, Neg, Pow, Q, Sin, Sqrt, Sub, Theta, V, parse,
+    Add, Const, Cos, Div, Exp, Ln, Mul, Neg, Pow, Q, Sin, Sqrt, Sub, Theta, V, parse,
 )
 from fracnoether.integrators import (
     ConvergenceReport, ExactSolution, Sample, ShootingReport, Trajectory,
@@ -79,8 +79,6 @@ RECORDS = [
      "epsilons=(0.001,), deltas=(1e-06,))"),
     ("CriterionResult", lambda x: CriterionResult("c", x, "d"), True, False,
      "CriterionResult(name='c', passed=True, detail='d')"),
-    ("EvalPoint", lambda x: EvalPoint(x, [1], [2]), 0.5, 0.25,
-     "EvalPoint(theta=0.5, q=(1.0,), v=(2.0,))"),
     ("Sample", lambda x: Sample(L, x, "c"), 0.5, -0.5,
      "Sample(tree=<Expr v0 * v0 / 2>, weight=0.5, channel='c')"),
     ("Trajectory", trajectory, 1.0, 2.0,
@@ -170,7 +168,7 @@ def test_replace_rebuilds_through_the_constructor():
     with pytest.raises(ValueError, match="alpha"):
         replace(FractionalParams(0.5, 2.0), alpha=1.5)
     with pytest.raises(ValueError, match="equal length"):
-        replace(EvalPoint(0.5, [1], [2]), q=(1.0, 2.0))
+        replace(BoundaryConditions([0], [1]), q_b=(1.0, 2.0))
     with pytest.raises(ValueError, match="start at zero"):
         replace(trajectory(1.0), channels={"c": (1.0, 2.0)})
     assert replace(scenario(10), steps=20) == scenario(20)

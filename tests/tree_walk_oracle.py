@@ -13,6 +13,7 @@ The rules, restated here:
   singular, and the acceleration is the net force over the mass; more:
   the net force trees and then the mass trees, row by row, are evaluated
   and the system solved by :func:`elimination_oracle.array_elimination`;
+  the residual F - c p - M accel of the equation walks the same trees;
 - a step evaluates the accelerations at its four stage points, then each
   channel at the four points in turn;
 - ``OverflowError``, or the ``ValueError`` of ``sin`` or ``cos`` of an
@@ -103,6 +104,16 @@ def accelerations(ode, theta: float, q, v) -> list[float]:
         return array_elimination(mass, force)
     except SingularPivot as exc:
         raise SingularHessianError(theta, exc.condition_estimate) from None
+
+
+def euler_lagrange_residual(ode, theta: float, q, v, accel) -> list[float]:
+    """F - c p - M accel of an ``ExplicitOde`` at one point, the net force
+    and mass trees walked node by node: the residual of the weighted
+    Euler-Lagrange equation, zero where ``accel`` solves it."""
+    force = [value(f, theta, q, v) for f in ode.net]
+    mass = [[value(m, theta, q, v) for m in row] for row in ode.mass]
+    return [f - sum(m * float(a) for m, a in zip(row, accel, strict=True))
+            for f, row in zip(force, mass)]
 
 
 def rk4(ode, a: float, b: float, q0, v0, steps: int, integrands: dict):
