@@ -6,6 +6,14 @@ test suite both execute this corpus; the criteria and their tolerances
 are fixed here, not configurable.  It runs on the standard library: the
 two criteria that draw random numbers draw them from ``random.Random``
 with fixed seeds.
+
+Every problem starts as a scenario dict, validated as a scenario file is.
+Criteria 1-6 solve it through the commands' ``cli._solve``, each charge
+sampled in the RK4 loop; 4 and 6 sweep alpha, the later alphas sharing
+the first's trees (``with_alpha``), and 6 reads the rows ``sweep`` writes
+(``cli._sweep_rows``).  Criteria 7-10 take the scenario's problem only:
+a kernel on a trajectory at rest, a shot extremal with its shooting
+report, the derivative engine and the RK4 order are no command's output.
 """
 
 from __future__ import annotations
@@ -13,22 +21,14 @@ from __future__ import annotations
 import math
 import random
 
+from . import cli
 from .action import fractional_action, gamma_fn, stationarity_check
 from .charges import (
-    SymmetryGenerator,
     classical_momentum,
     fractional_energy,
     fractional_momentum,
-    gauge_rate_from_reduced_condition,
     noether_charge,
     pointwise_conservation_residual,
-    standard_integrands,
-)
-from .euler_lagrange import (
-    BoundaryConditions,
-    FractionalParams,
-    VariationalProblem,
-    to_explicit_ode,
 )
 from .expressions import (
     Const,
@@ -46,9 +46,10 @@ from .expressions import (
     sub,
 )
 from .integrators import (
-    ExactSolution, Trajectory, bvp_shoot, convergence_order, ivp_solve, uniform_grid,
+    ExactSolution, Trajectory, bvp_shoot, convergence_order, uniform_grid,
 )
-from .records import Record
+from .records import Record, replace
+from .scenarios import Scenario, scenario_from_dict
 
 
 class CriterionResult(Record):
@@ -57,21 +58,17 @@ class CriterionResult(Record):
     detail: str
 
 
-def _problem(lagrangian: str, n: int, alpha: float, t: float = 2.0,
-             interval=(0.0, 1.0), boundary=None) -> VariationalProblem:
-    return VariationalProblem(
-        n=n,
-        lagrangian=parse(lagrangian, n),
-        interval=interval,
-        frac=FractionalParams(alpha=alpha, observer_time=t),
-        boundary=boundary,
-    )
+def _scenario(lagrangian: str, alpha, mode: dict, n: int = 1, **fields) -> Scenario:
+    """A scenario on [0, 1] with observer time 2; ``alpha`` a number or a
+    sweep ``{"from", "to", "count"}``, ``fields`` any further scenario fields."""
+    return scenario_from_dict({
+        "name": "acceptance", "n": n, "lagrangian": lagrangian, "alpha": alpha,
+        "observer_time": 2.0, "interval": [0.0, 1.0], "mode": mode, **fields,
+    })
 
 
-def _solve_ivp(prob, q0, v0, steps, **integrand_kwargs):
-    rhs = to_explicit_ode(prob)
-    integrands = standard_integrands(prob, **integrand_kwargs) if integrand_kwargs else None
-    return ivp_solve(rhs, prob.a, prob.b, q0, v0, steps, integrands=integrands)
+def _ivp(q0: list, v0: list) -> dict:
+    return {"type": "ivp", "q0": q0, "v0": v0}
 
 
 # --------------------------------------------------------------------------
@@ -79,8 +76,8 @@ def _solve_ivp(prob, q0, v0, steps, **integrand_kwargs):
 
 
 def criterion_classical_limit() -> CriterionResult:
-    prob = _problem("(v0^2 - q0^2)/2", 1, alpha=1.0)
-    traj = _solve_ivp(prob, [1.0], [0.0], 1000, energy=True)
+    scenario = _scenario("(v0^2 - q0^2)/2", 1.0, _ivp([1.0], [0.0]), charges=["energy"])
+    prob, _, traj, _ = cli._solve(scenario, 1.0, sampled=True)
     traj_err = max(abs(q - math.cos(th)) for th, (q,) in zip(traj.theta_grid, traj.q))
     energy = fractional_energy(prob, traj)
     ok = traj_err < 1e-9 and energy.relative_drift < 1e-10
@@ -106,8 +103,7 @@ def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
 
 
 def criterion_free_particle_velocity() -> CriterionResult:
-    prob = _problem("v0^2/2", 1, alpha=0.5)
-    traj = _solve_ivp(prob, [0.0], [1.0], 1000)
+    _, _, traj, _ = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5)
     rel_err = max(abs(v - exact) / abs(exact) for v, exact in zip(
         traj.v.columns[0], map(_free_particle_velocity, traj.theta_grid)))
     ok = rel_err < 1e-8
@@ -124,8 +120,8 @@ def criterion_free_particle_velocity() -> CriterionResult:
 
 def criterion_fractional_momentum() -> CriterionResult:
     alpha, t, a = 0.5, 2.0, 0.0
-    prob = _problem("v0^2/2", 1, alpha=alpha, t=t)
-    traj = _solve_ivp(prob, [0.0], [1.0], 1000, momentum=True)
+    scenario = _scenario("v0^2/2", alpha, _ivp([0.0], [1.0]), charges=["momentum"])
+    prob, _, traj, _ = cli._solve(scenario, alpha, sampled=True)
     series = fractional_momentum(prob, traj, 0)
     # v(theta) = K (t-theta)^(1-alpha) with K = v0/(t-a)^(1-alpha); the
     # antiderivative of the correction collapses the charge to the
@@ -147,19 +143,21 @@ def criterion_fractional_momentum() -> CriterionResult:
 
 
 def criterion_fractional_energy() -> CriterionResult:
+    sweep = _scenario("(v0^2 - q0^2)/2", {"from": 0.25, "to": 0.75, "count": 3},
+                      _ivp([1.0], [0.0]), charges=["energy"])
+    # the N-doubling factor is measured where drift still dominates
+    # rounding; at N = 2000 it has already hit the 1e-15 floor.  A scenario
+    # holds even step counts only, for the action's Simpson rule, so the
+    # counts are set past that check: the energy charge reads no action.
+    runs = [replace(sweep, steps=steps) for steps in (2000, 125, 250, 500)]
     details = []
     ok = True
-    for alpha in (0.25, 0.5, 0.75):
-        prob = _problem("(v0^2 - q0^2)/2", 1, alpha=alpha)
-
-        def energy_drift(steps: int) -> float:
-            traj = _solve_ivp(prob, [1.0], [0.0], steps, energy=True)
-            return fractional_energy(prob, traj).relative_drift
-
-        fine = energy_drift(2000)
-        # the N-doubling factor is measured where drift still dominates
-        # rounding; at N = 2000 it has already hit the 1e-15 floor
-        d125, d250, d500 = energy_drift(125), energy_drift(250), energy_drift(500)
+    for alpha in sweep.alphas():
+        drifts = []
+        for run in runs:
+            prob, _, traj, _ = cli._solve(run, alpha, sampled=True)
+            drifts.append(fractional_energy(prob, traj).relative_drift)
+        fine, d125, d250, d500 = drifts
         r1 = d125 / max(d250, 1e-300)
         r2 = d250 / max(d500, 1e-300)
         good = fine < 1e-6 and 8.0 < r1 < 32.0 and 8.0 < r2 < 32.0
@@ -190,25 +188,21 @@ _CORPUS_LAGRANGIANS = (
 _CORPUS_ALPHAS = (0.3, 0.5, 0.75, 1.0)
 
 
-def _corpus_generators(n: int):
-    if n == 1:
-        specs = [
-            ("1", ["0"]),
-            ("0", ["1"]),
-            ("theta/2", ["q0/2"]),
-            ("sin(theta)", ["cos(q0)"]),
-        ]
-    else:
-        specs = [
-            ("1", ["0", "0"]),
-            ("0", ["1", "1"]),
-            ("theta/2", ["q0/2", "q1/2"]),
-            ("sin(theta)", ["cos(q0)", "q1^2/4"]),
-        ]
-    return [
-        SymmetryGenerator(parse(tau, n), [parse(x, n) for x in xi])
-        for tau, xi in specs
-    ]
+# The generators of each degree-of-freedom count, their gauges derived ("auto").
+_CORPUS_GENERATORS = {
+    1: (
+        {"tau": "1", "xi": ["0"]},
+        {"tau": "0", "xi": ["1"]},
+        {"tau": "theta/2", "xi": ["q0/2"]},
+        {"tau": "sin(theta)", "xi": ["cos(q0)"]},
+    ),
+    2: (
+        {"tau": "1", "xi": ["0", "0"]},
+        {"tau": "0", "xi": ["1", "1"]},
+        {"tau": "theta/2", "xi": ["q0/2", "q1/2"]},
+        {"tau": "sin(theta)", "xi": ["cos(q0)", "q1^2/4"]},
+    ),
+}
 
 
 def criterion_theorem_as_test() -> CriterionResult:
@@ -216,18 +210,13 @@ def criterion_theorem_as_test() -> CriterionResult:
     worst_drift = 0.0
     combos = 0
     for li, (text, n) in enumerate(_CORPUS_LAGRANGIANS):
-        q0 = [0.4] if n == 1 else [0.4, -0.2]
-        v0 = [0.5] if n == 1 else [0.5, 0.1]
-        for gi, gen in enumerate(_corpus_generators(n)):
+        start = _ivp([0.4], [0.5]) if n == 1 else _ivp([0.4, -0.2], [0.5, 0.1])
+        for gi, generator in enumerate(_CORPUS_GENERATORS[n]):
             alpha = _CORPUS_ALPHAS[(li + gi) % len(_CORPUS_ALPHAS)]
-            prob = _problem(text, n, alpha=alpha)
-            gen = gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
-            rhs = to_explicit_ode(prob)
-            traj = ivp_solve(
-                rhs, prob.a, prob.b, q0, v0, 2000,
-                integrands={"Lambda": gen.gauge_rate},
-            )
-            residual = pointwise_conservation_residual(prob, gen, traj, ode=rhs)
+            scenario = _scenario(text, alpha, start, n=n, steps=2000,
+                                 generators=[generator], charges=["noether"])
+            prob, (gen,), traj, _ = cli._solve(scenario, alpha, sampled=True)
+            residual = pointwise_conservation_residual(prob, gen, traj)
             series = noether_charge(prob, gen, traj)
             worst_pointwise = max(worst_pointwise, *map(abs, residual))
             worst_drift = max(worst_drift, series.relative_drift)
@@ -248,16 +237,20 @@ def criterion_theorem_as_test() -> CriterionResult:
 
 def criterion_broken_classical_momentum() -> CriterionResult:
     t, a, b = 2.0, 0.0, 1.0
-    alphas = [0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]
+    sweep = _scenario("v0^2/2", {"from": 0.25, "to": 1.0, "count": 7}, _ivp([0.0], [1.0]),
+                      charges=["momentum"])
+    # one row per alpha: its classical momentum's, or its failed solve's
+    rows = [row for alpha in sweep.alphas() for row in cli._sweep_rows(sweep, alpha)
+            if row["label"] in ("classical_momentum_0", "")]
+    errors = [f"alpha={row['alpha']}: {row['status']}" for row in rows if row["status"] != "ok"]
+    if errors:
+        return CriterionResult("broken_classical_momentum", False, "; ".join(errors))
     drifts = []
     max_formula_err = 0.0
-    for alpha in alphas:
-        prob = _problem("v0^2/2", 1, alpha=alpha, t=t)
-        traj = _solve_ivp(prob, [0.0], [1.0], 1000)
-        series = classical_momentum(prob, traj, 0)
-        predicted = abs(1.0 - ((t - b) / (t - a)) ** (1.0 - alpha))
-        max_formula_err = max(max_formula_err, abs(series.drift - predicted))
-        drifts.append(series.drift)
+    for row in rows:
+        predicted = abs(1.0 - ((t - b) / (t - a)) ** (1.0 - row["alpha"]))
+        max_formula_err = max(max_formula_err, abs(row["drift"] - predicted))
+        drifts.append(row["drift"])
     monotone = all(drifts[i] > drifts[i + 1] for i in range(len(drifts) - 1))
     zero_at_one = drifts[-1] < 1e-12
     ok = max_formula_err < 1e-6 and monotone and zero_at_one
@@ -274,8 +267,7 @@ def criterion_broken_classical_momentum() -> CriterionResult:
 
 
 def criterion_action_kernel() -> CriterionResult:
-    alpha, t = 0.5, 2.0
-    prob = _problem("1", 1, alpha=alpha, t=t)
+    prob = _scenario("1", 0.5, _ivp([0.0], [0.0])).problem
     steps = 1000
     rest = [(0.0,)] * (steps + 1)
     flat = Trajectory(theta_grid=uniform_grid(0.0, 1.0, steps), q=rest, v=rest, channels={})
@@ -303,10 +295,7 @@ def criterion_action_kernel() -> CriterionResult:
 
 
 def criterion_stationarity() -> CriterionResult:
-    prob = _problem(
-        "v0^2/2", 1, alpha=0.5,
-        boundary=BoundaryConditions([0.0], [1.0]),
-    )
+    prob = _scenario("v0^2/2", 0.5, {"type": "bvp", "qa": [0.0], "qb": [1.0]}).problem
     traj, report = bvp_shoot(prob, steps=1000)
     bump = parse("sin(pi*theta)")
     rep = stationarity_check(prob, traj, bump, [1e-2, 5e-3, 2.5e-3])
@@ -401,11 +390,11 @@ def criterion_derivative_engine() -> CriterionResult:
 def criterion_integrator_order() -> CriterionResult:
     ladder = [100, 200, 400, 800]
 
-    prob1 = _problem("(v0^2 - q0^2)/2", 1, alpha=1.0)
+    prob1 = _scenario("(v0^2 - q0^2)/2", 1.0, _ivp([1.0], [0.0])).problem
     exact1 = ExactSolution(q=lambda th: [math.cos(th)], v=lambda th: [-math.sin(th)])
     rep1 = convergence_order(prob1, exact1, ladder)
 
-    prob2 = _problem("v0^2/2", 1, alpha=0.5)
+    prob2 = _scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])).problem
     exact2 = ExactSolution(
         q=lambda th: [_free_particle_position(th)],
         v=lambda th: [_free_particle_velocity(th)],

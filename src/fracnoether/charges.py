@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .euler_lagrange import (
-    ExplicitOde, VariationalProblem, along_motion, alpha_free, to_explicit_ode,
+    VariationalProblem, along_motion, alpha_free, to_explicit_ode,
 )
 from .expressions import (
     Const,
@@ -335,7 +335,6 @@ def pointwise_conservation_residual(
     prob: VariationalProblem,
     gen: SymmetryGenerator,
     traj: Trajectory,
-    ode: ExplicitOde | None = None,
 ) -> tuple:
     """d/dtheta of the charge at every grid point, quadrature-free.
 
@@ -347,8 +346,7 @@ def pointwise_conservation_residual(
     if gen.gauge_rate is None:
         raise ChargePreconditionError("pointwise residual needs a gauge rate")
     traj.check_n_dof(prob.n)
-    if ode is None:
-        ode = to_explicit_ode(prob)
+    ode = to_explicit_ode(prob)
     grid, q, v = traj.theta_grid, traj.q, traj.v
     accel = [ode(*point) for point in zip(grid, q, v)]
     rate, accel_coeffs = along_motion(charge_expression(prob, gen), prob.n)

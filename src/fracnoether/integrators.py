@@ -777,8 +777,10 @@ def convergence_order(
 
 
 def log_log_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Least-squares slope of log(y) against log(x), over positive values."""
+    """Least-squares slope of log(y) against log(x), over positive values and two distinct xs."""
     lx = [math.log(x) for x in xs]
+    if len(set(lx)) < 2:
+        raise ValueError("a log-log slope needs two distinct x values")
     ly = [math.log(y) for y in ys]
     mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
     return (sum((x - mx) * (y - my) for x, y in zip(lx, ly))

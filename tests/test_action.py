@@ -194,6 +194,16 @@ def test_epsilons_must_be_finite_and_positive(ladder, monkeypatch):
         stationarity_check(prob, traj, parse("sin(pi*theta)"), ladder)
 
 
+def test_one_distinct_epsilon_fits_no_exponent():
+    prob = problem("v0^2/2", alpha=0.5, boundary=BoundaryConditions([0.0], [1.0]))
+    traj, _ = bvp_shoot(prob, steps=100)
+    bump = parse("sin(pi*theta)")
+    with pytest.raises(ValueError, match="^a log-log slope needs two distinct x values$"):
+        stationarity_check(prob, traj, bump, [1e-2, 1e-2])
+    rep = stationarity_check(prob, traj, bump, [1e-2, 5e-3, 1e-2])
+    assert rep.fitted_exponent == pytest.approx(2.0, abs=0.2)
+
+
 def test_action_value_fields():
     value = ActionValue(value=1.0, quadrature_error_estimate=1e-12)
     assert value.quadrature_error_estimate >= 0

@@ -22,6 +22,16 @@ ALONG_MOTION_OWNERS = {
     "charges.py:pointwise_conservation_residual",
 }
 
+# Where an initial-value solve may be started: the commands' one solve path,
+# which verify runs too, and the shooting and order measurement of
+# integrators (a Newton probe's retry inside _final_state).
+IVP_SOLVE_OWNERS = {
+    "cli.py:_solve",
+    "integrators.py:_final_state.final_state",
+    "integrators.py:bvp_shoot",
+    "integrators.py:convergence_order",
+}
+
 # Where a "%.17g" row template may be assembled: the one CSV table writer.
 ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
 
@@ -169,6 +179,29 @@ def test_the_along_motion_guard_sees_both_spellings():
     )
     sites = call_sites(ast.parse(source), "along_motion")
     assert sites == [("Derivative.__init__", 3), ("residual", 5)]
+
+
+def test_one_solve_path():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in call_sites(ast.parse(path.read_text()), "ivp_solve"):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(found.values()) == IVP_SOLVE_OWNERS, found
+
+
+def test_the_solve_guard_sees_both_spellings_and_nested_functions():
+    source = (
+        "def criterion(rhs):\n"
+        "    return integrators.ivp_solve(rhs, 0.0, 1.0, [0.0], [1.0], 10)\n"
+        "class Shoot:\n"
+        "    def final(self, q0):\n"
+        "        def retry(v0):\n"
+        "            return ivp_solve(self.rhs, 0.0, 1.0, q0, v0, 10)\n"
+        "        return retry\n"
+    )
+    sites = call_sites(ast.parse(source), "ivp_solve")
+    assert sites == [("criterion", 2), ("Shoot.final.retry", 6)]
 
 
 def row_template_sites(tree: ast.AST) -> list[tuple[str, int]]:

@@ -353,3 +353,20 @@ def test_refinement_shrinks_error_sixteenfold():
     report = convergence_order(prob, exact, [100, 200])
     ratio = report.errors[0] / report.errors[1]
     assert 10.0 < ratio < 24.0
+
+
+def test_one_distinct_step_count_fits_no_slope():
+    prob = problem("(v0^2 - q0^2)/2", alpha=1.0)
+    exact = ExactSolution(q=lambda th: [math.cos(th)], v=lambda th: [-math.sin(th)])
+    with pytest.raises(ValueError, match="^a log-log slope needs two distinct x values$"):
+        convergence_order(prob, exact, [100, 100])
+    # a repeated count among distinct ones still fits the line
+    report = convergence_order(prob, exact, [100, 200, 100])
+    assert abs(report.slope - 4.0) <= 0.3
+
+
+def test_log_log_slope_needs_two_distinct_x_values():
+    assert integrators.log_log_slope([1.0, 2.0, 1.0], [3.0, 12.0, 3.0]) == pytest.approx(2.0)
+    for xs in ([2.0, 2.0], [5.0]):
+        with pytest.raises(ValueError, match="two distinct x values"):
+            integrators.log_log_slope(xs, [1.0] * len(xs))

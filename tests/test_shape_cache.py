@@ -25,7 +25,7 @@ import pytest
 
 import fracnoether
 from fracnoether import cli, expressions, fanout, linsolve, scenarios
-from fracnoether.acceptance import _CORPUS_LAGRANGIANS, _corpus_generators
+from fracnoether.acceptance import _CORPUS_GENERATORS, _CORPUS_LAGRANGIANS
 from fracnoether.charges import (
     charge_expression,
     energy_correction_integrand,
@@ -188,9 +188,9 @@ CASES = [
 @pytest.mark.parametrize("case", CASES, ids=map(case_id, CASES))
 def test_later_alphas_rebind_only_the_named_values(tmp_path, emissions, case):
     (text, n), g, charges = case
-    gen = _corpus_generators(n)[g]
+    gen = _CORPUS_GENERATORS[n][g]
     path = sweep_scenario(tmp_path, "corpus", text, (0.3, 0.7, 2), n=n, charges=charges,
-                          generator=(str(gen.tau), [str(x) for x in gen.xi]), steps=20)
+                          generator=(gen["tau"], gen["xi"]), steps=20)
     scenario = scenarios.load_scenario(path)
     first, second = scenario.alphas()
     cli._sweep_rows(scenario, first)
