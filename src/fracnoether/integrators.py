@@ -18,13 +18,16 @@ carries (:meth:`ExplicitOde.with_samples`) are written at the first stage
 point of every step too, sharing what the step computed there, and give
 the trajectory one more column each.  A loop is emitted once per shape
 of its trees: one whose trees have the shape of an earlier one, as at the
-next alpha of a sweep, is not emitted again.  :func:`ivp_solve` tests the
-last row finite once per solve, not the loop at every step.  The Newton solves of
-:func:`bvp_shoot` run the channel-less loop, built once per shoot,
-returning only the state at b, and the one trajectory a shoot returns is
-a solve at the final velocity with its channels and samples; all of them
-read the theta-only subtrees of the right-hand side from the
-:class:`~fracnoether.columns.Columns` evaluated once per shoot.
+next alpha of a sweep, is not emitted again.  The loop appends each value
+it keeps to a list of its column, and :func:`ivp_solve` tests the last
+value of each finite once per solve, not the loop at every step.  The
+Newton solves of :func:`bvp_shoot` run the channel-less loop, built once
+per shoot, returning only the state at b, and the one trajectory a shoot
+returns is a solve at the final velocity with its channels and samples,
+which is also the last check of its miss where the shoot expects that
+check to converge; all of them read the theta-only subtrees of the
+right-hand side from the :class:`~fracnoether.columns.Columns` evaluated
+once per shoot.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -351,6 +354,10 @@ def ivp_solve(
     once per shape of its trees, not once per solve.  It computes every
     subtree at every stage but those the Newton loop of a shoot on this
     grid evaluated for the ODE (:func:`_final_state`), which it reads.
+    It appends every value it keeps to one list per sample, q, v and
+    channel column, which become the trajectory's columns as they are:
+    nothing is transposed, and a non-finite state is looked for in the
+    columns (:func:`_raise_blow_up`).
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -376,29 +383,28 @@ def ivp_solve(
     loop, columns = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled,
                                       grid, 0.5 * h)
 
-    # Each step appends a row of its samples and the state (q, v, channels)
-    # it reached; after the last, the samples of the last state.
-    rows = []
+    # One list per column: each step appends its samples, taken at its
+    # start, and the state (q, v, channels) it reached; after the last
+    # step, the samples of the last state.
+    state = [[x] for x in qc + vc + [0.0] * len(names)]
+    taken = [[] for _ in samples]
     weights = [s.weight for s in samples]
-    skip = len(samples)
     try:
-        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, columns, rows.append,
+        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, columns, taken + state,
              *([weights] if samples else []))
     except Exception:
-        _raise_blow_up(rows[:steps], skip, grid)
+        _raise_blow_up(state, grid)
         raise
-    stepped = rows[:steps]
-    if not all_finite(stepped[-1][skip:]):
-        _raise_blow_up(stepped, skip, grid)
-    columns = list(zip(*stepped))
-    state = [(x, *values) for x, values in zip(qc + vc + [0.0] * len(names), columns[skip:])]
-    taken = [(*values, x) for values, x in zip(columns, rows[steps] if samples else ())]
+    if not all_finite([values[-1] for values in state]):
+        _raise_blow_up(state, grid)
+    state = [tuple(values) for values in state]
     return Trajectory(
         theta_grid=grid,
         q=Rows(state[:n]),
         v=Rows(state[n : 2 * n]),
         channels=dict(zip(names, state[2 * n :])),
-        samples={s: values for s, values in zip(samples, taken) if all_finite(values)},
+        samples={s: values for s, values in zip(samples, map(tuple, taken))
+                 if all_finite(values)},
     )
 
 
@@ -415,7 +421,9 @@ def _final_state(
     adds to q and v, so a finite last row means every row was finite.
     Where the loop raises or the last row is not finite, that solve runs
     again through :func:`ivp_solve`, which raises its error, with the same
-    theta and message.
+    theta and message.  Its q and v, and so its boundary miss, are those
+    of the same solve through :func:`ivp_solve`, channels and samples or
+    not, bit for bit: a shoot may take either for a check of its miss.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -443,15 +451,20 @@ def _final_state(
     return final_state
 
 
-def _raise_blow_up(rows: Sequence[tuple], skip: int, grid: Sequence[float]) -> None:
-    """:class:`BlowUpError` at the node of the first step row whose state
-    (q, v, channels, after the ``skip`` samples) is not finite, if there is
-    one.  The loop only adds to q, v and the channels, so a state that left
-    the finite floats stays out: that row is where a test after every step
-    stops, whatever a later step of the loop raised."""
-    for k, row in enumerate(rows, 1):
-        if not all_finite(row[skip:]):
-            raise BlowUpError(grid[k]) from None
+def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
+    """:class:`BlowUpError` at the first node after the first where a column
+    of the state (q, v, channels) is not finite, if there is one.  The loop
+    only adds to q, v and the channels, so a state that left the finite
+    floats stays out: that node is where a test after every step stops,
+    whatever a later step of the loop raised."""
+    first = len(grid)
+    for values in columns:
+        for k, x in enumerate(values[1:first], 1):
+            if not math.isfinite(x):
+                first = k
+                break
+    if first < len(grid):
+        raise BlowUpError(grid[first]) from None
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
@@ -492,8 +505,10 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                    read: Sequence[Expr], last_row: bool, em: Emitter):
     """Emit ``loop(nodes, h, hh, h6, state, columns, out[, weights])``, the
     whole RK4 step loop, into ``em``; return its source, name and names for
-    ``em.define``.  With ``last_row`` it is ``loop(nodes, h, hh, h6, state,
-    columns)``, passes nothing to an ``out`` and returns the last row.
+    ``em.define``.  ``out`` holds one list per sample, then per q, v and
+    channel, and the loop binds the ``append`` of each once.  With
+    ``last_row`` it is ``loop(nodes, h, hh, h6, state, columns)``, appends
+    nothing and returns the last row.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
     The argument ``columns`` holds the half-nodes, then the values of each
@@ -511,11 +526,11 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     computed at stage 1, reusing what the step computed there, plus its
     weight (from ``weights``) times its channel as it stood at the step's
     start; an error there (no solver error is left to meet) makes every
-    sample of the step NaN.  Each step passes its samples and then the row
-    ``(q.., v.., channels..)`` it reached to ``out``, and after the last
-    step the samples are computed once more, afresh, at the last row and
-    passed to ``out``; :func:`ivp_solve` tests the last row finite after
-    the loop.
+    sample of the step NaN.  Each step appends each of its samples, and
+    then each value of the state ``(q.., v.., channels..)`` it reached, to
+    its list, and no row tuple is built; after the last step the samples
+    are computed once more, afresh, at the last row and appended.
+    :func:`ivp_solve` tests the last state finite after the loop.
 
     The constants and math functions the statements read are keyword
     defaults of ``loop``, so the body reads them as locals.
@@ -605,6 +620,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         ] if sampled else []
 
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
+    puts = [f"put_{name}" for name in taken + row]
     k1, k2, k3, k4 = accels
     step = [
         "        try:",
@@ -619,7 +635,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
           for j in js),
         *(f"        {line}" for line in sums),
-        *([] if last_row else [f"        out({tup(taken + row)})"]),
+        *([] if last_row else [f"        {put}({name})" for put, name in zip(puts, taken + row)]),
     ]
     # each step's theta and next node, and where it reads columns its
     # half-node and the column values at each: only the names the step
@@ -643,6 +659,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         f"    {', '.join(q + v)}, = state",
         *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
         *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
+        *([] if last_row else [f"    {', '.join(puts)}, = [values.append for values in out]"]),
         *header,
         f"    for {', '.join(targets)} in {over}:",
         *step,
@@ -653,7 +670,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
             *(f"    e{i} = n{i}[-1]" for i in range(len(read))),
             f"    {', '.join(ends)}, = {', '.join(q + v)},",
             *sampling("    ", stepped, None),
-            f"    out({tup(taken)})",
+            *(f"    {put}({name})" for put, name in zip(puts, taken)),
         ]
     if last_row:
         source.append(f"    return {tup(row)}")
@@ -664,6 +681,18 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
 # and gives up after SHOOTING_MAX_ITER iterations.
 SHOOTING_TOL = 1e-9
 SHOOTING_MAX_ITER = 50
+
+
+def _check_converges(misses: Sequence[float]) -> bool:
+    """Whether the next check solve of a shoot is expected to converge, from
+    the max-norm boundary misses of its check solves so far: under
+    quadratic convergence the next miss is about e_k^3 / e_(k-1)^2 of the
+    last two, here compared with ``SHOOTING_TOL``.  A wrong guess costs one
+    solve, never a result (:func:`bvp_shoot`)."""
+    if len(misses) < 2:
+        return False
+    ratio = misses[-1] / misses[-2]
+    return ratio * ratio * misses[-1] <= SHOOTING_TOL
 
 
 def bvp_shoot(
@@ -678,9 +707,17 @@ def bvp_shoot(
     v0 -> q(b; v0) - q_b, until no component of the miss exceeds
     ``SHOOTING_TOL``.  The Newton solves run one compiled loop on one
     :class:`ExplicitOde` and keep only the state at b
-    (:func:`_final_state`); the trajectory returned, with the requested
+    (:func:`_final_state`).  The trajectory returned, with the requested
     channel integrands and samples, is one :func:`ivp_solve` at the final
     velocity, converged or not, and the report's miss is that solve's.
+
+    Where :func:`_check_converges` expects the next check solve to
+    converge, that check is the :func:`ivp_solve` with the channels and
+    samples, its miss read from its last row, which is the Newton loop's
+    bit for bit; a shoot that ends there returns it and solves that
+    velocity no second time.  Where that solve raises, the check runs in
+    the Newton loop instead, so a shoot raises only what it raised
+    without the guess, and where it raised.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")
@@ -691,15 +728,28 @@ def bvp_shoot(
 
     v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
     final_state = _final_state(rhs, a, b, q_a, steps)
+    ode = rhs.with_samples(samples)  # reads the columns _final_state gave rhs
 
     def boundary_miss(v_init: list[float]) -> list[float]:
         return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]
 
-    miss = boundary_miss(v0)
     iterations = 0
-    converged = max(map(abs, miss)) <= SHOOTING_TOL
-
-    while not converged and iterations < SHOOTING_MAX_ITER:
+    misses = []  # the max-norm miss of each check solve
+    while True:
+        traj = None
+        if _check_converges(misses):
+            try:
+                traj = ivp_solve(ode, a, b, q_a, v0, steps, integrands=integrands)
+            except Exception:
+                pass  # the Newton check below raises what an unguessed shoot raises
+        if traj is None:
+            miss = boundary_miss(v0)
+        else:
+            miss = [x - y for x, y in zip(traj.q[-1], q_b)]
+        misses.append(max(map(abs, miss)))
+        converged = misses[-1] <= SHOOTING_TOL
+        if converged or iterations >= SHOOTING_MAX_ITER:
+            break
         jac = [[0.0] * n for _ in range(n)]
         for k in range(n):
             delta = 1e-6 * (1.0 + abs(v0[k]))
@@ -712,11 +762,10 @@ def bvp_shoot(
         except linsolve.SingularMatrixError as exc:
             raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
         v0 = [x + dx for x, dx in zip(v0, step)]
-        miss = boundary_miss(v0)
         iterations += 1
-        converged = max(map(abs, miss)) <= SHOOTING_TOL
 
-    traj = ivp_solve(rhs.with_samples(samples), a, b, q_a, v0, steps, integrands=integrands)
+    if traj is None:
+        traj = ivp_solve(ode, a, b, q_a, v0, steps, integrands=integrands)
     report = ShootingReport(
         converged=converged,
         iterations=iterations,

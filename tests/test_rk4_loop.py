@@ -522,8 +522,9 @@ def benchmark_integrands(prob):
 
 
 # (bytecode instructions, calls) one step of each family's loop executes,
-# pinned for the interpreter they were counted on.
-STEP_COST = {(3, 11): {"oscillator": (325, 1), "coupled": (615, 1)}}
+# pinned for the interpreter they were counted on: the calls are the
+# appends of q, v and the two channels to their lists.
+STEP_COST = {(3, 11): {"oscillator": (339, 4), "coupled": (639, 6)}}
 FAMILIES = {
     "oscillator": ("(1.3*v0^2 - 0.7*q0^2)/2", 1),
     "coupled": ("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2),
@@ -548,7 +549,9 @@ def test_loop_of_a_benchmark_family_computes_each_value_once(family):
     expected = STEP_COST.get(sys.version_info[:2])
     if expected is not None:
         nodes = np.linspace(0.0, 1.0, 5).tolist()
-        step = (nodes, 0.25, 0.125, 0.25 / 6.0, [0.1] * n + [0.2] * n, (), None)
+        # one list each for q, v and the two channels
+        out = [[] for _ in range(2 * n + 2)]
+        step = (nodes, 0.25, 0.125, 0.25 / 6.0, [0.1] * n + [0.2] * n, (), out)
         assert loop_ops.step_cost(loop, step) == expected[family]
 
 
@@ -657,20 +660,24 @@ def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
 
 
 def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
-    # 9 BVPs, each shot by a solve and by a charge command: 18 shoots of 7
+    # 9 BVPs, each shot by a solve and by a charge command: 18 shoots of 6
     # Newton solves, each shoot evaluating its kernel column once (at the
-    # nodes and at the half-nodes) and building one trajectory
+    # nodes and at the half-nodes) and building one trajectory, in its last
+    # check solve, which no Newton loop runs
     assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
     assert {row[1] for row in rows} == {"last", "rows"}
     assert all(row[-1] == "0" for row in rows if row[1] == "last")  # no guard
-    assert sum(int(row[3]) for row in rows if row[1] == "last") == 126
+    assert sum(int(row[3]) for row in rows if row[1] == "last") == 108
     per_kind = lines[len(rows) + 1:len(rows) + 3]
     assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
-        "last loops: 126 calls, N instructions per step",
+        "last loops: 108 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
     assert "18 column builders defined, 36 builder calls" in lines
+    assert ("18 shoots: 66 check solves, 18 of them also the trajectory solve; "
+            "0 of 18 guesses wrong") in lines
+    assert re.fullmatch(r"GC collections: gen0 \d+, gen1 \d+, gen2 \d+", lines[-2])
     assert lines[-1] == "18 Trajectory constructions"
 
 
@@ -681,4 +688,5 @@ def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     assert loop_ops.main(["--workload", "sweep_narrow", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "51 loops: 10 emitted, 41 from the shape cache, 9 distinct sources" in lines
+    assert "0 shoots: 0 check solves, 0 of them also the trajectory solve; 0 of 0 guesses wrong" in lines
     assert lines[-1] == "51 Trajectory constructions"

@@ -1,10 +1,11 @@
 """Newton shooting against a reference written with ``ivp_solve`` alone.
 
 ``bvp_shoot`` runs its Newton solves through the compiled loop keeping only
-the state at b, and builds one trajectory, at the final velocity.  The
-reference below is the same Newton iteration with every solve a full
-``ivp_solve``: the report, every array of the trajectory and every error
-must be the same, bit for bit.
+the state at b, and builds one trajectory, at the final velocity, in the
+check solve it expects to converge where that guess holds.  The reference
+below is the same Newton iteration with every solve a full ``ivp_solve``
+and no guess: the report, every array of the trajectory and every error
+must be the same, bit for bit, whatever the guess says.
 """
 
 import operator
@@ -283,15 +284,120 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(monkeypatch):
         arguments.clear()
         traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
         # the kernel is the one theta-only subtree of the net force: it is
-        # evaluated at the nodes and at the half-nodes once, and the check
-        # solve, the n probes of each Newton iteration and the solve at the
-        # final velocity all read those values
+        # evaluated at the nodes and at the half-nodes once, and the first
+        # check solve and the n probes and the check solve of each Newton
+        # iteration all read those values; the last check solve is the
+        # solve with the channels, and no velocity is solved twice
         assert report.converged and report.iterations >= 2
         assert len(runs) == 2 and len(runs[0]) == 101 and len(runs[1]) == 100
-        assert len(arguments) == 1 + 3 * report.iterations + 1
+        assert len(arguments) == 1 + 3 * report.iterations
         # (half-nodes, kernel at the nodes, kernel at the half-nodes)
         assert all(len(columns) == 3 and all(map(operator.is_, columns, arguments[0]))
                    for columns in arguments)
         kernels.append(arguments[0][1])
     # a second shoot on the same grid evaluates them again: no store outlives its shoot
     assert kernels[0] is not kernels[1] and kernels[0] == kernels[1]
+
+
+# The guess of _check_converges patched to say yes at every check solve, no
+# at every one, and left as it is.
+GUESSES = {"always": lambda misses: True, "never": lambda misses: False,
+           "shipped": integrators._check_converges}
+
+
+@pytest.fixture(params=sorted(GUESSES))
+def guess(request, monkeypatch):
+    """The shoots of a test run under each guess."""
+    monkeypatch.setattr(integrators, "_check_converges", GUESSES[request.param])
+    return request.param
+
+
+DRIVEN = ("1.2*v0^2/2 - 0.6*q0^2/2 + 0.4*theta*q0/2", 1, 0.5, [0.0], [0.8])
+GUESSED_SHOOTS = {
+    **{f"{family}-{'channels' if channels else 'bare'}": (
+        BENCHMARK_BVPS[family], time_translation_integrands if channels else None)
+       for family in BENCHMARK_BVPS for channels in (True, False)},
+    "driven-bare": (DRIVEN, None),
+    "driven-channels": (DRIVEN, time_translation_integrands),
+    "driven-trigonometric": (DRIVEN, trigonometric_integrands),
+}
+
+
+@pytest.mark.parametrize("case", GUESSED_SHOOTS)
+def test_no_guess_of_convergence_changes_a_shoot(guess, case):
+    args, channels = GUESSED_SHOOTS[case]
+    prob = problem(*args)
+    integrands = channels and channels(prob)
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert got[1].converged and got[1].iterations >= 1
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_no_guess_changes_an_unconverged_shoot(guess, monkeypatch, max_iter):
+    monkeypatch.setattr(integrators, "SHOOTING_MAX_ITER", max_iter)
+    prob = problem(*BENCHMARK_BVPS["quartic_bvp"])
+    integrands = time_translation_integrands(prob)
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert not got[1].converged and got[1].iterations == max_iter
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
+def test_a_guessed_solve_that_raises_short_of_convergence_changes_nothing(guess):
+    # sqrt(q0 - 1.8*theta) leaves its domain on the first check solve of
+    # the pendulum, which falls short of q_b = 2.1, and not on the
+    # converged one: the shoot returns what the reference returns
+    prob = problem(*BENCHMARK_BVPS["pendulum"])
+    integrands = {"g": parse("sqrt(q0 - 1.8*theta)", 1), **time_translation_integrands(prob)}
+    with pytest.raises(EvalDomainError):
+        ivp_solve(to_explicit_ode(prob), 0.0, 1.0, [0.0], [2.1], 200, integrands=integrands)
+    got = bvp_shoot(prob, steps=200, integrands=integrands)
+    assert got[1].converged
+    assert_same_shoot(got, reference_shoot(prob, 200, integrands))
+
+
+def test_a_guessed_solve_that_raises_raises_what_the_reference_raises(guess):
+    # sqrt(1.9 - q0) stays in its domain on the first check solve, which
+    # falls short of q_b = 2.1, and leaves it on the later ones
+    prob = problem(*BENCHMARK_BVPS["pendulum"])
+    integrands = {"g": parse("sqrt(1.9 - q0)", 1)}
+    ivp_solve(to_explicit_ode(prob), 0.0, 1.0, [0.0], [2.1], 200, integrands=integrands)
+    with pytest.raises(EvalDomainError) as want:
+        reference_shoot(prob, 200, integrands)
+    with pytest.raises(EvalDomainError) as got:
+        bvp_shoot(prob, steps=200, integrands=integrands)
+    assert_same_error(got, want)
+
+
+def test_the_shipped_guess_solves_no_velocity_twice(monkeypatch):
+    # each benchmark family, with and without channels, converges in two or
+    # more iterations, and its last check solve is its one ivp_solve
+    solves, newton = [], []
+    solve, final_state = integrators.ivp_solve, integrators._final_state
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args[4])
+        return solve(*args, **kwargs)
+
+    def counted_final_state(*args):
+        fn = final_state(*args)
+
+        def counted(v0):
+            newton.append(v0)
+            return fn(v0)
+
+        return counted
+
+    monkeypatch.setattr(integrators, "ivp_solve", counted_solve)
+    monkeypatch.setattr(integrators, "_final_state", counted_final_state)
+    for case, (args, channels) in GUESSED_SHOOTS.items():
+        if case.startswith("driven"):
+            continue  # linear: one iteration, too few misses to guess from
+        solves.clear()
+        newton.clear()
+        prob = problem(*args)
+        traj, report = bvp_shoot(prob, steps=200, integrands=channels and channels(prob))
+        v0 = list(report.initial_velocity)
+        assert report.converged and report.iterations >= 2, case
+        assert solves == [v0] and v0 not in newton, case
+        assert len(newton) == (1 + prob.n) * report.iterations, case

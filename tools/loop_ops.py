@@ -18,8 +18,9 @@ had it, how many times they were called, and for one step of the loop:
 - ``calls``: ``CALL`` instructions among them;
 - ``guards``: ``if ...: raise`` statements in the step.
 
-A loop's kind is ``rows`` when it passes every row to an ``out`` argument,
-as the loops of ``integrators.ivp_solve`` do, and ``last`` when it takes no
+A loop's kind is ``rows`` when it takes an ``out`` argument, one list per
+sample, q, v and channel column that each step appends its values to, as
+the loops of ``integrators.ivp_solve`` do, and ``last`` when it takes no
 ``out`` and returns only its last row, as the Newton loops of
 ``integrators.bvp_shoot`` do.
 
@@ -31,8 +32,14 @@ spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
 then the ``Expr.diff`` and ``Emitter.define`` calls of the whole pass,
 every function counted, loop or not; the column builders defined and
 their calls, two per theta-only tree evaluated on a grid
-(``columns.Columns``); and the ``Trajectory`` objects the pass
-constructed.  The counts repeat exactly from run to run.
+(``columns.Columns``); the shoots (``integrators.bvp_shoot``), their check
+solves (one per Newton iteration and one before), how many of those were
+also the solve that built the shoot's trajectory, and how many of the
+guesses that a check would converge (``integrators._check_converges``)
+were wrong; the garbage collections of each generation during the
+pass, counted through ``gc.callbacks``; and the ``Trajectory`` objects
+the pass constructed.  Every count but the collections repeats exactly
+from run to run.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dis
+import gc
 import hashlib
 import io
 import json
@@ -81,7 +89,8 @@ def executed(fn, args) -> list[str]:
 
 
 def kind(loop) -> str:
-    """``rows`` for a loop that takes an ``out``, else ``last``."""
+    """``rows`` for a loop that takes an ``out``, the lists it appends its
+    columns to, else ``last``."""
     code = loop.__code__
     return "rows" if "out" in code.co_varnames[:code.co_argcount] else "last"
 
@@ -92,7 +101,7 @@ def step_cost(loop, args) -> tuple[int, int]:
     the samples a step takes included."""
     nodes, *rest = args
     if kind(loop) == "rows":
-        rest[5] = [].append
+        rest[5] = [[] for _ in rest[5]]
     one = executed(loop, (nodes[:2], *rest))
     none = executed(loop, (nodes[:1], *rest))
     calls = sum(op == "CALL" for op in one) - sum(op == "CALL" for op in none)
@@ -116,8 +125,13 @@ def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args, calls)],
     loops emitted, compile seconds, {"diff": calls, "define": calls,
     "columns": builders defined, "column runs": builder calls,
-    "trajectory": constructions})."""
+    "trajectory": constructions}, [[iterations, converged, guesses that a
+    check converges, rows loop calls] per shoot], [collections per GC
+    generation])."""
     loops: list[list] = []
+    shoots: list[list] = []
+    rows_calls = [0]
+    collections = [0] * len(gc.get_count())
     define = expressions.Emitter.define
     diff = expressions.Expr.diff
     compile_loop = integrators._compile_rk4_loop
@@ -146,11 +160,13 @@ def record_pass(workload: str, seed: int):
             return fn
         entry = ["\n".join(source), fn, None, 0]
         loops.append(entry)
+        rows = kind(fn) == "rows"
 
         def loop(*args):
             if entry[2] is None:
                 entry[2] = args
             entry[3] += 1
+            rows_calls[0] += rows
             return fn(*args)
 
         return loop
@@ -170,15 +186,35 @@ def record_pass(workload: str, seed: int):
         emitted[0] += 1
         return emit_loop(*args)
 
+    def counted_shoot(*args, **kwargs):
+        shoot = [0, False, 0, -rows_calls[0]]
+        shoots.append(shoot)
+        traj, report = bvp_shoot(*args, **kwargs)
+        shoot[:2] = report.iterations, report.converged
+        shoot[3] += rows_calls[0]
+        return traj, report
+
+    def counted_guess(misses):
+        guess = check_converges(misses)
+        shoots[-1][2] += guess
+        return guess
+
+    def collected(phase, info):
+        if phase == "start":
+            collections[info["generation"]] += 1
+
     plan = workloads().build_plan(workload, seed)
     expressions.Emitter.define = recording_define
     expressions.Expr.diff = counted_diff
     integrators.Trajectory.__post_init__ = counted_post_init
     integrators._compile_rk4_loop = timed_compile
     integrators._emit_rk4_loop = counted_emit
+    bvp_shoot, check_converges = cli.bvp_shoot, integrators._check_converges
+    cli.bvp_shoot, integrators._check_converges = counted_shoot, counted_guess
     usable_cpus = fanout.usable_cpus
     fanout.usable_cpus = lambda: 1
     cwd = os.getcwd()
+    gc.callbacks.append(collected)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
@@ -191,14 +227,16 @@ def record_pass(workload: str, seed: int):
                 if code != 0:
                     raise SystemExit(f"command {argv} exited {code}")
     finally:
+        gc.callbacks.remove(collected)
         os.chdir(cwd)
         expressions.Emitter.define = define
         expressions.Expr.diff = diff
         integrators.Trajectory.__post_init__ = post_init
         integrators._compile_rk4_loop = compile_loop
         integrators._emit_rk4_loop = emit_loop
+        cli.bvp_shoot, integrators._check_converges = bvp_shoot, check_converges
         fanout.usable_cpus = usable_cpus
-    return loops, emitted[0], spent[0], calls
+    return loops, emitted[0], spent[0], calls, shoots, collections
 
 
 def main(argv=None) -> int:
@@ -207,7 +245,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
-    loops, emitted, seconds, counts = record_pass(args.workload, args.seed)
+    loops, emitted, seconds, counts, shoots, collections = record_pass(args.workload, args.seed)
     distinct: dict[str, list] = {}
     for source, fn, call, runs in loops:
         entry = distinct.setdefault(source, [fn, call, 0, 0])
@@ -230,6 +268,15 @@ def main(argv=None) -> int:
     print(f"{seconds:.4f} s in _compile_rk4_loop")
     print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
     print(f"{counts['columns']} column builders defined, {counts['column runs']} builder calls")
+    # a shoot's trajectory is a check solve where no solve followed its
+    # guessed checks, and a right guess ends the shoot converged there
+    checks = sum(1 + iterations for iterations, _, _, _ in shoots)
+    reused = [converged for _, converged, guesses, rows in shoots if rows == guesses]
+    guesses = sum(guesses for _, _, guesses, _ in shoots)
+    print(f"{len(shoots)} shoots: {checks} check solves, {len(reused)} of them also the "
+          f"trajectory solve; {guesses - sum(reused)} of {guesses} guesses wrong")
+    print("GC collections: " + ", ".join(f"gen{generation} {count}"
+                                          for generation, count in enumerate(collections)))
     print(f"{counts['trajectory']} Trajectory constructions")
     return 0
 
