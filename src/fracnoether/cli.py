@@ -248,7 +248,7 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     return rows
 
 
-# Columns of the sweep CSV; a row lacks the numbers of a failed label.
+# The fields of a sweep CSV row, in order; a failed label leaves its numbers empty.
 SWEEP_COLUMNS = ("alpha", "label", "drift", "relative_drift", "action", "status")
 
 
@@ -308,9 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, scenario_required=True):
-        if scenario_required:
-            p.add_argument("--scenario", required=True, help="scenario JSON file")
+    def add_common(p):
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--output", help="output directory override")
         p.add_argument("--steps", type=int, help="step-count override")
 

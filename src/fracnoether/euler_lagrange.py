@@ -216,7 +216,8 @@ class ExplicitOde:
     weighted Euler-Lagrange equation reads M accel = F - c p, where the
     force tree F_j = dL/dq_j - rate(p_j), the mass trees M_jk = dp_j/dv_k,
     and the kernel coefficient c = (1-alpha)/(t-theta).  The net force trees
-    F_j - c p_j, F_j at alpha = 1, are built here on the shared force trees;
+    F_j - c p_j, F_j at alpha = 1, are built here on the shared force trees,
+    and ``kernel`` is the tree c they hold, None at alpha = 1;
     ``constant_mass`` holds the rows of M as floats when every mass tree is
     a constant, and is None otherwise.
 
@@ -228,15 +229,15 @@ class ExplicitOde:
     calling.  ``samples`` lists the
     :class:`~fracnoether.integrators.Sample` trees a solve of this ODE
     samples at every node (:meth:`with_samples`), none by default, and
-    ``columns`` holds the :class:`~fracnoether.columns.Columns` its
-    solves on one grid read, which the Newton shooting of a boundary
-    problem sets; copies share it.
+    ``kernel_column`` holds ``(grid, half-nodes, kernel at the nodes,
+    kernel at the half-nodes)``, which the Newton shooting of a boundary
+    problem sets for its solves on that grid to read; copies share it.
     """
 
     # The names the statements of emit_accelerations use, for Emitter.define.
     NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
     samples: tuple = ()
-    columns = None
+    kernel_column = None
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob
@@ -246,8 +247,8 @@ class ExplicitOde:
         # Built from the nodes, not the folding helpers: F - c p must not
         # fold to -(c p) when F is zero, which would flip the sign of a zero.
         # At alpha = 1 there is no drag, and the net force is F itself.
-        c = prob.frac.kernel_coefficient()
-        self.net = list(self.force) if prob.frac.alpha == 1.0 else [
+        c = self.kernel = None if prob.frac.alpha == 1.0 else prob.frac.kernel_coefficient()
+        self.net = list(self.force) if c is None else [
             Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
 
     def with_samples(self, samples) -> "ExplicitOde":

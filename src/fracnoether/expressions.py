@@ -484,11 +484,6 @@ _GUARDS = {
     Pow: ("<= 0.0", "power with real exponent needs a positive base", ", got "),
     Div: ("== 0.0", "division by zero", None),
 }
-# Each infix node's operator and how tightly it binds; unary minus binds
-# tighter still.  An inlined operand binding less tightly than the operator
-# it is written into is parenthesized.
-_INFIX = {Add: ("+", 1), Sub: ("-", 1), Mul: ("*", 2), Div: ("/", 2)}
-_NEG = 3
 _CALLS = {Sin: "_sin", Cos: "_cos", Exp: "_exp", Ln: "_log", Sqrt: "_sqrt", Pow: "_pow"}
 _MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
          "_sqrt": math.sqrt, "_pow": math.pow}
@@ -526,8 +521,10 @@ class Emitter:
 
     A value of ``+ - * /`` or unary minus that exactly one later statement
     of the emitter's own reads is written into that statement, not into a
-    local, nested at most ``_MAX_INLINE_DEPTH`` operators deep; the
-    emitter notes each local read a second time as it emits.  That is exact:
+    local, nested at most ``_MAX_INLINE_DEPTH`` operators deep, and
+    parenthesized by the operators and precedences the node classes render
+    with (``_OP``, ``_PREC``); the emitter notes each local read a second
+    time as it emits.  That is exact:
     float ``+``, ``-``, ``*`` and unary minus never raise, and a division
     is written after the check of its denominator or divides by a nonzero
     constant, so computing a value later changes no result and no error.
@@ -545,7 +542,8 @@ class Emitter:
     An emitter can also emit at points held in named locals
     (:meth:`at`), reading the trees registered by :meth:`columns` from
     locals there, for callers that write their own function around the
-    statements (the RK4 loop of :mod:`fracnoether.integrators`): they add
+    statements (the RK4 loop of :mod:`fracnoether.integrators`, which
+    registers the kernel of a shoot's right-hand side): they add
     their statements with :meth:`line` and checks with :meth:`check`,
     take the body with :meth:`body`, whole or between the positions
     :meth:`mark` returns, and compile with :meth:`define`.
@@ -671,19 +669,17 @@ class Emitter:
         elif kind is Q or kind is V:
             name = self._leaf("q" if kind is Q else "v", e.index)
         elif kind is Neg:
-            name = self._let("-", _NEG, self._emit(e.arg))
+            name = self._let("-", Neg._PREC, self._emit(e.arg))
         elif kind is Div:
             den = self._emit(e.b)
             # a nonzero constant never trips the check; a named value is
             # checked whatever it is, since later functions rebind it
             if not (type(e.b) is Const and type(e.b.value) is not Named and e.b.value != 0.0):
                 self._guard(kind, den)
-            op, precedence = _INFIX[kind]
-            name = self._let(op, precedence, self._emit(e.a), den)
-        elif kind in _INFIX:
+            name = self._let(kind._OP, kind._PREC, self._emit(e.a), den)
+        elif kind is Add or kind is Sub or kind is Mul:
             a = self._emit(e.a)
-            op, precedence = _INFIX[kind]
-            name = self._let(op, precedence, a, self._emit(e.b))
+            name = self._let(kind._OP, kind._PREC, a, self._emit(e.b))
         elif kind in _CALLS:
             x = self._emit(e.children()[0])
             self._guard(kind, x)
@@ -923,7 +919,7 @@ def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
         seen[id(e)] = len(seen)
         kind = type(e)
         append(kind)
-        if kind in _INFIX:
+        if issubclass(kind, _Binary):
             node(e.a)
             node(e.b)
         elif kind is Const:

@@ -25,9 +25,9 @@ Newton solves of :func:`bvp_shoot` run the channel-less loop, built once
 per shoot, returning only the state at b, and the one trajectory a shoot
 returns is a solve at the final velocity with its channels and samples,
 which is also the last check of its miss where the shoot expects that
-check to converge; all of them read the theta-only subtrees of the
-right-hand side from the :class:`~fracnoether.columns.Columns` evaluated
-once per shoot.
+check to converge; all of them read the kernel (1 - alpha)/(t - theta)
+of the right-hand side from its values on the grid, evaluated once per
+shoot.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -352,8 +352,8 @@ def ivp_solve(
     finite at some node is left out, for :meth:`Trajectory.sample` to
     evaluate and report.  A loop that writes out every tree is emitted
     once per shape of its trees, not once per solve.  It computes every
-    subtree at every stage but those the Newton loop of a shoot on this
-    grid evaluated for the ODE (:func:`_final_state`), which it reads.
+    subtree at every stage but the kernel, where a shoot on this grid
+    evaluated it for the ODE (:func:`_final_state`), which it reads.
     It appends every value it keeps to one list per sample, q, v and
     channel column, which become the trajectory's columns as they are:
     nothing is transposed, and a non-finite state is looked for in the
@@ -415,10 +415,15 @@ def _final_state(
     q0, v0, steps)``, for any ``v0`` of the ODE's length, from a compiled
     loop that returns only that row; no trajectory is built.
 
-    Validates as :func:`ivp_solve` does, once.  It gives ``rhs`` the
-    :class:`~fracnoether.columns.Columns` of the grid, which the loop fills
-    and reads, and later solves of ``rhs`` on the grid read.  The loop only
-    adds to q and v, so a finite last row means every row was finite.
+    Validates as :func:`ivp_solve` does, once.  It evaluates the kernel
+    of ``rhs`` at the nodes and half-nodes of the grid by a compiled
+    builder (:func:`_emit_column`) and gives ``rhs`` the
+    ``kernel_column`` ``(grid, half-nodes, at the nodes, at the
+    half-nodes)``, which the loop and later solves of ``rhs`` on the grid
+    read; where there is no kernel (alpha = 1), or the builder raises
+    somewhere on the grid, ``rhs`` gets None and loops write the kernel
+    out.  The loop only adds to q and v, so a finite last row means every
+    row was finite.
     Where the loop raises or the last row is not finite, that solve runs
     again through :func:`ivp_solve`, which raises its error, with the same
     theta and message.  Its q and v, and so its boundary miss, are those
@@ -432,9 +437,14 @@ def _final_state(
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
     nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    from .columns import Columns  # only shooting reads it
-
-    rhs.columns = Columns(nodes, 0.5 * h)
+    rhs.kernel_column = None
+    if rhs.kernel is not None:
+        builder = shaped(("column",), rhs.kernel, functools.partial(_emit_column, rhs.kernel))
+        halves = [th + 0.5 * h for th in nodes[:-1]]
+        try:
+            rhs.kernel_column = (nodes, halves, builder(nodes), builder(halves))
+        except (ArithmeticError, ValueError):
+            pass
     loop, columns = _compile_rk4_loop(rhs, rhs.n, [], (), nodes, 0.5 * h, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
@@ -449,6 +459,21 @@ def _final_state(
         return (*traj.q[-1], *traj.v[-1])
 
     return final_state
+
+
+def _emit_column(tree: Expr, em: Emitter):
+    """Emit ``column(thetas)``, the list of ``tree`` at each theta."""
+    value = em.emit(tree)
+    source = [
+        f"def column(thetas{em.keyword_defaults()}):",
+        "    values = []",
+        "    append = values.append",
+        "    for theta in thetas:",
+        *em.body("        "),
+        f"        append({value})",
+        "    return values",
+    ]
+    return source, "column", {}
 
 
 def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
@@ -472,10 +497,8 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
     """Compile the RK4 step loop of :func:`_emit_rk4_loop` for ``grid``;
     return it and its ``columns`` argument.
 
-    The trees held by the :class:`~fracnoether.columns.Columns` of an
-    :class:`ExplicitOde` ``rhs`` on ``grid`` are read from there; a
-    ``last_row`` loop, which many solves run, first evaluates there the
-    largest theta-only subtrees of its own trees.
+    An :class:`ExplicitOde` ``rhs`` whose ``kernel_column`` is on ``grid``
+    has its kernel read from there (:func:`_final_state`).
     A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
     :class:`Expr` integrands, is emitted once per shape of its trees and of
     the trees it reads (:func:`~fracnoether.expressions.shaped`): the loops
@@ -486,16 +509,12 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
     key, trees = rhs.shape_key() if ode else ((), ())
     written = [g for g in integrands if isinstance(g, Expr)]
     trees = (*trees, written, [tree for tree, _ in sampled])
-    columns, held = rhs.columns if ode else None, []
-    if columns is not None and columns.grid is grid:
-        if last_row:
-            columns.fill(trees)
-        held = columns.held()
-    args = (columns.halves, *(x for tree in held for x in columns.values[tree])) if held else ()
-    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, held, last_row)
+    column = rhs.kernel_column if ode else None
+    read, args = ([rhs.kernel], column[1:]) if column and column[0] is grid else ([], ())
+    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, read, last_row)
     if ode and len(written) == len(integrands):
         channels = tuple(k for _, k in sampled)
-        return shaped(("loop", *key, channels, last_row), (*trees, held), emit), args
+        return shaped(("loop", *key, channels, last_row), (*trees, read), emit), args
     em = Emitter()
     source, name, names = emit(em)
     return em.define(source, name, **names), args
@@ -511,15 +530,16 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     nothing and returns the last row.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
-    The argument ``columns`` holds the half-nodes, then the values of each
-    tree of ``read`` at the nodes and at the half-nodes
-    (:class:`~fracnoether.columns.Columns`), and the loop steps over them
-    with the nodes: a step reads those trees at its theta, half-node and
-    next node, and writes every other subtree out.  With no tree to read,
-    ``columns`` is empty and each step adds ``hh`` to its theta.  A step
-    binds, and steps over the sequence of, only the names it reads.  Each
-    step computes the four stage accelerations, then each channel at
-    stages 1-4 in order, with the arithmetic of the classical tableau;
+    ``read`` is the kernel of the ODE where it is read, else empty.  The
+    argument ``columns`` then holds the half-nodes and the kernel at the
+    nodes and at the half-nodes (:func:`_final_state`), and the loop steps
+    over them with the nodes: a step reads the kernel at its theta,
+    half-node and next node, and writes every other subtree out.  With
+    nothing to read, ``columns`` is empty and each step adds ``hh`` to its
+    theta.  A step binds, and steps over the sequence of, only the names it
+    reads.  Each step computes the four stage accelerations, then each
+    channel at stages 1-4 in order, with the arithmetic of the classical
+    tableau;
     ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
     an infinity (an :class:`ExpressionError` passes as it is), becomes
     :class:`BlowUpError` at the step's end.  Then each sampled tree is
@@ -728,7 +748,7 @@ def bvp_shoot(
 
     v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
     final_state = _final_state(rhs, a, b, q_a, steps)
-    ode = rhs.with_samples(samples)  # reads the columns _final_state gave rhs
+    ode = rhs.with_samples(samples)  # reads the kernel column _final_state gave rhs
 
     def boundary_miss(v_init: list[float]) -> list[float]:
         return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]

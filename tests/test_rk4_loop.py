@@ -6,8 +6,8 @@ expression integrands into its compiled loop, and calls anything else
 once per stage.  Both forms of one problem must give the same bytes, or
 the same exception class and message, and so must the plain RK4 of
 ``tree_walk_oracle``, which shares no code with the emitter, and the
-loops of a shoot, which read the theta-only subtrees of the right-hand
-side from columns evaluated before them.
+loops of a shoot, which read the kernel of the right-hand side from its
+values on the grid, evaluated before them.
 """
 
 import ast
@@ -84,8 +84,8 @@ def walked(prob, q0, v0, steps, integrands):
 
 
 def shared(prob, q0, v0, steps, integrands):
-    """``ivp_solve`` reading the columns that the Newton loop of a shoot on
-    its grid builds, after that loop has run from the same state; it must
+    """``ivp_solve`` reading the kernel column that a shoot on its grid
+    builds, after the Newton loop has run from the same state; it must
     return the solve's last row, or raise what the solve raises."""
     ode = ExplicitOde(prob)
     final_state = integrators._final_state(ode, 0.0, 1.0, q0, steps)
@@ -264,10 +264,11 @@ def test_a_benchmark_charge_is_read_from_the_loop(monkeypatch):
         assert traj.sample(s) is traj.samples[s]
 
 
-def test_samples_read_the_columns_their_trees_share_with_the_right_hand_side():
+def test_samples_read_the_kernel_they_share_with_the_right_hand_side():
     # the net force of a driven family holds two theta-only subtrees, the
-    # kernel and 0.4*theta/2; sampling the net force itself reads both from
-    # the columns the Newton loop built, at every node and at the last
+    # kernel and 0.4*theta/2; sampling the net force itself reads the
+    # kernel from the column the shoot evaluated, at every node and at the
+    # last, and writes the driven term out
     prob = problem("1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0/2", 1)
     ode = ExplicitOde(prob)
     integrators._final_state(ode, 0.0, 1.0, [0.4], 8)
@@ -283,7 +284,7 @@ def test_samples_read_the_columns_their_trees_share_with_the_right_hand_side():
         mp.setattr(expressions.Emitter, "define", recording_define)
         traj = ivp_solve(ode.with_samples(samples), 0.0, 1.0, [0.4], [0.7], 8)
     (source,) = sources
-    assert "e0 = n0[-1]" in source and "e1 = n1[-1]" in source
+    assert "e0 = n0[-1]" in source and "n1" not in source
     plain = inlined(prob, [0.4], [0.7], 8, {})
     assert repr(traj.q) == repr(plain.q) and repr(traj.v) == repr(plain.v)
     for s in samples:
@@ -473,6 +474,24 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     # called, and the integrands compile nothing
     assert [filename for filename, _ in defined] == [
         "<compiled solved>", "<compiled column>", "<compiled loop>", "<compiled loop>"]
+
+
+@pytest.mark.parametrize("alpha, columns", [(0.6, 1), (1.0, 0)])
+def test_a_shoot_evaluates_the_kernel_and_no_other_theta_only_tree(defined, alpha, columns):
+    # the driven term 0.4*theta/2 is theta-only too, but only the kernel,
+    # which alpha = 1 does not have, is evaluated on the grid
+    prob = VariationalProblem(
+        n=1,
+        lagrangian=parse("1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0/2", 1),
+        interval=(0.0, 1.0),
+        frac=FractionalParams(alpha=alpha, observer_time=2.0),
+        boundary=BoundaryConditions([0.0], [0.5]),
+    )
+    _, report = bvp_shoot(prob, steps=50)
+    assert report.converged
+    built = [source for filename, source in defined if filename == "<compiled column>"]
+    assert len(built) == columns
+    assert all("_one_minus_alpha / t0" in source for source in built)
 
 
 def loop_source(prob, integrands=None):

@@ -54,8 +54,6 @@ def _scenario(name, n, lagrangian, mode, generators, charges, steps=400, alpha=0
             "generators": generators, "charges": charges, "output_dir": "out"}
 
 
-TIME = {"tau": "1", "xi": ["0"], "gauge": "auto"}
-
 # case -> (command, scenario or None for verify, usable CPUs)
 PLAN = {
     "solve_free_particle_bvp": ("solve", _shipped("free_particle_bvp.json"), 1),
@@ -69,7 +67,7 @@ PLAN = {
     "charge_driven_bvp": ("charge", _scenario(
         "driven", 1, "1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0",
         {"type": "bvp", "qa": [0.0], "qb": [0.5]},
-        [TIME], ["noether", "energy", "momentum"]), 1),
+        [{"tau": "1", "xi": ["0"], "gauge": "auto"}], ["noether", "energy", "momentum"]), 1),
     "charge_double_pendulum_ivp": ("charge", _scenario(
         "double_pendulum", 2, "v0^2 + v1^2/2 + v0*v1*cos(q0 - q1) + 2*cos(q0) + cos(q1)",
         {"type": "ivp", "q0": [0.3, -0.2], "v0": [0.1, 0.4]},

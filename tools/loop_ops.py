@@ -30,16 +30,17 @@ how many of them were emitted and how many were taken from the shape
 cache (``expressions.shaped``), the distinct sources, and the seconds
 spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
 then the ``Expr.diff`` and ``Emitter.define`` calls of the whole pass,
-every function counted, loop or not; the column builders defined and
-their calls, two per theta-only tree evaluated on a grid
-(``columns.Columns``); the shoots (``integrators.bvp_shoot``), their check
-solves (one per Newton iteration and one before), how many of those were
-also the solve that built the shoot's trajectory, and how many of the
-guesses that a check would converge (``integrators._check_converges``)
-were wrong; the garbage collections of each generation during the
-pass, counted through ``gc.callbacks``; and the ``Trajectory`` objects
-the pass constructed.  Every count but the collections repeats exactly
-from run to run.
+every function counted, loop or not; the column builders defined, one
+per shoot at alpha < 1, which evaluates the kernel on its grid, and their
+calls, two per shoot, at the nodes and at the half-nodes
+(``integrators._final_state``); the shoots (``integrators.bvp_shoot``),
+their check solves (one per Newton iteration and one before), how many
+of those were also the solve that built the shoot's trajectory, and how
+many of the guesses that a check would converge
+(``integrators._check_converges``) were wrong; the garbage collections
+of each generation during the pass, counted through ``gc.callbacks``;
+and the ``Trajectory`` objects the pass constructed.  Every count but
+the collections repeats exactly from run to run.
 """
 
 from __future__ import annotations
