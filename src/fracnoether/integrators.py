@@ -138,9 +138,14 @@ def write_table(
 
     Trajectory and charge CSVs are written here.  The theta texts of the
     last grid written are kept with that grid, an immutable tuple, so the
-    CSVs of one grid format it once.  A row is the ``"%s"`` of a kept text
-    and the ``"%.17g"`` of each column value, the same bytes as formatting
-    every value anew.
+    CSVs of one grid format it once.  A column that repeats its values, as
+    a conserved charge does, formats each distinct value once: one whose
+    first 16 values hold a repeat, at most half of whose values are
+    distinct and none of them a zero (0.0 and -0.0 are one key of two
+    texts), is written as the ``"%s"`` of its values' texts.  Every other
+    column is written as the ``"%.17g"`` of each value.  Equal floats
+    other than zeros have equal bits, so each row has the same bytes as
+    formatting every value anew.
     """
     global _theta_texts
     grid = theta_grid if isinstance(theta_grid, tuple) else tuple(theta_grid)
@@ -151,11 +156,21 @@ def write_table(
     width = len(columns) + 1
     args = [None] * (width * len(texts))
     args[::width] = texts
+    row = "%s"
     for j, column in enumerate(columns, 1):
+        head = column[:16]
+        if len(set(head)) < len(head):
+            distinct = tuple(dict.fromkeys(column))
+            if 2 * len(distinct) <= len(column) and 0 not in distinct:
+                text = dict(zip(distinct, ("%.17g\n" * len(distinct) % distinct).split("\n")))
+                args[j::width] = map(text.__getitem__, column)
+                row += ",%s"
+                continue
         args[j::width] = column
+        row += ",%.17g"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((("%s" + ",%.17g" * len(columns) + "\n") * len(texts)) % tuple(args))
+        fh.write(((row + "\n") * len(texts)) % tuple(args))
         fh.write(trailer)
 
 

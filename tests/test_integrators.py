@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracnoether import integrators
 from fracnoether.charges import ChargeSeries
@@ -261,6 +262,90 @@ def test_trajectory_and_charges_on_one_grid_share_its_texts(tmp_path):
         assert (tmp_path / f"charge{k}.csv").read_text() == charge_csv(series)
         assert integrators._theta_texts[1] is texts
     assert_kept_texts_are_of(traj.theta_grid)
+
+
+# --------------------------------------------------------------------------
+# columns that repeat their values, each distinct value formatted once
+
+
+def row_by_row_csv(header, grid, columns):
+    """The table built one row at a time, every value its own ``"%.17g"``."""
+    lines = [",".join(header)]
+    for k, theta in enumerate(grid):
+        line = "%.17g" % theta
+        for column in columns:
+            line = line + "," + "%.17g" % column[k]
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def assert_table_bytes(tmp_path, columns):
+    grid = integrators.linspace(0.0, 1.0, len(columns[0]))
+    header = ["theta", *(f"c{j}" for j in range(len(columns)))]
+    integrators.write_table(tmp_path / "table.csv", header, grid, columns, trailer="# end\n")
+    expected = row_by_row_csv(header, grid, columns) + "# end\n"
+    assert (tmp_path / "table.csv").read_text() == expected
+
+
+# Small pools, so that drawn columns repeat: zeros of both signs in both
+# orders (one dict key, two texts), nans, infinities and ints equal to floats.
+POOLS = [
+    [0.0, -0.0, 2.5],
+    [-0.0, 0.0, 2.5],
+    [math.nan, math.inf, -math.inf, 1.0 / 3.0],
+    [3, 3.0, -7, True, 1e-320, 0.1],
+    [-0.0, 0.0, math.nan, 1, 1.0, -math.inf, 2.0 ** 53 + 2, 2 ** 53 + 1],
+    [1e300, -2.5e-300, math.pi],
+]
+
+
+# a value of any pool, or a nan object of its own
+MIXED = st.sampled_from([*(x for pool in POOLS for x in pool), None]).map(
+    lambda x: float("nan") if x is None else x)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(columns=st.integers(0, 40).flatmap(lambda rows: st.lists(
+    st.one_of(st.sampled_from(POOLS).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=rows, max_size=rows)),
+        st.lists(MIXED, min_size=rows, max_size=rows),
+        st.lists(st.floats(), min_size=rows, max_size=rows)),
+    min_size=1, max_size=4)))
+def test_columns_drawn_from_small_pools_write_each_value_as_its_own_text(
+        tmp_path_factory, columns):
+    assert_table_bytes(tmp_path_factory.getbasetemp(), columns)
+
+
+def test_a_column_of_fewer_than_16_rows(tmp_path):
+    for column in ([0.5] * 10, [0.5, 0.5, 0.25], [-0.0] + [0.0] * 9, [0.0] * 9 + [-0.0],
+                   [0.25], []):
+        assert_table_bytes(tmp_path, [column])
+
+
+def test_a_column_exactly_half_of_whose_values_are_distinct(tmp_path):
+    pairs = [x for k in range(1, 17) for x in (k / 7.0, k / 7.0)]
+    assert_table_bytes(tmp_path, [pairs])  # 16 of 32 distinct
+    assert_table_bytes(tmp_path, [pairs + [1e-3]])  # 17 of 33
+    assert_table_bytes(tmp_path, [[-0.0, 0.0] + pairs[2:]])
+    assert_table_bytes(tmp_path, [pairs[:-2] + [0.0, -0.0]])
+
+
+def test_a_column_of_distinct_values(tmp_path):
+    assert_table_bytes(tmp_path, [[math.exp(k / 9.0) for k in range(40)]])
+    # no repeat among the first 16 values, one value repeated after them
+    assert_table_bytes(tmp_path, [[k / 3.0 for k in range(16)] + [1e-9] * 30])
+
+
+def test_columns_of_both_kinds_in_one_table(tmp_path):
+    rows = 50
+    assert_table_bytes(tmp_path, [
+        [0.25] * rows,
+        [math.sin(k) for k in range(rows)],
+        [0.0, -0.0] * (rows // 2),
+        [math.nan, 1.0 / 3.0, -math.inf] * (rows // 3) + [math.inf] * (rows % 3),
+        [(-1.0) ** (k // 7) * 0.1 for k in range(rows)],
+        [-0.0] + [0.0] * (rows - 1),
+    ])
 
 
 # --------------------------------------------------------------------------

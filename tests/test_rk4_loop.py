@@ -696,6 +696,10 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     assert "18 column builders defined, 36 builder calls" in lines
     assert ("18 shoots: 66 check solves, 18 of them also the trajectory solve; "
             "0 of 18 guesses wrong") in lines
+    # 9 trajectory tables of 1001 rows and 42 distinct columns in all, and
+    # 18 charge tables of one repeating column each
+    assert ("27 tables written: 60060 values, 18018 in repeating columns, "
+            "1642 distinct among those") in lines
     assert re.fullmatch(r"GC collections: gen0 \d+, gen1 \d+, gen2 \d+", lines[-2])
     assert lines[-1] == "18 Trajectory constructions"
 
@@ -708,4 +712,5 @@ def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert "51 loops: 10 emitted, 41 from the shape cache, 9 distinct sources" in lines
     assert "0 shoots: 0 check solves, 0 of them also the trajectory solve; 0 of 0 guesses wrong" in lines
+    assert "0 tables written: 0 values, 0 in repeating columns, 0 distinct among those" in lines
     assert lines[-1] == "51 Trajectory constructions"

@@ -54,6 +54,40 @@ def _scenario(name, n, lagrangian, mode, generators, charges, steps=400, alpha=0
             "generators": generators, "charges": charges, "output_dir": "out"}
 
 
+def _ivp(q0, v0) -> dict:
+    return {"type": "ivp", "q0": q0, "v0": v0}
+
+
+# One IVP of each corpus family of perfbench/workloads.py, fixed
+# coefficients, generators taken in turn as that file takes them:
+# family -> (n, lagrangian, mode, (tau, xi), charges).
+CORPUS = {
+    "free": (1, "1.3*v0^2/2", _ivp([0.4], [0.5]), ("1", ["0"]),
+             ["noether", "energy", "momentum"]),
+    "oscillator": (1, "(1.2*v0^2 - 0.7*q0^2)/2", _ivp([0.3], [0.6]), ("0", ["1"]),
+                   ["noether", "energy"]),
+    "pendulum": (1, "1.4*v0^2/2 + 0.8*cos(q0)", _ivp([0.5], [0.4]), ("theta/2", ["q0/2"]),
+                 ["noether", "energy"]),
+    "quartic": (1, "1.2*v0^2/2 - 0.6*q0^4/4 + 0.3*q0", _ivp([0.2], [0.7]),
+                ("sin(theta)", ["cos(q0)"]), ["noether", "energy"]),
+    "driven": (1, "1.5*v0^2/2 - 0.8*q0^2/2 + 0.4*theta*q0/2", _ivp([0.6], [0.3]), ("1", ["0"]),
+               ["noether"]),
+    "coupled": (2, "(1.2*v0^2 + 1.5*v1^2)/2 - 0.6*(q0 - q1)^2/2",
+                _ivp([0.4, -0.2], [0.5, 0.1]), ("0", ["1", "1"]), ["noether", "energy"]),
+}
+
+# The failing sweeps of tests/test_scenarios_cli.py: a potential that
+# overflows, a generator and a Lagrangian that leave the domain of ln.
+FAILING_SWEEPS = {
+    "blowup": _scenario("blowup", 1, "v0^2/2 - exp(exp(exp(q0)))", _ivp([2.0], [5.0]), [],
+                        ["momentum"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
+    "log_shift": _scenario("log_shift", 1, "v0^2/2", _ivp([0.5], [-1.0]),
+                           [{"tau": "0", "xi": ["ln(q0)"], "gauge": "0"}],
+                           ["noether", "momentum"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
+    "log_action": _scenario("log_action", 1, "v0^2/2 - 0.01*ln(q0)", _ivp([0.5], [-2.0]), [],
+                            ["energy"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
+}
+
 # case -> (command, scenario or None for verify, usable CPUs)
 PLAN = {
     "solve_free_particle_bvp": ("solve", _shipped("free_particle_bvp.json"), 1),
@@ -73,6 +107,18 @@ PLAN = {
         {"type": "ivp", "q0": [0.3, -0.2], "v0": [0.1, 0.4]},
         [{"tau": "1", "xi": ["0", "0"], "gauge": "auto"}], ["noether", "energy"],
         steps=200), 1),
+    **{f"charge_{family}_ivp": ("charge", _scenario(
+        family, n, lagrangian, mode, [{"tau": tau, "xi": xi, "gauge": "auto"}], charges,
+        steps=200), 1)
+       for family, (n, lagrangian, mode, (tau, xi), charges) in CORPUS.items()},
+    # a particle at rest whose first velocity is -0.0: the noether_g1
+    # column is one -0 among 200 zeros, and 0.0 == -0.0
+    "charge_free_particle_at_rest": ("charge", _scenario(
+        "at_rest", 1, "1.3*v0^2/2", _ivp([0.0], [-0.0]),
+        [{"tau": "1", "xi": ["0"], "gauge": "auto"}, {"tau": "0", "xi": ["1"], "gauge": "auto"}],
+        ["noether"], steps=200), 1),
+    **{f"sweep_{name}_{cpus}cpu{'s' * (cpus > 1)}": ("sweep", raw, cpus)
+       for name, raw in FAILING_SWEEPS.items() for cpus in (1, 2)},
     "verify": ("verify", None, 1),
 }
 

@@ -37,7 +37,10 @@ calls, two per shoot, at the nodes and at the half-nodes
 their check solves (one per Newton iteration and one before), how many
 of those were also the solve that built the shoot's trajectory, and how
 many of the guesses that a check would converge
-(``integrators._check_converges``) were wrong; the garbage collections
+(``integrators._check_converges``) were wrong; the CSV tables written
+(``integrators.write_table``), the values in them, theta not counted, the
+values in repeating columns, at most half of whose values are distinct,
+and the distinct values among those; the garbage collections
 of each generation during the pass, counted through ``gc.callbacks``;
 and the ``Trajectory`` objects the pass constructed.  Every count but
 the collections repeats exactly from run to run.
@@ -62,7 +65,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fracnoether import cli, expressions, fanout, integrators  # noqa: E402
+from fracnoether import charges, cli, expressions, fanout, integrators  # noqa: E402
 
 GUARD_RE = re.compile(r"^\s*if .*: raise ")
 
@@ -126,7 +129,9 @@ def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args, calls)],
     loops emitted, compile seconds, {"diff": calls, "define": calls,
     "columns": builders defined, "column runs": builder calls,
-    "trajectory": constructions}, [[iterations, converged, guesses that a
+    "trajectory": constructions, "tables": CSV tables written, "values":
+    values in them, "repeating": values in repeating columns, "distinct":
+    distinct values among those}, [[iterations, converged, guesses that a
     check converges, rows loop calls] per shoot], [collections per GC
     generation])."""
     loops: list[list] = []
@@ -140,7 +145,9 @@ def record_pass(workload: str, seed: int):
     spent = [0.0]
     emitted = [0]
     post_init = integrators.Trajectory.__post_init__
-    calls = {"diff": 0, "define": 0, "columns": 0, "column runs": 0, "trajectory": 0}
+    write_table = integrators.write_table
+    calls = {"diff": 0, "define": 0, "columns": 0, "column runs": 0, "trajectory": 0,
+             "tables": 0, "values": 0, "repeating": 0, "distinct": 0}
 
     def counted_diff(self, var):
         calls["diff"] += 1
@@ -176,6 +183,16 @@ def record_pass(workload: str, seed: int):
         calls["trajectory"] += 1
         post_init(self)
 
+    def counted_write_table(path, header, theta_grid, columns, trailer=""):
+        calls["tables"] += 1
+        for values in columns:
+            distinct = len(set(values))
+            calls["values"] += len(values)
+            if 2 * distinct <= len(values):
+                calls["repeating"] += len(values)
+                calls["distinct"] += distinct
+        write_table(path, header, theta_grid, columns, trailer)
+
     def timed_compile(*args, **kwargs):
         start = perf_counter()
         try:
@@ -210,6 +227,7 @@ def record_pass(workload: str, seed: int):
     integrators.Trajectory.__post_init__ = counted_post_init
     integrators._compile_rk4_loop = timed_compile
     integrators._emit_rk4_loop = counted_emit
+    integrators.write_table = charges.write_table = counted_write_table
     bvp_shoot, check_converges = cli.bvp_shoot, integrators._check_converges
     cli.bvp_shoot, integrators._check_converges = counted_shoot, counted_guess
     usable_cpus = fanout.usable_cpus
@@ -235,6 +253,7 @@ def record_pass(workload: str, seed: int):
         integrators.Trajectory.__post_init__ = post_init
         integrators._compile_rk4_loop = compile_loop
         integrators._emit_rk4_loop = emit_loop
+        integrators.write_table = charges.write_table = write_table
         cli.bvp_shoot, integrators._check_converges = bvp_shoot, check_converges
         fanout.usable_cpus = usable_cpus
     return loops, emitted[0], spent[0], calls, shoots, collections
@@ -276,6 +295,8 @@ def main(argv=None) -> int:
     guesses = sum(guesses for _, _, guesses, _ in shoots)
     print(f"{len(shoots)} shoots: {checks} check solves, {len(reused)} of them also the "
           f"trajectory solve; {guesses - sum(reused)} of {guesses} guesses wrong")
+    print(f"{counts['tables']} tables written: {counts['values']} values, {counts['repeating']} "
+          f"in repeating columns, {counts['distinct']} distinct among those")
     print("GC collections: " + ", ".join(f"gen{generation} {count}"
                                           for generation, count in enumerate(collections)))
     print(f"{counts['trajectory']} Trajectory constructions")
