@@ -8,6 +8,12 @@ counterparts, the alphas shared out over forked workers by
 
 Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 3 solver error.
+
+``main`` may be called any number of times in one process. The argparse
+tree is built on its first call and reused after that: ``build_parser()``
+returns that shared tree, which callers must not change. Help and usage
+texts still follow ``COLUMNS`` on every call, since argparse reads the
+terminal width when it formats them.
 """
 
 from __future__ import annotations
@@ -300,7 +306,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built on the first call and
+    shared by every later one in the process; callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="fracnoether",
         description="Solve power-law weighted variational problems and "
@@ -313,29 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output directory override")
         p.add_argument("--steps", type=int, help="step-count override")
 
-    p_solve = sub.add_parser("solve", help="integrate one scenario, write trajectory CSV")
-    add_common(p_solve)
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_charge = sub.add_parser("charge", help="compute requested charges and drift")
-    add_common(p_charge)
-    p_charge.set_defaults(func=cmd_charge)
-
-    p_sweep = sub.add_parser("sweep", help="run an alpha sweep, write long-format CSV")
-    add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
+    add_common(sub.add_parser("solve", help="integrate one scenario, write trajectory CSV"))
+    add_common(sub.add_parser("charge", help="compute requested charges and drift"))
+    add_common(sub.add_parser("sweep", help="run an alpha sweep, write long-format CSV"))
     p_verify = sub.add_parser("verify", help="run the built-in acceptance corpus")
     p_verify.add_argument("--output", default=".", help="directory for verify_report.json")
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up here, not when the parser was built, so a command function
+    # replaced since then is the one that runs
+    commands = {"solve": cmd_solve, "charge": cmd_charge, "sweep": cmd_sweep,
+                "verify": cmd_verify}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ScenarioError, ExpressionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -700,6 +700,8 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     # 18 charge tables of one repeating column each
     assert ("27 tables written: 60060 values, 18018 in repeating columns, "
             "1642 distinct among those") in lines
+    # 18 commands parsed by one tree: the top parser and one per command
+    assert lines[-3] == "5 argument parsers built, 16 terminal-size reads"
     assert re.fullmatch(r"GC collections: gen0 \d+, gen1 \d+, gen2 \d+", lines[-2])
     assert lines[-1] == "18 Trajectory constructions"
 
@@ -713,4 +715,5 @@ def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     assert "51 loops: 10 emitted, 41 from the shape cache, 9 distinct sources" in lines
     assert "0 shoots: 0 check solves, 0 of them also the trajectory solve; 0 of 0 guesses wrong" in lines
     assert "0 tables written: 0 values, 0 in repeating columns, 0 distinct among those" in lines
+    assert lines[-3] == "5 argument parsers built, 16 terminal-size reads"
     assert lines[-1] == "51 Trajectory constructions"

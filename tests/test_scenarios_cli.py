@@ -1,5 +1,6 @@
 """Scenario validation and the four CLI subcommands."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -713,20 +714,158 @@ def test_verify_runs_acceptance_corpus(tmp_path, capsys):
 # entry point
 
 
-def test_module_entry_point(tmp_path):
-    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out")))
+def run_fresh(argv, **env):
+    """(exit code, stdout, stderr) of ``python -m fracnoether.cli *argv`` in a
+    new process, with ``env`` added to its environment."""
     # the child process imports the same fracnoether as this test
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-m", "fracnoether.cli", "solve", "--scenario", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
+        [sys.executable, "-m", "fracnoether.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point(tmp_path):
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out")))
+    assert run_fresh(["solve", "--scenario", str(path)])[0] == 0
     assert (tmp_path / "out" / "free_particle_traj.csv").exists()
 
 
 def test_unreadable_scenario_is_validation_error(tmp_path, capsys):
     assert cli.main(["solve", "--scenario", str(tmp_path / "missing.json")]) == 2
+
+
+# --------------------------------------------------------------------------
+# the argument parser
+
+
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process, an
+    exit of argparse's included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+COMMON_OPTIONS = """
+options:
+  -h, --help           show this help message and exit
+  --scenario SCENARIO  scenario JSON file
+  --output OUTPUT      output directory override
+  --steps STEPS        step-count override
+"""
+
+# stdout of ``--help`` at COLUMNS=80, by the command it follows
+HELP = {
+    "": """usage: fracnoether [-h] {solve,charge,sweep,verify} ...
+
+Solve power-law weighted variational problems and verify their conserved
+charges.
+
+positional arguments:
+  {solve,charge,sweep,verify}
+    solve               integrate one scenario, write trajectory CSV
+    charge              compute requested charges and drift
+    sweep               run an alpha sweep, write long-format CSV
+    verify              run the built-in acceptance corpus
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "solve": """usage: fracnoether solve [-h] --scenario SCENARIO [--output OUTPUT]
+                         [--steps STEPS]
+""" + COMMON_OPTIONS,
+    "charge": """usage: fracnoether charge [-h] --scenario SCENARIO [--output OUTPUT]
+                          [--steps STEPS]
+""" + COMMON_OPTIONS,
+    "sweep": """usage: fracnoether sweep [-h] --scenario SCENARIO [--output OUTPUT]
+                         [--steps STEPS]
+""" + COMMON_OPTIONS,
+    "verify": """usage: fracnoether verify [-h] [--output OUTPUT]
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  directory for verify_report.json
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=[name or "top" for name in HELP])
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "--help"] if command else ["--help"]
+    assert run_main(argv, capsys) == (0, HELP[command], "")
+
+
+USAGE = "usage: fracnoether [-h] {solve,charge,sweep,verify} ...\n"
+CHARGE_USAGE = """usage: fracnoether charge [-h] --scenario SCENARIO [--output OUTPUT]
+                          [--steps STEPS]
+"""
+
+# argv -> stderr at COLUMNS=80 of a call argparse rejects
+ARGUMENT_ERRORS = {
+    "no_command": ([], USAGE + "fracnoether: error: the following arguments are required: "
+                   "command\n"),
+    "bogus": (["bogus"], USAGE + "fracnoether: error: argument command: invalid choice: "
+              "'bogus' (choose from 'solve', 'charge', 'sweep', 'verify')\n"),
+    "no_scenario": (["charge"], CHARGE_USAGE + "fracnoether charge: error: the following "
+                    "arguments are required: --scenario\n"),
+    "steps_not_int": (["charge", "--scenario", "s.json", "--steps", "x"], CHARGE_USAGE
+                      + "fracnoether charge: error: argument --steps: invalid int value: 'x'\n"),
+}
+
+
+@pytest.mark.parametrize("argv, err", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS.keys())
+def test_argument_errors_exit_two(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_main(argv, capsys) == (2, "", err)
+
+
+def test_a_long_option_may_be_abbreviated(tmp_path):
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out")))
+    assert cli.main(["charge", "--scen", str(path), "--steps", "20"]) == 0
+    assert (tmp_path / "out" / "free_particle_charge_momentum_0.csv").exists()
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(tmp_path, capsys, monkeypatch):
+    # argparse reads the terminal width when it formats a text, so a parser
+    # built by an earlier call still follows COLUMNS
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out")))
+    calls = [(80, ["charge"]), (80, ["charge", "--scenario", str(path), "--steps", "20"]),
+             (60, ["--help"]), (100, ["--help"])]
+    seen = []
+    for columns, argv in calls:
+        monkeypatch.setenv("COLUMNS", str(columns))
+        seen.append(run_main(argv, capsys))
+        assert seen[-1] == run_fresh(argv, COLUMNS=str(columns))
+    assert [code for code, _, _ in seen] == [2, 0, 0, 0]
+    assert seen[2][1] != seen[3][1]
+
+
+def test_main_builds_the_parser_tree_once(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser.cache_clear()
+    missing = str(tmp_path / "missing.json")
+    for _ in range(3):
+        assert cli.main(["charge", "--scenario", missing]) == 2
+    assert len(built) == 5  # the top parser and one per command
+
+
+def test_main_runs_the_command_function_it_finds_when_called(tmp_path, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["charge", "--scenario", missing]) == 2
+    seen = []
+    monkeypatch.setattr(cli, "cmd_charge", lambda args: seen.append(args.scenario) or 0)
+    assert cli.main(["charge", "--scenario", missing]) == 0
+    assert seen == [missing]

@@ -40,10 +40,13 @@ many of the guesses that a check would converge
 (``integrators._check_converges``) were wrong; the CSV tables written
 (``integrators.write_table``), the values in them, theta not counted, the
 values in repeating columns, at most half of whose values are distinct,
-and the distinct values among those; the garbage collections
-of each generation during the pass, counted through ``gc.callbacks``;
-and the ``Trajectory`` objects the pass constructed.  Every count but
-the collections repeats exactly from run to run.
+and the distinct values among those; the ``argparse.ArgumentParser``
+objects built and the ``shutil.get_terminal_size`` calls made, the pass
+starting without ``cli.build_parser``'s tree, as a fresh process does;
+the garbage collections of each generation during the pass, counted
+through ``gc.callbacks``; and the ``Trajectory`` objects the pass
+constructed.  Every count but the collections repeats exactly from run
+to run.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import io
 import json
 import os
 import re
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -131,7 +135,8 @@ def record_pass(workload: str, seed: int):
     "columns": builders defined, "column runs": builder calls,
     "trajectory": constructions, "tables": CSV tables written, "values":
     values in them, "repeating": values in repeating columns, "distinct":
-    distinct values among those}, [[iterations, converged, guesses that a
+    distinct values among those, "parsers": argument parsers built,
+    "terminal": terminal-size reads}, [[iterations, converged, guesses that a
     check converges, rows loop calls] per shoot], [collections per GC
     generation])."""
     loops: list[list] = []
@@ -147,7 +152,10 @@ def record_pass(workload: str, seed: int):
     post_init = integrators.Trajectory.__post_init__
     write_table = integrators.write_table
     calls = {"diff": 0, "define": 0, "columns": 0, "column runs": 0, "trajectory": 0,
-             "tables": 0, "values": 0, "repeating": 0, "distinct": 0}
+             "tables": 0, "values": 0, "repeating": 0, "distinct": 0, "parsers": 0,
+             "terminal": 0}
+    parser_init = argparse.ArgumentParser.__init__
+    terminal_size = shutil.get_terminal_size
 
     def counted_diff(self, var):
         calls["diff"] += 1
@@ -178,6 +186,14 @@ def record_pass(workload: str, seed: int):
             return fn(*args)
 
         return loop
+
+    def counted_parser_init(self, *args, **kwargs):
+        calls["parsers"] += 1
+        parser_init(self, *args, **kwargs)
+
+    def counted_terminal_size(*args, **kwargs):
+        calls["terminal"] += 1
+        return terminal_size(*args, **kwargs)
 
     def counted_post_init(self):
         calls["trajectory"] += 1
@@ -232,6 +248,9 @@ def record_pass(workload: str, seed: int):
     cli.bvp_shoot, integrators._check_converges = counted_shoot, counted_guess
     usable_cpus = fanout.usable_cpus
     fanout.usable_cpus = lambda: 1
+    argparse.ArgumentParser.__init__ = counted_parser_init
+    shutil.get_terminal_size = counted_terminal_size
+    cli.build_parser.cache_clear()
     cwd = os.getcwd()
     gc.callbacks.append(collected)
     try:
@@ -256,6 +275,8 @@ def record_pass(workload: str, seed: int):
         integrators.write_table = charges.write_table = write_table
         cli.bvp_shoot, integrators._check_converges = bvp_shoot, check_converges
         fanout.usable_cpus = usable_cpus
+        argparse.ArgumentParser.__init__ = parser_init
+        shutil.get_terminal_size = terminal_size
     return loops, emitted[0], spent[0], calls, shoots, collections
 
 
@@ -297,6 +318,7 @@ def main(argv=None) -> int:
           f"trajectory solve; {guesses - sum(reused)} of {guesses} guesses wrong")
     print(f"{counts['tables']} tables written: {counts['values']} values, {counts['repeating']} "
           f"in repeating columns, {counts['distinct']} distinct among those")
+    print(f"{counts['parsers']} argument parsers built, {counts['terminal']} terminal-size reads")
     print("GC collections: " + ", ".join(f"gen{generation} {count}"
                                           for generation, count in enumerate(collections)))
     print(f"{counts['trajectory']} Trajectory constructions")
