@@ -77,7 +77,7 @@ def _ivp(q0: list, v0: list) -> dict:
 
 def criterion_classical_limit() -> CriterionResult:
     scenario = _scenario("(v0^2 - q0^2)/2", 1.0, _ivp([1.0], [0.0]), charges=["energy"])
-    prob, _, traj, _ = cli._solve(scenario, 1.0, sampled=True)
+    prob, _, traj, *_ = cli._solve(scenario, 1.0, sampled=True)
     traj_err = max(abs(q - math.cos(th)) for th, (q,) in zip(traj.theta_grid, traj.q))
     energy = fractional_energy(prob, traj)
     ok = traj_err < 1e-9 and energy.relative_drift < 1e-10
@@ -103,7 +103,7 @@ def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
 
 
 def criterion_free_particle_velocity() -> CriterionResult:
-    _, _, traj, _ = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5)
+    _, _, traj, *_ = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5)
     rel_err = max(abs(v - exact) / abs(exact) for v, exact in zip(
         traj.v.columns[0], map(_free_particle_velocity, traj.theta_grid)))
     ok = rel_err < 1e-8
@@ -121,7 +121,7 @@ def criterion_free_particle_velocity() -> CriterionResult:
 def criterion_fractional_momentum() -> CriterionResult:
     alpha, t, a = 0.5, 2.0, 0.0
     scenario = _scenario("v0^2/2", alpha, _ivp([0.0], [1.0]), charges=["momentum"])
-    prob, _, traj, _ = cli._solve(scenario, alpha, sampled=True)
+    prob, _, traj, *_ = cli._solve(scenario, alpha, sampled=True)
     series = fractional_momentum(prob, traj, 0)
     # v(theta) = K (t-theta)^(1-alpha) with K = v0/(t-a)^(1-alpha); the
     # antiderivative of the correction collapses the charge to the
@@ -155,7 +155,7 @@ def criterion_fractional_energy() -> CriterionResult:
     for alpha in sweep.alphas():
         drifts = []
         for run in runs:
-            prob, _, traj, _ = cli._solve(run, alpha, sampled=True)
+            prob, _, traj, *_ = cli._solve(run, alpha, sampled=True)
             drifts.append(fractional_energy(prob, traj).relative_drift)
         fine, d125, d250, d500 = drifts
         r1 = d125 / max(d250, 1e-300)
@@ -215,7 +215,7 @@ def criterion_theorem_as_test() -> CriterionResult:
             alpha = _CORPUS_ALPHAS[(li + gi) % len(_CORPUS_ALPHAS)]
             scenario = _scenario(text, alpha, start, n=n, steps=2000,
                                  generators=[generator], charges=["noether"])
-            prob, (gen,), traj, _ = cli._solve(scenario, alpha, sampled=True)
+            prob, (gen,), traj, *_ = cli._solve(scenario, alpha, sampled=True)
             residual = pointwise_conservation_residual(prob, gen, traj)
             series = noether_charge(prob, gen, traj)
             worst_pointwise = max(worst_pointwise, *map(abs, residual))

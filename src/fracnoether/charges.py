@@ -17,11 +17,15 @@ same base point, so all charges are pinned up to the additive constant
 that drift statistics ignore anyway.  The five charge samplers share one
 path: a tree on the trajectory's grid plus a weight times a channel, a
 :class:`~fracnoether.integrators.Sample` that the solve can write into
-its loop (:func:`standard_samples`, next to :func:`standard_integrands`).
+its loop.  :func:`requested` lists, for the kinds a solve asks for, the
+channels (:func:`standard_integrands` is that half) and the reported
+charges, each a label with its sample and its charge function; it is the
+one place a charge's label is formed.
 
 The energy charge needs a Lagrangian whose tree has no ``theta`` node, and
 the momentum charge for q_i one with no ``q_i`` node.  Both preconditions
-are decided on the expression structure, never by sampling.
+are decided on the expression structure, never by sampling, each in one
+function that :func:`requested` and the charge's public function share.
 
 Drift of a sampled series is max |C(theta_k) - C(theta_0)|; the relative
 form divides by (1 + max |C|) to stay scale-free.
@@ -227,10 +231,59 @@ def momentum_correction_integrand(prob: VariationalProblem, dof: int) -> Expr:
     return prob.frac.over_lag(prob.momentum[dof])
 
 
-def gauge_channel(index: int, count: int) -> str:
-    """Channel of generator ``index`` out of ``count``: ``Lambda`` for a
-    single generator, ``Lambda_g{index}`` for several."""
-    return LAMBDA_CHANNEL if count == 1 else f"{LAMBDA_CHANNEL}_g{index}"
+class Charge(Record):
+    """A reported charge: its ``label``; the ``sample`` a solve writes into
+    its loop, or the :class:`ChargePreconditionError` the charge fails; and
+    the name of the charge function that gives its series, called with
+    ``prob``, ``traj`` and ``arguments`` by keyword."""
+
+    label: str
+    sample: Sample | ChargePreconditionError
+    function: str
+    arguments: dict
+
+
+def requested(
+    prob: VariationalProblem,
+    generators: Sequence[SymmetryGenerator] = (),
+    energy: bool = False,
+    momentum: bool = False,
+    classical: bool = False,
+) -> tuple[dict[str, Expr], list[Charge]]:
+    """The channel map of a solve covering the requested kinds, and the
+    charges it reports, in report order.
+
+    The channels: each generator's gauge (``Lambda``, or ``Lambda_g<i>``
+    for several), the energy correction, one momentum correction per dof.
+    The charges: ``noether_g<i>`` per generator, ``energy``, ``momentum_<j>``
+    per dof, each fractional one followed, with ``classical``, by its
+    uncorrected counterpart (``classical_energy``, ``classical_momentum_<j>``).
+    """
+    integrands: dict[str, Expr] = {}
+    charges: list[Charge] = []
+    for i, gen in enumerate(generators):
+        channel = LAMBDA_CHANNEL if len(generators) == 1 else f"{LAMBDA_CHANNEL}_g{i}"
+        integrands[channel] = lambda_integrand(gen)
+        charges.append(Charge(f"noether_g{i}", _noether_sample(prob, gen, channel),
+                              "noether_charge", {"gen": gen, "channel": channel}))
+    if energy:
+        integrands[ENERGY_CHANNEL] = energy_correction_integrand(prob)
+        charges.append(Charge("energy", _energy_failure(prob) or _energy_sample(prob, True),
+                              "fractional_energy", {}))
+        if classical:
+            charges.append(Charge("classical_energy", _energy_sample(prob, False),
+                                  "classical_energy", {}))
+    if momentum:
+        dofs = range(prob.n)
+        for j in dofs:
+            integrands[MOMENTUM_CHANNEL.format(dof=j)] = momentum_correction_integrand(prob, j)
+        charges += [Charge(f"momentum_{j}",
+                           _momentum_failure(prob, j) or _momentum_sample(prob, j, True),
+                           "fractional_momentum", {"dof": j}) for j in dofs]
+        if classical:
+            charges += [Charge(f"classical_momentum_{j}", _momentum_sample(prob, j, False),
+                               "classical_momentum", {"dof": j}) for j in dofs]
+    return integrands, charges
 
 
 def standard_integrands(
@@ -239,42 +292,8 @@ def standard_integrands(
     energy: bool = False,
     momentum: bool = False,
 ) -> dict[str, Expr]:
-    """Channel map for a solve covering the requested charges.
-
-    Generator gauges land in the channels named by :func:`gauge_channel`.
-    """
-    out: dict[str, Expr] = {}
-    for i, gen in enumerate(generators):
-        out[gauge_channel(i, len(generators))] = lambda_integrand(gen)
-    if energy:
-        out[ENERGY_CHANNEL] = energy_correction_integrand(prob)
-    if momentum:
-        for j in range(prob.n):
-            out[MOMENTUM_CHANNEL.format(dof=j)] = momentum_correction_integrand(prob, j)
-    return out
-
-
-def standard_samples(
-    prob: VariationalProblem,
-    generators: Sequence[SymmetryGenerator] = (),
-    energy: bool = False,
-    momentum: bool = False,
-    classical: bool = False,
-) -> list[Sample]:
-    """The samples the requested charges read, for a solve to write into
-    its loop: the Noether charge of each generator (against the channels of
-    :func:`standard_integrands`), the fractional energy and momenta whose
-    preconditions hold, and with ``classical`` the uncorrected energy and
-    momenta."""
-    out = [_noether_sample(prob, gen, gauge_channel(i, len(generators)))
-           for i, gen in enumerate(generators)]
-    for fractional in [True, False] if classical else [True]:
-        if energy and (not fractional or _autonomous(prob)):
-            out.append(_energy_sample(prob, fractional))
-        if momentum:
-            out.extend(_momentum_sample(prob, j, fractional)
-                       for j in range(prob.n) if not fractional or _cyclic(prob, j))
-    return out
+    """Channel map for a solve covering the requested charges (:func:`requested`)."""
+    return requested(prob, generators, energy, momentum)[0]
 
 
 def noether_charge(
@@ -299,12 +318,8 @@ def fractional_energy(prob: VariationalProblem, traj: Trajectory) -> ChargeSerie
 
     Samples L - dL/dv.v - (1-alpha) * integral of dL/dv.v/(t-theta).
     """
-    if not _autonomous(prob):
-        raise ChargePreconditionError(
-            "energy charge requires an autonomous Lagrangian (no explicit theta)"
-        )
     return _sample(prob, traj, lambda: _energy_sample(prob, fractional=True), ENERGY_CHANNEL,
-                   "energy correction")
+                   "energy correction", _energy_failure(prob))
 
 
 def classical_momentum(
@@ -323,12 +338,9 @@ def fractional_momentum(
     Samples dL/dv_i + (1-alpha) * integral of dL/dv_i/(t-theta).
     """
     _check_dof(prob, dof)
-    if not _cyclic(prob, dof):
-        raise ChargePreconditionError(
-            f"momentum charge for dof {dof} requires L independent of q{dof}"
-        )
     return _sample(prob, traj, lambda: _momentum_sample(prob, dof, fractional=True),
-                   MOMENTUM_CHANNEL.format(dof=dof), "momentum correction")
+                   MOMENTUM_CHANNEL.format(dof=dof), "momentum correction",
+                   _momentum_failure(prob, dof))
 
 
 def pointwise_conservation_residual(
@@ -361,11 +373,15 @@ def pointwise_conservation_residual(
 
 
 def _sample(prob: VariationalProblem, traj: Trajectory, make: Callable[[], Sample],
-            channel: str | None = None, kind: str = "") -> ChargeSeries:
+            channel: str | None = None, kind: str = "",
+            failure: ChargePreconditionError | None = None) -> ChargeSeries:
     """The series of the sample ``make()`` on the trajectory (taken from the
-    solve, or evaluated: :meth:`Trajectory.sample`); a trajectory of another
-    degree-of-freedom count than ``prob``'s, or a missing ``channel``,
-    described as ``kind``, is reported before the sample's tree is built."""
+    solve, or evaluated: :meth:`Trajectory.sample`); a failed precondition
+    ``failure``, then a trajectory of another degree-of-freedom count than
+    ``prob``'s, then a missing ``channel``, described as ``kind``, is
+    raised before the sample's tree is built."""
+    if failure is not None:
+        raise failure
     traj.check_n_dof(prob.n)
     if channel is not None and channel not in traj.channels:
         raise MissingChannelError(f"trajectory lacks the {kind} channel {channel!r}")
@@ -388,14 +404,22 @@ def _momentum_sample(prob: VariationalProblem, dof: int, fractional: bool) -> Sa
     return Sample(prob.momentum[dof], prob.frac.drag_strength, MOMENTUM_CHANNEL.format(dof=dof))
 
 
-def _autonomous(prob: VariationalProblem) -> bool:
-    """The precondition of the energy charge: no theta node in L."""
-    return not references(prob.lagrangian, Theta())
+def _energy_failure(prob: VariationalProblem) -> ChargePreconditionError | None:
+    """The precondition of the energy charge, no theta node in L: ``None``
+    when it holds, else the error the charge fails."""
+    if references(prob.lagrangian, Theta()):
+        return ChargePreconditionError(
+            "energy charge requires an autonomous Lagrangian (no explicit theta)")
+    return None
 
 
-def _cyclic(prob: VariationalProblem, dof: int) -> bool:
-    """The precondition of the momentum charge of ``dof``: no q_dof node in L."""
-    return not references(prob.lagrangian, Q(dof))
+def _momentum_failure(prob: VariationalProblem, dof: int) -> ChargePreconditionError | None:
+    """The precondition of the momentum charge of ``dof``, no q_dof node in
+    L: ``None`` when it holds, else the error the charge fails."""
+    if references(prob.lagrangian, Q(dof)):
+        return ChargePreconditionError(
+            f"momentum charge for dof {dof} requires L independent of q{dof}")
+    return None
 
 
 def _check_dimensions(prob: VariationalProblem, gen: SymmetryGenerator) -> None:

@@ -24,25 +24,22 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Callable
 
 from . import integrators
 from .action import action_sample, fractional_action
-from .charges import (
+from .charges import (  # the charge functions are called by name (_series)
     ChargePreconditionError,
     ChargeSeries,
     classical_energy,
     classical_momentum,
     fractional_energy,
     fractional_momentum,
-    gauge_channel,
     noether_charge,
-    standard_integrands,
-    standard_samples,
+    requested,
 )
 from .euler_lagrange import SingularHessianError, to_explicit_ode
 from .expressions import EvalDomainError, ExpressionError
-from .integrators import BlowUpError, ShootingError, bvp_shoot, ivp_solve
+from .integrators import BlowUpError, Sample, ShootingError, bvp_shoot, ivp_solve
 from .records import replace
 from .scenarios import (
     Scenario,
@@ -81,20 +78,23 @@ def _load(args) -> Scenario:
 
 
 def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: bool = False):
-    """Solve one alpha point with every channel the scenario's charges need.
+    """Solve one alpha point with every channel the scenario's charges need;
+    return the problem, its generators, the trajectory, the shooting report
+    and the charges the commands report (``charges.requested``).
 
-    With ``sampled`` the solve also samples every requested charge in its
-    loop, and with ``classical`` the classical charges and the action
+    With ``sampled`` the solve also samples those whose preconditions hold
+    in its loop, and with ``classical`` the classical charges and the action
     integrand too, all listed before it starts."""
     prob = build_problem(scenario, alpha)
     gens = build_generators(scenario, prob)
-    requested = dict(
-        generators=gens if "noether" in scenario.charges else [],
+    integrands, charges = requested(
+        prob,
+        generators=gens if "noether" in scenario.charges else (),
         energy="energy" in scenario.charges,
         momentum="momentum" in scenario.charges,
+        classical=classical,
     )
-    integrands = standard_integrands(prob, **requested)
-    samples = standard_samples(prob, **requested, classical=classical) if sampled else []
+    samples = [c.sample for c in charges if isinstance(c.sample, Sample)] if sampled else []
     if classical:
         samples.append(action_sample(prob))
     try:
@@ -120,38 +120,20 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
             report = None
     except (BlowUpError, ShootingError, SingularHessianError, EvalDomainError) as exc:
         raise SolverFailure(str(exc)) from exc
-    return prob, gens, traj, report
+    return prob, gens, traj, report, charges
 
 
-def _charges(
-    scenario: Scenario, prob, gens, traj, classical: bool
-) -> list[tuple[str, Callable[[], ChargeSeries]]]:
-    """(label, series maker) for each requested charge, in output order.
-
-    Each maker computes its series when called, looking its charge
-    function up in this module then.
-    """
-    charges = []
-    if "noether" in scenario.charges:
-        charges.extend(
-            (f"noether_g{i}",
-             lambda i=i: noether_charge(prob, gens[i], traj, channel=gauge_channel(i, len(gens))))
-            for i in range(len(gens))
-        )
-    if "energy" in scenario.charges:
-        charges.append(("energy", lambda: fractional_energy(prob, traj)))
-        if classical:
-            charges.append(("classical_energy", lambda: classical_energy(prob, traj)))
-    if "momentum" in scenario.charges:
-        charges.extend(
-            (f"momentum_{j}", lambda j=j: fractional_momentum(prob, traj, j)) for j in range(prob.n)
-        )
-        if classical:
-            charges.extend(
-                (f"classical_momentum_{j}", lambda j=j: classical_momentum(prob, traj, j))
-                for j in range(prob.n)
-            )
-    return charges
+def _series(prob, traj, charges):
+    """Each charge's label with its series, or with the failure its charge
+    function raised, in report order.  The function is looked up in this
+    module by name when it is called, so one replaced here since import is
+    the one that runs."""
+    for charge in charges:
+        try:
+            series = globals()[charge.function](prob=prob, traj=traj, **charge.arguments)
+        except CHARGE_FAILURES as exc:
+            series = exc
+        yield charge.label, series
 
 
 def _output_dir(path) -> Path:
@@ -193,7 +175,7 @@ def cmd_solve(args) -> int:
         raise ScenarioError("solve needs a fixed alpha; use the sweep command")
     out = _output_dir(scenario.output_dir)
     start = time.perf_counter()
-    prob, gens, traj, report = _solve(scenario, scenario.alpha)
+    _, _, traj, report, _ = _solve(scenario, scenario.alpha)
     wall = time.perf_counter() - start
     traj.write_csv(out / f"{scenario.name}_traj.csv")
     _write_manifest(out / f"{scenario.name}_manifest.json", scenario, report, wall)
@@ -208,36 +190,28 @@ def cmd_charge(args) -> int:
     if not scenario.charges:
         raise ScenarioError("charge needs at least one requested charge kind")
     out = _output_dir(scenario.output_dir)
-    prob, gens, traj, _ = _solve(scenario, scenario.alpha, sampled=True)
+    prob, _, traj, _, charges = _solve(scenario, scenario.alpha, sampled=True)
 
-    failures: dict[str, str] = {}
+    failed = False
     print(f"{'label':<24}{'drift':>14}{'relative_drift':>18}")
-    for label, make in _charges(scenario, prob, gens, traj, classical=False):
-        try:
-            series = make()
-        except CHARGE_FAILURES as exc:
-            failures[label] = str(exc)
-            print(f"{label:<24}{'failed':>14}{'':>18}  {exc}")
+    for label, series in _series(prob, traj, charges):
+        if not isinstance(series, ChargeSeries):
+            failed = True
+            print(f"{label:<24}{'failed':>14}{'':>18}  {series}")
             continue
         series.write_csv(out / f"{scenario.name}_charge_{label}.csv")
         print(f"{label:<24}{series.drift:>14.3e}{series.relative_drift:>18.3e}")
-    if failures:
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_FAILURE if failed else EXIT_OK
 
 
 def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     rows = []
     try:
-        prob, gens, traj, _ = _solve(scenario, alpha, sampled=True, classical=True)
+        prob, _, traj, _, charges = _solve(scenario, alpha, sampled=True, classical=True)
         action = fractional_action(prob, traj).value
-        for label, make in _charges(scenario, prob, gens, traj, classical=True):
-            try:
-                series = make()
-            except CHARGE_FAILURES as exc:
-                rows.append(
-                    {"alpha": alpha, "label": label, "status": f"error: {exc}"}
-                )
+        for label, series in _series(prob, traj, charges):
+            if not isinstance(series, ChargeSeries):
+                rows.append({"alpha": alpha, "label": label, "status": f"error: {series}"})
                 continue
             rows.append(
                 {

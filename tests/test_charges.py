@@ -1,5 +1,9 @@
 """Generators, gauge rates, charges, and drift statistics."""
 
+import importlib.util
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from fracnoether.charges import (
     noether_charge,
     pointwise_conservation_residual,
     quasi_invariance_residual,
+    requested,
     standard_integrands,
 )
 from fracnoether.euler_lagrange import (
@@ -270,6 +275,18 @@ def test_missing_channels_are_named_before_any_tree_is_built():
         assert str(info.value) == message
 
 
+def test_a_failed_precondition_is_raised_before_the_trajectory_is_read():
+    # L names theta and q0; the trajectory has two dofs and no channel
+    prob = problem("v0^2/2 + theta*q0", alpha=0.5)
+    traj = solve(problem("(v0^2 + v1^2)/2", alpha=0.5, n=2), [0.0, 0.0], [1.0, 1.0], steps=10)
+    with pytest.raises(ChargePreconditionError, match="autonomous"):
+        fractional_energy(prob, traj)
+    with pytest.raises(ChargePreconditionError, match="q0"):
+        fractional_momentum(prob, traj, 0)
+    with pytest.raises(ValueError, match="dof 1 out of range"):
+        fractional_momentum(prob, traj, 1)
+
+
 def test_energy_and_momentum_samplers_share_one_grid_function(defined):
     prob = problem("v0^4/12 + v0^2/2", alpha=0.6)
     traj = solve(prob, [0.0], [1.0], steps=100, energy=True, momentum=True)
@@ -360,6 +377,44 @@ def test_classical_momentum_drifts_fractionally():
     series = classical_momentum(prob, traj, 0)
     predicted = abs(1.0 - (1.0 / 2.0) ** 0.5)
     assert series.drift == pytest.approx(predicted, abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# the reported charges
+
+# the benchmark's output gate, from this checkout
+spec = importlib.util.spec_from_file_location(
+    "gate", Path(__file__).resolve().parents[1] / "perfbench" / "gate.py")
+gate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(gate)
+
+# Lagrangians autonomous or not, each cyclic in every, some or no coordinate
+LABEL_CASES = [
+    ("v0^2/2", 1), ("(v0^2 - q0^2)/2", 1), ("v0^2/2 + theta*v0", 1), ("v0^2/2 + theta*q0", 1),
+    ("(v0^2 + v1^2)/2", 2), ("(v0^2 + v1^2)/2 - q0^2/2", 2),
+    ("(v0^2 + v1^2)/2 + theta*q1", 2), ("(v0^2 + v1^2)/2 - theta*(q0 - q1)^2/2", 2),
+]
+KINDS = ("noether", "energy", "momentum")
+
+
+@pytest.mark.parametrize("text, n", LABEL_CASES)
+def test_the_reported_labels_are_those_the_benchmark_gate_reads(text, n):
+    prob = problem(text, alpha=0.6, n=n)
+    raw = [{"tau": "1", "xi": ["0"] * n}, {"tau": "0", "xi": ["1"] * n}]
+    shifts = [generator(g["tau"], g["xi"], n=n) for g in raw]
+    shifts = [g.with_gauge(gauge_rate_from_reduced_condition(prob, g)) for g in shifts]
+    for count, classical in itertools.product(range(3), (False, True)):
+        for kinds in (c for size in range(4) for c in itertools.combinations(KINDS, size)):
+            _, charges = requested(
+                prob, generators=shifts[:count] if "noether" in kinds else (),
+                energy="energy" in kinds, momentum="momentum" in kinds, classical=classical)
+            scenario = {"n": n, "generators": raw[:count], "charges": list(kinds)}
+            assert [c.label for c in charges] == gate.charge_labels(scenario, classical)
+            # a charge fails its precondition exactly when L names theta or its q
+            for c in charges:
+                failing = (c.label == "energy" and "theta" in text
+                           or c.label.startswith("momentum_") and f"q{c.label[-1]}" in text)
+                assert isinstance(c.sample, ChargePreconditionError) == failing, c.label
 
 
 # --------------------------------------------------------------------------

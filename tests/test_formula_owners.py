@@ -35,6 +35,11 @@ IVP_SOLVE_OWNERS = {
 # Where a "%.17g" row template may be assembled: the one CSV table writer.
 ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
 
+# Where the label of a reported charge may be formed: the one list of the
+# charges a solve reports.
+LABEL_OWNERS = {"charges.py:requested"}
+LABEL_PREFIXES = ("noether_g", "momentum_", "classical_momentum_")
+
 # The test oracles, which no module of the package may import.
 ORACLES = {"numpy", "scipy", "sympy"}
 
@@ -237,6 +242,42 @@ def test_the_table_writer_guard_sees_every_spelling():
     )
     sites = row_template_sites(ast.parse(source))
     assert sites == [("Series.write_csv", 3), ("row", 5), ("row", 5)]
+
+
+def label_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every f-string whose text starts
+    with the prefix of a charge label."""
+
+    def match(node):
+        if not isinstance(node, ast.JoinedStr) or not node.values:
+            return False
+        first = node.values[0]
+        return isinstance(first, ast.Constant) and first.value.startswith(LABEL_PREFIXES)
+
+    return scoped_sites(tree, match)
+
+
+def test_one_owner_of_the_charge_labels():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in label_sites(ast.parse(path.read_text())):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(found.values()) == LABEL_OWNERS, found
+
+
+def test_the_label_guard_sees_every_spelling():
+    source = (
+        "class Command:\n"
+        "    def labels(self, gens, n):\n"
+        "        return [f'noether_g{i}' for i in range(len(gens))] + [f\"momentum_{n}\"]\n"
+        "def classical(j):\n"
+        "    return {f'classical_momentum_{j}': f'momentum charge for dof {j}'}\n"
+        "def channel(j):\n"
+        "    return f'{j}momentum_' + 'momentum_{j}'.format(j=j) + f'Lambda_g{j}'\n"
+    )
+    sites = label_sites(ast.parse(source))
+    assert sites == [("Command.labels", 3), ("Command.labels", 3), ("classical", 5)]
 
 
 def oracle_import_sites(tree: ast.AST) -> list[tuple[str, int]]:

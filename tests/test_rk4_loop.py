@@ -40,10 +40,17 @@ from fracnoether.euler_lagrange import (
 from fracnoether.expressions import EvalDomainError, ExpressionError, parse
 from fracnoether.integrators import BlowUpError, Sample, all_finite, bvp_shoot, ivp_solve
 
-spec = importlib.util.spec_from_file_location(
-    "loop_ops", Path(__file__).resolve().parents[1] / "tools" / "loop_ops.py")
-loop_ops = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(loop_ops)
+
+def tool(name):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parents[1] / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+loop_ops, golden = tool("loop_ops"), tool("golden")
 
 
 class OnlyEvaluate:
@@ -262,6 +269,21 @@ def test_a_benchmark_charge_is_read_from_the_loop(monkeypatch):
     monkeypatch.setattr(integrators, "evaluate_on_grid", None)
     for s in samples:
         assert traj.sample(s) is traj.samples[s]
+
+
+@pytest.mark.parametrize("case", ["sweep_oscillator_1cpu", "charge_driven_bvp"])
+def test_a_command_reads_every_charge_from_the_loop(case, tmp_path, monkeypatch):
+    # the sweep reports classical charges and the action; the charge
+    # command's energy and momentum fail their preconditions
+    (tmp_path / "plain").mkdir()
+    (tmp_path / "loop_only").mkdir()
+    plain = golden.run_case(case, tmp_path / "plain")
+
+    def no_grid_evaluation(*args):
+        raise AssertionError("a charge was evaluated point by point")
+
+    monkeypatch.setattr(integrators, "evaluate_on_grid", no_grid_evaluation)
+    assert golden.run_case(case, tmp_path / "loop_only") == plain
 
 
 def test_samples_read_the_kernel_they_share_with_the_right_hand_side():
