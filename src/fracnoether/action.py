@@ -16,7 +16,9 @@ import math
 from typing import Sequence
 
 from .euler_lagrange import VariationalProblem
-from .expressions import Expr, Theta, depends_on_velocity, evaluate_on_grid, max_coordinate_index
+from .expressions import (
+    EvalDomainError, Expr, Theta, depends_on_velocity, evaluate_on_grid, max_coordinate_index,
+)
 from .integrators import Sample, Trajectory, log_log_slope
 from .records import Record
 
@@ -95,7 +97,9 @@ def action_sample(prob: VariationalProblem) -> Sample:
 
 def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue:
     """Simpson quadrature of the weighted Lagrangian over the trajectory,
-    its integrand taken from the solve where it sampled it."""
+    its integrand taken from the solve where it sampled it.  An action
+    whose sums overflow, or that is not finite, raises
+    :class:`EvalDomainError`."""
     traj.check_n_dof(prob.n)
     a, b = prob.interval
     grid = traj.theta_grid
@@ -107,11 +111,16 @@ def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue
     h = (b - a) / n
     f = traj.sample(action_sample(prob))
     gamma_alpha = gamma_fn(prob.frac.alpha)
-    value = _simpson(f, h) / gamma_alpha
-    if n % 4 == 0:
-        coarse = _simpson(f[::2], 2.0 * h) / gamma_alpha
-    else:
-        coarse = h * (0.5 * f[0] + math.fsum(f[1:-1]) + 0.5 * f[-1]) / gamma_alpha
+    try:
+        value = _simpson(f, h) / gamma_alpha
+        if n % 4 == 0:
+            coarse = _simpson(f[::2], 2.0 * h) / gamma_alpha
+        else:
+            coarse = h * (0.5 * f[0] + math.fsum(f[1:-1]) + 0.5 * f[-1]) / gamma_alpha
+    except OverflowError:  # math.fsum's intermediate overflow
+        value = math.inf
+    if not math.isfinite(value):
+        raise EvalDomainError("non-finite action")
     return ActionValue(value=value, quadrature_error_estimate=abs(value - coarse))
 
 

@@ -33,6 +33,7 @@ form divides by (1 + max |C|) to stay scale-free.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 from .euler_lagrange import (
@@ -40,6 +41,7 @@ from .euler_lagrange import (
 )
 from .expressions import (
     Const,
+    EvalDomainError,
     Expr,
     Q,
     Theta,
@@ -127,9 +129,13 @@ class ChargeSeries(Record):
 def _drift_stats(values: Sequence[float]) -> tuple[float, float]:
     """max_k |x_k - x_0| and its ratio to 1 + max_k |x_k|.  Rounding is
     monotone, so the largest |x_k - x_0| is that of the largest or the
-    smallest x_k, with the same rounding: no difference is formed per sample."""
+    smallest x_k, with the same rounding: no difference is formed per sample.
+    A drift that is not finite, as between values of opposite signs near
+    the largest float, raises :class:`EvalDomainError`."""
     top, bottom, first = max(values), min(values), values[0]
     d = max(top - first, first - bottom)
+    if not math.isfinite(d):
+        raise EvalDomainError("non-finite drift")
     return d, d / (1.0 + max(top, -bottom))
 
 

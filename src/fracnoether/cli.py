@@ -57,10 +57,9 @@ EXIT_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
-
-class SolverFailure(RuntimeError):
-    """Wraps any numerical failure that should map to exit code 3."""
-
+# The failures of a solve, exit code 3: a state that left the finite floats,
+# a shoot that failed, a singular velocity Hessian, a tree outside its domain.
+SOLVER_ERRORS = (BlowUpError, ShootingError, SingularHessianError, EvalDomainError)
 
 # Failures of one charge label: an unmet precondition, a missing channel, or
 # a charge expression that leaves its domain on the trajectory.
@@ -97,29 +96,26 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
     samples = [c.sample for c in charges if isinstance(c.sample, Sample)] if sampled else []
     if classical:
         samples.append(action_sample(prob))
-    try:
-        if scenario.mode == "bvp":
-            traj, report = bvp_shoot(
-                prob, steps=scenario.steps, integrands=integrands, samples=samples)
-            if not report.converged:
-                raise SolverFailure(
-                    f"shooting did not converge in {report.iterations} iterations "
-                    f"(miss {max(abs(x) for x in report.boundary_miss):.3e})"
-                )
-        else:
-            rhs = to_explicit_ode(prob).with_samples(samples)
-            traj = ivp_solve(
-                rhs,
-                prob.a,
-                prob.b,
-                scenario.q0,
-                scenario.v0,
-                scenario.steps,
-                integrands=integrands,
+    if scenario.mode == "bvp":
+        traj, report = bvp_shoot(
+            prob, steps=scenario.steps, integrands=integrands, samples=samples)
+        if not report.converged:
+            raise ShootingError(
+                f"shooting did not converge in {report.iterations} iterations "
+                f"(miss {max(abs(x) for x in report.boundary_miss):.3e})"
             )
-            report = None
-    except (BlowUpError, ShootingError, SingularHessianError, EvalDomainError) as exc:
-        raise SolverFailure(str(exc)) from exc
+    else:
+        rhs = to_explicit_ode(prob).with_samples(samples)
+        traj = ivp_solve(
+            rhs,
+            prob.a,
+            prob.b,
+            scenario.q0,
+            scenario.v0,
+            scenario.steps,
+            integrands=integrands,
+        )
+        report = None
     return prob, gens, traj, report, charges
 
 
@@ -223,7 +219,7 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
                     "status": "ok",
                 }
             )
-    except (SolverFailure, ScenarioError, ExpressionError, EvalDomainError) as exc:
+    except (*SOLVER_ERRORS, ScenarioError, ExpressionError) as exc:
         rows.append({"alpha": alpha, "label": "", "status": f"error: {exc}"})
     return rows
 
@@ -316,7 +312,7 @@ def main(argv=None) -> int:
     except (ScenarioError, ExpressionError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverFailure as exc:
+    except SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

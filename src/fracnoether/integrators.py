@@ -57,7 +57,8 @@ class BlowUpError(RuntimeError):
 
 
 class ShootingError(RuntimeError):
-    """Structural failure of the shooting iteration (singular Jacobian)."""
+    """Failure of the shooting iteration: a singular Jacobian, or a miss
+    still above the tolerance after the last iteration."""
 
 
 # Grid uniformity tolerance, one part in 1e-12 of the step.
@@ -372,7 +373,9 @@ def ivp_solve(
     It appends every value it keeps to one list per sample, q, v and
     channel column, which become the trajectory's columns as they are:
     nothing is transposed, and a non-finite state is looked for in the
-    columns (:func:`_raise_blow_up`).
+    columns (:func:`_raise_blow_up`).  Where there is none and the loop
+    raised ``OverflowError``, or a ``ValueError`` other than an
+    :class:`ExpressionError`, the blow-up is at the end of its last step.
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
@@ -407,8 +410,11 @@ def ivp_solve(
     try:
         loop(grid, h, 0.5 * h, h / 6.0, qc + vc, columns, taken + state,
              *([weights] if samples else []))
-    except Exception:
+    except Exception as exc:
         _raise_blow_up(state, grid)
+        if isinstance(exc, (OverflowError, ValueError)) and not isinstance(exc, ExpressionError):
+            # raised by the step after the last one appended
+            raise BlowUpError(grid[len(state[0])]) from exc
         raise
     if not all_finite([values[-1] for values in state]):
         _raise_blow_up(state, grid)
@@ -554,13 +560,10 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     theta.  A step binds, and steps over the sequence of, only the names it
     reads.  Each step computes the four stage accelerations, then each
     channel at stages 1-4 in order, with the arithmetic of the classical
-    tableau;
-    ``OverflowError`` there, or the ``ValueError`` of ``sin`` or ``cos`` of
-    an infinity (an :class:`ExpressionError` passes as it is), becomes
-    :class:`BlowUpError` at the step's end.  Then each sampled tree is
-    computed at stage 1, reusing what the step computed there, plus its
-    weight (from ``weights``) times its channel as it stood at the step's
-    start; an error there (no solver error is left to meet) makes every
+    tableau; an error there leaves the loop, for :func:`ivp_solve` to
+    name.  Then each sampled tree is computed at stage 1, reusing what the
+    step computed there, plus its weight (from ``weights``) times its
+    channel as it stood at the step's start; an error there makes every
     sample of the step NaN.  Each step appends each of its samples, and
     then each value of the state ``(q.., v.., channels..)`` it reached, to
     its list, and no row tuple is built; after the last step the samples
@@ -615,8 +618,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                 em.line(f"{k[j]} = k{s}[{j}]")
         accels.append(k)
 
-    names = {"_BlowUpError": BlowUpError, "_ExpressionError": ExpressionError, "_nan": math.nan,
-             **ExplicitOde.NAMES}
+    names = {"_nan": math.nan, **ExplicitOde.NAMES}
     if not isinstance(rhs, ExplicitOde):
         names["_rhs"] = rhs
     sums = []
@@ -658,12 +660,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     puts = [f"put_{name}" for name in taken + row]
     k1, k2, k3, k4 = accels
     step = [
-        "        try:",
-        *em.body("            ", 0, solved),
-        "        except _ExpressionError:",
-        "            raise",
-        "        except (OverflowError, ValueError) as exc:",
-        "            raise _BlowUpError(full) from exc",
+        *em.body("        ", 0, solved),
         *sampling("        ", solved, stepped),
         *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
           for j in js),
@@ -686,7 +683,8 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                       *(f"{name}[1:]" for name in named("n"))])
     else:
         header, walked = [], zip(["th", "full"], ["nodes[:-1]", "nodes[1:]"])
-    targets, sources = zip(*(pair for pair in walked if pair[0] in reads))
+    targets, sources = zip(*([pair for pair in walked if pair[0] in reads]
+                             or [("th", "nodes[:-1]")]))
     over = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
     source = [
         f"def loop(nodes, h, hh, h6, state, columns{'' if last_row else ', out'}"

@@ -209,16 +209,20 @@ def test_the_solve_guard_sees_both_spellings_and_nested_functions():
     assert sites == [("criterion", 2), ("Shoot.final.retry", 6)]
 
 
-def row_template_sites(tree: ast.AST) -> list[tuple[str, int]]:
+def string_sites(tree: ast.AST, text: str) -> list[tuple[str, int]]:
     """(enclosing class.function, line) of every string constant that holds
-    a ``%.17g`` conversion, inside f-strings too; ``format(x, ".17g")``
-    holds none."""
+    ``text``, inside f-strings too."""
 
     def match(node):
-        return isinstance(node, ast.Constant) and isinstance(node.value, str) and (
-            "%.17g" in node.value)
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
 
     return scoped_sites(tree, match)
+
+
+def row_template_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every string constant that holds
+    a ``%.17g`` conversion; ``format(x, ".17g")`` holds none."""
+    return string_sites(tree, "%.17g")
 
 
 def test_one_table_writer():
@@ -327,3 +331,82 @@ def test_the_oracle_guard_sees_every_spelling():
     )
     sites = oracle_import_sites(ast.parse(source))
     assert sites == [("", 1), ("", 2), ("C.f", 8), ("g", 10), ("g", 11), ("g", 11)]
+
+
+
+# Where a blow-up may be named: the solve, at the first non-finite node or
+# at the end of the step that raised, and the scan of its columns.
+BLOW_UP_OWNERS = {"integrators.py:ivp_solve", "integrators.py:_raise_blow_up"}
+
+# Where cli may catch its tuple of solver errors, and so pick exit code 3 or
+# an error row: the command dispatch and the rows of one sweep alpha.
+SOLVER_ERROR_CATCHERS = {"main", "_sweep_rows"}
+SOLVER_ERROR_CLASSES = {"BlowUpError", "ShootingError", "SingularHessianError", "EvalDomainError"}
+
+
+def handler_sites(tree: ast.AST, names: set[str]) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every ``except`` clause whose
+    type names one of ``names``: alone, in a tuple, starred or as an
+    attribute."""
+
+    def match(node):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            return False
+        return any((sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)) in names
+                   for sub in ast.walk(node.type))
+
+    return scoped_sites(tree, match)
+
+
+def test_one_owner_names_every_blow_up():
+    package = Path(fracnoether.__file__).parent
+    built, emitted = {}, {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope, line in string_sites(tree, "BlowUpError"):
+            if scope.startswith("_emit_rk4_loop"):
+                emitted[f"{path.name}:{line}"] = scope
+        for scope, line in call_sites(tree, "BlowUpError"):
+            built[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert emitted == {}
+    assert set(built.values()) == BLOW_UP_OWNERS, built
+
+
+def test_one_tuple_of_solver_errors_caught_in_two_places():
+    from fracnoether import cli
+    from fracnoether.euler_lagrange import SingularHessianError
+    from fracnoether.expressions import EvalDomainError
+    from fracnoether.integrators import BlowUpError, ShootingError
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    assert {scope for scope, _ in handler_sites(tree, {"SOLVER_ERRORS"})} == SOLVER_ERROR_CATCHERS
+    # a solver error is caught only through the tuple
+    assert handler_sites(tree, SOLVER_ERROR_CLASSES) == []
+    assert cli.SOLVER_ERRORS == (BlowUpError, ShootingError, SingularHessianError,
+                                 EvalDomainError)
+
+
+def test_the_blow_up_and_handler_guards_see_every_spelling():
+    source = (
+        "def _emit_rk4_loop(em):\n"
+        "    def step():\n"
+        "        return ['        raise _BlowUpError(full) from exc']\n"
+        "    return step() + [f'{em}BlowUpError']\n"
+        "def solve():\n"
+        "    try:\n"
+        "        raise integrators.BlowUpError(0.5)\n"
+        "    except (cli.SOLVER_ERRORS, ValueError):\n"
+        "        raise BlowUpError(1.0)\n"
+        "    except (*SOLVER_ERRORS, KeyError):\n"
+        "        pass\n"
+        "    except EvalDomainError:\n"
+        "        pass\n"
+        "    except Exception:\n"
+        "        pass\n"
+    )
+    tree = ast.parse(source)
+    assert string_sites(tree, "BlowUpError") == [("_emit_rk4_loop.step", 3),
+                                                 ("_emit_rk4_loop", 4)]
+    assert call_sites(tree, "BlowUpError") == [("solve", 7), ("solve", 9)]
+    assert handler_sites(tree, {"SOLVER_ERRORS"}) == [("solve", 8), ("solve", 10)]
+    assert handler_sites(tree, SOLVER_ERROR_CLASSES) == [("solve", 12)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fracnoether import cli, expressions, integrators
+from fracnoether import cli, expressions, fanout, integrators
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 
@@ -492,6 +492,60 @@ def test_a_charge_that_overflows_fails_its_own_label(tmp_path, capsys):
     for alpha in ("0.5", "1"):
         assert status[(alpha, "noether_g0")] == "error: non-finite evaluation result on grid"
         assert status[(alpha, "momentum_0")] == status[(alpha, "classical_momentum_0")] == "ok"
+
+
+# Sweeps whose action or drift is not finite though every value on the
+# trajectory is, and the rows each writes: L = v0^2/2 + 1e308 makes the
+# action's Simpson sums overflow in math.fsum on [0, 1], and at alpha = 1 on
+# [0, 5] with t = 1e308 makes 4*L infinite; xi = 1e308*q0 takes the Noether
+# charge from -1.62e308 to 1.62e308, a difference beyond the floats.
+NON_FINITE_SWEEPS = {
+    "action_overflow": (
+        dict(lagrangian="v0^2/2 + 1e308", mode={"type": "ivp", "q0": [0.3], "v0": [0.3]},
+             steps=20, generators=[], charges=["energy"]),
+        ["0.5,,,,,error: non-finite action", "1,,,,,error: non-finite action"],
+    ),
+    "action_infinite": (
+        dict(lagrangian="v0^2/2 + 1e308", interval=[0.0, 5.0], observer_time=1e308,
+             alpha={"from": 0.3, "to": 1.0, "count": 2}, steps=2,
+             mode={"type": "bvp", "qa": [2.0], "qb": [1.0]},
+             generators=[{"tau": "1", "xi": ["0.5"], "gauge": "auto"}]),
+        [f"0.29999999999999999,{label},0,0,4.1982759579468803e+92,ok"
+         for label in ("classical_momentum_0", "momentum_0", "noether_g0")]
+        + ["1,,,,,error: non-finite action"],
+    ),
+    "drift_overflow": (
+        dict(mode={"type": "ivp", "q0": [-0.9], "v0": [1.8]}, steps=20, charges=["noether"],
+             generators=[{"tau": "0", "xi": ["1e308*q0"], "gauge": "0"}]),
+        ["0.5,noether_g0,,,,error: non-finite drift", "1,noether_g0,,,,error: non-finite drift"],
+    ),
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("name", NON_FINITE_SWEEPS)
+def test_a_non_finite_action_or_drift_is_an_error_row(tmp_path, capsys, monkeypatch, name, cpus):
+    overrides, rows = NON_FINITE_SWEEPS[name]
+    raw = base_scenario(name=name, alpha={"from": 0.5, "to": 1.0, "count": 2},
+                        output_dir=str(tmp_path / "out"))
+    path = write_scenario(tmp_path, {**raw, **overrides})
+    monkeypatch.setattr(fanout, "usable_cpus", lambda: cpus)
+    assert cli.main(["sweep", "--scenario", str(path)]) == 1
+    table = tmp_path / "out" / f"{name}_sweep.csv"
+    assert capsys.readouterr() == (f"wrote {table}\n", "")
+    assert table.read_text().splitlines() == ["alpha,label,drift,relative_drift,action,status",
+                                              *rows]
+
+
+def test_a_charge_whose_drift_overflows_fails_its_label(tmp_path, capsys):
+    overrides, _ = NON_FINITE_SWEEPS["drift_overflow"]
+    raw = base_scenario(name="drift_overflow", alpha=1.0, output_dir=str(tmp_path / "out"))
+    path = write_scenario(tmp_path, {**raw, **overrides})
+    assert cli.main(["charge", "--scenario", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [f"{'noether_g0':<24}{'failed':>14}{'':>18}  non-finite drift"]
+    assert err == ""
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_charge_requires_a_charge_kind(tmp_path, capsys):

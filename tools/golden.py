@@ -77,7 +77,9 @@ CORPUS = {
 }
 
 # The failing sweeps of tests/test_scenarios_cli.py: a potential that
-# overflows, a generator and a Lagrangian that leave the domain of ln.
+# overflows, a generator and a Lagrangian that leave the domain of ln, an
+# action whose sums overflow, an action that is infinite at alpha = 1, and a
+# drift that overflows between finite charge values.
 FAILING_SWEEPS = {
     "blowup": _scenario("blowup", 1, "v0^2/2 - exp(exp(exp(q0)))", _ivp([2.0], [5.0]), [],
                         ["momentum"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
@@ -86,6 +88,16 @@ FAILING_SWEEPS = {
                            ["noether", "momentum"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
     "log_action": _scenario("log_action", 1, "v0^2/2 - 0.01*ln(q0)", _ivp([0.5], [-2.0]), [],
                             ["energy"], alpha={"from": 0.5, "to": 1.0, "count": 2}),
+    "action_overflow": _scenario("action_overflow", 1, "v0^2/2 + 1e308", _ivp([0.3], [0.3]), [],
+                                 ["energy"], steps=20, alpha={"from": 0.5, "to": 1.0, "count": 2}),
+    "action_infinite": {**_scenario(
+        "action_infinite", 1, "v0^2/2 + 1e308", {"type": "bvp", "qa": [2.0], "qb": [1.0]},
+        [{"tau": "1", "xi": ["0.5"], "gauge": "auto"}], ["noether", "momentum"], steps=2,
+        alpha={"from": 0.3, "to": 1.0, "count": 2}), "interval": [0.0, 5.0],
+        "observer_time": 1e308},
+    "drift_overflow": _scenario("drift_overflow", 1, "v0^2/2", _ivp([-0.9], [1.8]),
+                                [{"tau": "0", "xi": ["1e308*q0"], "gauge": "0"}], ["noether"],
+                                steps=20, alpha={"from": 0.5, "to": 1.0, "count": 2}),
 }
 
 # case -> (command, scenario or None for verify, usable CPUs)
@@ -117,6 +129,7 @@ PLAN = {
         "at_rest", 1, "1.3*v0^2/2", _ivp([0.0], [-0.0]),
         [{"tau": "1", "xi": ["0"], "gauge": "auto"}, {"tau": "0", "xi": ["1"], "gauge": "auto"}],
         ["noether"], steps=200), 1),
+    "charge_drift_overflow": ("charge", {**FAILING_SWEEPS["drift_overflow"], "alpha": 1.0}, 1),
     **{f"sweep_{name}_{cpus}cpu{'s' * (cpus > 1)}": ("sweep", raw, cpus)
        for name, raw in FAILING_SWEEPS.items() for cpus in (1, 2)},
     "verify": ("verify", None, 1),

@@ -106,12 +106,18 @@ def kind(loop) -> str:
 def step_cost(loop, args) -> tuple[int, int]:
     """(instructions, calls) of one step of ``loop`` at its first call's
     arguments, ``(nodes, h, hh, h6, state, columns[, out[, weights]])``,
-    the samples a step takes included."""
+    the samples a step takes included.  Each column is cut with the nodes,
+    as a loop may step over its columns alone."""
     nodes, *rest = args
     if kind(loop) == "rows":
         rest[5] = [[] for _ in rest[5]]
-    one = executed(loop, (nodes[:2], *rest))
-    none = executed(loop, (nodes[:1], *rest))
+
+    def over(steps: int) -> list[str]:
+        cut = len(nodes) - 1 - steps
+        rest[4] = tuple(column[:len(column) - cut] for column in args[5])
+        return executed(loop, (nodes[:steps + 1], *rest))
+
+    one, none = over(1), over(0)
     calls = sum(op == "CALL" for op in one) - sum(op == "CALL" for op in none)
     return len(one) - len(none), calls
 
