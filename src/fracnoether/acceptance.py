@@ -273,7 +273,7 @@ def criterion_action_kernel() -> CriterionResult:
     flat = Trajectory(theta_grid=uniform_grid(0.0, 1.0, steps), q=rest, v=rest, channels={})
     action = fractional_action(prob, flat)
     exact = (math.sqrt(2.0) - 1.0) / gamma_fn(1.5)
-    rel_err = abs(action.value - exact) / exact
+    rel_err = abs(action - exact) / exact
 
     g1 = abs(gamma_fn(1.0) - 1.0)
     g_half = abs(gamma_fn(0.5) - math.sqrt(math.pi)) / math.sqrt(math.pi)

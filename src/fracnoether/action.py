@@ -1,10 +1,11 @@
 """Weighted action evaluation and first-variation diagnostics.
 
-The action of a trajectory is the Simpson quadrature of
+The action of a trajectory is one composite Simpson sum of
 ``L(theta, q, v) * (t - theta)^(alpha - 1)`` over the stored grid, divided
-by Gamma(alpha); the integrand is one tree
+by Gamma(alpha), which is ``math.gamma``; the integrand is one tree
 (``VariationalProblem.action_integrand``), sampled like every charge, and
-the sums are ``math.fsum``, correctly rounded.
+the sums over the odd and the even interior nodes are ``math.fsum``,
+correctly rounded.
 The kernel is smooth on the whole interval because the observer time sits
 strictly beyond it, so Simpson's 4th order is ample and no singular
 quadrature is needed.
@@ -22,46 +23,12 @@ from .expressions import (
 from .integrators import Sample, Trajectory, log_log_slope
 from .records import Record
 
-# Lanczos approximation, g = 7 with the standard 9-term coefficient set.
-# Relative error stays below 1e-13 across (0, 50], which the unit tests
-# pin against exact factorials and the reflection/recurrence identities.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
 
 def gamma_fn(x: float) -> float:
-    """Euler gamma for positive arguments via the Lanczos series."""
+    """Euler gamma (``math.gamma``) of a positive argument."""
     if not x > 0.0:
         raise ValueError(f"gamma function requires a positive argument, got {x!r}")
-    return _gamma(x)
-
-
-def _gamma(x: float) -> float:
-    if x < 0.5:
-        # reflection keeps the series argument comfortably positive
-        return math.pi / (math.sin(math.pi * x) * _gamma(1.0 - x))
-    z = x - 1.0
-    series = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        series += _LANCZOS_COEF[i] / (z + i)
-    s = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * s ** (z + 0.5) * math.exp(-s) * series
-
-
-class ActionValue(Record):
-    value: float
-    quadrature_error_estimate: float
+    return math.gamma(x)
 
 
 class StationarityReport(Record):
@@ -74,32 +41,16 @@ class StationarityReport(Record):
     deltas: tuple
 
 
-def _simpson(values: Sequence[float], h: float) -> float:
-    n = len(values) - 1
-    if n % 2 != 0:
-        raise ValueError("Simpson quadrature needs an even number of steps")
-    return (
-        h
-        / 3.0
-        * (
-            values[0]
-            + values[-1]
-            + 4.0 * math.fsum(values[1:-1:2])
-            + 2.0 * math.fsum(values[2:-1:2])
-        )
-    )
-
-
 def action_sample(prob: VariationalProblem) -> Sample:
     """The integrand of :func:`fractional_action`, for a solve to sample."""
     return Sample(prob.action_integrand)
 
 
-def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue:
-    """Simpson quadrature of the weighted Lagrangian over the trajectory,
-    its integrand taken from the solve where it sampled it.  An action
-    whose sums overflow, or that is not finite, raises
-    :class:`EvalDomainError`."""
+def fractional_action(prob: VariationalProblem, traj: Trajectory) -> float:
+    """The composite Simpson sum of the weighted Lagrangian over the
+    trajectory, divided by Gamma(alpha), its integrand taken from the solve
+    where it sampled it.  An action whose sums overflow, or that is not
+    finite, raises :class:`EvalDomainError`."""
     traj.check_n_dof(prob.n)
     a, b = prob.interval
     grid = traj.theta_grid
@@ -108,20 +59,16 @@ def fractional_action(prob: VariationalProblem, traj: Trajectory) -> ActionValue
     n = traj.steps
     if n % 2 != 0:
         raise ValueError("action quadrature needs an even step count")
-    h = (b - a) / n
     f = traj.sample(action_sample(prob))
-    gamma_alpha = gamma_fn(prob.frac.alpha)
     try:
-        value = _simpson(f, h) / gamma_alpha
-        if n % 4 == 0:
-            coarse = _simpson(f[::2], 2.0 * h) / gamma_alpha
-        else:
-            coarse = h * (0.5 * f[0] + math.fsum(f[1:-1]) + 0.5 * f[-1]) / gamma_alpha
+        simpson = (b - a) / n / 3.0 * (
+            f[0] + f[-1] + 4.0 * math.fsum(f[1:-1:2]) + 2.0 * math.fsum(f[2:-1:2]))
     except OverflowError:  # math.fsum's intermediate overflow
-        value = math.inf
+        simpson = math.inf
+    value = simpson / gamma_fn(prob.frac.alpha)
     if not math.isfinite(value):
         raise EvalDomainError("non-finite action")
-    return ActionValue(value=value, quadrature_error_estimate=abs(value - coarse))
+    return value
 
 
 # Bump endpoint values beyond this tolerance violate the fixed-boundary
@@ -160,13 +107,13 @@ def stationarity_check(
         raise ValueError("bump must vanish at the interval endpoints")
     dbump_vals = evaluate_on_grid(bump.diff(Theta()), grid, zeros, zeros)
 
-    base = fractional_action(prob, extremal).value
+    base = fractional_action(prob, extremal)
 
     def perturbed_action(eps: float) -> float:
         q = [tuple(x + eps * b for x in row) for row, b in zip(extremal.q, bump_vals)]
         v = [tuple(x + eps * b for x in row) for row, b in zip(extremal.v, dbump_vals)]
         traj = Trajectory(theta_grid=grid, q=q, v=v, channels={})
-        return fractional_action(prob, traj).value
+        return fractional_action(prob, traj)
 
     plus = [perturbed_action(eps) for eps in eps_sorted]
     deltas = [abs(p - base) for p in plus]

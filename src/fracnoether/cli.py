@@ -83,7 +83,8 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
 
     With ``sampled`` the solve also samples those whose preconditions hold
     in its loop, and with ``classical`` the classical charges and the action
-    integrand too, all listed before it starts."""
+    integrand too, all listed before it starts; it then integrates only the
+    channels those samples read, since a failing charge reads none."""
     prob = build_problem(scenario, alpha)
     gens = build_generators(scenario, prob)
     integrands, charges = requested(
@@ -93,7 +94,11 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
         momentum="momentum" in scenario.charges,
         classical=classical,
     )
-    samples = [c.sample for c in charges if isinstance(c.sample, Sample)] if sampled else []
+    samples = []
+    if sampled:
+        samples = [c.sample for c in charges if isinstance(c.sample, Sample)]
+        read = {s.channel for s in samples}
+        integrands = {name: tree for name, tree in integrands.items() if name in read}
     if classical:
         samples.append(action_sample(prob))
     if scenario.mode == "bvp":
@@ -204,7 +209,7 @@ def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     rows = []
     try:
         prob, _, traj, _, charges = _solve(scenario, alpha, sampled=True, classical=True)
-        action = fractional_action(prob, traj).value
+        action = fractional_action(prob, traj)
         for label, series in _series(prob, traj, charges):
             if not isinstance(series, ChargeSeries):
                 rows.append({"alpha": alpha, "label": label, "status": f"error: {series}"})

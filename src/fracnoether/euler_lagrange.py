@@ -27,7 +27,6 @@ from typing import Sequence
 from . import linsolve
 from .expressions import (
     Const,
-    Div,
     Emitter,
     Expr,
     Mul,
@@ -274,7 +273,7 @@ class ExplicitOde:
             if not (type(mass) is Const and mass.value != 0.0):
                 em.check(em.emit(mass), "== 0.0", f"_SingularHessianError({theta}, _inf)")
             # the division's own zero test is the check above, written once
-            return [em.emit(Div(self.net[0], mass))]
+            return [em.emit(div(self.net[0], mass))]
         force = [em.emit(f) for f in self.net]
         mass = self.constant_mass or [[em.emit(m) for m in row] for row in self.mass]
         return linsolve.emit_solve(

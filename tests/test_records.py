@@ -8,7 +8,7 @@ import pytest
 
 from fracnoether import expressions
 from fracnoether.acceptance import CriterionResult
-from fracnoether.action import ActionValue, StationarityReport
+from fracnoether.action import StationarityReport
 from fracnoether.charges import ChargeSeries, SymmetryGenerator
 from fracnoether.euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from fracnoether.expressions import (
@@ -72,8 +72,6 @@ RECORDS = [
      "SymmetryGenerator(tau=<Expr 0>, xi=(<Expr 1>,), gauge_rate=None)"),
     ("ChargeSeries", lambda x: ChargeSeries((0.0, 1.0), (1.0, 1.0), x, 0.0), 0.0, 0.5,
      "ChargeSeries(theta_grid=(0.0, 1.0), values=(1.0, 1.0), drift=0.0, relative_drift=0.0)"),
-    ("ActionValue", lambda x: ActionValue(x, 0.0), 1.5, 2.5,
-     "ActionValue(value=1.5, quadrature_error_estimate=0.0)"),
     ("StationarityReport", lambda x: StationarityReport(1.0, x, 0.0, (1e-3,), (1e-6,)), None, 2.0,
      "StationarityReport(base_action=1.0, fitted_exponent=None, first_order_coefficient=0.0, "
      "epsilons=(0.001,), deltas=(1e-06,))"),
@@ -150,7 +148,7 @@ def test_each_record_gets_its_own_default_dict():
     with pytest.raises(TypeError):
         VariationalProblem(1, L, (0, 1), FractionalParams(0.5, 2.0), None, {})
     with pytest.raises(TypeError):
-        ActionValue(1.0)
+        StationarityReport(1.0)
 
 
 def test_replace_rebuilds_through_the_constructor():

@@ -550,6 +550,16 @@ def test_constant_mass_is_folded_into_the_loop():
     assert re.search(r"= abs\(_k\d+\)", source)
 
 
+@pytest.mark.parametrize("text, alpha", [("v0^2/2 + q0", 1.0), ("v0^2/2", 0.5)])
+def test_a_constant_mass_divides_no_constant(text, alpha):
+    # a constant force over a constant mass is folded before the loop is
+    # emitted, and a unit mass divides nothing
+    source, loop = loop_source(problem(text, 1, alpha))
+    assert not re.search(r"= _k\d+ / _k\d+$", source, re.MULTILINE)
+    ones = [name for name, value in loop.__kwdefaults__.items() if value == 1.0]
+    assert not any(re.search(rf"/ {name}\b", source) for name in ones)
+
+
 # --------------------------------------------------------------------------
 # What one step of the loop executes
 

@@ -396,6 +396,25 @@ def test_charge_partial_precondition_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "oscillator_charge_momentum_0.csv").exists()
 
 
+def test_a_sampled_solve_integrates_no_channel_of_a_failing_charge():
+    # L depends on q0 and q1, so both momentum charges fail their
+    # precondition: charge and sweep integrate neither momentum channel,
+    # and solve still writes every channel
+    scenario = scenario_from_dict(base_scenario(
+        name="cos_2dof", n=2, alpha=0.6,
+        lagrangian="(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2",
+        mode={"type": "bvp", "qa": [0.0, 0.0], "qb": [0.3, 0.4]},
+        generators=[{"tau": "1", "xi": ["0", "0"], "gauge": "auto"}],
+        charges=["noether", "energy", "momentum"],
+    ))
+    _, _, sampled, _, charges = cli._solve(scenario, 0.6, sampled=True)
+    assert list(sampled.channels) == ["Lambda", "energy_correction"]
+    assert [c.label for c in charges if not isinstance(c.sample, integrators.Sample)] == [
+        "momentum_0", "momentum_1"]
+    _, _, full, *_ = cli._solve(scenario, 0.6)
+    assert list(full.channels) == [
+        "Lambda", "energy_correction", "momentum_correction_0", "momentum_correction_1"]
+
 def test_two_generators_get_one_gauge_channel_each(tmp_path):
     # space and time translation of the free particle, both gauges derived
     raw = base_scenario(
@@ -510,7 +529,7 @@ NON_FINITE_SWEEPS = {
              alpha={"from": 0.3, "to": 1.0, "count": 2}, steps=2,
              mode={"type": "bvp", "qa": [2.0], "qb": [1.0]},
              generators=[{"tau": "1", "xi": ["0.5"], "gauge": "auto"}]),
-        [f"0.29999999999999999,{label},0,0,4.1982759579468803e+92,ok"
+        [f"0.29999999999999999,{label},0,0,4.1982759579468798e+92,ok"
          for label in ("classical_momentum_0", "momentum_0", "noether_g0")]
         + ["1,,,,,error: non-finite action"],
     ),

@@ -14,10 +14,10 @@ manifest is hashed with its ``wall_time_seconds`` left out.  A sweep case
 runs with ``fanout.usable_cpus`` reading its worker count.
 
 The file also records a fingerprint of the platform's floating point: the
-Python version and a digest of ``math.sin``, ``cos``, ``exp``, ``log`` and
-``pow`` over fixed inputs.  Digests recorded under another fingerprint say
-nothing about this one, so a comparison under another fingerprint fails
-and names both.  Without ``--write`` the script prints which outputs
+Python version and a digest of ``math.sin``, ``cos``, ``exp``, ``log``,
+``pow`` and ``gamma`` over fixed inputs.  Digests recorded under another
+fingerprint say nothing about this one, so a comparison under another
+fingerprint fails and names both.  Without ``--write`` the script prints which outputs
 differ from the file and exits 1 if any does; with it, it rewrites the
 file and prints which outputs changed.
 """
@@ -137,11 +137,13 @@ PLAN = {
 
 
 def fingerprint() -> dict:
-    """The Python version and a digest of the libm functions over fixed inputs."""
+    """The Python version and a digest of the libm functions and
+    ``math.gamma`` over fixed inputs."""
     xs = [k / 7.0 - 3.0 for k in range(43)]
     values = [f(x) for f in (math.sin, math.cos, math.exp) for x in xs]
     values += [math.log(k / 7.0) for k in range(1, 43)]
     values += [math.pow(k / 7.0, y) for k in range(1, 43) for y in (-1.5, 0.4, 2.5)]
+    values += [math.gamma(k / 7.0) for k in range(1, 43)]
     digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
     return {"python": platform.python_version(), "libm": digest}
 
