@@ -30,7 +30,6 @@ from .expressions import (
     Emitter,
     Expr,
     Mul,
-    Named,
     Q,
     Sub,
     Theta,
@@ -63,14 +62,15 @@ class FractionalParams(Record):
     """Fractional order alpha in (0, 1] and the observer time t.
 
     Owns every spelling of the kernel, each a tree: the action weight and
-    the drag builders of the equation of motion and the charges.  The two
-    numbers derived from alpha enter the trees as :class:`Named` values,
-    1 - alpha as ``_one_minus_alpha`` and the weight's exponent alpha - 1
-    as ``_alpha_minus_one``, so the trees of every alpha have one shape and
-    are emitted once (:func:`~fracnoether.expressions.shaped`).  No other
-    tree reads alpha, so every alpha of a problem shares them all and builds
-    only its drag and weight (:func:`alpha_free`).  At alpha = 1 the drag
-    folds away and the weight is 1.
+    the drag builders of the equation of motion and the charges.  Alpha
+    enters the trees by two numbers only, 1 - alpha and the weight's
+    exponent alpha - 1, plain constants, which are slots of the trees'
+    shape (:func:`~fracnoether.expressions.shaped`): the trees of every
+    alpha below 1 have one shape, and are emitted once, unless one of the
+    two equals another constant of the trees.  No other tree reads alpha,
+    so every alpha of a problem shares them all and builds only its drag
+    and weight (:func:`alpha_free`).  At alpha = 1 the drag folds away and
+    the weight is 1.
     """
 
     alpha: float
@@ -87,15 +87,11 @@ class FractionalParams(Record):
 
     def weight(self) -> Expr:
         """Symbolic action kernel (t - theta)^(alpha - 1)."""
-        exponent = Named(self.alpha - 1.0, "_alpha_minus_one")
-        return power(sub(Const(self.observer_time), Theta()), exponent)
-
-    def _strength(self) -> Const:
-        return Const(Named(self.drag_strength, "_one_minus_alpha"))
+        return power(sub(Const(self.observer_time), Theta()), self.alpha - 1.0)
 
     def kernel_coefficient(self) -> Expr:
         """Symbolic drag coefficient (1 - alpha) / (t - theta), in that order."""
-        return self.over_lag(self._strength())
+        return self.over_lag(Const(self.drag_strength))
 
     def over_lag(self, e: Expr) -> Expr:
         """Symbolic e / (t - theta)."""
@@ -103,7 +99,7 @@ class FractionalParams(Record):
 
     def drag(self, e: Expr) -> Expr:
         """Symbolic (1 - alpha) * e / (t - theta); folds away at alpha = 1."""
-        return mul(self._strength(), self.over_lag(e))
+        return mul(Const(self.drag_strength), self.over_lag(e))
 
 
 class BoundaryConditions(Record):
@@ -218,7 +214,9 @@ class ExplicitOde:
     F_j - c p_j, F_j at alpha = 1, are built here on the shared force trees,
     and ``kernel`` is the tree c they hold, None at alpha = 1;
     ``constant_mass`` holds the rows of M as floats when every mass tree is
-    a constant, and is None otherwise.
+    a constant, and is None otherwise.  With one degree of freedom,
+    ``quotient`` is the tree F_0 - c p_0 over M_00, folded where the mass
+    is one or both are constants; None with more.
 
     Callable as ``rhs(theta, q, v) -> accel`` (sequences accepted, a list
     returned).  :meth:`emit_accelerations` writes the solve for the
@@ -249,6 +247,7 @@ class ExplicitOde:
         c = self.kernel = None if prob.frac.alpha == 1.0 else prob.frac.kernel_coefficient()
         self.net = list(self.force) if c is None else [
             Sub(f, Mul(c, p)) for f, p in zip(self.force, self.momentum)]
+        self.quotient = div(self.net[0], self.mass[0][0]) if self.n == 1 else None
 
     def with_samples(self, samples) -> "ExplicitOde":
         """This ODE, sharing its trees, sampling ``samples`` along every solve."""
@@ -260,8 +259,8 @@ class ExplicitOde:
         """Emit the accelerations at ``em``'s current point; return their names.
 
         One degree of freedom emits the mass and a zero-mass check, left
-        out for a nonzero constant mass, where it cannot trip, then the net
-        force over the mass.  More emit the net force trees, then the
+        out for a nonzero constant mass, where it cannot trip, then
+        :attr:`quotient`.  More emit the net force trees, then the
         mass trees unless the mass is constant, then the elimination of
         :func:`linsolve.emit_solve`, which does all of its work on a
         constant mass here.  A singular mass raises
@@ -273,7 +272,7 @@ class ExplicitOde:
             if not (type(mass) is Const and mass.value != 0.0):
                 em.check(em.emit(mass), "== 0.0", f"_SingularHessianError({theta}, _inf)")
             # the division's own zero test is the check above, written once
-            return [em.emit(div(self.net[0], mass))]
+            return [em.emit(self.quotient)]
         force = [em.emit(f) for f in self.net]
         mass = self.constant_mass or [[em.emit(m) for m in row] for row in self.mass]
         return linsolve.emit_solve(
@@ -284,9 +283,13 @@ class ExplicitOde:
     def shape_key(self) -> tuple[tuple, tuple]:
         """What :meth:`emit_accelerations` reads besides its trees, and
         those trees, for :func:`~fracnoether.expressions.shaped` (the RK4
-        loop): n and the constant mass (by repr, so 0.0 and -0.0 stay
-        apart), which the elimination pivots on, and the net force trees,
-        with the mass trees when the mass is not constant."""
+        loop).  One degree of freedom reads the quotient and the mass tree,
+        whose constants are slots of the shape.  More read n, the net force
+        trees and the mass trees, or, for a constant mass, which the
+        elimination pivots on and divides by as it is emitted, its repr (so
+        0.0 and -0.0 stay apart) in place of its trees."""
+        if self.n == 1:
+            return (1, None), ([self.quotient], self.mass)
         if self.constant_mass is None:
             return (self.n, None), (self.net, self.mass)
         return (self.n, repr(self.constant_mass)), (self.net, ())

@@ -19,11 +19,12 @@ Nodes carry no evaluators.  One emitter turns trees into straight-line
 Python source over floats, and each root is emitted once on first use.
 Constants are bound by name, so trees that differ only in
 their constants emit the same source, and each distinct source is compiled
-once per process (:meth:`Emitter.define`).  A :class:`Named` value (a
-parameter such as ``1 - alpha``) is bound under its own name and never
-merged with an equal constant, so trees that differ only in named values
-have one shape, and :func:`shaped` emits each shape once, binding the
-named values anew for every later function.  ``e.evaluate(theta, q, v)`` is
+once per process (:meth:`Emitter.define`).  Every constant and exponent of
+a tree is a slot of its shape, known by which earlier value it equals and
+whether it is zero, one or neither, so trees that differ only in
+coefficients (the scenarios of one family, the alphas of a sweep) have one
+shape, and :func:`shaped` emits each shape once, binding every slot anew
+for every later function.  ``e.evaluate(theta, q, v)`` is
 the raw compiled function, and :func:`evaluate_on_grid` (it, point by
 point) the checked entry point, which refuses to return non-finite
 values; one point is a one-point grid.  :func:`compile_trees` compiles
@@ -70,27 +71,10 @@ class EvalDomainError(ArithmeticError):
 _MAX_EXPANDED_POWER = 16
 
 
-class Named(float):
-    """A float that names a parameter slot: a :class:`Const` value or a
-    :class:`Pow` exponent that varies between otherwise equal trees.
-
-    It folds like any float, and arithmetic on it gives plain floats, but
-    the emitter binds it under ``name`` and never shares it with an equal
-    constant, and no emission decision reads its value.
-    """
-
-    __slots__ = ("name",)
-
-    def __new__(cls, value: float, name: str):
-        self = super().__new__(cls, value)
-        self.name = name
-        return self
-
-
 def _value_key(x: float) -> tuple:
-    """The identity of a constant or exponent: a named value by its name and
-    value, any other by type and repr (so 0.0 and -0.0 stay apart)."""
-    return (Named, x.name, repr(x)) if type(x) is Named else (type(x), repr(x))
+    """The identity of a constant or exponent: its type and repr (so 0.0
+    and -0.0 stay apart, and every NaN is one value)."""
+    return (type(x), repr(x))
 
 
 class Expr:
@@ -455,8 +439,7 @@ def power(base: Expr, exponent: float) -> Expr:
 
     Small integer exponents expand to repeated multiplication (keeps
     negative bases legal); everything else becomes a real-exponent power
-    restricted to positive bases at evaluation time, a :class:`Named`
-    exponent kept as it is.
+    restricted to positive bases at evaluation time.
     """
     c = float(exponent)
     if c == 0.0:
@@ -469,7 +452,7 @@ def power(base: Expr, exponent: float) -> Expr:
         for _ in range(k - 1):
             acc = mul(acc, base)
         return div(Const(1.0), acc) if c < 0 else acc
-    return _fold(Pow, base, exponent if type(exponent) is Named else c)
+    return _fold(Pow, base, c)
 
 
 # --------------------------------------------------------------------------
@@ -558,7 +541,8 @@ class Emitter:
         self._lines: list = []
         self._count = 0
         self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond)
-        self._bound: dict[tuple, str] = {}
+        self._bound: dict[tuple, str] = {}  # the caller's constants
+        self._slots: dict[tuple, str] = {}  # the trees' constants and exponents
         self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers: dict[tuple, int] = {}
         self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
@@ -599,20 +583,17 @@ class Emitter:
         self._columns = [self._number(e) for e in trees]
 
     def bind(self, value: float) -> str:
-        """Namespace name of a constant; equal values (by repr) share one
-        name, and a :class:`Named` value is bound as a plain float under
-        its own name, shared only with the same name and value."""
+        """Namespace name of a constant of the caller's own statements,
+        ``_k<i>``; equal values (by repr) share one name.  Tree constants
+        have names of their own (``_c<i>``), the slots :func:`shaped`
+        rebinds, so a caller's constant is never rebound."""
+        return self._name(self._bound, "_k", value)
+
+    def _name(self, names: dict[tuple, str], prefix: str, value: float) -> str:
         key = _value_key(value)
-        name = self._bound.get(key)
+        name = names.get(key)
         if name is None:
-            if type(value) is Named:
-                name = value.name
-                if name in self._namespace:  # the same name with another value
-                    name = f"{name}_{len(self._bound)}"
-                value = float(value)
-            else:
-                name = f"_k{len(self._bound)}"
-            self._bound[key] = name
+            name = names[key] = f"{prefix}{len(names)}"
             self._namespace[name] = value
         return name
 
@@ -663,7 +644,7 @@ class Emitter:
             return name
         kind = type(e)
         if kind is Const:
-            name = self.bind(e.value)
+            name = self._name(self._slots, "_c", e.value)
         elif kind is Theta:
             name = "theta" if self._point is None else self._point[0]
         elif kind is Q or kind is V:
@@ -672,9 +653,8 @@ class Emitter:
             name = self._let("-", Neg._PREC, self._emit(e.arg))
         elif kind is Div:
             den = self._emit(e.b)
-            # a nonzero constant never trips the check; a named value is
-            # checked whatever it is, since later functions rebind it
-            if not (type(e.b) is Const and type(e.b.value) is not Named and e.b.value != 0.0):
+            # a nonzero constant never trips the check
+            if not (type(e.b) is Const and e.b.value != 0.0):
                 self._guard(kind, den)
             name = self._let(kind._OP, kind._PREC, self._emit(e.a), den)
         elif kind is Add or kind is Sub or kind is Mul:
@@ -685,7 +665,8 @@ class Emitter:
             self._guard(kind, x)
             function = _CALLS[kind]
             self._calls[function] = None
-            name = self._let(function, None, x, self.bind(e.exponent) if kind is Pow else None)
+            exponent = self._name(self._slots, "_c", e.exponent) if kind is Pow else None
+            name = self._let(function, None, x, exponent)
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
@@ -753,7 +734,7 @@ class Emitter:
         """``, *, _k0=_k0, ..`` for a ``def`` line: every constant and function
         the statements read, bound as a keyword default so the function body
         reads it as a local; empty when there is none."""
-        names = [*self._bound.values(), *self._calls]
+        names = [*self._bound.values(), *self._slots.values(), *self._calls]
         return "".join([", *", *(f", {name}={name}" for name in names)]) if names else ""
 
     def define(self, source: Sequence[str], name: str, **names):
@@ -842,7 +823,7 @@ def compile_trees(trees):
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
-# shape key -> (source, function name, names, constants, named slots).
+# shape key -> (source, function name, names, the caller's constants, slots).
 _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
@@ -854,22 +835,24 @@ def shaped(key: tuple, trees, emit):
     them) into the fresh :class:`Emitter` ``em`` and returns the source,
     name and names for :meth:`Emitter.define`; ``key`` holds everything
     else it reads.  The shape of the trees is one walk over them
-    (:func:`_shape`): node kinds, indices and sharing, every constant and
-    exponent by type and repr, and each :class:`Named` value by its name
-    and by which of the walk's named values it equals.  Two emissions of
-    one key and shape write the same statements, so a later call with them
-    skips emission: it binds the constants of the first and its own named
-    values, and defines the function from the code cache.  The last 256
-    shapes are kept, and no entry keeps a tree alive.
+    (:func:`_shape`): node kinds, indices and sharing, and every constant
+    and exponent as a slot, by which of the walk's values it equals and
+    whether it is zero, one or neither.  Two emissions of one key and shape
+    write the same statements, so a later call with them skips emission:
+    it binds the first one's own constants (:meth:`Emitter.bind`) and its
+    own values in every slot, and defines the function from the code cache.
+    A constant emitted but not walked has no slot, and raises ``KeyError``
+    at the first emission.  The last 256 shapes are kept, and no entry
+    keeps a tree alive.
     """
-    shape, values, named = _shape(trees)
+    shape, values, index = _shape(trees)
     full = (key, shape)
     entry = _SHAPES.pop(full, None)
     em = Emitter()
     if entry is None:
         source, name, names = emit(em)
         constants = {slot: em._namespace[slot] for slot in em._bound.values()}
-        slots = tuple((slot, named[k[1:]]) for k, slot in em._bound.items() if k[0] is Named)
+        slots = tuple((slot, index[k]) for k, slot in em._slots.items())
         # one text, the very string the code cache keys its code object by
         entry = (["\n".join(source)], name, names, constants, slots)
         if len(_SHAPES) >= _MAX_SHAPES:
@@ -884,32 +867,30 @@ def shaped(key: tuple, trees, emit):
 
 
 def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
-    """The shape of ``trees`` for :func:`shaped`, their named values in walk
-    order, and the index there of each (name, repr) of a named value.
+    """The shape of ``trees`` for :func:`shaped`, their distinct constants
+    and exponents in walk order, and the index there of each by
+    :func:`_value_key`.
 
     The shape lists the nodes in prefix order, a node met before by its
-    index, each constant or exponent as its type and repr or as a name and
-    the index of its named value; the arity of each kind, and a length
+    index, and each constant or exponent as the index of its value and
+    whether that is zero (0.0 or -0.0), one or neither, the only facts of a
+    value that emission branches on; the arity of each kind, and a length
     before each sequence, keep the listing unambiguous.
     """
     out: list = []
     append = out.append
     seen: dict[int, int] = {}
-    named: dict[tuple, int] = {}
+    index: dict[tuple, int] = {}
     values: list[float] = []
 
     def value(x) -> None:
-        if type(x) is not Named:
-            append(type(x))
-            append(repr(x))
-            return
-        k = (x.name, repr(x))
-        i = named.get(k)
+        k = _value_key(x)
+        i = index.get(k)
         if i is None:
-            i = named[k] = len(values)
-            values.append(float(x))
-        append(x.name)
+            i = index[k] = len(values)
+            values.append(x)
         append(i)
+        append(0 if x == 0.0 else 1 if x == 1.0 else 2)
 
     def node(e: Expr) -> None:
         i = seen.get(id(e))
@@ -943,7 +924,7 @@ def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
                 item(y)
 
     item(trees)
-    return tuple(out), values, named
+    return tuple(out), values, index
 
 
 def _beyond_message(letter: str, index: int, count: int) -> str:

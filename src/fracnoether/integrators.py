@@ -523,8 +523,9 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
     A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
     :class:`Expr` integrands, is emitted once per shape of its trees and of
     the trees it reads (:func:`~fracnoether.expressions.shaped`): the loops
-    of a sweep's alphas differ only in the named value 1 - alpha, and in the
-    sample weights and the columns, which are arguments.
+    of a sweep's alphas, or of the scenarios of one family, differ only in
+    coefficients, which are slots of the shape, and in the sample weights
+    and the columns, which are arguments.
     """
     ode = isinstance(rhs, ExplicitOde)
     key, trees = rhs.shape_key() if ode else ((), ())

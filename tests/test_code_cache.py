@@ -6,7 +6,7 @@ one code object, while every function made from it keeps its own
 constants, values and error messages.  In front of it the shape cache
 (``tests/test_shape_cache.py``) skips emission too: a sweep emits each
 function once, and later alphas define again only the functions whose
-trees hold 1 - alpha or alpha - 1, rebinding those.  Every function
+trees hold 1 - alpha or alpha - 1, rebinding their slots.  Every function
 still goes through ``define`` and the code cache.
 """
 
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import fracnoether
-from fracnoether import cli, expressions, fanout
+from fracnoether import cli, expressions, fanout, scenarios
 from fracnoether.euler_lagrange import ExplicitOde, FractionalParams, VariationalProblem
 from fracnoether.expressions import (
     EvalDomainError,
@@ -49,18 +49,37 @@ def oscillator_sweep(tmp_path):
     return path
 
 
+def drags(monkeypatch, path, share=slice(None)) -> list[bool]:
+    """For each loop ``Emitter.define`` builds, whether one of its slots
+    holds 1 - alpha, for the alphas ``share`` of the sweep at ``path`` in turn."""
+    alphas = iter(list(scenarios.load_scenario(path).alphas())[share])
+    found = []
+    define = expressions.Emitter.define
+
+    def recording_define(self, source, name, **names):
+        fn = define(self, source, name, **names)
+        if name == "loop":
+            drag = 1.0 - next(alphas)
+            found.append(any(k.startswith("_c") and v == drag for k, v in fn.__kwdefaults__.items()))
+        return fn
+
+    monkeypatch.setattr(expressions.Emitter, "define", recording_define)
+    return found
+
+
 def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, monkeypatch, compiled, defined):
     # on one worker every alpha's function is defined in this process
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
-    assert cli.main(["sweep", "--scenario", str(oscillator_sweep(tmp_path))]) == 0
+    path = oscillator_sweep(tmp_path)
+    found = drags(monkeypatch, path)
+    assert cli.main(["sweep", "--scenario", str(path)]) == 0
     assert len(compiled) == len(set(compiled)) == len(set(defined))
     assert set(compiled) == set(defined)
     # the one function of a sweep is the step loop, which samples the
     # charges and the action integrand: every alpha after the first defines
-    # it again from the first one's code, rebinding the named values
-    named = {call for call in compiled if "_one_minus_alpha" in call[1]
-             or "_alpha_minus_one" in call[1]}
-    assert len(named) == len(compiled) == 1
+    # it again from the first one's code, binding its own 1 - alpha
+    ((filename, _),) = compiled
+    assert filename == "<compiled loop>" and found == [True] * 6
     assert collections.Counter(defined) == {call: 6 for call in compiled}
 
 
@@ -68,9 +87,11 @@ def test_the_own_share_of_a_two_worker_sweep_compiles_once(tmp_path, monkeypatch
                                                              defined):
     # this process runs alphas 0, 2 and 4 of the six, a child the others
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
-    assert cli.main(["sweep", "--scenario", str(oscillator_sweep(tmp_path))]) == 0
+    path = oscillator_sweep(tmp_path)
+    found = drags(monkeypatch, path, slice(None, None, 2))
+    assert cli.main(["sweep", "--scenario", str(path)]) == 0
     (call,) = compiled
-    assert "_one_minus_alpha" in call[1]
+    assert call[0] == "<compiled loop>" and found == [True] * 3
     assert collections.Counter(defined) == {call: 3}
 
 

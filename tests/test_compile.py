@@ -10,6 +10,7 @@ message.
 """
 
 import math
+import re
 import struct
 from array import array
 
@@ -405,7 +406,8 @@ def test_alpha_one_net_force_is_the_force_itself(defined):
     for alpha, drag in ((1.0, False), (0.5, True)):
         ivp_solve(ExplicitOde(problem("v0^2/2", 1, alpha=alpha)), 0.0, 1.0, [0.0], [1.0], 4)
         source = [source for name, source in defined if name == "<compiled loop>"][-1]
-        assert ("_one_minus_alpha" in source) == drag
+        # the drag (1 - alpha)/(t - theta) is the one tree here that reads theta
+        assert bool(re.search(r"^ +t0 = _c\d+ - th$", source, re.MULTILINE)) == drag
 
 
 def test_compile_trees_nests_values_and_keeps_the_first_error():

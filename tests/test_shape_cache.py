@@ -1,30 +1,35 @@
 """The shape cache in front of emission (``expressions.shaped``), and the
 alpha-free trees a sweep's alphas share.
 
-Alpha enters the trees by two numbers only, 1 - alpha and the weight's
-exponent alpha - 1, which are :class:`Named` values.  Every tree
-without them is derived once per Lagrangian and shared by every alpha
-(``VariationalProblem.with_alpha``), so a later alpha defines only the
-functions whose trees hold a named value, the step loop and the action
-integrand.  Their trees have the shape of the first alpha's, so they
-are not emitted again: they bind the earlier constants and their own
-named values.  Each test here compares against emissions from empty
-caches, so a key that misses an input, or a hit that binds the wrong
-value, shows as different bytes.
+Every constant and exponent of a tree is a slot of its shape, known by
+which earlier value it equals and whether it is zero, one or neither, so
+trees that differ only in coefficients share one emission.  Alpha enters
+the trees by two numbers only, 1 - alpha and the weight's exponent
+alpha - 1.  Every tree without them is derived once per Lagrangian and
+shared by every alpha (``VariationalProblem.with_alpha``), so a later
+alpha defines only the functions whose trees hold them, the step loop
+and the action integrand.  Their trees have the shape of the first
+alpha's, unless one of the two numbers equals another constant, so they
+are not emitted again: they bind their own values in every slot.  Each
+test here compares against emissions from empty caches, so a key that
+misses an input, or a hit that binds the wrong value, shows as different
+bytes.
 """
 
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
 
 import fracnoether
-from fracnoether import cli, expressions, fanout, linsolve, scenarios
+from fracnoether import cli, expressions, fanout, integrators, linsolve, scenarios
 from fracnoether.acceptance import _CORPUS_GENERATORS, _CORPUS_LAGRANGIANS
 from fracnoether.charges import (
     charge_expression,
@@ -41,16 +46,16 @@ from fracnoether.expressions import (
     Const,
     Div,
     EvalDomainError,
-    Named,
+    Mul,
+    Pow,
     Q,
     compile_trees,
     parse,
 )
-from fracnoether.integrators import ivp_solve
+from fracnoether.integrators import Sample, ivp_solve
 from fracnoether.records import replace
 
 ROOT = Path(__file__).resolve().parents[1]
-NAMED = {"_one_minus_alpha", "_alpha_minus_one"}
 
 
 def clear_caches():
@@ -135,8 +140,29 @@ def test_sweeps_in_one_process_match_each_alpha_alone(tmp_path):
         assert swept == alone(path)
 
 
-def holds_named(constants) -> bool:
-    return not NAMED.isdisjoint(constants)
+def alpha_values(alpha: float) -> tuple[float, float]:
+    """The two numbers alpha enters the trees by: 1 - alpha and alpha - 1."""
+    return 1.0 - alpha, alpha - 1.0
+
+
+def holds_alpha(constants: dict, alpha: float) -> bool:
+    return not set(alpha_values(alpha)).isdisjoint(constants.values())
+
+
+def assert_rebinds_alpha_only(first: dict, later: dict, a: float, b: float) -> None:
+    """``later``, the constants of a function defined at alpha ``b`` from the
+    source ``first`` was emitted with at alpha ``a``, differ from ``first``
+    exactly in the slots holding 1 - alpha and alpha - 1."""
+    assert later.keys() == first.keys()
+    was, now = alpha_values(a), alpha_values(b)
+    changed = 0
+    for key, value in first.items():
+        if value in was:
+            assert later[key] == now[was.index(value)], key
+            changed += 1
+        else:
+            assert repr(later[key]) == repr(value), key
+    assert changed
 
 
 def five_alpha_sweep(tmp_path):
@@ -144,32 +170,36 @@ def five_alpha_sweep(tmp_path):
                           generator=("theta/2", ["q0/2"]))
 
 
-def test_a_sweep_emits_each_function_once(tmp_path, monkeypatch, emissions):
+def test_a_sweep_emits_each_shape_once(tmp_path, monkeypatch, emissions):
     # on one worker every alpha's function is defined in this process
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
-    assert cli.main(["sweep", "--scenario", str(five_alpha_sweep(tmp_path))]) == 0
-    by_source: dict[str, list] = {}
-    for name, source, constants, emitted in emissions:
-        by_source.setdefault(source, []).append((name, constants, emitted))
+    path = five_alpha_sweep(tmp_path)
+    assert cli.main(["sweep", "--scenario", str(path)]) == 0
+    alphas = list(scenarios.load_scenario(path).alphas())
     # the loop samples the charges and the action integrand, so it is the
-    # only function: emitted at the first alpha, and defined again at each
-    # later one, binding the first alpha's constants but for the named values
+    # only function.  At the first alpha, 0.2, 1 - alpha is 0.8, the
+    # coefficient of q0^2: one slot, so that alpha has a shape of its own.
+    # The second alpha's loop is emitted, and defined again at each later
+    # one, binding the second's constants but for 1 - alpha and alpha - 1
     assert [name for name, *_ in emissions] == ["loop"] * 5
-    ((name, first, emitted), *later), = by_source.values()
-    assert len(later) == 4 and emitted and holds_named(first)
-    for _, constants, emitted_later in later:
-        assert not emitted_later and constants.keys() == first.keys()
-        assert all(repr(first[k]) == repr(constants[k]) for k in first.keys() - NAMED)
-        assert all(first[k] != constants[k] for k in first.keys() & NAMED)
+    assert [emitted for *_, emitted in emissions] == [True, True, False, False, False]
+    (_, own, collided, _), (_, source, first, _), *later = emissions
+    assert own != source and list(collided.values()).count(0.8) == 1
+    assert holds_alpha(first, alphas[1])
+    for alpha, (_, source_later, constants, _) in zip(alphas[2:], later):
+        assert source_later == source
+        assert_rebinds_alpha_only(first, constants, alphas[1], alpha)
 
 
-def test_the_own_share_of_a_two_worker_sweep_emits_once(tmp_path, monkeypatch, emissions):
-    # this process runs alphas 0, 2 and 4 of the five, a child the others
+def test_the_own_share_of_a_two_worker_sweep_emits_each_shape_once(tmp_path, monkeypatch,
+                                                                    emissions):
+    # this process runs alphas 0, 2 and 4 of the five, a child the others;
+    # alpha 0 has a shape of its own (above)
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     assert cli.main(["sweep", "--scenario", str(five_alpha_sweep(tmp_path))]) == 0
     assert [name for name, *_ in emissions] == ["loop"] * 3
-    assert [emitted for *_, emitted in emissions] == [True, False, False]
-    assert len({source for _, source, *_ in emissions}) == 1
+    assert [emitted for *_, emitted in emissions] == [True, True, False]
+    assert len({source for _, source, *_ in emissions}) == 2
 
 
 def case_id(case):
@@ -202,22 +232,15 @@ def test_later_alphas_rebind_only_the_named_values(tmp_path, emissions, case):
     cli._sweep_rows(scenario, second)
     later = emissions[count:]
     # the second alpha emits nothing, and defines again only the functions
-    # whose trees hold a named value, binding the first alpha's constants
-    # but for the named values
-    assert [(name, source) for name, source, constants, _ in earlier if holds_named(constants)] \
-        == [(name, source) for name, source, *_ in later]
+    # whose trees hold the values named by alpha, 1 - alpha and alpha - 1,
+    # rebinding their slots and binding the first alpha's constants in
+    # every other slot
+    assert [(name, source) for name, source, constants, _ in earlier
+            if holds_alpha(constants, first)] == [(name, source) for name, source, *_ in later]
     assert not any(emitted for *_, emitted in later)
-    first = {source: constants for _, source, constants, _ in earlier}
-    for _, source, constants2, _ in later:
-        constants = first[source]
-        assert constants.keys() == constants2.keys()
-        for key in constants:
-            if key in NAMED:
-                assert constants[key] != constants2[key]
-            else:
-                assert repr(constants[key]) == repr(constants2[key])
-        assert constants2.get("_one_minus_alpha", 1.0 - second) == 1.0 - second
-        assert constants2.get("_alpha_minus_one", second - 1.0) == second - 1.0
+    emitted_with = {source: constants for _, source, constants, _ in earlier}
+    for _, source, constants, _ in later:
+        assert_rebinds_alpha_only(emitted_with[source], constants, first, second)
 
 
 def two_dof(mass=None):
@@ -249,29 +272,38 @@ def test_the_loop_key_reads_the_constant_mass():
     assert trajectory(two_dof(swapped)) == second
 
 
-def test_two_values_of_one_name_in_one_function():
-    coefficients = [FractionalParams(alpha, 2.0).kernel_coefficient() for alpha in (0.3, 0.6)]
+def test_two_values_are_two_slots_and_one_value_twice_is_one():
+    def scaled(*values):
+        return compile_trees([Mul(Const(x), Q(0)) for x in values])
+
     clear_caches()
-    f = compile_trees(coefficients)
-    assert f(0.5, [0.0], [0.0]) == (0.7 / 1.5, 0.4 / 1.5)
-    # one name with one value twice is one slot: another shape
-    g = compile_trees([FractionalParams(0.6, 2.0).kernel_coefficient(), coefficients[1]])
-    assert g(0.5, [0.0], [0.0]) == (0.4 / 1.5, 0.4 / 1.5)
+    f = scaled(0.7, 0.4)
+    assert f(0.0, [1.5], [0.0]) == (0.7 * 1.5, 0.4 * 1.5)
+    # one value twice is one slot, and one product: another shape
+    g = scaled(0.4, 0.4)
+    assert g.__code__ is not f.__code__
+    assert g(0.0, [1.5], [0.0]) == (0.4 * 1.5, 0.4 * 1.5)
     # the shape of f: a hit binds each value where the walk met it
-    h = compile_trees(coefficients[::-1])
+    h = scaled(0.4, 0.7)
     assert h.__code__ is f.__code__
-    assert h(0.5, [0.0], [0.0]) == (0.4 / 1.5, 0.7 / 1.5)
+    assert h(0.0, [1.5], [0.0]) == (0.4 * 1.5, 0.7 * 1.5)
 
 
-def test_a_named_denominator_is_checked_whatever_its_value():
-    # no emission decision reads a named value: the zero test a plain
-    # nonzero constant skips is written for a named one
-    f = compile_trees(Div(Q(0), Const(Named(2.0, "_d"))))
+def test_a_zero_denominator_is_checked_in_a_shape_of_its_own():
+    # a nonzero constant denominator never trips the zero test, so none is
+    # written; a zero, 0.0 or -0.0, has a shape of its own, with the test
+    clear_caches()
+    f = compile_trees(Div(Q(0), Const(2.0)))
     assert f(0.0, [3.0], [0.0]) == 1.5
-    g = compile_trees(Div(Q(0), Const(Named(0.0, "_d"))))
-    assert g.__code__ is f.__code__
-    with pytest.raises(EvalDomainError, match="^division by zero$"):
-        g(0.0, [3.0], [0.0])
+    assert "division by zero" not in f.__code__.co_consts
+    for zero in (0.0, -0.0):
+        g = compile_trees(Div(Q(0), Const(zero)))
+        assert g.__code__ is not f.__code__
+        with pytest.raises(EvalDomainError, match="^division by zero$"):
+            g(0.0, [3.0], [0.0])
+    h = compile_trees(Div(Q(0), Const(4.0)))
+    assert h.__code__ is f.__code__
+    assert h(0.0, [3.0], [0.0]) == 0.75
 
 
 def test_alpha_one_folds_the_drag_away_and_has_a_shape_of_its_own():
@@ -384,14 +416,18 @@ def test_a_later_alpha_shares_the_alpha_free_trees(tmp_path):
     assert charge_expression(other, gen2) is not charge_expression(one, gen1)
 
 
+def package_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(fracnoether.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def imported_with_the_cli(*modules) -> list[bool]:
     """Whether each of ``modules`` is loaded by ``import fracnoether.cli`` in
     a fresh interpreter."""
-    src = str(Path(fracnoether.__file__).parents[1])
     code = f"import sys, fracnoether.cli; print(*(m in sys.modules for m in {modules!r}))"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          check=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env(), check=True)
     return [word == "True" for word in proc.stdout.split()]
 
 
@@ -404,9 +440,145 @@ def test_the_cli_import_leaves_out_the_fanout_and_pickle():
     assert imported_with_the_cli("fracnoether.fanout", "pickle") == [False, False]
 
 
-def test_named_values_fold_like_floats():
-    # the identities and the arithmetic of the folding constructors see the value
-    x = Named(0.25, "_x")
-    assert expressions.mul(Const(x), Const(4.0)).value == 1.0
-    assert type(expressions.add(Const(x), Const(0.5)).value) is float
-    assert expressions.power(Const(4.0), x).value == math.pow(4.0, 0.25)
+# --------------------------------------------------------------------------
+# A warm shape cache against empty ones, over drawn coefficients
+
+DOUBLE_PENDULUM = ("v0^2 + v1^2/2 + v0*v1*cos(q0 - q1) + 2*cos(q0) + cos(q1)", 2)
+POOL = (0.0, -0.0, 1.0, math.nan, 0.5, 2.0, 1.3)
+
+
+def with_constants(e, values):
+    """``next(values)`` times ``e`` with each of its constants, in walk
+    order, replaced by the next value, node for node: no constructor folds,
+    so every draw of one Lagrangian starts from one shape."""
+    memo = {}
+
+    def rebuild(x):
+        if id(x) not in memo:
+            kind = type(x)
+            if kind is Const:
+                memo[id(x)] = Const(next(values))
+            elif kind is Pow:
+                memo[id(x)] = Pow(rebuild(x.base), x.exponent)
+            else:
+                memo[id(x)] = kind(*map(rebuild, x.children())) if x.children() else x
+        return memo[id(x)]
+
+    return Mul(Const(next(values)), rebuild(e))
+
+
+def coefficient_draws(k: int, rng):
+    """Draws of ``k`` coefficients: two of plain distinct values, then each
+    coefficient in turn a zero of either sign, a one or NaN, then each equal
+    to the one before it, then draws from ``POOL``."""
+    plain = [1.25 + 0.5 * i for i in range(k)]
+    yield plain
+    yield [x + 0.125 for x in plain]
+    for special in (0.0, -0.0, 1.0, math.nan):
+        for j in range(k):
+            yield plain[:j] + [special] + plain[j + 1:]
+    for j in range(1, k):
+        yield plain[:j] + [plain[j - 1]] + plain[j + 1:]
+    for _ in range(3):
+        yield [rng.choice(POOL) for _ in range(k)]
+
+
+def flat(x) -> list:
+    """The floats of a result: a float, nested sequences, or a trajectory."""
+    if isinstance(x, float):
+        return [x]
+    if hasattr(x, "theta_grid"):
+        x = [*x.q.columns, *x.v.columns, *x.channels.values(), *x.samples.values()]
+    return [y for item in x for y in flat(item)]
+
+
+def outcomes(lagrangian, n: int, alpha: float) -> list:
+    """What the functions of a problem give: its trees through
+    ``compile_trees``, a solve with a channel and a sample, and the last
+    row of a shoot's loop, each as the bytes of its floats or the error."""
+    prob = VariationalProblem(n=n, lagrangian=lagrangian, interval=(0.0, 1.0),
+                              frac=FractionalParams(alpha, 2.0))
+    ode = ExplicitOde(prob)
+    q0, v0 = [0.4, -0.2][:n], [0.5, 0.1][:n]
+    sampled = ode.with_samples([Sample(prob.momentum[0], 0.5, "e")])
+    runs = [
+        lambda: compile_trees([prob.momentum, prob.energy, ode.net, ode.mass,
+                               prob.action_integrand])(0.3, q0, v0),
+        lambda: ivp_solve(sampled, 0.0, 1.0, q0, v0, 6, integrands={"e": prob.energy}),
+        lambda: integrators._final_state(ode, 0.0, 1.0, q0, 6)(v0),
+    ]
+    out = []
+    for run in runs:
+        try:
+            out.append(array("d", flat(run())).tobytes())
+        except Exception as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_a_warm_shape_cache_defines_what_empty_caches_do(emissions):
+    rng = random.Random(34)
+    problems = []
+    for text, n in [*_CORPUS_LAGRANGIANS, DOUBLE_PENDULUM]:
+        tree = parse(text, n)
+        k = 1 + sum(type(x) is Const for x in expressions.walk(tree))
+        for i, draw in enumerate(coefficient_draws(k, rng)):
+            problems.append((with_constants(tree, iter(draw)), n, (0.5, 0.75, 1.0)[i % 3]))
+    warm = []
+    for problem in problems:
+        start = len(emissions)
+        warm.append((outcomes(*problem), emissions[start:]))
+    hits = sum(not emitted for _, calls in warm for *_, emitted in calls)
+    assert hits > len(problems), (hits, len(problems))
+    for problem, (out, calls) in zip(problems, warm):
+        clear_caches()
+        start = len(emissions)
+        assert outcomes(*problem) == out
+        assert [call[:2] for call in emissions[start:]] == [call[:2] for call in calls]
+
+
+def bvp_scenario(directory: Path, name: str, lagrangian: str) -> str:
+    raw = {
+        "name": name,
+        "n": 1,
+        "lagrangian": lagrangian,
+        "alpha": 0.6,
+        "observer_time": 2.0,
+        "interval": [0.0, 1.0],
+        "mode": {"type": "bvp", "qa": [0.0], "qb": [2.0]},
+        "steps": 200,
+        "generators": [{"tau": "1", "xi": ["0"], "gauge": "auto"}],
+        "charges": ["noether", "energy"],
+        "output_dir": "out",
+    }
+    (directory / f"{name}.json").write_text(json.dumps(raw))
+    return f"{name}.json"
+
+
+def test_a_family_shares_one_emission_across_commands(tmp_path, monkeypatch):
+    # two pendulum boundary problems that differ only in coefficients
+    first = bvp_scenario(tmp_path, "first", "1.3*v0^2/2 + 0.7*cos(q0)")
+    second = bvp_scenario(tmp_path, "second", "1.1*v0^2/2 + 0.6*cos(q0)")
+    emitted = []
+    emit = integrators._emit_rk4_loop
+
+    def counted(*args):
+        emitted.append(args[-2])  # last_row
+        return emit(*args)
+
+    monkeypatch.setattr(integrators, "_emit_rk4_loop", counted)
+    monkeypatch.chdir(tmp_path)
+    clear_caches()
+    assert cli.main(["charge", "--scenario", first, "--output", "warm"]) == 0
+    assert sorted(emitted) == [False, True]  # the final solve and the Newton loop
+    assert cli.main(["charge", "--scenario", second, "--output", "warm"]) == 0
+    assert len(emitted) == 2
+    code = "import sys; from fracnoether.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, "charge", "--scenario", second,
+                    "--output", "fresh"], cwd=tmp_path, env=package_env(), check=True,
+                   capture_output=True)
+    written = sorted(path.name for path in (tmp_path / "fresh").iterdir())
+    assert written == sorted(path.name for path in (tmp_path / "warm").glob("second_*"))
+    assert len(written) == 2
+    for name in written:
+        assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
