@@ -66,8 +66,8 @@ class FractionalParams(Record):
     enters the trees by two numbers only, 1 - alpha and the weight's
     exponent alpha - 1, plain constants, which are slots of the trees'
     shape (:func:`~fracnoether.expressions.shaped`): the trees of every
-    alpha below 1 have one shape, and are emitted once, unless one of the
-    two equals another constant of the trees.  No other tree reads alpha,
+    alpha below 1 have one shape, and are emitted once, whatever other
+    constant of the trees the two equal.  No other tree reads alpha,
     so every alpha of a problem shares them all and builds only its drag
     and weight (:func:`alpha_free`).  At alpha = 1 the drag folds away and
     the weight is 1.

@@ -20,11 +20,11 @@ Python source over floats, and each root is emitted once on first use.
 Constants are bound by name, so trees that differ only in
 their constants emit the same source, and each distinct source is compiled
 once per process (:meth:`Emitter.define`).  Every constant and exponent of
-a tree is a slot of its shape, known by which earlier value it equals and
-whether it is zero, one or neither, so trees that differ only in
-coefficients (the scenarios of one family, the alphas of a sweep) have one
-shape, and :func:`shaped` emits each shape once, binding every slot anew
-for every later function.  ``e.evaluate(theta, q, v)`` is
+a tree is a slot of its shape, one per node, known only by whether it is
+zero, so trees that differ only in coefficients (the scenarios of one
+family, the alphas of a sweep) have one shape, unless equal coefficients
+make two subtrees equal, and :func:`shaped` emits each shape once,
+binding every slot anew for every later function.  ``e.evaluate(theta, q, v)`` is
 the raw compiled function, and :func:`evaluate_on_grid` (it, point by
 point) the checked entry point, which refuses to return non-finite
 values; one point is a one-point grid.  :func:`compile_trees` compiles
@@ -542,7 +542,7 @@ class Emitter:
         self._count = 0
         self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond)
         self._bound: dict[tuple, str] = {}  # the caller's constants
-        self._slots: dict[tuple, str] = {}  # the trees' constants and exponents
+        self._slots: dict[int, str] = {}  # the trees' constants and exponents, by node id
         self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers: dict[tuple, int] = {}
         self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
@@ -585,15 +585,22 @@ class Emitter:
     def bind(self, value: float) -> str:
         """Namespace name of a constant of the caller's own statements,
         ``_k<i>``; equal values (by repr) share one name.  Tree constants
-        have names of their own (``_c<i>``), the slots :func:`shaped`
-        rebinds, so a caller's constant is never rebound."""
-        return self._name(self._bound, "_k", value)
-
-    def _name(self, names: dict[tuple, str], prefix: str, value: float) -> str:
+        have names of their own, one ``_c<i>`` per node (:meth:`_slot`),
+        the slots :func:`shaped` rebinds, so a caller's constant is never
+        rebound."""
         key = _value_key(value)
-        name = names.get(key)
+        name = self._bound.get(key)
         if name is None:
-            name = names[key] = f"{prefix}{len(names)}"
+            name = self._bound[key] = f"_k{len(self._bound)}"
+            self._namespace[name] = value
+        return name
+
+    def _slot(self, e: Expr, value: float) -> str:
+        """Namespace name of the constant or exponent ``value`` of the node
+        ``e``: its own, whatever other node holds an equal value."""
+        name = self._slots.get(id(e))
+        if name is None:
+            name = self._slots[id(e)] = f"_c{len(self._slots)}"
             self._namespace[name] = value
         return name
 
@@ -636,16 +643,17 @@ class Emitter:
         return name
 
     def _emit(self, e: Expr) -> str:
+        kind = type(e)
+        if kind is Const:
+            # named by its node, though equal constants number alike
+            return self._slot(e, e.value)
         hit = self._ids.get(id(e))
         number = self._number(e) if hit is None else hit[1]
         name = self._emitted.get(number)
         if name is not None:
             self._kept.add(name)  # its first reader was another
             return name
-        kind = type(e)
-        if kind is Const:
-            name = self._name(self._slots, "_c", e.value)
-        elif kind is Theta:
+        if kind is Theta:
             name = "theta" if self._point is None else self._point[0]
         elif kind is Q or kind is V:
             name = self._leaf("q" if kind is Q else "v", e.index)
@@ -665,8 +673,7 @@ class Emitter:
             self._guard(kind, x)
             function = _CALLS[kind]
             self._calls[function] = None
-            exponent = self._name(self._slots, "_c", e.exponent) if kind is Pow else None
-            name = self._let(function, None, x, exponent)
+            name = self._let(function, None, x, self._slot(e, e.exponent) if kind is Pow else None)
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
@@ -835,24 +842,24 @@ def shaped(key: tuple, trees, emit):
     them) into the fresh :class:`Emitter` ``em`` and returns the source,
     name and names for :meth:`Emitter.define`; ``key`` holds everything
     else it reads.  The shape of the trees is one walk over them
-    (:func:`_shape`): node kinds, indices and sharing, and every constant
-    and exponent as a slot, by which of the walk's values it equals and
-    whether it is zero, one or neither.  Two emissions of one key and shape
-    write the same statements, so a later call with them skips emission:
+    (:func:`_shape`): node kinds, indices and sharing, which subtrees are
+    equal, and every constant and exponent as a slot of its node, known
+    only by whether it is zero.  Two emissions of one key and shape write
+    the same statements, so a later call with them skips emission:
     it binds the first one's own constants (:meth:`Emitter.bind`) and its
     own values in every slot, and defines the function from the code cache.
     A constant emitted but not walked has no slot, and raises ``KeyError``
     at the first emission.  The last 256 shapes are kept, and no entry
     keeps a tree alive.
     """
-    shape, values, index = _shape(trees)
+    shape, values, seen = _shape(trees)
     full = (key, shape)
     entry = _SHAPES.pop(full, None)
     em = Emitter()
     if entry is None:
         source, name, names = emit(em)
         constants = {slot: em._namespace[slot] for slot in em._bound.values()}
-        slots = tuple((slot, index[k]) for k, slot in em._slots.items())
+        slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
         # one text, the very string the code cache keys its code object by
         entry = (["\n".join(source)], name, names, constants, slots)
         if len(_SHAPES) >= _MAX_SHAPES:
@@ -866,53 +873,58 @@ def shaped(key: tuple, trees, emit):
     return em.define(source, name, **names)
 
 
-def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
-    """The shape of ``trees`` for :func:`shaped`, their distinct constants
-    and exponents in walk order, and the index there of each by
-    :func:`_value_key`.
+def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int]]:
+    """The shape of ``trees`` for :func:`shaped`, their constants and
+    exponents by the index of their node, and the index of each node by
+    its id.
 
     The shape lists the nodes in prefix order, a node met before by its
-    index, and each constant or exponent as the index of its value and
-    whether that is zero (0.0 or -0.0), one or neither, the only facts of a
-    value that emission branches on; the arity of each kind, and a length
-    before each sequence, keep the listing unambiguous.
+    index, and each constant by whether it is zero (0.0 or -0.0), the one
+    fact of a value that emission branches on (the zero test of a
+    division); the arity of each kind, and a length before each sequence,
+    keep the listing unambiguous.  Every node but a constant ends with its
+    value number, counted as :meth:`Emitter._number` counts them, but
+    apart from the constants', so the listing holds which subtrees are
+    equal, which emission computes once, but not which constants are: a
+    value is known by the node that holds it, so equal values of two
+    nodes are two slots.
     """
     out: list = []
     append = out.append
     seen: dict[int, int] = {}
-    index: dict[tuple, int] = {}
-    values: list[float] = []
+    values: dict[int, float] = {}
+    constants: dict[tuple, int] = {}  # value numbers of constants: -1, -2, ..
+    numbers: dict[tuple, int] = {}  # value numbers of the other nodes: 0, 1, ..
+    number_of: dict[int, int] = {}  # node index -> its value number
 
-    def value(x) -> None:
-        k = _value_key(x)
-        i = index.get(k)
-        if i is None:
-            i = index[k] = len(values)
-            values.append(x)
-        append(i)
-        append(0 if x == 0.0 else 1 if x == 1.0 else 2)
-
-    def node(e: Expr) -> None:
+    def node(e: Expr) -> int:
         i = seen.get(id(e))
         if i is not None:
             append(i)
-            return
-        seen[id(e)] = len(seen)
+            return number_of[i]
+        i = seen[id(e)] = len(seen)
         kind = type(e)
         append(kind)
-        if issubclass(kind, _Binary):
-            node(e.a)
-            node(e.b)
-        elif kind is Const:
-            value(e.value)
-        elif kind is Q or kind is V:
-            append(e.index)
-        elif kind is Pow:
-            value(e.exponent)
-            node(e.base)
+        if kind is Const:
+            x = values[i] = e.value
+            append(x == 0.0)
+            number = -1 - constants.setdefault(_value_key(x), len(constants))
         else:
-            for child in e.children():
-                node(child)
+            if issubclass(kind, _Binary):
+                a, b = node(e.a), node(e.b)
+                key = (kind, b, a) if a > b and (kind is Add or kind is Mul) else (kind, a, b)
+            elif kind is Q or kind is V:
+                append(e.index)
+                key = (kind, e.index)
+            elif kind is Pow:
+                values[i] = e.exponent
+                key = (kind, _value_key(e.exponent), node(e.base))
+            else:
+                key = (kind, *map(node, e.children()))
+            number = numbers.setdefault(key, len(numbers))
+            append(number)
+        number_of[i] = number
+        return number
 
     def item(x) -> None:
         if isinstance(x, Expr):
@@ -924,7 +936,7 @@ def _shape(trees) -> tuple[tuple, list[float], dict[tuple, int]]:
                 item(y)
 
     item(trees)
-    return tuple(out), values, index
+    return tuple(out), values, seen
 
 
 def _beyond_message(letter: str, index: int, count: int) -> str:

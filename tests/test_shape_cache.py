@@ -1,19 +1,17 @@
 """The shape cache in front of emission (``expressions.shaped``), and the
 alpha-free trees a sweep's alphas share.
 
-Every constant and exponent of a tree is a slot of its shape, known by
-which earlier value it equals and whether it is zero, one or neither, so
-trees that differ only in coefficients share one emission.  Alpha enters
-the trees by two numbers only, 1 - alpha and the weight's exponent
-alpha - 1.  Every tree without them is derived once per Lagrangian and
-shared by every alpha (``VariationalProblem.with_alpha``), so a later
-alpha defines only the functions whose trees hold them, the step loop
-and the action integrand.  Their trees have the shape of the first
-alpha's, unless one of the two numbers equals another constant, so they
-are not emitted again: they bind their own values in every slot.  Each
-test here compares against emissions from empty caches, so a key that
-misses an input, or a hit that binds the wrong value, shows as different
-bytes.
+Every constant and exponent of a tree is a slot of its shape, one per
+node, known only by whether it is zero, so trees that differ only in
+coefficients share one emission.  Alpha enters the trees by two numbers
+only, 1 - alpha and the weight's exponent alpha - 1.  Every tree without
+them is derived once per Lagrangian and shared by every alpha
+(``VariationalProblem.with_alpha``), so a later alpha defines only the
+functions whose trees hold them, the step loop and the action integrand.
+Their trees have the shape of the first alpha's, so they are not emitted
+again: they bind their own values in every slot.  Each test here compares
+against emissions from empty caches, so a key that misses an input, or a
+hit that binds the wrong value, shows as different bytes.
 """
 
 import json
@@ -152,17 +150,13 @@ def holds_alpha(constants: dict, alpha: float) -> bool:
 def assert_rebinds_alpha_only(first: dict, later: dict, a: float, b: float) -> None:
     """``later``, the constants of a function defined at alpha ``b`` from the
     source ``first`` was emitted with at alpha ``a``, differ from ``first``
-    exactly in the slots holding 1 - alpha and alpha - 1."""
+    only in slots that held 1 - alpha or alpha - 1, and hold them at ``b``."""
     assert later.keys() == first.keys()
     was, now = alpha_values(a), alpha_values(b)
-    changed = 0
-    for key, value in first.items():
-        if value in was:
-            assert later[key] == now[was.index(value)], key
-            changed += 1
-        else:
-            assert repr(later[key]) == repr(value), key
+    changed = [key for key, value in first.items() if repr(later[key]) != repr(value)]
     assert changed
+    for key in changed:
+        assert first[key] in was and later[key] == now[was.index(first[key])], key
 
 
 def five_alpha_sweep(tmp_path):
@@ -170,36 +164,34 @@ def five_alpha_sweep(tmp_path):
                           generator=("theta/2", ["q0/2"]))
 
 
-def test_a_sweep_emits_each_shape_once(tmp_path, monkeypatch, emissions):
+def test_a_sweep_emits_each_function_once(tmp_path, monkeypatch, emissions):
     # on one worker every alpha's function is defined in this process
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
     path = five_alpha_sweep(tmp_path)
     assert cli.main(["sweep", "--scenario", str(path)]) == 0
     alphas = list(scenarios.load_scenario(path).alphas())
     # the loop samples the charges and the action integrand, so it is the
-    # only function.  At the first alpha, 0.2, 1 - alpha is 0.8, the
-    # coefficient of q0^2: one slot, so that alpha has a shape of its own.
-    # The second alpha's loop is emitted, and defined again at each later
-    # one, binding the second's constants but for 1 - alpha and alpha - 1
+    # only function: emitted at the first alpha, and defined again at each
+    # later one, binding the first alpha's constants but for 1 - alpha and
+    # alpha - 1.  At the first alpha, 0.2, 1 - alpha is 0.8, the
+    # coefficient of q0^2, and the two are two slots all the same
     assert [name for name, *_ in emissions] == ["loop"] * 5
-    assert [emitted for *_, emitted in emissions] == [True, True, False, False, False]
-    (_, own, collided, _), (_, source, first, _), *later = emissions
-    assert own != source and list(collided.values()).count(0.8) == 1
-    assert holds_alpha(first, alphas[1])
-    for alpha, (_, source_later, constants, _) in zip(alphas[2:], later):
+    assert [emitted for *_, emitted in emissions] == [True, False, False, False, False]
+    (_, source, first, _), *later = emissions
+    second = later[0][2]
+    assert {second[k] for k, value in first.items() if value == 0.8} == {0.8, 1.0 - alphas[1]}
+    for alpha, (_, source_later, constants, _) in zip(alphas[1:], later):
         assert source_later == source
-        assert_rebinds_alpha_only(first, constants, alphas[1], alpha)
+        assert_rebinds_alpha_only(first, constants, alphas[0], alpha)
 
 
-def test_the_own_share_of_a_two_worker_sweep_emits_each_shape_once(tmp_path, monkeypatch,
-                                                                    emissions):
-    # this process runs alphas 0, 2 and 4 of the five, a child the others;
-    # alpha 0 has a shape of its own (above)
+def test_the_own_share_of_a_two_worker_sweep_emits_once(tmp_path, monkeypatch, emissions):
+    # this process runs alphas 0, 2 and 4 of the five, a child the others
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     assert cli.main(["sweep", "--scenario", str(five_alpha_sweep(tmp_path))]) == 0
     assert [name for name, *_ in emissions] == ["loop"] * 3
-    assert [emitted for *_, emitted in emissions] == [True, True, False]
-    assert len({source for _, source, *_ in emissions}) == 2
+    assert [emitted for *_, emitted in emissions] == [True, False, False]
+    assert len({source for _, source, *_ in emissions}) == 1
 
 
 def case_id(case):
@@ -272,21 +264,27 @@ def test_the_loop_key_reads_the_constant_mass():
     assert trajectory(two_dof(swapped)) == second
 
 
-def test_two_values_are_two_slots_and_one_value_twice_is_one():
+def test_equal_values_are_two_slots_and_equal_subtrees_one_value():
     def scaled(*values):
         return compile_trees([Mul(Const(x), Q(0)) for x in values])
 
     clear_caches()
     f = scaled(0.7, 0.4)
     assert f(0.0, [1.5], [0.0]) == (0.7 * 1.5, 0.4 * 1.5)
-    # one value twice is one slot, and one product: another shape
-    g = scaled(0.4, 0.4)
-    assert g.__code__ is not f.__code__
-    assert g(0.0, [1.5], [0.0]) == (0.4 * 1.5, 0.4 * 1.5)
     # the shape of f: a hit binds each value where the walk met it
     h = scaled(0.4, 0.7)
     assert h.__code__ is f.__code__
     assert h(0.0, [1.5], [0.0]) == (0.4 * 1.5, 0.7 * 1.5)
+    # two equal products are one value, computed once: another shape
+    g = scaled(0.4, 0.4)
+    assert g.__code__ is not f.__code__
+    assert g(0.0, [1.5], [0.0]) == (0.4 * 1.5, 0.4 * 1.5)
+    # equal constants of two nodes, where nothing else is equal, are two
+    # slots: the shape of unequal ones
+    k = compile_trees([Const(0.7), Mul(Const(0.4), Q(0))])
+    m = compile_trees([Const(0.4), Mul(Const(0.4), Q(0))])
+    assert m.__code__ is k.__code__
+    assert m(0.0, [1.5], [0.0]) == (0.4, 0.4 * 1.5)
 
 
 def test_a_zero_denominator_is_checked_in_a_shape_of_its_own():
@@ -301,9 +299,11 @@ def test_a_zero_denominator_is_checked_in_a_shape_of_its_own():
         assert g.__code__ is not f.__code__
         with pytest.raises(EvalDomainError, match="^division by zero$"):
             g(0.0, [3.0], [0.0])
-    h = compile_trees(Div(Q(0), Const(4.0)))
-    assert h.__code__ is f.__code__
-    assert h(0.0, [3.0], [0.0]) == 0.75
+    # every nonzero denominator, one too, has the shape of f
+    for other in (4.0, 1.0):
+        h = compile_trees(Div(Q(0), Const(other)))
+        assert h.__code__ is f.__code__
+        assert h(0.0, [3.0], [0.0]) == 3.0 / other
 
 
 def test_alpha_one_folds_the_drag_away_and_has_a_shape_of_its_own():
@@ -444,6 +444,10 @@ def test_the_cli_import_leaves_out_the_fanout_and_pickle():
 # A warm shape cache against empty ones, over drawn coefficients
 
 DOUBLE_PENDULUM = ("v0^2 + v1^2/2 + v0*v1*cos(q0 - q1) + 2*cos(q0) + cos(q1)", 2)
+# a pendulum whose potential is two terms: when their coefficients are
+# equal, so are the two products and their derivatives, which emission
+# computes once
+SPLIT_PENDULUM = ("v0^2/2 + 2*cos(q0) + 3*cos(q0)", 1)
 POOL = (0.0, -0.0, 1.0, math.nan, 0.5, 2.0, 1.3)
 
 
@@ -519,7 +523,7 @@ def outcomes(lagrangian, n: int, alpha: float) -> list:
 def test_a_warm_shape_cache_defines_what_empty_caches_do(emissions):
     rng = random.Random(34)
     problems = []
-    for text, n in [*_CORPUS_LAGRANGIANS, DOUBLE_PENDULUM]:
+    for text, n in [*_CORPUS_LAGRANGIANS, DOUBLE_PENDULUM, SPLIT_PENDULUM]:
         tree = parse(text, n)
         k = 1 + sum(type(x) is Const for x in expressions.walk(tree))
         for i, draw in enumerate(coefficient_draws(k, rng)):
