@@ -39,6 +39,7 @@ from .expressions import (
     max_coordinate_index,
     mul,
     power,
+    shaped,
     sub,
 )
 from .records import Record, field, replace
@@ -221,14 +222,15 @@ class ExplicitOde:
     Callable as ``rhs(theta, q, v) -> accel`` (sequences accepted, a list
     returned).  :meth:`emit_accelerations` writes the solve for the
     accelerations at a point into an expression emitter; the first call
-    compiles it into one function, and :func:`integrators.ivp_solve`
-    writes it into its compiled step loop at every stage instead of
-    calling.  ``samples`` lists the
-    :class:`~fracnoether.integrators.Sample` trees a solve of this ODE
-    samples at every node (:meth:`with_samples`), none by default, and
-    ``kernel_column`` holds ``(grid, half-nodes, kernel at the nodes,
-    kernel at the half-nodes)``, which the Newton shooting of a boundary
-    problem sets for its solves on that grid to read; copies share it.
+    defines it as one function, emitted once per shape of its trees
+    (:meth:`shape_key`), and :func:`integrators.ivp_solve` writes it into
+    its compiled step loop at every stage instead of calling.  ``samples``
+    lists the :class:`~fracnoether.integrators.Sample` trees a solve of
+    this ODE samples at every node (:meth:`with_samples`), none by
+    default, and ``kernel_column`` holds ``(grid, half-nodes, kernel at
+    the nodes, kernel at the half-nodes)``, which the Newton shooting of
+    a boundary problem sets for its solves on that grid to read; copies
+    share it.
     """
 
     # The names the statements of emit_accelerations use, for Emitter.define.
@@ -283,11 +285,12 @@ class ExplicitOde:
     def shape_key(self) -> tuple[tuple, tuple]:
         """What :meth:`emit_accelerations` reads besides its trees, and
         those trees, for :func:`~fracnoether.expressions.shaped` (the RK4
-        loop).  One degree of freedom reads the quotient and the mass tree,
-        whose constants are slots of the shape.  More read n, the net force
-        trees and the mass trees, or, for a constant mass, which the
-        elimination pivots on and divides by as it is emitted, its repr (so
-        0.0 and -0.0 stay apart) in place of its trees."""
+        loop and :meth:`__call__`).  One degree of freedom reads the
+        quotient and the mass tree, whose constants are slots of the shape.
+        More read n, the net force trees and the mass trees, or, for a
+        constant mass, which the elimination pivots on and divides by as it
+        is emitted, its repr (so 0.0 and -0.0 stay apart) in place of its
+        trees."""
         if self.n == 1:
             return (1, None), ([self.quotient], self.mass)
         if self.constant_mass is None:
@@ -296,9 +299,14 @@ class ExplicitOde:
 
     @cached_property
     def _accelerations(self):
-        em = Emitter()
-        source, name, names = em.function(f"[{', '.join(self.emit_accelerations(em, 'theta'))}]")
-        return em.define(source, name, **names, **self.NAMES)
+        """``f(theta, q, v) -> accel``, shared by every ODE of its shape."""
+        def emit(em: Emitter):
+            source, name, names = em.function(
+                f"[{', '.join(self.emit_accelerations(em, 'theta'))}]")
+            return source, name, {**names, **self.NAMES}
+
+        key, trees = self.shape_key()
+        return shaped(("accelerations", *key), trees, emit)
 
     def __call__(self, theta: float, q, v) -> list:
         return self._accelerations(theta, q, v)

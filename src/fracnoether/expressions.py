@@ -30,16 +30,16 @@ point) the checked entry point, which refuses to return non-finite
 values; one point is a one-point grid.  :func:`compile_trees` compiles
 several roots into one function with subtrees shared across them.
 Callers that write their own function around emitted trees (the RK4
-loop of :mod:`fracnoether.integrators`) use the :class:`Emitter`
-directly, naming the locals that hold each point's theta, coordinates
-and velocities.
+loop of :mod:`fracnoether.integrators`) hand :func:`shaped` an emission
+of their own, naming the locals that hold each point's theta,
+coordinates and velocities.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .records import refuse_assignment
 
@@ -493,14 +493,16 @@ class Emitter:
     :meth:`emit` appends the statements that compute a tree and returns the
     local name holding its value.  Nodes are emitted post-order in the
     order the tree walk evaluates them (``Div`` takes its denominator
-    first), each domain check inline before its node.  Structurally equal
-    subtrees, across every tree emitted at one point, are computed once
-    and reused, a sum or product counting as equal to itself with its
-    operands swapped (float ``+`` and ``*`` commute), so the first domain
-    violation raised is the one a node-by-node walk would meet.  A check
-    of a local is written once: a test that passed once passes again.
-    Constants and functions are bound by name in the namespace, never
-    written into the source.
+    first), each domain check inline before its node.  Every node has the
+    value number the walk of :func:`shaped` gave it (:func:`_shape`):
+    equal for structurally equal subtrees, a sum or product counting as
+    equal to itself with its operands swapped (float ``+`` and ``*``
+    commute).  Subtrees of one number, across every tree emitted at one
+    point, are computed once and reused, so the first domain violation
+    raised is the one a node-by-node walk would meet.  A check of a local
+    is written once: a test that passed once passes again.  Constants and
+    functions are bound by name in the namespace, never written into the
+    source.
 
     A value of ``+ - * /`` or unary minus that exactly one later statement
     of the emitter's own reads is written into that statement, not into a
@@ -519,8 +521,8 @@ class Emitter:
     :meth:`function` writes everything emitted into ``f(theta, q, v)``
     (q and v sequences of coordinates) for :meth:`define`, which
     compiles each distinct source once per process and binds the
-    constants anew in every function it returns; :func:`shaped` runs an
-    emission once per shape of its trees.
+    constants anew in every function it returns; :func:`shaped` makes
+    the emitter and runs an emission once per shape of its trees.
 
     An emitter can also emit at points held in named locals
     (:meth:`at`), reading the trees registered by :meth:`columns` from
@@ -529,14 +531,17 @@ class Emitter:
     registers the kernel of a shoot's right-hand side): they add
     their statements with :meth:`line` and checks with :meth:`check`,
     take the body with :meth:`body`, whole or between the positions
-    :meth:`mark` returns, and compile with :meth:`define`.
+    :meth:`mark` returns, and hand the source to :func:`shaped`.
     Statements of their own name constants through :meth:`bind` and
     working locals through :meth:`fresh` (the linear solve of
     :func:`fracnoether.linsolve.emit_solve`); they assign no local that
     an emitted statement reads.
     """
 
-    def __init__(self):
+    def __init__(self, numbers: dict[int, int] | None = None, stateful: Collection[int] = ()):
+        """Number each node as the walk of :func:`shaped` did: ``numbers`` by
+        node id, ``stateful`` the numbers of subtrees with a q or v leaf.  A
+        non-constant node the walk did not number raises ``KeyError``."""
         # statements in order: text, or (name, op, precedence, a, b) of _let
         self._lines: list = []
         self._count = 0
@@ -544,9 +549,8 @@ class Emitter:
         self._bound: dict[tuple, str] = {}  # the caller's constants
         self._slots: dict[int, str] = {}  # the trees' constants and exponents, by node id
         self._calls: dict[str, None] = {}  # the functions called, in order
-        self._numbers: dict[tuple, int] = {}
-        self._ids: dict[int, tuple[Expr, int]] = {}  # pins each numbered node
-        self._state_free: set[int] = set()  # numbers of subtrees without q/v leaves
+        self._numbers = numbers or {}
+        self._stateful = stateful
         self._point: tuple | None = None  # None: leaves load from theta, q, v
         self._emitted: dict[int, str] = {}
         self._theta_emitted = self._emitted
@@ -562,8 +566,8 @@ class Emitter:
     def at(self, theta: str, q: Sequence[str], v: Sequence[str], columns: Sequence[str] = ()):
         """Emit what follows at the point held in the named scalar locals.
 
-        Value numbers are structural and kept, but the computed values are
-        per point: a subtree is reused only from an earlier emission at the
+        Value numbers are the walk's, but the computed values are per
+        point: a subtree is reused only from an earlier emission at the
         same point, or, when it has no coordinate or velocity leaf, at the
         same theta.  Returning to a point reuses what was computed there.
         ``columns`` names the locals holding the trees of :meth:`columns`
@@ -580,7 +584,7 @@ class Emitter:
 
     def columns(self, trees: Sequence[Expr]) -> None:
         """Register ``trees``, whose values points may hold in locals (:meth:`at`)."""
-        self._columns = [self._number(e) for e in trees]
+        self._columns = [self._numbers[id(e)] for e in trees]
 
     def bind(self, value: float) -> str:
         """Namespace name of a constant of the caller's own statements,
@@ -647,8 +651,7 @@ class Emitter:
         if kind is Const:
             # named by its node, though equal constants number alike
             return self._slot(e, e.value)
-        hit = self._ids.get(id(e))
-        number = self._number(e) if hit is None else hit[1]
+        number = self._numbers[id(e)]
         name = self._emitted.get(number)
         if name is not None:
             self._kept.add(name)  # its first reader was another
@@ -677,7 +680,7 @@ class Emitter:
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
-        if number in self._state_free:
+        if number not in self._stateful:
             self._theta_emitted[number] = name
         return name
 
@@ -773,29 +776,6 @@ class Emitter:
         out_of_range = functools.partial(_raise_out_of_range, tuple(self._leaves))
         return source, "compiled", {"_out_of_range": out_of_range}
 
-    def _number(self, e: Expr) -> int:
-        """Value number of a node: equal for structurally equal subtrees, and
-        for a sum or product and the same with its operands swapped."""
-        hit = self._ids.get(id(e))
-        if hit is not None:
-            return hit[1]
-        kind = type(e)
-        if kind is Const or kind is Pow:
-            payload = _value_key(e.value if kind is Const else e.exponent)
-        else:
-            payload = getattr(e, "index", None)
-        children = tuple(map(self._number, e.children()))
-        if (kind is Add or kind is Mul) and children[0] > children[1]:
-            children = children[::-1]
-        key = (kind, payload, *children)
-        number = self._numbers.get(key)
-        if number is None:
-            number = self._numbers[key] = len(self._numbers)
-            if kind is not Q and kind is not V and self._state_free.issuperset(children):
-                self._state_free.add(number)
-        self._ids[id(e)] = (e, number)
-        return number
-
     def _guard(self, kind: type, x: str) -> None:
         rule = _GUARDS.get(kind)
         if rule is None:
@@ -835,7 +815,7 @@ _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
 
-def shaped(key: tuple, trees, emit):
+def shaped(key: tuple, trees, emit, /, **names):
     """The function ``emit`` defines, emitted once per shape of ``trees``.
 
     ``emit(em)`` emits ``trees`` (an expression, or nested sequences of
@@ -844,65 +824,75 @@ def shaped(key: tuple, trees, emit):
     else it reads.  The shape of the trees is one walk over them
     (:func:`_shape`): node kinds, indices and sharing, which subtrees are
     equal, and every constant and exponent as a slot of its node, known
-    only by whether it is zero.  Two emissions of one key and shape write
-    the same statements, so a later call with them skips emission:
-    it binds the first one's own constants (:meth:`Emitter.bind`) and its
-    own values in every slot, and defines the function from the code cache.
-    A constant emitted but not walked has no slot, and raises ``KeyError``
-    at the first emission.  The last 256 shapes are kept, and no entry
-    keeps a tree alive.
+    only by whether it is zero.  On a miss ``em`` numbers nodes as the
+    walk did: each node's number by id, and the subtrees with a q or v
+    leaf, derived once from the walk's keys.  Two emissions of one key
+    and shape write the same statements, so a later call with them skips
+    emission: it binds the first one's own constants (:meth:`Emitter.bind`)
+    and its own values in every slot, and defines the function from the
+    code cache.  A tree emitted but not walked raises ``KeyError`` at the
+    first emission.  ``names`` are this call's own, bound in its function
+    and never kept: the callables of a call-per-stage loop (``_rhs``,
+    ``_g<i>``).  The last 256 shapes are kept, and no entry keeps a tree
+    alive.
     """
-    shape, values, seen = _shape(trees)
+    shape, values, seen, numbers, keys = _shape(trees)
     full = (key, shape)
     entry = _SHAPES.pop(full, None)
-    em = Emitter()
     if entry is None:
-        source, name, names = emit(em)
+        stateful: set[int] = set()
+        for k, number in keys.items():  # a key follows the keys of its operands
+            if k[0] is Q or k[0] is V or not stateful.isdisjoint(k):
+                stateful.add(number)
+        em = Emitter(numbers, stateful)
+        source, name, own = emit(em)
         constants = {slot: em._namespace[slot] for slot in em._bound.values()}
         slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
         # one text, the very string the code cache keys its code object by
-        entry = (["\n".join(source)], name, names, constants, slots)
+        entry = (["\n".join(source)], name, own, constants, slots)
         if len(_SHAPES) >= _MAX_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
     else:
+        em = Emitter()
         em._namespace.update(entry[3])
         for slot, i in entry[4]:
             em._namespace[slot] = values[i]
     _SHAPES[full] = entry
-    source, name, names = entry[:3]
-    return em.define(source, name, **names)
+    source, name, own = entry[:3]
+    return em.define(source, name, **own, **names)
 
 
-def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int]]:
+def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int], dict[int, int], dict]:
     """The shape of ``trees`` for :func:`shaped`, their constants and
-    exponents by the index of their node, and the index of each node by
-    its id.
+    exponents by the index of their node, the index and the value number
+    of each node by its id, and the value number of each key.
 
     The shape lists the nodes in prefix order, a node met before by its
     index, and each constant by whether it is zero (0.0 or -0.0), the one
     fact of a value that emission branches on (the zero test of a
     division); the arity of each kind, and a length before each sequence,
     keep the listing unambiguous.  Every node but a constant ends with its
-    value number, counted as :meth:`Emitter._number` counts them, but
-    apart from the constants', so the listing holds which subtrees are
-    equal, which emission computes once, but not which constants are: a
-    value is known by the node that holds it, so equal values of two
-    nodes are two slots.
+    value number, apart from the constants', so the listing holds which
+    subtrees are equal, which emission computes once, but not which
+    constants are: a value is known by the node that holds it, so equal
+    values of two nodes are two slots.  A key is a node's kind, index or
+    exponent and its operands' numbers, a sum's or product's sorted.
     """
     out: list = []
     append = out.append
     seen: dict[int, int] = {}
     values: dict[int, float] = {}
     constants: dict[tuple, int] = {}  # value numbers of constants: -1, -2, ..
-    numbers: dict[tuple, int] = {}  # value numbers of the other nodes: 0, 1, ..
-    number_of: dict[int, int] = {}  # node index -> its value number
+    keys: dict[tuple, int] = {}  # value numbers of the other nodes: 0, 1, ..
+    numbers: dict[int, int] = {}  # node id -> its value number
 
     def node(e: Expr) -> int:
-        i = seen.get(id(e))
+        k = id(e)
+        i = seen.get(k)
         if i is not None:
             append(i)
-            return number_of[i]
-        i = seen[id(e)] = len(seen)
+            return numbers[k]
+        i = seen[k] = len(seen)
         kind = type(e)
         append(kind)
         if kind is Const:
@@ -921,9 +911,9 @@ def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int]]:
                 key = (kind, _value_key(e.exponent), node(e.base))
             else:
                 key = (kind, *map(node, e.children()))
-            number = numbers.setdefault(key, len(numbers))
+            number = keys.setdefault(key, len(keys))
             append(number)
-        number_of[i] = number
+        numbers[k] = number
         return number
 
     def item(x) -> None:
@@ -936,7 +926,7 @@ def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int]]:
                 item(y)
 
     item(trees)
-    return tuple(out), values, seen
+    return tuple(out), values, seen, numbers, keys
 
 
 def _beyond_message(letter: str, index: int, count: int) -> str:

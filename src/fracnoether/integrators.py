@@ -366,8 +366,8 @@ def ivp_solve(
     must be among ``integrands``, is sampled at every node into
     ``Trajectory.samples``; a sample that fails to evaluate or is not
     finite at some node is left out, for :meth:`Trajectory.sample` to
-    evaluate and report.  A loop that writes out every tree is emitted
-    once per shape of its trees, not once per solve.  It computes every
+    evaluate and report.  Every loop, one that calls at each stage too, is
+    emitted once per shape of its trees, not once per solve.  It computes every
     subtree at every stage but the kernel, where a shoot on this grid
     evaluated it for the ODE (:func:`_final_state`), which it reads.
     It appends every value it keeps to one list per sample, q, v and
@@ -520,26 +520,27 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
 
     An :class:`ExplicitOde` ``rhs`` whose ``kernel_column`` is on ``grid``
     has its kernel read from there (:func:`_final_state`).
-    A loop that writes out every tree, an :class:`ExplicitOde` ``rhs`` and
-    :class:`Expr` integrands, is emitted once per shape of its trees and of
-    the trees it reads (:func:`~fracnoether.expressions.shaped`): the loops
-    of a sweep's alphas, or of the scenarios of one family, differ only in
-    coefficients, which are slots of the shape, and in the sample weights
-    and the columns, which are arguments.
+    Every loop is emitted once per shape of its trees and of the trees it
+    reads (:func:`~fracnoether.expressions.shaped`), keyed also by whether
+    ``rhs`` is an :class:`ExplicitOde`, by n and by which integrands are
+    trees: the loops of a sweep's alphas, or of the scenarios of one
+    family, differ only in coefficients, which are slots of the shape,
+    and in the sample weights and the columns, which are arguments.  A
+    call-per-stage loop, of any other ``rhs`` or integrand, binds the
+    callables of this call (``_rhs``, ``_g<i>``) in its own function.
     """
     ode = isinstance(rhs, ExplicitOde)
     key, trees = rhs.shape_key() if ode else ((), ())
-    written = [g for g in integrands if isinstance(g, Expr)]
-    trees = (*trees, written, [tree for tree, _ in sampled])
+    trees = (*trees, [g for g in integrands if isinstance(g, Expr)], [tree for tree, _ in sampled])
     column = rhs.kernel_column if ode else None
     read, args = ([rhs.kernel], column[1:]) if column and column[0] is grid else ([], ())
+    called = {f"_g{i}": g.evaluate for i, g in enumerate(integrands) if not isinstance(g, Expr)}
+    if not ode:
+        called["_rhs"] = rhs
+    key = ("loop", ode, n, tuple(isinstance(g, Expr) for g in integrands), *key,
+           tuple(k for _, k in sampled), last_row)
     emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, read, last_row)
-    if ode and len(written) == len(integrands):
-        channels = tuple(k for _, k in sampled)
-        return shaped(("loop", *key, channels, last_row), (*trees, read), emit), args
-    em = Emitter()
-    source, name, names = emit(em)
-    return em.define(source, name, **names), args
+    return shaped(key, (*trees, read), emit, **called), args
 
 
 def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
@@ -577,7 +578,8 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     stage point by :meth:`ExplicitOde.emit_accelerations`.
     :class:`Expr` integrands are emitted at the same points, reusing the
     subtrees already computed there.  Everything else is called with the
-    stage point as lists.
+    stage point as lists, by the name its caller binds: ``_rhs``, or
+    ``_g<i>`` for integrand i.
     """
     js = range(n)
     q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
@@ -620,8 +622,6 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         accels.append(k)
 
     names = {"_nan": math.nan, **ExplicitOde.NAMES}
-    if not isinstance(rhs, ExplicitOde):
-        names["_rhs"] = rhs
     sums = []
     for idx, g in enumerate(integrands):
         values = []
@@ -630,7 +630,6 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                 em.at(theta, sq, sv, held)
                 values.append(em.emit(g))
             else:
-                names[f"_g{idx}"] = g.evaluate
                 values.append(f"g{idx}_{s}")
                 em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
         g1, g2, g3, g4 = values

@@ -40,6 +40,11 @@ ROW_TEMPLATE_OWNERS = {"integrators.py:write_table"}
 LABEL_OWNERS = {"charges.py:requested"}
 LABEL_PREFIXES = ("noether_g", "momentum_", "classical_momentum_")
 
+# Where an expression emitter may be made: the shape cache, whose walk
+# numbers every node the emitter writes, and the linear solve of
+# linsolve.solve, which writes no tree.
+EMITTER_OWNERS = {"expressions.py:shaped", "linsolve.py:_solver"}
+
 # The test oracles, which no module of the package may import.
 ORACLES = {"numpy", "scipy", "sympy"}
 
@@ -207,6 +212,31 @@ def test_the_solve_guard_sees_both_spellings_and_nested_functions():
     )
     sites = call_sites(ast.parse(source), "ivp_solve")
     assert sites == [("criterion", 2), ("Shoot.final.retry", 6)]
+
+
+def test_one_maker_of_emitters():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in call_sites(ast.parse(path.read_text()), "Emitter"):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(found.values()) == EMITTER_OWNERS, found
+
+
+def test_the_emitter_guard_sees_every_spelling():
+    source = (
+        "em = Emitter()\n"
+        "class Ode:\n"
+        "    @cached_property\n"
+        "    def f(self):\n"
+        "        return expressions.Emitter().define([], 'f')\n"
+        "def loop(rhs):\n"
+        "    def emit():\n"
+        "        return Emitter({}, ())\n"
+        "    return emit, Emitter\n"
+    )
+    sites = call_sites(ast.parse(source), "Emitter")
+    assert sites == [("", 1), ("Ode.f", 5), ("loop.emit", 8)]
 
 
 def string_sites(tree: ast.AST, text: str) -> list[tuple[str, int]]:

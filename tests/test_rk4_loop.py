@@ -721,9 +721,8 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     # 9 BVPs, each shot by a solve and by a charge command: 18 shoots of 6
     # Newton solves, each shoot evaluating its kernel column once (at the
     # nodes and at the half-nodes) and building one trajectory, in its last
-    # check solve, which no Newton loop runs.  The pass starts from an empty
-    # shape cache, as in a fresh process
-    expressions._SHAPES.clear()
+    # check solve, which no Newton loop runs.  The pass starts from empty
+    # caches, as in a fresh process
     assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
@@ -750,11 +749,17 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     assert lines[-1] == "18 Trajectory constructions"
 
 
+def test_loop_ops_passes_start_from_empty_caches():
+    # the second pass in one process emits what the first did, as a fresh
+    # process would, not nothing from the caches the first one filled
+    emitted = [loop_ops.record_pass("bvp_shoot", 4242)[1] for _ in range(2)]
+    assert emitted == [15, 15]
+
+
 def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     # 10 sweeps of 51 alphas in all, run on one worker so that no alpha's
     # loop is built in a child process: one emission per shape, every
     # other alpha's loop taken from the shape cache, empty at the start
-    expressions._SHAPES.clear()
     assert loop_ops.main(["--workload", "sweep_narrow", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "51 loops: 9 emitted, 42 from the shape cache, 9 distinct sources" in lines

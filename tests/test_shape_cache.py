@@ -14,6 +14,7 @@ against emissions from empty caches, so a key that misses an input, or a
 hit that binds the wrong value, shows as different bytes.
 """
 
+import functools
 import json
 import math
 import os
@@ -314,6 +315,14 @@ def test_alpha_one_folds_the_drag_away_and_has_a_shape_of_its_own():
     assert type(FractionalParams(1.0, 2.0).drag(Q(0))) is Const
 
 
+def test_a_tree_the_walk_did_not_number_is_not_emitted():
+    # the emitter numbers nodes as the shape walk did, and no other way
+    clear_caches()
+    walked, other = parse("sin(q0)", 1), parse("sin(q0)", 1)
+    with pytest.raises(KeyError):
+        expressions.shaped(("trees",), walked, lambda em: em.function(em.emit(other)))
+
+
 def tuple_of(k):
     return compile_trees([Q(0)] * k)
 
@@ -498,8 +507,9 @@ def flat(x) -> list:
 
 def outcomes(lagrangian, n: int, alpha: float) -> list:
     """What the functions of a problem give: its trees through
-    ``compile_trees``, a solve with a channel and a sample, and the last
-    row of a shoot's loop, each as the bytes of its floats or the error."""
+    ``compile_trees``, its accelerations at three points, a solve with a
+    channel and a sample, and the last row of a shoot's loop, each as the
+    bytes of its floats or the error."""
     prob = VariationalProblem(n=n, lagrangian=lagrangian, interval=(0.0, 1.0),
                               frac=FractionalParams(alpha, 2.0))
     ode = ExplicitOde(prob)
@@ -508,6 +518,7 @@ def outcomes(lagrangian, n: int, alpha: float) -> list:
     runs = [
         lambda: compile_trees([prob.momentum, prob.energy, ode.net, ode.mass,
                                prob.action_integrand])(0.3, q0, v0),
+        *(functools.partial(ode, theta, q0, v0) for theta in (0.0, 0.3, 1.0)),
         lambda: ivp_solve(sampled, 0.0, 1.0, q0, v0, 6, integrands={"e": prob.energy}),
         lambda: integrators._final_state(ode, 0.0, 1.0, q0, 6)(v0),
     ]
@@ -586,3 +597,36 @@ def test_a_family_shares_one_emission_across_commands(tmp_path, monkeypatch):
     assert len(written) == 2
     for name in written:
         assert (tmp_path / "warm" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_call_per_stage_loops_share_one_emission(monkeypatch):
+    # two plain right-hand sides of one n, called at every stage, with the
+    # same tree integrand: one loop shape, each function calling its own
+    energy = parse("v0^2/2 + q0^2/2", 1)
+
+    def spring(theta, q, v):
+        return [-q[0]]
+
+    def damped(theta, q, v):
+        return [-q[0] - 0.5 * v[0]]
+
+    def solve(rhs) -> bytes:
+        traj = ivp_solve(rhs, 0.0, 1.0, [0.4], [0.5], 20, integrands={"e": energy})
+        return array("d", flat(traj)).tobytes()
+
+    alone = []
+    for rhs in (spring, damped):
+        clear_caches()
+        alone.append(solve(rhs))
+    assert alone[0] != alone[1]
+    emitted = []
+    emit = integrators._emit_rk4_loop
+
+    def counted(*args):
+        emitted.append(args)
+        return emit(*args)
+
+    monkeypatch.setattr(integrators, "_emit_rk4_loop", counted)
+    clear_caches()
+    assert [solve(spring), solve(damped)] == alone
+    assert len(emitted) == 1
