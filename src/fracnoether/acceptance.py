@@ -24,7 +24,6 @@ import random
 from . import cli
 from .action import fractional_action, gamma_fn, stationarity_check
 from .charges import (
-    classical_momentum,
     fractional_energy,
     fractional_momentum,
     noether_charge,

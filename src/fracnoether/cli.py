@@ -13,7 +13,21 @@ Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 tree is built on its first call and reused after that: ``build_parser()``
 returns that shared tree, which callers must not change. Help and usage
 texts still follow ``COLUMNS`` on every call, since argparse reads the
-terminal width when it formats them.
+terminal width when it formats them. The process keeps more between
+commands: the compiled loops by shape and their code, the linear solvers
+by size, the last 32 theta grids and the theta texts of the last table
+written. ``clear_caches()`` empties all of them and the argparse tree, so
+the next command starts as it would in a fresh process; no output depends
+on them.
+
+Each alpha is refused before it is solved where its step is too coarse
+for the kernel: rho = h*(1 - alpha)/(t - b), with h = (b - a)/steps, the
+step times the drag's largest damping rate, may not exceed 2.785, below
+which classical RK4 is stable on the real axis
+(``integrators.RK4_STABILITY_BOUND``). ``solve`` and ``charge`` then exit
+2 with one ``validation error:`` line naming rho and the smallest even
+step count under the bound, and write no file; ``sweep`` writes an
+``error:`` row for that alpha and exits 1.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import integrators
+from . import expressions, integrators, linsolve
 from .action import action_sample, fractional_action
 from .charges import (  # the charge functions are called by name (_series)
     ChargePreconditionError,
@@ -47,6 +61,7 @@ from .scenarios import (
     build_generators,
     build_problem,
     check_output_dir,
+    check_stable,
     check_steps,
     load_scenario,
     scenario_echo,
@@ -84,7 +99,11 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
     With ``sampled`` the solve also samples those whose preconditions hold
     in its loop, and with ``classical`` the classical charges and the action
     integrand too, all listed before it starts; it then integrates only the
-    channels those samples read, since a failing charge reads none."""
+    channels those samples read, since a failing charge reads none.
+
+    An alpha whose step RK4 cannot resolve is refused first, before any
+    tree is built (``scenarios.check_stable``)."""
+    check_stable(scenario, alpha)
     prob = build_problem(scenario, alpha)
     gens = build_generators(scenario, prob)
     integrands, charges = requested(
@@ -304,6 +323,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--output", default=".", help="directory for verify_report.json")
 
     return parser
+
+
+def clear_caches() -> None:
+    """Return the process to the caches of a fresh one: the loops kept by
+    shape (``expressions._SHAPES``) and their code (``expressions._compile``),
+    the linear solvers by size (``linsolve._solver``), the grids
+    (``integrators.uniform_grid``), the theta texts of the last table
+    written (``integrators.write_table``) and the argparse tree of
+    :func:`build_parser`.  What a command computes or writes does not
+    depend on them."""
+    expressions._SHAPES.clear()
+    expressions._compile.cache_clear()
+    linsolve._solver.cache_clear()
+    integrators._built_grid.cache_clear()
+    integrators._theta_texts = (None, [])
+    build_parser.cache_clear()
 
 
 def main(argv=None) -> int:

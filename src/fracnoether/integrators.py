@@ -102,11 +102,6 @@ class _Grid(tuple):
     __slots__ = ()
 
 
-# The grids uniform_grid built, by (a, b, steps), the most recent last.
-_GRIDS: dict[tuple, _Grid] = {}
-_MAX_GRIDS = 32
-
-
 def uniform_grid(a: float, b: float, steps: int) -> tuple[float, ...]:
     """The ``steps + 1`` nodes from ``a`` to ``b`` that :func:`ivp_solve`
     steps over, :func:`linspace`'s; ``ValueError`` where floats cannot space
@@ -114,16 +109,18 @@ def uniform_grid(a: float, b: float, steps: int) -> tuple[float, ...]:
 
     Each grid is built and checked once per process: the same (a, b,
     steps), ``-0.0`` told from ``0.0``, returns the same immutable tuple.
-    The last 32 grids are kept.
+    The 32 grids used last are kept (:func:`_built_grid`, an
+    ``lru_cache``); a grid the check rejects is not.
     """
-    key = (float(a).hex(), float(b).hex(), steps)
-    grid = _GRIDS.pop(key, None)
-    if grid is None:
-        grid = _Grid(linspace(a, b, steps + 1))
-        _check_grid(grid)
-        if len(_GRIDS) >= _MAX_GRIDS:
-            del _GRIDS[next(iter(_GRIDS))]
-    _GRIDS[key] = grid
+    return _built_grid(float(a).hex(), float(b).hex(), steps)
+
+
+@functools.lru_cache(maxsize=32)
+def _built_grid(a: str, b: str, steps: int) -> _Grid:
+    """The checked grid of :func:`uniform_grid`, its ends given by
+    ``float.hex`` so that ``-0.0`` and ``0.0`` are two keys."""
+    grid = _Grid(linspace(float.fromhex(a), float.fromhex(b), steps + 1))
+    _check_grid(grid)
     return grid
 
 
@@ -399,7 +396,7 @@ def ivp_solve(
     grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
     loop, columns = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled,
-                                      grid, 0.5 * h)
+                                      grid)
 
     # One list per column: each step appends its samples, taken at its
     # start, and the state (q, v, channels) it reached; after the last
@@ -466,7 +463,7 @@ def _final_state(
             rhs.kernel_column = (nodes, halves, builder(nodes), builder(halves))
         except (ArithmeticError, ValueError):
             pass
-    loop, columns = _compile_rk4_loop(rhs, rhs.n, [], (), nodes, 0.5 * h, last_row=True)
+    loop, columns = _compile_rk4_loop(rhs, rhs.n, [], (), nodes, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
@@ -514,7 +511,7 @@ def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
-                      grid: tuple, hh: float, last_row: bool = False) -> tuple[Callable, tuple]:
+                      grid: tuple, last_row: bool = False) -> tuple[Callable, tuple]:
     """Compile the RK4 step loop of :func:`_emit_rk4_loop` for ``grid``;
     return it and its ``columns`` argument.
 
@@ -709,6 +706,11 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         source.append(f"    return {tup(row)}")
     return source, "loop", names
 
+
+# Classical RK4 is stable on the negative real axis only down to h*lambda
+# = -2.785 (Hairer & Wanner II, IV.2): the largest step times the drag's
+# damping rate, rho, that a command solves at (scenarios.check_stable).
+RK4_STABILITY_BOUND = 2.785
 
 # Newton shooting has converged once no boundary miss exceeds SHOOTING_TOL,
 # and gives up after SHOOTING_MAX_ITER iterations.

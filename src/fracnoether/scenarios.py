@@ -9,13 +9,14 @@ report.  Everything is validated before any computation or output happens.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from functools import cached_property
 
 from .charges import SymmetryGenerator, gauge_rate_from_reduced_condition
 from .euler_lagrange import BoundaryConditions, FractionalParams, VariationalProblem
 from .expressions import Expr, ExpressionError, parse
-from .integrators import linspace, uniform_grid
+from .integrators import RK4_STABILITY_BOUND, linspace, uniform_grid
 from .records import Record, field
 
 VALID_CHARGES = ("noether", "energy", "momentum")
@@ -77,6 +78,15 @@ class Scenario(Record):
             boundary=BoundaryConditions(self.qa, self.qb) if self.mode == "bvp" else None,
         )
 
+    def stiffness(self, alpha: float, steps: int | None = None) -> float:
+        """rho = h * (1 - alpha) / (t - b), h = (b - a) / steps, the
+        scenario's steps if none are given: the step times the largest
+        rate (1 - alpha) / (t - theta) at which the drag damps the motion,
+        reached at theta = b.  Zero at alpha = 1."""
+        a, b = self.interval
+        h = (b - a) / (self.steps if steps is None else steps)
+        return h * (1.0 - alpha) / (self.observer_time - b)
+
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -103,6 +113,29 @@ def check_steps(steps, interval: tuple) -> None:
         raise ScenarioError(
             f"interval [{a!r}, {b!r}] cannot be split into {steps} uniform float steps"
         ) from exc
+
+
+def check_stable(scenario: Scenario, alpha: float) -> None:
+    """Refuse an alpha whose drag the step cannot resolve: one whose
+    :meth:`Scenario.stiffness` exceeds ``RK4_STABILITY_BOUND``, where RK4
+    turns the drag's decay into growth.  The message names the smallest
+    even step count that brings it under the bound, and has no comma, as
+    it may be a sweep row's status."""
+    rho = scenario.stiffness(alpha)
+    if not rho > RK4_STABILITY_BOUND:
+        return
+    whole = scenario.stiffness(alpha, 1)
+    if math.isfinite(whole):
+        steps = max(2, 2 * math.ceil(whole / RK4_STABILITY_BOUND / 2))
+        if scenario.stiffness(alpha, steps) > RK4_STABILITY_BOUND:
+            steps += 2  # the quotient rounded down onto an even count
+        advice = f"{steps} steps bring it under"
+    else:
+        advice = "no float step count brings it under"
+    raise ScenarioError(
+        f"the step is too coarse for the kernel at alpha = {alpha!r}: rho = h*(1 - alpha)/(t - b)"
+        f" = {rho:.4g} exceeds the RK4 stability bound {RK4_STABILITY_BOUND}; {advice}"
+    )
 
 
 def check_output_dir(path) -> str:

@@ -1,6 +1,6 @@
 import pytest
 
-from fracnoether import expressions, linsolve
+from fracnoether import cli, expressions
 
 
 @pytest.fixture
@@ -10,9 +10,8 @@ def defined(monkeypatch):
     Every function is counted, whether its code was compiled or taken from
     the code cache, and whether it was emitted or taken from the shape
     cache, so a count here catches code that rebuilds a function it could
-    have kept, and does not depend on which tests ran before it: the code
-    cache, the shape cache and the per-size solvers of ``linsolve.solve``
-    start empty.
+    have kept, and does not depend on which tests ran before it: every
+    cache starts empty (``cli.clear_caches``).
     """
     calls = []
     define = expressions.Emitter.define
@@ -21,9 +20,7 @@ def defined(monkeypatch):
         calls.append((f"<compiled {name}>", "\n".join(source)))
         return define(self, source, name, **names)
 
-    expressions._compile.cache_clear()
-    expressions._SHAPES.clear()
-    linsolve._solver.cache_clear()
+    cli.clear_caches()
     monkeypatch.setattr(expressions.Emitter, "define", recording_define)
     return calls
 
@@ -32,9 +29,8 @@ def defined(monkeypatch):
 def compiled(monkeypatch):
     """The ``compile`` calls made behind the code cache, as (filename, source).
 
-    The code cache, the shape cache and the per-size solvers of
-    ``linsolve.solve`` start empty, so what a test counts does not depend
-    on which tests ran before it in the process.
+    Every cache starts empty (``cli.clear_caches``), so what a test counts
+    does not depend on which tests ran before it in the process.
     """
     calls = []
 
@@ -42,8 +38,6 @@ def compiled(monkeypatch):
         calls.append((filename, source))
         return compile(source, filename, mode)
 
-    expressions._compile.cache_clear()
-    expressions._SHAPES.clear()
-    linsolve._solver.cache_clear()
+    cli.clear_caches()
     monkeypatch.setattr(expressions, "compile", recording_compile, raising=False)
     return calls

@@ -1,5 +1,6 @@
 """The CLI's contract on drawn scenarios: every input ends in a documented
-exit code, and no output holds a non-finite number.
+exit code, no output holds a non-finite number, and what a command writes
+does not depend on the caches earlier commands of the process left.
 
 Scenario dicts are drawn from a small grammar (one or two degrees of
 freedom, at most 40 steps, initial and boundary values, fixed alphas and
@@ -13,6 +14,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -188,3 +191,50 @@ def test_every_drawn_scenario_ends_in_a_documented_exit_code(case):
             assert all(map(math.isfinite, numbers(name, text))), (name, text)
         if command == "sweep" and code in (0, 1):
             assert run(command, raw, Path(tmp) / "two", cpus=2) == (code, err, files)
+
+
+# A number written in an expression: not a digit of a name such as q0.
+NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d+)?(?:e\d+)?")
+NUMBERS = [c for c in CONSTANTS if c != "pi"] + EXPONENTS
+
+
+@st.composite
+def siblings(draw):
+    """A command, its scenario dict, and the sibling dict whose every
+    number in an expression is redrawn: mostly trees of the same shape with
+    other constants."""
+    command, raw = draw(scenarios())
+
+    def redrawn(value):
+        if isinstance(value, str):
+            return NUMBER.sub(lambda _: draw(st.sampled_from(NUMBERS)), value)
+        if isinstance(value, list):
+            return [redrawn(item) for item in value]
+        if isinstance(value, dict):
+            return {key: redrawn(item) for key, item in value.items()}
+        return value
+
+    return command, raw, redrawn(raw)
+
+
+def timeless(result):
+    """``run``'s result without the wall time a manifest records."""
+    code, err, files = result
+    return code, err, {name: re.sub(r'\n *"wall_time_seconds": [^\n]*', "", text)
+                       for name, text in files.items()}
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(siblings())
+def test_a_run_after_a_sibling_writes_what_a_run_from_empty_caches_writes(case):
+    # the warm run finds the loops, grids and solvers its sibling left,
+    # the cold one starts as a fresh process does (cli.clear_caches)
+    command, raw, sibling = case
+    with tempfile.TemporaryDirectory() as tmp:
+        run(command, sibling, Path(tmp) / "sibling")
+        warm = run(command, raw, Path(tmp) / "run")
+        shutil.rmtree(Path(tmp) / "run")
+        cli.clear_caches()
+        cold = run(command, raw, Path(tmp) / "run")
+    assert timeless(warm) == timeless(cold)

@@ -177,7 +177,8 @@ def test_code_cache_evicts_the_oldest_beyond_its_bound(compiled):
 
 def test_define_is_the_only_compile_site():
     # a compile or exec elsewhere would bypass the code cache, and so
-    # would a caller of the cached compile other than define
+    # would a caller of the cached compile other than define; the one
+    # other name of it is cli.clear_caches emptying it
     found = []
 
     def visit(node, scope):
@@ -200,6 +201,7 @@ def test_define_is_the_only_compile_site():
     for path in sorted(Path(fracnoether.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), "")
     assert sorted(found) == [
+        ("cli.py", "clear_caches", "_compile"),
         ("expressions.py", "Emitter.define", "_compile"),
         ("expressions.py", "Emitter.define", "exec"),
         ("expressions.py", "_compile", "compile"),

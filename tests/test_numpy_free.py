@@ -82,6 +82,15 @@ def test_uniform_grid_is_built_once_and_keeps_signed_zeros():
         uniform_grid(1e14, 1e14 + 1, 2000)
 
 
+def test_uniform_grid_builds_the_least_recently_used_of_33_grids_anew():
+    grids = [uniform_grid(0.0, 1.0, steps) for steps in range(2, 66, 2)]  # 32 grids
+    assert uniform_grid(0.0, 1.0, 2) is grids[0]  # used again: now the most recent
+    uniform_grid(0.0, 1.0, 66)  # the 33rd: the least recently used, 4 steps, goes
+    assert uniform_grid(0.0, 1.0, 2) is grids[0]
+    again = uniform_grid(0.0, 1.0, 4)
+    assert again is not grids[1] and again == grids[1]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(start=st.floats(0.0, 1.0), stop=st.floats(0.0, 1.0), count=st.integers(2, 64))
 def test_alpha_sweeps_are_numpys_ascending_or_descending(start, stop, count):

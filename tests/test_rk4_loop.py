@@ -756,6 +756,18 @@ def test_loop_ops_passes_start_from_empty_caches():
     assert emitted == [15, 15]
 
 
+def test_loop_ops_passes_build_their_grids_anew(monkeypatch):
+    # the 1000-step grid on [0, 1] of every sweep_narrow command, built
+    # before the pass, is built again in it, as in a fresh process
+    built = []
+    linspace = integrators.linspace
+    monkeypatch.setattr(integrators, "linspace", lambda *args: built.append(args) or linspace(*args))
+    integrators.uniform_grid(0.0, 1.0, 1000)
+    built.clear()
+    loop_ops.record_pass("sweep_narrow", 4242)
+    assert built == [(0.0, 1.0, 1001)]
+
+
 def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     # 10 sweeps of 51 alphas in all, run on one worker so that no alpha's
     # loop is built in a child process: one emission per shape, every

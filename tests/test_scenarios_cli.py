@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fracnoether import cli, expressions, fanout, integrators
+from fracnoether import cli, expressions, fanout, integrators, linsolve
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 
@@ -588,6 +588,74 @@ def test_sweep_requires_a_charge_kind(tmp_path, capsys, no_solve):
 
 
 # --------------------------------------------------------------------------
+# a step too coarse for the kernel
+
+
+def near_observer(tmp_path, observer_time, **overrides):
+    """The free particle at alpha = 0.5 on [0, 1] in 100 steps, q0 = 0 and
+    v0 = 1, with every charge kind: rho = 0.005 / (t - 1)."""
+    raw = base_scenario(observer_time=observer_time, steps=100,
+                        charges=["noether", "energy", "momentum"],
+                        output_dir=str(tmp_path / "out"), **overrides)
+    return write_scenario(tmp_path, raw)
+
+
+def test_rho_is_the_step_times_the_largest_damping_rate():
+    scenario = scenario_from_dict(base_scenario(observer_time=1.001, steps=100))
+    assert scenario.stiffness(0.5) == pytest.approx(5.0)
+    assert scenario.stiffness(1.0) == 0.0
+    assert scenario.stiffness(0.5, 178) > integrators.RK4_STABILITY_BOUND
+    assert scenario.stiffness(0.5, 180) < integrators.RK4_STABILITY_BOUND
+
+
+@pytest.mark.parametrize("command", ["solve", "charge"])
+@pytest.mark.parametrize("observer_time, rho, steps", [(1.001, "5", 180), (1.00001, "500", 17954)])
+def test_a_step_the_kernel_makes_unstable_is_a_validation_error(
+        tmp_path, capsys, command, observer_time, rho, steps):
+    # RK4 would return a v(1) 47% off at t = 1.001 and of the wrong sign at
+    # t = 1.00001, with the momentum and Noether charges conserved to rounding
+    path = near_observer(tmp_path, observer_time)
+    assert cli.main([command, "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert (f"rho = h*(1 - alpha)/(t - b) = {rho} exceeds the RK4 stability bound 2.785; "
+            f"{steps} steps bring it under") in err
+    assert not list((tmp_path / "out").glob("*"))
+
+
+def test_an_observer_time_no_float_step_resolves_is_refused(tmp_path, capsys):
+    path = near_observer(tmp_path, 5e-324, interval=[-1.0, 0.0])
+    assert cli.main(["charge", "--scenario", str(path)]) == 2
+    assert "rho = h*(1 - alpha)/(t - b) = inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "charge"])
+@pytest.mark.parametrize("observer_time, steps", [(1.1, "100"), (1.001, "180")])
+def test_a_step_under_the_bound_runs(tmp_path, capsys, command, observer_time, steps):
+    path = near_observer(tmp_path, observer_time)
+    assert load_scenario(path).stiffness(0.5, int(steps)) < integrators.RK4_STABILITY_BOUND
+    assert cli.main([command, "--scenario", str(path), "--steps", steps]) == 0
+    if (command, observer_time) == ("solve", 1.1):
+        # v = ((t - theta)/t)^(1 - alpha): rho = 0.05 resolves it
+        v1 = float((tmp_path / "out" / "free_particle_traj.csv").read_text().splitlines()[-1]
+                   .split(",")[2])
+        assert v1 == pytest.approx((0.1 / 1.1) ** 0.5, rel=1e-6)
+
+
+def test_a_sweep_gives_an_alpha_the_kernel_makes_unstable_an_error_row(tmp_path):
+    path = near_observer(tmp_path, 1.001, alpha={"from": 0.5, "to": 1.0, "count": 2})
+    assert cli.main(["sweep", "--scenario", str(path)]) == 1
+    rows = (tmp_path / "out" / "free_particle_sweep.csv").read_text().splitlines()[1:]
+    failed = [row for row in rows if not row.endswith(",ok")]
+    assert len(failed) == 1 and failed[0].startswith("0.5,,,,,error: ")
+    assert failed[0].endswith("= 5 exceeds the RK4 stability bound 2.785; 180 steps bring it under")
+    # alpha = 1 has no drag: rho = 0
+    assert [row.split(",")[:2] for row in rows if row.endswith(",ok")] == [
+        ["1", label] for label in
+        ["classical_energy", "classical_momentum_0", "energy", "momentum_0", "noether_g0"]]
+
+
+# --------------------------------------------------------------------------
 # sweep
 
 
@@ -933,6 +1001,18 @@ def test_main_builds_the_parser_tree_once(tmp_path, capsys, monkeypatch):
     for _ in range(3):
         assert cli.main(["charge", "--scenario", missing]) == 2
     assert len(built) == 5  # the top parser and one per command
+
+
+def test_clear_caches_empties_every_cache_the_process_keeps(tmp_path, capsys):
+    path = write_scenario(tmp_path, shipped("free_particle_bvp.json", steps=200))
+    assert cli.main(["charge", "--scenario", str(path), "--output", str(tmp_path / "out")]) == 0
+    caches = [expressions._compile, linsolve._solver, integrators._built_grid, cli.build_parser]
+    assert expressions._SHAPES and all(cache.cache_info().currsize for cache in caches)
+    assert integrators._theta_texts[0] is not None
+    cli.clear_caches()
+    assert expressions._SHAPES == {}
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
+    assert integrators._theta_texts == (None, [])
 
 
 def test_main_runs_the_command_function_it_finds_when_called(tmp_path, capsys, monkeypatch):

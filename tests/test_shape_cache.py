@@ -28,13 +28,14 @@ from pathlib import Path
 import pytest
 
 import fracnoether
-from fracnoether import cli, expressions, fanout, integrators, linsolve, scenarios
+from fracnoether import cli, expressions, fanout, integrators, scenarios
 from fracnoether.acceptance import _CORPUS_GENERATORS, _CORPUS_LAGRANGIANS
 from fracnoether.charges import (
     charge_expression,
     energy_correction_integrand,
     momentum_correction_integrand,
 )
+from fracnoether.cli import clear_caches
 from fracnoether.euler_lagrange import (
     ExplicitOde,
     FractionalParams,
@@ -55,12 +56,6 @@ from fracnoether.integrators import Sample, ivp_solve
 from fracnoether.records import replace
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def clear_caches():
-    expressions._SHAPES.clear()
-    expressions._compile.cache_clear()
-    linsolve._solver.cache_clear()
 
 
 @pytest.fixture

@@ -42,8 +42,8 @@ many of the guesses that a check would converge
 values in repeating columns, at most half of whose values are distinct,
 and the distinct values among those; the ``argparse.ArgumentParser``
 objects built and the ``shutil.get_terminal_size`` calls made; the pass
-starts as a fresh process does, without ``cli.build_parser``'s tree and
-with the shape and code caches empty, wherever the tool runs;
+starts as a fresh process does, wherever the tool runs: every cache the
+process keeps between commands is emptied first (``cli.clear_caches``);
 the garbage collections of each generation during the pass, counted
 through ``gc.callbacks``; and the ``Trajectory`` objects the pass
 constructed.  Every count but the collections repeats exactly from run
@@ -70,7 +70,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fracnoether import charges, cli, expressions, fanout, integrators, linsolve  # noqa: E402
+from fracnoether import charges, cli, expressions, fanout, integrators  # noqa: E402
 
 GUARD_RE = re.compile(r"^\s*if .*: raise ")
 
@@ -257,10 +257,7 @@ def record_pass(workload: str, seed: int):
     fanout.usable_cpus = lambda: 1
     argparse.ArgumentParser.__init__ = counted_parser_init
     shutil.get_terminal_size = counted_terminal_size
-    cli.build_parser.cache_clear()
-    expressions._SHAPES.clear()
-    expressions._compile.cache_clear()
-    linsolve._solver.cache_clear()
+    cli.clear_caches()
     cwd = os.getcwd()
     gc.callbacks.append(collected)
     try:
