@@ -15,10 +15,16 @@ returns that shared tree, which callers must not change. Help and usage
 texts still follow ``COLUMNS`` on every call, since argparse reads the
 terminal width when it formats them. The process keeps more between
 commands: the compiled loops by shape and their code, the linear solvers
-by size, the last 32 theta grids and the theta texts of the last table
-written. ``clear_caches()`` empties all of them and the argparse tree, so
-the next command starts as it would in a fresh process; no output depends
-on them.
+by size, the last 32 theta grids, the theta texts of the last table
+written, and the last 32 shoots of boundary problems that returned
+(``integrators._SHOOTS``), keyed by all that their Newton iteration reads:
+the code of its loop and of its kernel column builder with every constant
+each binds, the grid, q_a and q_b by ``float.hex``, the shooting tolerance
+and iteration limit. A remembered shoot, as ``charge`` after ``solve`` on
+one boundary problem, runs no Newton loop, only its final solve.
+``clear_caches()`` empties all of them and the argparse tree, so the next
+command starts as it would in a fresh process; no output depends on them.
+A shell user runs one command per process and gains nothing from them.
 
 Each alpha is refused before it is solved where its step is too coarse
 for the kernel: rho = h*(1 - alpha)/(t - b), with h = (b - a)/steps, the
@@ -330,7 +336,10 @@ def clear_caches() -> None:
     shape (``expressions._SHAPES``) and their code (``expressions._compile``),
     the linear solvers by size (``linsolve._solver``), the grids
     (``integrators.uniform_grid``), the theta texts of the last table
-    written (``integrators.write_table``) and the argparse tree of
+    written (``integrators.write_table``), the last 32 shoots that returned
+    (``integrators._SHOOTS``, keyed by the code and constants of the Newton
+    loop and the kernel column builder, the grid, q_a, q_b, the shooting
+    tolerance and iteration limit) and the argparse tree of
     :func:`build_parser`.  What a command computes or writes does not
     depend on them."""
     expressions._SHAPES.clear()
@@ -338,6 +347,7 @@ def clear_caches() -> None:
     linsolve._solver.cache_clear()
     integrators._built_grid.cache_clear()
     integrators._theta_texts = (None, [])
+    integrators._SHOOTS.clear()
     build_parser.cache_clear()
 
 

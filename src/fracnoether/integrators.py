@@ -27,7 +27,9 @@ returns is a solve at the final velocity with its channels and samples,
 which is also the last check of its miss where the shoot expects that
 check to converge; all of them read the kernel (1 - alpha)/(t - theta)
 of the right-hand side from its values on the grid, evaluated once per
-shoot.
+shoot.  The process remembers the last 32 shoots that returned, by all
+that their Newton iteration reads (``_SHOOTS``), and a shoot it
+remembers runs only that final solve.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -43,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 from . import linsolve
 from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
 from .expressions import (
-    Emitter, Expr, ExpressionError, evaluate_on_grid, shaped,
+    Emitter, Expr, ExpressionError, _value_key, evaluate_on_grid, shaped,
 )
 from .records import Record, field
 
@@ -86,10 +88,13 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 def _check_grid(grid: Sequence[float]) -> int:
     """Raise ``ValueError`` unless ``grid`` is a strictly increasing uniform
-    float grid of at least two nodes; return its node count."""
+    grid of at least two finite nodes, its step finite too; return its node
+    count."""
     if len(grid) < 2:
         raise ValueError("theta grid needs at least two points")
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
+    if not (math.isfinite(h) and all_finite(grid)):
+        raise ValueError("theta grid must have a finite step and finite nodes")
     tol = _GRID_RTOL * abs(h) + 1e-300
     if h <= 0 or any(abs(y - x - h) > tol for x, y in zip(grid, grid[1:])):
         raise ValueError("theta grid must be strictly increasing and uniform")
@@ -428,10 +433,14 @@ def ivp_solve(
 
 def _final_state(
     rhs: ExplicitOde, a: float, b: float, q0: Sequence[float], steps: int
-) -> Callable:
+) -> tuple[Callable, tuple | None]:
     """``final_state(v0)``: the last row ``(q.., v..)`` of ``ivp_solve(rhs, a, b,
     q0, v0, steps)``, for any ``v0`` of the ODE's length, from a compiled
-    loop that returns only that row; no trajectory is built.
+    loop that returns only that row; no trajectory is built.  Returned with
+    what it reads besides ``q0`` and ``v0``: the loop and the kernel's
+    column builder, None without a kernel (:func:`_code_and_constants`),
+    and the grid as ``(a.hex(), b.hex(), steps)``; None in place of all
+    three where one of the functions is not an emitted one.
 
     Validates as :func:`ivp_solve` does, once.  It evaluates the kernel
     of ``rhs`` at the nodes and half-nodes of the grid by a compiled
@@ -455,7 +464,7 @@ def _final_state(
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
     nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    rhs.kernel_column = None
+    rhs.kernel_column = builder = None
     if rhs.kernel is not None:
         builder = shaped(("column",), rhs.kernel, functools.partial(_emit_column, rhs.kernel))
         halves = [th + 0.5 * h for th in nodes[:-1]]
@@ -476,7 +485,25 @@ def _final_state(
         traj = ivp_solve(rhs, a, b, qc, vc, steps)
         return (*traj.q[-1], *traj.v[-1])
 
-    return final_state
+    functions = _code_and_constants([loop, builder])
+    return final_state, functions and (*functions, (float(a).hex(), float(b).hex(), steps))
+
+
+def _code_and_constants(functions: Sequence[Callable | None]) -> tuple | None:
+    """Each function's code and the ``_value_key`` of every constant it binds,
+    its keyword defaults, which together fix what an emitted function
+    computes (None stays None); None where one is not emitted, its code not
+    one of ``Emitter.define``'s (a caller's wrapper, say), which says
+    nothing of what it calls."""
+    out = []
+    for fn in functions:
+        if fn is not None:
+            code = getattr(fn, "__code__", None)
+            if code is None or not code.co_filename.startswith("<compiled "):
+                return None
+            fn = (code, tuple(map(_value_key, (fn.__kwdefaults__ or {}).values())))
+        out.append(fn)
+    return tuple(out)
 
 
 def _emit_column(tree: Expr, em: Emitter):
@@ -717,6 +744,12 @@ RK4_STABILITY_BOUND = 2.785
 SHOOTING_TOL = 1e-9
 SHOOTING_MAX_ITER = 50
 
+# The last _MAX_SHOOTS shoots that returned, by what their Newton iteration
+# reads (bvp_shoot), the most recently used last: key -> (final velocity,
+# iterations, converged).
+_SHOOTS: dict[tuple, tuple] = {}
+_MAX_SHOOTS = 32
+
 
 def _check_converges(misses: Sequence[float]) -> bool:
     """Whether the next check solve of a shoot is expected to converge, from
@@ -753,6 +786,19 @@ def bvp_shoot(
     velocity no second time.  Where that solve raises, the check runs in
     the Newton loop instead, so a shoot raises only what it raised
     without the guess, and where it raised.
+
+    The process remembers the last 32 shoots that returned (``_SHOOTS``),
+    by all that their Newton iteration reads: the code of the Newton loop
+    and of the kernel's column builder with the value of every constant
+    each binds, the grid, ``q_a`` and ``q_b`` by ``float.hex``,
+    ``SHOOTING_TOL`` and ``SHOOTING_MAX_ITER`` (:func:`_final_state`).  A
+    shoot of a remembered key, as ``charge`` after ``solve`` on one
+    boundary problem, takes its final velocity, iterations and
+    ``converged`` from there and runs no Newton loop; it still evaluates
+    its kernel column and runs the one solve at that velocity with its own
+    channels and samples, so it returns what the Newton iteration would,
+    bit for bit, and raises what that solve raises.  A shoot that raised
+    is not remembered.  ``cli.clear_caches`` forgets every shoot.
     """
     if prob.boundary is None:
         raise ValueError("bvp_shoot requires boundary conditions on the problem")
@@ -761,43 +807,50 @@ def bvp_shoot(
     q_a, q_b = prob.boundary.q_a, prob.boundary.q_b
     n = prob.n
 
-    v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
-    final_state = _final_state(rhs, a, b, q_a, steps)
+    final_state, reads = _final_state(rhs, a, b, q_a, steps)
     ode = rhs.with_samples(samples)  # reads the kernel column _final_state gave rhs
+    key = reads and (*reads, tuple(map(float.hex, q_a)), tuple(map(float.hex, q_b)),
+                     _value_key(SHOOTING_TOL), _value_key(SHOOTING_MAX_ITER))
+    remembered = _SHOOTS.get(key) if key else None
 
     def boundary_miss(v_init: list[float]) -> list[float]:
         return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]
 
-    iterations = 0
-    misses = []  # the max-norm miss of each check solve
-    while True:
-        traj = None
-        if _check_converges(misses):
+    traj = None
+    if remembered is not None:
+        v0, iterations, converged = remembered
+    else:
+        v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
+        iterations = 0
+        misses = []  # the max-norm miss of each check solve
+        while True:
+            traj = None
+            if _check_converges(misses):
+                try:
+                    traj = ivp_solve(ode, a, b, q_a, v0, steps, integrands=integrands)
+                except Exception:
+                    pass  # the Newton check below raises what an unguessed shoot raises
+            if traj is None:
+                miss = boundary_miss(v0)
+            else:
+                miss = [x - y for x, y in zip(traj.q[-1], q_b)]
+            misses.append(max(map(abs, miss)))
+            converged = misses[-1] <= SHOOTING_TOL
+            if converged or iterations >= SHOOTING_MAX_ITER:
+                break
+            jac = [[0.0] * n for _ in range(n)]
+            for k in range(n):
+                delta = 1e-6 * (1.0 + abs(v0[k]))
+                probe = list(v0)
+                probe[k] += delta
+                for row, x, y in zip(jac, boundary_miss(probe), miss):
+                    row[k] = (x - y) / delta
             try:
-                traj = ivp_solve(ode, a, b, q_a, v0, steps, integrands=integrands)
-            except Exception:
-                pass  # the Newton check below raises what an unguessed shoot raises
-        if traj is None:
-            miss = boundary_miss(v0)
-        else:
-            miss = [x - y for x, y in zip(traj.q[-1], q_b)]
-        misses.append(max(map(abs, miss)))
-        converged = misses[-1] <= SHOOTING_TOL
-        if converged or iterations >= SHOOTING_MAX_ITER:
-            break
-        jac = [[0.0] * n for _ in range(n)]
-        for k in range(n):
-            delta = 1e-6 * (1.0 + abs(v0[k]))
-            probe = list(v0)
-            probe[k] += delta
-            for row, x, y in zip(jac, boundary_miss(probe), miss):
-                row[k] = (x - y) / delta
-        try:
-            step = linsolve.solve(jac, [-x for x in miss])
-        except linsolve.SingularMatrixError as exc:
-            raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
-        v0 = [x + dx for x, dx in zip(v0, step)]
-        iterations += 1
+                step = linsolve.solve(jac, [-x for x in miss])
+            except linsolve.SingularMatrixError as exc:
+                raise ShootingError(f"singular shooting Jacobian: {exc}") from exc
+            v0 = [x + dx for x, dx in zip(v0, step)]
+            iterations += 1
 
     if traj is None:
         traj = ivp_solve(ode, a, b, q_a, v0, steps, integrands=integrands)
@@ -807,6 +860,11 @@ def bvp_shoot(
         boundary_miss=tuple(x - y for x, y in zip(traj.q[-1], q_b)),
         initial_velocity=tuple(v0),
     )
+    if key:
+        _SHOOTS.pop(key, None)  # the most recently used goes last
+        if len(_SHOOTS) >= _MAX_SHOOTS:
+            del _SHOOTS[next(iter(_SHOOTS))]
+        _SHOOTS[key] = (report.initial_velocity, iterations, converged)
     return traj, report
 
 

@@ -224,17 +224,36 @@ def timeless(result):
                        for name, text in files.items()}
 
 
+# A boundary problem whose shoot converges, and its sibling of the same
+# shape: the warm charge is answered from the shoot the warm solve left.
+PENDULUM = {
+    "name": "drawn", "n": 1, "lagrangian": "1.3*v0^2/2 + 0.7*cos(q0)", "alpha": 0.6,
+    "observer_time": 2.0, "interval": [0.0, 1.0],
+    "mode": {"type": "bvp", "qa": [0.0], "qb": [2.1]}, "steps": 40,
+    "generators": [{"tau": "1", "xi": ["0"], "gauge": "auto"}],
+    "charges": ["noether", "energy", "momentum"], "output_dir": "out"}
+
+
 @settings(max_examples=50, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(siblings())
+@example(("charge", PENDULUM, {**PENDULUM, "lagrangian": "1.2*v0^2/2 + 0.5*cos(q0)"}))
 def test_a_run_after_a_sibling_writes_what_a_run_from_empty_caches_writes(case):
-    # the warm run finds the loops, grids and solvers its sibling left,
-    # the cold one starts as a fresh process does (cli.clear_caches)
+    # the warm run finds the loops, grids, solvers and shoots its sibling
+    # left, the cold one starts as a fresh process does (cli.clear_caches);
+    # a boundary problem runs solve, then charge, whose shoot the warm
+    # process remembers from the solve
     command, raw, sibling = case
+    mode = raw.get("mode")
+    chain = [command]
+    if command in ("solve", "charge") and isinstance(mode, dict) and mode.get("type") == "bvp":
+        chain = ["solve", "charge"]
     with tempfile.TemporaryDirectory() as tmp:
         run(command, sibling, Path(tmp) / "sibling")
-        warm = run(command, raw, Path(tmp) / "run")
-        shutil.rmtree(Path(tmp) / "run")
-        cli.clear_caches()
-        cold = run(command, raw, Path(tmp) / "run")
-    assert timeless(warm) == timeless(cold)
+        warm = [run(step, raw, Path(tmp) / step) for step in chain]
+        cold = []
+        for step in chain:
+            shutil.rmtree(Path(tmp) / step)
+            cli.clear_caches()
+            cold.append(run(step, raw, Path(tmp) / step))
+    assert list(map(timeless, warm)) == list(map(timeless, cold))

@@ -440,3 +440,94 @@ def test_the_blow_up_and_handler_guards_see_every_spelling():
     assert call_sites(tree, "BlowUpError") == [("solve", 7), ("solve", 9)]
     assert handler_sites(tree, {"SOLVER_ERRORS"}) == [("solve", 8), ("solve", 10)]
     assert handler_sites(tree, SOLVER_ERROR_CLASSES) == [("solve", 12)]
+
+
+# Where rho = h*(1 - alpha)/(t - b), the step times the drag's largest
+# damping rate, may be formed, and where it may be compared with the RK4
+# stability bound.
+STIFFNESS_OWNERS = {"scenarios.py:Scenario.stiffness"}
+STABILITY_OWNERS = {"scenarios.py:check_stable"}
+
+
+def named(node, *names) -> bool:
+    """Whether ``node`` is a name or attribute spelled as one of ``names``."""
+    return (isinstance(node, ast.Name) and node.id in names) or (
+        isinstance(node, ast.Attribute) and node.attr in names)
+
+
+def stiffness_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every arithmetic expression, taken
+    whole, that holds 1 - alpha (or ``drag_strength``) and a division by t
+    minus the interval's end (``b``, ``.b`` or ``interval[...]``)."""
+    operands = {id(child) for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                for child in (node.left, node.right)}
+
+    def drag(node):
+        return named(node, "drag_strength") or (
+            isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.Constant) and node.left.value == 1
+            and named(node.right, "alpha"))
+
+    def lag(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+            return False
+        den = node.right
+        end = den.right if isinstance(den, ast.BinOp) and isinstance(den.op, ast.Sub) else None
+        return end is not None and (named(end, "b") or (
+            isinstance(end, ast.Subscript) and named(end.value, "interval")))
+
+    def match(node):
+        if not isinstance(node, ast.BinOp) or id(node) in operands:
+            return False
+        inside = list(ast.walk(node))
+        return any(map(drag, inside)) and any(map(lag, inside))
+
+    return scoped_sites(tree, match)
+
+
+def stability_sites(tree: ast.AST) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every comparison, or ``min`` or
+    ``max`` call, that reads ``RK4_STABILITY_BOUND``."""
+
+    def match(node):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+        elif isinstance(node, ast.Call) and named(node.func, "min", "max"):
+            sides = node.args
+        else:
+            return False
+        return any(named(side, "RK4_STABILITY_BOUND") for side in sides)
+
+    return scoped_sites(tree, match)
+
+
+def test_rho_has_one_owner_and_one_comparison_with_the_bound():
+    package = Path(fracnoether.__file__).parent
+    formed, compared = {}, {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for scope, line in stiffness_sites(tree):
+            formed[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+        for scope, line in stability_sites(tree):
+            compared[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert set(formed.values()) == STIFFNESS_OWNERS, formed
+    assert set(compared.values()) == STABILITY_OWNERS, compared
+
+
+def test_the_rho_guards_see_every_spelling():
+    source = (
+        "class Scenario:\n"
+        "    def stiffness(self, alpha):\n"
+        "        return h * (1.0 - alpha) / (self.observer_time - b)\n"
+        "def rho(s, frac, h):\n"
+        "    x = (1 - s.alpha) / (s.t - s.b) * h\n"
+        "    y = h / (t - s.interval[1]) * frac.drag_strength\n"
+        "    kernel = (1.0 - alpha) / (t - theta)\n"
+        "    return h * (2.0 - alpha) / (t - b)\n"
+        "def check(s, rho):\n"
+        "    if rho > RK4_STABILITY_BOUND or integrators.RK4_STABILITY_BOUND <= rho:\n"
+        "        return max(rho, RK4_STABILITY_BOUND) + RK4_STABILITY_BOUND / 2\n"
+    )
+    tree = ast.parse(source)
+    assert stiffness_sites(tree) == [("Scenario.stiffness", 3), ("rho", 5), ("rho", 6)]
+    assert stability_sites(tree) == [("check", 10), ("check", 10), ("check", 11)]

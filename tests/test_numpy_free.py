@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 import fracnoether
 from fracnoether.charges import ChargeSeries, _drift_stats
-from fracnoether.integrators import linspace, uniform_grid
+from fracnoether import integrators
+from fracnoether.integrators import Trajectory, linspace, uniform_grid
 from fracnoether.scenarios import AlphaSweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,6 +81,15 @@ def test_uniform_grid_is_built_once_and_keeps_signed_zeros():
     assert math.copysign(1.0, uniform_grid(-1.0, -0.0, 10)[-1]) == -1.0
     with pytest.raises(ValueError, match="uniform"):
         uniform_grid(1e14, 1e14 + 1, 2000)
+
+
+def test_a_grid_of_a_non_finite_step_or_node_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        uniform_grid(-1e308, 1e308, 4)  # the step overflows: nan, inf, inf, inf, 1e308
+    with pytest.raises(ValueError, match="finite"):
+        integrators._check_grid((0.0, math.nan, 1.0))  # a finite step, a nan node
+    with pytest.raises(ValueError, match="finite"):
+        Trajectory(theta_grid=(0.0, 0.5, math.inf), q=[(0.0,)] * 3, v=[(0.0,)] * 3, channels={})
 
 
 def test_uniform_grid_builds_the_least_recently_used_of_33_grids_anew():

@@ -95,7 +95,7 @@ def shared(prob, q0, v0, steps, integrands):
     builds, after the Newton loop has run from the same state; it must
     return the solve's last row, or raise what the solve raises."""
     ode = ExplicitOde(prob)
-    final_state = integrators._final_state(ode, 0.0, 1.0, q0, steps)
+    final_state, _ = integrators._final_state(ode, 0.0, 1.0, q0, steps)
     try:
         last = final_state(v0)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
@@ -718,27 +718,30 @@ def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
 
 
 def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
-    # 9 BVPs, each shot by a solve and by a charge command: 18 shoots of 6
-    # Newton solves, each shoot evaluating its kernel column once (at the
-    # nodes and at the half-nodes) and building one trajectory, in its last
-    # check solve, which no Newton loop runs.  The pass starts from empty
-    # caches, as in a fresh process
+    # 9 BVPs, each shot by a solve and by a charge command: 18 shoots, each
+    # evaluating its kernel column once (at the nodes and at the
+    # half-nodes) and building one trajectory.  The solve's shoot runs 6
+    # Newton solves and builds its trajectory in its last check solve,
+    # which no Newton loop runs; the charge's is answered from memory and
+    # runs only that solve.  The pass starts from empty caches, as in a
+    # fresh process
     assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
     assert {row[1] for row in rows} == {"last", "rows"}
     assert all(row[-1] == "0" for row in rows if row[1] == "last")  # no guard
-    assert sum(int(row[3]) for row in rows if row[1] == "last") == 108
+    assert sum(int(row[3]) for row in rows if row[1] == "last") == 54
     per_kind = lines[len(rows) + 1:len(rows) + 3]
     assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
-        "last loops: 108 calls, N instructions per step",
+        "last loops: 54 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
     assert "18 column builders defined, 36 builder calls" in lines
     # the three scenarios of a family differ only in coefficients, and the
     # first command on each family emits its loops for the others
     assert "36 loops: 15 emitted, 21 from the shape cache, 9 distinct sources" in lines
-    assert ("18 shoots: 66 check solves, 18 of them also the trajectory solve; "
-            "0 of 18 guesses wrong") in lines
+    assert ("18 shoots: 33 check solves, 9 of them also the trajectory solve; "
+            "0 of 9 guesses wrong") in lines
+    assert "9 of 18 shoots answered from memory" in lines
     # 9 trajectory tables of 1001 rows and 42 distinct columns in all, and
     # 18 charge tables of one repeating column each
     assert ("27 tables written: 60060 values, 18018 in repeating columns, "

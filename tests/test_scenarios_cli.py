@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fracnoether import cli, expressions, fanout, integrators, linsolve
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
@@ -257,6 +259,18 @@ def test_a_grid_floats_cannot_space_uniformly_is_a_validation_error(
     assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 2
     # names 2000 steps, so in the override case the file's 2 steps passed
     assert capsys.readouterr().err == FAR_GRID
+    assert not out_dir.exists()
+
+
+def test_a_grid_whose_step_overflows_is_a_validation_error(tmp_path, capsys, no_solve):
+    # b - a overflows to inf, and linspace's nodes are nan, inf, inf, inf, b
+    out_dir = tmp_path / "out"
+    path = write_scenario(tmp_path, base_scenario(
+        interval=[-1e308, 1e308], steps=4, observer_time=1.7e308, alpha=1.0,
+        output_dir=str(out_dir)))
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: interval [-1e+308, 1e+308] cannot be split into 4 uniform float steps\n")
     assert not out_dir.exists()
 
 
@@ -655,6 +669,43 @@ def test_a_sweep_gives_an_alpha_the_kernel_makes_unstable_an_error_row(tmp_path)
         ["classical_energy", "classical_momentum_0", "energy", "momentum_0", "noether_g0"]]
 
 
+# The free particle's error, over h^4 (1 - alpha)/(t - b)^4, stays below
+# 6.6e-3 on a grid of alpha in [0.05, 0.99], t - b in [0.01, 10] and rho
+# in [0.001, 0.25]; the test allows 0.01, plus rounding as in
+# integrators.convergence_order.
+H4_MULTIPLE = 0.01
+
+
+@st.composite
+def resolved_free_particles(draw):
+    """A free-particle scenario on [0, 1], q0 = 0 and v0 = 1, with alpha in
+    [0.01, 1], t - b in [0.01, 10] and an even step count of at most 2000
+    whose rho is at most 0.25."""
+    alpha = draw(st.floats(0.01, 1.0))
+    gap = 10.0 ** draw(st.floats(-2.0, 1.0))
+    raw = base_scenario(alpha=alpha, observer_time=1.0 + gap, charges=[], generators=[])
+    least = math.ceil(scenario_from_dict(raw).stiffness(alpha, 1) / 0.25 / 2)
+    half = draw(st.integers(max(1, least), 1000))
+    scenario = scenario_from_dict({**raw, "steps": 2 * half})
+    assume(scenario.stiffness(alpha) <= 0.25)
+    return scenario
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(resolved_free_particles())
+def test_a_step_within_rho_025_keeps_the_free_particle_within_a_multiple_of_h4(scenario):
+    # the closed form verify checks at t - b = 1, here wherever rho <= 0.25
+    from fracnoether.acceptance import _free_particle_position
+
+    alpha, t = scenario.alpha, scenario.observer_time
+    _, _, traj, _, _ = cli._solve(scenario, alpha)
+    exact = [_free_particle_position(th, alpha, t) for th in traj.theta_grid]
+    error = max(abs(q - x) for (q,), x in zip(traj.q, exact))
+    h = 1.0 / scenario.steps
+    rounding = integrators._ORDER_FLOOR_RTOL * (1.0 + max(map(abs, exact)))
+    assert error <= H4_MULTIPLE * h ** 4 * (1.0 - alpha) / (t - 1.0) ** 4 + rounding
+
+
 # --------------------------------------------------------------------------
 # sweep
 
@@ -1008,11 +1059,11 @@ def test_clear_caches_empties_every_cache_the_process_keeps(tmp_path, capsys):
     assert cli.main(["charge", "--scenario", str(path), "--output", str(tmp_path / "out")]) == 0
     caches = [expressions._compile, linsolve._solver, integrators._built_grid, cli.build_parser]
     assert expressions._SHAPES and all(cache.cache_info().currsize for cache in caches)
-    assert integrators._theta_texts[0] is not None
+    assert integrators._theta_texts[0] is not None and integrators._SHOOTS
     cli.clear_caches()
     assert expressions._SHAPES == {}
     assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
-    assert integrators._theta_texts == (None, [])
+    assert integrators._theta_texts == (None, []) and integrators._SHOOTS == {}
 
 
 def test_main_runs_the_command_function_it_finds_when_called(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ import operator
 import numpy as np
 import pytest
 
-from fracnoether import expressions, integrators
+from fracnoether import cli, expressions, integrators
 from fracnoether.charges import (
     SymmetryGenerator,
     gauge_rate_from_reduced_condition,
@@ -258,6 +258,7 @@ def test_a_converged_shoot_builds_one_trajectory(monkeypatch, channels):
 
 
 def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(monkeypatch):
+    cli.clear_caches()
     runs, arguments = [], []
     define = expressions.Emitter.define
 
@@ -307,7 +308,9 @@ GUESSES = {"always": lambda misses: True, "never": lambda misses: False,
 
 @pytest.fixture(params=sorted(GUESSES))
 def guess(request, monkeypatch):
-    """The shoots of a test run under each guess."""
+    """The shoots of a test run under each guess, from empty caches, so that
+    no shoot of the test is answered from memory without its guesses."""
+    cli.clear_caches()
     monkeypatch.setattr(integrators, "_check_converges", GUESSES[request.param])
     return request.param
 
@@ -380,19 +383,20 @@ def test_the_shipped_guess_solves_no_velocity_twice(monkeypatch):
         return solve(*args, **kwargs)
 
     def counted_final_state(*args):
-        fn = final_state(*args)
+        fn, reads = final_state(*args)
 
         def counted(v0):
             newton.append(v0)
             return fn(v0)
 
-        return counted
+        return counted, reads
 
     monkeypatch.setattr(integrators, "ivp_solve", counted_solve)
     monkeypatch.setattr(integrators, "_final_state", counted_final_state)
     for case, (args, channels) in GUESSED_SHOOTS.items():
         if case.startswith("driven"):
             continue  # linear: one iteration, too few misses to guess from
+        cli.clear_caches()  # no shoot of the case is remembered
         solves.clear()
         newton.clear()
         prob = problem(*args)

@@ -34,10 +34,13 @@ every function counted, loop or not; the column builders defined, one
 per shoot at alpha < 1, which evaluates the kernel on its grid, and their
 calls, two per shoot, at the nodes and at the half-nodes
 (``integrators._final_state``); the shoots (``integrators.bvp_shoot``),
-their check solves (one per Newton iteration and one before), how many
-of those were also the solve that built the shoot's trajectory, and how
-many of the guesses that a check would converge
-(``integrators._check_converges``) were wrong; the CSV tables written
+the check solves of those that ran their Newton loop (one per Newton
+iteration and one before), how many of those were also the solve that
+built the shoot's trajectory, and how many of the guesses that a check
+would converge (``integrators._check_converges``) were wrong; how many
+shoots were answered from memory (``integrators._SHOOTS``), a shoot that
+runs no Newton loop, only the solve at the velocity the process
+remembers for it, and so no check solve; the CSV tables written
 (``integrators.write_table``), the values in them, theta not counted, the
 values in repeating columns, at most half of whose values are distinct,
 and the distinct values among those; the ``argparse.ArgumentParser``
@@ -97,6 +100,21 @@ def executed(fn, args) -> list[str]:
     return seen
 
 
+class Counted:
+    """``fn``, calling ``count(args)`` before each call.  It carries the code
+    and keyword defaults of ``fn``, by which ``integrators.bvp_shoot`` keys
+    the shoots it remembers, so a shoot counted here is remembered as it is
+    in an uncounted run."""
+
+    def __init__(self, fn, count):
+        self.fn, self.count = fn, count
+        self.__code__, self.__kwdefaults__ = fn.__code__, fn.__kwdefaults__
+
+    def __call__(self, *args):
+        self.count(args)
+        return self.fn(*args)
+
+
 def kind(loop) -> str:
     """``rows`` for a loop that takes an ``out``, the lists it appends its
     columns to, else ``last``."""
@@ -144,11 +162,11 @@ def record_pass(workload: str, seed: int):
     values in them, "repeating": values in repeating columns, "distinct":
     distinct values among those, "parsers": argument parsers built,
     "terminal": terminal-size reads}, [[iterations, converged, guesses that a
-    check converges, rows loop calls] per shoot], [collections per GC
-    generation])."""
+    check converges, rows loop calls, last loop calls] per shoot],
+    [collections per GC generation])."""
     loops: list[list] = []
     shoots: list[list] = []
-    rows_calls = [0]
+    kind_calls = {"rows": 0, "last": 0}
     collections = [0] * len(gc.get_count())
     define = expressions.Emitter.define
     diff = expressions.Expr.diff
@@ -174,25 +192,23 @@ def record_pass(workload: str, seed: int):
         if name == "column":
             calls["columns"] += 1
 
-            def column(thetas):
+            def column(args):
                 calls["column runs"] += 1
-                return fn(thetas)
 
-            return column
+            return Counted(fn, column)
         if name != "loop":
             return fn
         entry = ["\n".join(source), fn, None, 0]
         loops.append(entry)
-        rows = kind(fn) == "rows"
+        loop_kind = kind(fn)
 
-        def loop(*args):
+        def loop(args):
             if entry[2] is None:
                 entry[2] = args
             entry[3] += 1
-            rows_calls[0] += rows
-            return fn(*args)
+            kind_calls[loop_kind] += 1
 
-        return loop
+        return Counted(fn, loop)
 
     def counted_parser_init(self, *args, **kwargs):
         calls["parsers"] += 1
@@ -228,11 +244,12 @@ def record_pass(workload: str, seed: int):
         return emit_loop(*args)
 
     def counted_shoot(*args, **kwargs):
-        shoot = [0, False, 0, -rows_calls[0]]
+        shoot = [0, False, 0, -kind_calls["rows"], -kind_calls["last"]]
         shoots.append(shoot)
         traj, report = bvp_shoot(*args, **kwargs)
         shoot[:2] = report.iterations, report.converged
-        shoot[3] += rows_calls[0]
+        shoot[3] += kind_calls["rows"]
+        shoot[4] += kind_calls["last"]
         return traj, report
 
     def counted_guess(misses):
@@ -317,12 +334,16 @@ def main(argv=None) -> int:
     print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
     print(f"{counts['columns']} column builders defined, {counts['column runs']} builder calls")
     # a shoot's trajectory is a check solve where no solve followed its
-    # guessed checks, and a right guess ends the shoot converged there
-    checks = sum(1 + iterations for iterations, _, _, _ in shoots)
-    reused = [converged for _, converged, guesses, rows in shoots if rows == guesses]
-    guesses = sum(guesses for _, _, guesses, _ in shoots)
+    # guessed checks, and a right guess ends the shoot converged there; a
+    # shoot answered from memory runs no Newton loop, and every other runs
+    # one for its first check solve
+    run = [shoot for shoot in shoots if shoot[4]]
+    checks = sum(1 + iterations for iterations, *_ in run)
+    reused = [converged for _, converged, guesses, rows, _ in run if rows == guesses]
+    guesses = sum(guesses for _, _, guesses, _, _ in run)
     print(f"{len(shoots)} shoots: {checks} check solves, {len(reused)} of them also the "
           f"trajectory solve; {guesses - sum(reused)} of {guesses} guesses wrong")
+    print(f"{len(shoots) - len(run)} of {len(shoots)} shoots answered from memory")
     print(f"{counts['tables']} tables written: {counts['values']} values, {counts['repeating']} "
           f"in repeating columns, {counts['distinct']} distinct among those")
     print(f"{counts['parsers']} argument parsers built, {counts['terminal']} terminal-size reads")
