@@ -18,10 +18,10 @@ commands: the compiled loops by shape and their code, the linear solvers
 by size, the last 32 theta grids, the theta texts of the last table
 written, and the last 32 shoots of boundary problems that returned
 (``integrators._SHOOTS``), keyed by all that their Newton iteration reads:
-the code of its loop and of its kernel column builder with every constant
-each binds, the grid, q_a and q_b by ``float.hex``, the shooting tolerance
-and iteration limit. A remembered shoot, as ``charge`` after ``solve`` on
-one boundary problem, runs no Newton loop, only its final solve.
+the structure of the ODE's trees with every constant's value, the grid,
+q_a and q_b by ``float.hex``, the shooting tolerance and iteration limit.
+A remembered shoot, as ``charge`` after ``solve`` on one boundary problem,
+builds no Newton loop or kernel column, and runs only its final solve.
 ``clear_caches()`` empties all of them and the argparse tree, so the next
 command starts as it would in a fresh process; no output depends on them.
 A shell user runs one command per process and gains nothing from them.
@@ -337,11 +337,10 @@ def clear_caches() -> None:
     the linear solvers by size (``linsolve._solver``), the grids
     (``integrators.uniform_grid``), the theta texts of the last table
     written (``integrators.write_table``), the last 32 shoots that returned
-    (``integrators._SHOOTS``, keyed by the code and constants of the Newton
-    loop and the kernel column builder, the grid, q_a, q_b, the shooting
-    tolerance and iteration limit) and the argparse tree of
-    :func:`build_parser`.  What a command computes or writes does not
-    depend on them."""
+    (``integrators._SHOOTS``, keyed by the structure and constants of the
+    ODE's trees, the grid, q_a, q_b, the shooting tolerance and iteration
+    limit) and the argparse tree of :func:`build_parser`.  What a command
+    computes or writes does not depend on them."""
     expressions._SHAPES.clear()
     expressions._compile.cache_clear()
     linsolve._solver.cache_clear()

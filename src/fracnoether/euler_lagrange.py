@@ -227,16 +227,12 @@ class ExplicitOde:
     its compiled step loop at every stage instead of calling.  ``samples``
     lists the :class:`~fracnoether.integrators.Sample` trees a solve of
     this ODE samples at every node (:meth:`with_samples`), none by
-    default, and ``kernel_column`` holds ``(grid, half-nodes, kernel at
-    the nodes, kernel at the half-nodes)``, which the Newton shooting of
-    a boundary problem sets for its solves on that grid to read; copies
-    share it.
+    default.
     """
 
     # The names the statements of emit_accelerations use, for Emitter.define.
     NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
     samples: tuple = ()
-    kernel_column = None
 
     def __init__(self, prob: VariationalProblem):
         self.prob = prob

@@ -24,7 +24,8 @@ a tree is a slot of its shape, one per node, known only by whether it is
 zero, so trees that differ only in coefficients (the scenarios of one
 family, the alphas of a sweep) have one shape, unless equal coefficients
 make two subtrees equal, and :func:`shaped` emits each shape once,
-binding every slot anew for every later function.  ``e.evaluate(theta, q, v)`` is
+binding every slot anew for every later function; :func:`structure` is
+that shape with the value in each slot.  ``e.evaluate(theta, q, v)`` is
 the raw compiled function, and :func:`evaluate_on_grid` (it, point by
 point) the checked entry point, which refuses to return non-finite
 values; one point is a one-point grid.  :func:`compile_trees` compiles
@@ -927,6 +928,16 @@ def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int], dict[int, in
 
     item(trees)
     return tuple(out), values, seen, numbers, keys
+
+
+def structure(trees) -> tuple[tuple, tuple]:
+    """The shape of ``trees`` that :func:`shaped` keys by, and the
+    ``_value_key`` of the value in each of its slots, in slot order: equal
+    for two sets of trees only where they are the same trees node for node,
+    so what is emitted from them computes alike.  One walk (:func:`_shape`),
+    before anything is emitted or compiled."""
+    shape, values = _shape(trees)[:2]
+    return shape, tuple(map(_value_key, values.values()))
 
 
 def _beyond_message(letter: str, index: int, count: int) -> str:

@@ -22,14 +22,16 @@ next alpha of a sweep, is not emitted again.  The loop appends each value
 it keeps to a list of its column, and :func:`ivp_solve` tests the last
 value of each finite once per solve, not the loop at every step.  The
 Newton solves of :func:`bvp_shoot` run the channel-less loop, built once
-per shoot, returning only the state at b, and the one trajectory a shoot
-returns is a solve at the final velocity with its channels and samples,
-which is also the last check of its miss where the shoot expects that
-check to converge; all of them read the kernel (1 - alpha)/(t - theta)
-of the right-hand side from its values on the grid, evaluated once per
-shoot.  The process remembers the last 32 shoots that returned, by all
-that their Newton iteration reads (``_SHOOTS``), and a shoot it
-remembers runs only that final solve.
+per shoot, returning only the state at b and reading the kernel
+(1 - alpha)/(t - theta) of the right-hand side from its values on the
+grid, evaluated once per shoot.  The one trajectory a shoot returns is a
+solve at the final velocity with its channels and samples, which writes
+the kernel out as every :func:`ivp_solve` does, and which is also the
+last check of its miss where the shoot expects that check to converge.
+The process remembers the last 32 shoots that returned, by the structure
+of their trees and the rest of what their Newton iteration reads
+(``_SHOOTS``), and a shoot it remembers builds no Newton loop and runs
+only that final solve.
 
 Everything here runs on floats, a column of values a tuple: the theta
 grid is :func:`linspace`, ``numpy.linspace``'s formula, bit for bit.
@@ -45,7 +47,7 @@ from typing import Callable, Mapping, Sequence
 from . import linsolve
 from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
 from .expressions import (
-    Emitter, Expr, ExpressionError, _value_key, evaluate_on_grid, shaped,
+    Emitter, Expr, ExpressionError, _value_key, evaluate_on_grid, shaped, structure,
 )
 from .records import Record, field
 
@@ -369,9 +371,8 @@ def ivp_solve(
     ``Trajectory.samples``; a sample that fails to evaluate or is not
     finite at some node is left out, for :meth:`Trajectory.sample` to
     evaluate and report.  Every loop, one that calls at each stage too, is
-    emitted once per shape of its trees, not once per solve.  It computes every
-    subtree at every stage but the kernel, where a shoot on this grid
-    evaluated it for the ODE (:func:`_final_state`), which it reads.
+    emitted once per shape of its trees, not once per solve.  It computes
+    every subtree at every stage, the kernel included.
     It appends every value it keeps to one list per sample, q, v and
     channel column, which become the trajectory's columns as they are:
     nothing is transposed, and a non-finite state is looked for in the
@@ -400,8 +401,7 @@ def ivp_solve(
 
     grid = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    loop, columns = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled,
-                                      grid)
+    loop = _compile_rk4_loop(rhs, n, [integrands[name] for name in names], sampled)
 
     # One list per column: each step appends its samples, taken at its
     # start, and the state (q, v, channels) it reached; after the last
@@ -410,7 +410,7 @@ def ivp_solve(
     taken = [[] for _ in samples]
     weights = [s.weight for s in samples]
     try:
-        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, columns, taken + state,
+        loop(grid, h, 0.5 * h, h / 6.0, qc + vc, (), taken + state,
              *([weights] if samples else []))
     except Exception as exc:
         _raise_blow_up(state, grid)
@@ -433,24 +433,20 @@ def ivp_solve(
 
 def _final_state(
     rhs: ExplicitOde, a: float, b: float, q0: Sequence[float], steps: int
-) -> tuple[Callable, tuple | None]:
+) -> Callable:
     """``final_state(v0)``: the last row ``(q.., v..)`` of ``ivp_solve(rhs, a, b,
     q0, v0, steps)``, for any ``v0`` of the ODE's length, from a compiled
-    loop that returns only that row; no trajectory is built.  Returned with
-    what it reads besides ``q0`` and ``v0``: the loop and the kernel's
-    column builder, None without a kernel (:func:`_code_and_constants`),
-    and the grid as ``(a.hex(), b.hex(), steps)``; None in place of all
-    three where one of the functions is not an emitted one.
+    loop that returns only that row; no trajectory is built.
 
     Validates as :func:`ivp_solve` does, once.  It evaluates the kernel
     of ``rhs`` at the nodes and half-nodes of the grid by a compiled
-    builder (:func:`_emit_column`) and gives ``rhs`` the
-    ``kernel_column`` ``(grid, half-nodes, at the nodes, at the
-    half-nodes)``, which the loop and later solves of ``rhs`` on the grid
-    read; where there is no kernel (alpha = 1), or the builder raises
-    somewhere on the grid, ``rhs`` gets None and loops write the kernel
-    out.  The loop only adds to q and v, so a finite last row means every
-    row was finite.
+    builder (:func:`_emit_column`), and the loop reads the column
+    ``(half-nodes, at the nodes, at the half-nodes)``, which is handed to
+    :func:`_compile_rk4_loop` and to every call of the loop and kept
+    nowhere else; where there is no kernel (alpha = 1), or the builder
+    raises somewhere on the grid, the loop writes the kernel out, as every
+    :func:`ivp_solve` does.  The loop only adds to q and v, so a finite
+    last row means every row was finite.
     Where the loop raises or the last row is not finite, that solve runs
     again through :func:`ivp_solve`, which raises its error, with the same
     theta and message.  Its q and v, and so its boundary miss, are those
@@ -464,15 +460,15 @@ def _final_state(
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")
     nodes = uniform_grid(a, b, steps)
     h = (float(b) - float(a)) / steps
-    rhs.kernel_column = builder = None
+    columns = ()
     if rhs.kernel is not None:
         builder = shaped(("column",), rhs.kernel, functools.partial(_emit_column, rhs.kernel))
         halves = [th + 0.5 * h for th in nodes[:-1]]
         try:
-            rhs.kernel_column = (nodes, halves, builder(nodes), builder(halves))
+            columns = (halves, builder(nodes), builder(halves))
         except (ArithmeticError, ValueError):
             pass
-    loop, columns = _compile_rk4_loop(rhs, rhs.n, [], (), nodes, last_row=True)
+    loop = _compile_rk4_loop(rhs, rhs.n, [], (), columns, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
@@ -485,25 +481,7 @@ def _final_state(
         traj = ivp_solve(rhs, a, b, qc, vc, steps)
         return (*traj.q[-1], *traj.v[-1])
 
-    functions = _code_and_constants([loop, builder])
-    return final_state, functions and (*functions, (float(a).hex(), float(b).hex(), steps))
-
-
-def _code_and_constants(functions: Sequence[Callable | None]) -> tuple | None:
-    """Each function's code and the ``_value_key`` of every constant it binds,
-    its keyword defaults, which together fix what an emitted function
-    computes (None stays None); None where one is not emitted, its code not
-    one of ``Emitter.define``'s (a caller's wrapper, say), which says
-    nothing of what it calls."""
-    out = []
-    for fn in functions:
-        if fn is not None:
-            code = getattr(fn, "__code__", None)
-            if code is None or not code.co_filename.startswith("<compiled "):
-                return None
-            fn = (code, tuple(map(_value_key, (fn.__kwdefaults__ or {}).values())))
-        out.append(fn)
-    return tuple(out)
+    return final_state
 
 
 def _emit_column(tree: Expr, em: Emitter):
@@ -538,33 +516,34 @@ def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
-                      grid: tuple, last_row: bool = False) -> tuple[Callable, tuple]:
-    """Compile the RK4 step loop of :func:`_emit_rk4_loop` for ``grid``;
-    return it and its ``columns`` argument.
+                      columns: tuple = (), last_row: bool = False) -> Callable:
+    """Compile the RK4 step loop of :func:`_emit_rk4_loop`.
 
-    An :class:`ExplicitOde` ``rhs`` whose ``kernel_column`` is on ``grid``
-    has its kernel read from there (:func:`_final_state`).
-    Every loop is emitted once per shape of its trees and of the trees it
-    reads (:func:`~fracnoether.expressions.shaped`), keyed also by whether
-    ``rhs`` is an :class:`ExplicitOde`, by n and by which integrands are
-    trees: the loops of a sweep's alphas, or of the scenarios of one
-    family, differ only in coefficients, which are slots of the shape,
-    and in the sample weights and the columns, which are arguments.  A
-    call-per-stage loop, of any other ``rhs`` or integrand, binds the
-    callables of this call (``_rhs``, ``_g<i>``) in its own function.
+    Given ``columns``, the kernel column of an :class:`ExplicitOde`
+    ``rhs`` (:func:`_final_state`), the loop reads the kernel from its
+    ``columns`` argument, which is then that column; with none, as in
+    every :func:`ivp_solve`, it writes the kernel out and its ``columns``
+    argument is ``()``.  Every loop is emitted once per shape of its trees
+    and of the trees it reads (:func:`~fracnoether.expressions.shaped`),
+    keyed also by whether ``rhs`` is an :class:`ExplicitOde`, by n and by
+    which integrands are trees: the loops of a sweep's alphas, or of the
+    scenarios of one family, differ only in coefficients, which are slots
+    of the shape, and in the sample weights and the columns, which are
+    arguments.  A call-per-stage loop, of any other ``rhs`` or integrand,
+    binds the callables of this call (``_rhs``, ``_g<i>``) in its own
+    function.
     """
     ode = isinstance(rhs, ExplicitOde)
     key, trees = rhs.shape_key() if ode else ((), ())
     trees = (*trees, [g for g in integrands if isinstance(g, Expr)], [tree for tree, _ in sampled])
-    column = rhs.kernel_column if ode else None
-    read, args = ([rhs.kernel], column[1:]) if column and column[0] is grid else ([], ())
+    read = [rhs.kernel] if columns else []
     called = {f"_g{i}": g.evaluate for i, g in enumerate(integrands) if not isinstance(g, Expr)}
     if not ode:
         called["_rhs"] = rhs
     key = ("loop", ode, n, tuple(isinstance(g, Expr) for g in integrands), *key,
            tuple(k for _, k in sampled), last_row)
     emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, read, last_row)
-    return shaped(key, (*trees, read), emit, **called), args
+    return shaped(key, (*trees, read), emit, **called)
 
 
 def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
@@ -577,7 +556,8 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     nothing and returns the last row.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
-    ``read`` is the kernel of the ODE where it is read, else empty.  The
+    ``read`` is the kernel of the ODE where it is read, else empty; only
+    a Newton loop reads it, which takes no samples.  The
     argument ``columns`` then holds the half-nodes and the kernel at the
     nodes and at the half-nodes (:func:`_final_state`), and the loop steps
     over them with the nodes: a step reads the kernel at its theta,
@@ -664,7 +644,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     taken = [f"s{i}" for i in range(len(sampled))]
     marks = [em.mark()]
     ends = [f"e{name}" for name in q + v]
-    for point in (points[0], ("end", ends[:n], ends[n:], named("e"))):
+    for point in (points[0], ("end", ends[:n], ends[n:])):
         em.at(*point)
         for i, (tree, k) in enumerate(sampled):
             value = em.emit(tree)
@@ -724,7 +704,6 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     if sampled:
         source += [
             "    end = nodes[-1]",
-            *(f"    e{i} = n{i}[-1]" for i in range(len(read))),
             f"    {', '.join(ends)}, = {', '.join(q + v)},",
             *sampling("    ", stepped, None),
             *(f"    {put}({name})" for put, name in zip(puts, taken)),
@@ -788,14 +767,15 @@ def bvp_shoot(
     without the guess, and where it raised.
 
     The process remembers the last 32 shoots that returned (``_SHOOTS``),
-    by all that their Newton iteration reads: the code of the Newton loop
-    and of the kernel's column builder with the value of every constant
-    each binds, the grid, ``q_a`` and ``q_b`` by ``float.hex``,
-    ``SHOOTING_TOL`` and ``SHOOTING_MAX_ITER`` (:func:`_final_state`).  A
-    shoot of a remembered key, as ``charge`` after ``solve`` on one
+    by all that their Newton iteration reads, known before anything is
+    compiled: the structure of the ODE's trees, every constant by its
+    value (:meth:`ExplicitOde.shape_key`,
+    :func:`~fracnoether.expressions.structure`), the grid, ``q_a`` and
+    ``q_b`` by ``float.hex``, ``SHOOTING_TOL`` and ``SHOOTING_MAX_ITER``.
+    A shoot of a remembered key, as ``charge`` after ``solve`` on one
     boundary problem, takes its final velocity, iterations and
-    ``converged`` from there and runs no Newton loop; it still evaluates
-    its kernel column and runs the one solve at that velocity with its own
+    ``converged`` from there; it builds no kernel column and no Newton
+    loop, and runs only the one solve at that velocity with its own
     channels and samples, so it returns what the Newton iteration would,
     bit for bit, and raises what that solve raises.  A shoot that raised
     is not remembered.  ``cli.clear_caches`` forgets every shoot.
@@ -807,19 +787,22 @@ def bvp_shoot(
     q_a, q_b = prob.boundary.q_a, prob.boundary.q_b
     n = prob.n
 
-    final_state, reads = _final_state(rhs, a, b, q_a, steps)
-    ode = rhs.with_samples(samples)  # reads the kernel column _final_state gave rhs
-    key = reads and (*reads, tuple(map(float.hex, q_a)), tuple(map(float.hex, q_b)),
-                     _value_key(SHOOTING_TOL), _value_key(SHOOTING_MAX_ITER))
-    remembered = _SHOOTS.get(key) if key else None
-
-    def boundary_miss(v_init: list[float]) -> list[float]:
-        return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]
+    head, trees = rhs.shape_key()
+    key = (head, structure(trees), float(a).hex(), float(b).hex(), steps,
+           tuple(map(float.hex, q_a)), tuple(map(float.hex, q_b)),
+           _value_key(SHOOTING_TOL), _value_key(SHOOTING_MAX_ITER))
+    remembered = _SHOOTS.get(key)
+    ode = rhs.with_samples(samples)
 
     traj = None
     if remembered is not None:
         v0, iterations, converged = remembered
     else:
+        final_state = _final_state(rhs, a, b, q_a, steps)
+
+        def boundary_miss(v_init: list[float]) -> list[float]:
+            return [x - y for x, y in zip(final_state(v_init)[:n], q_b)]
+
         v0 = [(y - x) / (b - a) for x, y in zip(q_a, q_b)]
         iterations = 0
         misses = []  # the max-norm miss of each check solve
@@ -860,11 +843,10 @@ def bvp_shoot(
         boundary_miss=tuple(x - y for x, y in zip(traj.q[-1], q_b)),
         initial_velocity=tuple(v0),
     )
-    if key:
-        _SHOOTS.pop(key, None)  # the most recently used goes last
-        if len(_SHOOTS) >= _MAX_SHOOTS:
-            del _SHOOTS[next(iter(_SHOOTS))]
-        _SHOOTS[key] = (report.initial_velocity, iterations, converged)
+    _SHOOTS.pop(key, None)  # the most recently used goes last
+    if len(_SHOOTS) >= _MAX_SHOOTS:
+        del _SHOOTS[next(iter(_SHOOTS))]
+    _SHOOTS[key] = (report.initial_velocity, iterations, converged)
     return traj, report
 
 

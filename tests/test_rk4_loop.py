@@ -6,8 +6,8 @@ expression integrands into its compiled loop, and calls anything else
 once per stage.  Both forms of one problem must give the same bytes, or
 the same exception class and message, and so must the plain RK4 of
 ``tree_walk_oracle``, which shares no code with the emitter, and the
-loops of a shoot, which read the kernel of the right-hand side from its
-values on the grid, evaluated before them.
+Newton loop of a shoot, which reads the kernel of the right-hand side
+from its values on the grid, evaluated before it.
 """
 
 import ast
@@ -91,11 +91,12 @@ def walked(prob, q0, v0, steps, integrands):
 
 
 def shared(prob, q0, v0, steps, integrands):
-    """``ivp_solve`` reading the kernel column that a shoot on its grid
-    builds, after the Newton loop has run from the same state; it must
-    return the solve's last row, or raise what the solve raises."""
+    """``ivp_solve``, after the Newton loop of a shoot on its grid, which
+    reads the kernel column the shoot builds, has run from the same state;
+    that loop must return the solve's last row, or raise what the solve
+    raises."""
     ode = ExplicitOde(prob)
-    final_state, _ = integrators._final_state(ode, 0.0, 1.0, q0, steps)
+    final_state = integrators._final_state(ode, 0.0, 1.0, q0, steps)
     try:
         last = final_state(v0)
     except (ArithmeticError, ValueError, RuntimeError) as exc:
@@ -286,11 +287,11 @@ def test_a_command_reads_every_charge_from_the_loop(case, tmp_path, monkeypatch)
     assert golden.run_case(case, tmp_path / "loop_only") == plain
 
 
-def test_samples_read_the_kernel_they_share_with_the_right_hand_side():
+def test_a_sampled_solve_reads_no_column():
     # the net force of a driven family holds two theta-only subtrees, the
-    # kernel and 0.4*theta/2; sampling the net force itself reads the
-    # kernel from the column the shoot evaluated, at every node and at the
-    # last, and writes the driven term out
+    # kernel and 0.4*theta/2; after a shoot on the grid has evaluated the
+    # kernel's column, a solve sampling the net force itself still writes
+    # both out, at every node and at the last, and reads no column
     prob = problem("1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0/2", 1)
     ode = ExplicitOde(prob)
     integrators._final_state(ode, 0.0, 1.0, [0.4], 8)
@@ -306,7 +307,8 @@ def test_samples_read_the_kernel_they_share_with_the_right_hand_side():
         mp.setattr(expressions.Emitter, "define", recording_define)
         traj = ivp_solve(ode.with_samples(samples), 0.0, 1.0, [0.4], [0.7], 8)
     (source,) = sources
-    assert "e0 = n0[-1]" in source and "n1" not in source
+    assert "= columns" not in source and not re.search(r"\b[nm]0\b", source)
+    assert re.search(r"_c\d+ - end\b", source)
     plain = inlined(prob, [0.4], [0.7], 8, {})
     assert repr(traj.q) == repr(plain.q) and repr(traj.v) == repr(plain.v)
     for s in samples:
@@ -491,10 +493,11 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     loops = [source for filename, source in defined if filename == "<compiled loop>"]
     assert ["c0 = 0.0" in source for source in loops] == [False, True]
     # the kernel, the one theta-only subtree of the net force, is evaluated
-    # on the grid once, before the Newton loop, and both loops read it
+    # on the grid once, before the Newton loop, which alone reads it: the
+    # solve with the channels writes it out
     (column,) = [source for filename, source in defined if filename == "<compiled column>"]
     assert KERNEL.search(column)
-    assert all("halves, n0, m0, = columns" in source for source in loops)
+    assert ["halves, n0, m0, = columns" in source for source in loops] == [True, False]
     # and the 2x2 solver of the constant-mass check and the Jacobian, built
     # once per process; nothing else: the ODE's own functions are never
     # called, and the integrands compile nothing
@@ -719,12 +722,12 @@ def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
 
 def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     # 9 BVPs, each shot by a solve and by a charge command: 18 shoots, each
-    # evaluating its kernel column once (at the nodes and at the
-    # half-nodes) and building one trajectory.  The solve's shoot runs 6
-    # Newton solves and builds its trajectory in its last check solve,
-    # which no Newton loop runs; the charge's is answered from memory and
-    # runs only that solve.  The pass starts from empty caches, as in a
-    # fresh process
+    # building one trajectory.  The solve's shoot evaluates its kernel
+    # column once (at the nodes and at the half-nodes), runs 6 Newton
+    # solves and builds its trajectory in its last check solve, which no
+    # Newton loop runs; the charge's is answered from memory, defines no
+    # column builder and no Newton loop, and runs only that solve.  The
+    # pass starts from empty caches, as in a fresh process
     assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
@@ -735,10 +738,11 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
         "last loops: 54 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
-    assert "18 column builders defined, 36 builder calls" in lines
+    assert "348 Expr.diff calls, 38 Emitter.define calls" in lines
+    assert "9 column builders defined, 18 builder calls" in lines
     # the three scenarios of a family differ only in coefficients, and the
     # first command on each family emits its loops for the others
-    assert "36 loops: 15 emitted, 21 from the shape cache, 9 distinct sources" in lines
+    assert "27 loops: 15 emitted, 12 from the shape cache, 9 distinct sources" in lines
     assert ("18 shoots: 33 check solves, 9 of them also the trajectory solve; "
             "0 of 9 guesses wrong") in lines
     assert "9 of 18 shoots answered from memory" in lines

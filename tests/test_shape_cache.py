@@ -515,7 +515,7 @@ def outcomes(lagrangian, n: int, alpha: float) -> list:
                                prob.action_integrand])(0.3, q0, v0),
         *(functools.partial(ode, theta, q0, v0) for theta in (0.0, 0.3, 1.0)),
         lambda: ivp_solve(sampled, 0.0, 1.0, q0, v0, 6, integrands={"e": prob.energy}),
-        lambda: integrators._final_state(ode, 0.0, 1.0, q0, 6)[0](v0),
+        lambda: integrators._final_state(ode, 0.0, 1.0, q0, 6)(v0),
     ]
     out = []
     for run in runs:

@@ -1,10 +1,11 @@
 """The shoots a process remembers (``integrators._SHOOTS``).
 
 A shoot of a boundary problem that returned is remembered by all that its
-Newton iteration reads, and the next shoot of that key takes its final
-velocity from there: it runs no Newton loop, only its final solve.  A
-shoot that differs in any one input is a miss, and every shoot, remembered
-or not, writes what a run from empty caches writes.
+Newton iteration reads, the structure and constants of its ODE's trees
+among them, and the next shoot of that key takes its final velocity from
+there: it builds no kernel column and no Newton loop, and runs only its
+final solve.  A shoot that differs in any one input is a miss, and every
+shoot, remembered or not, writes what a run from empty caches writes.
 """
 
 import contextlib
@@ -32,6 +33,9 @@ AT_REST = {**PENDULUM, "mode": {"type": "bvp", "qa": [0.0], "qb": [0.0]}}
 # (the remembered scenario, the scenario that differs from it in one input)
 VARIANTS = {
     "coefficient": (PENDULUM, {**PENDULUM, "lagrangian": "1.3*v0^2/2 + 0.6*cos(q0)"}),
+    # the same constants in another tree
+    "function": (PENDULUM, {**PENDULUM, "lagrangian": "1.3*v0^2/2 + 0.7*sin(q0)"}),
+    "factors_swapped": (PENDULUM, {**PENDULUM, "lagrangian": "1.3*v0^2/2 + cos(q0)*0.7"}),
     "alpha": (PENDULUM, {**PENDULUM, "alpha": 0.5}),
     "observer_time": (PENDULUM, {**PENDULUM, "observer_time": 2.5}),
     "interval_start": (PENDULUM, {**PENDULUM, "interval": [-0.2, 1.0]}),
@@ -55,13 +59,13 @@ def newton(monkeypatch):
     final_state = integrators._final_state
 
     def counted_final_state(*args):
-        fn, reads = final_state(*args)
+        fn = final_state(*args)
 
         def counted(v0):
             solved.append(list(v0))
             return fn(v0)
 
-        return counted, reads
+        return counted
 
     cli.clear_caches()
     monkeypatch.setattr(integrators, "_final_state", counted_final_state)
@@ -103,6 +107,40 @@ def test_a_shoot_that_differs_in_one_input_is_a_miss(newton, tmp_path, variant):
     newton.clear()
     assert charge(varied, tmp_path, "run") == warm
     assert warm[0] == 0 and newton == solved
+
+
+def test_a_lagrangian_with_its_terms_swapped_is_the_same_shoot(newton, tmp_path):
+    # each term of the pendulum's Lagrangian has a zero derivative in the
+    # other's variable, so swapping them derives the same ODE trees: the
+    # same shoot, answered from memory, writing what a run from empty
+    # caches writes
+    swapped = {**PENDULUM, "lagrangian": "0.7*cos(q0) + 1.3*v0^2/2"}
+    assert charge(PENDULUM, tmp_path, "remembered")[0] == 0
+    newton.clear()
+    warm = charge(swapped, tmp_path, "run")
+    assert newton == [] and len(integrators._SHOOTS) == 1
+    cli.clear_caches()
+    assert charge(swapped, tmp_path, "run") == warm
+    assert warm[0] == 0 and newton
+
+
+def test_a_remembered_shoot_defines_only_the_loop_of_its_final_solve(defined, tmp_path):
+    prob = problem("1.3*v0^2/2 + 0.7*cos(q0)", [2.1])
+    bvp_shoot(prob, steps=20)
+    defined.clear()
+    bvp_shoot(prob, steps=20)
+    assert [filename for filename, _ in defined] == ["<compiled loop>"]
+    # charge after solve on one boundary problem
+    path = tmp_path / "shoot.json"
+    path.write_text(json.dumps(PENDULUM))
+    for command in ("solve", "charge"):
+        defined.clear()
+        argv = [command, "--scenario", str(path), "--output", str(tmp_path / command)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    built = [filename for filename, _ in defined
+             if filename in ("<compiled loop>", "<compiled column>")]
+    assert built == ["<compiled loop>"]
 
 
 @pytest.mark.parametrize("name", PATCHED)

@@ -8,8 +8,6 @@ and no guess: the report, every array of the trajectory and every error
 must be the same, bit for bit, whatever the guess says.
 """
 
-import operator
-
 import numpy as np
 import pytest
 
@@ -279,25 +277,40 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(monkeypatch):
     monkeypatch.setattr(expressions.Emitter, "define", recording_define)
     prob = problem(*BENCHMARK_BVPS["coupled_cos"])
     integrands = time_translation_integrands(prob)
-    kernels = []
-    for _ in range(2):
+
+    def shoot():
         runs.clear()
         arguments.clear()
         traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
+        return (repr(traj.q), repr(traj.v), repr(traj.channels)), report
+
+    def assert_newton_run(report):
         # the kernel is the one theta-only subtree of the net force: it is
         # evaluated at the nodes and at the half-nodes once, and the first
         # check solve and the n probes and the check solve of each Newton
         # iteration all read those values; the last check solve is the
-        # solve with the channels, and no velocity is solved twice
+        # solve with the channels, which writes the kernel out, and no
+        # velocity is solved twice
         assert report.converged and report.iterations >= 2
         assert len(runs) == 2 and len(runs[0]) == 101 and len(runs[1]) == 100
         assert len(arguments) == 1 + 3 * report.iterations
         # (half-nodes, kernel at the nodes, kernel at the half-nodes)
-        assert all(len(columns) == 3 and all(map(operator.is_, columns, arguments[0]))
-                   for columns in arguments)
-        kernels.append(arguments[0][1])
-    # a second shoot on the same grid evaluates them again: no store outlives its shoot
-    assert kernels[0] is not kernels[1] and kernels[0] == kernels[1]
+        newton, final = arguments[:-1], arguments[-1]
+        assert len(newton[0]) == 3 and all(columns is newton[0] for columns in newton)
+        assert final == ()
+        return newton[0]
+
+    first, report = shoot()
+    column = assert_newton_run(report)
+    # the same shoot again is answered from memory, wrappers or not: no
+    # column and no Newton loop, only the final solve
+    assert shoot() == (first, report)
+    assert runs == [] and arguments == [()]
+    # from empty caches the column is evaluated again: no store outlives its shoot
+    cli.clear_caches()
+    assert shoot() == (first, report)
+    again = assert_newton_run(report)
+    assert again[1] is not column[1] and again == column
 
 
 # The guess of _check_converges patched to say yes at every check solve, no
@@ -383,13 +396,13 @@ def test_the_shipped_guess_solves_no_velocity_twice(monkeypatch):
         return solve(*args, **kwargs)
 
     def counted_final_state(*args):
-        fn, reads = final_state(*args)
+        fn = final_state(*args)
 
         def counted(v0):
             newton.append(v0)
             return fn(v0)
 
-        return counted, reads
+        return counted
 
     monkeypatch.setattr(integrators, "ivp_solve", counted_solve)
     monkeypatch.setattr(integrators, "_final_state", counted_final_state)

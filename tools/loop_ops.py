@@ -31,16 +31,17 @@ cache (``expressions.shaped``), the distinct sources, and the seconds
 spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
 then the ``Expr.diff`` and ``Emitter.define`` calls of the whole pass,
 every function counted, loop or not; the column builders defined, one
-per shoot at alpha < 1, which evaluates the kernel on its grid, and their
-calls, two per shoot, at the nodes and at the half-nodes
-(``integrators._final_state``); the shoots (``integrators.bvp_shoot``),
-the check solves of those that ran their Newton loop (one per Newton
-iteration and one before), how many of those were also the solve that
-built the shoot's trajectory, and how many of the guesses that a check
-would converge (``integrators._check_converges``) were wrong; how many
-shoots were answered from memory (``integrators._SHOOTS``), a shoot that
-runs no Newton loop, only the solve at the velocity the process
-remembers for it, and so no check solve; the CSV tables written
+per shoot at alpha < 1 that runs its Newton loop, which evaluates the
+kernel on its grid, and their calls, two per such shoot, at the nodes
+and at the half-nodes (``integrators._final_state``); the shoots
+(``integrators.bvp_shoot``), the check solves of those that ran their
+Newton loop (one per Newton iteration and one before), how many of those
+were also the solve that built the shoot's trajectory, and how many of
+the guesses that a check would converge
+(``integrators._check_converges``) were wrong; how many shoots were
+answered from memory (``integrators._SHOOTS``), a shoot that builds no
+column and no Newton loop, and runs only the solve at the velocity the
+process remembers for it, and so no check solve; the CSV tables written
 (``integrators.write_table``), the values in them, theta not counted, the
 values in repeating columns, at most half of whose values are distinct,
 and the distinct values among those; the ``argparse.ArgumentParser``
@@ -101,14 +102,10 @@ def executed(fn, args) -> list[str]:
 
 
 class Counted:
-    """``fn``, calling ``count(args)`` before each call.  It carries the code
-    and keyword defaults of ``fn``, by which ``integrators.bvp_shoot`` keys
-    the shoots it remembers, so a shoot counted here is remembered as it is
-    in an uncounted run."""
+    """``fn``, calling ``count(args)`` before each call."""
 
     def __init__(self, fn, count):
         self.fn, self.count = fn, count
-        self.__code__, self.__kwdefaults__ = fn.__code__, fn.__kwdefaults__
 
     def __call__(self, *args):
         self.count(args)
