@@ -272,11 +272,24 @@ class ExplicitOde:
             # the division's own zero test is the check above, written once
             return [em.emit(self.quotient)]
         force = [em.emit(f) for f in self.net]
-        mass = self.constant_mass or [[em.emit(m) for m in row] for row in self.mass]
+        if self.constant_mass is None:
+            mass, bind = [[em.emit(m) for m in row] for row in self.mass], None
+        else:
+            slots = iter(self._elimination[1])
+            mass, bind = self.constant_mass, lambda value: em.emit(next(slots))
         return linsolve.emit_solve(
             em, mass, force,
             lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
+            bind,
         )
+
+    @cached_property
+    def _elimination(self) -> tuple[tuple[str, ...], tuple[Const, ...]]:
+        """The statements of the elimination of the constant mass
+        (:func:`linsolve.eliminate`), and the constants it leaves as
+        trees, which :meth:`emit_accelerations` names by their slots."""
+        statements, values = linsolve.eliminate(self.constant_mass)
+        return statements, tuple(map(Const, values))
 
     def shape_key(self) -> tuple[tuple, tuple]:
         """What :meth:`emit_accelerations` reads besides its trees, and
@@ -285,13 +298,15 @@ class ExplicitOde:
         quotient and the mass tree, whose constants are slots of the shape.
         More read n, the net force trees and the mass trees, or, for a
         constant mass, which the elimination pivots on and divides by as it
-        is emitted, its repr (so 0.0 and -0.0 stay apart) in place of its
-        trees."""
+        is emitted, the statements of that elimination in place of the
+        mass trees, and its constants as trees: slots too, so masses
+        eliminated alike share one emission."""
         if self.n == 1:
             return (1, None), ([self.quotient], self.mass)
         if self.constant_mass is None:
             return (self.n, None), (self.net, self.mass)
-        return (self.n, repr(self.constant_mass)), (self.net, ())
+        statements, slots = self._elimination
+        return (self.n, statements), (self.net, slots)
 
     @cached_property
     def _accelerations(self):

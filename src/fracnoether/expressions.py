@@ -10,7 +10,16 @@ the four operators; each concrete node adds only its derivative rule and
 its class constants.  The lowercase constructor helpers fold
 constants, the functions with the table the emitter binds, and drop
 additive/multiplicative identities so that symbolic derivatives stay
-compact, but no canonical simplification is attempted.  Infix text
+compact, but no canonical simplification is attempted.  They also fold
+power-of-two factors, under one exactness rule: a fold scales only by a
+power of two, and only where the constant it makes is a finite normal
+float.  Scaling by a power of two commutes with rounding, so the folded
+tree computes the same float as the unfolded one unless an intermediate
+of either overflows or is subnormal.  ``x + x`` is ``2 * x``, ``c * (k *
+x)`` in any operand order is ``(c*k) * x`` where c or k is a power of
+two, ``(k * x) / 2^j`` is ``(k / 2^j) * x``, and the quotient rule over
+a power of two ``b`` writes ``a' / b``; other constants keep their
+trees, their factors in their order.  Infix text
 becomes a tree through :func:`parse`, from :mod:`fracnoether.parser`.
 Whether a tree depends on a variable is decided by its nodes
 (:func:`references`, :func:`depends_on_velocity`).
@@ -40,6 +49,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Collection, Iterator, Sequence
 
 from .records import refuse_assignment
@@ -350,9 +360,14 @@ class Div(_Binary):
     _PREC = 2
 
     def _diff(self, var, d):
-        # (a'b - ab') / b^2
-        num = sub(mul(d(self.a), self.b), mul(self.a, d(self.b)))
-        return _quotient(num, mul(self.b, self.b))
+        """(a'b - ab') / b^2, or a' / b where b is a constant normal power
+        of two: a'b / b^2 is then a' / b, the same float unless a'b
+        overflows or is subnormal (the exactness rule of :func:`mul`)."""
+        b = self.b
+        if type(b) is Const and _power_of_two(b.value) and _normal(b.value):
+            return _quotient(d(self.a), b)
+        num = sub(mul(d(self.a), b), mul(self.a, d(b)))
+        return _quotient(num, mul(b, b))
 
 
 # --------------------------------------------------------------------------
@@ -365,13 +380,38 @@ def _quotient(num: Expr, den: Expr) -> Expr:
     return Const(0.0) if type(num) is Const and num.value == 0.0 else div(num, den)
 
 
+def _power_of_two(x: float) -> bool:
+    """Whether ``x`` is +-2^j: multiplying or dividing by it only shifts
+    the exponent, so it commutes with rounding.  ``frexp`` returns 0, an
+    infinity or a NaN as its own mantissa, never +-0.5."""
+    return abs(math.frexp(x)[0]) == 0.5
+
+
+def _normal(x: float) -> bool:
+    return math.isfinite(x) and abs(x) >= sys.float_info.min
+
+
+def _scaled(e: Expr) -> tuple[float, Expr] | None:
+    """``(k, x)`` of a product ``k * x`` or ``x * k`` of a constant ``k``."""
+    if type(e) is Mul:
+        if type(e.a) is Const:
+            return e.a.value, e.b
+        if type(e.b) is Const:
+            return e.b.value, e.a
+    return None
+
+
 def add(a: Expr, b: Expr) -> Expr:
+    """``a + b``, folded: two constants add, a zero drops, and ``x + x`` is
+    ``2 * x``, the same float for every x."""
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
     if isinstance(a, Const) and a.value == 0.0:
         return b
     if isinstance(b, Const) and b.value == 0.0:
         return a
+    if a is b:
+        return mul(Const(2.0), a)
     return Add(a, b)
 
 
@@ -386,6 +426,12 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    """``a * b``, folded: two constants multiply, a one drops, a zero
+    makes zero, and ``c * (k * x)``, in any operand order, is
+    ``(c*k) * x`` where c or k is a power of two and c*k a finite normal
+    float.  Scaling by a power of two commutes with rounding, so the
+    fold gives the same float unless an intermediate overflows or is
+    subnormal; other constants keep their factors in their order."""
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value * b.value)
     if isinstance(a, Const):
@@ -398,14 +444,29 @@ def mul(a: Expr, b: Expr) -> Expr:
             return Const(0.0)
         if b.value == 1.0:
             return a
+    c, other = (a, b) if type(a) is Const else (b, a)
+    if type(c) is Const:
+        inner = _scaled(other)
+        if inner is not None:
+            k, x = inner
+            if (_power_of_two(c.value) or _power_of_two(k)) and _normal(c.value * k):
+                return mul(Const(c.value * k), x)
     return Mul(a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    """``a / b``, folded: a one drops, two constants divide, and
+    ``(k * x) / 2^j`` is ``(k / 2^j) * x`` where k / 2^j is a finite
+    normal float, the same float unless an intermediate overflows or is
+    subnormal (:func:`mul`)."""
     if isinstance(b, Const) and b.value == 1.0:
         return a
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
         return Const(a.value / b.value)
+    if type(b) is Const and _power_of_two(b.value):
+        inner = _scaled(a)
+        if inner is not None and _normal(inner[0] / b.value):
+            return mul(Const(inner[0] / b.value), inner[1])
     return Div(a, b)
 
 

@@ -567,10 +567,14 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     reads.  Each step computes the four stage accelerations, then each
     channel at stages 1-4 in order, with the arithmetic of the classical
     tableau; an error there leaves the loop, for :func:`ivp_solve` to
-    name.  Then each sampled tree is computed at stage 1, reusing what the
-    step computed there, plus its weight (from ``weights``) times its
-    channel as it stood at the step's start; an error there makes every
-    sample of the step NaN.  Each step appends each of its samples, and
+    name.  Every value a step's update lines read at stage 1 is read as
+    it stood before the update: the update of q, then of v, then of each
+    channel, overwrites the state locals that stage 1 reads, so a stage-1
+    acceleration or channel value that is a bare q or v leaf is copied to
+    a ``k1_`` local first.  Then each sampled tree is computed at stage
+    1, reusing what the step computed there, plus its weight (from
+    ``weights``) times its channel as it stood at the step's start; an
+    error there makes every sample of the step NaN.  Each step appends each of its samples, and
     then each value of the state ``(q.., v.., channels..)`` it reached, to
     its list, and no row tuple is built; after the last step the samples
     are computed once more, afresh, at the last row and appended.
@@ -625,6 +629,16 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                 em.line(f"{k[j]} = k{s}[{j}]")
         accels.append(k)
 
+    # a stage-1 value that is a bare q or v leaf is copied before the
+    # update lines, which read it after the state has moved on
+    state, copies = set(q + v), {}
+
+    def before_update(name: str) -> str:
+        if name in state:
+            name = copies.setdefault(name, f"k1_{name}")
+        return name
+
+    accels[0] = [before_update(name) for name in accels[0]]
     names = {"_nan": math.nan, **ExplicitOde.NAMES}
     sums = []
     for idx, g in enumerate(integrands):
@@ -637,6 +651,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                 values.append(f"g{idx}_{s}")
                 em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
         g1, g2, g3, g4 = values
+        g1 = before_update(g1)
         sums.append(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
 
     # the samples at stage 1, then at the last row: a point of its own
@@ -666,6 +681,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     step = [
         *em.body("        ", 0, solved),
         *sampling("        ", solved, stepped),
+        *(f"        {copy} = {name}" for name, copy in copies.items()),
         *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
           for j in js),
         *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"

@@ -73,8 +73,25 @@ def _solver(n: int) -> Callable[..., list[float]]:
     return em.define(source, "solved", _linsolve=sys.modules[__name__])
 
 
+def eliminate(matrix: Sequence[Sequence[float]]) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The statements :func:`emit_solve` writes for the known ``matrix``,
+    each constant named by the order it is bound in, and those constants
+    in that order.  Two matrices of equal statements are eliminated alike
+    and differ only in the constants."""
+    values: list[float] = []
+
+    def bind(value: float) -> str:
+        values.append(value)
+        return f"_m{len(values) - 1}"
+
+    em = Emitter()
+    emit_solve(em, matrix, [f"b{i}" for i in range(len(matrix))], "raise {}".format, bind)
+    return tuple(em.body("")), tuple(values)
+
+
 def emit_solve(
-    em, matrix: Sequence[Sequence], rhs: Sequence[str], raise_singular: Callable[[str], str]
+    em, matrix: Sequence[Sequence], rhs: Sequence[str], raise_singular: Callable[[str], str],
+    bind: Callable[[float], str] | None = None,
 ) -> list[str]:
     """Write the elimination of one system into ``em``; return the names of x.
 
@@ -85,8 +102,10 @@ def emit_solve(
     runs.  Either way the float operations and branches are the same.
     The pivot is the first entry of largest magnitude in its column, a
     row whose factor is zero is left as it is, and a NaN entry makes x
-    all NaN.  Constants are named through ``em.bind``; working values go
-    to ``em.fresh`` locals, so no input name is ever assigned.
+    all NaN.  The constants a known matrix leaves are named by ``bind``,
+    called once per constant in the order :func:`eliminate` records,
+    ``em.bind`` by default; working values go to ``em.fresh`` locals, so
+    no input name is ever assigned.
 
     Where the system is singular, the statements bind the
     :class:`SingularMatrixError` of :func:`singular_error` to a local,
@@ -99,7 +118,7 @@ def emit_solve(
     b = list(rhs)
     x = [em.fresh() for _ in range(n)]
     known = all(type(value) is float for row in a for value in row)
-    src = em.bind if known else str
+    src = (bind or em.bind) if known else str
     indent = ""
 
     def line(statement: str) -> None:
@@ -185,7 +204,7 @@ def emit_solve(
                 factor = lower[col] / pivot
                 if factor != 0.0:
                     lower[col + 1:] = [lower[k] - factor * top[k] for k in range(col + 1, n)]
-                    b[row] = let(f"{b[row]} - {em.bind(factor)} * {b[col]}")
+                    b[row] = let(f"{b[row]} - {src(factor)} * {b[col]}")
                 continue
             factor = let(f"{lower[col]} / {pivot}")
             old, tops = lower[col + 1:] + [b[row]], top[col + 1:] + [b[col]]

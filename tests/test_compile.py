@@ -399,10 +399,11 @@ def test_zero_force_keeps_the_sign_of_zero():
 
 
 def test_alpha_one_net_force_is_the_force_itself(defined):
-    # no drag term at alpha = 1: the momentum (v0 + v0) * 2 overflows at
-    # v0 = 5e307, which 0 * inf would turn into NaN, but F / M is 0 / 1
-    ode = ExplicitOde(problem("v0^2/2", 1, alpha=1.0))
-    assert ode(0.5, [0.0], [5e307]) == [0.0]
+    # no drag term at alpha = 1: the momentum 3 * v0 overflows at
+    # v0 = 1e308, which 0 * inf would turn into NaN, but F / M is 0 / 3
+    ode = ExplicitOde(problem("3*v0^2/2", 1, alpha=1.0))
+    assert str(ode.momentum[0]) == "3 * v0"
+    assert ode(0.5, [0.0], [1e308]) == [0.0]
     for alpha, drag in ((1.0, False), (0.5, True)):
         ivp_solve(ExplicitOde(problem("v0^2/2", 1, alpha=alpha)), 0.0, 1.0, [0.0], [1.0], 4)
         source = [source for name, source in defined if name == "<compiled loop>"][-1]

@@ -1,11 +1,12 @@
 """Expression core: parsing, evaluation, symbolic differentiation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 import tree_walk_oracle
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fracnoether import expressions
 from fracnoether.expressions import (
@@ -403,6 +404,125 @@ def test_folding_keeps_the_domain_tests():
     assert [type(parse(text)) for text in ["0^0.5", "(-2)^0.5", "(-2)^20"]] == [Pow] * 3
     assert parse("sqrt(4)").value == 2.0 and parse("4^0.5").value == 2.0
     assert parse("ln(1)").value == 0.0 and parse("cos(0)").value == 1.0
+
+
+# --------------------------------------------------------------------------
+# power-of-two folds: exact, since scaling by a power of two commutes with
+# rounding while nothing overflows or is subnormal
+
+
+def test_a_tree_added_to_itself_is_twice_it():
+    x = Sin(Q(0))
+    e = add(x, x)
+    assert type(e) is Mul and e.a.value == 2.0 and e.b is x
+    # two equal trees that are not one node keep their sum
+    assert type(add(Sin(Q(0)), Sin(Q(0)))) is Add
+
+
+@pytest.mark.parametrize("build", [
+    lambda c, k, x: mul(c, Mul(k, x)), lambda c, k, x: mul(c, Mul(x, k)),
+    lambda c, k, x: mul(Mul(k, x), c), lambda c, k, x: mul(Mul(x, k), c),
+], ids=["c*(k*x)", "c*(x*k)", "(k*x)*c", "(x*k)*c"])
+def test_a_power_of_two_factor_folds_into_a_product_in_any_operand_order(build):
+    x = Sin(Q(0))
+    for c, k in [(2.0, 0.7), (0.7, 2.0), (-0.25, 3.0)]:
+        e = build(Const(c), Const(k), x)
+        assert type(e) is Mul and e.a.value == c * k and e.b is x
+    # a product that folds to one is its other factor
+    assert build(Const(0.5), Const(2.0), x) is x
+
+
+def test_a_product_over_a_power_of_two_folds():
+    x = Sin(Q(0))
+    for num in [Mul(Const(0.7), x), Mul(x, Const(0.7))]:
+        e = div(num, Const(4.0))
+        assert type(e) is Mul and e.a.value == 0.175 and e.b is x
+    # the derivation's m * v0^2 / 2 and its momentum m * v0
+    assert str(parse("1.3*v0^2/2", 1)) == "0.65 * v0 * v0"
+    assert str(parse("1.3*v0^2/2", 1).diff(V(0))) == "1.3 * v0"
+    assert type(parse("2*q0/2", 1)) is Q
+
+
+def test_the_quotient_rule_over_a_power_of_two_divides_the_derivative():
+    assert str(Div(Sin(Q(0)), Const(4.0)).diff(Q(0))) == "cos(q0) / 4"
+    assert str(parse("v0^2/2", 1).diff(V(0))) == "v0"
+    # a constant numerator derivative is zero, as before
+    assert Div(Theta(), Const(2.0)).diff(Q(0)).value == 0.0
+
+
+@pytest.mark.parametrize("c, k, den", [(1e308, 2.0, 0.5), (2.0 ** -1000, 2.0 ** -60, 2.0 ** 60)],
+                         ids=["overflow", "subnormal"])
+def test_a_fold_whose_constant_is_not_normal_keeps_its_factors(c, k, den):
+    inner = Mul(Const(k), Q(0))
+    e = mul(Const(c), inner)
+    assert type(e) is Mul and e.a.value == c and e.b is inner
+    assert type(div(Mul(Const(c), Q(0)), Const(den))) is Div
+
+
+def test_constants_without_a_power_of_two_keep_their_factors():
+    inner = Mul(Const(5.0), Q(0))
+    e = mul(Const(3.0), inner)
+    assert type(e) is Mul and e.a.value == 3.0 and e.b is inner
+    # factor order is kept where nothing folds
+    x = Cos(Q(0))
+    assert str(mul(x, Const(0.7))) == "cos(q0) * 0.7" and str(mul(Const(0.7), x)) == "0.7 * cos(q0)"
+
+
+def test_a_quotient_by_other_than_a_power_of_two_keeps_the_quotient_rule():
+    e = parse("v0^2/3", 1)
+    assert type(e) is Div and e.b.value == 3.0
+    assert str(e.diff(V(0))) == "6 * v0 / 9"
+    assert type(div(Mul(Const(0.7), Q(0)), Const(3.0))) is Div
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+POWERS_OF_TWO = st.builds(lambda j, sign: sign * 2.0 ** j, st.integers(-1074, 1023), SIGNS)
+OTHER_CONSTANTS = st.builds(
+    lambda k, sign: sign * k,
+    st.one_of(st.sampled_from([0.7, 1.3, 3.0, 0.1, 1e-5, 6.02e23]),
+              st.floats(min_value=2.0 ** -60, max_value=2.0 ** 60)),
+    SIGNS)
+NORMAL_X = st.builds(lambda x, sign: sign * x,
+                     st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max), SIGNS)
+
+
+def normal(*values):
+    return all(math.isfinite(x) and abs(x) >= sys.float_info.min for x in values)
+
+
+# rewrite -> (tree of c, k and the leaf q0, the unfolded chain in floats
+# with each of its intermediates); c is a power of two or not, and only a
+# power of two may fold
+FOLDS = {
+    "c*(k*x)": (lambda c, k, x: mul(Const(c), mul(Const(k), x)),
+                lambda c, k, x: [k * x, c * (k * x)]),
+    "(x*k)*c": (lambda c, k, x: mul(mul(x, Const(k)), Const(c)),
+                lambda c, k, x: [x * k, (x * k) * c]),
+    "k*(c*x)": (lambda c, k, x: mul(Const(k), mul(Const(c), x)),
+                lambda c, k, x: [c * x, k * (c * x)]),
+    "(k*x)/c": (lambda c, k, x: div(mul(Const(k), x), Const(c)),
+                lambda c, k, x: [k * x, (k * x) / c]),
+    "k*x + k*x": (lambda c, k, x: add(*[mul(Const(k), x)] * 2),
+                  lambda c, k, x: [k * x, k * x + k * x]),
+    # d(k*x^2/c)/dx, which the quotient rule wrote (k*(x + x))*c/(c*c)
+    "d(k*x^2/c)": (lambda c, k, x: div(mul(Const(k), power(x, 2)), Const(c)).diff(x),
+                   lambda c, k, x: [x + x, k * (x + x), k * (x + x) * c, c * c,
+                                    k * (x + x) * c / (c * c)]),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fold=st.sampled_from(sorted(FOLDS)), c=st.one_of(POWERS_OF_TWO, OTHER_CONSTANTS),
+       k=OTHER_CONSTANTS, x=NORMAL_X)
+def test_power_of_two_folds_give_the_unfolded_float_bit_for_bit(fold, c, k, x):
+    tree, chain = FOLDS[fold]
+    try:
+        values = chain(c, k, x)
+    except ZeroDivisionError:  # c * c underflowed
+        values = [0.0]
+    assume(normal(c, k, x, *values))
+    folded = tree(c, k, Q(0))
+    assert tree_walk_oracle.value(folded, 0.0, [x], [0.0]).hex() == values[-1].hex()
 
 
 # --------------------------------------------------------------------------

@@ -451,6 +451,21 @@ def test_two_generators_get_one_gauge_channel_each(tmp_path):
         assert float(trailer.split("relative_drift=")[1]) < 1e-9
 
 
+def test_a_bare_coordinate_gauge_writes_what_its_longer_spelling_writes(tmp_path):
+    # the gauge channel q0 is the state itself at each step's first stage,
+    # read before the step moves the state on: at alpha = 1, q0 = theta, and
+    # RK4 integrates it exactly, Lambda(1) = 1/2
+    tables = []
+    for i, gauge in enumerate(["q0", "2*q0/2"]):
+        raw = base_scenario(alpha=1.0, steps=4, charges=["noether"],
+                            generators=[{"tau": "0", "xi": ["1"], "gauge": gauge}],
+                            output_dir=str(tmp_path / f"out{i}"))
+        assert cli.main(["solve", "--scenario", str(write_scenario(tmp_path, raw))]) == 0
+        tables.append((tmp_path / f"out{i}" / "free_particle_traj.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].decode().splitlines()[-1] == "1,1,1,0.5"
+
+
 def log_shift_scenario(tmp_path, **overrides):
     # xi = ln(q0) leaves its domain once the particle crosses q0 = 0
     raw = base_scenario(

@@ -251,13 +251,20 @@ def trajectory(ode) -> str:
 
 def test_the_loop_key_reads_the_constant_mass():
     # the elimination of a constant mass pivots and divides on its values:
-    # an ODE whose mass alone differs gets a loop of its own
-    swapped = ((0.8, 1 / 3), (1 / 3, 1.2))
+    # a mass eliminated alike shares the loop and binds its own constants,
+    # one that pivots elsewhere gets a loop of its own
+    swapped, pivoting = ((0.8, 1 / 3), (1 / 3, 1.2)), ((0.2, 1 / 3), (1 / 3, 1.2))
     clear_caches()
-    first, second = trajectory(two_dof()), trajectory(two_dof(swapped))
-    assert first != second
-    clear_caches()
-    assert trajectory(two_dof(swapped)) == second
+    first = trajectory(two_dof())
+    shapes = len(expressions._SHAPES)
+    second = trajectory(two_dof(swapped))
+    assert len(expressions._SHAPES) == shapes
+    third = trajectory(two_dof(pivoting))
+    assert len(expressions._SHAPES) > shapes
+    assert len({first, second, third}) == 3
+    for mass, expected in ((swapped, second), (pivoting, third)):
+        clear_caches()
+        assert trajectory(two_dof(mass)) == expected
 
 
 def test_equal_values_are_two_slots_and_equal_subtrees_one_value():

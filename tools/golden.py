@@ -130,6 +130,11 @@ PLAN = {
         [{"tau": "1", "xi": ["0"], "gauge": "auto"}, {"tau": "0", "xi": ["1"], "gauge": "auto"}],
         ["noether"], steps=200), 1),
     "charge_drift_overflow": ("charge", {**FAILING_SWEEPS["drift_overflow"], "alpha": 1.0}, 1),
+    # a gauge channel that is the coordinate itself, read at each step's
+    # first stage before the step moves the state on
+    "solve_bare_gauge": ("solve", _scenario(
+        "bare_gauge", 1, "v0^2/2", _ivp([0.0], [1.0]), [{"tau": "0", "xi": ["1"], "gauge": "q0"}],
+        ["noether"], steps=4, alpha=1.0), 1),
     **{f"sweep_{name}_{cpus}cpu{'s' * (cpus > 1)}": ("sweep", raw, cpus)
        for name, raw in FAILING_SWEEPS.items() for cpus in (1, 2)},
     "verify": ("verify", None, 1),
