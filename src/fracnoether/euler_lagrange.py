@@ -217,7 +217,9 @@ class ExplicitOde:
     ``constant_mass`` holds the rows of M as floats when every mass tree is
     a constant, and is None otherwise.  With one degree of freedom,
     ``quotient`` is the tree F_0 - c p_0 over M_00, folded where the mass
-    is one or both are constants; None with more.
+    is one or both are constants; None with more.  With more and a
+    constant mass, :attr:`solved` holds the accelerations as trees over
+    the net force trees, built on first use.
 
     Callable as ``rhs(theta, q, v) -> accel`` (sequences accepted, a list
     returned).  :meth:`emit_accelerations` writes the solve for the
@@ -253,17 +255,32 @@ class ExplicitOde:
         ode.samples = tuple(samples)
         return ode
 
+    @cached_property
+    def solved(self) -> list[Expr] | linsolve.SingularMatrixError | None:
+        """The accelerations of a constant mass with two or more degrees of
+        freedom, as trees over the net force trees
+        (:func:`linsolve.eliminated`), or the
+        :class:`~fracnoether.linsolve.SingularMatrixError` of a singular
+        one; None for any other mass."""
+        if self.n == 1 or self.constant_mass is None:
+            return None
+        try:
+            return linsolve.eliminated(self.constant_mass, self.net)
+        except linsolve.SingularMatrixError as exc:
+            return exc
+
     def emit_accelerations(self, em: Emitter, theta: str) -> list[str]:
         """Emit the accelerations at ``em``'s current point; return their names.
 
         One degree of freedom emits the mass and a zero-mass check, left
         out for a nonzero constant mass, where it cannot trip, then
-        :attr:`quotient`.  More emit the net force trees, then the
-        mass trees unless the mass is constant, then the elimination of
-        :func:`linsolve.emit_solve`, which does all of its work on a
-        constant mass here.  A singular mass raises
-        :class:`SingularHessianError` at the theta held in ``theta``.  The
-        function compiled around the statements binds :attr:`NAMES`.
+        :attr:`quotient`.  More emit the net force trees, then, for a
+        constant mass, the trees of :attr:`solved`.  Any other mass, and
+        a singular constant one, emits the mass trees and the run-time
+        elimination of :func:`linsolve.emit_solve`, which raises
+        :class:`SingularHessianError` at the theta held in ``theta`` where
+        the mass is singular.  The function compiled around the
+        statements binds :attr:`NAMES`.
         """
         if self.n == 1:
             mass = self.mass[0][0]
@@ -272,41 +289,24 @@ class ExplicitOde:
             # the division's own zero test is the check above, written once
             return [em.emit(self.quotient)]
         force = [em.emit(f) for f in self.net]
-        if self.constant_mass is None:
-            mass, bind = [[em.emit(m) for m in row] for row in self.mass], None
-        else:
-            slots = iter(self._elimination[1])
-            mass, bind = self.constant_mass, lambda value: em.emit(next(slots))
+        if isinstance(self.solved, list):
+            return [em.emit(x) for x in self.solved]
         return linsolve.emit_solve(
-            em, mass, force,
+            em, [[em.emit(m) for m in row] for row in self.mass], force,
             lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
-            bind,
         )
-
-    @cached_property
-    def _elimination(self) -> tuple[tuple[str, ...], tuple[Const, ...]]:
-        """The statements of the elimination of the constant mass
-        (:func:`linsolve.eliminate`), and the constants it leaves as
-        trees, which :meth:`emit_accelerations` names by their slots."""
-        statements, values = linsolve.eliminate(self.constant_mass)
-        return statements, tuple(map(Const, values))
 
     def shape_key(self) -> tuple[tuple, tuple]:
         """What :meth:`emit_accelerations` reads besides its trees, and
         those trees, for :func:`~fracnoether.expressions.shaped` (the RK4
-        loop and :meth:`__call__`).  One degree of freedom reads the
-        quotient and the mass tree, whose constants are slots of the shape.
-        More read n, the net force trees and the mass trees, or, for a
-        constant mass, which the elimination pivots on and divides by as it
-        is emitted, the statements of that elimination in place of the
-        mass trees, and its constants as trees: slots too, so masses
-        eliminated alike share one emission."""
+        loop and :meth:`__call__`): n, and the quotient and the mass tree
+        of one degree of freedom.  More read the net force trees, and the
+        trees of :attr:`solved` or else the mass trees.  Every constant of
+        them is a slot of the shape, so masses eliminated alike share one
+        emission."""
         if self.n == 1:
-            return (1, None), ([self.quotient], self.mass)
-        if self.constant_mass is None:
-            return (self.n, None), (self.net, self.mass)
-        statements, slots = self._elimination
-        return (self.n, statements), (self.net, slots)
+            return (1,), ([self.quotient], self.mass)
+        return (self.n,), (self.net, self.solved if isinstance(self.solved, list) else self.mass)
 
     @cached_property
     def _accelerations(self):
@@ -346,14 +346,9 @@ def to_explicit_ode(prob: VariationalProblem) -> ExplicitOde:
     other degenerate velocity Hessian raises it where a solve meets it.
     """
     ode = ExplicitOde(prob)
-    mass = ode.constant_mass
-    if mass is not None:
-        mid = 0.5 * (prob.a + prob.b)
-        if prob.n == 1 and mass[0][0] == 0.0:
-            raise SingularHessianError(mid, float("inf"))
-        if prob.n > 1:
-            try:
-                linsolve.solve(mass, [0.0] * prob.n)
-            except linsolve.SingularMatrixError as exc:
-                raise SingularHessianError(mid, exc.condition_estimate) from exc
+    mid = 0.5 * (prob.a + prob.b)
+    if prob.n == 1 and ode.constant_mass is not None and ode.constant_mass[0][0] == 0.0:
+        raise SingularHessianError(mid, float("inf"))
+    if isinstance(ode.solved, linsolve.SingularMatrixError):
+        raise SingularHessianError(mid, ode.solved.condition_estimate) from ode.solved
     return ode

@@ -594,9 +594,9 @@ class Emitter:
     their statements with :meth:`line` and checks with :meth:`check`,
     take the body with :meth:`body`, whole or between the positions
     :meth:`mark` returns, and hand the source to :func:`shaped`.
-    Statements of their own name constants through :meth:`bind` and
-    working locals through :meth:`fresh` (the linear solve of
-    :func:`fracnoether.linsolve.emit_solve`); they assign no local that
+    Statements of their own take working locals from :meth:`fresh` (the
+    linear solve of :func:`fracnoether.linsolve.emit_solve`), write their
+    constants as literals, and NaN as ``_nan``; they assign no local that
     an emitted statement reads.
     """
 
@@ -607,8 +607,8 @@ class Emitter:
         # statements in order: text, or (name, op, precedence, a, b) of _let
         self._lines: list = []
         self._count = 0
-        self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond)
-        self._bound: dict[tuple, str] = {}  # the caller's constants
+        self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond,
+                               _nan=math.nan)
         self._slots: dict[int, str] = {}  # the trees' constants and exponents, by node id
         self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers = numbers or {}
@@ -647,19 +647,6 @@ class Emitter:
     def columns(self, trees: Sequence[Expr]) -> None:
         """Register ``trees``, whose values points may hold in locals (:meth:`at`)."""
         self._columns = [self._numbers[id(e)] for e in trees]
-
-    def bind(self, value: float) -> str:
-        """Namespace name of a constant of the caller's own statements,
-        ``_k<i>``; equal values (by repr) share one name.  Tree constants
-        have names of their own, one ``_c<i>`` per node (:meth:`_slot`),
-        the slots :func:`shaped` rebinds, so a caller's constant is never
-        rebound."""
-        key = _value_key(value)
-        name = self._bound.get(key)
-        if name is None:
-            name = self._bound[key] = f"_k{len(self._bound)}"
-            self._namespace[name] = value
-        return name
 
     def _slot(self, e: Expr, value: float) -> str:
         """Namespace name of the constant or exponent ``value`` of the node
@@ -803,10 +790,10 @@ class Emitter:
         return lines or [indent + "pass"]
 
     def keyword_defaults(self) -> str:
-        """``, *, _k0=_k0, ..`` for a ``def`` line: every constant and function
+        """``, *, _c0=_c0, ..`` for a ``def`` line: every constant and function
         the statements read, bound as a keyword default so the function body
         reads it as a local; empty when there is none."""
-        names = [*self._bound.values(), *self._slots.values(), *self._calls]
+        names = [*self._slots.values(), *self._calls]
         return "".join([", *", *(f", {name}={name}" for name in names)]) if names else ""
 
     def define(self, source: Sequence[str], name: str, **names):
@@ -872,7 +859,7 @@ def compile_trees(trees):
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
-# shape key -> (source, function name, names, the caller's constants, slots).
+# shape key -> (source, function name, names, slots).
 _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
@@ -890,12 +877,11 @@ def shaped(key: tuple, trees, emit, /, **names):
     walk did: each node's number by id, and the subtrees with a q or v
     leaf, derived once from the walk's keys.  Two emissions of one key
     and shape write the same statements, so a later call with them skips
-    emission: it binds the first one's own constants (:meth:`Emitter.bind`)
-    and its own values in every slot, and defines the function from the
-    code cache.  A tree emitted but not walked raises ``KeyError`` at the
-    first emission.  ``names`` are this call's own, bound in its function
-    and never kept: the callables of a call-per-stage loop (``_rhs``,
-    ``_g<i>``).  The last 256 shapes are kept, and no entry keeps a tree
+    emission: it binds its own values in every slot and defines the
+    function from the code cache.  A tree emitted but not walked raises
+    ``KeyError`` at the first emission.  ``names`` are this call's own,
+    bound in its function and never kept: the callables of a
+    call-per-stage loop (``_rhs``, ``_g<i>``).  The last 256 shapes are kept, and no entry keeps a tree
     alive.
     """
     shape, values, seen, numbers, keys = _shape(trees)
@@ -908,16 +894,14 @@ def shaped(key: tuple, trees, emit, /, **names):
                 stateful.add(number)
         em = Emitter(numbers, stateful)
         source, name, own = emit(em)
-        constants = {slot: em._namespace[slot] for slot in em._bound.values()}
         slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
         # one text, the very string the code cache keys its code object by
-        entry = (["\n".join(source)], name, own, constants, slots)
+        entry = (["\n".join(source)], name, own, slots)
         if len(_SHAPES) >= _MAX_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
     else:
         em = Emitter()
-        em._namespace.update(entry[3])
-        for slot, i in entry[4]:
+        for slot, i in entry[3]:
             em._namespace[slot] = values[i]
     _SHAPES[full] = entry
     source, name, own = entry[:3]

@@ -639,7 +639,6 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         return name
 
     accels[0] = [before_update(name) for name in accels[0]]
-    names = {"_nan": math.nan, **ExplicitOde.NAMES}
     sums = []
     for idx, g in enumerate(integrands):
         values = []
@@ -726,7 +725,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         ]
     if last_row:
         source.append(f"    return {tup(row)}")
-    return source, "loop", names
+    return source, "loop", ExplicitOde.NAMES
 
 
 # Classical RK4 is stable on the negative real axis only down to h*lambda

@@ -5,15 +5,16 @@ with a handful of degrees of freedom.  A pivot falling below
 ``PIVOT_RTOL`` times the matrix magnitude is treated as singular; an
 exactly zero pivot reports an infinite condition estimate.
 
-The algorithm is spelled once, in :func:`emit_solve`, which writes it as
-straight-line statements into an expression
-:class:`~fracnoether.expressions.Emitter`.  A constant matrix is
-eliminated at compile time, leaving only the arithmetic on the right-hand
-side; any other is eliminated in full at run time.  The accelerations of
-``ExplicitOde`` (called, or written into the compiled RK4 loop of
-:mod:`fracnoether.integrators`) are solved with it, and so is
-:func:`solve`, the plain function for the singular check of a constant
-mass matrix in ``to_explicit_ode`` and the shooting Jacobian.
+The algorithm runs in two forms with the same rules and the same float
+operations.  :func:`emit_solve` writes it as straight-line statements
+into an expression :class:`~fracnoether.expressions.Emitter`, eliminating
+a matrix of locals at run time: :func:`solve`, the plain function for
+the shooting Jacobian, runs it, and so do the accelerations of an
+``ExplicitOde`` whose mass is not constant, or is singular, called or
+written into the compiled RK4 loop of :mod:`fracnoether.integrators`.
+:func:`eliminated` eliminates a known matrix now, leaving x as
+expression trees over the right-hand side: the accelerations of a
+constant mass.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import sys
 from typing import Callable, Sequence
 
-from .expressions import Emitter
+from .expressions import Add, Const, Div, Emitter, Expr, Mul, Sub
 
 PIVOT_RTOL = 1e-12
 
@@ -73,56 +74,80 @@ def _solver(n: int) -> Callable[..., list[float]]:
     return em.define(source, "solved", _linsolve=sys.modules[__name__])
 
 
-def eliminate(matrix: Sequence[Sequence[float]]) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """The statements :func:`emit_solve` writes for the known ``matrix``,
-    each constant named by the order it is bound in, and those constants
-    in that order.  Two matrices of equal statements are eliminated alike
-    and differ only in the constants."""
-    values: list[float] = []
+def eliminated(matrix: Sequence[Sequence[float]], rhs: Sequence[Expr]) -> list[Expr]:
+    """x of ``matrix @ x = rhs``, the known float ``matrix`` eliminated now.
 
-    def bind(value: float) -> str:
-        values.append(value)
-        return f"_m{len(values) - 1}"
-
-    em = Emitter()
-    emit_solve(em, matrix, [f"b{i}" for i in range(len(matrix))], "raise {}".format, bind)
-    return tuple(em.body("")), tuple(values)
+    The rules are :func:`emit_solve`'s: the pivot is the first entry of
+    largest magnitude in its column, a row whose factor is zero is left
+    as it is, a NaN entry makes every x NaN, and a pivot below the
+    threshold raises the :class:`SingularMatrixError` of
+    :func:`singular_error` here.  x comes back as trees over the ``rhs``
+    trees, one raw node per float operation the run-time elimination does
+    on the right-hand side, with its operands in its order.  The folding
+    helpers are not used: they would drop the ``0.0 +`` that turns a sum
+    of -0.0 into 0.0.
+    """
+    n = len(rhs)
+    a = [list(row) for row in matrix]
+    b = list(rhs)
+    entries = [value for row in a for value in row]
+    if any(map(math.isnan, entries)):
+        return [Const(math.nan) for _ in range(n)]
+    scale = max(map(abs, entries))
+    threshold = PIVOT_RTOL * max(scale, 1e-300)
+    for col in range(n):
+        pivot_row, largest = col, abs(a[col][col])
+        for row in range(col + 1, n):
+            if abs(a[row][col]) > largest:
+                pivot_row, largest = row, abs(a[row][col])
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        b[col], b[pivot_row] = b[pivot_row], b[col]
+        top = a[col]
+        if largest < threshold:
+            raise singular_error(top[col], threshold, scale, largest)
+        for row in range(col + 1, n):
+            lower = a[row]
+            factor = lower[col] / top[col]
+            if factor != 0.0:
+                lower[col + 1:] = [lower[k] - factor * top[k] for k in range(col + 1, n)]
+                b[row] = Sub(b[row], Mul(Const(factor), b[col]))
+    x: list = [None] * n
+    for row in range(n - 1, -1, -1):
+        numerator = b[row]
+        if row < n - 1:  # the dot of emit_solve, from 0.0 and left to right
+            dot = Const(0.0)
+            for k in range(row + 1, n):
+                dot = Add(dot, Mul(Const(a[row][k]), x[k]))
+            numerator = Sub(numerator, dot)
+        x[row] = Div(numerator, Const(a[row][row]))
+    return x
 
 
 def emit_solve(
-    em, matrix: Sequence[Sequence], rhs: Sequence[str], raise_singular: Callable[[str], str],
-    bind: Callable[[float], str] | None = None,
+    em, matrix: Sequence[Sequence[str]], rhs: Sequence[str], raise_singular: Callable[[str], str],
 ) -> list[str]:
     """Write the elimination of one system into ``em``; return the names of x.
 
-    ``rhs`` holds names of locals.  ``matrix`` holds either floats only,
-    known now, or names of locals only.  A known matrix is eliminated
-    here and only the arithmetic on ``rhs`` is emitted; a matrix of names
-    is eliminated at run time, every operation emitted in the order it
-    runs.  Either way the float operations and branches are the same.
-    The pivot is the first entry of largest magnitude in its column, a
-    row whose factor is zero is left as it is, and a NaN entry makes x
-    all NaN.  The constants a known matrix leaves are named by ``bind``,
-    called once per constant in the order :func:`eliminate` records,
-    ``em.bind`` by default; working values go to ``em.fresh`` locals, so
-    no input name is ever assigned.
+    ``matrix`` and ``rhs`` hold names of locals, and the whole
+    elimination is emitted, every operation in the order it runs.  The
+    pivot is the first entry of largest magnitude in its column, a row
+    whose factor is zero is left as it is, and a NaN entry makes x all
+    NaN.  Working values go to ``em.fresh`` locals, so no input name is
+    ever assigned; the constants are literals, and NaN is the emitter's
+    ``_nan``.
 
     Where the system is singular, the statements bind the
     :class:`SingularMatrixError` of :func:`singular_error` to a local,
     through this module bound as ``_linsolve`` in the compiled namespace,
-    and run the statement ``raise_singular(local)``.  A known singular
-    matrix emits that raise unguarded: nothing raises here.
+    and run the statement ``raise_singular(local)``.
     """
     n = len(rhs)
     a = [list(row) for row in matrix]
     b = list(rhs)
     x = [em.fresh() for _ in range(n)]
-    known = all(type(value) is float for row in a for value in row)
-    src = (bind or em.bind) if known else str
-    indent = ""
 
     def line(statement: str) -> None:
-        em.line(indent + statement)
+        em.line("    " + statement)
 
     def let(source: str) -> str:
         name = em.fresh()
@@ -131,44 +156,23 @@ def emit_solve(
 
     magnitudes: dict[str, str] = {}
 
-    def magnitude(value):
-        if known:
-            return abs(value)
+    def magnitude(value: str) -> str:
         if value not in magnitudes:
             magnitudes[value] = let(f"abs({value})")
         return magnitudes[value]
 
-    entries = [value for row in a for value in row]
-    if known:
-        if any(map(math.isnan, entries)):
-            line(f"{' = '.join(x)} = {em.bind(math.nan)}")
-            return x
-        scale = max(map(abs, entries))
-        threshold = PIVOT_RTOL * max(scale, 1e-300)
-    else:
-        names = list(dict.fromkeys(entries))
-        line(f"if {' or '.join(f'{v} != {v}' for v in names)}:")
-        line(f"    {' = '.join(x)} = {em.bind(math.nan)}")
-        line("else:")
-        indent = "    "
-        mags = [magnitude(v) for v in names]
-        scale = mags[0] if len(mags) == 1 else let(f"max({', '.join(mags)})")
-        threshold = let(f"{em.bind(PIVOT_RTOL)} * max({scale}, {em.bind(1e-300)})")
-
-    def emit_raise(guard: str, *values) -> None:
-        error = em.fresh()
-        line(f"{guard}{error} = _linsolve.singular_error({', '.join(map(src, values))})")
-        line(guard + raise_singular(error))
+    names = list(dict.fromkeys(value for row in a for value in row))
+    em.line(f"if {' or '.join(f'{v} != {v}' for v in names)}:")
+    em.line(f"    {' = '.join(x)} = _nan")
+    em.line("else:")
+    mags = [magnitude(v) for v in names]
+    scale = mags[0] if len(mags) == 1 else let(f"max({', '.join(mags)})")
+    threshold = let(f"{PIVOT_RTOL!r} * max({scale}, {1e-300!r})")
 
     for col in range(n):
         column = [magnitude(a[row][col]) for row in range(col, n)]
-        if known or col == n - 1:  # the choice is known now
-            pivot_row, largest = col, column[0]
-            for row in range(col + 1, n):
-                if column[row - col] > largest:
-                    pivot_row, largest = row, column[row - col]
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            b[col], b[pivot_row] = b[pivot_row], b[col]
+        if col == n - 1:  # one row left: nothing to choose
+            largest = column[0]
         else:
             choice, largest = em.fresh(), em.fresh()
             line(f"{choice}, {largest} = {col}, {column[0]}")
@@ -190,22 +194,14 @@ def emit_solve(
                 a[r][col:], b[r] = names[:-1], names[-1]
 
         pivot = a[col][col]
-        if not known:
-            line(f"if {largest} < {threshold}:")
-            emit_raise("    ", pivot, threshold, scale, largest)
-        elif largest < threshold:
-            emit_raise("", pivot, threshold, scale, largest)
-            return x
+        error = em.fresh()
+        line(f"if {largest} < {threshold}:")
+        line(f"    {error} = _linsolve.singular_error({pivot}, {threshold}, {scale}, {largest})")
+        line("    " + raise_singular(error))
 
         top = a[col]
         for row in range(col + 1, n):
             lower = a[row]
-            if known:
-                factor = lower[col] / pivot
-                if factor != 0.0:
-                    lower[col + 1:] = [lower[k] - factor * top[k] for k in range(col + 1, n)]
-                    b[row] = let(f"{b[row]} - {src(factor)} * {b[col]}")
-                continue
             factor = let(f"{lower[col]} / {pivot}")
             old, tops = lower[col + 1:] + [b[row]], top[col + 1:] + [b[col]]
             new = [em.fresh() for _ in old]
@@ -219,7 +215,7 @@ def emit_solve(
     for row in range(n - 1, -1, -1):
         # the dot starts at 0.0, which turns a sum of -0.0 into 0.0; an
         # empty one is left out, since b - 0.0 is b for every float
-        dot = " + ".join(["0.0"] + [f"{src(a[row][k])} * {x[k]}" for k in range(row + 1, n)])
+        dot = " + ".join(["0.0"] + [f"{a[row][k]} * {x[k]}" for k in range(row + 1, n)])
         numerator = f"{b[row]} - ({dot})" if row < n - 1 else b[row]
-        line(f"{x[row]} = ({numerator}) / {src(a[row][row])}")
+        line(f"{x[row]} = ({numerator}) / {a[row][row]}")
     return x

@@ -4,8 +4,10 @@ A recursive-descent parser over the grammar of the README: numbers and
 ``pi``, ``theta``, ``q{i}`` and ``v{i}``, ``+ - * /``, ``^`` with a
 numeric-literal exponent, and the functions ``sin cos exp ln sqrt``.
 Trees are built with the folding constructors of
-:mod:`fracnoether.expressions`, and their depth is bounded, since
-derivatives and the emitter recurse along them.
+:mod:`fracnoether.expressions`, on one node per variable of a text, so
+that ``v0*v0`` differentiates as ``v0^2`` does: ``add`` folds a node
+added to itself.  Their depth is bounded, since derivatives and the
+emitter recurse along them.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ class _Parser:
         self.toks = _Tokenizer(source)
         self.n = n
         self.depth = 0
+        self.leaves: dict[tuple, Expr] = {}  # (kind, index) -> the one node of a variable
+
+    def leaf(self, kind: type, *index: int) -> Expr:
+        return self.leaves.setdefault((kind, *index), kind(*index))
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -181,7 +187,7 @@ class _Parser:
             return e
         if kind == "name":
             if text == "theta":
-                return Theta()
+                return self.leaf(Theta)
             if text == "pi":
                 return Const(math.pi)
             m = _VAR_RE.match(text)
@@ -191,7 +197,7 @@ class _Parser:
                     raise ParseError(
                         f"variable index out of range: {text} with n = {self.n}", pos
                     )
-                return Q(index) if m.group(1) == "q" else V(index)
+                return self.leaf(Q if m.group(1) == "q" else V, index)
             if text in _FUNCTIONS:
                 kind, tok, pos2 = self.toks.next()
                 if not (kind == "op" and tok == "("):

@@ -1,28 +1,27 @@
-"""The emitted linear solve, bit for bit.
+"""The linear solve in its two forms, bit for bit.
 
-:func:`linsolve.emit_solve` writes the elimination as straight-line
-statements, all of it for a matrix of names and only the right-hand side
-arithmetic for a known matrix.  :func:`linsolve.solve` runs the first
-shape, so the second must return the same floats (NaN as NaN, zeros with
-their sign) for every system, and on a singular one raise the same
-error, wrapped as ``ExplicitOde`` wraps it.  The names shape itself is
-checked against the array elimination of ``elimination_oracle``, which
-shares no code with it: the same x on finite systems, and a singular
-verdict, with its condition estimate, exactly where the pivot rule trips.
+:func:`linsolve.solve` runs the elimination :func:`linsolve.emit_solve`
+writes for a matrix of names, all of it at run time.
+:func:`linsolve.eliminated` eliminates a known matrix at once and leaves
+x as trees over the right-hand side, here compiled by ``compile_trees``
+over one leaf per entry; they must return the same floats (NaN as NaN,
+zeros with their sign) for every system, and on a singular one
+:func:`linsolve.eliminated` must raise, before anything is compiled,
+the error the run-time form raises.  The run-time form is checked
+against the array elimination of ``elimination_oracle``, which shares no
+code with it: the same x on finite systems, and a singular verdict, with
+its condition estimate, exactly where the pivot rule trips.
 """
 
-import functools
 import math
 import random
 
 import pytest
 from elimination_oracle import SingularPivot, array_elimination
 
-from fracnoether import expressions, linsolve
-from fracnoether.euler_lagrange import SingularHessianError
-from fracnoether.expressions import Emitter
+from fracnoether import linsolve
+from fracnoether.expressions import Add, Const, Div, Mul, Q, Sub, compile_trees
 
-THETA = 0.25
 SPECIAL = [0.0, -0.0, 1e-13, 1e300, -1e300, math.inf, -math.inf, math.nan]
 ROUND = [1.0, -1.0, 2.0, 0.5, -3.0, 4.0]
 
@@ -39,21 +38,11 @@ def draw(rng, n):
 
 
 def outcome(fn, *args):
-    """('ok', reprs of x) or ('raise', class, message, estimate, cause class, cause message)."""
+    """('ok', reprs of x) or ('raise', message, estimate) of a singular system."""
     try:
         return ("ok", [repr(value) for value in fn(*args)])
-    except SingularHessianError as exc:
-        cause = exc.__cause__
-        return ("raise", type(exc), str(exc), repr(exc.condition_estimate),
-                type(cause), str(cause))
-
-
-def reference(matrix, rhs):
-    """``linsolve.solve`` wrapped as ``ExplicitOde`` wraps a singular mass."""
-    try:
-        return linsolve.solve(matrix, rhs)
     except linsolve.SingularMatrixError as exc:
-        raise SingularHessianError(THETA, exc.condition_estimate) from exc
+        return ("raise", str(exc), repr(exc.condition_estimate))
 
 
 def oracle(a, b):
@@ -66,51 +55,33 @@ def oracle(a, b):
 
 def brief(result):
     """An outcome with a raise reduced to its condition estimate."""
-    return result if result[0] == "ok" else ("raise", result[3])
+    return result if result[0] == "ok" else ("raise", result[2])
 
 
-def emitted(matrix, n):
-    """Compile the emitted solve; ``matrix`` holds floats only (known) or
-    None only (arguments).  Returns ``solved(*unknown entries, *rhs) -> x``."""
-    names = [[None if value is not None else f"a{i}_{j}" for j, value in enumerate(row)]
-             for i, row in enumerate(matrix)]
-    entries = [[value if value is not None else name for value, name in zip(row, row_names)]
-               for row, row_names in zip(matrix, names)]
-    params = [name for row in names for name in row if name] + [f"b{i}" for i in range(n)]
-    em = Emitter()
-    x = linsolve.emit_solve(
-        em, entries, [f"b{i}" for i in range(n)],
-        lambda exc: f"raise _SingularHessianError({THETA!r}, {exc}.condition_estimate) from {exc}",
-    )
-    source = [f"def solved({', '.join(params)}):", *em.body("    "), f"    return [{', '.join(x)}]"]
-    return em.define(source, "solved", _linsolve=linsolve, _SingularHessianError=SingularHessianError)
+def eliminated(a, b):
+    """x of ``a @ x = b``: ``linsolve.eliminated`` over the leaves q0.., compiled."""
+    return compile_trees(linsolve.eliminated(a, [Q(i) for i in range(len(b))]))(0.0, b, [])
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_emitted_solve_matches_linsolve_bit_for_bit(n, monkeypatch):
-    # Eliminating a known matrix makes the source depend on its values
-    # only through the branches taken and the constants' names, so
-    # sources repeat.
-    monkeypatch.setattr(expressions, "compile", functools.lru_cache(maxsize=None)(compile),
-                        raising=False)
+def test_eliminated_matches_linsolve_bit_for_bit(n):
     rng = random.Random(20 + n)
-    all_names = emitted([[None] * n for _ in range(n)], n)
     seen = {"singular": 0, "nan": 0, "finite": 0, "finite singular": 0}
     for _ in range(20_000):
         a = [[draw(rng, n) for _ in range(n)] for _ in range(n)]
         b = [draw(rng, n) for _ in range(n)]
         entries = [value for row in a for value in row]
-        expected = outcome(reference, a, b)
+        expected = outcome(linsolve.solve, a, b)
         seen["singular"] += expected[0] == "raise"
         seen["nan"] += expected == ("ok", ["nan"] * n)
 
         # every entry known, against every entry a name (linsolve.solve)
-        assert outcome(emitted(a, n), *b) == expected, (a, b)
+        assert outcome(eliminated, a, b) == expected, (a, b)
         # every entry a name, against the oracle, on finite matrices
         if all(map(math.isfinite, entries)):
             seen["finite"] += 1
             seen["finite singular"] += expected[0] == "raise"
-            assert brief(outcome(all_names, *entries, *b)) == oracle(a, b), (a, b)
+            assert brief(expected) == oracle(a, b), (a, b)
     # the draws reach the singular and the NaN branch often, but not mostly
     assert seen["singular"] > 1000 and seen["nan"] > 1000
     assert seen["singular"] + seen["nan"] < 10_000
@@ -118,7 +89,7 @@ def test_emitted_solve_matches_linsolve_bit_for_bit(n, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_emitted_solve_edge_systems(n):
+def test_eliminated_edge_systems(n):
     # matrices the random draws rarely give: all zero, subnormal (below
     # the 1e-300 floor of the threshold), all infinite, and one lone entry
     edges = [0.0, -0.0, 5e-324, math.inf, -math.inf]
@@ -126,28 +97,44 @@ def test_emitted_solve_edge_systems(n):
         for a in ([[value] * n for _ in range(n)],
                   [[value if (i, j) == (n - 1, 0) else 0.0 for j in range(n)] for i in range(n)]):
             b = [1.0, -0.0, math.inf][:n]
-            expected = outcome(reference, a, b)
-            assert outcome(emitted(a, n), *b) == expected, a
+            expected = outcome(linsolve.solve, a, b)
+            assert outcome(eliminated, a, b) == expected, a
             assert brief(expected) == oracle(a, b), a
 
 
+def nodes(e) -> list:
+    """The nodes of ``e`` in prefix order, each shared one once."""
+    seen: dict[int, object] = {}
+
+    def walk(node):
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for child in node.children():
+                walk(child)
+
+    walk(e)
+    return list(seen.values())
+
+
 def test_known_matrix_leaves_only_rhs_arithmetic():
-    em = Emitter()
-    x = linsolve.emit_solve(em, [[0.25, 1.0], [1.0, 2.0]], ["f0", "f1"], "raise {}".format)
-    body = em.body("")
-    # the swap is a renaming and the factor 0.25 / 1.0 a constant
-    assert len(body) == 3 and not any("abs(" in line or "if " in line for line in body)
-    fn = em.define(["def solved(f0, f1):", *em.body("    "), f"    return [{', '.join(x)}]"],
-                   "solved")
-    assert fn(1.0, 3.0) == linsolve.solve([[0.25, 1.0], [1.0, 2.0]], [1.0, 3.0])
+    f0, f1 = Q(0), Q(1)
+    x0, x1 = linsolve.eliminated([[0.25, 1.0], [1.0, 2.0]], [f0, f1])
+    # the swap is a renaming and the factor 0.25 / 1.0 a constant: one raw
+    # node per float operation on the right-hand side, none folded
+    assert str(x1) == "(q0 - 0.25 * q1) / 0.5"
+    assert str(x0) == f"(q1 - (0 + 2 * {x1})) / 1"
+    assert x0.b.value == 1.0 and x0.a.b.a.value == 0.0 and x0.a.b.b.b is x1
+    assert [type(e) for e in nodes(x0) if type(e) not in (Const, Q)] == [
+        Div, Sub, Add, Mul, Div, Sub, Mul]
+    assert compile_trees([x0, x1])(0.0, [1.0, 3.0], []) == tuple(
+        linsolve.solve([[0.25, 1.0], [1.0, 2.0]], [1.0, 3.0]))
 
 
-def test_known_singular_matrix_raises_when_run_not_when_emitted():
-    em = Emitter()
-    x = linsolve.emit_solve(em, [[1.0, 1.0], [1.0, 1.0]], ["f0", "f1"], "raise {}".format)
-    fn = em.define(["def solved(f0, f1):", *em.body("    "), f"    return [{', '.join(x)}]"],
-                   "solved", _linsolve=linsolve)
+def test_known_singular_matrix_raises_at_elimination():
     with pytest.raises(linsolve.SingularMatrixError) as err:
-        fn(1.0, 2.0)
+        linsolve.eliminated([[1.0, 1.0], [1.0, 1.0]], [Q(0), Q(1)])
     assert str(err.value) == "singular system: pivot 0.000e+00 below 1.000e-12"
     assert err.value.condition_estimate == math.inf
+    # the error the run-time elimination raises on the same system
+    assert outcome(linsolve.solve, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]) == (
+        "raise", str(err.value), "inf")

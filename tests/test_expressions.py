@@ -109,6 +109,24 @@ def test_parse_without_bound_allows_any_index():
     assert ev(e, q=[0.0] * 6, v=[0.0] * 6) == 0.0
 
 
+def test_parse_builds_one_node_per_variable():
+    # a variable spelled twice is one node, so the derivative of v0*v0
+    # folds v0 + v0 as the derivative of v0^2 does
+    e = parse("theta*v0*v0 + q0*v0*theta", 1)
+    leaves = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Theta, Q, V)):
+            leaves.setdefault(str(node), set()).add(id(node))
+        stack.extend(node.children())
+    assert {name: len(ids) for name, ids in leaves.items()} == {"theta": 1, "q0": 1, "v0": 1}
+    assert str(parse("v0*v0/2", 1).diff(V(0))) == "v0"
+    assert str(parse("q0*q0", 1).diff(Q(0))) == "2 * q0"
+    # two texts share no node
+    assert parse("v0", 1) is not parse("v0", 1)
+
+
 def test_render_round_trips_through_parser():
     source = "(v0^2 - q0^2)/2 + sin(theta)*q0 - 3/(2 + q0^2)"
     e = parse(source, 1)

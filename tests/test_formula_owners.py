@@ -11,8 +11,11 @@ import fracnoether
 VELOCITY_DIFF_OWNERS = {"VariationalProblem.momentum", "along_motion"}
 
 # Where the elimination of a linear system may be written out, besides
-# linsolve itself: the accelerations of the equation of motion.
+# linsolve itself: the accelerations of the equation of motion.  A known
+# matrix is eliminated in one place: the constant mass of those
+# accelerations.
 EMIT_SOLVE_OWNERS = {"ExplicitOde.emit_accelerations"}
+ELIMINATED_OWNERS = {"ExplicitOde.solved"}
 
 # Where a derivative along the motion may be expanded: the force of the
 # equation of motion, the gauge rates, and the conservation check.
@@ -42,9 +45,8 @@ LABEL_PREFIXES = ("noether_g", "momentum_", "classical_momentum_")
 
 # Where an expression emitter may be made: the shape cache, whose walk
 # numbers every node the emitter writes, and the linear solve of
-# linsolve.solve and the elimination of a known matrix that keys a
-# constant mass's shape, which write no tree.
-EMITTER_OWNERS = {"expressions.py:shaped", "linsolve.py:_solver", "linsolve.py:eliminate"}
+# linsolve.solve, which writes no tree.
+EMITTER_OWNERS = {"expressions.py:shaped", "linsolve.py:_solver"}
 
 # The test oracles, which no module of the package may import.
 ORACLES = {"numpy", "scipy", "sympy"}
@@ -142,15 +144,18 @@ def linalg_sites(tree: ast.AST) -> list[tuple[str, int]]:
 
 def test_one_elimination():
     package = Path(fracnoether.__file__).parent
-    solves, linalg = {}, {}
+    solves, known, linalg = {}, {}, {}
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "linsolve.py":
             for scope, line in call_sites(tree, "emit_solve"):
                 solves[f"{path.name}:{line}"] = scope
+        for scope, line in call_sites(tree, "eliminated"):
+            known[f"{path.name}:{line}"] = scope
         for scope, line in linalg_sites(tree):
             linalg[f"{path.name}:{line}"] = scope
     assert set(solves.values()) == EMIT_SOLVE_OWNERS, solves
+    assert len(known) == 1 and set(known.values()) == ELIMINATED_OWNERS, known
     assert linalg == {}
 
 

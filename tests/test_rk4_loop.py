@@ -498,11 +498,12 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     (column,) = [source for filename, source in defined if filename == "<compiled column>"]
     assert KERNEL.search(column)
     assert ["halves, n0, m0, = columns" in source for source in loops] == [True, False]
-    # and the 2x2 solver of the constant-mass check and the Jacobian, built
-    # once per process; nothing else: the ODE's own functions are never
-    # called, and the integrands compile nothing
+    # and the 2x2 solver of the Jacobian, built once per process at the
+    # first Jacobian solve, after the Newton loop; nothing else: the
+    # constant mass is eliminated into the loop's trees, the ODE's own
+    # functions are never called, and the integrands compile nothing
     assert [filename for filename, _ in defined] == [
-        "<compiled solved>", "<compiled column>", "<compiled loop>", "<compiled loop>"]
+        "<compiled column>", "<compiled loop>", "<compiled solved>", "<compiled loop>"]
 
 
 @pytest.mark.parametrize("alpha, columns", [(0.6, 1), (1.0, 0)])
@@ -780,6 +781,18 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
     assert lines[-3] == "5 argument parsers built, 16 terminal-size reads"
     assert re.fullmatch(r"GC collections: gen0 \d+, gen1 \d+, gen2 \d+", lines[-2])
     assert lines[-1] == "18 Trajectory constructions"
+
+
+def test_loop_ops_shares_the_loops_of_an_ivp_corpus_pass(capsys):
+    # 24 charge commands, one loop each.  Two pairs of 2-dof scenarios
+    # differ only in coefficients, their constant masses' included, so the
+    # second of each pair takes its loop from the shape cache
+    assert loop_ops.main(["--workload", "ivp_corpus", "--seed", "4242"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines[1:] if re.match(r"[0-9a-f]{16} ", line)]
+    assert {row[1] for row in rows} == {"rows"}
+    assert lines[len(rows) + 1].startswith("rows loops: 24 calls, ")
+    assert "24 loops: 22 emitted, 2 from the shape cache, 22 distinct sources" in lines
 
 
 def test_loop_ops_passes_start_from_empty_caches():
