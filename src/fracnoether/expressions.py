@@ -26,14 +26,14 @@ Whether a tree depends on a variable is decided by its nodes
 
 Nodes carry no evaluators.  One emitter turns trees into straight-line
 Python source over floats, and each root is emitted once on first use.
-Constants are bound by name, so trees that differ only in
-their constants emit the same source, and each distinct source is compiled
-once per process (:meth:`Emitter.define`).  Every constant and exponent of
-a tree is a slot of its shape, one per node, known only by whether it is
-zero, so trees that differ only in coefficients (the scenarios of one
-family, the alphas of a sweep) have one shape, unless equal coefficients
-make two subtrees equal, and :func:`shaped` emits each shape once,
-binding every slot anew for every later function; :func:`structure` is
+Constants are bound by name, never written into the source.  Every
+constant and exponent of a tree is a slot of its shape, one per node,
+known only by whether it is zero, so trees that differ only in
+coefficients (the scenarios of one family, the alphas of a sweep) have
+one shape, unless equal coefficients make two subtrees equal, and
+:func:`shaped` emits and compiles each shape once, keeping its code
+object with it and binding every slot anew for every later function
+(:meth:`Emitter.define`); :func:`structure` is
 that shape with the value in each slot.  ``e.evaluate(theta, q, v)`` is
 the raw compiled function, and :func:`evaluate_on_grid` (it, point by
 point) the checked entry point, which refuses to return non-finite
@@ -537,17 +537,6 @@ _MATH = {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_log": math.log,
 # its compiler recurses along the expression.
 _MAX_INLINE_DEPTH = 32
 
-@functools.lru_cache(maxsize=256)
-def _compile(text: str, filename: str):
-    """The code object of a module source, compiled once per process.
-
-    Constants are bound by name, never written into the source, so trees
-    that differ only in coefficients (the scenarios of one Lagrangian
-    family, the alphas of a sweep) emit the same source and share one code
-    object.  The last 256 distinct sources are kept.
-    """
-    return compile(text, filename, "exec")
-
 
 class Emitter:
     """Straight-line Python source for expression trees.
@@ -582,9 +571,10 @@ class Emitter:
     Statements work on floats, with the functions of ``math``.
     :meth:`function` writes everything emitted into ``f(theta, q, v)``
     (q and v sequences of coordinates) for :meth:`define`, which
-    compiles each distinct source once per process and binds the
+    compiles it unless the emitter already holds its code, and binds the
     constants anew in every function it returns; :func:`shaped` makes
-    the emitter and runs an emission once per shape of its trees.
+    the emitter, runs an emission once per shape of its trees and keeps
+    the code it compiled with the shape.
 
     An emitter can also emit at points held in named locals
     (:meth:`at`), reading the trees registered by :meth:`columns` from
@@ -612,6 +602,7 @@ class Emitter:
         self._slots: dict[int, str] = {}  # the trees' constants and exponents, by node id
         self._calls: dict[str, None] = {}  # the functions called, in order
         self._numbers = numbers or {}
+        self._code = None  # the code object of define's source, once known
         self._stateful = stateful
         self._point: tuple | None = None  # None: leaves load from theta, q, v
         self._emitted: dict[int, str] = {}
@@ -800,14 +791,17 @@ class Emitter:
         """Compile ``source``, a function definition around :meth:`body`,
         and return the function ``name``.
 
-        Each distinct source is compiled once per process (:func:`_compile`).
+        ``source`` is compiled only where the emitter holds no code: on a
+        miss of :func:`shaped`, which hands a hit's emitter the code of its
+        shape, or for an emitter made by hand (:mod:`fracnoether.linsolve`).
         The function is made afresh on every call, in a namespace of its own
         binding the constants and functions the statements use, and
         ``names``; only the immutable code object is shared.
         """
-        code = _compile("\n".join(source), f"<compiled {name}>")
+        if self._code is None:
+            self._code = compile("\n".join(source), f"<compiled {name}>", "exec")
         namespace = dict(self._namespace, **names)
-        exec(code, namespace)
+        exec(self._code, namespace)
         return namespace[name]
 
     def function(self, result: str) -> tuple[list[str], str, dict]:
@@ -859,7 +853,7 @@ def compile_trees(trees):
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
-# shape key -> (source, function name, names, slots).
+# shape key -> (source, function name, names, slots, code object).
 _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
@@ -876,13 +870,14 @@ def shaped(key: tuple, trees, emit, /, **names):
     only by whether it is zero.  On a miss ``em`` numbers nodes as the
     walk did: each node's number by id, and the subtrees with a q or v
     leaf, derived once from the walk's keys.  Two emissions of one key
-    and shape write the same statements, so a later call with them skips
-    emission: it binds its own values in every slot and defines the
-    function from the code cache.  A tree emitted but not walked raises
+    and shape write the same statements, so the code compiled on a miss
+    is kept with the shape, and a later call with them skips emission and
+    compiling: it binds its own values in every slot and defines the
+    function from the kept code.  A tree emitted but not walked raises
     ``KeyError`` at the first emission.  ``names`` are this call's own,
     bound in its function and never kept: the callables of a
-    call-per-stage loop (``_rhs``, ``_g<i>``).  The last 256 shapes are kept, and no entry keeps a tree
-    alive.
+    call-per-stage loop (``_rhs``, ``_g<i>``).  The last 256 shapes are
+    kept, and no entry keeps a tree alive.
     """
     shape, values, seen, numbers, keys = _shape(trees)
     full = (key, shape)
@@ -895,17 +890,17 @@ def shaped(key: tuple, trees, emit, /, **names):
         em = Emitter(numbers, stateful)
         source, name, own = emit(em)
         slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
-        # one text, the very string the code cache keys its code object by
-        entry = (["\n".join(source)], name, own, slots)
         if len(_SHAPES) >= _MAX_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
     else:
+        source, name, own, slots, code = entry
         em = Emitter()
-        for slot, i in entry[3]:
+        em._code = code
+        for slot, i in slots:
             em._namespace[slot] = values[i]
-    _SHAPES[full] = entry
-    source, name, own = entry[:3]
-    return em.define(source, name, **own, **names)
+    fn = em.define(source, name, **own, **names)
+    _SHAPES[full] = (source, name, own, slots, em._code)
+    return fn
 
 
 def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int], dict[int, int], dict]:

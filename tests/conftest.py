@@ -7,11 +7,11 @@ from fracnoether import cli, expressions
 def defined(monkeypatch):
     """The functions built by ``Emitter.define``, as (filename, source).
 
-    Every function is counted, whether its code was compiled or taken from
-    the code cache, and whether it was emitted or taken from the shape
-    cache, so a count here catches code that rebuilds a function it could
-    have kept, and does not depend on which tests ran before it: every
-    cache starts empty (``cli.clear_caches``).
+    Every function is counted, whether it was emitted and compiled or
+    taken, with its code, from the shape cache, so a count here catches
+    code that rebuilds a function it could have kept, and does not depend
+    on which tests ran before it: every cache starts empty
+    (``cli.clear_caches``).
     """
     calls = []
     define = expressions.Emitter.define
@@ -27,7 +27,8 @@ def defined(monkeypatch):
 
 @pytest.fixture
 def compiled(monkeypatch):
-    """The ``compile`` calls made behind the code cache, as (filename, source).
+    """The ``compile`` calls made by ``Emitter.define``, as (filename, source):
+    one per miss of the shape cache, and one per size of linear solver.
 
     Every cache starts empty (``cli.clear_caches``), so what a test counts
     does not depend on which tests ran before it in the process.

@@ -1,13 +1,14 @@
-"""The code cache behind ``Emitter.define``: each distinct source compiled once.
+"""The code kept by the shape cache: each shape's source compiled once.
 
 Constants are bound by name, never written into the source, so problems
-that differ only in coefficients or alpha emit the same source and share
-one code object, while every function made from it keeps its own
-constants, values and error messages.  In front of it the shape cache
-(``tests/test_shape_cache.py``) skips emission too: a sweep emits each
-function once, and later alphas define again only the functions whose
-trees hold 1 - alpha or alpha - 1, rebinding their slots.  Every function
-still goes through ``define`` and the code cache.
+that differ only in coefficients or alpha have one shape
+(``tests/test_shape_cache.py``), emit one source and share the one code
+object ``expressions.shaped`` keeps with the shape, while every function
+made from it keeps its own constants, values and error messages.  A sweep
+emits and compiles each function once, and later alphas define again only
+the functions whose trees hold 1 - alpha or alpha - 1, rebinding their
+slots.  Every function still goes through ``Emitter.define``, the one
+place that compiles.
 """
 
 import ast
@@ -132,7 +133,7 @@ def test_oscillators_share_code_but_not_values(compiled):
     assert loop_a.__code__ is loop_b.__code__
     assert out_a != out_b
     for (m, k, alpha, c), out in [((1.3, 0.7, 0.4, 0.5), out_a), ((1.5, 0.6, 0.75, 0.35), out_b)]:
-        expressions._compile.cache_clear()
+        expressions._SHAPES.clear()
         assert solve(oscillator(m, k, alpha), c)[1] == out
     assert len(compiled) == 3 * count
 
@@ -143,7 +144,7 @@ def test_shared_code_keeps_each_functions_errors(compiled):
     assert f.__code__ is g.__code__ and len(compiled) == 1
     point = (0.0, [2.0, 0.0, 0.0, 4.0], [0.0] * 4)
     for fn, text in [(f, texts[0]), (g, texts[1])]:
-        expressions._compile.cache_clear()
+        expressions._SHAPES.clear()
         assert fn(*point) == compile_trees(parse(text))(*point)
     assert len(compiled) == 3
     with pytest.raises(EvalDomainError, match=r"^ln of non-positive value -0\.75$"):
@@ -158,27 +159,29 @@ def test_shared_code_keeps_each_functions_errors(compiled):
 
 
 def tuple_of(k):
-    """A function with a source of its own for each k: a k-tuple of q0."""
+    """A function with a shape and a source of its own for each k: a k-tuple of q0."""
     return compile_trees([Q(0)] * k)
 
 
 def test_code_cache_evicts_the_oldest_beyond_its_bound(compiled):
-    limit = expressions._compile.cache_info().maxsize
+    # the code lives and dies with its shape: kept while the shape is among
+    # the last _MAX_SHAPES, compiled again once the shape has been evicted
+    limit = expressions._MAX_SHAPES
     fns = [tuple_of(k) for k in range(1, limit + 11)]
     assert len(compiled) == limit + 10
-    assert expressions._compile.cache_info().currsize == limit
+    assert len(expressions._SHAPES) == limit
     assert all(fn(0.0, [1.5], [0.0]) == (1.5,) * k for k, fn in enumerate(fns, 1))
     tuple_of(limit + 10)  # among the newest: kept
     assert len(compiled) == limit + 10
     tuple_of(1)  # the oldest: evicted, compiled again
     assert len(compiled) == limit + 11
-    assert expressions._compile.cache_info().currsize == limit
+    assert len(expressions._SHAPES) == limit
+    assert tuple_of(1)(0.0, [2.5], [0.0]) == (2.5,) and len(compiled) == limit + 11
 
 
 def test_define_is_the_only_compile_site():
-    # a compile or exec elsewhere would bypass the code cache, and so
-    # would a caller of the cached compile other than define; the one
-    # other name of it is cli.clear_caches emptying it
+    # a compile or exec elsewhere would bypass the code the shape cache
+    # keeps
     found = []
 
     def visit(node, scope):
@@ -194,15 +197,13 @@ def test_define_is_the_only_compile_site():
                 name = child.attr
             else:
                 name = None
-            if name in ("compile", "exec", "eval", "_compile"):
+            if name in ("compile", "exec", "eval"):
                 found.append((path.name, inner, name))
             visit(child, inner)
 
     for path in sorted(Path(fracnoether.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), "")
     assert sorted(found) == [
-        ("cli.py", "clear_caches", "_compile"),
-        ("expressions.py", "Emitter.define", "_compile"),
+        ("expressions.py", "Emitter.define", "compile"),
         ("expressions.py", "Emitter.define", "exec"),
-        ("expressions.py", "_compile", "compile"),
     ]

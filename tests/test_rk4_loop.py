@@ -11,6 +11,7 @@ from its values on the grid, evaluated before it.
 """
 
 import ast
+import collections
 import importlib.util
 import re
 import sys
@@ -746,7 +747,7 @@ def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
     assert kind == "ok" and outcome(walked, *args) == outcome(inlined, *args)
 
 
-def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
+def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     # 9 BVPs, each shot by a solve and by a charge command: 18 shoots, each
     # building one trajectory.  The solve's shoot evaluates its kernel
     # column once (at the nodes and at the half-nodes), runs 6 Newton
@@ -766,6 +767,10 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys):
         "rows loops: 18 calls, N instructions per step"]
     assert "348 Expr.diff calls, 38 Emitter.define calls" in lines
     assert "9 column builders defined, 18 builder calls" in lines
+    # a shape hit compiles nothing: the 38 definitions compile 9 loops, one
+    # column builder and the linear solvers of sizes 1 and 2
+    assert collections.Counter(filename for filename, _ in compiled) == {
+        "<compiled loop>": 9, "<compiled column>": 1, "<compiled solved>": 2}
     # the three scenarios of a family differ only in coefficients, a
     # constant mass's included, and the first command on each family emits
     # its loops for the others
