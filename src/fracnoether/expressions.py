@@ -570,11 +570,11 @@ class Emitter:
 
     Statements work on floats, with the functions of ``math``.
     :meth:`function` writes everything emitted into ``f(theta, q, v)``
-    (q and v sequences of coordinates) for :meth:`define`, which
-    compiles it unless the emitter already holds its code, and binds the
-    constants anew in every function it returns; :func:`shaped` makes
-    the emitter, runs an emission once per shape of its trees and keeps
-    the code it compiled with the shape.
+    (q and v sequences of coordinates) for :meth:`define`, which binds
+    the constants anew in every function it returns.  :func:`shaped` is
+    the only maker of emitters: it runs an emission once per shape of its
+    trees, and :meth:`define` compiles only then; the code is kept with
+    the shape.
 
     An emitter can also emit at points held in named locals
     (:meth:`at`), reading the trees registered by :meth:`columns` from
@@ -793,7 +793,7 @@ class Emitter:
 
         ``source`` is compiled only where the emitter holds no code: on a
         miss of :func:`shaped`, which hands a hit's emitter the code of its
-        shape, or for an emitter made by hand (:mod:`fracnoether.linsolve`).
+        shape.
         The function is made afresh on every call, in a namespace of its own
         binding the constants and functions the statements use, and
         ``names``; only the immutable code object is shared.
@@ -853,7 +853,7 @@ def compile_trees(trees):
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
-# shape key -> (source, function name, names, slots, code object).
+# shape key -> ([source text], function name, names, slots, code object).
 _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
@@ -889,6 +889,7 @@ def shaped(key: tuple, trees, emit, /, **names):
                 stateful.add(number)
         em = Emitter(numbers, stateful)
         source, name, own = emit(em)
+        source = ["\n".join(source)]  # kept as one text, as define reads it
         slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
         if len(_SHAPES) >= _MAX_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]

@@ -8,25 +8,28 @@ exactly zero pivot reports an infinite condition estimate.
 The algorithm runs in two forms with the same rules and the same float
 operations.  :func:`emit_solve` writes it as straight-line statements
 into an expression :class:`~fracnoether.expressions.Emitter`, eliminating
-a matrix of locals at run time: :func:`solve`, the plain function for
-the shooting Jacobian, runs it, and so do the accelerations of an
-``ExplicitOde`` whose mass is not constant, or is singular, called or
-written into the compiled RK4 loop of :mod:`fracnoether.integrators`.
-:func:`eliminated` eliminates a known matrix now, leaving x as
-expression trees over the right-hand side: the accelerations of a
-constant mass.
+a matrix of locals at run time: the accelerations of an ``ExplicitOde``
+whose mass is not constant, or is singular, called or written into the
+compiled RK4 loop of :mod:`fracnoether.integrators`.
+:func:`eliminated` eliminates a known matrix now, doing its right-hand
+side's arithmetic as it is told: as expression trees, the accelerations
+of a constant mass, or on floats, :func:`solve` for the shooting
+Jacobian.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
+import operator
 from typing import Callable, Sequence
 
-from .expressions import Add, Const, Div, Emitter, Expr, Mul, Sub
+from .expressions import Add, Const, Div, Mul, Sub
 
 PIVOT_RTOL = 1e-12
+
+# the right-hand side's arithmetic for eliminated: constant, -, *, +, /
+TREES = (Const, Sub, Mul, Add, Div)
+FLOATS = (float, operator.sub, operator.mul, operator.add, operator.truediv)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -48,52 +51,42 @@ def singular_error(pivot: float, threshold: float, scale: float, largest: float)
 def solve(matrix, rhs) -> list[float]:
     """Solve ``matrix @ x = rhs`` by partial-pivoting elimination.
 
-    Runs :func:`emit_solve` over a matrix of names, compiled once per
-    size.  The pivot is the first entry of largest magnitude in its
-    column.  A NaN entry leaves nothing to judge pivots against, so the
-    solution is all NaN.
+    :func:`eliminated` on floats, with the float operations of
+    :func:`emit_solve` in its order.  The pivot is the first entry of
+    largest magnitude in its column.  A NaN entry leaves nothing to judge
+    pivots against, so the solution is all NaN.
     """
     a = [list(map(float, row)) for row in matrix]
     b = list(map(float, rhs))
     n = len(a)
-    entries = [x for row in a for x in row]
     if len(b) != n or any(len(row) != n for row in a):
-        raise ValueError(f"shape mismatch: {n}-row matrix of {len(entries)} entries, rhs {len(b)}")
-    return _solver(n)(*entries, *b) if n else []
+        raise ValueError(f"shape mismatch: {n}-row matrix of {sum(map(len, a))} entries, rhs {len(b)}")
+    return eliminated(a, b, FLOATS)
 
 
-@functools.cache
-def _solver(n: int) -> Callable[..., list[float]]:
-    """``solved(a0_0, .., a{n-1}_{n-1}, b0, .., b{n-1}) -> x``, compiled."""
-    em = Emitter()
-    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-    b = [f"b{i}" for i in range(n)]
-    x = emit_solve(em, a, b, "raise {}".format)
-    params = ", ".join([name for row in a for name in row] + b)
-    source = [f"def solved({params}):", *em.body("    "), f"    return [{', '.join(x)}]"]
-    return em.define(source, "solved", _linsolve=sys.modules[__name__])
-
-
-def eliminated(matrix: Sequence[Sequence[float]], rhs: Sequence[Expr]) -> list[Expr]:
+def eliminated(matrix: Sequence[Sequence[float]], rhs: Sequence, arithmetic=TREES) -> list:
     """x of ``matrix @ x = rhs``, the known float ``matrix`` eliminated now.
 
     The rules are :func:`emit_solve`'s: the pivot is the first entry of
     largest magnitude in its column, a row whose factor is zero is left
     as it is, a NaN entry makes every x NaN, and a pivot below the
     threshold raises the :class:`SingularMatrixError` of
-    :func:`singular_error` here.  x comes back as trees over the ``rhs``
-    trees, one raw node per float operation the run-time elimination does
-    on the right-hand side, with its operands in its order.  The folding
-    helpers are not used: they would drop the ``0.0 +`` that turns a sum
-    of -0.0 into 0.0.
+    :func:`singular_error` here.  The right-hand side takes one operation
+    of ``arithmetic`` (constant, ``-``, ``*``, ``+``, ``/``) per float
+    operation the run-time elimination does on it, with its operands in
+    its order: with ``TREES`` x comes back as raw nodes over the ``rhs``
+    trees, with ``FLOATS`` as the floats of the run-time elimination.
+    The folding helpers are not used: they would drop the ``0.0 +`` that
+    turns a sum of -0.0 into 0.0.
     """
+    const, sub, mul, add, div = arithmetic
     n = len(rhs)
     a = [list(row) for row in matrix]
     b = list(rhs)
     entries = [value for row in a for value in row]
     if any(map(math.isnan, entries)):
-        return [Const(math.nan) for _ in range(n)]
-    scale = max(map(abs, entries))
+        return [const(math.nan) for _ in range(n)]
+    scale = max(map(abs, entries), default=0.0)
     threshold = PIVOT_RTOL * max(scale, 1e-300)
     for col in range(n):
         pivot_row, largest = col, abs(a[col][col])
@@ -110,16 +103,16 @@ def eliminated(matrix: Sequence[Sequence[float]], rhs: Sequence[Expr]) -> list[E
             factor = lower[col] / top[col]
             if factor != 0.0:
                 lower[col + 1:] = [lower[k] - factor * top[k] for k in range(col + 1, n)]
-                b[row] = Sub(b[row], Mul(Const(factor), b[col]))
+                b[row] = sub(b[row], mul(const(factor), b[col]))
     x: list = [None] * n
     for row in range(n - 1, -1, -1):
         numerator = b[row]
         if row < n - 1:  # the dot of emit_solve, from 0.0 and left to right
-            dot = Const(0.0)
+            dot = const(0.0)
             for k in range(row + 1, n):
-                dot = Add(dot, Mul(Const(a[row][k]), x[k]))
-            numerator = Sub(numerator, dot)
-        x[row] = Div(numerator, Const(a[row][row]))
+                dot = add(dot, mul(const(a[row][k]), x[k]))
+            numerator = sub(numerator, dot)
+        x[row] = div(numerator, const(a[row][row]))
     return x
 
 
@@ -134,7 +127,8 @@ def emit_solve(
     whose factor is zero is left as it is, and a NaN entry makes x all
     NaN.  Working values go to ``em.fresh`` locals, so no input name is
     ever assigned; the constants are literals, and NaN is the emitter's
-    ``_nan``.
+    ``_nan``.  :func:`eliminated` does the same float operations on a
+    matrix known now.
 
     Where the system is singular, the statements bind the
     :class:`SingularMatrixError` of :func:`singular_error` to a local,

@@ -28,7 +28,7 @@ def defined(monkeypatch):
 @pytest.fixture
 def compiled(monkeypatch):
     """The ``compile`` calls made by ``Emitter.define``, as (filename, source):
-    one per miss of the shape cache, and one per size of linear solver.
+    one per miss of the shape cache.
 
     Every cache starts empty (``cli.clear_caches``), so what a test counts
     does not depend on which tests ran before it in the process.

@@ -1,18 +1,21 @@
 """The linear solve in its two forms, bit for bit.
 
-:func:`linsolve.solve` runs the elimination :func:`linsolve.emit_solve`
-writes for a matrix of names, all of it at run time.
-:func:`linsolve.eliminated` eliminates a known matrix at once and leaves
-x as trees over the right-hand side, here compiled by ``compile_trees``
-over one leaf per entry; they must return the same floats (NaN as NaN,
-zeros with their sign) for every system, and on a singular one
-:func:`linsolve.eliminated` must raise, before anything is compiled,
-the error the run-time form raises.  The run-time form is checked
-against the array elimination of ``elimination_oracle``, which shares no
-code with it: the same x on finite systems, and a singular verdict, with
-its condition estimate, exactly where the pivot rule trips.
+:func:`linsolve.emit_solve` writes the elimination of a matrix of names,
+all of it run at run time; compiled here over one name per entry
+(``emitted``), it is what a mass known only at run time runs inside the
+RK4 loop.  :func:`linsolve.eliminated` eliminates a known matrix at
+once: on floats it is :func:`linsolve.solve`, and as trees over the
+right-hand side it is compiled here by ``compile_trees`` over one leaf
+per entry.  All three must return the same floats (NaN as NaN, zeros
+with their sign) for every system, and on a singular one raise the same
+error, :func:`linsolve.eliminated` before anything is compiled.  The
+float form is checked against the array elimination of
+``elimination_oracle``, which shares no code with it: the same x on
+finite systems, and a singular verdict, with its condition estimate,
+exactly where the pivot rule trips.
 """
 
+import functools
 import math
 import random
 
@@ -20,7 +23,7 @@ import pytest
 from elimination_oracle import SingularPivot, array_elimination
 
 from fracnoether import linsolve
-from fracnoether.expressions import Add, Const, Div, Mul, Q, Sub, compile_trees
+from fracnoether.expressions import Add, Const, Div, Emitter, Mul, Q, Sub, compile_trees
 
 SPECIAL = [0.0, -0.0, 1e-13, 1e300, -1e300, math.inf, -math.inf, math.nan]
 ROUND = [1.0, -1.0, 2.0, 0.5, -3.0, 4.0]
@@ -58,6 +61,24 @@ def brief(result):
     return result if result[0] == "ok" else ("raise", result[2])
 
 
+@functools.cache
+def solver(n):
+    """``solved(a0_0, .., a{n-1}_{n-1}, b0, .., b{n-1}) -> x``: the
+    elimination ``emit_solve`` writes for names, compiled."""
+    em = Emitter()
+    names = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+    rhs = [f"b{i}" for i in range(n)]
+    x = linsolve.emit_solve(em, names, rhs, "raise {}".format)
+    params = ", ".join([name for row in names for name in row] + rhs)
+    source = [f"def solved({params}):", *em.body("    "), f"    return [{', '.join(x)}]"]
+    return em.define(source, "solved", _linsolve=linsolve)
+
+
+def emitted(a, b):
+    """x of ``a @ x = b``: the compiled ``emit_solve`` over one name per entry."""
+    return solver(len(b))(*[value for row in a for value in row], *b)
+
+
 def eliminated(a, b):
     """x of ``a @ x = b``: ``linsolve.eliminated`` over the leaves q0.., compiled."""
     return compile_trees(linsolve.eliminated(a, [Q(i) for i in range(len(b))]))(0.0, b, [])
@@ -75,7 +96,8 @@ def test_eliminated_matches_linsolve_bit_for_bit(n):
         seen["singular"] += expected[0] == "raise"
         seen["nan"] += expected == ("ok", ["nan"] * n)
 
-        # every entry known, against every entry a name (linsolve.solve)
+        # every entry a name, and every entry known as trees, against floats
+        assert outcome(emitted, a, b) == expected, (a, b)
         assert outcome(eliminated, a, b) == expected, (a, b)
         # every entry a name, against the oracle, on finite matrices
         if all(map(math.isfinite, entries)):
@@ -98,6 +120,7 @@ def test_eliminated_edge_systems(n):
                   [[value if (i, j) == (n - 1, 0) else 0.0 for j in range(n)] for i in range(n)]):
             b = [1.0, -0.0, math.inf][:n]
             expected = outcome(linsolve.solve, a, b)
+            assert outcome(emitted, a, b) == expected, a
             assert outcome(eliminated, a, b) == expected, a
             assert brief(expected) == oracle(a, b), a
 

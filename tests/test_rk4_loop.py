@@ -499,12 +499,11 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     (column,) = [source for filename, source in defined if filename == "<compiled column>"]
     assert KERNEL.search(column)
     assert ["halves, n0, m0, = columns" in source for source in loops] == [True, False]
-    # and the 2x2 solver of the Jacobian, built once per process at the
-    # first Jacobian solve, after the Newton loop; nothing else: the
-    # constant mass is eliminated into the loop's trees, the ODE's own
-    # functions are never called, and the integrands compile nothing
+    # and nothing else: the Jacobian is solved on floats, the constant
+    # mass is eliminated into the loop's trees, the ODE's own functions
+    # are never called, and the integrands compile nothing
     assert [filename for filename, _ in defined] == [
-        "<compiled column>", "<compiled loop>", "<compiled solved>", "<compiled loop>"]
+        "<compiled column>", "<compiled loop>", "<compiled loop>"]
 
 
 @pytest.mark.parametrize("alpha, columns", [(0.6, 1), (1.0, 0)])
@@ -765,12 +764,12 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
         "last loops: 54 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
-    assert "348 Expr.diff calls, 38 Emitter.define calls" in lines
+    assert "348 Expr.diff calls, 36 Emitter.define calls" in lines
     assert "9 column builders defined, 18 builder calls" in lines
-    # a shape hit compiles nothing: the 38 definitions compile 9 loops, one
-    # column builder and the linear solvers of sizes 1 and 2
+    # a shape hit compiles nothing: the 36 definitions compile 9 loops and
+    # one column builder; the shooting Jacobian is solved on floats
     assert collections.Counter(filename for filename, _ in compiled) == {
-        "<compiled loop>": 9, "<compiled column>": 1, "<compiled solved>": 2}
+        "<compiled loop>": 9, "<compiled column>": 1}
     # the three scenarios of a family differ only in coefficients, a
     # constant mass's included, and the first command on each family emits
     # its loops for the others

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracnoether import cli, expressions, fanout, integrators, linsolve
+from fracnoether import cli, expressions, fanout, integrators
 from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
 
 
@@ -1072,12 +1072,12 @@ def test_main_builds_the_parser_tree_once(tmp_path, capsys, monkeypatch):
 def test_clear_caches_empties_every_cache_the_process_keeps(tmp_path, capsys):
     path = write_scenario(tmp_path, shipped("free_particle_bvp.json", steps=200))
     assert cli.main(["charge", "--scenario", str(path), "--output", str(tmp_path / "out")]) == 0
-    caches = [linsolve._solver, integrators._built_grid, cli.build_parser]
+    caches = [integrators._built_grid, cli.build_parser]
     assert expressions._SHAPES and all(cache.cache_info().currsize for cache in caches)
     assert integrators._theta_texts[0] is not None and integrators._SHOOTS
     cli.clear_caches()
     assert expressions._SHAPES == {}
-    assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+    assert [cache.cache_info().currsize for cache in caches] == [0, 0]
     assert integrators._theta_texts == (None, []) and integrators._SHOOTS == {}
 
 
