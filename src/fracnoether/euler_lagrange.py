@@ -232,7 +232,7 @@ class ExplicitOde:
     default.
     """
 
-    # The names the statements of emit_accelerations use, for Emitter.define.
+    # The names the statements of emit_accelerations read, bound by expressions.shaped.
     NAMES = {"_inf": math.inf, "_linsolve": linsolve, "_SingularHessianError": SingularHessianError}
     samples: tuple = ()
 

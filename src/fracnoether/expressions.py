@@ -8,7 +8,7 @@ that holds their fields, children and rendering: ``_Coordinate`` for
 ``Q``/``V``, ``_Unary`` for ``Neg`` and the five functions, ``_Binary`` for
 the four operators; each concrete node adds only its derivative rule and
 its class constants.  The lowercase constructor helpers fold
-constants, the functions with the table the emitter binds, and drop
+constants, the functions with the table compiled functions call, and drop
 additive/multiplicative identities so that symbolic derivatives stay
 compact, but no canonical simplification is attempted.  They also fold
 power-of-two factors, under one exactness rule: a fold scales only by a
@@ -32,12 +32,12 @@ known only by whether it is zero, so trees that differ only in
 coefficients (the scenarios of one family, the alphas of a sweep) have
 one shape, unless equal coefficients make two subtrees equal, and
 :func:`shaped` emits and compiles each shape once, keeping its code
-object with it and binding every slot anew for every later function
-(:meth:`Emitter.define`); :func:`structure` is
-that shape with the value in each slot.  ``e.evaluate(theta, q, v)`` is
-the raw compiled function, and :func:`evaluate_on_grid` (it, point by
-point) the checked entry point, which refuses to return non-finite
-values; one point is a one-point grid.  :func:`compile_trees` compiles
+object with it, and binds every slot anew for every function it makes
+from that code; :func:`structure` is that shape with the value in each
+slot.  ``e.evaluate(theta, q, v)`` is the raw compiled function, and
+:func:`evaluate_on_grid` (it, point by point) the checked entry point,
+which refuses to return non-finite values; one point is a one-point
+grid.  :func:`compile_trees` compiles
 several roots into one function with subtrees shared across them.
 Callers that write their own function around emitted trees (the RK4
 loop of :mod:`fracnoether.integrators`) hand :func:`shaped` an emission
@@ -552,8 +552,7 @@ class Emitter:
     point, are computed once and reused, so the first domain violation
     raised is the one a node-by-node walk would meet.  A check of a local
     is written once: a test that passed once passes again.  Constants and
-    functions are bound by name in the namespace, never written into the
-    source.
+    functions are read by name, never written into the source.
 
     A value of ``+ - * /`` or unary minus that exactly one later statement
     of the emitter's own reads is written into that statement, not into a
@@ -570,11 +569,10 @@ class Emitter:
 
     Statements work on floats, with the functions of ``math``.
     :meth:`function` writes everything emitted into ``f(theta, q, v)``
-    (q and v sequences of coordinates) for :meth:`define`, which binds
-    the constants anew in every function it returns.  :func:`shaped` is
-    the only maker of emitters: it runs an emission once per shape of its
-    trees, and :meth:`define` compiles only then; the code is kept with
-    the shape.
+    (q and v sequences of coordinates).  The emitter only writes
+    statements: :func:`shaped`, the only maker of emitters, runs an
+    emission once per shape of its trees, compiles and keeps its code, and
+    binds the constants in every function it makes.
 
     An emitter can also emit at points held in named locals
     (:meth:`at`), reading the trees registered by :meth:`columns` from
@@ -590,19 +588,16 @@ class Emitter:
     an emitted statement reads.
     """
 
-    def __init__(self, numbers: dict[int, int] | None = None, stateful: Collection[int] = ()):
+    def __init__(self, numbers: dict[int, int], stateful: Collection[int]):
         """Number each node as the walk of :func:`shaped` did: ``numbers`` by
         node id, ``stateful`` the numbers of subtrees with a q or v leaf.  A
         non-constant node the walk did not number raises ``KeyError``."""
         # statements in order: text, or (name, op, precedence, a, b) of _let
         self._lines: list = []
         self._count = 0
-        self._namespace = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond,
-                               _nan=math.nan)
         self._slots: dict[int, str] = {}  # the trees' constants and exponents, by node id
         self._calls: dict[str, None] = {}  # the functions called, in order
-        self._numbers = numbers or {}
-        self._code = None  # the code object of define's source, once known
+        self._numbers = numbers
         self._stateful = stateful
         self._point: tuple | None = None  # None: leaves load from theta, q, v
         self._emitted: dict[int, str] = {}
@@ -639,13 +634,12 @@ class Emitter:
         """Register ``trees``, whose values points may hold in locals (:meth:`at`)."""
         self._columns = [self._numbers[id(e)] for e in trees]
 
-    def _slot(self, e: Expr, value: float) -> str:
-        """Namespace name of the constant or exponent ``value`` of the node
-        ``e``: its own, whatever other node holds an equal value."""
+    def _slot(self, e: Expr) -> str:
+        """The name of the constant or exponent of the node ``e``: its own,
+        whatever other node holds an equal value."""
         name = self._slots.get(id(e))
         if name is None:
             name = self._slots[id(e)] = f"_c{len(self._slots)}"
-            self._namespace[name] = value
         return name
 
     def fresh(self) -> str:
@@ -690,7 +684,7 @@ class Emitter:
         kind = type(e)
         if kind is Const:
             # named by its node, though equal constants number alike
-            return self._slot(e, e.value)
+            return self._slot(e)
         number = self._numbers[id(e)]
         name = self._emitted.get(number)
         if name is not None:
@@ -716,7 +710,7 @@ class Emitter:
             self._guard(kind, x)
             function = _CALLS[kind]
             self._calls[function] = None
-            name = self._let(function, None, x, self._slot(e, e.exponent) if kind is Pow else None)
+            name = self._let(function, None, x, self._slot(e) if kind is Pow else None)
         else:
             raise ExpressionError(f"cannot compile node type {kind.__name__}")
         self._emitted[number] = name
@@ -787,26 +781,9 @@ class Emitter:
         names = [*self._slots.values(), *self._calls]
         return "".join([", *", *(f", {name}={name}" for name in names)]) if names else ""
 
-    def define(self, source: Sequence[str], name: str, **names):
-        """Compile ``source``, a function definition around :meth:`body`,
-        and return the function ``name``.
-
-        ``source`` is compiled only where the emitter holds no code: on a
-        miss of :func:`shaped`, which hands a hit's emitter the code of its
-        shape.
-        The function is made afresh on every call, in a namespace of its own
-        binding the constants and functions the statements use, and
-        ``names``; only the immutable code object is shared.
-        """
-        if self._code is None:
-            self._code = compile("\n".join(source), f"<compiled {name}>", "exec")
-        namespace = dict(self._namespace, **names)
-        exec(self._code, namespace)
-        return namespace[name]
-
     def function(self, result: str) -> tuple[list[str], str, dict]:
         """``f(theta, q, v) -> result`` around the emitted statements, as the
-        source, name and names :meth:`define` takes."""
+        source, name and names an emission hands :func:`shaped`."""
         source = [
             "def compiled(theta, q, v):",
             "    try:",
@@ -853,31 +830,33 @@ def compile_trees(trees):
 
 
 # The last _MAX_SHAPES emissions by shape key, the most recently used last:
-# shape key -> ([source text], function name, names, slots, code object).
+# shape key -> (function name, names, slots, code object).
 _SHAPES: dict[tuple, tuple] = {}
 _MAX_SHAPES = 256
 
 
 def shaped(key: tuple, trees, emit, /, **names):
-    """The function ``emit`` defines, emitted once per shape of ``trees``.
+    """The function ``emit`` writes, emitted and compiled once per shape of ``trees``.
 
     ``emit(em)`` emits ``trees`` (an expression, or nested sequences of
-    them) into the fresh :class:`Emitter` ``em`` and returns the source,
-    name and names for :meth:`Emitter.define`; ``key`` holds everything
-    else it reads.  The shape of the trees is one walk over them
-    (:func:`_shape`): node kinds, indices and sharing, which subtrees are
-    equal, and every constant and exponent as a slot of its node, known
-    only by whether it is zero.  On a miss ``em`` numbers nodes as the
-    walk did: each node's number by id, and the subtrees with a q or v
-    leaf, derived once from the walk's keys.  Two emissions of one key
-    and shape write the same statements, so the code compiled on a miss
-    is kept with the shape, and a later call with them skips emission and
-    compiling: it binds its own values in every slot and defines the
-    function from the kept code.  A tree emitted but not walked raises
-    ``KeyError`` at the first emission.  ``names`` are this call's own,
-    bound in its function and never kept: the callables of a
-    call-per-stage loop (``_rhs``, ``_g<i>``).  The last 256 shapes are
-    kept, and no entry keeps a tree alive.
+    them) into the fresh :class:`Emitter` ``em`` and returns the source of
+    a function definition, its name and the names its statements read
+    beyond the emitter's own; ``key`` holds everything else it reads.  The
+    shape of the trees is one walk over them (:func:`_shape`): node kinds,
+    indices and sharing, which subtrees are equal, and every constant and
+    exponent as a slot of its node, known only by whether it is zero.  On
+    a miss ``em`` numbers nodes as the walk did: each node's number by id,
+    and the subtrees with a q or v leaf, derived once from the walk's
+    keys.  Two emissions of one key and shape write the same statements,
+    so the source is compiled once, as ``<compiled {name}>``, and only its
+    code is kept with the shape; a later call emits and compiles nothing.
+    Every call, miss or hit alike, runs that code in a namespace of its
+    own: the emitter's functions, the emission's names, ``names``, and in
+    each slot the value this call's walk found there.  A tree emitted but
+    not walked raises ``KeyError`` at the first emission.  ``names`` are
+    this call's own and never kept: the callables of a call-per-stage
+    loop (``_rhs``, ``_g<i>``).  The last 256 shapes are kept, and no
+    entry keeps a tree alive.
     """
     shape, values, seen, numbers, keys = _shape(trees)
     full = (key, shape)
@@ -889,19 +868,17 @@ def shaped(key: tuple, trees, emit, /, **names):
                 stateful.add(number)
         em = Emitter(numbers, stateful)
         source, name, own = emit(em)
-        source = ["\n".join(source)]  # kept as one text, as define reads it
-        slots = tuple((slot, seen[k]) for k, slot in em._slots.items())
+        code = compile("\n".join(source), f"<compiled {name}>", "exec")
+        entry = (name, own, tuple((slot, seen[k]) for k, slot in em._slots.items()), code)
         if len(_SHAPES) >= _MAX_SHAPES:
             del _SHAPES[next(iter(_SHAPES))]
-    else:
-        source, name, own, slots, code = entry
-        em = Emitter()
-        em._code = code
-        for slot, i in slots:
-            em._namespace[slot] = values[i]
-    fn = em.define(source, name, **own, **names)
-    _SHAPES[full] = (source, name, own, slots, em._code)
-    return fn
+    _SHAPES[full] = entry
+    name, own, slots, code = entry
+    namespace = dict(_BASE, **own, **names)
+    for slot, i in slots:
+        namespace[slot] = values[i]
+    exec(code, namespace)
+    return namespace[name]
 
 
 def _shape(trees) -> tuple[tuple, dict[int, float], dict[int, int], dict[int, int], dict]:
@@ -987,6 +964,10 @@ def _beyond_message(letter: str, index: int, count: int) -> str:
 
 def _raise_beyond(message: str) -> None:
     raise ExpressionError(message)
+
+
+# What every function shaped makes reads beyond its names and slots.
+_BASE = dict(_MATH, _EvalDomainError=EvalDomainError, _beyond=_raise_beyond, _nan=math.nan)
 
 
 def _raise_out_of_range(leaves, q, v) -> None:

@@ -550,7 +550,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                    read: Sequence[Expr], last_row: bool, em: Emitter):
     """Emit ``loop(nodes, h, hh, h6, state, columns, out[, weights])``, the
     whole RK4 step loop, into ``em``; return its source, name and names for
-    ``em.define``.  ``out`` holds one list per sample, then per q, v and
+    :func:`shaped`.  ``out`` holds one list per sample, then per q, v and
     channel, and the loop binds the ``append`` of each once.  With
     ``last_row`` it is ``loop(nodes, h, hh, h6, state, columns)``, appends
     nothing and returns the last row.

@@ -7,8 +7,8 @@ object ``expressions.shaped`` keeps with the shape, while every function
 made from it keeps its own constants, values and error messages.  A sweep
 emits and compiles each function once, and later alphas define again only
 the functions whose trees hold 1 - alpha or alpha - 1, rebinding their
-slots.  Every function still goes through ``Emitter.define``, the one
-place that compiles.
+slots.  Every function is made by ``expressions.shaped``, the one place
+that compiles and runs code.
 """
 
 import ast
@@ -50,29 +50,28 @@ def oscillator_sweep(tmp_path):
     return path
 
 
-def drags(monkeypatch, path, share=slice(None)) -> list[bool]:
-    """For each loop ``Emitter.define`` builds, whether one of its slots
+def drags(made, path, share=slice(None)) -> list[bool]:
+    """For each loop ``expressions.shaped`` makes, whether one of its slots
     holds 1 - alpha, for the alphas ``share`` of the sweep at ``path`` in turn."""
     alphas = iter(list(scenarios.load_scenario(path).alphas())[share])
     found = []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        fn = define(self, source, name, **names)
-        if name == "loop":
+    def record(filename, source, fn, emitted):
+        if filename == "<compiled loop>":
             drag = 1.0 - next(alphas)
             found.append(any(k.startswith("_c") and v == drag for k, v in fn.__kwdefaults__.items()))
         return fn
 
-    monkeypatch.setattr(expressions.Emitter, "define", recording_define)
+    made.watchers.append(record)
     return found
 
 
-def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, monkeypatch, compiled, defined):
-    # on one worker every alpha's function is defined in this process
+def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, monkeypatch, made, compiled,
+                                                        defined):
+    # on one worker every alpha's function is made in this process
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 1)
     path = oscillator_sweep(tmp_path)
-    found = drags(monkeypatch, path)
+    found = drags(made, path)
     assert cli.main(["sweep", "--scenario", str(path)]) == 0
     assert len(compiled) == len(set(compiled)) == len(set(defined))
     assert set(compiled) == set(defined)
@@ -84,12 +83,12 @@ def test_alpha_sweep_compiles_each_distinct_source_once(tmp_path, monkeypatch, c
     assert collections.Counter(defined) == {call: 6 for call in compiled}
 
 
-def test_the_own_share_of_a_two_worker_sweep_compiles_once(tmp_path, monkeypatch, compiled,
-                                                             defined):
+def test_the_own_share_of_a_two_worker_sweep_compiles_once(tmp_path, monkeypatch, made,
+                                                             compiled, defined):
     # this process runs alphas 0, 2 and 4 of the six, a child the others
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     path = oscillator_sweep(tmp_path)
-    found = drags(monkeypatch, path, slice(None, None, 2))
+    found = drags(made, path, slice(None, None, 2))
     assert cli.main(["sweep", "--scenario", str(path)]) == 0
     (call,) = compiled
     assert call[0] == "<compiled loop>" and found == [True] * 3
@@ -105,36 +104,33 @@ def oscillator(m, k, alpha):
     )
 
 
-def solve(prob, c):
+def solve(made, prob, c):
     """The step loop of one solve and the exact bytes it wrote."""
     loops = []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        fn = define(self, source, name, **names)
-        if name == "loop":
+    def record(filename, source, fn, emitted):
+        if filename == "<compiled loop>":
             loops.append(fn)
         return fn
 
     ode = ExplicitOde(prob)
     integrands = {"g": parse(f"ln({c}*q0 + 2)*v0^2", 1)}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expressions.Emitter, "define", recording_define)
+    with made.watching(record):
         traj = ivp_solve(ode, 0.0, 1.0, [1.0], [0.0], 50, integrands=integrands)
     (loop,) = loops
     return loop, (repr(traj.q), repr(traj.v), repr(traj.channels["g"]))
 
 
-def test_oscillators_share_code_but_not_values(compiled):
-    loop_a, out_a = solve(oscillator(1.3, 0.7, 0.4), 0.5)
+def test_oscillators_share_code_but_not_values(made, compiled):
+    loop_a, out_a = solve(made, oscillator(1.3, 0.7, 0.4), 0.5)
     count = len(compiled)
-    loop_b, out_b = solve(oscillator(1.5, 0.6, 0.75), 0.35)
+    loop_b, out_b = solve(made, oscillator(1.5, 0.6, 0.75), 0.35)
     assert len(compiled) == count  # the second oscillator compiled nothing
     assert loop_a.__code__ is loop_b.__code__
     assert out_a != out_b
     for (m, k, alpha, c), out in [((1.3, 0.7, 0.4, 0.5), out_a), ((1.5, 0.6, 0.75, 0.35), out_b)]:
         expressions._SHAPES.clear()
-        assert solve(oscillator(m, k, alpha), c)[1] == out
+        assert solve(made, oscillator(m, k, alpha), c)[1] == out
     assert len(compiled) == 3 * count
 
 
@@ -179,9 +175,9 @@ def test_code_cache_evicts_the_oldest_beyond_its_bound(compiled):
     assert tuple_of(1)(0.0, [2.5], [0.0]) == (2.5,) and len(compiled) == limit + 11
 
 
-def test_define_is_the_only_compile_site():
+def test_shaped_is_the_only_compile_site():
     # a compile or exec elsewhere would bypass the code the shape cache
-    # keeps
+    # keeps, or bind a constant other than its slots
     found = []
 
     def visit(node, scope):
@@ -204,6 +200,6 @@ def test_define_is_the_only_compile_site():
     for path in sorted(Path(fracnoether.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), "")
     assert sorted(found) == [
-        ("expressions.py", "Emitter.define", "compile"),
-        ("expressions.py", "Emitter.define", "exec"),
+        ("expressions.py", "shaped", "compile"),
+        ("expressions.py", "shaped", "exec"),
     ]

@@ -65,13 +65,15 @@ def brief(result):
 def solver(n):
     """``solved(a0_0, .., a{n-1}_{n-1}, b0, .., b{n-1}) -> x``: the
     elimination ``emit_solve`` writes for names, compiled."""
-    em = Emitter()
+    em = Emitter({}, ())
     names = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     rhs = [f"b{i}" for i in range(n)]
     x = linsolve.emit_solve(em, names, rhs, "raise {}".format)
     params = ", ".join([name for row in names for name in row] + rhs)
     source = [f"def solved({params}):", *em.body("    "), f"    return [{', '.join(x)}]"]
-    return em.define(source, "solved", _linsolve=linsolve)
+    namespace = {"_nan": math.nan, "_linsolve": linsolve}
+    exec(compile("\n".join(source), "<compiled solved>", "exec"), namespace)
+    return namespace["solved"]
 
 
 def emitted(a, b):

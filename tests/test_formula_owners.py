@@ -234,7 +234,7 @@ def test_the_emitter_guard_sees_every_spelling():
         "class Ode:\n"
         "    @cached_property\n"
         "    def f(self):\n"
-        "        return expressions.Emitter().define([], 'f')\n"
+        "        return expressions.Emitter().body('')\n"
         "def loop(rhs):\n"
         "    def emit():\n"
         "        return Emitter({}, ())\n"

@@ -288,7 +288,7 @@ def test_a_command_reads_every_charge_from_the_loop(case, tmp_path, monkeypatch)
     assert golden.run_case(case, tmp_path / "loop_only") == plain
 
 
-def test_a_sampled_solve_reads_no_column():
+def test_a_sampled_solve_reads_no_column(made):
     # the net force of a driven family holds two theta-only subtrees, the
     # kernel and 0.4*theta/2; after a shoot on the grid has evaluated the
     # kernel's column, a solve sampling the net force itself still writes
@@ -298,14 +298,12 @@ def test_a_sampled_solve_reads_no_column():
     integrators._final_state(ode, 0.0, 1.0, [0.4], 8)
     samples = [Sample(tree) for tree in ode.net]
     sources = []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        sources.append("\n".join(source))
-        return define(self, source, name, **names)
+    def record(filename, source, fn, emitted):
+        sources.append(source)
+        return fn
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expressions.Emitter, "define", recording_define)
+    with made.watching(record):
         traj = ivp_solve(ode.with_samples(samples), 0.0, 1.0, [0.4], [0.7], 8)
     (source,) = sources
     assert "= columns" not in source and not re.search(r"\b[nm]0\b", source)
@@ -524,45 +522,42 @@ def test_a_shoot_evaluates_the_kernel_and_no_other_theta_only_tree(defined, alph
     assert all(KERNEL.search(source) for source in built)
 
 
-def loop_source(prob, integrands=None):
+def loop_source(made, prob, integrands=None):
     """The source and the function of the loop ``ivp_solve`` compiles for ``prob``."""
     sources, loops = [], []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        fn = define(self, source, name, **names)
-        if name == "loop":
-            sources.append("\n".join(source))
+    def record(filename, source, fn, emitted):
+        if filename == "<compiled loop>":
+            sources.append(source)
             loops.append(fn)
         return fn
 
     ode = ExplicitOde(prob)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expressions.Emitter, "define", recording_define)
+    with made.watching(record):
         ivp_solve(ode, 0.0, 1.0, [0.1] * prob.n, [0.2] * prob.n, 4, integrands=integrands)
     (source,) = sources
     (loop,) = loops
     return source, loop
 
 
-def test_constant_mass_is_folded_into_the_loop():
+def test_constant_mass_is_folded_into_the_loop(made):
     # the coupled benchmark family: a constant diagonal mass leaves the
     # right-hand-side arithmetic only, with no solver call and no pivot test
-    source, _ = loop_source(problem("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2))
+    source, _ = loop_source(made, problem("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2))
     assert "_linsolve" not in source and "abs(" not in source
     # a state-dependent mass keeps the run-time pivot choice and singular
     # test, with its constant entries eliminated at run time too
-    source, _ = loop_source(problem("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", 2))
+    source, _ = loop_source(made, problem("(1 + q0^2)*v0^2/8 + v0*v1 + v1^2", 2))
     assert re.search(r"if \w+ > t\d+: t\d+, t\d+ = 1, \w+", source)
     assert "_linsolve.singular_error(" in source
     assert re.search(r"= abs\(_c\d+\)", source)
 
 
 @pytest.mark.parametrize("text, alpha", [("v0^2/2 + q0", 1.0), ("v0^2/2", 0.5)])
-def test_a_constant_mass_divides_no_constant(text, alpha):
+def test_a_constant_mass_divides_no_constant(made, text, alpha):
     # a constant force over a constant mass is folded before the loop is
     # emitted, and a unit mass divides nothing
-    source, loop = loop_source(problem(text, 1, alpha))
+    source, loop = loop_source(made, problem(text, 1, alpha))
     assert not re.search(r"= _[ck]\d+ / _[ck]\d+$", source, re.MULTILINE)
     ones = [name for name, value in loop.__kwdefaults__.items() if value == 1.0]
     assert not any(re.search(rf"/ {name}\b", source) for name in ones)
@@ -591,11 +586,11 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_loop_of_a_benchmark_family_computes_each_value_once(family):
+def test_loop_of_a_benchmark_family_computes_each_value_once(made, family):
     text, n = FAMILIES[family]
     prob = problem(text, n)
     integrands = benchmark_integrands(prob)
-    source, loop = loop_source(prob, integrands)
+    source, loop = loop_source(made, prob, integrands)
     # the state is tested finite after the loop, not in it, a constant
     # nonzero mass, which cannot be singular, is not tested at all, and no
     # error a step raises is caught there (ivp_solve names it)
@@ -616,25 +611,22 @@ def test_loop_of_a_benchmark_family_computes_each_value_once(family):
         assert loop_ops.step_cost(loop, step) == expected[family]
 
 
-def newton_loop(prob, steps):
+def newton_loop(made, prob, steps):
     """The source of the Newton loop ``bvp_shoot(prob, steps)`` compiles,
     the loop, and the arguments of its first call."""
     found = []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        fn = define(self, source, name, **names)
-        if name != "loop" or loop_ops.kind(fn) != "last":
+    def record(filename, source, fn, emitted):
+        if filename != "<compiled loop>" or loop_ops.kind(fn) != "last":
             return fn
 
         def loop(*args):
-            found.append(("\n".join(source), fn, args))
+            found.append((source, fn, args))
             return fn(*args)
 
         return loop
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(expressions.Emitter, "define", recording_define)
+    with made.watching(record):
         bvp_shoot(prob, steps=steps)
     return found[0]
 
@@ -651,14 +643,14 @@ NEWTON_STEP_COST = {(3, 11): {"pendulum": (150, 4), "quartic_bvp": (190, 0),
 
 
 @pytest.mark.parametrize("family", NEWTON_FAMILIES)
-def test_newton_loop_of_a_benchmark_family_reads_the_kernel_from_a_column(family):
+def test_newton_loop_of_a_benchmark_family_reads_the_kernel_from_a_column(made, family):
     text, n, q_b = NEWTON_FAMILIES[family]
     prob = VariationalProblem(
         n=n, lagrangian=parse(text, n), interval=(0.0, 1.0),
         frac=FractionalParams(alpha=0.6, observer_time=2.0),
         boundary=BoundaryConditions([0.0] * n, q_b),
     )
-    source, loop, args = newton_loop(prob, 8)
+    source, loop, args = newton_loop(made, prob, 8)
     # the kernel at th, half and full comes from its column, so the step
     # computes no theta-only value and checks nothing, and only the last
     # row leaves the loop
@@ -730,13 +722,13 @@ def nesting(node) -> int:
 
 
 @pytest.mark.parametrize("shape", DEEPEST)
-def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(shape):
+def test_deepest_accepted_arithmetic_lagrangians_compile_and_run(made, shape):
     make, k = DEEPEST[shape]
     with pytest.raises(ExpressionError, match="deeper than"):
         parse(make(k + 1), 1)
     prob = problem(make(k), 1)
     integrands = {"L": prob.lagrangian, **benchmark_integrands(prob)}
-    source, _ = loop_source(prob, integrands)
+    source, _ = loop_source(made, prob, integrands)
     # an inlined value nests at most the cap, the local it is assigned to
     # one operator more; beyond that a value keeps a local of its own
     statements = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assign)]
@@ -764,7 +756,7 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     assert [re.sub(r"\d+\.\d instructions", "N instructions", line) for line in per_kind] == [
         "last loops: 54 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
-    assert "348 Expr.diff calls, 36 Emitter.define calls" in lines
+    assert "348 Expr.diff calls, 36 functions made" in lines
     assert "9 column builders defined, 18 builder calls" in lines
     # a shape hit compiles nothing: the 36 definitions compile 9 loops and
     # one column builder; the shooting Jacobian is solved on floats

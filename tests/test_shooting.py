@@ -11,7 +11,7 @@ must be the same, bit for bit, whatever the guess says.
 import numpy as np
 import pytest
 
-from fracnoether import cli, expressions, integrators
+from fracnoether import cli, integrators
 from fracnoether.charges import (
     SymmetryGenerator,
     gauge_rate_from_reduced_condition,
@@ -255,26 +255,23 @@ def test_a_converged_shoot_builds_one_trajectory(monkeypatch, channels):
     assert len(built) == 1 and built[0] is traj
 
 
-def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(monkeypatch):
-    cli.clear_caches()
+def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
     runs, arguments = [], []
-    define = expressions.Emitter.define
 
-    def recording_define(self, source, name, **names):
-        fn = define(self, source, name, **names)
-        if name == "column":
+    def record(filename, source, fn, emitted):
+        if filename == "<compiled column>":
             def column(thetas):
                 runs.append(thetas)
                 return fn(thetas)
             return column
-        if name == "loop":
+        if filename == "<compiled loop>":
             def loop(nodes, h, hh, h6, state, columns, *rest):
                 arguments.append(columns)
                 return fn(nodes, h, hh, h6, state, columns, *rest)
             return loop
         return fn
 
-    monkeypatch.setattr(expressions.Emitter, "define", recording_define)
+    made.watchers.append(record)
     prob = problem(*BENCHMARK_BVPS["coupled_cos"])
     integrands = time_translation_integrands(prob)
 

@@ -8,8 +8,9 @@ Builds the pass of ``perfbench/workloads.py`` for the workload and seed
 (that file is only read), runs its commands in-process in a temporary
 directory on one worker (``fanout.usable_cpus`` reads 1, so a sweep forks
 no process and every alpha's loop is seen here), and keeps every
-function ``Emitter.define`` builds under the name ``loop`` together with
-the arguments of its first call.  For each distinct loop source it
+function ``expressions.shaped`` makes under the name ``loop`` together
+with the arguments of its first call, watching ``compile`` and ``exec`` as
+``expressions`` looks them up.  For each distinct loop source it
 prints the sha256 of the source, its kind, how many loops of the pass
 had it, how many times they were called, and for one step of the loop:
 
@@ -29,8 +30,9 @@ step averaged over them; the loops of the pass: how many were defined,
 how many of them were emitted and how many were taken from the shape
 cache (``expressions.shaped``), the distinct sources, and the seconds
 spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
-then the ``Expr.diff`` and ``Emitter.define`` calls of the whole pass,
-every function counted, loop or not; the column builders defined, one
+then the ``Expr.diff`` calls of the whole pass and the functions
+``expressions.shaped`` made, every function counted, loop or not,
+emitted or made from kept code; the column builders defined, one
 per shoot at alpha < 1 that runs its Newton loop, which evaluates the
 kernel on its grid, and their calls, two per such shoot, at the nodes
 and at the half-nodes (``integrators._final_state``); the shoots
@@ -153,7 +155,7 @@ def workloads():
 
 def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args, calls)],
-    loops emitted, compile seconds, {"diff": calls, "define": calls,
+    loops emitted, compile seconds, {"diff": calls, "made": functions made,
     "columns": builders defined, "column runs": builder calls,
     "trajectory": constructions, "tables": CSV tables written, "values":
     values in them, "repeating": values in repeating columns, "distinct":
@@ -165,7 +167,10 @@ def record_pass(workload: str, seed: int):
     shoots: list[list] = []
     kind_calls = {"rows": 0, "last": 0}
     collections = [0] * len(gc.get_count())
-    define = expressions.Emitter.define
+    # what expressions looks compile and exec up as: builtins, or a caller's hooks
+    hooks = {name: vars(expressions).get(name) for name in ("compile", "exec")}
+    compile_code, run_code = hooks["compile"] or compile, hooks["exec"] or exec
+    sources = {}  # code object -> the source compiled into it
     diff = expressions.Expr.diff
     compile_loop = integrators._compile_rk4_loop
     emit_loop = integrators._emit_rk4_loop
@@ -173,7 +178,7 @@ def record_pass(workload: str, seed: int):
     emitted = [0]
     post_init = integrators.Trajectory.__post_init__
     write_table = integrators.write_table
-    calls = {"diff": 0, "define": 0, "columns": 0, "column runs": 0, "trajectory": 0,
+    calls = {"diff": 0, "made": 0, "columns": 0, "column runs": 0, "trajectory": 0,
              "tables": 0, "values": 0, "repeating": 0, "distinct": 0, "parsers": 0,
              "terminal": 0}
     parser_init = argparse.ArgumentParser.__init__
@@ -183,29 +188,35 @@ def record_pass(workload: str, seed: int):
         calls["diff"] += 1
         return diff(self, var)
 
-    def recording_define(self, source, name, **names):
-        calls["define"] += 1
-        fn = define(self, source, name, **names)
+    def recording_compile(source, filename, mode):
+        code = compile_code(source, filename, mode)
+        sources[code] = source
+        return code
+
+    def recording_exec(code, namespace):
+        run_code(code, namespace)
+        calls["made"] += 1
+        name = code.co_filename[len("<compiled "):-1]  # shaped compiles as <compiled name>
+        fn = namespace[name]
         if name == "column":
             calls["columns"] += 1
 
             def column(args):
                 calls["column runs"] += 1
 
-            return Counted(fn, column)
-        if name != "loop":
-            return fn
-        entry = ["\n".join(source), fn, None, 0]
-        loops.append(entry)
-        loop_kind = kind(fn)
+            namespace[name] = Counted(fn, column)
+        elif name == "loop":
+            entry = [sources[code], fn, None, 0]
+            loops.append(entry)
+            loop_kind = kind(fn)
 
-        def loop(args):
-            if entry[2] is None:
-                entry[2] = args
-            entry[3] += 1
-            kind_calls[loop_kind] += 1
+            def loop(args):
+                if entry[2] is None:
+                    entry[2] = args
+                entry[3] += 1
+                kind_calls[loop_kind] += 1
 
-        return Counted(fn, loop)
+            namespace[name] = Counted(fn, loop)
 
     def counted_parser_init(self, *args, **kwargs):
         calls["parsers"] += 1
@@ -259,7 +270,7 @@ def record_pass(workload: str, seed: int):
             collections[info["generation"]] += 1
 
     plan = workloads().build_plan(workload, seed)
-    expressions.Emitter.define = recording_define
+    expressions.compile, expressions.exec = recording_compile, recording_exec
     expressions.Expr.diff = counted_diff
     integrators.Trajectory.__post_init__ = counted_post_init
     integrators._compile_rk4_loop = timed_compile
@@ -288,7 +299,11 @@ def record_pass(workload: str, seed: int):
     finally:
         gc.callbacks.remove(collected)
         os.chdir(cwd)
-        expressions.Emitter.define = define
+        for name, hook in hooks.items():
+            if hook is None:
+                delattr(expressions, name)
+            else:
+                setattr(expressions, name, hook)
         expressions.Expr.diff = diff
         integrators.Trajectory.__post_init__ = post_init
         integrators._compile_rk4_loop = compile_loop
@@ -328,7 +343,7 @@ def main(argv=None) -> int:
     print(f"{len(loops)} loops: {emitted} emitted, {len(loops) - emitted} from the shape cache, "
           f"{len(distinct)} distinct sources")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
-    print(f"{counts['diff']} Expr.diff calls, {counts['define']} Emitter.define calls")
+    print(f"{counts['diff']} Expr.diff calls, {counts['made']} functions made")
     print(f"{counts['columns']} column builders defined, {counts['column runs']} builder calls")
     # a shoot's trajectory is a check solve where no solve followed its
     # guessed checks, and a right guess ends the shoot converged there; a
