@@ -8,7 +8,7 @@ two criteria that draw random numbers draw them from ``random.Random``
 with fixed seeds.
 
 Every problem starts as a scenario dict, validated as a scenario file is.
-Criteria 1-6 solve it through the commands' ``cli._solve``, each charge
+Criteria 1-6 read the ``Run`` of the commands' ``cli._solve``, each charge
 sampled in the RK4 loop; 4 and 6 sweep alpha, the later alphas sharing
 the first's trees (``with_alpha``), and 6 reads the rows ``sweep`` writes
 (``cli._sweep_rows``).  Criteria 7-10 take the scenario's problem only:
@@ -23,12 +23,7 @@ import random
 
 from . import cli
 from .action import fractional_action, gamma_fn, stationarity_check
-from .charges import (
-    fractional_energy,
-    fractional_momentum,
-    noether_charge,
-    pointwise_conservation_residual,
-)
+from .charges import pointwise_conservation_residual
 from .expressions import (
     Const,
     Q,
@@ -76,9 +71,9 @@ def _ivp(q0: list, v0: list) -> dict:
 
 def criterion_classical_limit() -> CriterionResult:
     scenario = _scenario("(v0^2 - q0^2)/2", 1.0, _ivp([1.0], [0.0]), charges=["energy"])
-    prob, _, traj, *_ = cli._solve(scenario, 1.0, sampled=True)
+    run = cli._solve(scenario, 1.0, sampled=True)
+    traj, energy = run.trajectory, run.series["energy"]
     traj_err = max(abs(q - math.cos(th)) for th, (q,) in zip(traj.theta_grid, traj.q))
-    energy = fractional_energy(prob, traj)
     ok = traj_err < 1e-9 and energy.relative_drift < 1e-10
     return CriterionResult(
         "classical_limit_oscillator",
@@ -102,7 +97,7 @@ def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
 
 
 def criterion_free_particle_velocity() -> CriterionResult:
-    _, _, traj, *_ = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5)
+    traj = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5).trajectory
     rel_err = max(abs(v - exact) / abs(exact) for v, exact in zip(
         traj.v.columns[0], map(_free_particle_velocity, traj.theta_grid)))
     ok = rel_err < 1e-8
@@ -120,8 +115,7 @@ def criterion_free_particle_velocity() -> CriterionResult:
 def criterion_fractional_momentum() -> CriterionResult:
     alpha, t, a = 0.5, 2.0, 0.0
     scenario = _scenario("v0^2/2", alpha, _ivp([0.0], [1.0]), charges=["momentum"])
-    prob, _, traj, *_ = cli._solve(scenario, alpha, sampled=True)
-    series = fractional_momentum(prob, traj, 0)
+    series = cli._solve(scenario, alpha, sampled=True).series["momentum_0"]
     # v(theta) = K (t-theta)^(1-alpha) with K = v0/(t-a)^(1-alpha); the
     # antiderivative of the correction collapses the charge to the
     # constant K (t-a)^(1-alpha), i.e. exactly the launch velocity.
@@ -148,15 +142,13 @@ def criterion_fractional_energy() -> CriterionResult:
     # rounding; at N = 2000 it has already hit the 1e-15 floor.  A scenario
     # holds even step counts only, for the action's Simpson rule, so the
     # counts are set past that check: the energy charge reads no action.
-    runs = [replace(sweep, steps=steps) for steps in (2000, 125, 250, 500)]
+    ladder = [replace(sweep, steps=steps) for steps in (2000, 125, 250, 500)]
     details = []
     ok = True
     for alpha in sweep.alphas():
-        drifts = []
-        for run in runs:
-            prob, _, traj, *_ = cli._solve(run, alpha, sampled=True)
-            drifts.append(fractional_energy(prob, traj).relative_drift)
-        fine, d125, d250, d500 = drifts
+        fine, d125, d250, d500 = [
+            cli._solve(scenario, alpha, sampled=True).series["energy"].relative_drift
+            for scenario in ladder]
         r1 = d125 / max(d250, 1e-300)
         r2 = d250 / max(d500, 1e-300)
         good = fine < 1e-6 and 8.0 < r1 < 32.0 and 8.0 < r2 < 32.0
@@ -214,11 +206,11 @@ def criterion_theorem_as_test() -> CriterionResult:
             alpha = _CORPUS_ALPHAS[(li + gi) % len(_CORPUS_ALPHAS)]
             scenario = _scenario(text, alpha, start, n=n, steps=2000,
                                  generators=[generator], charges=["noether"])
-            prob, (gen,), traj, *_ = cli._solve(scenario, alpha, sampled=True)
-            residual = pointwise_conservation_residual(prob, gen, traj)
-            series = noether_charge(prob, gen, traj)
+            run = cli._solve(scenario, alpha, sampled=True)
+            (gen,) = run.generators
+            residual = pointwise_conservation_residual(run.problem, gen, run.trajectory)
             worst_pointwise = max(worst_pointwise, *map(abs, residual))
-            worst_drift = max(worst_drift, series.relative_drift)
+            worst_drift = max(worst_drift, run.series["noether_g0"].relative_drift)
             combos += 1
     ok = worst_pointwise < 1e-9 and worst_drift < 1e-6
     return CriterionResult(

@@ -4,7 +4,8 @@ Subcommands: ``solve`` (trajectory + manifest), ``charge`` (one CSV per
 requested charge plus a drift summary), ``sweep`` (long-format CSV over an
 alpha ladder, fractional charges next to their uncorrected classical
 counterparts, the alphas shared out over forked workers by
-``fanout.fork_map``), and ``verify`` (the built-in acceptance corpus).
+``fanout.fork_map``), and ``verify`` (the built-in acceptance corpus). Each
+alpha is solved once, by ``_solve``, into a :class:`Run` that the writers read.
 
 Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
 3 solver error.
@@ -47,7 +48,7 @@ from pathlib import Path
 
 from . import expressions, integrators
 from .action import action_sample, fractional_action
-from .charges import (  # the charge functions are called by name (_series)
+from .charges import (  # the charge functions are called by name (Run.series)
     ChargePreconditionError,
     ChargeSeries,
     classical_energy,
@@ -57,10 +58,10 @@ from .charges import (  # the charge functions are called by name (_series)
     noether_charge,
     requested,
 )
-from .euler_lagrange import SingularHessianError, to_explicit_ode
+from .euler_lagrange import SingularHessianError, VariationalProblem, to_explicit_ode
 from .expressions import EvalDomainError, ExpressionError
 from .integrators import BlowUpError, Sample, ShootingError, bvp_shoot, ivp_solve
-from .records import replace
+from .records import Record, replace
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -97,10 +98,33 @@ def _load(args) -> Scenario:
     return scenario
 
 
+class Run(Record):
+    """One alpha as :func:`_solve` solved it: its problem, generators, trajectory, shooting
+    report (None for an IVP), ``charges.requested`` list and the seconds taken."""
+
+    problem: VariationalProblem
+    generators: list
+    trajectory: integrators.Trajectory
+    shooting: integrators.ShootingReport | None
+    charges: list
+    seconds: float
+
+    @functools.cached_property
+    def series(self) -> dict:
+        """Each label's series, or the failure its charge function raised, in report
+        order, computed on first read by the function this module holds under that name."""
+        series = {}
+        for charge in self.charges:
+            try:
+                series[charge.label] = globals()[charge.function](
+                    prob=self.problem, traj=self.trajectory, **charge.arguments)
+            except CHARGE_FAILURES as exc:
+                series[charge.label] = exc
+        return series
+
+
 def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: bool = False):
-    """Solve one alpha point with every channel the scenario's charges need;
-    return the problem, its generators, the trajectory, the shooting report
-    and the charges the commands report (``charges.requested``).
+    """Solve one alpha point, with every channel its charges need, into a :class:`Run`.
 
     With ``sampled`` the solve also samples those whose preconditions hold
     in its loop, and with ``classical`` the classical charges and the action
@@ -109,6 +133,7 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
 
     An alpha whose step RK4 cannot resolve is refused first, before any
     tree is built (``scenarios.check_stable``)."""
+    start = time.perf_counter()
     check_stable(scenario, alpha)
     prob = build_problem(scenario, alpha)
     gens = build_generators(scenario, prob)
@@ -146,20 +171,7 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
             integrands=integrands,
         )
         report = None
-    return prob, gens, traj, report, charges
-
-
-def _series(prob, traj, charges):
-    """Each charge's label with its series, or with the failure its charge
-    function raised, in report order.  The function is looked up in this
-    module by name when it is called, so one replaced here since import is
-    the one that runs."""
-    for charge in charges:
-        try:
-            series = globals()[charge.function](prob=prob, traj=traj, **charge.arguments)
-        except CHARGE_FAILURES as exc:
-            series = exc
-        yield charge.label, series
+    return Run(prob, gens, traj, report, charges, time.perf_counter() - start)
 
 
 def _output_dir(path) -> Path:
@@ -200,11 +212,9 @@ def cmd_solve(args) -> int:
     if scenario.is_sweep:
         raise ScenarioError("solve needs a fixed alpha; use the sweep command")
     out = _output_dir(scenario.output_dir)
-    start = time.perf_counter()
-    _, _, traj, report, _ = _solve(scenario, scenario.alpha)
-    wall = time.perf_counter() - start
-    traj.write_csv(out / f"{scenario.name}_traj.csv")
-    _write_manifest(out / f"{scenario.name}_manifest.json", scenario, report, wall)
+    run = _solve(scenario, scenario.alpha)
+    run.trajectory.write_csv(out / f"{scenario.name}_traj.csv")
+    _write_manifest(out / f"{scenario.name}_manifest.json", scenario, run.shooting, run.seconds)
     print(f"wrote {out / (scenario.name + '_traj.csv')}")
     return EXIT_OK
 
@@ -216,26 +226,24 @@ def cmd_charge(args) -> int:
     if not scenario.charges:
         raise ScenarioError("charge needs at least one requested charge kind")
     out = _output_dir(scenario.output_dir)
-    prob, _, traj, _, charges = _solve(scenario, scenario.alpha, sampled=True)
+    run = _solve(scenario, scenario.alpha, sampled=True)
 
-    failed = False
     print(f"{'label':<24}{'drift':>14}{'relative_drift':>18}")
-    for label, series in _series(prob, traj, charges):
+    for label, series in run.series.items():
         if not isinstance(series, ChargeSeries):
-            failed = True
             print(f"{label:<24}{'failed':>14}{'':>18}  {series}")
             continue
         series.write_csv(out / f"{scenario.name}_charge_{label}.csv")
         print(f"{label:<24}{series.drift:>14.3e}{series.relative_drift:>18.3e}")
-    return EXIT_FAILURE if failed else EXIT_OK
+    return EXIT_FAILURE if any(isinstance(s, Exception) for s in run.series.values()) else EXIT_OK
 
 
 def _sweep_rows(scenario: Scenario, alpha: float) -> list[dict]:
     rows = []
     try:
-        prob, _, traj, _, charges = _solve(scenario, alpha, sampled=True, classical=True)
-        action = fractional_action(prob, traj)
-        for label, series in _series(prob, traj, charges):
+        run = _solve(scenario, alpha, sampled=True, classical=True)
+        action = fractional_action(run.problem, run.trajectory)
+        for label, series in run.series.items():
             if not isinstance(series, ChargeSeries):
                 rows.append({"alpha": alpha, "label": label, "status": f"error: {series}"})
                 continue

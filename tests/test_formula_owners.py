@@ -219,6 +219,69 @@ def test_the_solve_guard_sees_both_spellings_and_nested_functions():
     assert sites == [("criterion", 2), ("Shoot.final.retry", 6)]
 
 
+# What cli calls only in its one solve path, which returns the Run that every
+# command and verify read; ivp_solve is guarded by IVP_SOLVE_OWNERS.
+SOLVE_STEPS = ("check_stable", "build_problem", "build_generators", "requested", "bvp_shoot")
+
+# The charge functions, which the commands and verify reach only through
+# Run.series.
+CHARGE_FUNCTIONS = ("noether_charge", "fractional_energy", "classical_energy",
+                    "fractional_momentum", "classical_momentum")
+
+
+def unpack_sites(tree: ast.AST, name: str) -> list[tuple[str, int]]:
+    """(enclosing class.function, line) of every assignment that unpacks a
+    ``name(...)`` or ``x.name(...)`` call into a tuple or list of targets."""
+
+    def match(node):
+        if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+            return False
+        func = node.value.func
+        called = (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name)
+        return called and any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets)
+
+    return scoped_sites(tree, match)
+
+
+def test_the_run_is_the_one_result_of_a_solve():
+    from fracnoether import acceptance, cli
+
+    root = Path(__file__).resolve().parents[1]
+    cli_tree = ast.parse(Path(cli.__file__).read_text())
+    for step in SOLVE_STEPS:
+        assert {scope for scope, _ in call_sites(cli_tree, step)} == {"_solve"}, step
+    unpacked = {}
+    for path in sorted(p for d in ("src", "tests", "tools") for p in (root / d).rglob("*.py")):
+        for scope, line in unpack_sites(ast.parse(path.read_text()), "_solve"):
+            unpacked[f"{path.relative_to(root)}:{line}"] = scope
+    assert unpacked == {}
+    for module in (cli, acceptance):
+        tree = ast.parse(Path(module.__file__).read_text())
+        called = {f: call_sites(tree, f) for f in CHARGE_FUNCTIONS}
+        assert called == dict.fromkeys(CHARGE_FUNCTIONS, []), module.__name__
+
+
+def test_the_run_guard_sees_every_spelling():
+    source = (
+        "prob, gens, traj, report, charges = _solve(scenario, 0.5)\n"
+        "run = cli._solve(scenario, 0.5)\n"
+        "class Criterion:\n"
+        "    def check(self, scenario):\n"
+        "        def one(alpha):\n"
+        "            [_, _, traj, *_] = cli._solve(scenario, alpha, sampled=True)\n"
+        "            energy = charges.fractional_energy(prob, traj)\n"
+        "            return traj, (prob, (gen,), traj) == (run.problem, run.generators, traj)\n"
+        "        first = pair = a, b = _solve(scenario, 1.0)\n"
+        "        return one, noether_charge(prob, gen, traj), _solve(scenario, 1.0).series\n"
+    )
+    tree = ast.parse(source)
+    assert unpack_sites(tree, "_solve") == [("", 1), ("Criterion.check.one", 6),
+                                            ("Criterion.check", 9)]
+    assert call_sites(tree, "fractional_energy") == [("Criterion.check.one", 7)]
+    assert call_sites(tree, "noether_charge") == [("Criterion.check", 10)]
+
+
 def test_one_maker_of_emitters():
     package = Path(fracnoether.__file__).parent
     found = {}

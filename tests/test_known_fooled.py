@@ -17,14 +17,14 @@ from fracnoether import cli
 from fracnoether.scenarios import load_scenario
 
 
-def charge(tmp_path, capsys, raw, *options):
-    """(path, exit code, stdout, stderr) of ``charge`` on the scenario
-    ``raw``; argparse's exit, as on an option it does not know, is an
-    exit code here too."""
+def run(command, tmp_path, capsys, raw, *options):
+    """(path, exit code, stdout, stderr) of ``command`` on the scenario
+    ``raw``, writing into ``tmp_path / "out"``; argparse's exit, as on an
+    option it does not know, is an exit code here too."""
     path = tmp_path / f"{raw['name']}.json"
     path.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "out")}))
     try:
-        code = cli.main(["charge", "--scenario", str(path), *options])
+        code = cli.main([command, "--scenario", str(path), *options])
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
@@ -61,7 +61,7 @@ def test_charge_names_each_non_symmetry_of_the_oscillator_balanced(tmp_path, cap
                        {"tau": "q0", "xi": ["0"], "gauge": "auto"}],
         "charges": ["noether"],
     }
-    _, code, out, _ = charge(tmp_path, capsys, raw)
+    _, code, out, _ = run("charge", tmp_path, capsys, raw)
     labels = ["noether_g0", "noether_g1", "noether_g2"]
     lines = summary(out)
     assert all("balanced" in lines.get(label, "") for label in labels), (
@@ -86,11 +86,37 @@ def test_charge_in_the_band_below_the_bound_does_not_run_silently(tmp_path, caps
         "generators": [{"tau": "0", "xi": ["1"], "gauge": "auto"}],
         "charges": ["noether", "energy", "momentum"],
     }
-    path, code, out, err = charge(tmp_path, capsys, raw)
+    path, code, out, err = run("charge", tmp_path, capsys, raw)
     named = any("rho" in line or "ρ" in line for line in err.splitlines())
     assert code != 0 or named, (
         f"rho = {load_scenario(path).stiffness(0.5):.3g}: charge exits {code}, "
         f"stderr {err!r}; relative drifts: {drifts(out, ['noether_g0', 'energy', 'momentum_0'])}")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 16: a potential stiffer than the step runs silently")
+def test_solve_of_a_potential_stiffer_than_the_step_does_not_run_silently(tmp_path, capsys):
+    # omega = 1000 and h = 0.001, so omega*h = 1: RK4's amplification at z = i
+    # has modulus 0.9939 and shrinks the amplitude about 450-fold over the
+    # 1000 steps; rho = h * (1 - alpha) / (t - b) = 4e-4 sees only the drag.
+    # A tight-tolerance DOP853 solve of the same weighted equation gives
+    # q(1) = 0.4897
+    raw = {
+        "name": "stiff_probe",
+        "n": 1,
+        "lagrangian": "(v0^2 - 1e6*q0^2)/2",
+        "alpha": 0.6,
+        "observer_time": 2.0,
+        "interval": [0.0, 1.0],
+        "mode": {"type": "ivp", "q0": [1.0], "v0": [0.0]},
+        "steps": 1000,
+    }
+    _, code, _, err = run("solve", tmp_path, capsys, raw)
+    named = any(word in err for word in ("rho", "ρ", "resolution"))
+    csv = tmp_path / "out" / "stiff_probe_traj.csv"
+    q1 = csv.read_text().splitlines()[-1].split(",")[1] if csv.exists() else "not written"
+    assert code != 0 or named, (
+        f"solve exits {code}, stderr {err!r}; q(1) = {q1}, where DOP853 gives 0.4897")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -117,8 +143,8 @@ def test_halving_calls_the_fixed_correction_of_non_symmetries_not_conserved(tmp_
         "charges": ["noether"],
     }
     labels = ["noether_g2", "noether_g3", "noether_g4"]
-    _, plain_code, plain, _ = charge(tmp_path, capsys, raw)
-    _, code, out, err = charge(tmp_path, capsys, raw, "--halving")
+    _, plain_code, plain, _ = run("charge", tmp_path, capsys, raw)
+    _, code, out, err = run("charge", tmp_path, capsys, raw, "--halving")
     lines = summary(out)
     assert all("not conserved" in lines.get(label, "") for label in labels), (
         f"charge --halving exits {code} ({err.strip().splitlines()[-1:]}); without it "

@@ -421,11 +421,11 @@ def test_a_sampled_solve_integrates_no_channel_of_a_failing_charge():
         generators=[{"tau": "1", "xi": ["0", "0"], "gauge": "auto"}],
         charges=["noether", "energy", "momentum"],
     ))
-    _, _, sampled, _, charges = cli._solve(scenario, 0.6, sampled=True)
-    assert list(sampled.channels) == ["Lambda", "energy_correction"]
-    assert [c.label for c in charges if not isinstance(c.sample, integrators.Sample)] == [
+    sampled = cli._solve(scenario, 0.6, sampled=True)
+    assert list(sampled.trajectory.channels) == ["Lambda", "energy_correction"]
+    assert [c.label for c in sampled.charges if not isinstance(c.sample, integrators.Sample)] == [
         "momentum_0", "momentum_1"]
-    _, _, full, *_ = cli._solve(scenario, 0.6)
+    full = cli._solve(scenario, 0.6).trajectory
     assert list(full.channels) == [
         "Lambda", "energy_correction", "momentum_correction_0", "momentum_correction_1"]
 
@@ -713,7 +713,7 @@ def test_a_step_within_rho_025_keeps_the_free_particle_within_a_multiple_of_h4(s
     from fracnoether.acceptance import _free_particle_position
 
     alpha, t = scenario.alpha, scenario.observer_time
-    _, _, traj, _, _ = cli._solve(scenario, alpha)
+    traj = cli._solve(scenario, alpha).trajectory
     exact = [_free_particle_position(th, alpha, t) for th in traj.theta_grid]
     error = max(abs(q - x) for (q,), x in zip(traj.q, exact))
     h = 1.0 / scenario.steps
