@@ -50,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Collection, Iterator, Sequence
+from typing import Collection, Iterator, Mapping, Sequence
 
 from .records import refuse_assignment
 
@@ -575,10 +575,10 @@ class Emitter:
     binds the constants in every function it makes.
 
     An emitter can also emit at points held in named locals
-    (:meth:`at`), reading the trees registered by :meth:`columns` from
-    locals there, for callers that write their own function around the
-    statements (the RK4 loop of :mod:`fracnoether.integrators`, which
-    registers the kernel of a shoot's right-hand side): they add
+    (:meth:`at`), reading trees the caller holds there from locals, for
+    callers that write their own function around the statements (the RK4
+    loop of :mod:`fracnoether.integrators`, whose Newton loop holds the
+    kernel of a shoot's right-hand side): they add
     their statements with :meth:`line` and checks with :meth:`check`,
     take the body with :meth:`body`, whole or between the positions
     :meth:`mark` returns, and hand the source to :func:`shaped`.
@@ -604,35 +604,30 @@ class Emitter:
         self._theta_emitted = self._emitted
         self._points: dict[tuple, dict[int, str]] = {}
         self._thetas: dict[str, dict[int, str]] = {}
-        self._columns: list[int] = []  # value numbers of the registered columns
         self._leaves: list[tuple[str, int]] = []  # q/v loads in emission order
         # locals that keep their statement: read more than once, or by text
         # the emitter does not write
         self._kept: set[str] = set()
         self._checked: set[tuple[str, str]] = set()
 
-    def at(self, theta: str, q: Sequence[str], v: Sequence[str], columns: Sequence[str] = ()):
+    def at(self, theta: str, q: Sequence[str], v: Sequence[str], held: Mapping[Expr, str]):
         """Emit what follows at the point held in the named scalar locals.
 
         Value numbers are the walk's, but the computed values are per
         point: a subtree is reused only from an earlier emission at the
         same point, or, when it has no coordinate or velocity leaf, at the
         same theta.  Returning to a point reuses what was computed there.
-        ``columns`` names the locals holding the trees of :meth:`columns`
-        at this point, which are read from there, never computed.  A load
-        beyond the named coordinates raises the :class:`ExpressionError` a
-        compiled evaluator raises for it.
+        ``held`` maps trees the walk numbered to the locals holding their
+        values at this point, which are read from there, never computed.
+        A load beyond the named coordinates raises the
+        :class:`ExpressionError` a compiled evaluator raises for it.
         """
         self._point = (theta, tuple(q), tuple(v))
         self._emitted = self._points.setdefault(self._point, {})
         self._theta_emitted = self._thetas.setdefault(theta, {})
         self._emitted.update(self._theta_emitted)
-        for number, name in zip(self._columns, columns):
-            self._emitted.setdefault(number, name)
-
-    def columns(self, trees: Sequence[Expr]) -> None:
-        """Register ``trees``, whose values points may hold in locals (:meth:`at`)."""
-        self._columns = [self._numbers[id(e)] for e in trees]
+        for tree, name in held.items():
+            self._emitted.setdefault(self._numbers[id(tree)], name)
 
     def _slot(self, e: Expr) -> str:
         """The name of the constant or exponent of the node ``e``: its own,

@@ -24,10 +24,11 @@ value of each finite once per solve, not the loop at every step.  The
 Newton solves of :func:`bvp_shoot` run the channel-less loop, built once
 per shoot, returning only the state at b and reading the kernel
 (1 - alpha)/(t - theta) of the right-hand side from its values on the
-grid, evaluated once per shoot.  The one trajectory a shoot returns is a
-solve at the final velocity with its channels and samples, which writes
-the kernel out as every :func:`ivp_solve` does, and which is also the
-last check of its miss where the shoot expects that check to converge.
+grid, evaluated once per shoot by the kernel tree's own compiled
+evaluator.  The one trajectory a shoot returns is a solve at the final
+velocity with its channels and samples, which writes the kernel out as
+every :func:`ivp_solve` does, and which is also the last check of its
+miss where the shoot expects that check to converge.
 The process remembers the last 32 shoots that returned, by the structure
 of their trees and the rest of what their Newton iteration reads
 (``_SHOOTS``), and a shoot it remembers builds no Newton loop and runs
@@ -439,14 +440,16 @@ def _final_state(
     loop that returns only that row; no trajectory is built.
 
     Validates as :func:`ivp_solve` does, once.  It evaluates the kernel
-    of ``rhs`` at the nodes and half-nodes of the grid by a compiled
-    builder (:func:`_emit_column`), and the loop reads the column
-    ``(half-nodes, at the nodes, at the half-nodes)``, which is handed to
-    :func:`_compile_rk4_loop` and to every call of the loop and kept
-    nowhere else; where there is no kernel (alpha = 1), or the builder
-    raises somewhere on the grid, the loop writes the kernel out, as every
-    :func:`ivp_solve` does.  The loop only adds to q and v, so a finite
-    last row means every row was finite.
+    of ``rhs`` at the nodes and half-nodes of the grid by the kernel's own
+    evaluator (:attr:`~fracnoether.expressions.Expr.evaluate`), and the
+    loop reads the column ``(half-nodes, at the nodes, at the
+    half-nodes)``, which is handed to every call of the loop and kept
+    nowhere else; where there is no kernel (alpha = 1), the column is
+    empty.  Every node and half-node lies below b, and b below the
+    observer time, so the kernel's denominator is never zero; a value that
+    overflows is an infinity, not an error, and ends in the replay below.
+    The loop only adds to q and v, so a finite last row means every row
+    was finite.
     Where the loop raises or the last row is not finite, that solve runs
     again through :func:`ivp_solve`, which raises its error, with the same
     theta and message.  Its q and v, and so its boundary miss, are those
@@ -462,13 +465,11 @@ def _final_state(
     h = (float(b) - float(a)) / steps
     columns = ()
     if rhs.kernel is not None:
-        builder = shaped(("column",), rhs.kernel, functools.partial(_emit_column, rhs.kernel))
+        kernel = rhs.kernel.evaluate
         halves = [th + 0.5 * h for th in nodes[:-1]]
-        try:
-            columns = (halves, builder(nodes), builder(halves))
-        except (ArithmeticError, ValueError):
-            pass
-    loop = _compile_rk4_loop(rhs, rhs.n, [], (), columns, last_row=True)
+        columns = (halves, [kernel(th, (), ()) for th in nodes],
+                   [kernel(th, (), ()) for th in halves])
+    loop = _compile_rk4_loop(rhs, rhs.n, [], (), rhs.kernel, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
         vc = [float(x) for x in v0]
@@ -482,21 +483,6 @@ def _final_state(
         return (*traj.q[-1], *traj.v[-1])
 
     return final_state
-
-
-def _emit_column(tree: Expr, em: Emitter):
-    """Emit ``column(thetas)``, the list of ``tree`` at each theta."""
-    value = em.emit(tree)
-    source = [
-        f"def column(thetas{em.keyword_defaults()}):",
-        "    values = []",
-        "    append = values.append",
-        "    for theta in thetas:",
-        *em.body("        "),
-        f"        append({value})",
-        "    return values",
-    ]
-    return source, "column", {}
 
 
 def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
@@ -516,13 +502,13 @@ def _raise_blow_up(columns: Sequence[list], grid: Sequence[float]) -> None:
 
 
 def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
-                      columns: tuple = (), last_row: bool = False) -> Callable:
+                      kernel: Expr | None = None, last_row: bool = False) -> Callable:
     """Compile the RK4 step loop of :func:`_emit_rk4_loop`.
 
-    Given ``columns``, the kernel column of an :class:`ExplicitOde`
-    ``rhs`` (:func:`_final_state`), the loop reads the kernel from its
-    ``columns`` argument, which is then that column; with none, as in
-    every :func:`ivp_solve`, it writes the kernel out and its ``columns``
+    Given ``kernel``, the kernel tree of an :class:`ExplicitOde` ``rhs``
+    (:func:`_final_state`), the loop reads the kernel from its ``columns``
+    argument, which is then the kernel's column; with none, as in every
+    :func:`ivp_solve`, it writes the kernel out and its ``columns``
     argument is ``()``.  Every loop is emitted once per shape of its trees
     and of the trees it reads (:func:`~fracnoether.expressions.shaped`),
     keyed also by whether ``rhs`` is an :class:`ExplicitOde`, by n and by
@@ -536,18 +522,17 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
     ode = isinstance(rhs, ExplicitOde)
     key, trees = rhs.shape_key() if ode else ((), ())
     trees = (*trees, [g for g in integrands if isinstance(g, Expr)], [tree for tree, _ in sampled])
-    read = [rhs.kernel] if columns else []
     called = {f"_g{i}": g.evaluate for i, g in enumerate(integrands) if not isinstance(g, Expr)}
     if not ode:
         called["_rhs"] = rhs
     key = ("loop", ode, n, tuple(isinstance(g, Expr) for g in integrands), *key,
            tuple(k for _, k in sampled), last_row)
-    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, read, last_row)
-    return shaped(key, (*trees, read), emit, **called)
+    emit = functools.partial(_emit_rk4_loop, rhs, n, integrands, sampled, kernel, last_row)
+    return shaped(key, (*trees, [] if kernel is None else [kernel]), emit, **called)
 
 
 def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequence,
-                   read: Sequence[Expr], last_row: bool, em: Emitter):
+                   kernel: Expr | None, last_row: bool, em: Emitter):
     """Emit ``loop(nodes, h, hh, h6, state, columns, out[, weights])``, the
     whole RK4 step loop, into ``em``; return its source, name and names for
     :func:`shaped`.  ``out`` holds one list per sample, then per q, v and
@@ -556,8 +541,8 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     nothing and returns the last row.
 
     The state ``q0.., v0..`` and every stage value live in local scalars.
-    ``read`` is the kernel of the ODE where it is read, else empty; only
-    a Newton loop reads it, which takes no samples.  The
+    ``kernel`` is the kernel tree of the ODE where it is read, else None;
+    only a Newton loop reads it, which takes no samples.  The
     argument ``columns`` then holds the half-nodes and the kernel at the
     nodes and at the half-nodes (:func:`_final_state`), and the loop steps
     over them with the nodes: a step reads the kernel at its theta,
@@ -591,17 +576,14 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     """
     js = range(n)
     q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
-    # stage s sits at (theta, s{s}q_j, s{s}v_j) and holds the values of
-    # the trees read from columns in the locals of a prefix; stage 1 is the
-    # state itself
-    em.columns(read)
+    # stage s sits at (theta, s{s}q_j, s{s}v_j), and a Newton loop holds the
+    # kernel there in a local read from its columns; stage 1 is the state itself
+    def held(name: str) -> dict:
+        return {} if kernel is None else {kernel: name}
 
-    def named(prefix: str) -> list[str]:
-        return [f"{prefix}{i}" for i in range(len(read))]
-
-    points = [("th", q, v, named("x"))] + [
-        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js], named(prefix))
-        for s, theta, prefix in ((2, "half", "y"), (3, "half", "y"), (4, "full", "z"))
+    points = [("th", q, v, held("x0"))] + [
+        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js], held(name))
+        for s, theta, name in ((2, "half", "y0"), (3, "half", "y0"), (4, "full", "z0"))
     ]
 
     def tup(names) -> str:
@@ -658,7 +640,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     taken = [f"s{i}" for i in range(len(sampled))]
     marks = [em.mark()]
     ends = [f"e{name}" for name in q + v]
-    for point in (points[0], ("end", ends[:n], ends[n:])):
+    for point in (points[0], ("end", ends[:n], ends[n:], {})):
         em.at(*point)
         for i, (tree, k) in enumerate(sampled):
             value = em.emit(tree)
@@ -692,14 +674,13 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     # half-node and the column values at each: only the names the step
     # reads, each stepping over its own sequence
     reads = set(re.findall(r"\w+", "\n".join(step)))
-    if not read and "half" in reads:
+    if kernel is None and "half" in reads:
         step.insert(0, "        half = th + hh")
         reads.add("th")
-    if read:
-        header = [f"    halves, {''.join(f'n{i}, m{i}, ' for i in range(len(read)))}= columns"]
-        walked = zip(["th", "full", "half", *named("x"), *named("y"), *named("z")],
-                     ["nodes[:-1]", "nodes[1:]", "halves", *named("n"), *named("m"),
-                      *(f"{name}[1:]" for name in named("n"))])
+    if kernel is not None:
+        header = ["    halves, n0, m0, = columns"]
+        walked = zip(["th", "full", "half", "x0", "y0", "z0"],
+                     ["nodes[:-1]", "nodes[1:]", "halves", "n0", "m0", "n0[1:]"])
     else:
         header, walked = [], zip(["th", "full"], ["nodes[:-1]", "nodes[1:]"])
     targets, sources = zip(*([pair for pair in walked if pair[0] in reads]

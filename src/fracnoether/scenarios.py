@@ -21,6 +21,12 @@ from .records import Record, field
 
 VALID_CHARGES = ("noether", "energy", "momentum")
 
+# The largest step count and sweep count a scenario or ``--steps`` may ask
+# for, refused before a grid or an alpha is built: a million steps keep
+# about 0.5 GB of columns for a one-dof charge command.
+MAX_STEPS = 1_000_000
+MAX_ALPHAS = 10_000
+
 
 class ScenarioError(ValueError):
     """Invalid scenario content; reported before any output is written."""
@@ -100,12 +106,13 @@ def _is_integer(raw) -> bool:
 
 def check_steps(steps, interval: tuple) -> None:
     """The step-count rule of a scenario and of a ``--steps`` override: an
-    even integer >= 2 whose grid floats can space uniformly over
-    ``interval``, checked before anything is solved."""
+    even integer >= 2, at most ``MAX_STEPS``, whose grid floats can space
+    uniformly over ``interval``, checked before anything is solved."""
     _require(
         _is_integer(steps) and steps >= 2 and steps % 2 == 0,
         "steps must be an even integer >= 2",
     )
+    _require(steps <= MAX_STEPS, f"steps must be at most {MAX_STEPS}")
     try:
         uniform_grid(*interval, steps)
     except ValueError as exc:
@@ -119,8 +126,9 @@ def check_stable(scenario: Scenario, alpha: float) -> None:
     """Refuse an alpha whose drag the step cannot resolve: one whose
     :meth:`Scenario.stiffness` exceeds ``RK4_STABILITY_BOUND``, where RK4
     turns the drag's decay into growth.  The message names the smallest
-    even step count that brings it under the bound, and has no comma, as
-    it may be a sweep row's status."""
+    even step count that brings it under the bound, where that count is
+    at most ``MAX_STEPS``, and has no comma, as it may be a sweep row's
+    status."""
     rho = scenario.stiffness(alpha)
     if not rho > RK4_STABILITY_BOUND:
         return
@@ -129,7 +137,8 @@ def check_stable(scenario: Scenario, alpha: float) -> None:
         steps = max(2, 2 * math.ceil(whole / RK4_STABILITY_BOUND / 2))
         if scenario.stiffness(alpha, steps) > RK4_STABILITY_BOUND:
             steps += 2  # the quotient rounded down onto an even count
-        advice = f"{steps} steps bring it under"
+        advice = (f"{steps} steps bring it under" if steps <= MAX_STEPS
+                  else "no accepted step count brings it under")
     else:
         advice = "no float step count brings it under"
     raise ScenarioError(
@@ -200,6 +209,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         _require(given <= fields, f"unknown alpha sweep fields: {sorted(given - fields)}")
         count = alpha_raw["count"]
         _require(_is_integer(count) and count >= 2, "sweep count must be at least 2")
+        _require(count <= MAX_ALPHAS, f"sweep count must be at most {MAX_ALPHAS}")
         start = _number(alpha_raw["from"], "alpha.from")
         stop = _number(alpha_raw["to"], "alpha.to")
         sweep = AlphaSweep(start=start, stop=stop, count=count)

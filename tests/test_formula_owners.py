@@ -47,6 +47,15 @@ LABEL_PREFIXES = ("noether_g", "momentum_", "classical_momentum_")
 # numbers every node the emitter writes.
 EMITTER_OWNERS = {"expressions.py:shaped"}
 
+# Where the shape cache may be asked for a compiled function, once each: the
+# RK4 loop, a tree's own evaluator, and the accelerations of the equation of
+# motion.  A shoot's kernel column is its tree's evaluator run on the grid.
+SHAPED_OWNERS = {
+    "integrators.py:_compile_rk4_loop",
+    "expressions.py:compile_trees",
+    "euler_lagrange.py:ExplicitOde._accelerations",
+}
+
 # The test oracles, which no module of the package may import.
 ORACLES = {"numpy", "scipy", "sympy"}
 
@@ -305,6 +314,31 @@ def test_the_emitter_guard_sees_every_spelling():
     )
     sites = call_sites(ast.parse(source), "Emitter")
     assert sites == [("", 1), ("Ode.f", 5), ("loop.emit", 8)]
+
+
+def test_three_callers_of_the_shape_cache():
+    package = Path(fracnoether.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for scope, line in call_sites(ast.parse(path.read_text()), "shaped"):
+            found[f"{path.name}:{line}"] = f"{path.name}:{scope}"
+    assert sorted(found.values()) == sorted(SHAPED_OWNERS), found
+
+
+def test_the_shape_cache_guard_sees_every_spelling():
+    source = (
+        "fn = shaped(('trees',), tree, emit)\n"
+        "class Ode:\n"
+        "    @cached_property\n"
+        "    def f(self):\n"
+        "        return expressions.shaped(('f',), self.trees, self.emit)\n"
+        "def final(rhs, nodes):\n"
+        "    def column(thetas):\n"
+        "        return shaped(('column',), rhs.kernel, emit)(thetas)\n"
+        "    return column(nodes)\n"
+    )
+    sites = call_sites(ast.parse(source), "shaped")
+    assert sites == [("", 1), ("Ode.f", 5), ("final.column", 8)]
 
 
 def string_sites(tree: ast.AST, text: str) -> list[tuple[str, int]]:

@@ -472,7 +472,7 @@ def test_three_dof_loop_matches_call_per_stage_loop(text):
 # One compiled loop per integrand set, with a constant mass folded into it
 
 
-# The kernel (1 - alpha)/(t - theta) as a column builder computes it at theta.
+# The kernel (1 - alpha)/(t - theta) as its own compiled evaluator computes it.
 KERNEL = re.compile(r"t0 = _c\d+ - theta\n.*\n +t1 = _c\d+ / t0\n")
 
 
@@ -492,16 +492,16 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     loops = [source for filename, source in defined if filename == "<compiled loop>"]
     assert ["c0 = 0.0" in source for source in loops] == [False, True]
     # the kernel, the one theta-only subtree of the net force, is evaluated
-    # on the grid once, before the Newton loop, which alone reads it: the
-    # solve with the channels writes it out
-    (column,) = [source for filename, source in defined if filename == "<compiled column>"]
-    assert KERNEL.search(column)
+    # on the grid once, by its own evaluator, before the Newton loop, which
+    # alone reads it: the solve with the channels writes it out
+    (kernel,) = [source for filename, source in defined if filename == "<compiled compiled>"]
+    assert KERNEL.search(kernel)
     assert ["halves, n0, m0, = columns" in source for source in loops] == [True, False]
     # and nothing else: the Jacobian is solved on floats, the constant
     # mass is eliminated into the loop's trees, the ODE's own functions
     # are never called, and the integrands compile nothing
     assert [filename for filename, _ in defined] == [
-        "<compiled column>", "<compiled loop>", "<compiled loop>"]
+        "<compiled compiled>", "<compiled loop>", "<compiled loop>"]
 
 
 @pytest.mark.parametrize("alpha, columns", [(0.6, 1), (1.0, 0)])
@@ -517,7 +517,7 @@ def test_a_shoot_evaluates_the_kernel_and_no_other_theta_only_tree(defined, alph
     )
     _, report = bvp_shoot(prob, steps=50)
     assert report.converged
-    built = [source for filename, source in defined if filename == "<compiled column>"]
+    built = [source for filename, source in defined if filename == "<compiled compiled>"]
     assert len(built) == columns
     assert all(KERNEL.search(source) for source in built)
 
@@ -742,9 +742,9 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     # 9 BVPs, each shot by a solve and by a charge command: 18 shoots, each
     # building one trajectory.  The solve's shoot evaluates its kernel
     # column once (at the nodes and at the half-nodes), runs 6 Newton
-    # solves and builds its trajectory in its last check solve, which no
-    # Newton loop runs; the charge's is answered from memory, defines no
-    # column builder and no Newton loop, and runs only that solve.  The
+    # solves that read it and builds its trajectory in its last check
+    # solve, which no Newton loop runs; the charge's is answered from
+    # memory, reads no column, and runs only that solve.  The
     # pass starts from empty caches, as in a fresh process
     assert loop_ops.main(["--workload", "bvp_shoot", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -757,11 +757,11 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
         "last loops: 54 calls, N instructions per step",
         "rows loops: 18 calls, N instructions per step"]
     assert "348 Expr.diff calls, 36 functions made" in lines
-    assert "9 column builders defined, 18 builder calls" in lines
+    assert "9 kernel columns, read by 54 Newton loop calls" in lines
     # a shape hit compiles nothing: the 36 definitions compile 9 loops and
-    # one column builder; the shooting Jacobian is solved on floats
+    # one kernel evaluator; the shooting Jacobian is solved on floats
     assert collections.Counter(filename for filename, _ in compiled) == {
-        "<compiled loop>": 9, "<compiled column>": 1}
+        "<compiled loop>": 9, "<compiled compiled>": 1}
     # the three scenarios of a family differ only in coefficients, a
     # constant mass's included, and the first command on each family emits
     # its loops for the others

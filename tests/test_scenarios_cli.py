@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fracnoether import cli, expressions, fanout, integrators
-from fracnoether.scenarios import ScenarioError, load_scenario, scenario_from_dict
+from fracnoether import cli, expressions, fanout, integrators, scenarios
+from fracnoether.scenarios import (
+    MAX_ALPHAS, MAX_STEPS, ScenarioError, load_scenario, scenario_from_dict,
+)
 
 
 def base_scenario(**overrides):
@@ -272,6 +274,57 @@ def test_a_grid_whose_step_overflows_is_a_validation_error(tmp_path, capsys, no_
     assert capsys.readouterr().err == (
         "validation error: interval [-1e+308, 1e+308] cannot be split into 4 uniform float steps\n")
     assert not out_dir.exists()
+
+
+@pytest.fixture
+def bounded_linspace(monkeypatch):
+    """Fail the test if a grid of more than ``MAX_STEPS`` steps, or a sweep of
+    more than ``MAX_ALPHAS`` alphas, is asked for: nothing that large is
+    ever allocated."""
+    linspace = integrators.linspace
+
+    def bounded(limit):
+        def checked(start, stop, num):
+            if num > limit:
+                raise AssertionError(f"linspace asked for {num} values")
+            return linspace(start, stop, num)
+        return checked
+
+    monkeypatch.setattr(integrators, "linspace", bounded(MAX_STEPS + 1))
+    monkeypatch.setattr(scenarios, "linspace", bounded(MAX_ALPHAS))
+
+
+HUGE = 10**12
+HUGE_CASES = {
+    "file_steps": (["solve"], {"steps": HUGE}, f"steps must be at most {MAX_STEPS}"),
+    "steps_override": (["charge", "--steps", str(HUGE)], {},
+                       f"steps must be at most {MAX_STEPS}"),
+    "sweep_count": (["sweep"], {"alpha": {"from": 0.5, "to": 1.0, "count": HUGE}},
+                    f"sweep count must be at most {MAX_ALPHAS}"),
+}
+
+
+@pytest.mark.parametrize("argv, overrides, message", HUGE_CASES.values(), ids=HUGE_CASES.keys())
+def test_a_count_above_its_bound_is_refused_before_anything_is_built(
+    tmp_path, capsys, no_solve, bounded_linspace, argv, overrides, message
+):
+    out_dir = tmp_path / "out"
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(out_dir), **overrides))
+    assert cli.main([argv[0], "--scenario", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out_dir.exists()
+
+
+def test_the_bounds_themselves_pass_their_checks(monkeypatch, bounded_linspace):
+    raw = base_scenario(alpha={"from": 0.5, "to": 1.0, "count": MAX_ALPHAS})
+    assert len(scenario_from_dict(raw).alphas()) == MAX_ALPHAS
+    # MAX_STEPS steps reach the grid check, which [0, 1] happens to fail
+    built = []
+    monkeypatch.setattr(scenarios, "uniform_grid", lambda a, b, steps: built.append(steps))
+    scenarios.check_steps(MAX_STEPS, (0.0, 1.0))
+    with pytest.raises(ScenarioError, match=f"^steps must be at most {MAX_STEPS}$"):
+        scenarios.check_steps(MAX_STEPS + 2, (0.0, 1.0))
+    assert built == [MAX_STEPS]
 
 
 @pytest.mark.parametrize("command", ["solve", "charge", "sweep", "verify"])
@@ -656,6 +709,18 @@ def test_an_observer_time_no_float_step_resolves_is_refused(tmp_path, capsys):
     path = near_observer(tmp_path, 5e-324, interval=[-1.0, 0.0])
     assert cli.main(["charge", "--scenario", str(path)]) == 2
     assert "rho = h*(1 - alpha)/(t - b) = inf" in capsys.readouterr().err
+
+
+def test_a_step_count_above_the_bound_is_never_advised(tmp_path, capsys):
+    # 1795334 steps would bring rho under the bound, more than MAX_STEPS
+    path = near_observer(tmp_path, 1.0000001)
+    scenario = load_scenario(path)
+    assert scenario.stiffness(0.5, MAX_STEPS) > integrators.RK4_STABILITY_BOUND
+    assert cli.main(["charge", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert err.endswith("exceeds the RK4 stability bound 2.785; "
+                        "no accepted step count brings it under\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "charge"])

@@ -139,7 +139,7 @@ def test_a_remembered_shoot_defines_only_the_loop_of_its_final_solve(defined, tm
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0
     built = [filename for filename, _ in defined
-             if filename in ("<compiled loop>", "<compiled column>")]
+             if filename in ("<compiled loop>", "<compiled compiled>")]
     assert built == ["<compiled loop>"]
 
 

@@ -259,11 +259,11 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
     runs, arguments = [], []
 
     def record(filename, source, fn, emitted):
-        if filename == "<compiled column>":
-            def column(thetas):
-                runs.append(thetas)
-                return fn(thetas)
-            return column
+        if filename == "<compiled compiled>":
+            def kernel(theta, q, v):
+                runs.append(theta)
+                return fn(theta, q, v)
+            return kernel
         if filename == "<compiled loop>":
             def loop(nodes, h, hh, h6, state, columns, *rest):
                 arguments.append(columns)
@@ -282,18 +282,21 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
         return (repr(traj.q), repr(traj.v), repr(traj.channels)), report
 
     def assert_newton_run(report):
-        # the kernel is the one theta-only subtree of the net force: it is
-        # evaluated at the nodes and at the half-nodes once, and the first
-        # check solve and the n probes and the check solve of each Newton
-        # iteration all read those values; the last check solve is the
-        # solve with the channels, which writes the kernel out, and no
-        # velocity is solved twice
+        # the kernel is the one theta-only subtree of the net force: its
+        # evaluator runs at the 101 nodes and then at the 100 half-nodes,
+        # once, and the first check solve and the n probes and the check
+        # solve of each Newton iteration all read those values; the last
+        # check solve is the solve with the channels, which writes the
+        # kernel out, and no velocity is solved twice
         assert report.converged and report.iterations >= 2
-        assert len(runs) == 2 and len(runs[0]) == 101 and len(runs[1]) == 100
+        grid = integrators.uniform_grid(0.0, 1.0, 100)
+        halves = [th + 0.5 * 0.01 for th in grid[:-1]]
+        assert runs == [*grid, *halves]
         assert len(arguments) == 1 + 3 * report.iterations
         # (half-nodes, kernel at the nodes, kernel at the half-nodes)
         newton, final = arguments[:-1], arguments[-1]
         assert len(newton[0]) == 3 and all(columns is newton[0] for columns in newton)
+        assert newton[0][0] == halves
         assert final == ()
         return newton[0]
 

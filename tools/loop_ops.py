@@ -32,10 +32,11 @@ cache (``expressions.shaped``), the distinct sources, and the seconds
 spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
 then the ``Expr.diff`` calls of the whole pass and the functions
 ``expressions.shaped`` made, every function counted, loop or not,
-emitted or made from kept code; the column builders defined, one
-per shoot at alpha < 1 that runs its Newton loop, which evaluates the
-kernel on its grid, and their calls, two per such shoot, at the nodes
-and at the half-nodes (``integrators._final_state``); the shoots
+emitted or made from kept code; the distinct kernel columns the Newton
+loops read, one per shoot at alpha < 1 that runs its Newton loop, which
+evaluates the kernel at the nodes and half-nodes of its grid
+(``integrators._final_state``), and the Newton loop calls that read
+one; the shoots
 (``integrators.bvp_shoot``), the check solves of those that ran their
 Newton loop (one per Newton iteration and one before), how many of those
 were also the solve that built the shoot's trajectory, and how many of
@@ -156,7 +157,7 @@ def workloads():
 def record_pass(workload: str, seed: int):
     """Run one pass; return ([(source, loop, first call args, calls)],
     loops emitted, compile seconds, {"diff": calls, "made": functions made,
-    "columns": builders defined, "column runs": builder calls,
+    "columns": kernel columns read, "column reads": loop calls reading one,
     "trajectory": constructions, "tables": CSV tables written, "values":
     values in them, "repeating": values in repeating columns, "distinct":
     distinct values among those, "parsers": argument parsers built,
@@ -178,7 +179,9 @@ def record_pass(workload: str, seed: int):
     emitted = [0]
     post_init = integrators.Trajectory.__post_init__
     write_table = integrators.write_table
-    calls = {"diff": 0, "made": 0, "columns": 0, "column runs": 0, "trajectory": 0,
+    # each kernel column a loop read, by id, kept so that no id is reused
+    columns: dict[int, tuple] = {}
+    calls = {"diff": 0, "made": 0, "column reads": 0, "trajectory": 0,
              "tables": 0, "values": 0, "repeating": 0, "distinct": 0, "parsers": 0,
              "terminal": 0}
     parser_init = argparse.ArgumentParser.__init__
@@ -198,14 +201,7 @@ def record_pass(workload: str, seed: int):
         calls["made"] += 1
         name = code.co_filename[len("<compiled "):-1]  # shaped compiles as <compiled name>
         fn = namespace[name]
-        if name == "column":
-            calls["columns"] += 1
-
-            def column(args):
-                calls["column runs"] += 1
-
-            namespace[name] = Counted(fn, column)
-        elif name == "loop":
+        if name == "loop":
             entry = [sources[code], fn, None, 0]
             loops.append(entry)
             loop_kind = kind(fn)
@@ -215,6 +211,9 @@ def record_pass(workload: str, seed: int):
                     entry[2] = args
                 entry[3] += 1
                 kind_calls[loop_kind] += 1
+                if args[5]:  # only a Newton loop reads a column
+                    columns[id(args[5])] = args[5]
+                    calls["column reads"] += 1
 
             namespace[name] = Counted(fn, loop)
 
@@ -313,6 +312,7 @@ def record_pass(workload: str, seed: int):
         fanout.usable_cpus = usable_cpus
         argparse.ArgumentParser.__init__ = parser_init
         shutil.get_terminal_size = terminal_size
+    calls["columns"] = len(columns)
     return loops, emitted[0], spent[0], calls, shoots, collections
 
 
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
           f"{len(distinct)} distinct sources")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
     print(f"{counts['diff']} Expr.diff calls, {counts['made']} functions made")
-    print(f"{counts['columns']} column builders defined, {counts['column runs']} builder calls")
+    print(f"{counts['columns']} kernel columns, read by {counts['column reads']} Newton loop calls")
     # a shoot's trajectory is a check solve where no solve followed its
     # guessed checks, and a right guess ends the shoot converged there; a
     # shoot answered from memory runs no Newton loop, and every other runs
