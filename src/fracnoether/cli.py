@@ -16,11 +16,12 @@ returns that shared tree, which callers must not change. Help and usage
 texts still follow ``COLUMNS`` on every call, since argparse reads the
 terminal width when it formats them. The process keeps more between
 commands: the compiled loops by shape, each with its code, the last 32
-theta grids, the theta texts of the last table written, and the last 32
-shoots of boundary problems that returned (``integrators._SHOOTS``),
-keyed by all that their Newton iteration reads: the structure of the
-ODE's trees with every constant's value, the grid, q_a and q_b by
-``float.hex``, the shooting tolerance and iteration limit.
+theta grids, each with its theta texts once a table is written on it,
+and the last 32 shoots of boundary problems that returned
+(``integrators._SHOOTS``), keyed by all that their Newton iteration
+reads: the structure of the ODE's trees with every constant's value, the
+grid, q_a and q_b by ``float.hex``, the shooting tolerance and iteration
+limit.
 A remembered shoot, as ``charge`` after ``solve`` on one boundary problem,
 builds no Newton loop or kernel column, and runs only its final solve.
 ``clear_caches()`` empties all of them and the argparse tree, so the next
@@ -341,9 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def clear_caches() -> None:
     """Return the process to the caches of a fresh one: the loops kept by
-    shape with their code (``expressions._SHAPES``), the grids
-    (``integrators.uniform_grid``), the theta texts of the last table
-    written (``integrators.write_table``), the last 32 shoots that
+    shape with their code (``expressions._SHAPES``), the grids with their
+    theta texts (``integrators.uniform_grid``), the last 32 shoots that
     returned (``integrators._SHOOTS``, keyed by the structure and
     constants of the ODE's trees, the grid, q_a, q_b, the shooting
     tolerance and iteration limit) and the argparse tree of
@@ -351,7 +351,6 @@ def clear_caches() -> None:
     depend on them."""
     expressions._SHAPES.clear()
     integrators._built_grid.cache_clear()
-    integrators._theta_texts = (None, [])
     integrators._SHOOTS.clear()
     build_parser.cache_clear()
 

@@ -66,8 +66,10 @@ class ShootingError(RuntimeError):
     still above the tolerance after the last iteration."""
 
 
-# Grid uniformity tolerance, one part in 1e-12 of the step.
-_GRID_RTOL = 1e-12
+# Grid uniformity tolerance, a millionth of the step h: linspace rounds a node by
+# under one float spacing of the largest |node|, so only a grid whose floats are
+# visibly coarse next to h, as [1e14, 1e14 + 1] in 2000 steps, is refused.
+_GRID_RTOL = 1e-6
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -105,21 +107,25 @@ def _check_grid(grid: Sequence[float]) -> int:
 
 
 class _Grid(tuple):
-    """A theta grid :func:`uniform_grid` has checked, so it is not checked again."""
+    """A theta grid :func:`uniform_grid` has checked, so it is not checked
+    again; ``texts`` are its theta texts once :func:`write_table` wrote it."""
 
-    __slots__ = ()
+    texts: list[str] | None = None
 
 
 def uniform_grid(a: float, b: float, steps: int) -> tuple[float, ...]:
     """The ``steps + 1`` nodes from ``a`` to ``b`` that :func:`ivp_solve`
-    steps over, :func:`linspace`'s; ``ValueError`` where floats cannot space
-    them uniformly, as on ``[1e14, 1e14 + 1]`` in 2000 steps.
+    steps over, :func:`linspace`'s; ``ValueError`` for fewer than 2 steps,
+    or where floats cannot space them uniformly (:func:`_check_grid`), as
+    on ``[1e14, 1e14 + 1]`` in 2000 steps.
 
     Each grid is built and checked once per process: the same (a, b,
     steps), ``-0.0`` told from ``0.0``, returns the same immutable tuple.
     The 32 grids used last are kept (:func:`_built_grid`, an
-    ``lru_cache``); a grid the check rejects is not.
+    ``lru_cache``), each with its texts; a grid the check rejects is not.
     """
+    if steps < 2:
+        raise ValueError("steps must be at least 2")
     return _built_grid(float(a).hex(), float(b).hex(), steps)
 
 
@@ -132,33 +138,28 @@ def _built_grid(a: str, b: str, steps: int) -> _Grid:
     return grid
 
 
-# The last theta grid written, a tuple, and its "%.17g" texts.
-_theta_texts: tuple[tuple | None, list[str]] = (None, [])
-
-
 def write_table(
     path, header: Sequence[str], theta_grid, columns: Sequence, trailer: str = ""
 ) -> None:
     """Write the CSV line ``header``, one row ``theta,column values..`` per
     grid node with 17 significant digits, then ``trailer``.
 
-    Trajectory and charge CSVs are written here.  The theta texts of the
-    last grid written are kept with that grid, an immutable tuple, so the
-    CSVs of one grid format it once.  A column that repeats its values, as
-    a conserved charge does, formats each distinct value once: one whose
-    first 16 values hold a repeat, at most half of whose values are
-    distinct and none of them a zero (0.0 and -0.0 are one key of two
-    texts), is written as the ``"%s"`` of its values' texts.  Every other
-    column is written as the ``"%.17g"`` of each value.  Equal floats
-    other than zeros have equal bits, so each row has the same bytes as
-    formatting every value anew.
+    Trajectory and charge CSVs are written here.  A grid of
+    :func:`uniform_grid` keeps its theta texts, so the CSVs of one grid
+    format it once; any other grid is formatted per table.  A column that
+    repeats its values, as a conserved charge does, formats each distinct
+    value once: one whose first 16 values hold a repeat, at most half of
+    whose values are distinct and none of them a zero (0.0 and -0.0 are
+    one key of two texts), is written as the ``"%s"`` of its values'
+    texts.  Every other column is written as the ``"%.17g"`` of each
+    value.  Equal floats other than zeros have equal bits, so each row has
+    the same bytes as formatting every value anew.
     """
-    global _theta_texts
-    grid = theta_grid if isinstance(theta_grid, tuple) else tuple(theta_grid)
-    cached, texts = _theta_texts
-    if cached is not grid:
-        texts = ["%.17g" % x for x in grid]
-        _theta_texts = (grid, texts)
+    texts = theta_grid.texts if type(theta_grid) is _Grid else None
+    if texts is None:
+        texts = ["%.17g" % x for x in theta_grid]
+        if type(theta_grid) is _Grid:
+            theta_grid.texts = texts
     width = len(columns) + 1
     args = [None] * (width * len(texts))
     args[::width] = texts
@@ -253,7 +254,7 @@ class Rows(Sequence):
         return repr(tuple(self))
 
 
-class Trajectory(Record, frozen=False):
+class Trajectory(Record):
     """Uniform-grid samples of (theta, q, v) plus accumulated channels.
 
     ``theta_grid`` is a tuple of floats; ``q`` and ``v`` are :class:`Rows`,
@@ -271,23 +272,27 @@ class Trajectory(Record, frozen=False):
     samples: dict[Sample, tuple] = field(default_factory=dict)
 
     def __post_init__(self):
-        if type(self.theta_grid) is not _Grid:
-            self.theta_grid = tuple(map(float, self.theta_grid))
-            _check_grid(self.theta_grid)
-        rows = len(self.theta_grid)
-        self.q, self.v = Rows.of(self.q), Rows.of(self.v)
-        lengths = {len(column) for column in self.q.columns + self.v.columns}
-        if lengths != {rows} or len(self.q.columns) != len(self.v.columns):
+        grid = self.theta_grid
+        if type(grid) is not _Grid:
+            grid = tuple(map(float, grid))
+            _check_grid(grid)
+        rows = len(grid)
+        q, v = Rows.of(self.q), Rows.of(self.v)
+        lengths = {len(column) for column in q.columns + v.columns}
+        if lengths != {rows} or len(q.columns) != len(v.columns):
             raise ValueError("q and v must hold one row per grid point")
-        self.channels = {name: column(values) for name, values in self.channels.items()}
-        for name, values in self.channels.items():
+        channels = {name: column(values) for name, values in self.channels.items()}
+        for name, values in channels.items():
             if len(values) != rows:
                 raise ValueError(f"channel {name!r} length does not match the grid")
             if values[0] != 0.0:
                 raise ValueError(f"channel {name!r} must start at zero")
-        self.samples = {s: column(values) for s, values in self.samples.items()}
-        if any(len(values) != rows for values in self.samples.values()):
+        samples = {s: column(values) for s, values in self.samples.items()}
+        if any(len(values) != rows for values in samples.values()):
             raise ValueError("a sample's length does not match the grid")
+        for name, value in zip(("theta_grid", "q", "v", "channels", "samples"),
+                               (grid, q, v, channels, samples)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_dof(self) -> int:
@@ -381,8 +386,6 @@ def ivp_solve(
     raised ``OverflowError``, or a ``ValueError`` other than an
     :class:`ExpressionError`, the blow-up is at the end of its last step.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     qc = [float(x) for x in q0]
     vc = [float(x) for x in v0]
     n = len(qc)
@@ -456,8 +459,6 @@ def _final_state(
     of the same solve through :func:`ivp_solve`, channels and samples or
     not, bit for bit: a shoot may take either for a check of its miss.
     """
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
     qc = [float(x) for x in q0]
     if rhs.n != len(qc):
         raise ValueError(f"q0 and v0 have length {len(qc)}, the ODE has {rhs.n} degrees of freedom")

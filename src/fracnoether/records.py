@@ -1,9 +1,11 @@
 """Records: a :class:`Record` subclass reads its annotated fields once, when
 it is created, and gets a constructor (the fields in order or by name, a
 class-body value a default, then ``__post_init__`` if defined), a repr,
-equality and, unless declared ``frozen=False``, a hash and no assignment.
-Every method is written here once, none generated from source text; a
-class may write its own ``__init__``, ``__eq__`` or ``__hash__``.
+equality, a hash and no assignment: a record's fields are set only by its
+constructor, and a ``__post_init__`` that normalizes them sets them through
+``object.__setattr__``.  Every method is written here once, none generated
+from source text; a class may write its own ``__init__``, ``__eq__`` or
+``__hash__``.
 """
 
 _MISSING = object()
@@ -21,14 +23,15 @@ class field:
 
 
 def refuse_assignment(self, name, *value):
-    """``__setattr__`` and ``__delattr__`` of a frozen class."""
+    """``__setattr__`` and ``__delattr__`` of every record."""
     raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
 
 
 class Record:
     _fields: tuple = ()  # (name, field) in declaration order, inherited fields first
+    __setattr__ = __delattr__ = refuse_assignment
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = []
         for name in cls.__dict__.get("__annotations__", {}):
@@ -40,10 +43,6 @@ class Record:
                 delattr(cls, name)
             own.append((name, spec))
         cls._fields += tuple(own)
-        if frozen:
-            cls.__setattr__ = cls.__delattr__ = refuse_assignment
-        elif "__hash__" not in cls.__dict__:
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         names = [name for name, f in self._fields if f.init]

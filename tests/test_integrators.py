@@ -196,36 +196,45 @@ def still_trajectory(grid):
 
 
 def assert_kept_texts_are_of(grid):
-    """The writer keeps the texts of ``grid``, the tuple it was given."""
-    key, texts = integrators._theta_texts
-    assert key is grid
-    assert texts == [format(x, ".17g") for x in grid]
+    """A grid of ``uniform_grid`` keeps its own texts; any other grid, formatted
+    per table, keeps none."""
+    if type(grid) is integrators._Grid:
+        assert grid.texts == [format(x, ".17g") for x in grid]
+    else:
+        assert getattr(grid, "texts", None) is None
 
 
 def test_two_grids_written_alternately_keep_their_bytes(tmp_path):
-    grids = [np.linspace(0.0, 1.0, 7), np.linspace(-0.1, 2.0 / 3.0, 5)]
+    grids = [integrators.uniform_grid(0.0, 1.0, 6), integrators.uniform_grid(-0.1, 2.0 / 3.0, 4)]
+    assert np.array(grids[0]).tobytes() == np.linspace(0.0, 1.0, 7).tobytes()
+    assert np.array(grids[1]).tobytes() == np.linspace(-0.1, 2.0 / 3.0, 5).tobytes()
+    kept = []
     for k in range(4):
         grid = grids[k % 2]
         traj = still_trajectory(grid)
         path = tmp_path / f"traj{k}.csv"
         traj.write_csv(path)
         assert path.read_text() == trajectory_csv(traj)
-        assert_kept_texts_are_of(traj.theta_grid)
+        assert traj.theta_grid is grid
+        assert_kept_texts_are_of(grid)
+        kept.append(grid.texts)
+    # each grid formatted once, its texts reused by its second table
+    assert kept[2] is kept[0] and kept[3] is kept[1] and kept[0] is not kept[1]
 
 
 def test_grids_equal_in_value_but_not_in_bytes_are_rendered_apart(tmp_path):
-    plus = np.linspace(0.0, 1.0, 5)
-    minus = plus.copy()
-    minus[0] = -0.0
-    assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+    plus = integrators.uniform_grid(-1.0, 0.0, 4)
+    minus = integrators.uniform_grid(-1.0, -0.0, 4)  # its last node is -0.0
+    assert plus == minus and np.array(plus).tobytes() != np.array(minus).tobytes()
     texts = []
     for k, grid in enumerate([plus, minus, plus]):
         series = ChargeSeries.from_values(grid, np.full(5, 0.25))
         path = tmp_path / f"charge{k}.csv"
         series.write_csv(path)
         assert path.read_text() == charge_csv(series)
-        assert_kept_texts_are_of(series.theta_grid)
-        texts.append(path.read_text().splitlines()[1])
+        assert series.theta_grid is grid
+        assert_kept_texts_are_of(grid)
+        texts.append(path.read_text().splitlines()[-2])  # the last row, before the trailer
     assert texts == ["0,0.25", "-0,0.25", "0,0.25"]
 
 
@@ -245,7 +254,8 @@ def test_an_int_grid_is_written_as_its_values_as_floats(tmp_path):
 
 
 def test_trajectory_and_charges_on_one_grid_share_its_texts(tmp_path):
-    grid = np.linspace(0.1, 0.9, 9)
+    grid = integrators.uniform_grid(0.1, 0.9, 8)
+    assert np.array(grid).tobytes() == np.linspace(0.1, 0.9, 9).tobytes()
     special = np.array([0.0, -0.0, 1e-320, 1.0 / 3.0, 1e22, -2.5e-300, math.pi, 1e300, -1e-300])
     traj = Trajectory(
         theta_grid=grid,
@@ -255,12 +265,12 @@ def test_trajectory_and_charges_on_one_grid_share_its_texts(tmp_path):
     )
     traj.write_csv(tmp_path / "traj.csv")
     assert (tmp_path / "traj.csv").read_text() == trajectory_csv(traj)
-    _, texts = integrators._theta_texts
+    texts = grid.texts
     for k, values in enumerate([special, special[::-1], np.exp(special[:1]) * grid]):
         series = ChargeSeries.from_values(traj.theta_grid, values)
         series.write_csv(tmp_path / f"charge{k}.csv")
         assert (tmp_path / f"charge{k}.csv").read_text() == charge_csv(series)
-        assert integrators._theta_texts[1] is texts
+        assert grid.texts is texts
     assert_kept_texts_are_of(traj.theta_grid)
 
 

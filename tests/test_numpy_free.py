@@ -23,7 +23,7 @@ import fracnoether
 from fracnoether.charges import ChargeSeries, _drift_stats
 from fracnoether import integrators
 from fracnoether.integrators import Trajectory, linspace, uniform_grid
-from fracnoether.scenarios import AlphaSweep
+from fracnoether.scenarios import MAX_STEPS, AlphaSweep
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(fracnoether.__file__).parents[1])
@@ -57,7 +57,7 @@ def test_linspace_edge_cases_are_numpys(start, stop, num):
 def numpy_grid_check(grid: np.ndarray) -> bool:
     """The uniformity rule of ``uniform_grid``, in numpy."""
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    return not (h <= 0 or np.any(np.abs(np.diff(grid) - h) > 1e-12 * abs(h) + 1e-300))
+    return not (h <= 0 or np.any(np.abs(np.diff(grid) - h) > 1e-6 * abs(h) + 1e-300))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -81,6 +81,37 @@ def test_uniform_grid_is_built_once_and_keeps_signed_zeros():
     assert math.copysign(1.0, uniform_grid(-1.0, -0.0, 10)[-1]) == -1.0
     with pytest.raises(ValueError, match="uniform"):
         uniform_grid(1e14, 1e14 + 1, 2000)
+
+
+@pytest.mark.parametrize("a, b, steps", [
+    (0.0, 1.0, 10_000), (0.0, 1.0, 20_000), (0.0, 1.0, 100_000), (0.0, 1.0, MAX_STEPS),
+    (-1.0, 0.0, 100_000), (0.0, 3.0, MAX_STEPS), (5.0, 6.0, MAX_STEPS), (1e3, 1e3 + 1, 10_000),
+])
+def test_linspaces_own_rounding_is_accepted(a, b, steps):
+    # each node rounded by under one float spacing of the largest |node|,
+    # a spacing error far below a millionth of the step
+    expected = np.linspace(a, b, steps + 1)
+    assert numpy_grid_check(expected)
+    assert bits(uniform_grid(a, b, steps)) == expected.tobytes()
+
+
+@pytest.mark.parametrize("a, b, steps, message", [
+    (1e14, 1e14 + 1, 2000, "must be strictly increasing and uniform"),  # floats 1/64 apart
+    (1e14, 1e14 + 1, 10, "must be strictly increasing and uniform"),
+    (1e9, 1e9 + 1, 1000, "must be strictly increasing and uniform"),  # 1.2e-7 apart, h 1e-3
+    (-1e308, 1e308, 4, "must have a finite step and finite nodes"),
+])
+def test_a_grid_whose_floats_are_too_coarse_for_its_step_is_refused(a, b, steps, message):
+    if math.isfinite(b - a):  # the numpy rule reads finite grids only
+        assert not numpy_grid_check(np.linspace(a, b, steps + 1))
+    with pytest.raises(ValueError, match=f"^theta grid {message}$"):
+        uniform_grid(a, b, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 0, -2])
+def test_fewer_than_two_steps_are_refused_by_the_grid(steps):
+    with pytest.raises(ValueError, match="^steps must be at least 2$"):
+        uniform_grid(0.0, 1.0, steps)
 
 
 def test_a_grid_of_a_non_finite_step_or_node_is_rejected():

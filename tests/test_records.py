@@ -91,7 +91,7 @@ RECORDS = [
      None, "ConvergenceReport(step_counts=(10, 20), errors=(0.001, 0.0001), slope=2.0, "
      "indeterminate=False)"),
 ]
-MUTABLE = {"Trajectory"}
+UNHASHABLE = {"Trajectory"}  # its channels are a dict
 
 
 @pytest.mark.parametrize("name, make, x, other, text", RECORDS, ids=[r[0] for r in RECORDS])
@@ -102,7 +102,7 @@ def test_records_show_compare_and_hash_by_their_fields(name, make, x, other, tex
     assert record == make(x) and not record != make(x)
     assert record != make(other)
     assert record != (x,) and (record == object()) is False
-    if name in MUTABLE:
+    if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -113,10 +113,6 @@ def test_records_show_compare_and_hash_by_their_fields(name, make, x, other, tex
 def test_frozen_records_refuse_assignment(name, make, x, other, text):
     record = make(x)
     field = text[len(name) + 1:].split("=")[0]
-    if name in MUTABLE:
-        record.q = make(other).q
-        assert record == make(other)
-        return
     with pytest.raises(AttributeError):
         setattr(record, field, getattr(make(other), field))
     with pytest.raises(AttributeError):

@@ -773,6 +773,8 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     # 18 charge tables of one repeating column each
     assert ("27 tables written: 60060 values, 18018 in repeating columns, "
             "1642 distinct among those") in lines
+    # every table of the pass is on one grid, which keeps its theta texts
+    assert "grids whose theta texts were formatted: 1" in lines
     # 18 commands parsed by one tree: the top parser and one per command
     assert lines[-3] == "5 argument parsers built, 16 terminal-size reads"
     assert re.fullmatch(r"GC collections: gen0 \d+, gen1 \d+, gen2 \d+", lines[-2])
@@ -789,6 +791,7 @@ def test_loop_ops_shares_the_loops_of_an_ivp_corpus_pass(capsys):
     assert {row[1] for row in rows} == {"rows"}
     assert lines[len(rows) + 1].startswith("rows loops: 24 calls, ")
     assert "24 loops: 22 emitted, 2 from the shape cache, 22 distinct sources" in lines
+    assert "grids whose theta texts were formatted: 1" in lines
 
 
 def test_loop_ops_passes_start_from_empty_caches():
@@ -819,5 +822,6 @@ def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     assert "51 loops: 9 emitted, 42 from the shape cache, 9 distinct sources" in lines
     assert "0 shoots: 0 check solves, 0 of them also the trajectory solve; 0 of 0 guesses wrong" in lines
     assert "0 tables written: 0 values, 0 in repeating columns, 0 distinct among those" in lines
+    assert "grids whose theta texts were formatted: 0" in lines
     assert lines[-3] == "5 argument parsers built, 16 terminal-size reads"
     assert lines[-1] == "51 Trajectory constructions"

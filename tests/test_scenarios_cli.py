@@ -315,16 +315,36 @@ def test_a_count_above_its_bound_is_refused_before_anything_is_built(
     assert not out_dir.exists()
 
 
-def test_the_bounds_themselves_pass_their_checks(monkeypatch, bounded_linspace):
+def test_the_bounds_themselves_pass_their_checks(bounded_linspace):
     raw = base_scenario(alpha={"from": 0.5, "to": 1.0, "count": MAX_ALPHAS})
     assert len(scenario_from_dict(raw).alphas()) == MAX_ALPHAS
-    # MAX_STEPS steps reach the grid check, which [0, 1] happens to fail
-    built = []
-    monkeypatch.setattr(scenarios, "uniform_grid", lambda a, b, steps: built.append(steps))
+    # MAX_STEPS steps on [0, 1] pass the grid check itself
     scenarios.check_steps(MAX_STEPS, (0.0, 1.0))
     with pytest.raises(ScenarioError, match=f"^steps must be at most {MAX_STEPS}$"):
         scenarios.check_steps(MAX_STEPS + 2, (0.0, 1.0))
-    assert built == [MAX_STEPS]
+
+
+@pytest.mark.parametrize("interval, steps, message", [
+    # the file and --steps cases above refuse [1e14, 1e14 + 1] at 2000 and
+    # [-1e308, 1e308] at 4 with the same message
+    ((1e14, 1e14 + 1), 10, "interval [100000000000000.0, 100000000000001.0] cannot be split "
+                           "into 10 uniform float steps"),
+    ((1e9, 1e9 + 1), 1000, "interval [1000000000.0, 1000000001.0] cannot be split "
+                           "into 1000 uniform float steps"),
+])
+def test_a_count_floats_cannot_space_fails_the_step_check(interval, steps, message):
+    with pytest.raises(ScenarioError) as refused:
+        scenarios.check_steps(steps, interval)
+    assert str(refused.value) == message
+
+
+def test_a_fine_grid_on_the_unit_interval_is_solved(tmp_path, capsys):
+    # 10000 steps of [0, 1] differ from h by about 1e-12 of it, linspace's rounding
+    out_dir = tmp_path / "out"
+    argv = ["charge", "--scenario", str(SCENARIOS / "free_particle_bvp.json"), "--steps",
+            "10000", "--output", str(out_dir)]
+    assert cli.main(argv) == 0
+    assert len((out_dir / "free_particle_bvp_charge_energy.csv").read_text().splitlines()) == 10003
 
 
 @pytest.mark.parametrize("command", ["solve", "charge", "sweep", "verify"])
@@ -703,6 +723,17 @@ def test_a_step_the_kernel_makes_unstable_is_a_validation_error(
     assert (f"rho = h*(1 - alpha)/(t - b) = {rho} exceeds the RK4 stability bound 2.785; "
             f"{steps} steps bring it under") in err
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_the_advised_step_count_passes_the_step_check_and_runs(tmp_path, capsys):
+    path = near_observer(tmp_path, 1.00001)
+    assert cli.main(["charge", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.endswith("; 17954 steps bring it under\n")
+    scenarios.check_steps(17954, (0.0, 1.0))
+    assert cli.main(["charge", "--scenario", str(path), "--steps", "17954"]) == 0
+    assert sorted(csv.name for csv in (tmp_path / "out").glob("*.csv")) == [
+        "free_particle_charge_energy.csv", "free_particle_charge_momentum_0.csv",
+        "free_particle_charge_noether_g0.csv"]
 
 
 def test_an_observer_time_no_float_step_resolves_is_refused(tmp_path, capsys):
@@ -1139,11 +1170,14 @@ def test_clear_caches_empties_every_cache_the_process_keeps(tmp_path, capsys):
     assert cli.main(["charge", "--scenario", str(path), "--output", str(tmp_path / "out")]) == 0
     caches = [integrators._built_grid, cli.build_parser]
     assert expressions._SHAPES and all(cache.cache_info().currsize for cache in caches)
-    assert integrators._theta_texts[0] is not None and integrators._SHOOTS
+    grid = integrators.uniform_grid(0.0, 1.0, 200)  # the grid every table was written on
+    assert grid.texts == ["%.17g" % x for x in grid] and integrators._SHOOTS
     cli.clear_caches()
     assert expressions._SHAPES == {}
     assert [cache.cache_info().currsize for cache in caches] == [0, 0]
-    assert integrators._theta_texts == (None, []) and integrators._SHOOTS == {}
+    assert integrators._SHOOTS == {}
+    # the texts went with the grid: the grid built next has none
+    assert integrators.uniform_grid(0.0, 1.0, 200).texts is None
 
 
 def test_main_runs_the_command_function_it_finds_when_called(tmp_path, capsys, monkeypatch):

@@ -47,7 +47,9 @@ column and no Newton loop, and runs only the solve at the velocity the
 process remembers for it, and so no check solve; the CSV tables written
 (``integrators.write_table``), the values in them, theta not counted, the
 values in repeating columns, at most half of whose values are distinct,
-and the distinct values among those; the ``argparse.ArgumentParser``
+and the distinct values among those; the grids whose theta texts a table
+formatted, each kept with its grid (``integrators.uniform_grid``) for
+every later table on it; the ``argparse.ArgumentParser``
 objects built and the ``shutil.get_terminal_size`` calls made; the pass
 starts as a fresh process does, wherever the tool runs: every cache the
 process keeps between commands is emptied first (``cli.clear_caches``);
@@ -160,7 +162,8 @@ def record_pass(workload: str, seed: int):
     "columns": kernel columns read, "column reads": loop calls reading one,
     "trajectory": constructions, "tables": CSV tables written, "values":
     values in them, "repeating": values in repeating columns, "distinct":
-    distinct values among those, "parsers": argument parsers built,
+    distinct values among those, "grid texts": grids whose theta texts a
+    table formatted, "parsers": argument parsers built,
     "terminal": terminal-size reads}, [[iterations, converged, guesses that a
     check converges, rows loop calls, last loop calls] per shoot],
     [collections per GC generation])."""
@@ -182,8 +185,8 @@ def record_pass(workload: str, seed: int):
     # each kernel column a loop read, by id, kept so that no id is reused
     columns: dict[int, tuple] = {}
     calls = {"diff": 0, "made": 0, "column reads": 0, "trajectory": 0,
-             "tables": 0, "values": 0, "repeating": 0, "distinct": 0, "parsers": 0,
-             "terminal": 0}
+             "tables": 0, "values": 0, "repeating": 0, "distinct": 0, "grid texts": 0,
+             "parsers": 0, "terminal": 0}
     parser_init = argparse.ArgumentParser.__init__
     terminal_size = shutil.get_terminal_size
 
@@ -237,7 +240,9 @@ def record_pass(workload: str, seed: int):
             if 2 * distinct <= len(values):
                 calls["repeating"] += len(values)
                 calls["distinct"] += distinct
+        formats = type(theta_grid) is integrators._Grid and theta_grid.texts is None
         write_table(path, header, theta_grid, columns, trailer)
+        calls["grid texts"] += formats and theta_grid.texts is not None
 
     def timed_compile(*args, **kwargs):
         start = perf_counter()
@@ -358,6 +363,7 @@ def main(argv=None) -> int:
     print(f"{len(shoots) - len(run)} of {len(shoots)} shoots answered from memory")
     print(f"{counts['tables']} tables written: {counts['values']} values, {counts['repeating']} "
           f"in repeating columns, {counts['distinct']} distinct among those")
+    print(f"grids whose theta texts were formatted: {counts['grid texts']}")
     print(f"{counts['parsers']} argument parsers built, {counts['terminal']} terminal-size reads")
     print("GC collections: " + ", ".join(f"gen{generation} {count}"
                                           for generation, count in enumerate(collections)))
