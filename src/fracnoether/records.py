@@ -31,8 +31,7 @@ class Record:
     _fields: tuple = ()  # (name, field) in declaration order, inherited fields first
     __setattr__ = __delattr__ = refuse_assignment
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         own = []
         for name in cls.__dict__.get("__annotations__", {}):
             spec = cls.__dict__.get(name, _MISSING)
