@@ -285,7 +285,7 @@ class ExplicitOde:
         if self.n == 1:
             mass = self.mass[0][0]
             if not (type(mass) is Const and mass.value != 0.0):
-                em.check(em.emit(mass), "== 0.0", f"_SingularHessianError({theta}, _inf)")
+                em.check(em.emit(mass), "== 0.0", f"_SingularHessianError({theta}, _inf)", theta)
             # the division's own zero test is the check above, written once
             return [em.emit(self.quotient)]
         force = [em.emit(f) for f in self.net]
@@ -294,6 +294,7 @@ class ExplicitOde:
         return linsolve.emit_solve(
             em, [[em.emit(m) for m in row] for row in self.mass], force,
             lambda exc: f"raise _SingularHessianError({theta}, {exc}.condition_estimate) from {exc}",
+            theta,
         )
 
     def shape_key(self) -> tuple[tuple, tuple]:

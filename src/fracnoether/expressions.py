@@ -558,9 +558,9 @@ class Emitter:
     of the emitter's own reads is written into that statement, not into a
     local, nested at most ``_MAX_INLINE_DEPTH`` operators deep, and
     parenthesized by the operators and precedences the node classes render
-    with (``_OP``, ``_PREC``); the emitter notes each local read a second
-    time as it emits.  That is exact:
-    float ``+``, ``-``, ``*`` and unary minus never raise, and a division
+    with (``_OP``, ``_PREC``); one that no statement reads is not written.
+    The emitter notes each local read a second time as it emits.  That is
+    exact: float ``+``, ``-``, ``*`` and unary minus never raise, and a division
     is written after the check of its denominator or divides by a nonzero
     constant, so computing a value later changes no result and no error.
     Calls, loads and checks stay where they are, and so does every value
@@ -578,14 +578,17 @@ class Emitter:
     (:meth:`at`), reading trees the caller holds there from locals, for
     callers that write their own function around the statements (the RK4
     loop of :mod:`fracnoether.integrators`, whose Newton loop holds the
-    kernel of a shoot's right-hand side): they add
-    their statements with :meth:`line` and checks with :meth:`check`,
-    take the body with :meth:`body`, whole or between the positions
-    :meth:`mark` returns, and hand the source to :func:`shaped`.
-    Statements of their own take working locals from :meth:`fresh` (the
-    linear solve of :func:`fracnoether.linsolve.emit_solve`), write their
-    constants as literals, and NaN as ``_nan``; they assign no local that
-    an emitted statement reads.
+    kernel of a shoot's right-hand side): they add values with
+    :meth:`moved` (a stage coordinate), statements with :meth:`line` and
+    checks with :meth:`check`, each naming what else it reads, take the
+    body with :meth:`body`, whole or between the positions :meth:`mark`
+    returns, and hand the source to :func:`shaped`.  :attr:`reads` holds
+    every name a statement reads, so such a caller binds only the point
+    names read.  Statements of their own take working locals from
+    :meth:`fresh` (the linear solve of
+    :func:`fracnoether.linsolve.emit_solve`), write their constants as
+    literals, and NaN as ``_nan``; they assign no local that an emitted
+    statement reads.
     """
 
     def __init__(self, numbers: dict[int, int], stateful: Collection[int]):
@@ -609,6 +612,7 @@ class Emitter:
         # the emitter does not write
         self._kept: set[str] = set()
         self._checked: set[tuple[str, str]] = set()
+        self.reads: set[str] = set()  # each _emit result, and what lines declare
 
     def at(self, theta: str, q: Sequence[str], v: Sequence[str], held: Mapping[Expr, str]):
         """Emit what follows at the point held in the named scalar locals.
@@ -656,18 +660,25 @@ class Emitter:
         self._lines.append((name, op, precedence, a, b))
         return name
 
-    def line(self, statement: str) -> None:
-        """Append a statement of the caller's own, in emission order."""
-        self._lines.append(statement)
+    def moved(self, x: str, step: str, rate: str) -> str:
+        """A new local holding ``x + step * rate`` of three names, an
+        arithmetic value like any other: a stage coordinate of the RK4 loop."""
+        return self._let("+", Add._PREC, x, self._let("*", Mul._PREC, step, rate))
 
-    def check(self, x: str, test: str, error: str) -> None:
-        """Append ``if {x} {test}: raise {error}``, unless the same test of
-        the local ``x`` was appended before."""
-        if (x, test) in self._checked:
-            return
-        self._checked.add((x, test))
-        self._kept.add(x)
-        self._lines.append(f"if {x} {test}: raise {error}")
+    def line(self, statement: str, *reads: str) -> None:
+        """Append a statement of the caller's own, in emission order, which
+        reads the names ``reads`` (values and point names) besides its own."""
+        self._lines.append(statement)
+        self._kept.update(reads)
+        self.reads.update(reads)
+
+    def check(self, x: str, test: str, error: str, *reads: str) -> None:
+        """Append ``if {x} {test}: raise {error}``, ``error`` reading
+        ``reads``, unless the same test of the local ``x`` was appended
+        before."""
+        if (x, test) not in self._checked:
+            self._checked.add((x, test))
+            self.line(f"if {x} {test}: raise {error}", x, *reads)
 
     def emit(self, e: Expr) -> str:
         """Append the statements computing ``e``; return the local holding its value."""
@@ -684,6 +695,7 @@ class Emitter:
         name = self._emitted.get(number)
         if name is not None:
             self._kept.add(name)  # its first reader was another
+            self.reads.add(name)
             return name
         if kind is Theta:
             name = "theta" if self._point is None else self._point[0]
@@ -711,6 +723,7 @@ class Emitter:
         self._emitted[number] = name
         if number not in self._stateful:
             self._theta_emitted[number] = name
+        self.reads.add(name)
         return name
 
     def _leaf(self, letter: str, index: int) -> str:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from typing import Callable, Mapping, Sequence
 
 from . import linsolve
@@ -100,7 +99,7 @@ def _check_grid(grid: Sequence[float]) -> int:
     h = (grid[-1] - grid[0]) / (len(grid) - 1)
     if not (math.isfinite(h) and all_finite(grid)):
         raise ValueError("theta grid must have a finite step and finite nodes")
-    tol = _GRID_RTOL * abs(h) + 1e-300
+    tol = _GRID_RTOL * abs(h)
     if h <= 0 or any(abs(y - x - h) > tol for x, y in zip(grid, grid[1:])):
         raise ValueError("theta grid must be strictly increasing and uniform")
     return len(grid)
@@ -445,10 +444,11 @@ def _final_state(
     Validates as :func:`ivp_solve` does, once.  It evaluates the kernel
     of ``rhs`` at the nodes and half-nodes of the grid by the kernel's own
     evaluator (:attr:`~fracnoether.expressions.Expr.evaluate`), and the
-    loop reads the column ``(half-nodes, at the nodes, at the
-    half-nodes)``, which is handed to every call of the loop and kept
-    nowhere else; where there is no kernel (alpha = 1), the column is
-    empty.  Every node and half-node lies below b, and b below the
+    loop reads the two columns ``(at the nodes, at the half-nodes)``, which
+    are handed to every call of the loop and kept nowhere else; where there
+    is no kernel (alpha = 1), there are none.  The loop spells a half-node
+    ``th + hh`` as every loop does, the sum the second column was evaluated
+    at.  Every node and half-node lies below b, and b below the
     observer time, so the kernel's denominator is never zero; a value that
     overflows is an infinity, not an error, and ends in the replay below.
     The loop only adds to q and v, so a finite last row means every row
@@ -467,9 +467,8 @@ def _final_state(
     columns = ()
     if rhs.kernel is not None:
         kernel = rhs.kernel.evaluate
-        halves = [th + 0.5 * h for th in nodes[:-1]]
-        columns = (halves, [kernel(th, (), ()) for th in nodes],
-                   [kernel(th, (), ()) for th in halves])
+        columns = ([kernel(th, (), ()) for th in nodes],
+                   [kernel(th + 0.5 * h, (), ()) for th in nodes[:-1]])
     loop = _compile_rk4_loop(rhs, rhs.n, [], (), rhs.kernel, last_row=True)
 
     def final_state(v0: Sequence[float]) -> tuple:
@@ -508,7 +507,7 @@ def _compile_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequ
 
     Given ``kernel``, the kernel tree of an :class:`ExplicitOde` ``rhs``
     (:func:`_final_state`), the loop reads the kernel from its ``columns``
-    argument, which is then the kernel's column; with none, as in every
+    argument, then the kernel's two columns; with none, as in every
     :func:`ivp_solve`, it writes the kernel out and its ``columns``
     argument is ``()``.  Every loop is emitted once per shape of its trees
     and of the trees it reads (:func:`~fracnoether.expressions.shaped`),
@@ -541,29 +540,31 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     ``last_row`` it is ``loop(nodes, h, hh, h6, state, columns)``, appends
     nothing and returns the last row.
 
-    The state ``q0.., v0..`` and every stage value live in local scalars.
-    ``kernel`` is the kernel tree of the ODE where it is read, else None;
-    only a Newton loop reads it, which takes no samples.  The
-    argument ``columns`` then holds the half-nodes and the kernel at the
-    nodes and at the half-nodes (:func:`_final_state`), and the loop steps
-    over them with the nodes: a step reads the kernel at its theta,
-    half-node and next node, and writes every other subtree out.  With
-    nothing to read, ``columns`` is empty and each step adds ``hh`` to its
-    theta.  A step binds, and steps over the sequence of, only the names it
-    reads.  Each step computes the four stage accelerations, then each
-    channel at stages 1-4 in order, with the arithmetic of the classical
-    tableau; an error there leaves the loop, for :func:`ivp_solve` to
-    name.  Every value a step's update lines read at stage 1 is read as
-    it stood before the update: the update of q, then of v, then of each
-    channel, overwrites the state locals that stage 1 reads, so a stage-1
-    acceleration or channel value that is a bare q or v leaf is copied to
-    a ``k1_`` local first.  Then each sampled tree is computed at stage
-    1, reusing what the step computed there, plus its weight (from
-    ``weights``) times its channel as it stood at the step's start; an
-    error there makes every sample of the step NaN.  Each step appends each of its samples, and
-    then each value of the state ``(q.., v.., channels..)`` it reached, to
-    its list, and no row tuple is built; after the last step the samples
-    are computed once more, afresh, at the last row and appended.
+    The state ``q0.., v0..`` and every stage value live in local scalars,
+    and ``em`` writes every statement of a step: each stage coordinate, as
+    ``q_j + hh * v_j``, is a value (:meth:`Emitter.moved`), written into its
+    one reader and not at all where none reads it.  ``kernel`` is the kernel
+    tree of the ODE where it is read, else None; only a Newton loop reads
+    it, which takes no samples, at its theta, half-node and next node from
+    ``columns``, the kernel at the nodes and at the half-nodes
+    (:func:`_final_state`); every other subtree is written out, and other
+    loops get no columns.  A step binds, and steps over the sequence of,
+    only the names the emitter records it reading (:attr:`Emitter.reads`:
+    ``th``, ``full``, ``x0``, ``y0``, ``z0``), and computes
+    ``half = th + hh`` where it reads ``half``.  Each step computes the four
+    stage accelerations, then each channel at stages 1-4 in order, with the
+    arithmetic of the classical tableau; an error there leaves the loop, for
+    :func:`ivp_solve` to name.  Every value a step's update lines read at
+    stage 1 is read as it stood before the update: the update of q, then of
+    v, then of each channel, overwrites the state locals that stage 1 reads,
+    so a stage-1 acceleration or channel value that is a bare q or v leaf is
+    copied to a ``k1_`` local first.  Then each sampled tree is computed at
+    stage 1, reusing what the step computed there, plus its weight (from
+    ``weights``) times its channel as it stood at the step's start; an error
+    there makes every sample of the step NaN.  Each step appends each of its
+    samples, and then each value of the state ``(q.., v.., channels..)`` it
+    reached, to its list, and no row tuple is built; after the last step the
+    samples are computed once more, afresh, at the last row and appended.
     :func:`ivp_solve` tests the last state finite after the loop.
 
     The constants and math functions the statements read are keyword
@@ -577,37 +578,26 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     """
     js = range(n)
     q, v = [f"q{j}" for j in js], [f"v{j}" for j in js]
-    # stage s sits at (theta, s{s}q_j, s{s}v_j), and a Newton loop holds the
-    # kernel there in a local read from its columns; stage 1 is the state itself
-    def held(name: str) -> dict:
-        return {} if kernel is None else {kernel: name}
 
-    points = [("th", q, v, held("x0"))] + [
-        (theta, [f"s{s}q_{j}" for j in js], [f"s{s}v_{j}" for j in js], held(name))
-        for s, theta, name in ((2, "half", "y0"), (3, "half", "y0"), (4, "full", "z0"))
-    ]
+    def call(value: str, fn: str, theta: str, sq: list, sv: list) -> None:
+        em.line(f"{value} = {fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])", theta, *sq, *sv)
 
-    def tup(names) -> str:
-        return f"({', '.join(names)},)"
-
-    def call(fn: str, theta: str, sq: list, sv: list) -> str:
-        return f"{fn}({theta}, [{', '.join(sq)}], [{', '.join(sv)}])"
-
-    accels = []
-    for s, (theta, sq, sv, held) in enumerate(points, 1):
+    # stage s > 1 sits at the state moved on by the rates of stage s - 1, and
+    # a Newton loop holds the kernel there in a local read from its columns
+    points, accels = [], []
+    for s, theta, held in ((1, "th", "x0"), (2, "half", "y0"), (3, "half", "y0"), (4, "full", "z0")):
+        sq, sv = q, v
         if s > 1:
             step = "h" if s == 4 else "hh"
-            last_v, last_a = points[s - 2][2], accels[-1]
-            for j in js:
-                em.line(f"{sq[j]} = {q[j]} + {step} * {last_v[j]}")
-            for j in js:
-                em.line(f"{sv[j]} = {v[j]} + {step} * {last_a[j]}")
+            sq = [em.moved(q[j], step, points[-1][2][j]) for j in js]
+            sv = [em.moved(v[j], step, accels[-1][j]) for j in js]
+        points.append((theta, sq, sv, {} if kernel is None else {kernel: held}))
         if isinstance(rhs, ExplicitOde):
-            em.at(theta, sq, sv, held)
+            em.at(*points[-1])
             k = rhs.emit_accelerations(em, theta)
         else:
             k = [f"k{s}_{j}" for j in js]
-            em.line(f"k{s} = {call('_rhs', theta, sq, sv)}")
+            call(f"k{s}", "_rhs", theta, sq, sv)
             for j in js:
                 em.line(f"{k[j]} = k{s}[{j}]")
         accels.append(k)
@@ -622,7 +612,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         return name
 
     accels[0] = [before_update(name) for name in accels[0]]
-    sums = []
+    channels = []
     for idx, g in enumerate(integrands):
         values = []
         for s, (theta, sq, sv, held) in enumerate(points, 1):
@@ -631,23 +621,35 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
                 values.append(em.emit(g))
             else:
                 values.append(f"g{idx}_{s}")
-                em.line(f"{values[-1]} = {call(f'_g{idx}', theta, sq, sv)}")
-        g1, g2, g3, g4 = values
-        g1 = before_update(g1)
-        sums.append(f"c{idx} += h6 * ({g1} + 2.0 * {g2} + 2.0 * {g3} + {g4})")
+                call(values[-1], f"_g{idx}", theta, sq, sv)
+        channels.append([before_update(values[0]), *values[1:]])
 
-    # the samples at stage 1, then at the last row: a point of its own
-    # names, so nothing computed or checked in the loop is taken for it
+    # the samples at stage 1, the update, then the samples at the last row:
+    # a point of its own names, so nothing of the loop is taken for it
     taken = [f"s{i}" for i in range(len(sampled))]
-    marks = [em.mark()]
     ends = [f"e{name}" for name in q + v]
-    for point in (points[0], ("end", ends[:n], ends[n:], {})):
-        em.at(*point)
+    row = q + v + [f"c{idx}" for idx in range(len(integrands))]
+    puts = [f"put_{name}" for name in taken + row]
+
+    def sample(theta: str, sq: list, sv: list, held: dict) -> None:
+        em.at(theta, sq, sv, held)
         for i, (tree, k) in enumerate(sampled):
             value = em.emit(tree)
             em.line(f"s{i} = {value}" if k is None else f"s{i} = {value} + w{i} * c{k}")
-        marks.append(em.mark())
-    solved, stepped, _ = marks
+
+    solved = em.mark()
+    sample(*points[0])
+    sampled_to = em.mark()
+    for name, copy in copies.items():
+        em.line(f"{copy} = {name}", name)
+    # q by the stage velocities, v by the accelerations, each channel by its values
+    rates = [*zip(*(sv for _, _, sv, _ in points)), *zip(*accels), *channels]
+    for x, (a, b, c, d) in zip(row, rates):
+        em.line(f"{x} = {x} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})", a, b, c, d)
+    for put, name in zip(puts, [] if last_row else taken + row):
+        em.line(f"{put}({name})", name)
+    stepped = em.mark()
+    sample("end", ends[:n], ends[n:], {})
 
     def sampling(indent: str, start: int, stop: int | None) -> list[str]:
         return [
@@ -657,33 +659,16 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
             f"{indent}    {' = '.join(taken)} = _nan",
         ] if sampled else []
 
-    row = q + v + [f"c{idx}" for idx in range(len(integrands))]
-    puts = [f"put_{name}" for name in taken + row]
-    k1, k2, k3, k4 = accels
-    step = [
-        *em.body("        ", 0, solved),
-        *sampling("        ", solved, stepped),
-        *(f"        {copy} = {name}" for name, copy in copies.items()),
-        *(f"        q{j} = q{j} + h6 * (v{j} + 2.0 * s2v_{j} + 2.0 * s3v_{j} + s4v_{j})"
-          for j in js),
-        *(f"        v{j} = v{j} + h6 * ({k1[j]} + 2.0 * {k2[j]} + 2.0 * {k3[j]} + {k4[j]})"
-          for j in js),
-        *(f"        {line}" for line in sums),
-        *([] if last_row else [f"        {put}({name})" for put, name in zip(puts, taken + row)]),
-    ]
-    # each step's theta and next node, and where it reads columns its
-    # half-node and the column values at each: only the names the step
-    # reads, each stepping over its own sequence
-    reads = set(re.findall(r"\w+", "\n".join(step)))
-    if kernel is None and "half" in reads:
+    step = [*em.body("        ", 0, solved), *sampling("        ", solved, sampled_to),
+            *em.body("        ", sampled_to, stepped)]
+    # of a step's theta, next node, half-node and kernel values, those it reads
+    reads = set(em.reads)
+    if "half" in reads:
         step.insert(0, "        half = th + hh")
         reads.add("th")
+    walked = [("th", "nodes[:-1]"), ("full", "nodes[1:]")]
     if kernel is not None:
-        header = ["    halves, n0, m0, = columns"]
-        walked = zip(["th", "full", "half", "x0", "y0", "z0"],
-                     ["nodes[:-1]", "nodes[1:]", "halves", "n0", "m0", "n0[1:]"])
-    else:
-        header, walked = [], zip(["th", "full"], ["nodes[:-1]", "nodes[1:]"])
+        walked += [("x0", "n0"), ("y0", "m0"), ("z0", "n0[1:]")]
     targets, sources = zip(*([pair for pair in walked if pair[0] in reads]
                              or [("th", "nodes[:-1]")]))
     over = sources[0] if len(sources) == 1 else f"zip({', '.join(sources)})"
@@ -691,22 +676,21 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         f"def loop(nodes, h, hh, h6, state, columns{'' if last_row else ', out'}"
         f"{', weights' if sampled else ''}{em.keyword_defaults()}):",
         f"    {', '.join(q + v)}, = state",
-        *([f"    {', '.join(f'w{i}' for i in range(len(sampled)))}, = weights"] if sampled else []),
+        *(f"    w{i} = weights[{i}]" for i, (_, k) in enumerate(sampled) if k is not None),
         *(f"    c{idx} = 0.0" for idx in range(len(integrands))),
         *([] if last_row else [f"    {', '.join(puts)}, = [values.append for values in out]"]),
-        *header,
+        *([] if kernel is None else ["    n0, m0, = columns"]),
         f"    for {', '.join(targets)} in {over}:",
         *step,
     ]
     if sampled:
-        source += [
-            "    end = nodes[-1]",
-            f"    {', '.join(ends)}, = {', '.join(q + v)},",
+        source += [  # the last row's theta and state, where its samples read them
+            *(f"    {e} = {x}" for e, x in zip(["end", *ends], ["nodes[-1]", *q, *v]) if e in reads),
             *sampling("    ", stepped, None),
             *(f"    {put}({name})" for put, name in zip(puts, taken)),
         ]
     if last_row:
-        source.append(f"    return {tup(row)}")
+        source.append(f"    return ({', '.join(row)},)")
     return source, "loop", ExplicitOde.NAMES
 
 

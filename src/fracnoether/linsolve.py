@@ -118,6 +118,7 @@ def eliminated(matrix: Sequence[Sequence[float]], rhs: Sequence, arithmetic=TREE
 
 def emit_solve(
     em, matrix: Sequence[Sequence[str]], rhs: Sequence[str], raise_singular: Callable[[str], str],
+    *reads: str,
 ) -> list[str]:
     """Write the elimination of one system into ``em``; return the names of x.
 
@@ -133,15 +134,16 @@ def emit_solve(
     Where the system is singular, the statements bind the
     :class:`SingularMatrixError` of :func:`singular_error` to a local,
     through this module bound as ``_linsolve`` in the compiled namespace,
-    and run the statement ``raise_singular(local)``.
+    and run the statement ``raise_singular(local)``, which also reads the
+    names ``reads`` (:meth:`~fracnoether.expressions.Emitter.line`).
     """
     n = len(rhs)
     a = [list(row) for row in matrix]
     b = list(rhs)
     x = [em.fresh() for _ in range(n)]
 
-    def line(statement: str) -> None:
-        em.line("    " + statement)
+    def line(statement: str, *names: str) -> None:
+        em.line("    " + statement, *names)
 
     def let(source: str) -> str:
         name = em.fresh()
@@ -191,7 +193,7 @@ def emit_solve(
         error = em.fresh()
         line(f"if {largest} < {threshold}:")
         line(f"    {error} = _linsolve.singular_error({pivot}, {threshold}, {scale}, {largest})")
-        line("    " + raise_singular(error))
+        line("    " + raise_singular(error), *reads)
 
         top = a[col]
         for row in range(col + 1, n):

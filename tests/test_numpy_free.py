@@ -57,7 +57,7 @@ def test_linspace_edge_cases_are_numpys(start, stop, num):
 def numpy_grid_check(grid: np.ndarray) -> bool:
     """The uniformity rule of ``uniform_grid``, in numpy."""
     h = (grid[-1] - grid[0]) / (grid.size - 1)
-    return not (h <= 0 or np.any(np.abs(np.diff(grid) - h) > 1e-6 * abs(h) + 1e-300))
+    return not (h <= 0 or np.any(np.abs(np.diff(grid) - h) > 1e-6 * abs(h)))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -106,6 +106,18 @@ def test_a_grid_whose_floats_are_too_coarse_for_its_step_is_refused(a, b, steps,
         assert not numpy_grid_check(np.linspace(a, b, steps + 1))
     with pytest.raises(ValueError, match=f"^theta grid {message}$"):
         uniform_grid(a, b, steps)
+
+
+def test_a_subnormal_step_is_judged_by_its_own_size():
+    # no absolute term swamps a millionth of a subnormal step: spacings of
+    # 1e-310 and 4e-310 around h = 2.5e-310 are not uniform, while
+    # linspace's own grid of that size is
+    with pytest.raises(ValueError, match="^theta grid must be strictly increasing and uniform$"):
+        integrators._check_grid((0.0, 1e-310, 5e-310))
+    grid = uniform_grid(0.0, 1e-310, 2)
+    assert bits(grid) == np.linspace(0.0, 1e-310, 3).tobytes()
+    assert numpy_grid_check(np.array(grid))
+    assert not numpy_grid_check(np.array([0.0, 1e-310, 5e-310]))
 
 
 @pytest.mark.parametrize("steps", [1, 0, -2])

@@ -496,7 +496,7 @@ def test_newton_shooting_compiles_one_loop_per_integrand_set(defined):
     # alone reads it: the solve with the channels writes it out
     (kernel,) = [source for filename, source in defined if filename == "<compiled compiled>"]
     assert KERNEL.search(kernel)
-    assert ["halves, n0, m0, = columns" in source for source in loops] == [True, False]
+    assert ["n0, m0, = columns" in source for source in loops] == [True, False]
     # and nothing else: the Jacobian is solved on floats, the constant
     # mass is eliminated into the loop's trees, the ODE's own functions
     # are never called, and the integrands compile nothing
@@ -578,7 +578,7 @@ def benchmark_integrands(prob):
 # (bytecode instructions, calls) one step of each family's loop executes,
 # pinned for the interpreter they were counted on: the calls are the
 # appends of q, v and the two channels to their lists.
-STEP_COST = {(3, 11): {"oscillator": (297, 4), "coupled": (549, 6)}}
+STEP_COST = {(3, 11): {"oscillator": (291, 4), "coupled": (537, 6)}}
 FAMILIES = {
     "oscillator": ("(1.3*v0^2 - 0.7*q0^2)/2", 1),
     "coupled": ("(1.2*v0^2 + 1.4*v1^2)/2 - 0.7*(q0 - q1)^2/2", 2),
@@ -638,8 +638,8 @@ NEWTON_FAMILIES = {
     "quartic_bvp": ("1.2*v0^2/2 - 0.6*q0^4/4", 1, [1.1]),
     "coupled_cos": ("(1.2*v0^2 + 1.4*v1^2)/2 + 0.6*cos(q0) - 0.3*(q0 - q1)^2/2", 2, [0.3, 0.4]),
 }
-NEWTON_STEP_COST = {(3, 11): {"pendulum": (150, 4), "quartic_bvp": (190, 0),
-                              "coupled_cos": (366, 4)}}
+NEWTON_STEP_COST = {(3, 11): {"pendulum": (144, 4), "quartic_bvp": (190, 0),
+                              "coupled_cos": (360, 4)}}
 
 
 @pytest.mark.parametrize("family", NEWTON_FAMILIES)
@@ -663,6 +663,63 @@ def test_newton_loop_of_a_benchmark_family_reads_the_kernel_from_a_column(made, 
     expected = NEWTON_STEP_COST.get(sys.version_info[:2])
     if expected is not None:
         assert loop_ops.step_cost(loop, args) == expected[family]
+
+
+# --------------------------------------------------------------------------
+# A step writes only what it reads, and binds only what it reads
+
+
+VELOCITY_ONLY = "1.3*v0^2/2"
+DRIVEN = "1.3*v0^2/2 - 0.7*q0^2/2 + 0.4*theta*q0/2"
+POINT_NAMES = {"th", "full", "half", "x0", "y0", "z0"}
+
+
+def liveness_cases():
+    for family, (text, n) in FAMILIES.items():
+        yield pytest.param(text, n, "rows", id=f"{family}-rows")
+    for family, (text, n, _) in NEWTON_FAMILIES.items():
+        yield pytest.param(text, n, "newton", id=f"{family}-newton")
+    for name, text in (("free", VELOCITY_ONLY), ("driven", DRIVEN)):
+        yield pytest.param(text, 1, "rows", id=f"{name}-rows")
+        yield pytest.param(text, 1, "newton", id=f"{name}-newton")
+    yield pytest.param(FAMILIES["oscillator"][0], 1, "called", id="oscillator-called")
+
+
+@pytest.mark.parametrize("text, n, kind", liveness_cases())
+def test_a_step_assigns_only_what_is_read_and_binds_what_it_reads(made, text, n, kind):
+    # a rows loop with the benchmark channels and the momenta sampled, a
+    # Newton loop, or a loop that calls its right-hand side and channels
+    prob = problem(text, n)
+    ode = ExplicitOde(prob)
+    state, integrands = ([0.1] * n, [0.2] * n), benchmark_integrands(prob)
+    sources = []
+
+    def record(filename, source, fn, emitted):
+        if filename == "<compiled loop>":
+            sources.append(source)
+        return fn
+
+    with made.watching(record):
+        if kind == "newton":
+            integrators._final_state(ode, 0.0, 1.0, state[0], 8)(state[1])
+        elif kind == "rows":
+            sampled = ode.with_samples([Sample(p) for p in ode.momentum])
+            ivp_solve(sampled, 0.0, 1.0, *state, 8, integrands=integrands)
+        else:
+            called(prob, *state, 8, integrands)
+    (source,) = sources
+    # no name a statement of the step assigns goes unread, as
+    # tools/loop_ops.py counts it, nor any other the loop assigns
+    assert loop_ops.unread(source) == []
+    (fn,) = ast.parse(source).body
+    names = loop_ops.names
+    assert names(fn.body, ast.Store) <= names(fn.body, ast.Load)
+    # the for targets are the theta and kernel names the step reads and
+    # does not compute itself: half = th + hh is computed where it is read
+    (step,) = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+    read = names(step.body, ast.Load) & POINT_NAMES
+    assert names([step.target], ast.Store) == read - names(step.body, ast.Store)
+    assert ("half" in read) == ("        half = th + hh" in source.splitlines())
 
 
 @pytest.mark.parametrize("text, steps", [
@@ -766,6 +823,7 @@ def test_loop_ops_reports_the_loops_of_a_bvp_shoot_pass(capsys, compiled):
     # constant mass's included, and the first command on each family emits
     # its loops for the others
     assert "27 loops: 9 emitted, 18 from the shape cache, 9 distinct sources" in lines
+    assert "assigned and never read: 0" in lines  # no step writes a dead local
     assert ("18 shoots: 33 check solves, 9 of them also the trajectory solve; "
             "0 of 9 guesses wrong") in lines
     assert "9 of 18 shoots answered from memory" in lines
@@ -791,6 +849,8 @@ def test_loop_ops_shares_the_loops_of_an_ivp_corpus_pass(capsys):
     assert {row[1] for row in rows} == {"rows"}
     assert lines[len(rows) + 1].startswith("rows loops: 24 calls, ")
     assert "24 loops: 22 emitted, 2 from the shape cache, 22 distinct sources" in lines
+    # the two velocity-only loops write no stage coordinate
+    assert "assigned and never read: 0" in lines
     assert "grids whose theta texts were formatted: 1" in lines
 
 
@@ -820,6 +880,7 @@ def test_loop_ops_sees_every_alpha_of_a_sweep_narrow_pass(capsys):
     assert loop_ops.main(["--workload", "sweep_narrow", "--seed", "4242"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "51 loops: 9 emitted, 42 from the shape cache, 9 distinct sources" in lines
+    assert "assigned and never read: 0" in lines
     assert "0 shoots: 0 check solves, 0 of them also the trajectory solve; 0 of 0 guesses wrong" in lines
     assert "0 tables written: 0 values, 0 in repeating columns, 0 distinct among those" in lines
     assert "grids whose theta texts were formatted: 0" in lines

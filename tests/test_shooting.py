@@ -256,13 +256,14 @@ def test_a_converged_shoot_builds_one_trajectory(monkeypatch, channels):
 
 
 def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
-    runs, arguments = [], []
+    runs, values, arguments = [], [], []
 
     def record(filename, source, fn, emitted):
         if filename == "<compiled compiled>":
             def kernel(theta, q, v):
                 runs.append(theta)
-                return fn(theta, q, v)
+                values.append(fn(theta, q, v))
+                return values[-1]
             return kernel
         if filename == "<compiled loop>":
             def loop(nodes, h, hh, h6, state, columns, *rest):
@@ -277,6 +278,7 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
 
     def shoot():
         runs.clear()
+        values.clear()
         arguments.clear()
         traj, report = bvp_shoot(prob, steps=100, integrands=integrands)
         return (repr(traj.q), repr(traj.v), repr(traj.channels)), report
@@ -293,10 +295,11 @@ def test_a_shoot_evaluates_its_columns_once_for_all_of_its_solves(made):
         halves = [th + 0.5 * 0.01 for th in grid[:-1]]
         assert runs == [*grid, *halves]
         assert len(arguments) == 1 + 3 * report.iterations
-        # (half-nodes, kernel at the nodes, kernel at the half-nodes)
+        # (kernel at the nodes, kernel at the half-nodes): the values the
+        # evaluator returned, in that order
         newton, final = arguments[:-1], arguments[-1]
-        assert len(newton[0]) == 3 and all(columns is newton[0] for columns in newton)
-        assert newton[0][0] == halves
+        assert len(newton[0]) == 2 and all(columns is newton[0] for columns in newton)
+        assert newton[0] == (values[:len(grid)], values[len(grid):])
         assert final == ()
         return newton[0]
 

@@ -28,13 +28,15 @@ the loops of ``integrators.ivp_solve`` do, and ``last`` when it takes no
 The last lines give, per kind, the loop calls and the instructions of one
 step averaged over them; the loops of the pass: how many were defined,
 how many of them were emitted and how many were taken from the shape
-cache (``expressions.shaped``), the distinct sources, and the seconds
-spent in ``integrators._compile_rk4_loop``, timed with ``perf_counter``;
+cache (``expressions.shaped``), the distinct sources, the names that a
+statement of a step assigns and nothing in its loop reads, summed over
+the distinct sources and found with ``ast``, and the seconds spent in
+``integrators._compile_rk4_loop``, timed with ``perf_counter``;
 then the ``Expr.diff`` calls of the whole pass and the functions
 ``expressions.shaped`` made, every function counted, loop or not,
 emitted or made from kept code; the distinct kernel columns the Newton
-loops read, one per shoot at alpha < 1 that runs its Newton loop, which
-evaluates the kernel at the nodes and half-nodes of its grid
+loops read, one ``columns`` argument per shoot at alpha < 1 that runs its
+Newton loop, the kernel at the nodes and at the half-nodes of its grid
 (``integrators._final_state``), and the Newton loop calls that read
 one; the shoots
 (``integrators.bvp_shoot``), the check solves of those that ran their
@@ -62,6 +64,7 @@ to run.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import dis
 import gc
@@ -146,6 +149,21 @@ def step_cost(loop, args) -> tuple[int, int]:
 def guards(source: str) -> int:
     """``if ...: raise`` statements inside the step loop of ``source``."""
     return sum(bool(GUARD_RE.match(line)) for line in source.splitlines())
+
+
+def names(nodes, ctx) -> set[str]:
+    """The names in the ast ``nodes`` whose context is ``ctx``: ``ast.Load``
+    or ``ast.Store``."""
+    return {node.id for top in nodes for node in ast.walk(top)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ctx)}
+
+
+def unread(source: str) -> list[str]:
+    """The names that statements inside the step loop of ``source`` assign
+    and no statement of the loop function reads."""
+    fn = ast.parse(source).body[0]
+    (step,) = [node for node in ast.walk(fn) if isinstance(node, ast.For)]
+    return sorted(names(step.body, ast.Store) - names([fn], ast.Load))
 
 
 def workloads():
@@ -347,6 +365,7 @@ def main(argv=None) -> int:
         print(f"{name} loops: {runs} calls, {instructions / runs:.1f} instructions per step")
     print(f"{len(loops)} loops: {emitted} emitted, {len(loops) - emitted} from the shape cache, "
           f"{len(distinct)} distinct sources")
+    print(f"assigned and never read: {sum(len(unread(source)) for source in distinct)}")
     print(f"{seconds:.4f} s in _compile_rk4_loop")
     print(f"{counts['diff']} Expr.diff calls, {counts['made']} functions made")
     print(f"{counts['columns']} kernel columns, read by {counts['column reads']} Newton loop calls")
