@@ -80,15 +80,12 @@ class SymmetryGenerator(Record):
     xi: tuple
     gauge_rate: Expr | None = None
 
-    def __init__(self, tau: Expr, xi: Sequence[Expr], gauge_rate: Expr | None = None):
-        xi = tuple(xi)
-        if depends_on_velocity(tau) or any(depends_on_velocity(x) for x in xi):
+    def __post_init__(self):
+        object.__setattr__(self, "xi", tuple(self.xi))
+        if depends_on_velocity(self.tau) or any(map(depends_on_velocity, self.xi)):
             raise ChargePreconditionError(
                 "generators may not depend on velocities: tau and xi are functions of (theta, q)"
             )
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "gauge_rate", gauge_rate)
 
     @property
     def n(self) -> int:

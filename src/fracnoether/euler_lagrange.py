@@ -22,7 +22,6 @@ from __future__ import annotations
 import copy
 import math
 from functools import cached_property, wraps
-from typing import Sequence
 
 from . import linsolve
 from .expressions import (
@@ -42,7 +41,7 @@ from .expressions import (
     shaped,
     sub,
 )
-from .records import Record, field, replace
+from .records import Record, replace
 
 
 class SingularHessianError(ArithmeticError):
@@ -107,9 +106,9 @@ class BoundaryConditions(Record):
     q_a: tuple
     q_b: tuple
 
-    def __init__(self, q_a: Sequence[float], q_b: Sequence[float]):
-        object.__setattr__(self, "q_a", tuple(float(x) for x in q_a))
-        object.__setattr__(self, "q_b", tuple(float(x) for x in q_b))
+    def __post_init__(self):
+        object.__setattr__(self, "q_a", tuple(map(float, self.q_a)))
+        object.__setattr__(self, "q_b", tuple(map(float, self.q_b)))
         if len(self.q_a) != len(self.q_b):
             raise ValueError("boundary vectors must have equal length")
 
@@ -138,9 +137,9 @@ class VariationalProblem(Record):
     interval: tuple[float, float]
     frac: FractionalParams
     boundary: BoundaryConditions | None = None
-    _alpha_free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_alpha_free", {})  # the store of :func:`alpha_free`
         a, b = self.interval
         object.__setattr__(self, "interval", (float(a), float(b)))
         if self.n < 1:

@@ -49,7 +49,7 @@ from .euler_lagrange import ExplicitOde, VariationalProblem, to_explicit_ode
 from .expressions import (
     Emitter, Expr, ExpressionError, _value_key, evaluate_on_grid, shaped, structure,
 )
-from .records import Record, field
+from .records import Record
 
 
 class BlowUpError(RuntimeError):
@@ -182,24 +182,12 @@ def write_table(
 
 class Sample(Record):
     """The tree ``tree`` plus ``weight`` times the channel ``channel`` (none:
-    the tree alone), sampled at every grid node of a solve.
-
-    Samples compare by tree identity, channel and the repr of the weight,
-    so 0.0 and -0.0 weights stay apart.
-    """
+    the tree alone), sampled at every grid node of a solve; samples compare
+    by tree identity, weight and channel."""
 
     tree: Expr
     weight: float = 0.0
     channel: str | None = None
-
-    def _key(self) -> tuple:
-        return (self.tree, repr(self.weight), self.channel)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sample) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 def all_finite(values: Sequence[float]) -> bool:
@@ -268,7 +256,7 @@ class Trajectory(Record):
     q: Rows                # N+1 rows of n floats
     v: Rows                # N+1 rows of n floats
     channels: dict[str, tuple]
-    samples: dict[Sample, tuple] = field(default_factory=dict)
+    samples: dict[Sample, tuple] | None = None
 
     def __post_init__(self):
         grid = self.theta_grid
@@ -286,7 +274,7 @@ class Trajectory(Record):
                 raise ValueError(f"channel {name!r} length does not match the grid")
             if values[0] != 0.0:
                 raise ValueError(f"channel {name!r} must start at zero")
-        samples = {s: column(values) for s, values in self.samples.items()}
+        samples = {s: column(values) for s, values in (self.samples or {}).items()}
         if any(len(values) != rows for values in samples.values()):
             raise ValueError("a sample's length does not match the grid")
         for name, value in zip(("theta_grid", "q", "v", "channels", "samples"),

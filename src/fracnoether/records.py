@@ -2,24 +2,23 @@
 it is created, and gets a constructor (the fields in order or by name, a
 class-body value a default, then ``__post_init__`` if defined), a repr,
 equality, a hash and no assignment: a record's fields are set only by its
-constructor, and a ``__post_init__`` that normalizes them sets them through
-``object.__setattr__``.  Every method is written here once, none generated
-from source text; a class may write its own ``__init__``, ``__eq__`` or
-``__hash__``.
+constructor, and a ``__post_init__`` that checks or normalizes them sets
+them through ``object.__setattr__``.  Every method is written here once,
+none generated from source text, and no record writes its own
+``__init__``, ``__eq__`` or ``__hash__``.
 """
 
 _MISSING = object()
 
 
 class field:
-    """A field's options, given as its class-body value."""
+    """A field's options, given as its class-body value: its default, and
+    whether it is ``hidden``, left out of the repr, equality and hash."""
 
-    __slots__ = ("default", "default_factory", "init", "repr", "compare")
+    __slots__ = ("default", "hidden")
 
-    def __init__(self, default=_MISSING, *, default_factory=None, init=True, repr=True,
-                 compare=True):
-        self.default, self.default_factory = default, default_factory
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, default=_MISSING, *, hidden=False):
+        self.default, self.hidden = default, hidden
 
 
 def refuse_assignment(self, name, *value):
@@ -29,6 +28,7 @@ def refuse_assignment(self, name, *value):
 
 class Record:
     _fields: tuple = ()  # (name, field) in declaration order, inherited fields first
+    _shown: tuple = ()  # the names of the fields that are not hidden
     __setattr__ = __delattr__ = refuse_assignment
 
     def __init_subclass__(cls):
@@ -42,17 +42,16 @@ class Record:
                 delattr(cls, name)
             own.append((name, spec))
         cls._fields += tuple(own)
+        cls._shown = tuple([name for name, f in cls._fields if not f.hidden])
 
     def __init__(self, *args, **kwargs):
-        names = [name for name, f in self._fields if f.init]
+        names = [name for name, _ in self._fields]
         if len(args) > len(names) or kwargs.keys() - names[len(args):]:
             raise TypeError(f"{type(self).__name__}() takes the fields {names} in order")
         kwargs.update(zip(names, args))
         for name, f in self._fields:
             if name in kwargs:
                 value = kwargs[name]
-            elif f.default_factory is not None:
-                value = f.default_factory()
             elif f.default is not _MISSING:
                 value = f.default
             else:
@@ -63,7 +62,7 @@ class Record:
             post_init()
 
     def _compared(self) -> tuple:
-        return tuple([getattr(self, name) for name, f in self._fields if f.compare])
+        return tuple([getattr(self, name) for name in self._shown])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -74,14 +73,13 @@ class Record:
         return hash(self._compared())
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name, f in self._fields if f.repr)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
         return f"{type(self).__qualname__}({shown})"
 
 
 def replace(record, **changes):
-    """``record`` with ``changes``, built anew by its constructor: checked again
-    by ``__post_init__``, fields outside the constructor at their defaults."""
-    for name, f in record._fields:
-        if f.init:
-            changes.setdefault(name, getattr(record, name))
+    """``record`` with ``changes``, built anew by its constructor and checked
+    again by ``__post_init__``."""
+    for name, _ in record._fields:
+        changes.setdefault(name, getattr(record, name))
     return type(record)(**changes)

@@ -65,8 +65,8 @@ class Scenario(Record):
     charges: tuple
     output_dir: str
     # The trees validation parsed, for every alpha to build on; gauge None for 'auto'.
-    lagrangian_tree: Expr = field(repr=False, compare=False)
-    parsed_generators: tuple[SymmetryGenerator, ...] = field(repr=False, compare=False)
+    lagrangian_tree: Expr = field(hidden=True)
+    parsed_generators: tuple[SymmetryGenerator, ...] = field(hidden=True)
 
     @property
     def is_sweep(self) -> bool:
@@ -126,9 +126,9 @@ def check_stable(scenario: Scenario, alpha: float) -> None:
     """Refuse an alpha whose drag the step cannot resolve: one whose
     :meth:`Scenario.stiffness` exceeds ``RK4_STABILITY_BOUND``, where RK4
     turns the drag's decay into growth.  The message names the smallest
-    even step count that brings it under the bound, where that count is
-    at most ``MAX_STEPS``, and has no comma, as it may be a sweep row's
-    status."""
+    even step count that brings it under the bound where
+    :func:`check_steps` accepts that count, and says why where it does
+    not; it has no comma, as it may be a sweep row's status."""
     rho = scenario.stiffness(alpha)
     if not rho > RK4_STABILITY_BOUND:
         return
@@ -137,8 +137,14 @@ def check_stable(scenario: Scenario, alpha: float) -> None:
         steps = max(2, 2 * math.ceil(whole / RK4_STABILITY_BOUND / 2))
         if scenario.stiffness(alpha, steps) > RK4_STABILITY_BOUND:
             steps += 2  # the quotient rounded down onto an even count
-        advice = (f"{steps} steps bring it under" if steps <= MAX_STEPS
-                  else "no accepted step count brings it under")
+        try:
+            check_steps(steps, scenario.interval)
+        except ScenarioError:
+            advice = ("no accepted step count brings it under" if steps > MAX_STEPS else
+                      f"{steps} steps would bring it under but the interval's floats"
+                      " cannot space them uniformly")
+        else:
+            advice = f"{steps} steps bring it under"
     else:
         advice = "no float step count brings it under"
     raise ScenarioError(

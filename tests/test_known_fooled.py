@@ -10,6 +10,7 @@ them).
 """
 
 import json
+import math
 
 import pytest
 
@@ -29,6 +30,14 @@ def run(command, tmp_path, capsys, raw, *options):
         code = exc.code
     out, err = capsys.readouterr()
     return path, code, out, err
+
+
+def initial_velocity(tmp_path, raw):
+    """v0 of the manifest ``solve`` wrote for ``raw``, or "not written"."""
+    manifest = tmp_path / "out" / f"{raw['name']}_manifest.json"
+    if not manifest.exists():
+        return "not written"
+    return json.loads(manifest.read_text())["shooting"]["initial_velocity"][0]
 
 
 def summary(out: str) -> dict[str, str]:
@@ -149,3 +158,50 @@ def test_halving_calls_the_fixed_correction_of_non_symmetries_not_conserved(tmp_
     assert all("not conserved" in lines.get(label, "") for label in labels), (
         f"charge --halving exits {code} ({err.strip().splitlines()[-1:]}); without it "
         f"charge exits {plain_code}, relative drifts: {drifts(plain, labels)}")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 25: a boundary problem near a conjugate point runs silently")
+def test_solve_near_a_conjugate_point_does_not_run_silently(tmp_path, capsys):
+    # q = sin(10 theta)/sin(10 b) gives v0 = 10/sin(10 b), and the tenth
+    # conjugate point of theta = 0 lies at pi: at b = pi - 2e-4 the boundary
+    # map dq(b)/dv0 = sin(10 b)/10 is about -2e-4, so an error in q(b) tiny
+    # next to q_b is an error in v0 some 5000 times larger
+    b = math.pi - 2e-4
+    raw = {
+        "name": "conjugate_probe",
+        "n": 1,
+        "lagrangian": "(v0^2 - 100.0*q0^2)/2",
+        "alpha": 1.0,
+        "observer_time": 8.0,
+        "interval": [0.0, b],
+        "mode": {"type": "bvp", "qa": [0.0], "qb": [1.0]},
+        "steps": 200,
+    }
+    _, code, _, err = run("solve", tmp_path, capsys, raw)
+    assert code != 0 or "condition" in err, (
+        f"solve exits {code}, stderr {err!r}; v0 = {initial_velocity(tmp_path, raw)}, "
+        f"where the closed form gives {10 / math.sin(10 * b)!r}")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="item 26: Newton shooting cycles on a boundary problem with one root")
+def test_solve_of_the_pendulum_finds_its_one_root(tmp_path, capsys):
+    # DOP853 (rtol 1e-12) on the weighted equation, scanned over v0 in
+    # [-10, 10] at 801 points, changes the miss's sign once; brentq
+    # refines that root to 2.132978119819116
+    root = 2.132978119819116
+    raw = {
+        "name": "pendulum_probe",
+        "n": 1,
+        "lagrangian": "v0^2/2 + cos(q0)",
+        "alpha": 0.6,
+        "observer_time": 6.0,
+        "interval": [0.0, 5.0],
+        "mode": {"type": "bvp", "qa": [0.0], "qb": [2.5]},
+        "steps": 1000,
+    }
+    _, code, _, err = run("solve", tmp_path, capsys, raw)
+    v0 = initial_velocity(tmp_path, raw)
+    assert code == 0 and isinstance(v0, float) and abs(v0 - root) <= 1e-6, (
+        f"solve exits {code}, stderr {err!r}; v0 = {v0}, where DOP853 gives {root!r}")

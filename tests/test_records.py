@@ -1,11 +1,16 @@
 """What every record and expression node guarantees: frozen records refuse
 assignment, show ``Name(field=value, ...)``, compare and hash by their
-compared fields, build each default-factory value anew, and ``replace``
-rebuilds a record through its constructor; nodes are immutable, slotted
-and compared by identity."""
+fields that are not hidden, are built and compared by ``Record`` alone,
+and ``replace`` rebuilds a record through its constructor; nodes are
+immutable, slotted and compared by identity."""
+
+import importlib
+import inspect
+import pkgutil
 
 import pytest
 
+import fracnoether
 from fracnoether import expressions
 from fracnoether.acceptance import CriterionResult
 from fracnoether.action import StationarityReport
@@ -17,7 +22,7 @@ from fracnoether.expressions import (
 from fracnoether.integrators import (
     ConvergenceReport, ExactSolution, Sample, ShootingReport, Trajectory,
 )
-from fracnoether.records import replace
+from fracnoether.records import Record, field, replace
 from fracnoether.scenarios import AlphaSweep, GeneratorSpec, scenario_from_dict
 
 L, TAU, ONE = parse("v0^2/2", 1), Const(0.0), Const(1.0)
@@ -176,6 +181,23 @@ def test_with_alpha_shares_the_alpha_free_store_only():
     assert other._alpha_free is prob._alpha_free and other.momentum is prob.momentum
     assert other.frac == FractionalParams(0.25, 2.0) and other.action_integrand is not \
         prob.action_integrand
+
+
+def test_every_record_is_built_and_compared_by_record_alone():
+    for module in pkgutil.iter_modules(fracnoether.__path__):
+        importlib.import_module(f"fracnoether.{module.name}")
+    records, todo = [], list(Record.__subclasses__())
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("fracnoether."):
+            records.append(cls)
+    own = {cls.__qualname__: sorted({"__init__", "__eq__", "__hash__"} & vars(cls).keys())
+           for cls in records}
+    assert len(own) >= len(RECORDS)
+    assert {name: methods for name, methods in own.items() if methods} == {}
+    assert list(inspect.signature(field).parameters) == ["default", "hidden"]
+    assert field.__slots__ == ("default", "hidden")
 
 
 NODES = [Const(1.0), Theta(), Q(0), V(1), Neg(Q(0)), Sin(Q(0)), Cos(Q(0)), Exp(Q(0)),

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -752,6 +753,37 @@ def test_a_step_count_above_the_bound_is_never_advised(tmp_path, capsys):
     assert err.startswith("validation error: ") and err.count("\n") == 1
     assert err.endswith("exceeds the RK4 stability bound 2.785; "
                         "no accepted step count brings it under\n")
+
+
+# The free particle at alpha = 0.5 on [1e9, 1e9 + 1] in 10 steps: rho = 5,
+# and the interval's floats space 32 and 64 steps uniformly but not 18 or 20
+COARSE_FLOATS = {"interval": [1e9, 1e9 + 1], "observer_time": 1e9 + 1.01, "steps": 10}
+
+
+@pytest.mark.parametrize("overrides", [
+    {"observer_time": 1.001, "steps": 100}, {"observer_time": 1.00001, "steps": 100},
+    {"observer_time": 1.0000001, "steps": 100}, COARSE_FLOATS,
+], ids=["180", "17954", "none", "coarse_floats"])
+def test_steps_accepts_every_count_an_advice_names(tmp_path, capsys, overrides):
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out"), **overrides))
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the RK4 stability bound" in err
+    for steps in re.findall(r"(\d+) steps bring it under", err):
+        assert cli.main(["solve", "--scenario", str(path), "--steps", steps]) == 0
+
+
+def test_advice_the_interval_floats_refuse_says_so(tmp_path, capsys):
+    path = write_scenario(tmp_path, base_scenario(output_dir=str(tmp_path / "out"),
+                                                  **COARSE_FLOATS))
+    assert cli.main(["charge", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1 and "," not in err
+    assert err.endswith("= 5 exceeds the RK4 stability bound 2.785; 18 steps would bring it "
+                        "under but the interval's floats cannot space them uniformly\n")
+    for steps, code in (("18", 2), ("20", 2), ("32", 0), ("64", 0)):
+        assert cli.main(["charge", "--scenario", str(path), "--steps", steps]) == code
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", ["solve", "charge"])
