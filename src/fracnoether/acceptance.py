@@ -52,12 +52,21 @@ class CriterionResult(Record):
     detail: str
 
 
+# The interval [a, b] and observer time t of every problem, the free
+# particle's alpha and start, which its closed forms read, and the step of
+# the central differences that criterion 9 checks derivatives against.
+_A, _B, _T = 0.0, 1.0, 2.0
+_FREE_ALPHA, _FREE_Q0, _FREE_V0 = 0.5, 0.0, 1.0
+_FREE_IVP = {"type": "ivp", "q0": [_FREE_Q0], "v0": [_FREE_V0]}
+_FD_STEP = 1e-6
+
+
 def _scenario(lagrangian: str, alpha, mode: dict, n: int = 1, **fields) -> Scenario:
-    """A scenario on [0, 1] with observer time 2; ``alpha`` a number or a
+    """A scenario on [_A, _B] with observer time _T; ``alpha`` a number or a
     sweep ``{"from", "to", "count"}``, ``fields`` any further scenario fields."""
     return scenario_from_dict({
         "name": "acceptance", "n": n, "lagrangian": lagrangian, "alpha": alpha,
-        "observer_time": 2.0, "interval": [0.0, 1.0], "mode": mode, **fields,
+        "observer_time": _T, "interval": [_A, _B], "mode": mode, **fields,
     })
 
 
@@ -87,17 +96,19 @@ def criterion_classical_limit() -> CriterionResult:
 # 2. fractional free-particle closed form
 
 
-def _free_particle_velocity(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0):
-    return v0 * ((t - theta) / (t - a)) ** (1.0 - alpha)
+def _free_particle_velocity(theta):
+    return _FREE_V0 * ((_T - theta) / (_T - _A)) ** (1.0 - _FREE_ALPHA)
 
 
-def _free_particle_position(theta, alpha=0.5, t=2.0, a=0.0, v0=1.0, q0=0.0):
-    c = v0 / (t - a) ** (1.0 - alpha)
-    return q0 + c * ((t - a) ** (2.0 - alpha) - (t - theta) ** (2.0 - alpha)) / (2.0 - alpha)
+def _free_particle_position(theta, alpha=_FREE_ALPHA, t=_T):
+    """The position, also at an ``alpha`` and ``t`` other than the corpus's."""
+    c = _FREE_V0 / (t - _A) ** (1.0 - alpha)
+    rise = (t - _A) ** (2.0 - alpha) - (t - theta) ** (2.0 - alpha)
+    return _FREE_Q0 + c * rise / (2.0 - alpha)
 
 
 def criterion_free_particle_velocity() -> CriterionResult:
-    traj = cli._solve(_scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])), 0.5).trajectory
+    traj = cli._solve(_scenario("v0^2/2", _FREE_ALPHA, _FREE_IVP), _FREE_ALPHA).trajectory
     rel_err = max(abs(v - exact) / abs(exact) for v, exact in zip(
         traj.v.columns[0], map(_free_particle_velocity, traj.theta_grid)))
     ok = rel_err < 1e-8
@@ -113,14 +124,13 @@ def criterion_free_particle_velocity() -> CriterionResult:
 
 
 def criterion_fractional_momentum() -> CriterionResult:
-    alpha, t, a = 0.5, 2.0, 0.0
-    scenario = _scenario("v0^2/2", alpha, _ivp([0.0], [1.0]), charges=["momentum"])
-    series = cli._solve(scenario, alpha, sampled=True).series["momentum_0"]
+    scenario = _scenario("v0^2/2", _FREE_ALPHA, _FREE_IVP, charges=["momentum"])
+    series = cli._solve(scenario, _FREE_ALPHA, sampled=True).series["momentum_0"]
     # v(theta) = K (t-theta)^(1-alpha) with K = v0/(t-a)^(1-alpha); the
     # antiderivative of the correction collapses the charge to the
     # constant K (t-a)^(1-alpha), i.e. exactly the launch velocity.
-    coefficient = 1.0 / (t - a) ** (1.0 - alpha)
-    analytic = coefficient * (t - a) ** (1.0 - alpha)
+    coefficient = _FREE_V0 / (_T - _A) ** (1.0 - _FREE_ALPHA)
+    analytic = coefficient * (_T - _A) ** (1.0 - _FREE_ALPHA)
     const_err = max(abs(x - analytic) for x in series.values)
     ok = series.relative_drift < 1e-8 and const_err < 1e-8
     return CriterionResult(
@@ -227,8 +237,7 @@ def criterion_theorem_as_test() -> CriterionResult:
 
 
 def criterion_broken_classical_momentum() -> CriterionResult:
-    t, a, b = 2.0, 0.0, 1.0
-    sweep = _scenario("v0^2/2", {"from": 0.25, "to": 1.0, "count": 7}, _ivp([0.0], [1.0]),
+    sweep = _scenario("v0^2/2", {"from": 0.25, "to": 1.0, "count": 7}, _FREE_IVP,
                       charges=["momentum"])
     # one row per alpha: its classical momentum's, or its failed solve's
     rows = [row for alpha in sweep.alphas() for row in cli._sweep_rows(sweep, alpha)
@@ -239,7 +248,7 @@ def criterion_broken_classical_momentum() -> CriterionResult:
     drifts = []
     max_formula_err = 0.0
     for row in rows:
-        predicted = abs(1.0 - ((t - b) / (t - a)) ** (1.0 - row["alpha"]))
+        predicted = abs(1.0 - ((_T - _B) / (_T - _A)) ** (1.0 - row["alpha"]))
         max_formula_err = max(max_formula_err, abs(row["drift"] - predicted))
         drifts.append(row["drift"])
     monotone = all(drifts[i] > drifts[i + 1] for i in range(len(drifts) - 1))
@@ -261,7 +270,7 @@ def criterion_action_kernel() -> CriterionResult:
     prob = _scenario("1", 0.5, _ivp([0.0], [0.0])).problem
     steps = 1000
     rest = [(0.0,)] * (steps + 1)
-    flat = Trajectory(theta_grid=uniform_grid(0.0, 1.0, steps), q=rest, v=rest, channels={})
+    flat = Trajectory(theta_grid=uniform_grid(_A, _B, steps), q=rest, v=rest, channels={})
     action = fractional_action(prob, flat)
     exact = (math.sqrt(2.0) - 1.0) / gamma_fn(1.5)
     rel_err = abs(action - exact) / exact
@@ -339,7 +348,8 @@ def _random_expression(rng, n: int, depth: int):
     return sqrt(add(Const(1.0), mul(a, a)))
 
 
-def _central_difference(e, var, theta, q, v, h=1e-6):
+def _central_difference(e, var, theta, q, v):
+    h = _FD_STEP
     if isinstance(var, Theta):
         return (e.evaluate(theta + h, q, v) - e.evaluate(theta - h, q, v)) / (2 * h)
     target = list(q) if isinstance(var, Q) else list(v)
@@ -385,7 +395,7 @@ def criterion_integrator_order() -> CriterionResult:
     exact1 = ExactSolution(q=lambda th: [math.cos(th)], v=lambda th: [-math.sin(th)])
     rep1 = convergence_order(prob1, exact1, ladder)
 
-    prob2 = _scenario("v0^2/2", 0.5, _ivp([0.0], [1.0])).problem
+    prob2 = _scenario("v0^2/2", _FREE_ALPHA, _FREE_IVP).problem
     exact2 = ExactSolution(
         q=lambda th: [_free_particle_position(th)],
         v=lambda th: [_free_particle_velocity(th)],

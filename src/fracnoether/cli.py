@@ -152,7 +152,7 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
         integrands = {name: tree for name, tree in integrands.items() if name in read}
     if classical:
         samples.append(action_sample(prob))
-    if scenario.mode == "bvp":
+    if scenario.mode["type"] == "bvp":
         traj, report = bvp_shoot(
             prob, steps=scenario.steps, integrands=integrands, samples=samples)
         if not report.converged:
@@ -166,8 +166,8 @@ def _solve(scenario: Scenario, alpha: float, sampled: bool = False, classical: b
             rhs,
             prob.a,
             prob.b,
-            scenario.q0,
-            scenario.v0,
+            scenario.mode["q0"],
+            scenario.mode["v0"],
             scenario.steps,
             integrands=integrands,
         )

@@ -551,8 +551,9 @@ class Emitter:
     commute).  Subtrees of one number, across every tree emitted at one
     point, are computed once and reused, so the first domain violation
     raised is the one a node-by-node walk would meet.  A check of a local
-    is written once: a test that passed once passes again.  Constants and
-    functions are read by name, never written into the source.
+    is written once: a test that passed once passes again (of a point's
+    coordinate and velocity names, once per point: :meth:`at`).  Constants
+    and functions are read by name, never written into the source.
 
     A value of ``+ - * /`` or unary minus that exactly one later statement
     of the emitter's own reads is written into that statement, not into a
@@ -620,13 +621,17 @@ class Emitter:
         Value numbers are the walk's, but the computed values are per
         point: a subtree is reused only from an earlier emission at the
         same point, or, when it has no coordinate or velocity leaf, at the
-        same theta.  Returning to a point reuses what was computed there.
-        ``held`` maps trees the walk numbered to the locals holding their
-        values at this point, which are read from there, never computed.
-        A load beyond the named coordinates raises the
+        same theta.  Returning to a point reuses what was computed there,
+        and the checks of its coordinate and velocity names passed there;
+        at a new point those names may hold new values, so they are checked
+        again.  ``held`` maps trees the walk numbered to the locals holding
+        their values at this point, which are read from there, never
+        computed.  A load beyond the named coordinates raises the
         :class:`ExpressionError` a compiled evaluator raises for it.
         """
         self._point = (theta, tuple(q), tuple(v))
+        if self._point not in self._points:
+            self._checked = {(x, test) for x, test in self._checked if x not in q and x not in v}
         self._emitted = self._points.setdefault(self._point, {})
         self._theta_emitted = self._thetas.setdefault(theta, {})
         self._emitted.update(self._theta_emitted)

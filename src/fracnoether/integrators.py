@@ -613,9 +613,9 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         channels.append([before_update(values[0]), *values[1:]])
 
     # the samples at stage 1, the update, then the samples at the last row:
-    # a point of its own names, so nothing of the loop is taken for it
+    # the state locals at a theta of their own, so nothing of the loop is
+    # taken for them and each check of the state is written again
     taken = [f"s{i}" for i in range(len(sampled))]
-    ends = [f"e{name}" for name in q + v]
     row = q + v + [f"c{idx}" for idx in range(len(integrands))]
     puts = [f"put_{name}" for name in taken + row]
 
@@ -637,7 +637,7 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
     for put, name in zip(puts, [] if last_row else taken + row):
         em.line(f"{put}({name})", name)
     stepped = em.mark()
-    sample("end", ends[:n], ends[n:], {})
+    sample("end", q, v, {})
 
     def sampling(indent: str, start: int, stop: int | None) -> list[str]:
         return [
@@ -672,8 +672,8 @@ def _emit_rk4_loop(rhs: Callable, n: int, integrands: Sequence, sampled: Sequenc
         *step,
     ]
     if sampled:
-        source += [  # the last row's theta and state, where its samples read them
-            *(f"    {e} = {x}" for e, x in zip(["end", *ends], ["nodes[-1]", *q, *v]) if e in reads),
+        source += [  # the last row's theta, where its samples read it
+            *(["    end = nodes[-1]"] if "end" in reads else []),
             *sampling("    ", stepped, None),
             *(f"    {put}({name})" for put, name in zip(puts, taken)),
         ]
@@ -851,21 +851,13 @@ def convergence_order(
                           for x, r in zip(row, ref)))
 
     floor = _ORDER_FLOOR_RTOL * (1.0 + scale)
-    if all(err <= floor for err in errors):
-        return ConvergenceReport(
-            step_counts=tuple(step_counts),
-            errors=tuple(errors),
-            slope=None,
-            indeterminate=True,
-        )
-
+    indeterminate = all(err <= floor for err in errors)
     hs = [(b - a) / steps for steps in step_counts]
-    slope = log_log_slope(hs, [max(err, 1e-300) for err in errors])
     return ConvergenceReport(
         step_counts=tuple(step_counts),
         errors=tuple(errors),
-        slope=slope,
-        indeterminate=False,
+        slope=None if indeterminate else log_log_slope(hs, [max(err, 1e-300) for err in errors]),
+        indeterminate=indeterminate,
     )
 
 

@@ -32,34 +32,19 @@ class ScenarioError(ValueError):
     """Invalid scenario content; reported before any output is written."""
 
 
-class AlphaSweep(Record):
-    start: float
-    stop: float
-    count: int
-
-    def values(self) -> list[float]:
-        """The ``count`` alphas from ``start`` to ``stop``, ``numpy.linspace``'s."""
-        return linspace(self.start, self.stop, self.count)
-
-
-class GeneratorSpec(Record):
-    tau: str
-    xi: tuple
-    gauge: str  # "auto" or expression text
-
-
 class Scenario(Record):
+    """A validated scenario file as written, numbers as floats, lists as tuples and
+    defaults filled in: ``alpha`` a float or ``{"from", "to", "count"}``, ``mode``
+    ``{"type": "ivp", "q0", "v0"}`` or ``{"type": "bvp", "qa", "qb"}``, ``generators``
+    one ``{"tau", "xi", "gauge"}`` per generator."""
+
     name: str
     n: int
     lagrangian: str
-    alpha: float | AlphaSweep
+    alpha: float | dict
     observer_time: float
     interval: tuple
-    mode: str  # "ivp" or "bvp"
-    q0: tuple | None
-    v0: tuple | None
-    qa: tuple | None
-    qb: tuple | None
+    mode: dict
     steps: int
     generators: tuple
     charges: tuple
@@ -70,10 +55,14 @@ class Scenario(Record):
 
     @property
     def is_sweep(self) -> bool:
-        return isinstance(self.alpha, AlphaSweep)
+        return isinstance(self.alpha, dict)
 
     def alphas(self) -> list[float]:
-        return self.alpha.values() if self.is_sweep else [self.alpha]
+        """The sweep's ``count`` alphas from ``from`` to ``to``, ``numpy.linspace``'s,
+        or the one fixed alpha."""
+        if self.is_sweep:
+            return linspace(self.alpha["from"], self.alpha["to"], self.alpha["count"])
+        return [self.alpha]
 
     @cached_property
     def problem(self) -> VariationalProblem:
@@ -81,7 +70,8 @@ class Scenario(Record):
         return VariationalProblem(
             n=self.n, lagrangian=self.lagrangian_tree, interval=self.interval,
             frac=FractionalParams(alpha=self.alphas()[0], observer_time=self.observer_time),
-            boundary=BoundaryConditions(self.qa, self.qb) if self.mode == "bvp" else None,
+            boundary=(BoundaryConditions(self.mode["qa"], self.mode["qb"])
+                      if self.mode["type"] == "bvp" else None),
         )
 
     def stiffness(self, alpha: float, steps: int | None = None) -> float:
@@ -188,11 +178,7 @@ def _parse_expr(text, n: int, label: str) -> Expr:
 def scenario_from_dict(raw: dict) -> Scenario:
     """Validate a raw scenario mapping; raises ScenarioError on any defect."""
     _require(isinstance(raw, dict), "scenario must be a JSON object")
-    known = {
-        "name", "n", "lagrangian", "alpha", "observer_time", "interval",
-        "mode", "steps", "generators", "charges", "output_dir",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(Scenario._shown)  # a file's fields are the record's
     _require(not unknown, f"unknown scenario fields: {sorted(unknown)}")
 
     name = raw.get("name")
@@ -208,23 +194,22 @@ def scenario_from_dict(raw: dict) -> Scenario:
     lagrangian = raw.get("lagrangian")
     lagrangian_tree = _parse_expr(lagrangian, n, "lagrangian")
 
-    alpha_raw = raw.get("alpha")
-    if isinstance(alpha_raw, dict):
-        given, fields = set(alpha_raw), {"from", "to", "count"}
+    alpha = raw.get("alpha")
+    if isinstance(alpha, dict):
+        given, fields = set(alpha), {"from", "to", "count"}
         _require(fields <= given, f"alpha sweep needs fields: {sorted(fields - given)}")
         _require(given <= fields, f"unknown alpha sweep fields: {sorted(given - fields)}")
-        count = alpha_raw["count"]
+        count = alpha["count"]
         _require(_is_integer(count) and count >= 2, "sweep count must be at least 2")
         _require(count <= MAX_ALPHAS, f"sweep count must be at most {MAX_ALPHAS}")
-        start = _number(alpha_raw["from"], "alpha.from")
-        stop = _number(alpha_raw["to"], "alpha.to")
-        sweep = AlphaSweep(start=start, stop=stop, count=count)
-        for value in sweep.values():
-            _require(0.0 < value <= 1.0, "alpha must lie in (0,1]")
-        alpha: float | AlphaSweep = sweep
+        alpha = {"from": _number(alpha["from"], "alpha.from"),
+                 "to": _number(alpha["to"], "alpha.to"), "count": count}
+        alphas = linspace(alpha["from"], alpha["to"], count)
     else:
-        alpha = _number(alpha_raw, "alpha")
-        _require(0.0 < alpha <= 1.0, "alpha must lie in (0,1]")
+        alpha = _number(alpha, "alpha")
+        alphas = [alpha]
+    for value in alphas:
+        _require(0.0 < value <= 1.0, "alpha must lie in (0,1]")
 
     interval_raw = raw.get("interval")
     _require(
@@ -239,18 +224,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     mode_raw = raw.get("mode")
     _require(isinstance(mode_raw, dict) and "type" in mode_raw, "mode must be an object with a type")
-    mode = mode_raw["type"]
-    q0 = v0 = qa = qb = None
-    if mode == "ivp":
-        q0 = _vector(mode_raw.get("q0"), n, "mode.q0")
-        v0 = _vector(mode_raw.get("v0"), n, "mode.v0")
-        extra = set(mode_raw) - {"type", "q0", "v0"}
-    elif mode == "bvp":
-        qa = _vector(mode_raw.get("qa"), n, "mode.qa")
-        qb = _vector(mode_raw.get("qb"), n, "mode.qb")
-        extra = set(mode_raw) - {"type", "qa", "qb"}
-    else:
-        raise ScenarioError("mode.type must be 'ivp' or 'bvp'")
+    kind = mode_raw["type"]  # compared, not looked up: a JSON list is no key
+    _require(kind == "ivp" or kind == "bvp", "mode.type must be 'ivp' or 'bvp'")
+    mode = {"type": kind}
+    for end in ("q0", "v0") if kind == "ivp" else ("qa", "qb"):
+        mode[end] = _vector(mode_raw.get(end), n, f"mode.{end}")
+    extra = set(mode_raw) - set(mode)
     _require(not extra, f"unknown mode fields: {sorted(extra)}")
 
     steps = raw.get("steps", 1000)
@@ -281,7 +260,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
             parsed_generators.append(SymmetryGenerator(tau_expr, xi_exprs, gauge_expr))
         except ValueError as exc:
             raise ScenarioError(f"generators[{i}]: {exc}") from exc
-        generators.append(GeneratorSpec(tau=tau, xi=tuple(xi_raw), gauge=gauge))
+        generators.append({"tau": tau, "xi": tuple(xi_raw), "gauge": gauge})
 
     charges_raw = raw.get("charges", [])
     _require(isinstance(charges_raw, (list, tuple)), "charges must be a list")
@@ -292,26 +271,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
         "charge kind 'noether' needs at least one generator",
     )
 
-    output_dir = check_output_dir(raw.get("output_dir", "."))
-
     return Scenario(
-        name=name,
-        n=n,
-        lagrangian=lagrangian,
-        alpha=alpha,
-        observer_time=observer_time,
-        interval=(a, b),
-        mode=mode,
-        q0=q0,
-        v0=v0,
-        qa=qa,
-        qb=qb,
-        steps=steps,
-        generators=tuple(generators),
-        charges=tuple(charges_raw),
-        output_dir=output_dir,
-        lagrangian_tree=lagrangian_tree,
-        parsed_generators=tuple(parsed_generators),
+        name=name, n=n, lagrangian=lagrangian, alpha=alpha, observer_time=observer_time,
+        interval=(a, b), mode=mode, steps=steps, generators=tuple(generators),
+        charges=tuple(charges_raw), output_dir=check_output_dir(raw.get("output_dir", ".")),
+        lagrangian_tree=lagrangian_tree, parsed_generators=tuple(parsed_generators),
     )
 
 
@@ -342,37 +306,15 @@ def build_generators(
     ]
 
 
+def _plain(value):
+    """``value`` with every tuple, nested ones too, a list, as ``json`` writes it."""
+    if isinstance(value, tuple):
+        return [_plain(x) for x in value]
+    if isinstance(value, dict):
+        return {key: _plain(x) for key, x in value.items()}
+    return value
+
+
 def scenario_echo(scenario: Scenario) -> dict:
-    """JSON-ready resolved form of a scenario for run manifests."""
-    alpha: object
-    if scenario.is_sweep:
-        alpha = {
-            "from": scenario.alpha.start,
-            "to": scenario.alpha.stop,
-            "count": scenario.alpha.count,
-        }
-    else:
-        alpha = scenario.alpha
-    mode: dict = {"type": scenario.mode}
-    if scenario.mode == "ivp":
-        mode["q0"] = list(scenario.q0)
-        mode["v0"] = list(scenario.v0)
-    else:
-        mode["qa"] = list(scenario.qa)
-        mode["qb"] = list(scenario.qb)
-    return {
-        "name": scenario.name,
-        "n": scenario.n,
-        "lagrangian": scenario.lagrangian,
-        "alpha": alpha,
-        "observer_time": scenario.observer_time,
-        "interval": list(scenario.interval),
-        "mode": mode,
-        "steps": scenario.steps,
-        "generators": [
-            {"tau": g.tau, "xi": list(g.xi), "gauge": g.gauge}
-            for g in scenario.generators
-        ],
-        "charges": list(scenario.charges),
-        "output_dir": scenario.output_dir,
-    }
+    """JSON-ready resolved form of a scenario for run manifests: its shown fields."""
+    return {name: _plain(getattr(scenario, name)) for name in scenario._shown}

@@ -2,7 +2,7 @@
 dataclasses, and the pure-Python replacements of the numpy formulas they
 used give the same bits; numpy is the oracle here.
 
-``uniform_grid`` and ``AlphaSweep.values`` are ``integrators.linspace``,
+``uniform_grid`` and a scenario's sweep alphas are ``integrators.linspace``,
 ``numpy.linspace``'s formula, and the drift statistics find the largest
 deviation from the first sample without forming one difference per sample.
 """
@@ -23,7 +23,8 @@ import fracnoether
 from fracnoether.charges import ChargeSeries, _drift_stats
 from fracnoether import integrators
 from fracnoether.integrators import Trajectory, linspace, uniform_grid
-from fracnoether.scenarios import MAX_STEPS, AlphaSweep
+from fracnoether.records import replace
+from fracnoether.scenarios import MAX_STEPS, scenario_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(fracnoether.__file__).parents[1])
@@ -144,10 +145,16 @@ def test_uniform_grid_builds_the_least_recently_used_of_33_grids_anew():
     assert again is not grids[1] and again == grids[1]
 
 
+SWEEP = scenario_from_dict({
+    "name": "sweep", "n": 1, "lagrangian": "v0^2/2", "alpha": {"from": 0.5, "to": 1.0, "count": 2},
+    "observer_time": 2.0, "interval": [0.0, 1.0], "mode": {"type": "ivp", "q0": [0.0], "v0": [1.0]},
+})
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(start=st.floats(0.0, 1.0), stop=st.floats(0.0, 1.0), count=st.integers(2, 64))
 def test_alpha_sweeps_are_numpys_ascending_or_descending(start, stop, count):
-    values = AlphaSweep(start, stop, count).values()
+    values = replace(SWEEP, alpha={"from": start, "to": stop, "count": count}).alphas()
     assert all(type(x) is float for x in values)
     assert bits(values) == np.linspace(start, stop, count).tobytes()
 

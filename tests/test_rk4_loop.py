@@ -327,6 +327,20 @@ def test_a_failing_sample_leaves_the_others_to_the_grid_evaluation():
     assert column(traj.sample, samples[1])[0] == "ok"
 
 
+def test_the_last_row_checks_the_state_it_reads_again():
+    # from q0 = 1 at v0 = -1 the classical free particle reaches q0 = 0.0
+    # exactly at theta = 1 in 4 steps: each step's check of q0 at stage 1
+    # passes, and the last row's samples read the same locals after the
+    # last update, so they check them again
+    prob = problem("v0^2/2", 1, alpha=1.0)
+    samples = [Sample(parse("q0^2.5", 1)), Sample(parse("v0*v0", 1))]
+    traj = sampling(samples)(prob, [1.0], [-1.0], 4, {})
+    assert traj.q[-1] == (0.0,) and not traj.samples
+    assert column(traj.sample, samples[0]) == (
+        "raise", EvalDomainError, "power with real exponent needs a positive base")
+    assert column(traj.sample, samples[1])[0] == "ok"
+
+
 # --------------------------------------------------------------------------
 # Which error comes first
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fracnoether import cli, expressions, fanout, integrators, scenarios
 from fracnoether.scenarios import (
-    MAX_ALPHAS, MAX_STEPS, ScenarioError, load_scenario, scenario_from_dict,
+    MAX_ALPHAS, MAX_STEPS, ScenarioError, load_scenario, scenario_echo, scenario_from_dict,
 )
 
 
@@ -54,7 +54,7 @@ def test_valid_scenario_loads(tmp_path):
     # JSON integers are numbers too
     mode = {"type": "ivp", "q0": [0], "v0": [1]}
     scenario = scenario_from_dict(base_scenario(alpha=1, interval=[0, 1], observer_time=2, mode=mode))
-    assert (scenario.alpha, scenario.interval, scenario.q0) == (1.0, (0.0, 1.0), (0.0,))
+    assert (scenario.alpha, scenario.interval, scenario.mode["q0"]) == (1.0, (0.0, 1.0), (0.0,))
 
 
 def test_alpha_out_of_range_message():
@@ -141,6 +141,38 @@ def test_numeric_fields_must_be_finite_numbers(tmp_path, capsys, command, overri
     assert cli.main([command, "--scenario", str(path)]) == 2
     assert not out_dir.exists()
     assert "validation error" in capsys.readouterr().err
+
+
+def test_a_mode_type_that_is_no_string_is_a_validation_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    path = write_scenario(tmp_path, base_scenario(mode={"type": ["ivp"]}, output_dir=str(out_dir)))
+    assert cli.main(["solve", "--scenario", str(path)]) == 2
+    assert not out_dir.exists()
+    assert capsys.readouterr().err == "validation error: mode.type must be 'ivp' or 'bvp'\n"
+
+
+# Scenario files by name: the shipped ones, a BVP, a sweep, and one that
+# leaves tau, gauge, steps and output_dir to their defaults.
+ECHOED = {
+    "free_particle_bvp": lambda: shipped("free_particle_bvp.json"),
+    "oscillator_sweep": lambda: shipped("oscillator_sweep.json"),
+    "bvp": lambda: base_scenario(alpha=1, mode={"type": "bvp", "qa": [0], "qb": [2]}),
+    "sweep": lambda: base_scenario(alpha={"from": 0.25, "to": 1, "count": 4}, interval=[0, 1]),
+    "defaults": lambda: {key: value for key, value in base_scenario(
+        generators=[{"xi": ["1"]}]).items() if key not in ("steps", "output_dir")},
+}
+
+
+@pytest.mark.parametrize("make", ECHOED.values(), ids=ECHOED.keys())
+def test_a_scenario_reads_back_from_its_echo(make):
+    scenario = scenario_from_dict(make())
+    echo = scenario_echo(scenario)
+    assert scenario_from_dict(echo) == scenario
+    assert json.loads(json.dumps(echo)) == echo
+    assert echo["generators"] == [{"tau": g.get("tau", "0"), "xi": g["xi"],
+                                   "gauge": g.get("gauge", "auto")} for g in make()["generators"]]
+    assert (echo["steps"], echo["output_dir"]) == (
+        make().get("steps", 1000), make().get("output_dir", "."))
 
 
 # --------------------------------------------------------------------------
