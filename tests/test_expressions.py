@@ -74,6 +74,36 @@ def test_parse_reports_position():
     assert err.value.position == 4
 
 
+@pytest.mark.parametrize("text, n, message, position", [
+    ("q0 @ 1", 1, "unexpected character '@'", 3),
+    ("q0 q1", 2, "unexpected trailing input 'q1'", 3),
+    ("q0^q1", 2, "exponent must be a numeric literal", 3),
+    ("q0^(2", 1, "expected ')' after exponent", 5),
+    ("(q0 + 1", 1, "expected ')'", 7),
+    ("sin q0", 1, "expected '(' after sin", 4),
+    ("sin(q0", 1, "expected ')' closing sin(...)", 6),
+    ("q0 + )", 1, "expected a number, variable, function, or '('", 5),
+    ("foo(q0)", 1, "unknown identifier 'foo'", 0),
+    ("q2", 2, "variable index out of range: q2 with n = 2", 0),
+    ("(" * 101 + "q0" + ")" * 101, 1, "expression nested deeper than 100 levels", 100),
+    ("+".join(["q0"] * 101), 1, "expression tree deeper than 100 levels", None),
+])
+def test_every_parse_error_names_its_message_and_position(text, n, message, position):
+    """One text per raise site of the parser: the error's type, its exact
+    text and the position it names (none for the tree-depth rule, which
+    judges the whole tree)."""
+    with pytest.raises(ExpressionError) as err:
+        parse(text, n)
+    if position is None:
+        assert type(err.value) is ExpressionError
+        assert str(err.value) == message
+        assert not hasattr(err.value, "position")
+    else:
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+
 def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError, match="trailing"):
         parse("1 2", 1)
