@@ -8,6 +8,13 @@ Trees are built with the folding constructors of
 that ``v0*v0`` differentiates as ``v0^2`` does: ``add`` folds a node
 added to itself.  Their depth is bounded, since derivatives and the
 emitter recurse along them.
+
+Every rule reads its ``(kind, text, position)`` tokens through two
+helpers: ``accept(kinds)`` takes and returns the next token when its kind
+is one of ``kinds``, else None, and ``expect(kinds, message)`` raises a
+:class:`ParseError` at that token's position in place of None.  A kind is
+``num``, ``name``, an operator's own character, or ``end``: the token at
+``len(source)`` that closes every text.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .expressions import (
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
+    r"|([-+*/^()])"  # no name: an operator is its own kind
 )
 
 # Deepest nesting and tree parse accepts.  The parser recurses five frames
@@ -49,6 +56,7 @@ _TOKEN_RE = re.compile(
 MAX_DEPTH = 100
 
 _FUNCTIONS = {"sin": sin, "cos": cos, "exp": exp, "ln": ln, "sqrt": sqrt}
+_OPS = {"+": add, "-": sub, "*": mul, "/": div}
 _VAR_RE = re.compile(r"^([qv])(\d+)$")
 
 
@@ -63,9 +71,8 @@ def _deeper_than(e: Expr, limit: int) -> bool:
     return True
 
 
-class _Tokenizer:
-    def __init__(self, source: str):
-        self.source = source
+class _Parser:
+    def __init__(self, source: str, n: int | None):
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(source):
@@ -75,34 +82,36 @@ class _Tokenizer:
             m = _TOKEN_RE.match(source, pos)
             if m is None:
                 raise ParseError(f"unexpected character {source[pos]!r}", pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(), pos))
+            self.tokens.append((m.lastgroup or m.group(), m.group(), pos))
             pos = m.end()
+        self.tokens.append(("end", "", len(source)))
         self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.source))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-
-class _Parser:
-    def __init__(self, source: str, n: int | None):
-        self.toks = _Tokenizer(source)
         self.n = n
         self.depth = 0
         self.leaves: dict[tuple, Expr] = {}  # (kind, index) -> the one node of a variable
+
+    def accept(self, kinds: str | tuple[str, ...]) -> tuple[str, str, int] | None:
+        """The next token, taken, when its kind is one of ``kinds``; else None."""
+        tok = self.tokens[self.i]
+        if tok[0] in kinds:
+            self.i += 1
+            return tok
+        return None
+
+    def expect(self, kinds: str | tuple[str, ...], message: str) -> tuple[str, str, int]:
+        """:meth:`accept`, with a ParseError at the next token in place of None."""
+        tok = self.accept(kinds)
+        if tok is None:
+            raise ParseError(message, self.tokens[self.i][2])
+        return tok
 
     def leaf(self, kind: type, *index: int) -> Expr:
         return self.leaves.setdefault((kind, *index), kind(*index))
 
     def parse(self) -> Expr:
         e = self.expr()
-        kind, text, pos = self.toks.peek()
-        if kind is not None:
+        kind, text, pos = self.tokens[self.i]
+        if kind != "end":
             raise ParseError(f"unexpected trailing input {text!r}", pos)
         if _deeper_than(e, MAX_DEPTH):
             raise ExpressionError(f"expression tree deeper than {MAX_DEPTH} levels")
@@ -110,25 +119,15 @@ class _Parser:
 
     def expr(self) -> Expr:
         e = self.term()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                rhs = self.term()
-                e = add(e, rhs) if text == "+" else sub(e, rhs)
-            else:
-                return e
+        while op := self.accept("+-"):
+            e = _OPS[op[0]](e, self.term())
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if text == "*" else div(e, rhs)
-            else:
-                return e
+        while op := self.accept("*/"):
+            e = _OPS[op[0]](e, self.factor())
+        return e
 
     def nested(self, parse, pos: int) -> Expr:
         """``parse()`` one level deeper; no level beyond MAX_DEPTH is entered."""
@@ -140,75 +139,53 @@ class _Parser:
         return e
 
     def factor(self) -> Expr:
-        kind, text, pos = self.toks.peek()
-        if kind == "op" and text == "-":
-            self.toks.next()
-            return neg(self.nested(self.factor, pos))
-        if kind == "op" and text == "+":
-            self.toks.next()
-            return self.nested(self.factor, pos)
-        return self.power()
+        sign = self.accept("+-")
+        if sign is None:
+            return self.power()
+        e = self.nested(self.factor, sign[2])
+        return neg(e) if sign[0] == "-" else e
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "^":
-            self.toks.next()
-            return power(base, self.exponent_literal())
-        return base
+        return power(base, self.exponent_literal()) if self.accept("^") else base
 
     def exponent_literal(self) -> float:
-        kind, text, pos = self.toks.next()
-        parenthesized = kind == "op" and text == "("
-        if parenthesized:
-            kind, text, pos = self.toks.next()
-        sign = 1.0
-        if kind == "op" and text == "-":
-            sign = -1.0
-            kind, text, pos = self.toks.next()
-        if kind != "num":
-            raise ParseError("exponent must be a numeric literal", pos)
+        parenthesized = self.accept("(")
+        sign = -1.0 if self.accept("-") else 1.0
+        _, text, _ = self.expect(("num",), "exponent must be a numeric literal")
         value = sign * float(text)
         if parenthesized:
-            kind, text, pos = self.toks.next()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')' after exponent", pos)
+            self.expect(")", "expected ')' after exponent")
         return value
 
     def atom(self) -> Expr:
-        kind, text, pos = self.toks.next()
+        kind, text, pos = self.expect(
+            ("num", "name", "("), "expected a number, variable, function, or '('"
+        )
         if kind == "num":
             return Const(float(text))
-        if kind == "op" and text == "(":
+        if kind == "(":
             e = self.nested(self.expr, pos)
-            kind, text, pos = self.toks.next()
-            if not (kind == "op" and text == ")"):
-                raise ParseError("expected ')'", pos)
+            self.expect(")", "expected ')'")
             return e
-        if kind == "name":
-            if text == "theta":
-                return self.leaf(Theta)
-            if text == "pi":
-                return Const(math.pi)
-            m = _VAR_RE.match(text)
-            if m:
-                index = int(m.group(2))
-                if self.n is not None and index >= self.n:
-                    raise ParseError(
-                        f"variable index out of range: {text} with n = {self.n}", pos
-                    )
-                return self.leaf(Q if m.group(1) == "q" else V, index)
-            if text in _FUNCTIONS:
-                kind, tok, pos2 = self.toks.next()
-                if not (kind == "op" and tok == "("):
-                    raise ParseError(f"expected '(' after {text}", pos2)
-                arg = self.nested(self.expr, pos)
-                kind, tok, pos2 = self.toks.next()
-                if not (kind == "op" and tok == ")"):
-                    raise ParseError(f"expected ')' closing {text}(...)", pos2)
-                return _FUNCTIONS[text](arg)
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        raise ParseError("expected a number, variable, function, or '('", pos)
+        if text == "theta":
+            return self.leaf(Theta)
+        if text == "pi":
+            return Const(math.pi)
+        m = _VAR_RE.match(text)
+        if m:
+            index = int(m.group(2))
+            if self.n is not None and index >= self.n:
+                raise ParseError(
+                    f"variable index out of range: {text} with n = {self.n}", pos
+                )
+            return self.leaf(Q if m.group(1) == "q" else V, index)
+        if text in _FUNCTIONS:
+            self.expect("(", f"expected '(' after {text}")
+            arg = self.nested(self.expr, pos)
+            self.expect(")", f"expected ')' closing {text}(...)")
+            return _FUNCTIONS[text](arg)
+        raise ParseError(f"unknown identifier {text!r}", pos)
 
 
 def parse(source: str, n: int | None = None) -> Expr:
