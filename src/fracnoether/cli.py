@@ -7,15 +7,16 @@ counterparts, the alphas shared out over forked workers by
 ``fanout.fork_map``), and ``verify`` (the built-in acceptance corpus). Each
 alpha is solved once, by ``_solve``, into a :class:`Run` that the writers read.
 
-Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error,
-3 solver error.
+Exit codes: 0 success, 1 charge/acceptance failure, 2 validation error
+(an output file that cannot be written is one), 3 solver error.
 
 ``main`` may be called any number of times in one process. The argparse
 tree is built on its first call and reused after that: ``build_parser()``
 returns that shared tree, which callers must not change. Help and usage
 texts still follow ``COLUMNS`` on every call, since argparse reads the
 terminal width when it formats them. The process keeps more between
-commands: the compiled loops by shape, each with its code, the last 32
+commands: the compiled functions by shape (loops, tree evaluators and
+acceleration functions), each with its code, the last 32
 theta grids, each with its theta texts once a table is written on it,
 and the last 32 shoots of boundary problems that returned
 (``integrators._SHOOTS``), keyed by all that their Newton iteration
@@ -62,7 +63,7 @@ from .charges import (  # the charge functions are called by name (Run.series)
 from .euler_lagrange import SingularHessianError, VariationalProblem, to_explicit_ode
 from .expressions import EvalDomainError, ExpressionError
 from .integrators import BlowUpError, Sample, ShootingError, bvp_shoot, ivp_solve
-from .records import Record, replace
+from .records import Record, plain, replace
 from .scenarios import (
     Scenario,
     ScenarioError,
@@ -72,7 +73,6 @@ from .scenarios import (
     check_stable,
     check_steps,
     load_scenario,
-    scenario_echo,
 )
 
 EXIT_OK = 0
@@ -188,21 +188,14 @@ def _output_dir(path) -> Path:
 
 def _write_manifest(path: Path, scenario: Scenario, report, wall_time: float) -> None:
     manifest = {
-        "scenario": scenario_echo(scenario),
+        "scenario": plain(scenario),
         "solver": {
             "method": "rk4",
             "steps": scenario.steps,
             "boundary_tol": integrators.SHOOTING_TOL,
             "max_iter": integrators.SHOOTING_MAX_ITER,
         },
-        "shooting": None
-        if report is None
-        else {
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "boundary_miss": list(report.boundary_miss),
-            "initial_velocity": list(report.initial_velocity),
-        },
+        "shooting": plain(report),
         "wall_time_seconds": wall_time,
     }
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -305,9 +298,7 @@ def cmd_verify(args) -> int:
     passed = sum(r.passed for r in results)
     print(f"{passed}/{len(results)} criteria passed")
     report = {
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
+        "criteria": plain(results),
         "passed": passed,
         "total": len(results),
     }
@@ -341,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def clear_caches() -> None:
-    """Return the process to the caches of a fresh one: the loops kept by
-    shape with their code (``expressions._SHAPES``), the grids with their
+    """Return the process to the caches of a fresh one: the functions kept
+    by shape with their code (``expressions._SHAPES``: loops, tree
+    evaluators and acceleration functions), the grids with their
     theta texts (``integrators.uniform_grid``), the last 32 shoots that
     returned (``integrators._SHOOTS``, keyed by the structure and
     constants of the ODE's trees, the grid, q_a, q_b, the shooting
@@ -369,6 +361,9 @@ def main(argv=None) -> int:
     except SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except OSError as exc:  # an output file that cannot be written; its path is in exc
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

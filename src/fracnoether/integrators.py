@@ -339,8 +339,7 @@ class ExactSolution(Record):
 class ConvergenceReport(Record):
     step_counts: tuple
     errors: tuple
-    slope: float | None
-    indeterminate: bool
+    slope: float | None  # None: every error at rounding level
 
 
 def ivp_solve(
@@ -832,7 +831,7 @@ def convergence_order(
     """Least-squares slope of log(max error) against log(h).
 
     Initial conditions are read off the exact solution at a.  When every
-    error sits at rounding level the order is reported indeterminate.
+    error sits at rounding level the slope is None: the order is indeterminate.
     """
     if len(step_counts) < 2:
         raise ValueError("need at least two step counts")
@@ -857,7 +856,6 @@ def convergence_order(
         step_counts=tuple(step_counts),
         errors=tuple(errors),
         slope=None if indeterminate else log_log_slope(hs, [max(err, 1e-300) for err in errors]),
-        indeterminate=indeterminate,
     )
 
 

@@ -77,6 +77,18 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
 
+def plain(value):
+    """``value`` in the form ``json`` writes: a record the dict of its shown
+    fields, every tuple or list a list and every dict a copy, nested ones too."""
+    if isinstance(value, Record):
+        return {name: plain(getattr(value, name)) for name in value._shown}
+    if isinstance(value, (tuple, list)):
+        return [plain(x) for x in value]
+    if isinstance(value, dict):
+        return {key: plain(x) for key, x in value.items()}
+    return value
+
+
 def replace(record, **changes):
     """``record`` with ``changes``, built anew by its constructor and checked
     again by ``__post_init__``."""

@@ -304,17 +304,3 @@ def build_generators(
         else gen.with_gauge(gauge_rate_from_reduced_condition(prob, gen))
         for gen in scenario.parsed_generators
     ]
-
-
-def _plain(value):
-    """``value`` with every tuple, nested ones too, a list, as ``json`` writes it."""
-    if isinstance(value, tuple):
-        return [_plain(x) for x in value]
-    if isinstance(value, dict):
-        return {key: _plain(x) for key, x in value.items()}
-    return value
-
-
-def scenario_echo(scenario: Scenario) -> dict:
-    """JSON-ready resolved form of a scenario for run manifests: its shown fields."""
-    return {name: _plain(getattr(scenario, name)) for name in scenario._shown}

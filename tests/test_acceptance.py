@@ -57,3 +57,19 @@ def test_a_failed_sweep_row_fails_its_criterion(monkeypatch):
     error = "error: non-finite state detected at theta = 0.5"
     assert result.detail == "; ".join(f"alpha={alpha}: {error}" for alpha in
                                       (0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0))
+
+
+def test_an_indeterminate_order_fails_its_criterion(monkeypatch):
+    # the classical free particle from q0 = 0, v0 = 1 on [0, 1] runs along
+    # q = theta, which RK4 reproduces to rounding at every step count
+    line = acceptance._scenario("v0^2/2", 1.0, acceptance._ivp([0.0], [1.0])).problem
+    exact = integrators.ExactSolution(q=lambda th: [th], v=lambda th: [1.0])
+
+    def on_the_line(prob, _, step_counts):
+        return integrators.convergence_order(line, exact, step_counts)
+
+    monkeypatch.setattr(acceptance, "convergence_order", on_the_line)
+    result = acceptance.criterion_integrator_order()
+    assert not result.passed
+    assert result.detail == ("oscillator slope = indeterminate, "
+                             "free-particle slope = indeterminate (4 +- 0.3)")

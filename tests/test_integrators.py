@@ -419,7 +419,7 @@ def test_order_four_on_oscillator():
     prob = problem("(v0^2 - q0^2)/2", alpha=1.0)
     exact = ExactSolution(q=lambda th: [math.cos(th)], v=lambda th: [-math.sin(th)])
     report = convergence_order(prob, exact, [100, 200, 400, 800])
-    assert not report.indeterminate
+    assert report.slope is not None
     assert abs(report.slope - 4.0) <= 0.3
 
 
@@ -429,7 +429,7 @@ def test_order_four_on_fractional_free_particle():
         q=lambda th: [exact_free_q(th)], v=lambda th: [exact_free_v(th)]
     )
     report = convergence_order(prob, exact, [100, 200, 400, 800])
-    assert not report.indeterminate
+    assert report.slope is not None
     assert abs(report.slope - 4.0) <= 0.3
 
 
@@ -438,7 +438,6 @@ def test_order_indeterminate_for_exact_problem():
     prob = problem("v0^2/2", alpha=1.0)
     exact = ExactSolution(q=lambda th: [th], v=lambda th: [1.0])
     report = convergence_order(prob, exact, [10, 20, 40])
-    assert report.indeterminate
     assert report.slope is None
 
 

@@ -88,9 +88,8 @@ RECORDS = [
      "initial_velocity=(1.0,))"),
     ("ExactSolution", lambda x: ExactSolution(exact_q, x), exact_v, exact_q,
      f"ExactSolution(q={exact_q!r}, v={exact_v!r})"),
-    ("ConvergenceReport", lambda x: ConvergenceReport((10, 20), (1e-3, 1e-4), x, False), 2.0,
-     None, "ConvergenceReport(step_counts=(10, 20), errors=(0.001, 0.0001), slope=2.0, "
-     "indeterminate=False)"),
+    ("ConvergenceReport", lambda x: ConvergenceReport((10, 20), (1e-3, 1e-4), x), 2.0,
+     None, "ConvergenceReport(step_counts=(10, 20), errors=(0.001, 0.0001), slope=2.0)"),
 ]
 UNHASHABLE = {"Trajectory", "Scenario"}  # a trajectory's channels, a scenario's mode: dicts
 

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fracnoether import cli, expressions, fanout, integrators, scenarios
+from fracnoether.records import plain
 from fracnoether.scenarios import (
-    MAX_ALPHAS, MAX_STEPS, ScenarioError, load_scenario, scenario_echo, scenario_from_dict,
+    MAX_ALPHAS, MAX_STEPS, ScenarioError, load_scenario, scenario_from_dict,
 )
 
 
@@ -166,7 +167,7 @@ ECHOED = {
 @pytest.mark.parametrize("make", ECHOED.values(), ids=ECHOED.keys())
 def test_a_scenario_reads_back_from_its_echo(make):
     scenario = scenario_from_dict(make())
-    echo = scenario_echo(scenario)
+    echo = plain(scenario)
     assert scenario_from_dict(echo) == scenario
     assert json.loads(json.dumps(echo)) == echo
     assert echo["generators"] == [{"tau": g.get("tau", "0"), "xi": g["xi"],
@@ -417,6 +418,36 @@ def test_an_empty_output_dir_in_a_scenario_is_a_validation_error(tmp_path, capsy
     path = write_scenario(tmp_path, base_scenario(output_dir=""))
     assert cli.main(["solve", "--scenario", str(path)]) == 2
     assert capsys.readouterr().err == "validation error: output_dir must be a path\n"
+
+
+# each command's file that a directory of its name keeps from being written
+UNWRITABLE = {
+    "solve": ("free_particle_traj.csv", {}),
+    "charge": ("free_particle_charge_energy.csv", {"charges": ["energy"]}),
+    "sweep": ("free_particle_sweep.csv", {"alpha": {"from": 0.5, "to": 1.0, "count": 2}}),
+    "verify": ("verify_report.json", None),
+}
+
+
+@pytest.mark.parametrize("command", UNWRITABLE)
+def test_an_output_file_that_cannot_be_written_is_a_validation_error(
+    tmp_path, capsys, monkeypatch, command
+):
+    from fracnoether import acceptance
+
+    name, overrides = UNWRITABLE[command]
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = [command, "--output", str(out)]
+    if command == "verify":
+        result = acceptance.CriterionResult("criterion", True, "detail")
+        monkeypatch.setattr(acceptance, "run_all", lambda: [result])
+    else:
+        argv += ["--scenario", str(write_scenario(tmp_path, base_scenario(**overrides)))]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1
+    assert repr(str(out / name)) in err
 
 
 # --------------------------------------------------------------------------

@@ -78,6 +78,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -190,8 +191,8 @@ def record_pass(workload: str, seed: int):
     kind_calls = {"rows": 0, "last": 0}
     collections = [0] * len(gc.get_count())
     # what expressions looks compile and exec up as: builtins, or a caller's hooks
-    hooks = {name: vars(expressions).get(name) for name in ("compile", "exec")}
-    compile_code, run_code = hooks["compile"] or compile, hooks["exec"] or exec
+    compile_code = vars(expressions).get("compile", compile)
+    run_code = vars(expressions).get("exec", exec)
     sources = {}  # code object -> the source compiled into it
     diff = expressions.Expr.diff
     compile_loop = integrators._compile_rk4_loop
@@ -292,49 +293,40 @@ def record_pass(workload: str, seed: int):
             collections[info["generation"]] += 1
 
     plan = workloads().build_plan(workload, seed)
-    expressions.compile, expressions.exec = recording_compile, recording_exec
-    expressions.Expr.diff = counted_diff
-    integrators.Trajectory.__post_init__ = counted_post_init
-    integrators._compile_rk4_loop = timed_compile
-    integrators._emit_rk4_loop = counted_emit
-    integrators.write_table = charges.write_table = counted_write_table
     bvp_shoot, check_converges = cli.bvp_shoot, integrators._check_converges
-    cli.bvp_shoot, integrators._check_converges = counted_shoot, counted_guess
-    usable_cpus = fanout.usable_cpus
-    fanout.usable_cpus = lambda: 1
-    argparse.ArgumentParser.__init__ = counted_parser_init
-    shutil.get_terminal_size = counted_terminal_size
-    cli.clear_caches()
-    cwd = os.getcwd()
-    gc.callbacks.append(collected)
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            os.chdir(tmp)
-            os.mkdir("scenarios")
-            for path, raw in plan["files"].items():
-                Path(path).write_text(json.dumps(raw))
-            for argv in plan["commands"]:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    code = cli.main(argv)
-                if code != 0:
-                    raise SystemExit(f"command {argv} exited {code}")
-    finally:
-        gc.callbacks.remove(collected)
-        os.chdir(cwd)
-        for name, hook in hooks.items():
-            if hook is None:
-                delattr(expressions, name)
-            else:
-                setattr(expressions, name, hook)
-        expressions.Expr.diff = diff
-        integrators.Trajectory.__post_init__ = post_init
-        integrators._compile_rk4_loop = compile_loop
-        integrators._emit_rk4_loop = emit_loop
-        integrators.write_table = charges.write_table = write_table
-        cli.bvp_shoot, integrators._check_converges = bvp_shoot, check_converges
-        fanout.usable_cpus = usable_cpus
-        argparse.ArgumentParser.__init__ = parser_init
-        shutil.get_terminal_size = terminal_size
+    patches = [
+        (expressions, "compile", recording_compile),
+        (expressions, "exec", recording_exec),
+        (expressions.Expr, "diff", counted_diff),
+        (integrators.Trajectory, "__post_init__", counted_post_init),
+        (integrators, "_compile_rk4_loop", timed_compile),
+        (integrators, "_emit_rk4_loop", counted_emit),
+        (integrators, "write_table", counted_write_table),
+        (charges, "write_table", counted_write_table),
+        (cli, "bvp_shoot", counted_shoot),
+        (integrators, "_check_converges", counted_guess),
+        (fanout, "usable_cpus", lambda: 1),
+        (argparse.ArgumentParser, "__init__", counted_parser_init),
+        (shutil, "get_terminal_size", counted_terminal_size),
+    ]
+    with contextlib.ExitStack() as stack:
+        for target, name, new in patches:
+            # expressions holds compile and exec only while a caller hooks them
+            stack.enter_context(mock.patch.object(target, name, new,
+                                                  create=target is expressions))
+        cli.clear_caches()
+        stack.callback(os.chdir, os.getcwd())
+        gc.callbacks.append(collected)
+        stack.callback(gc.callbacks.remove, collected)
+        os.chdir(stack.enter_context(tempfile.TemporaryDirectory()))
+        os.mkdir("scenarios")
+        for path, raw in plan["files"].items():
+            Path(path).write_text(json.dumps(raw))
+        for argv in plan["commands"]:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code != 0:
+                raise SystemExit(f"command {argv} exited {code}")
     calls["columns"] = len(columns)
     return loops, emitted[0], spent[0], calls, shoots, collections
 
