@@ -404,7 +404,7 @@ def criterion_integrator_order() -> CriterionResult:
 
     slopes = (rep1.slope, rep2.slope)
     ok = all(slope is not None and abs(slope - 4.0) <= 0.3 for slope in slopes)
-    oscillator, free = ("indeterminate" if s is None else f"{s:.3f}" for s in slopes)
+    oscillator, free = ("indeterminate" if slope is None else f"{slope:.3f}" for slope in slopes)
     return CriterionResult(
         "integrator_order",
         ok,

@@ -49,7 +49,7 @@ _TOKEN_RE = re.compile(
     r"|([-+*/^()])"  # no name: an operator is its own kind
 )
 
-# Deepest nesting and tree parse accepts.  The parser recurses five frames
+# Deepest nesting and tree parse accepts.  The parser recurses six frames
 # per parenthesis and the derivatives and the emitter about one per tree
 # level, on trees that differentiation makes deeper still, so this keeps
 # every recursion well inside Python's default limit of 1000 frames.
